@@ -1,14 +1,11 @@
-//! Join hot-path microbench: the row-at-a-time reference join
-//! (`PF_JOIN_VECTOR=off`) vs the vectorized pipeline (radix-partitioned
-//! build, page-batched probe, semi-join filter pushdown), over the four
-//! shapes the executor actually runs — build-dominated, probe-dominated,
+//! Join hot-path microbench: the hash join (radix-partitioned build,
+//! page-batched probe, semi-join filter pushdown) over the four shapes
+//! the executor actually runs — build-dominated, probe-dominated,
 //! filtered probe (bit-vector built and pushed into the probe scan), and
 //! the monitored probe (semi-join sketch observation on every page).
 //!
-//! Reports rows/sec for both paths and writes
-//! `BENCH_join_hot_path.json` at the workspace root for the CI bench
-//! trajectory. Under `PF_BENCH_ENFORCE=1` the vectorized path must be at
-//! least as fast as the row-at-a-time path on every shape.
+//! Reports rows/sec per shape and writes `BENCH_join_hot_path.json` at
+//! the workspace root for the CI bench trajectory.
 //!
 //! Run with `cargo bench --bench join_hot_path`; set
 //! `PF_BENCH_BUDGET_MS` (e.g. 25) and `PF_BENCH_QUICK=1` for the CI
@@ -23,19 +20,6 @@ use pf_storage::TableStorage;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// Pins the `PF_JOIN_VECTOR` toggle for the duration of `f`. The bench
-/// binary is single-threaded, so no lock is needed.
-fn with_vector<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    if on {
-        std::env::remove_var("PF_JOIN_VECTOR");
-    } else {
-        std::env::set_var("PF_JOIN_VECTOR", "off");
-    }
-    let out = f();
-    std::env::remove_var("PF_JOIN_VECTOR");
-    out
-}
 
 /// A join-key table: `k = (i * 7919) % key_mod` scrambles the key order
 /// (every page mixes the whole key domain) and a short string payload
@@ -60,8 +44,7 @@ fn scan(t: &Arc<TableStorage>, id: u32) -> SeqScan {
     SeqScan::full(Arc::clone(t), TableId(id), Conjunction::always_true(), None)
 }
 
-/// Plain hash join, counting driver. The vector toggle decides which
-/// build/probe pipeline runs inside.
+/// Plain hash join, counting driver.
 fn join_count(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
     let mut hj = HashJoin::new(
         Box::new(scan(build, 0)),
@@ -75,8 +58,7 @@ fn join_count(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
 }
 
 /// Hash join with a bit-vector filter and pushdown requested: the
-/// vectorized path installs the completed filter as a probe-scan
-/// pre-filter; the row path evaluates membership in the join.
+/// completed filter is installed as a probe-scan pre-filter.
 fn join_count_filtered(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
     let slot = semi_join_slot(0);
     let mut hj = HashJoin::new(
@@ -137,19 +119,15 @@ fn measure(
     out: &mut Vec<Measurement>,
     name: &str,
     rows_per_iter: u64,
-    vector: bool,
     mut routine: impl FnMut() -> u64,
 ) {
-    let full = format!("{name}/{}", if vector { "vector" } else { "row" });
     let mut rows_per_sec = 0.0;
-    with_vector(vector, || {
-        c.bench_function(&full, |b: &mut Bencher| {
-            b.iter(|| black_box(routine()));
-            rows_per_sec = rows_per_iter as f64 / b.ns_per_iter() * 1e9;
-        });
+    c.bench_function(name, |b: &mut Bencher| {
+        b.iter(|| black_box(routine()));
+        rows_per_sec = rows_per_iter as f64 / b.ns_per_iter() * 1e9;
     });
     out.push(Measurement {
-        name: full,
+        name: name.to_string(),
         rows_per_iter,
         rows_per_sec,
     });
@@ -157,7 +135,6 @@ fn measure(
 
 fn main() {
     let quick = std::env::var("PF_BENCH_QUICK").is_ok();
-    let enforce = std::env::var("PF_BENCH_ENFORCE").is_ok();
     let nrows: i64 = if quick { 10_000 } else { 100_000 };
 
     // Build side: nrows/4 rows over nrows/8 distinct keys (multiplicity
@@ -167,67 +144,33 @@ fn main() {
     let probe = table(nrows, nrows / 4);
     let empty = table(0, 1);
 
-    // Path parity before timing anything.
-    for (label, f) in [
-        ("plain", join_count as fn(&_, &_) -> u64),
-        ("filtered", join_count_filtered),
-        ("monitored", join_count_monitored),
-    ] {
-        let off = with_vector(false, || f(&build, &probe));
-        let on = with_vector(true, || f(&build, &probe));
-        assert_eq!(off, on, "{label}: vector on/off count parity");
-    }
+    // Every shape counts the same join before anything is timed.
+    let plain = join_count(&build, &probe);
+    assert_eq!(join_count_filtered(&build, &probe), plain, "filtered count");
+    assert_eq!(
+        join_count_monitored(&build, &probe),
+        plain,
+        "monitored count"
+    );
 
     let mut c = Criterion::default();
     let mut out: Vec<Measurement> = Vec::new();
     let build_rows = nrows as u64 / 4;
     let probe_rows = nrows as u64;
 
-    for vector in [false, true] {
-        // Build-dominated: empty probe side isolates the build phase.
-        measure(&mut c, &mut out, "build", build_rows, vector, || {
-            join_count(&build, &empty)
-        });
-        measure(&mut c, &mut out, "probe", probe_rows, vector, || {
-            join_count(&build, &probe)
-        });
-        measure(
-            &mut c,
-            &mut out,
-            "filtered_probe",
-            probe_rows,
-            vector,
-            || join_count_filtered(&build, &probe),
-        );
-        measure(
-            &mut c,
-            &mut out,
-            "monitored_probe",
-            probe_rows,
-            vector,
-            || join_count_monitored(&build, &probe),
-        );
-    }
-
-    let rate = |n: &str| {
-        out.iter()
-            .find(|m| m.name == n)
-            .map(|m| m.rows_per_sec)
-            .unwrap()
-    };
-    let shapes = ["build", "probe", "filtered_probe", "monitored_probe"];
-    let mut speedups = Vec::new();
-    for s in shapes {
-        let ratio = rate(&format!("{s}/vector")) / rate(&format!("{s}/row"));
-        println!("{s}: vectorized {ratio:.2}x row-at-a-time");
-        if enforce {
-            assert!(
-                ratio >= 1.0,
-                "{s}: vectorized path must not regress below row-at-a-time, got {ratio:.2}x"
-            );
-        }
-        speedups.push(format!("    \"{s}\": {ratio:.3}"));
-    }
+    // Build-dominated: empty probe side isolates the build phase.
+    measure(&mut c, &mut out, "build", build_rows, || {
+        join_count(&build, &empty)
+    });
+    measure(&mut c, &mut out, "probe", probe_rows, || {
+        join_count(&build, &probe)
+    });
+    measure(&mut c, &mut out, "filtered_probe", probe_rows, || {
+        join_count_filtered(&build, &probe)
+    });
+    measure(&mut c, &mut out, "monitored_probe", probe_rows, || {
+        join_count_monitored(&build, &probe)
+    });
 
     let rows: Vec<String> = out
         .iter()
@@ -241,9 +184,8 @@ fn main() {
     let json = format!(
         "{{\n  \"benchmark\": \"join_hot_path\",\n  \"build_rows\": {build_rows},\n  \
          \"probe_rows\": {probe_rows},\n  \"hardware_threads\": {},\n  \
-         \"vector_speedup\": {{\n{}\n  }},\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"results\": [\n{}\n  ]\n}}\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
-        speedups.join(",\n"),
         rows.join(",\n")
     );
     let out_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -104,9 +104,8 @@ pub fn run_fig8(rows: usize, per_column: usize, jobs: usize) -> Result<Vec<JoinP
     let os: Vec<f64> = points.iter().map(|p| p.overhead).collect();
     println!("max bit-vector overhead: {:.2}%", max(&os) * 100.0);
     // Chosen hash-join strategy. Partition count and filter pushdown
-    // are pure functions of the plan (never of runtime knobs), so this
-    // line is byte-identical across `PF_JOIN_VECTOR` settings and job
-    // counts.
+    // are pure functions of the plan, so this line is byte-identical
+    // across job counts.
     let mut hash_n = 0usize;
     let mut push_n = 0usize;
     let mut parts = std::collections::BTreeSet::new();

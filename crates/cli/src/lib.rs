@@ -932,7 +932,6 @@ mod tests {
             ".explain SELECT COUNT(T.pad) FROM T1, T WHERE T1.c1 < 40000 AND T1.c2 = T.c2",
         ));
         assert!(ex.contains("strategy: parts="), "{ex}");
-        assert!(ex.contains("vector=on"), "{ex}");
         assert!(ex.contains("pushdown="), "{ex}");
     }
 

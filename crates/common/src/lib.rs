@@ -23,7 +23,7 @@ pub mod rng;
 pub mod schema;
 pub mod value;
 
-pub use env::{env_knob, env_switch};
+pub use env::env_knob;
 pub use error::{Error, Result};
 pub use ids::{ColumnId, IndexId, PageId, Rid, SlotId, TableId};
 pub use schema::{Column, Row, Schema};

@@ -9,7 +9,7 @@ use pf_common::{Datum, Error, IndexId, PageId, Result, Rid, Row, Schema, TableId
 use pf_exec::index::{Fetch, IndexSeek, RidList, SeekRange};
 use pf_exec::monitor::{FetchTemplate, MonitorTemplate, ScanMonitorPartial, SemiJoinRecipe};
 use pf_exec::scan::SeqScan;
-use pf_exec::{drain, run_count, CancelToken, Conjunction, ExecContext, RidSource};
+use pf_exec::{run_count, CancelToken, Conjunction, ExecContext, RidSource};
 use pf_feedback::{BitVectorFilter, FeedbackReport, LinearCounter};
 use pf_optimizer::{
     AccessPath, CostModel, DbStats, EpochStamp, HintSet, JoinMethod, JoinPlan, JoinSpec, Optimizer,
@@ -178,7 +178,7 @@ pub struct Database {
     /// errors propagate to the caller, the pre-breaker behaviour).
     breaker: Option<CircuitBreaker>,
     /// Memoized optimizer decisions, invalidated on anything that can
-    /// change a plan (`PF_PLAN_CACHE=off` disables).
+    /// change a plan.
     plan_cache: PlanCache,
     /// How stamped hints are aged as DML drifts their tables.
     pub staleness: StalenessPolicy,
@@ -204,7 +204,7 @@ impl Database {
             dpc_cache: None,
             feedback_store: None,
             breaker: None,
-            plan_cache: PlanCache::from_env(),
+            plan_cache: PlanCache::new(true),
             staleness: StalenessPolicy::default(),
             disk: DiskModel::default(),
             pool_pages: 65_536,
@@ -579,9 +579,8 @@ impl Database {
         self.plan_cache.stats()
     }
 
-    /// Replaces the plan cache with one that is explicitly on or off —
-    /// test hook and CLI escape hatch (the `PF_PLAN_CACHE` knob decides
-    /// the default at construction).
+    /// Replaces the plan cache with one that is explicitly on or off
+    /// (on by default). Tests use the cache-off path as their reference.
     pub fn set_plan_cache_enabled(&mut self, enabled: bool) {
         self.plan_cache = PlanCache::new(enabled);
     }
@@ -795,13 +794,6 @@ impl Database {
     // Intra-query morsel parallelism.
     // ------------------------------------------------------------------
 
-    /// Whether intra-query morsel parallelism is enabled at all — the
-    /// `PF_MORSEL` environment knob. Unset or any value other than
-    /// `off`/`0`/`false` enables it.
-    pub fn morsels_enabled() -> bool {
-        pf_common::env_switch("PF_MORSEL", true)
-    }
-
     /// Decides whether `query` under `cfg` can execute as plain
     /// page-range scan morsels, returning the shared scan description if
     /// so. Retained (delegating to [`Database::morsel_plan`]) for
@@ -816,12 +808,12 @@ impl Database {
     /// Classifies `query` under `cfg` into a morsel-executable shape, or
     /// `None` when only the serial path preserves bit-identity.
     ///
-    /// Global gates: `PF_MORSEL=off`, a DPC-histogram overlay (per-query
-    /// hint sets are neither cacheable nor splittable), or a governor
-    /// deadline (mid-run shedding assumes one monotone clock) force a
-    /// serial run. Sampled and budgeted monitors are fine: page sampling
-    /// is a pure function of `(seed, page)` and budget shedding is
-    /// decided once at lowering, so both replicate per morsel.
+    /// Global gates: a DPC-histogram overlay (per-query hint sets are
+    /// neither cacheable nor splittable) or a governor deadline (mid-run
+    /// shedding assumes one monotone clock) force a serial run. Sampled
+    /// and budgeted monitors are fine: page sampling is a pure function
+    /// of `(seed, page)` and budget shedding is decided once at
+    /// lowering, so both replicate per morsel.
     /// Sequential scans parallelize even under a fault plan (stalls
     /// retry morsel-locally; corruption is a pure function of the page);
     /// index-fetch and join shapes additionally require a fault-free
@@ -829,7 +821,7 @@ impl Database {
     /// at merge time require a buffer pool that cannot evict
     /// (`pages ≤ pool_pages`).
     pub fn morsel_plan(&self, query: &Query, cfg: &MonitorConfig) -> Result<Option<MorselPlan>> {
-        if !Self::morsels_enabled() || self.dpc_cache.is_some() || cfg.deadline_ms.is_some() {
+        if self.dpc_cache.is_some() || cfg.deadline_ms.is_some() {
             return Ok(None);
         }
         let planner = self.planner()?;
@@ -959,14 +951,16 @@ impl Database {
             );
             ctx.cold_start();
             ctx.fault_attempt = attempt;
-            match drain(&mut op, ctx) {
-                Ok(rows) => {
+            // Count page-at-a-time like the serial driver
+            // (`execute_attempt`); materialization is never charged.
+            match run_count(&mut op, ctx) {
+                Ok(count) => {
                     drop(op); // release the operator's clone of the monitor handle
                     let partial = match handle {
                         Some(h) => Some(Self::unwrap_scan_handle(h)?.into_partial()),
                         None => None,
                     };
-                    return Ok((rows.len() as u64, ctx.stats(), partial, attempt));
+                    return Ok((count, ctx.stats(), partial, attempt));
                 }
                 Err(e) if e.is_transient() && attempt < MAX_TRANSIENT_RETRIES => attempt += 1,
                 Err(e) => return Err(e),
@@ -1050,7 +1044,6 @@ impl Database {
         first_random: bool,
         ctx: &mut ExecContext,
     ) -> Result<BuildMorselOutput> {
-        use pf_exec::Operator;
         let meta = self.catalog.table(scan.plan.table)?;
         let handle = template.map(|t| Rc::new(RefCell::new(t.instantiate(&scan.pred))));
         let mut op = SeqScan::with_page_range(
@@ -1065,41 +1058,25 @@ impl Database {
         ctx.fault_attempt = 0;
         let mut keys: Vec<Datum> = Vec::new();
         let mut bv = filter.map(|(numbits, seed)| BitVectorFilter::new(numbits, seed));
-        if pf_exec::join::vector_enabled() {
-            // Page-batched: gather the page's keys off borrowed views,
-            // then bulk-insert the batch into the filter fragment. The
-            // per-row charges (one build hash, one per filter insert)
-            // are identical to the row loop.
-            let keys = &mut keys;
-            let bv = &mut bv;
-            while op.next_page_rows(ctx, &mut |rows, ctx| {
-                let start = keys.len();
-                rows.for_each(|_slot, view| {
-                    if charge_build_hash {
-                        ctx.pool.charge_hashes(1);
-                    }
-                    keys.push(view.get(key_col).to_datum());
-                    Ok(())
-                })?;
-                if let Some(f) = bv.as_mut() {
-                    let n = f.insert_batch(keys[start..].iter().map(pf_common::DatumRef::from));
-                    ctx.pool.charge_hashes(n);
-                }
-                Ok(())
-            })? {}
-        } else {
-            while let Some(row) = op.next(ctx)? {
+        // Page-batched: gather the page's keys off borrowed views, then
+        // bulk-insert the batch into the filter fragment. The per-row
+        // charges (one build hash, one per filter insert) are those of
+        // the serial hash join's build.
+        while op.next_page_rows(ctx, &mut |rows, ctx| {
+            let start = keys.len();
+            rows.for_each(|_slot, view| {
                 if charge_build_hash {
                     ctx.pool.charge_hashes(1);
                 }
-                let key = row.get(key_col).clone();
-                if let Some(f) = bv.as_mut() {
-                    f.insert(&key);
-                    ctx.pool.charge_hashes(1);
-                }
-                keys.push(key);
+                keys.push(view.get(key_col).to_datum());
+                Ok(())
+            })?;
+            if let Some(f) = bv.as_mut() {
+                let n = f.insert_batch(keys[start..].iter().map(pf_common::DatumRef::from));
+                ctx.pool.charge_hashes(n);
             }
-        }
+            Ok(())
+        })? {}
         drop(op);
         let partial = match handle {
             Some(h) => Some(Self::unwrap_scan_handle(h)?.into_partial()),
@@ -1127,7 +1104,6 @@ impl Database {
         page_range: (u32, u32),
         ctx: &mut ExecContext,
     ) -> Result<(u64, IoStats, Option<ScanMonitorPartial>)> {
-        use pf_exec::Operator;
         let meta = self.catalog.table(inner)?;
         let handle = recipe.map(|(r, f)| Rc::new(RefCell::new(r.instantiate(f.clone()))));
         let mut op = SeqScan::with_page_range(
@@ -1140,29 +1116,20 @@ impl Database {
         );
         ctx.cold_start();
         ctx.fault_attempt = 0;
-        let mut count = 0u64;
-        if pf_exec::join::vector_enabled() {
-            let mut prefiltered = false;
-            if let Some(f) = pushdown {
-                op.set_semi_join_prefilter(f.clone(), probe_col);
-                prefiltered = true;
-            }
-            let count = &mut count;
-            while op.next_page_rows(ctx, &mut |rows, ctx| {
-                rows.for_each(|_slot, view| {
-                    if !prefiltered {
-                        ctx.pool.charge_hashes(1);
-                    }
-                    *count += table.matches(view.get(probe_col));
-                    Ok(())
-                })
-            })? {}
-        } else {
-            while let Some(row) = op.next(ctx)? {
-                ctx.pool.charge_hashes(1);
-                count += table.matches(pf_common::DatumRef::from(row.get(probe_col)));
-            }
+        let prefiltered = pushdown.is_some();
+        if let Some(f) = pushdown {
+            op.set_semi_join_prefilter(f.clone(), probe_col);
         }
+        let mut count = 0u64;
+        while op.next_page_rows(ctx, &mut |rows, ctx| {
+            rows.for_each(|_slot, view| {
+                if !prefiltered {
+                    ctx.pool.charge_hashes(1);
+                }
+                count += table.matches(view.get(probe_col));
+                Ok(())
+            })
+        })? {}
         drop(op);
         let partial = match handle {
             Some(h) => Some(Self::unwrap_scan_handle(h)?.into_partial()),

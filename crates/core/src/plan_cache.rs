@@ -15,7 +15,8 @@
 //! index changes, direct hint mutation) clears the whole map and bumps
 //! the invalidation counter. Correctness never depends on a hit.
 //!
-//! Disable with `PF_PLAN_CACHE=off` (or `0` / `false`).
+//! `Database::set_plan_cache_enabled(false)` turns it off — the
+//! reference path tests compare the cache against.
 
 use crate::planner::{MonitorConfig, OptimizedQuery};
 use crate::query::{CountArg, PredSpec, Query};
@@ -35,7 +36,7 @@ pub struct PlanCacheStats {
     pub invalidations: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Whether caching is active (`PF_PLAN_CACHE` knob).
+    /// Whether caching is active.
     pub enabled: bool,
 }
 
@@ -62,11 +63,6 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// A cache honouring the `PF_PLAN_CACHE` environment knob.
-    pub fn from_env() -> Self {
-        Self::new(pf_common::env_switch("PF_PLAN_CACHE", true))
-    }
-
     /// A cache that is explicitly on or off (off = every lookup misses
     /// without recording or storing anything).
     pub fn new(enabled: bool) -> Self {
@@ -126,18 +122,13 @@ impl PlanCache {
         }
         let _ = write!(
             key,
-            "#m{}f{}b{:?}p{}B{:?}d{:?}v{}",
+            "#m{}f{}b{:?}p{}B{:?}d{:?}",
             u8::from(cfg.enabled),
             cfg.sampling_fraction,
             cfg.bitvector_bits,
             u8::from(cfg.monitor_pairs),
             cfg.memory_budget,
             cfg.deadline_ms,
-            // Defensive hygiene: plan *choices* are knob-independent,
-            // but toggling `PF_JOIN_VECTOR` mid-process (identity tests
-            // do) must never resurface an entry recorded under the
-            // other pipeline.
-            u8::from(pf_exec::join::vector_enabled()),
         );
         key
     }

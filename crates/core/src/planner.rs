@@ -450,7 +450,11 @@ impl<'a> Planner<'a> {
         let op: Box<dyn Operator> = match &plan.path {
             AccessPath::FullScan | AccessPath::ClusteredRange { .. } => {
                 let monitors = if cfg.enabled {
-                    let set = self.scan_monitors(plan.table, pred, cfg, &est, pages);
+                    let range_atoms = match &plan.path {
+                        AccessPath::ClusteredRange { atoms } => atoms.as_slice(),
+                        _ => &[],
+                    };
+                    let set = self.scan_monitors(plan.table, pred, cfg, &est, pages, range_atoms);
                     if let Some(set) = set {
                         let handle = Rc::new(RefCell::new(set));
                         harness
@@ -802,20 +806,11 @@ impl<'a> Planner<'a> {
                 }
             );
             if plan.method == pf_optimizer::JoinMethod::Hash {
-                // The chosen join strategy: radix partition count,
-                // whether the vectorized pipeline runs (the only place
-                // the `PF_JOIN_VECTOR` state is ever printed — plan
-                // descriptions and figure output stay knob-independent),
-                // and whether the build filter pushes into the probe
-                // scan.
+                // The chosen join strategy: radix partition count and
+                // whether the build filter pushes into the probe scan.
                 s.push_str(&format!(
-                    "│  strategy: parts={} vector={} pushdown={}\n",
+                    "│  strategy: parts={} pushdown={}\n",
                     partitions,
-                    if pf_exec::join::vector_enabled() {
-                        "on"
-                    } else {
-                        "off"
-                    },
                     if pushdown { "yes" } else { "no" },
                 ));
             }
@@ -834,32 +829,6 @@ impl<'a> Planner<'a> {
             description,
             explain,
         })
-    }
-
-    /// Builds the monitor set a scan lowering of `plan` would attach —
-    /// identical construction to [`Planner::lower_single`]'s scan arms —
-    /// for morsel workers that execute page sub-ranges outside a lowered
-    /// plan. Returns `None` when the config disables monitoring or no
-    /// expression qualifies.
-    pub fn scan_monitor_set(
-        &self,
-        plan: &SingleTablePlan,
-        pred: &Conjunction,
-        cfg: &MonitorConfig,
-    ) -> Result<Option<ScanMonitorSet>> {
-        if !cfg.enabled {
-            return Ok(None);
-        }
-        let meta = self.catalog.table(plan.table)?;
-        let pages = f64::from(meta.stats.pages);
-        let est = CardinalityEstimator::new(
-            self.stats,
-            self.hints,
-            plan.table,
-            &meta.name,
-            meta.stats.rows,
-        );
-        Ok(self.scan_monitors(plan.table, pred, cfg, &est, pages))
     }
 
     /// The page range a scan lowering of `plan` would cover, plus
@@ -999,6 +968,11 @@ impl<'a> Planner<'a> {
     /// Builds the scan-plan monitor set: one expression per indexed
     /// seekable atom group, optional indexed group pairs, and the full
     /// conjunction — the same expression keys the optimizer costs with.
+    ///
+    /// A clustered range scan reads only the pages bracketing its
+    /// `range_atoms`, so it watches only subsets containing all of them:
+    /// any other subset may qualify pages outside the range, and counting
+    /// the range alone would under-report that subset's DPC.
     fn scan_monitors(
         &self,
         table: TableId,
@@ -1006,6 +980,7 @@ impl<'a> Planner<'a> {
         cfg: &MonitorConfig,
         est: &CardinalityEstimator<'_>,
         pages: f64,
+        range_atoms: &[usize],
     ) -> Option<ScanMonitorSet> {
         let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
         for (i, a) in pred.atoms.iter().enumerate() {
@@ -1025,7 +1000,7 @@ impl<'a> Planner<'a> {
         let mut exprs = Vec::new();
         let mut seen: Vec<Vec<usize>> = Vec::new();
         let mut add = |idx: Vec<usize>, exprs: &mut Vec<ScanExprMonitor>| {
-            if seen.contains(&idx) {
+            if seen.contains(&idx) || !range_atoms.iter().all(|a| idx.contains(a)) {
                 return;
             }
             exprs.push(ScanExprMonitor::atoms(
@@ -1049,6 +1024,9 @@ impl<'a> Planner<'a> {
         }
         if pred.len() > 1 {
             add((0..pred.len()).collect(), &mut exprs);
+        }
+        if exprs.is_empty() {
+            return None;
         }
         Some(ScanMonitorSet::new(exprs, cfg.sampling_fraction, cfg.seed))
     }
@@ -1293,6 +1271,46 @@ mod tests {
         // Only a fraction of the table's pages were read.
         let stats = ctx.stats();
         assert!(stats.physical_reads() < u64::from(meta.stats.pages) / 2);
+    }
+
+    /// A clustered range scan sees only its range's pages, so it must
+    /// not report a DPC for an atom subset that can qualify pages
+    /// outside the range: only subsets holding every range atom are
+    /// watched, and each measures exactly its brute-force DPC.
+    #[test]
+    fn clustered_range_monitors_only_subsets_with_range_atoms() {
+        let db = demo_db();
+        let meta = db.catalog().table_by_name("t").unwrap();
+        let specs = [
+            PredSpec::new("id", pf_exec::CompareOp::Ge, Datum::Int(1_000)),
+            PredSpec::new("id", pf_exec::CompareOp::Lt, Datum::Int(1_250)),
+            PredSpec::new("a", pf_exec::CompareOp::Lt, Datum::Int(700)),
+        ];
+        let p = pred(&db, &specs);
+        let plan = SingleTablePlan {
+            table: meta.id,
+            path: AccessPath::ClusteredRange { atoms: vec![0, 1] },
+            cost_ms: 0.0,
+            est_rows: 30.0,
+            est_dpc: None,
+            dpc_source: DpcSource::NotApplicable,
+        };
+        let planner = db.planner().unwrap();
+        let lowered = planner
+            .lower_single(&plan, &p, &MonitorConfig::default())
+            .unwrap();
+        let mut ctx = pf_exec::ExecContext::with_model(db.pool_pages, db.disk);
+        let mut op = lowered.op;
+        drain(op.as_mut(), &mut ctx).unwrap();
+        let report = lowered.harness.harvest();
+        let exprs: Vec<&str> = report
+            .measurements
+            .iter()
+            .map(|m| m.expression.as_str())
+            .collect();
+        assert_eq!(exprs, [p.key()], "range-only subsets must not be watched");
+        let truth = db.true_dpc("t", &p).unwrap();
+        assert_eq!(report.measurements[0].actual, truth as f64);
     }
 
     /// Monitoring off attaches nothing; monitoring on attaches the

@@ -24,17 +24,8 @@ use pf_common::{Datum, DatumRef, Error, Result, Row, Schema, TableId};
 use pf_feedback::BitVectorFilter;
 use pf_storage::btree::BPlusTree;
 use pf_storage::TableStorage;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Whether the vectorized join pipeline (radix-partitioned build,
-/// page-batched probe, semi-join filter pushdown) is enabled. The
-/// `PF_JOIN_VECTOR` escape hatch (`off` or `0`) forces the row-at-a-time
-/// reference path — counts, sketches, reports, and I/O statistics are
-/// bit-identical either way.
-pub fn vector_enabled() -> bool {
-    pf_common::env_switch("PF_JOIN_VECTOR", true)
-}
 
 /// Seed for the radix build table's key hashing (internal layout only —
 /// never observable in results or charges).
@@ -50,19 +41,10 @@ pub struct BitVectorConfig {
     /// Hash seed.
     pub seed: u64,
     /// Planner decision: push the completed filter into the probe-side
-    /// scan as a pre-filter (vectorized hash joins only; merge joins
-    /// never push — a probe-side Sort charges hashes on its *input*
-    /// cardinality, so culling would change I/O statistics).
+    /// scan as a pre-filter (hash joins only; merge joins never push — a
+    /// probe-side Sort charges hashes on its *input* cardinality, so
+    /// culling would change I/O statistics).
     pub pushdown: bool,
-}
-
-/// The hash join's build side: the row-at-a-time reference
-/// representation, or the vectorized radix-partitioned table (which
-/// stores chained rows only when the join is driven row-at-a-time —
-/// counting drivers keep multiplicities only).
-enum BuildTable {
-    Legacy(HashMap<Datum, Vec<Row>>),
-    Radix(RadixTable),
 }
 
 /// In-memory hash join (equijoin on one column per side).
@@ -75,7 +57,10 @@ pub struct HashJoin {
     probe_key: usize,
     bitvector: Option<BitVectorConfig>,
     schema: Schema,
-    table: BuildTable,
+    /// The radix-partitioned build side; stores chained rows only when
+    /// the join is driven row-at-a-time (counting drivers keep
+    /// multiplicities only).
+    table: RadixTable,
     built: bool,
     /// Rows were not stored at build time (counting-driver mode); a
     /// subsequent row pull is a driver bug, not an empty join.
@@ -84,8 +69,6 @@ pub struct HashJoin {
     /// one hash per row it tests — so the join must not charge its own
     /// per-probe-row hash on top.
     prefiltered: bool,
-    vectorized: bool,
-    partitions: usize,
     pending: VecDeque<Row>,
 }
 
@@ -106,12 +89,10 @@ impl HashJoin {
             probe_key,
             bitvector,
             schema,
-            table: BuildTable::Legacy(HashMap::new()),
+            table: RadixTable::new(join_partitions(0.0), BUILD_TABLE_SEED),
             built: false,
             count_mode: false,
             prefiltered: false,
-            vectorized: vector_enabled(),
-            partitions: join_partitions(0.0),
             pending: VecDeque::new(),
         }
     }
@@ -121,64 +102,19 @@ impl HashJoin {
     /// layout). Purely internal layout — results are identical for any
     /// count.
     pub fn with_partitions(mut self, partitions: usize) -> Self {
-        self.partitions = partitions;
+        self.table = RadixTable::new(partitions, BUILD_TABLE_SEED);
         self
     }
 
-    /// Whether this join runs the vectorized pipeline.
-    pub fn is_vectorized(&self) -> bool {
-        self.vectorized
-    }
-
-    /// Row-at-a-time reference build: per-row `HashMap` inserts.
-    fn build_phase_legacy(&mut self, ctx: &mut ExecContext) -> Result<()> {
+    /// Build: page-at-a-time over the build scan into the
+    /// radix-partitioned table, with per-page bulk filter inserts. Each
+    /// build row charges one hash, plus one per filter insert.
+    fn build_phase(&mut self, ctx: &mut ExecContext, store_rows: bool) -> Result<()> {
         let mut filter = self
             .bitvector
             .as_ref()
             .map(|c| BitVectorFilter::new(c.numbits, c.seed));
-        let BuildTable::Legacy(table) = &mut self.table else {
-            return Err(Error::Internal("legacy build over radix table".into()));
-        };
-        while let Some(row) = self.build.next(ctx)? {
-            // RE-side checkpoint: the build input may be a RID list or
-            // another join, so the SE-side page checks don't cover it.
-            ctx.check_interrupt()?;
-            ctx.pool.charge_hashes(1);
-            if let Some(f) = filter.as_mut() {
-                f.insert(row.get(self.build_key));
-                ctx.pool.charge_hashes(1);
-            }
-            // Clone the key only on its first occurrence: repeated keys
-            // (the common case for a skewed build side) take the
-            // `get_mut` fast path without allocating.
-            match table.get_mut(row.get(self.build_key)) {
-                Some(bucket) => bucket.push(row),
-                None => {
-                    let key = row.get(self.build_key).clone();
-                    table.insert(key, vec![row]);
-                }
-            }
-        }
-        if let (Some(f), Some(c)) = (filter, &self.bitvector) {
-            // The SE→RE callback: hand the filter to the probe-side scan
-            // before any probe row flows.
-            c.slot.borrow_mut().filter = Some(f);
-        }
-        self.built = true;
-        Ok(())
-    }
-
-    /// Vectorized build: page-at-a-time over the build scan into the
-    /// radix-partitioned table, with per-page bulk filter inserts. The
-    /// per-row charges (one hash per build row, one per filter insert)
-    /// are identical to the reference path; only the allocation work
-    /// and the checkpoint granularity (page instead of row) differ.
-    fn build_phase_vectorized(&mut self, ctx: &mut ExecContext, store_rows: bool) -> Result<()> {
-        let mut filter = self
-            .bitvector
-            .as_ref()
-            .map(|c| BitVectorFilter::new(c.numbits, c.seed));
-        let mut table = RadixTable::new(self.partitions, BUILD_TABLE_SEED);
+        let table = &mut self.table;
         let build_key = self.build_key;
         match self
             .build
@@ -187,7 +123,6 @@ impl HashJoin {
         {
             Some(scan) => {
                 let filter = &mut filter;
-                let table = &mut table;
                 while scan.next_page_rows(ctx, &mut |rows, ctx| {
                     rows.for_each(|_slot, view| {
                         let key = view.get(build_key);
@@ -237,7 +172,6 @@ impl HashJoin {
             }
             c.slot.borrow_mut().filter = Some(f);
         }
-        self.table = BuildTable::Radix(table);
         self.built = true;
         Ok(())
     }
@@ -250,11 +184,7 @@ impl Operator for HashJoin {
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
         if !self.built {
-            if self.vectorized {
-                self.build_phase_vectorized(ctx, true)?;
-            } else {
-                self.build_phase_legacy(ctx)?;
-            }
+            self.build_phase(ctx, true)?;
         }
         if self.count_mode {
             return Err(Error::Internal(
@@ -272,38 +202,20 @@ impl Operator for HashJoin {
             if !self.prefiltered {
                 ctx.pool.charge_hashes(1);
             }
-            match &self.table {
-                BuildTable::Legacy(table) => {
-                    if let Some(matches) = table.get(probe_row.get(self.probe_key)) {
-                        for b in matches {
-                            self.pending.push_back(b.join(&probe_row));
-                        }
-                    }
-                }
-                BuildTable::Radix(table) => {
-                    for b in table.rows_for(DatumRef::from(probe_row.get(self.probe_key))) {
-                        self.pending.push_back(b.join(&probe_row));
-                    }
-                }
+            for b in self
+                .table
+                .rows_for(DatumRef::from(probe_row.get(self.probe_key)))
+            {
+                self.pending.push_back(b.join(&probe_row));
             }
         }
     }
 
     fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
-        if !self.vectorized {
-            // Reference path: row-at-a-time probe with materialized
-            // matches, exactly as before vectorization.
-            return Ok(self.next(ctx)?.map(|_| 1));
-        }
         if !self.built {
-            self.build_phase_vectorized(ctx, false)?;
+            self.build_phase(ctx, false)?;
         }
-        let table = match &self.table {
-            BuildTable::Radix(t) => t,
-            BuildTable::Legacy(_) => {
-                return Err(Error::Internal("vectorized probe over legacy table".into()))
-            }
-        };
+        let table = &self.table;
         let probe_key = self.probe_key;
         let prefiltered = self.prefiltered;
         match self

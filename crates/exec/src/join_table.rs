@@ -1,14 +1,15 @@
-//! Radix-partitioned open-addressing build table for vectorized hash
-//! joins.
+//! Radix-partitioned open-addressing build table for hash joins.
 //!
-//! Replaces the per-row `HashMap<Datum, Vec<Row>>` build: keys are
-//! hashed once with the seeded [`hash_datum_ref`], the hash routes the
-//! entry to a partition (high bits) and to a slot inside the
+//! Keys are hashed once with the seeded [`hash_datum_ref`], the hash
+//! routes the entry to a partition (high bits) and to a slot inside the
 //! partition's open-addressing directory (low bits), and build rows are
-//! chained off their entry in insertion order. Equality between a
-//! stored key and a probe key is plain `Datum` equality (`NaN != NaN`,
-//! `-0.0` and `0.0` hash apart), so match sets — including the
-//! degenerate float cases — are exactly those of the `HashMap` path.
+//! chained off their entry in insertion order.
+//!
+//! **Key equality.** A probe key matches a stored key only on full-hash
+//! agreement *and* derived `Datum` equality. So `NaN` never matches
+//! anything (each `NaN` build row is its own unreachable entry), and
+//! `-0.0` and `0.0` — equal under `==` — hash apart and never match
+//! each other. Every other pair matches exactly when `==` holds.
 //!
 //! The same structure backs the morsel driver's partition phase: in
 //! count mode no rows are stored, only per-key multiplicities, and the
@@ -22,15 +23,8 @@ const NIL: u32 = u32::MAX;
 
 /// Partition count for an expected number of build rows: one partition
 /// per ~4k keys, clamped to `[1, 256]` (always a power of two). The
-/// `PF_JOIN_PARTITIONS` knob overrides the estimate-derived count; the
-/// layout is invisible in results, so the knob is purely a tuning and
-/// triage lever.
+/// layout is invisible in results and charges.
 pub fn join_partitions(est_build_rows: f64) -> usize {
-    if let Ok(v) = std::env::var("PF_JOIN_PARTITIONS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.clamp(1, 256).next_power_of_two();
-        }
-    }
     let target = (est_build_rows.max(0.0) / 4096.0).ceil() as usize;
     target.clamp(1, 256).next_power_of_two()
 }
@@ -278,9 +272,11 @@ mod tests {
         }
         assert_eq!(t.distinct_keys(), 37);
         assert_eq!(t.total_rows(), 1_000);
-        let k = Datum::Int(5);
-        // 1000 rows over 37 keys: keys 0..=1 get 28, the rest 27.
-        assert_eq!(t.matches(DatumRef::from(&k)), 28);
+        // 1000 = 27·37 + 1 rows over 37 keys: key 0 gets 28, the rest 27.
+        let k0 = Datum::Int(0);
+        assert_eq!(t.matches(DatumRef::from(&k0)), 28);
+        let k5 = Datum::Int(5);
+        assert_eq!(t.matches(DatumRef::from(&k5)), 27);
         let missing = Datum::Int(99);
         assert_eq!(t.matches(DatumRef::from(&missing)), 0);
     }
@@ -288,8 +284,8 @@ mod tests {
     #[test]
     fn nan_keys_never_match_like_derived_eq() {
         // `Datum::Float(NaN) != Datum::Float(NaN)` under derived
-        // `PartialEq`, so the HashMap path files each NaN build row as
-        // its own unreachable entry; the radix table must agree.
+        // `PartialEq`, so each NaN build row is its own unreachable
+        // entry.
         let mut t = RadixTable::new(1, 7);
         let nan = Datum::Float(f64::NAN);
         t.insert(DatumRef::from(&nan), None);
@@ -305,7 +301,7 @@ mod tests {
         t.insert(DatumRef::from(&neg), None);
         let pos = Datum::Float(0.0);
         // `to_bits` hashing puts -0.0 and 0.0 in different buckets, so
-        // (exactly like the HashMap) the probe never reaches the entry.
+        // the probe never reaches the entry.
         assert_eq!(t.matches(DatumRef::from(&pos)), 0);
         assert_eq!(t.matches(DatumRef::from(&neg)), 1);
     }

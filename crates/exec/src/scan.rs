@@ -16,14 +16,6 @@ use pf_storage::{AccessPattern, Page, RowLayout, RowView, TableStorage};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Whether page-at-a-time predicate kernels are enabled. The
-/// `PF_SCAN_KERNELS` escape hatch (`off` or `0`) forces the row-at-a-time
-/// reference path — used by the identity tests and for triage; results
-/// are bit-identical either way.
-fn kernels_enabled() -> bool {
-    pf_common::env_switch("PF_SCAN_KERNELS", true)
-}
-
 /// A sequential scan over a contiguous page range of one table, with the
 /// query predicate pushed into the storage engine.
 pub struct SeqScan {
@@ -44,7 +36,7 @@ pub struct SeqScan {
     /// re-derive a view without cloning the row.
     buffer: VecDeque<(Row, u32, u16)>,
     /// Per-conjunct truth of the current row on fully-evaluated pages
-    /// (row-at-a-time fallback path only).
+    /// (row loop only).
     atom_buf: Vec<bool>,
     /// Reusable per-page bitmap of qualifying slots: predicates are
     /// evaluated over the page in one batched pass, and only the slots
@@ -59,8 +51,8 @@ pub struct SeqScan {
     /// Reusable slot-directory offsets of the current page.
     slot_offs: Vec<u32>,
     /// Compiled page-at-a-time kernel; `None` when any predicate column
-    /// is outside the fixed-width prefix or kernels are disabled, in
-    /// which case every page takes the row-at-a-time path.
+    /// is outside the fixed-width prefix, in which case every page takes
+    /// the row loop.
     kernel: Option<PageKernel>,
     /// When set, monitors observe each row as it is *delivered* to the
     /// parent (not when its page is loaded). Required for partial
@@ -69,11 +61,10 @@ pub struct SeqScan {
     /// earlier than the moment the join consumes it. Only valid for
     /// monitor sets with no full-evaluation needs (semi-join monitors).
     deferred_monitoring: bool,
-    /// Semi-join pre-filter pushed down from a vectorized hash join:
-    /// once the build side completes, its merged [`BitVectorFilter`] is
-    /// evaluated in the page pass (after monitors observe the full
-    /// page) and rows with no possible build match are culled before
-    /// materialization. Charging rule: one hash op per qualifying row
+    /// Semi-join pre-filter pushed down from a hash join: once the
+    /// build side completes, its merged [`BitVectorFilter`] is evaluated
+    /// in the page pass (after monitors observe the full page) and rows
+    /// with no possible build match are culled before materialization. Charging rule: one hash op per qualifying row
     /// *tested* — exactly the per-probe-row hash the join itself would
     /// have charged — so I/O statistics are byte-identical to the
     /// unfiltered plan.
@@ -97,11 +88,7 @@ impl SeqScan {
         page_range: (u32, u32),
         first_random: bool,
     ) -> Self {
-        let kernel = if kernels_enabled() {
-            predicate.compile_page_kernel(storage.layout())
-        } else {
-            None
-        };
+        let kernel = predicate.compile_page_kernel(storage.layout());
         SeqScan {
             next_page: page_range.0,
             storage,
@@ -326,9 +313,8 @@ impl SeqScan {
         // truth stripe per atom, with no `RowView` construction (and no
         // per-row validation walk) for rows that are only observed,
         // never delivered. Monitors then receive one batched per-page
-        // observation instead of N per-row calls. Falls back to the
-        // row-at-a-time reference path when the predicate has
-        // non-fixed-prefix columns, kernels are disabled, or a slot
+        // observation instead of N per-row calls. Falls back to the row
+        // loop when the predicate has non-fixed-prefix columns or a slot
         // directory fails the kernel's bounds pre-check. Both paths are
         // bit-identical in counts, I/O charges, and sketch contents.
         let natoms = self.predicate.len();
@@ -649,7 +635,7 @@ impl Operator for SeqScan {
     fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
         if self.deferred_monitoring {
             // Deferred observation is coupled to delivery order; keep
-            // the row-at-a-time reference protocol.
+            // the row-at-a-time protocol.
             return Ok(self.next(ctx)?.map(|_| 1));
         }
         if !self.buffer.is_empty() {
@@ -869,6 +855,117 @@ mod tests {
         );
         let err = (sampled - exact).abs() / exact.max(1.0);
         assert!(err < 0.25, "exact {exact} sampled {sampled}");
+    }
+
+    /// `id`, `a` (scrambled Int), `f` (Float with NaN and ±0.0), `d`
+    /// (Date) in the fixed-width prefix, then a Str pad.
+    fn typed_table(n: i64) -> Arc<TableStorage> {
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("a", DataType::Int),
+            Column::new("f", DataType::Float),
+            Column::new("d", DataType::Date),
+            Column::new("pad", DataType::Str),
+        ]);
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                let f = match i % 31 {
+                    0 => f64::NAN,
+                    7 => -0.0,
+                    13 => 0.0,
+                    _ => ((i * 37) % 200) as f64 * 0.5 - 50.0,
+                };
+                Row::new(vec![
+                    Datum::Int(i),
+                    Datum::Int((i * 7919) % n),
+                    Datum::Float(f),
+                    Datum::Date(((i * 13) % 365) as i32),
+                    Datum::Str("x".repeat(24)),
+                ])
+            })
+            .collect();
+        Arc::new(TableStorage::bulk_load(schema, &rows, Some(0), 1024, 1.0).unwrap())
+    }
+
+    /// Runs `pred` over `t` with the compiled kernel (`kernel = true`) or
+    /// with the kernel cleared so every page takes the row loop. Each
+    /// entry of `monitored` is one watched atom subset; an empty list
+    /// runs unmonitored. Returns count, I/O counters and the report.
+    fn run_scan(
+        t: &Arc<TableStorage>,
+        pred: &Conjunction,
+        monitored: &[Vec<usize>],
+        fraction: f64,
+        kernel: bool,
+    ) -> (u64, pf_storage::IoStats, FeedbackReport) {
+        let monitors = (!monitored.is_empty()).then(|| {
+            let exprs = monitored
+                .iter()
+                .map(|idx| ScanExprMonitor::atoms(pred, idx.clone(), None))
+                .collect();
+            Rc::new(RefCell::new(ScanMonitorSet::new(exprs, fraction, 11)))
+        });
+        let mut scan = SeqScan::full(Arc::clone(t), TableId(0), pred.clone(), monitors.clone());
+        assert!(scan.kernel.is_some(), "{pred}: kernel must compile");
+        if !kernel {
+            scan.kernel = None;
+        }
+        let mut ctx = ExecContext::new(4096);
+        let count = run_count(&mut scan, &mut ctx).unwrap();
+        let mut rep = FeedbackReport::new();
+        if let Some(m) = &monitors {
+            m.borrow_mut().harvest("t", &mut rep);
+        }
+        (count, ctx.stats(), rep)
+    }
+
+    #[test]
+    fn kernel_matches_row_loop() {
+        let t = typed_table(3_000);
+        let atom = |col: &str, op: CompareOp, v: Datum| {
+            AtomicPredicate::new(t.schema(), col, op, v).unwrap()
+        };
+        let conjunctions = [
+            vec![atom("a", CompareOp::Lt, Datum::Int(1_200))],
+            vec![atom("f", CompareOp::Le, Datum::Float(0.0))],
+            vec![atom("f", CompareOp::Eq, Datum::Float(-0.0))],
+            vec![atom("d", CompareOp::Ge, Datum::Date(200))],
+            vec![
+                atom("a", CompareOp::Lt, Datum::Int(2_000)),
+                atom("f", CompareOp::Gt, Datum::Float(-20.0)),
+            ],
+            vec![
+                atom("d", CompareOp::Lt, Datum::Date(300)),
+                atom("id", CompareOp::Ne, Datum::Int(17)),
+                atom("f", CompareOp::Ge, Datum::Float(f64::NAN)),
+            ],
+            vec![
+                atom("a", CompareOp::Ge, Datum::Int(100)),
+                atom("d", CompareOp::Gt, Datum::Date(50)),
+                atom("f", CompareOp::Lt, Datum::Float(10.5)),
+            ],
+        ];
+        for atoms in conjunctions {
+            let pred = Conjunction::new(atoms);
+            let n = pred.len();
+            // Unmonitored; prefix-only (short-circuit observation); and
+            // with a non-prefix subset, which forces full evaluation on
+            // sampled pages.
+            let mut monitor_sets = vec![Vec::new(), vec![vec![0], (0..n).collect()]];
+            if n > 1 {
+                monitor_sets.push(vec![vec![0], vec![n - 1], (0..n).collect()]);
+            }
+            for monitored in &monitor_sets {
+                for fraction in [1.0, 0.5] {
+                    let fast = run_scan(&t, &pred, monitored, fraction, true);
+                    let slow = run_scan(&t, &pred, monitored, fraction, false);
+                    let what = format!("{pred}, monitors {monitored:?}, fraction {fraction}");
+                    assert_eq!(fast.0, slow.0, "{what}: count");
+                    assert_eq!(fast.1, slow.1, "{what}: stats");
+                    assert_eq!(fast.2, slow.2, "{what}: report");
+                }
+            }
+        }
     }
 
     #[test]

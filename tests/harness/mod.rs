@@ -1,0 +1,472 @@
+//! Seeded differential harness: full queries against brute force.
+//!
+//! Seeded tables mix Int, Float (with NaN and ±0.0), Date and Str
+//! columns, are clustered or heap-ordered, and carry two nonclustered
+//! indexes. Seeded workloads — single-table counts of 0–3 atoms (at
+//! least one with a Str atom, so the scan's row loop runs beside its
+//! page kernels) and self-join counts — run through
+//! [`ParallelRunner::run_queries`] and [`ParallelRunner::run_query`] at
+//! jobs ∈ {1, 2, 8} × monitors ∈ {default, sampled(0.5)}, at the fault
+//! rate the caller names. Every outcome must be byte-identical to the
+//! jobs=1 run of the same entry point, and must agree with brute force:
+//!
+//! * every non-degraded count equals the oracle count;
+//! * every fault-free exact-scan DPC equals [`Database::true_dpc`] of
+//!   the atom subset its label names ([`Conjunction::key_of`]);
+//! * every fault-free, unsampled bit-vector DPC is consistent with
+//!   [`Database::true_join_dpc`] (see [`check_bitvector_dpc`]).
+//!
+//! `tests/kernel_identity.rs` runs the count queries and
+//! `tests/join_identity.rs` the self-joins; together with the
+//! operator-level checks of `tests/differential.rs` they are the
+//! executable form of the determinism contracts in DESIGN.md §5f–§5h
+//! and §5k.
+
+use std::collections::HashMap;
+
+use pagefeed::{Database, FaultPlan, MonitorConfig, ParallelRunner, PredSpec, Query, QueryOutcome};
+use pf_common::rng::Rng;
+use pf_common::{Column, DataType, Datum, Row, Schema};
+use pf_exec::{CompareOp, Conjunction};
+use pf_feedback::Mechanism;
+
+pub const TABLE: &str = "t";
+const ROWS: i64 = 3_000;
+pub const SEEDS: [u64; 3] = [1, 2, 3];
+/// Predicate columns, by schema position (`pad` is never filtered).
+const COLUMNS: [&str; 6] = ["id", "a", "b", "f", "d", "s"];
+const ID: usize = 0;
+const A: usize = 1;
+const B: usize = 2;
+const F: usize = 3;
+const D: usize = 4;
+const S: usize = 5;
+/// Columns whose atoms compile to page kernels (all but `s`).
+const KERNEL_COLS: [usize; 5] = [ID, A, B, F, D];
+const ALL_COLS: [usize; 6] = [ID, A, B, F, D, S];
+/// Columns an index may cover (two per seed).
+const INDEXABLE: [usize; 4] = [A, B, F, D];
+
+// ---------------------------------------------------------------------
+// Seeded fixtures
+// ---------------------------------------------------------------------
+
+/// One seed's table contents, physical design, and workload.
+pub struct Fixture {
+    rows: Vec<Row>,
+    clustered: bool,
+    indexes: [usize; 2],
+    pub queries: Vec<Query>,
+}
+
+fn schema() -> Schema {
+    Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("a", DataType::Int),
+        Column::new("b", DataType::Int),
+        Column::new("f", DataType::Float),
+        Column::new("d", DataType::Date),
+        Column::new("s", DataType::Str),
+        Column::new("pad", DataType::Str),
+    ])
+}
+
+fn pick<T: Copy>(rng: &mut Rng, items: &[T]) -> T {
+    items[rng.gen_range(items.len() as u64) as usize]
+}
+
+/// Quarter-step floats with NaN, `-0.0` and `0.0` mixed in.
+fn float_value(rng: &mut Rng) -> f64 {
+    match rng.gen_range(20) {
+        0 => f64::NAN,
+        1 => -0.0,
+        2 => 0.0,
+        _ => (rng.gen_range(400) as f64 - 200.0) * 0.25,
+    }
+}
+
+/// One atom on column `col`; the literal is drawn from a stored row so
+/// equality atoms hit.
+fn atom(rng: &mut Rng, rows: &[Row], col: usize) -> PredSpec {
+    let op = pick(
+        rng,
+        &[
+            CompareOp::Lt,
+            CompareOp::Le,
+            CompareOp::Gt,
+            CompareOp::Ge,
+            CompareOp::Eq,
+            CompareOp::Ne,
+        ],
+    );
+    let row = &rows[rng.gen_range(rows.len() as u64) as usize];
+    PredSpec::new(COLUMNS[col], op, row.get(col).clone())
+}
+
+/// `n` atoms, each on a `hot` column (indexed, or the clustering key)
+/// or on any column of `pool` with equal odds.
+fn atoms(rng: &mut Rng, rows: &[Row], n: usize, hot: &[usize], pool: &[usize]) -> Vec<PredSpec> {
+    (0..n)
+        .map(|_| {
+            let col = if rng.bernoulli(0.5) {
+                pick(rng, hot)
+            } else {
+                pick(rng, pool)
+            };
+            atom(rng, rows, col)
+        })
+        .collect()
+}
+
+impl Fixture {
+    pub fn new(seed: u64) -> Self {
+        let mut rng = Rng::new(seed);
+        let rows: Vec<Row> = (0..ROWS)
+            .map(|i| {
+                Row::new(vec![
+                    Datum::Int(i),
+                    // `a` scatters, `b` follows `id` (correlated).
+                    Datum::Int(rng.gen_range(ROWS as u64) as i64),
+                    Datum::Int(i / 16 + rng.gen_range(4) as i64),
+                    Datum::Float(float_value(&mut rng)),
+                    Datum::Date(rng.gen_range(365) as i32),
+                    Datum::Str(format!("tag{}", rng.gen_range(8))),
+                    Datum::Str("x".repeat(60 + rng.gen_range(200) as usize)),
+                ])
+            })
+            .collect();
+        // Odd seeds cluster on `id`, even seeds load a heap.
+        let clustered = seed % 2 == 1;
+        let first = rng.gen_range(4) as usize;
+        let second = (first + 1 + rng.gen_range(3) as usize) % 4;
+        let indexes = [INDEXABLE[first], INDEXABLE[second]];
+        let mut hot = indexes.to_vec();
+        if clustered {
+            hot.push(ID);
+        }
+
+        let mut queries = Vec::new();
+        // A Str atom next to fixed-width ones: the row loop.
+        let n = rng.gen_range(3) as usize;
+        let mut with_str = atoms(&mut rng, &rows, n, &hot, &KERNEL_COLS);
+        let at = rng.gen_range(n as u64 + 1) as usize;
+        with_str.insert(at, atom(&mut rng, &rows, S));
+        queries.push(Query::count(TABLE, with_str));
+        // Kernel-only conjunctions of every width.
+        for n in 0..=3 {
+            let pred = atoms(&mut rng, &rows, n, &hot, &KERNEL_COLS);
+            queries.push(Query::count(TABLE, pred));
+        }
+        // A point lookup and a narrow range on each indexed column: the
+        // index-seek and fetch paths.
+        for col in indexes {
+            let v = atom(&mut rng, &rows, col).value;
+            queries.push(Query::count(
+                TABLE,
+                vec![PredSpec::new(COLUMNS[col], CompareOp::Eq, v.clone())],
+            ));
+            let mut pred = atoms(&mut rng, &rows, 1, &hot, &ALL_COLS);
+            pred.push(PredSpec::new(COLUMNS[col], CompareOp::Ge, v.clone()));
+            pred.push(PredSpec::new(COLUMNS[col], CompareOp::Le, v));
+            queries.push(Query::count(TABLE, pred));
+        }
+        // Free-form counts, some answerable from an index alone.
+        for i in 0..6 {
+            let n = rng.gen_range(4) as usize;
+            let pred = atoms(&mut rng, &rows, n, &hot, &ALL_COLS);
+            queries.push(if i % 3 == 2 {
+                Query::count_star(TABLE, pred)
+            } else {
+                Query::count(TABLE, pred)
+            });
+        }
+        // Self-joins on an indexed Int or Date inner key (so bit-vector
+        // monitoring engages): one with a handful of outer rows, two
+        // with 0–2 random outer atoms.
+        let keys: Vec<usize> = indexes.iter().copied().filter(|&c| c != F).collect();
+        for j in 0..3 {
+            let inner = pick(&mut rng, &keys);
+            let outer = if inner == D {
+                D
+            } else {
+                pick(&mut rng, &[ID, A, B])
+            };
+            let pred = if j == 0 && clustered {
+                let hi = 1 + rng.gen_range(6) as i64;
+                vec![PredSpec::new("id", CompareOp::Lt, Datum::Int(hi))]
+            } else if j == 0 {
+                let v = atom(&mut rng, &rows, indexes[0]).value;
+                vec![PredSpec::new(COLUMNS[indexes[0]], CompareOp::Eq, v)]
+            } else {
+                let n = rng.gen_range(3) as usize;
+                atoms(&mut rng, &rows, n, &hot, &ALL_COLS)
+            };
+            queries.push(Query::join_count(
+                TABLE,
+                TABLE,
+                pred,
+                COLUMNS[outer],
+                COLUMNS[inner],
+            ));
+        }
+        Fixture {
+            rows,
+            clustered,
+            indexes,
+            queries,
+        }
+    }
+
+    pub fn database(&self, fault_rate: f64) -> Database {
+        let mut db = Database::new();
+        db.create_table(
+            TABLE,
+            schema(),
+            self.rows.clone(),
+            self.clustered.then_some("id"),
+        )
+        .expect("create table");
+        for col in self.indexes {
+            let name = COLUMNS[col];
+            db.create_index(&format!("ix_{name}"), TABLE, name)
+                .expect("create index");
+        }
+        db.analyze().expect("analyze");
+        if fault_rate > 0.0 {
+            db.set_fault_plan(Some(FaultPlan::new(42, fault_rate).expect("fault plan")))
+                .expect("install fault plan");
+        }
+        db
+    }
+}
+
+/// The query's single-table predicate or outer predicate, resolved.
+pub fn resolved_pred(query: &Query) -> Conjunction {
+    let specs = match query {
+        Query::Count { predicate, .. } => predicate,
+        Query::JoinCount { outer_pred, .. } => outer_pred,
+    };
+    Query::resolve_predicates(specs, &schema()).expect("predicate resolves")
+}
+
+// ---------------------------------------------------------------------
+// Brute-force oracles
+// ---------------------------------------------------------------------
+
+/// Nested-loop self-join count over the generated rows (Int and Date
+/// keys, so `Datum` equality is the join's key equality).
+fn nested_loop_self_join(rows: &[Row], pred: &Conjunction, outer: usize, inner: usize) -> u64 {
+    let mut inner_keys: HashMap<&Datum, u64> = HashMap::new();
+    for r in rows {
+        *inner_keys.entry(r.get(inner)).or_insert(0) += 1;
+    }
+    rows.iter()
+        .filter(|r| pred.eval_short_circuit(*r).0)
+        .map(|r| inner_keys.get(r.get(outer)).copied().unwrap_or(0))
+        .sum()
+}
+
+/// The oracle count of every workload query.
+fn true_counts(db: &Database, fx: &Fixture) -> Vec<u64> {
+    let schema = schema();
+    fx.queries
+        .iter()
+        .map(|q| {
+            let pred = resolved_pred(q);
+            match q {
+                Query::Count { .. } => db.true_cardinality(TABLE, &pred).expect("oracle"),
+                Query::JoinCount {
+                    outer_col,
+                    inner_col,
+                    ..
+                } => nested_loop_self_join(
+                    &fx.rows,
+                    &pred,
+                    schema.index_of(outer_col).expect("column"),
+                    schema.index_of(inner_col).expect("column"),
+                ),
+            }
+        })
+        .collect()
+}
+
+/// The atom subset of `pred` whose canonical text is `label`.
+fn labelled_subset(pred: &Conjunction, label: &str) -> Conjunction {
+    (0u32..1 << pred.len())
+        .find_map(|mask| {
+            let idx: Vec<usize> = (0..pred.len()).filter(|i| mask >> i & 1 == 1).collect();
+            (pred.key_of(&idx) == label)
+                .then(|| Conjunction::new(idx.iter().map(|&i| pred.atoms[i].clone()).collect()))
+        })
+        .unwrap_or_else(|| panic!("label {label:?} names no atom subset of {pred}"))
+}
+
+/// A fault-free, unsampled bit-vector DPC against the brute-force join
+/// DPC. The filter has no false negatives, so the pages it hits are a
+/// superset of the `truth` matching pages. The harvested value then
+/// subtracts the expected false-positive pages: with `bits` bits, at
+/// most `keys` distinct build keys and `rpp` rows per page, a
+/// non-matching page hits with probability at most
+/// `fpp = 1 − (1 − keys/bits)^rpp`, and the correction is monotone in
+/// `fpp`. So the value can sit below `truth` by at most the correction
+/// applied at that bound — and never above the page count.
+fn check_bitvector_dpc(actual: f64, bits: u64, truth: u64, keys: usize, pages: u64, rpp: f64) {
+    let fill = (keys as f64 / bits as f64).min(1.0);
+    let fpp = 1.0 - (1.0 - fill).powf(rpp);
+    let floor = if truth > 0 { 1.0 } else { 0.0 };
+    let lower = ((truth as f64 - pages as f64 * fpp) / (1.0 - fpp)).max(floor);
+    assert!(
+        actual >= lower - 1e-9 && actual <= pages as f64,
+        "bit-vector DPC {actual} outside [{lower}, {pages}] (truth {truth})"
+    );
+}
+
+/// Checks one workload's outcomes against brute force.
+fn check_against_brute_force(
+    db: &Database,
+    fx: &Fixture,
+    counts: &[u64],
+    outcomes: &[QueryOutcome],
+    fault_free: bool,
+    unsampled: bool,
+    what: &str,
+) {
+    let meta = db.catalog().table_by_name(TABLE).expect("table");
+    let pages = u64::from(meta.stats.pages);
+    let rpp = ROWS as f64 / pages as f64;
+    for (i, ((query, out), &truth)) in fx.queries.iter().zip(outcomes).zip(counts).enumerate() {
+        let what = format!("{what}, query {i} ({query:?})");
+        if !out.degraded() {
+            assert_eq!(out.count, truth, "{what}: count");
+        }
+        if !fault_free {
+            continue;
+        }
+        let pred = resolved_pred(query);
+        for m in &out.report.measurements {
+            match m.mechanism {
+                Mechanism::ExactScan => {
+                    let sub = labelled_subset(&pred, &m.expression);
+                    let dpc = db.true_dpc(TABLE, &sub).expect("oracle");
+                    assert_eq!(m.actual, dpc as f64, "{what}: DPC of {}", m.expression);
+                }
+                Mechanism::BitVector(bits) if unsampled => {
+                    let (outer_col, inner_col) = match query {
+                        Query::JoinCount {
+                            outer_col,
+                            inner_col,
+                            ..
+                        } => (outer_col, inner_col),
+                        Query::Count { .. } => panic!("{what}: bit-vector DPC on a count"),
+                    };
+                    let truth = db
+                        .true_join_dpc(TABLE, TABLE, &pred, outer_col, inner_col)
+                        .expect("oracle");
+                    let col = schema().index_of(outer_col).expect("column");
+                    let mut keys: Vec<&Datum> = fx
+                        .rows
+                        .iter()
+                        .filter(|r| pred.eval_short_circuit(*r).0)
+                        .map(|r| r.get(col))
+                        .collect();
+                    keys.sort_by(|x, y| x.cmp_same_type(y).expect("same-typed keys"));
+                    keys.dedup();
+                    check_bitvector_dpc(m.actual, bits, truth, keys.len(), pages, rpp);
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Full-query differential runs
+// ---------------------------------------------------------------------
+
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    RunQueries,
+    RunQuery,
+}
+
+fn run(
+    entry: Entry,
+    runner: &ParallelRunner,
+    db: &Database,
+    fx: &Fixture,
+    cfg: &MonitorConfig,
+) -> Vec<QueryOutcome> {
+    match entry {
+        Entry::RunQueries => runner
+            .run_queries(db, &fx.queries, cfg)
+            .expect("workload runs"),
+        Entry::RunQuery => fx
+            .queries
+            .iter()
+            .map(|q| runner.run_query(db, q, cfg).expect("query runs"))
+            .collect(),
+    }
+}
+
+fn assert_identical(base: &[QueryOutcome], other: &[QueryOutcome], what: &str) {
+    assert_eq!(base.len(), other.len(), "{what}: workload length");
+    for (i, (b, o)) in base.iter().zip(other).enumerate() {
+        assert_eq!(b.count, o.count, "{what}: count of query {i}");
+        assert_eq!(b.stats, o.stats, "{what}: stats of query {i}");
+        // Debug text, so NaN estimates compare equal to themselves.
+        assert_eq!(
+            format!("{:?}", b.report),
+            format!("{:?}", o.report),
+            "{what}: report of query {i}"
+        );
+        assert_eq!(b.description, o.description, "{what}: plan of query {i}");
+        assert_eq!(
+            b.elapsed_ms.to_bits(),
+            o.elapsed_ms.to_bits(),
+            "{what}: simulated time of query {i}"
+        );
+        assert_eq!(
+            b.fault_retries, o.fault_retries,
+            "{what}: fault retries of query {i}"
+        );
+    }
+}
+
+/// Runs the queries of every seed's workload that `keep` selects at
+/// `fault_rate`, through both entry points at every worker count and
+/// monitor config; returns whether any injected fault fired.
+pub fn differential_runs(fault_rate: f64, keep: fn(&Query) -> bool) -> bool {
+    let runners = [1, 2, 8].map(ParallelRunner::new);
+    let mut fired = false;
+    for seed in SEEDS {
+        let mut fx = Fixture::new(seed);
+        fx.queries.retain(keep);
+        let db = fx.database(fault_rate);
+        // The oracles read pristine pages, never the injected faults.
+        let counts = true_counts(&db, &fx);
+        for cfg in [MonitorConfig::default(), MonitorConfig::sampled(0.5)] {
+            for entry in [Entry::RunQueries, Entry::RunQuery] {
+                let what = format!(
+                    "seed {seed}, fault rate {fault_rate}, sampling {}, {entry:?}",
+                    cfg.sampling_fraction
+                );
+                let base = run(entry, &runners[0], &db, &fx, &cfg);
+                for runner in &runners[1..] {
+                    let out = run(entry, runner, &db, &fx, &cfg);
+                    assert_identical(&base, &out, &format!("{what}, jobs {}", runner.jobs()));
+                }
+                check_against_brute_force(
+                    &db,
+                    &fx,
+                    &counts,
+                    &base,
+                    fault_rate == 0.0,
+                    cfg.sampling_fraction >= 1.0,
+                    &what,
+                );
+                fired |= base.iter().any(|o| o.fault_retries > 0 || o.degraded());
+            }
+        }
+    }
+    fired
+}

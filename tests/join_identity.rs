@@ -1,422 +1,31 @@
-//! Full-query and operator-level identity for the vectorized join
-//! pipeline.
-//!
-//! `PF_JOIN_VECTOR=off` forces hash joins back onto the row-at-a-time
-//! reference path (per-row `HashMap` build, per-row probe, no filter
-//! pushdown). These tests run the same join workloads with the pipeline
-//! on and off, at 1, 2, and 8 workers, with and without an injected
-//! fault plan, and require *byte-identical* outcomes: counts, I/O
-//! statistics (including hash and monitor-op charges), feedback reports
-//! (sketch contents, degraded flags), plan descriptions, simulated
-//! times, and fault retries. Property tests extend the identity to
-//! random schemas and keys — including NaN float keys, whose derived
-//! `PartialEq` semantics (each NaN build key is unreachable) both paths
-//! must reproduce — and check the `BitVectorFilter` bulk-insert and the
-//! radix table against per-row reference models. This is the executable
-//! form of the batching contract in DESIGN.md §5k.
+//! Full-query identity of the hash-join pipeline: the seeded self-join
+//! workloads of the differential harness (radix build, page-batched
+//! probe, semi-join filter pushdown, bit-vector monitoring) at 1, 2 and
+//! 8 workers, with and without an injected fault plan, checked for
+//! byte-identical outcomes and against brute force. The executable form
+//! of the batching contract in DESIGN.md §5k.
 
-use std::sync::Mutex;
+mod harness;
 
-use pagefeed::{Database, FaultPlan, MonitorConfig, ParallelRunner, PredSpec, Query};
-use pf_common::{Column, DataType, Datum, DatumRef, Row, Schema, TableId};
-use pf_exec::join::HashJoin;
-use pf_exec::{drain, run_count, CompareOp, Conjunction, ExecContext, RadixTable, SeqScan};
-use pf_feedback::BitVectorFilter;
-use pf_storage::TableStorage;
-use proptest::prelude::*;
-use std::collections::HashMap;
-use std::sync::Arc;
+use harness::differential_runs;
+use pagefeed::Query;
 
-/// Serializes mutations of the process-global `PF_JOIN_VECTOR` toggle
-/// (tests in this binary may run concurrently).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with the vector toggle pinned to `on`, restoring the
-/// default (vectorized) afterwards.
-fn with_vector<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    let _guard = ENV_LOCK.lock().unwrap();
-    if on {
-        std::env::remove_var("PF_JOIN_VECTOR");
-    } else {
-        std::env::set_var("PF_JOIN_VECTOR", "off");
-    }
-    let out = f();
-    std::env::remove_var("PF_JOIN_VECTOR");
-    out
+fn is_join(query: &Query) -> bool {
+    matches!(query, Query::JoinCount { .. })
 }
 
-/// One table joined against itself: `corr` is clustered (equal to the
-/// row id), `scat` a scrambled permutation, both indexed so semi-join
-/// monitoring (and with it filter pushdown) engages.
-fn build_db(fault_rate: f64) -> Database {
-    let mut db = Database::new();
-    let schema = Schema::new(vec![
-        Column::new("id", DataType::Int),
-        Column::new("corr", DataType::Int),
-        Column::new("scat", DataType::Int),
-        Column::new("pad", DataType::Str),
-    ]);
-    let n = 6_000i64;
-    let rows = (0..n)
-        .map(|i| {
-            Row::new(vec![
-                Datum::Int(i),
-                Datum::Int(i),
-                Datum::Int((i * 7919) % n),
-                Datum::Str("x".repeat(120)),
-            ])
-        })
-        .collect::<Vec<Row>>();
-    db.create_table("t", schema, rows, Some("id")).unwrap();
-    db.create_index("ix_corr", "t", "corr").unwrap();
-    db.create_index("ix_scat", "t", "scat").unwrap();
-    db.analyze().unwrap();
-    if fault_rate > 0.0 {
-        db.set_fault_plan(Some(FaultPlan::new(42, fault_rate).unwrap()))
-            .unwrap();
-    }
-    db
-}
-
-/// Join shapes covering: a hash self-join with full page overlap, low-
-/// and mid-selectivity filtered builds (the pushdown regime), the
-/// scattered and the clustered inner key (the latter is the Hash → INL
-/// feedback case), and an unfiltered full cross-multiplicity join.
-fn workload() -> Vec<Query> {
-    vec![
-        Query::join_count("t", "t", vec![], "corr", "scat"),
-        Query::join_count(
-            "t",
-            "t",
-            vec![PredSpec::new("corr", CompareOp::Lt, Datum::Int(300))],
-            "corr",
-            "scat",
-        ),
-        Query::join_count(
-            "t",
-            "t",
-            vec![PredSpec::new("corr", CompareOp::Lt, Datum::Int(2_500))],
-            "corr",
-            "scat",
-        ),
-        Query::join_count(
-            "t",
-            "t",
-            vec![PredSpec::new("scat", CompareOp::Lt, Datum::Int(400))],
-            "scat",
-            "corr",
-        ),
-        Query::join_count(
-            "t",
-            "t",
-            vec![PredSpec::new("corr", CompareOp::Ge, Datum::Int(5_000))],
-            "corr",
-            "corr",
-        ),
-    ]
-}
-
-fn run_workload(
-    db: &Database,
-    queries: &[Query],
-    cfg: &MonitorConfig,
-    jobs: usize,
-    vector: bool,
-) -> Vec<pagefeed::QueryOutcome> {
-    with_vector(vector, || {
-        ParallelRunner::new(jobs)
-            .run_queries(db, queries, cfg)
-            .unwrap()
-    })
-}
-
-fn assert_outcomes_identical(
-    baseline: &[pagefeed::QueryOutcome],
-    other: &[pagefeed::QueryOutcome],
-    what: &str,
-) {
-    assert_eq!(baseline.len(), other.len(), "{what}: workload length");
-    for (i, (b, o)) in baseline.iter().zip(other).enumerate() {
-        assert_eq!(b.count, o.count, "{what}: count diverged at query {i}");
-        assert_eq!(b.stats, o.stats, "{what}: stats diverged at query {i}");
-        assert_eq!(b.report, o.report, "{what}: report diverged at query {i}");
-        assert_eq!(
-            b.description, o.description,
-            "{what}: plan diverged at query {i}"
-        );
-        assert!(
-            (b.elapsed_ms - o.elapsed_ms).abs() < 1e-12,
-            "{what}: simulated time diverged at query {i}: {} vs {}",
-            b.elapsed_ms,
-            o.elapsed_ms
-        );
-        assert_eq!(
-            b.fault_retries, o.fault_retries,
-            "{what}: fault retries diverged at query {i}"
-        );
-    }
-}
-
-/// Vectorized ≡ row-at-a-time at every worker count, exact and sampled
-/// monitoring, on a fault-free database.
 #[test]
 fn join_identity_fault_free() {
-    let db = build_db(0.0);
-    let queries = workload();
-    for cfg in [MonitorConfig::default(), MonitorConfig::sampled(0.5)] {
-        let baseline = run_workload(&db, &queries, &cfg, 1, false);
-        assert!(
-            baseline.iter().any(|o| !o.report.measurements.is_empty()),
-            "workload must produce feedback"
-        );
-        for jobs in [1usize, 2, 8] {
-            for vector in [true, false] {
-                let out = run_workload(&db, &queries, &cfg, jobs, vector);
-                let what = format!(
-                    "fault-free, sampling {}, jobs {jobs}, vector {vector}",
-                    cfg.sampling_fraction
-                );
-                assert_outcomes_identical(&baseline, &out, &what);
-            }
-        }
-    }
+    differential_runs(0.0, is_join);
 }
 
-/// The same identity under an injected fault plan: checksum faults,
-/// retries, skipped pages, and degraded sketches reproduce exactly on
-/// the batched path (the vectorized probe refuses pages that fail
-/// verification just as the row path does).
+/// The vectorized probe refuses pages that fail verification, so
+/// retries, skipped pages and degraded sketches reproduce exactly at
+/// every worker count.
 #[test]
 fn join_identity_under_faults() {
-    let db = build_db(0.01);
-    let queries = workload();
-    let cfg = MonitorConfig::default();
-    let baseline = run_workload(&db, &queries, &cfg, 1, false);
-    for jobs in [1usize, 2, 8] {
-        for vector in [true, false] {
-            let out = run_workload(&db, &queries, &cfg, jobs, vector);
-            let what = format!("faulted, jobs {jobs}, vector {vector}");
-            assert_outcomes_identical(&baseline, &out, &what);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Operator-level identity over arbitrary keys (direct construction, so
-// NaN join keys — which no planner workload produces — are covered).
-// ---------------------------------------------------------------------
-
-/// A single-column table of join keys (page size kept small so multi-
-/// page self-joins exercise page overlap).
-fn key_table(keys: &[Datum]) -> Arc<TableStorage> {
-    let schema = Schema::new(vec![Column::new("k", DataType::Int)]);
-    let schema = if keys.iter().any(|d| matches!(d, Datum::Float(_))) {
-        Schema::new(vec![Column::new("k", DataType::Float)])
-    } else {
-        schema
-    };
-    let rows: Vec<Row> = keys.iter().map(|k| Row::new(vec![k.clone()])).collect();
-    Arc::new(TableStorage::bulk_load(schema, &rows, None, 512, 1.0).expect("bulk load"))
-}
-
-/// Runs `build ⋈ probe` on key column 0 via the counting driver and
-/// returns `(count, hash_ops)`.
-fn hash_join_count(
-    build: &Arc<TableStorage>,
-    probe: &Arc<TableStorage>,
-    vector: bool,
-) -> (u64, u64) {
-    with_vector(vector, || {
-        let b = SeqScan::full(
-            Arc::clone(build),
-            TableId(0),
-            Conjunction::always_true(),
-            None,
-        );
-        let p = SeqScan::full(
-            Arc::clone(probe),
-            TableId(1),
-            Conjunction::always_true(),
-            None,
-        );
-        let mut hj = HashJoin::new(Box::new(b), Box::new(p), 0, 0, None);
-        let mut ctx = ExecContext::new(8_192);
-        let n = run_count(&mut hj, &mut ctx).expect("join drains");
-        (n, ctx.stats().hash_ops)
-    })
-}
-
-/// Same join via the row-delivering driver: `(rows, hash_ops)`.
-fn hash_join_rows(
-    build: &Arc<TableStorage>,
-    probe: &Arc<TableStorage>,
-    vector: bool,
-) -> (Vec<Row>, u64) {
-    with_vector(vector, || {
-        let b = SeqScan::full(
-            Arc::clone(build),
-            TableId(0),
-            Conjunction::always_true(),
-            None,
-        );
-        let p = SeqScan::full(
-            Arc::clone(probe),
-            TableId(1),
-            Conjunction::always_true(),
-            None,
-        );
-        let mut hj = HashJoin::new(Box::new(b), Box::new(p), 0, 0, None);
-        let mut ctx = ExecContext::new(8_192);
-        let rows = drain(&mut hj, &mut ctx).expect("join drains");
-        (rows, ctx.stats().hash_ops)
-    })
-}
-
-/// Quantized floats (forcing genuine key collisions), signed zeros
-/// normalized so hash-equality and `==` agree, with NaN injected by
-/// index — every non-NaN equality is then a bit equality, and NaN keys
-/// never match anything under either pipeline.
-fn float_keys(raw: &[f64], nan_every: usize) -> Vec<Datum> {
-    raw.iter()
-        .enumerate()
-        .map(|(i, x)| {
-            if nan_every != 0 && i % nan_every == 0 {
-                Datum::Float(f64::NAN)
-            } else {
-                Datum::Float((x * 4.0).round() / 4.0 + 0.0)
-            }
-        })
-        .collect()
-}
-
-/// Brute-force reference: pairs equal under `Datum` equality. With
-/// normalized zeros this is exactly what both hash paths deliver.
-fn nested_loop_count(build: &[Datum], probe: &[Datum]) -> u64 {
-    probe
-        .iter()
-        .map(|p| build.iter().filter(|b| *b == p).count() as u64)
-        .sum()
-}
-
-proptest! {
-    /// Vectorized ≡ row-at-a-time ≡ brute force for random int keys,
-    /// in count *and* row mode, including I/O charges.
-    #[test]
-    fn vector_join_identity_int_keys(
-        build in prop::collection::vec(-20i64..20, 0..120),
-        probe in prop::collection::vec(-20i64..20, 0..120),
-    ) {
-        let bk: Vec<Datum> = build.iter().copied().map(Datum::Int).collect();
-        let pk: Vec<Datum> = probe.iter().copied().map(Datum::Int).collect();
-        let (bt, pt) = (key_table(&bk), key_table(&pk));
-        let (n_off, h_off) = hash_join_count(&bt, &pt, false);
-        let (n_on, h_on) = hash_join_count(&bt, &pt, true);
-        prop_assert_eq!(n_off, n_on);
-        prop_assert_eq!(h_off, h_on);
-        prop_assert_eq!(n_on, nested_loop_count(&bk, &pk));
-        let (r_off, rh_off) = hash_join_rows(&bt, &pt, false);
-        let (r_on, rh_on) = hash_join_rows(&bt, &pt, true);
-        prop_assert_eq!(&r_off, &r_on);
-        prop_assert_eq!(rh_off, rh_on);
-        prop_assert_eq!(r_on.len() as u64, n_on);
-    }
-
-    /// The same identity over float keys with injected NaNs: each NaN
-    /// build key is its own unreachable entry and NaN probes never
-    /// match, on both pipelines.
-    #[test]
-    fn vector_join_identity_nan_float_keys(
-        build in prop::collection::vec(-4.0f64..4.0, 1..80),
-        probe in prop::collection::vec(-4.0f64..4.0, 1..80),
-        nan_every in 2usize..6,
-    ) {
-        let bk = float_keys(&build, nan_every);
-        let pk = float_keys(&probe, nan_every);
-        let (bt, pt) = (key_table(&bk), key_table(&pk));
-        let (n_off, h_off) = hash_join_count(&bt, &pt, false);
-        let (n_on, h_on) = hash_join_count(&bt, &pt, true);
-        prop_assert_eq!(n_off, n_on);
-        prop_assert_eq!(h_off, h_on);
-        prop_assert_eq!(n_on, nested_loop_count(&bk, &pk));
-    }
-
-    /// Hash self-join with full page overlap: the same storage feeds
-    /// build and probe, so probe pages are pool hits — identically
-    /// charged on both pipelines.
-    #[test]
-    fn vector_self_join_page_overlap(
-        keys in prop::collection::vec(0i64..30, 1..200),
-    ) {
-        let ks: Vec<Datum> = keys.iter().copied().map(Datum::Int).collect();
-        let t = key_table(&ks);
-        let (n_off, h_off) = hash_join_count(&t, &t, false);
-        let (n_on, h_on) = hash_join_count(&t, &t, true);
-        prop_assert_eq!(n_off, n_on);
-        prop_assert_eq!(h_off, h_on);
-        prop_assert_eq!(n_on, nested_loop_count(&ks, &ks));
-    }
-
-    /// The radix table replicates `HashMap<Datum, count>` multiplicity
-    /// semantics for arbitrary keys and partition counts.
-    #[test]
-    fn radix_table_matches_hashmap_reference(
-        keys in prop::collection::vec(-10i64..10, 0..300),
-        probes in prop::collection::vec(-15i64..15, 0..60),
-        parts in 1usize..32,
-        seed in any::<u64>(),
-    ) {
-        let mut table = RadixTable::new(parts, seed);
-        let mut reference: HashMap<Datum, u64> = HashMap::new();
-        for k in &keys {
-            let d = Datum::Int(*k);
-            table.insert(DatumRef::from(&d), None);
-            *reference.entry(d).or_insert(0) += 1;
-        }
-        prop_assert_eq!(table.distinct_keys(), reference.len());
-        prop_assert_eq!(table.total_rows(), keys.len() as u64);
-        for p in &probes {
-            let d = Datum::Int(*p);
-            prop_assert_eq!(
-                table.matches(DatumRef::from(&d)),
-                reference.get(&d).copied().unwrap_or(0));
-        }
-    }
-
-    /// `BitVectorFilter::insert_batch` ≡ per-row `insert_ref`, and both
-    /// ≡ OR-merging per-fragment filters: same bits, same insertion
-    /// count, same membership answers.
-    #[test]
-    fn filter_bulk_insert_matches_per_row_and_merge(
-        keys in prop::collection::vec(-50i64..50, 0..200),
-        split in 0usize..200,
-        numbits in 64usize..2048,
-        seed in any::<u64>(),
-    ) {
-        let ks: Vec<Datum> = keys.iter().copied().map(Datum::Int).collect();
-        let split = split.min(ks.len());
-
-        let mut per_row = BitVectorFilter::new(numbits, seed);
-        for k in &ks {
-            per_row.insert_ref(DatumRef::from(k));
-        }
-
-        let mut bulk = BitVectorFilter::new(numbits, seed);
-        let n = bulk.insert_batch(ks.iter().map(DatumRef::from));
-        prop_assert_eq!(n, ks.len() as u64);
-
-        let mut left = BitVectorFilter::new(numbits, seed);
-        left.insert_batch(ks[..split].iter().map(DatumRef::from));
-        let mut right = BitVectorFilter::new(numbits, seed);
-        right.insert_batch(ks[split..].iter().map(DatumRef::from));
-        left.merge(&right).expect("same shape");
-
-        prop_assert_eq!(per_row.insertions(), bulk.insertions());
-        prop_assert_eq!(per_row.insertions(), left.insertions());
-        for probe in -60i64..60 {
-            let d = Datum::Int(probe);
-            let want = per_row.may_contain(&d);
-            prop_assert_eq!(bulk.may_contain(&d), want);
-            prop_assert_eq!(left.may_contain(&d), want);
-        }
-    }
+    assert!(
+        differential_runs(0.01, is_join),
+        "fault plan must fire (retries or degraded outcomes)"
+    );
 }

@@ -1,214 +1,77 @@
-//! Full-query identity for the page-at-a-time kernel pipeline.
-//!
-//! `PF_SCAN_KERNELS=off` forces every scan back onto the row-at-a-time
-//! observation path. These tests run the same workload with kernels on
-//! and off, at 1, 2, and 8 workers, with and without an injected fault
-//! plan, and require *byte-identical* outcomes: counts, I/O statistics
-//! (including predicate-evaluation and monitor-op charges), feedback
-//! reports (sketch contents, degraded flags), plan descriptions,
-//! simulated times, and fault retries. This is the executable form of
-//! the batched-observation contract in DESIGN.md §5h.
+//! Full-query identity of the scan pipeline: the seeded count workloads
+//! of the differential harness (page kernels over Int, Float and Date
+//! atoms, the row loop for Str atoms, index seeks and fetches) at 1, 2
+//! and 8 workers, with and without an injected fault plan, checked for
+//! byte-identical outcomes and against brute force. The executable form
+//! of the batched-observation contract in DESIGN.md §5h.
 
-use std::sync::Mutex;
+mod harness;
 
-use pagefeed::{Database, FaultPlan, MonitorConfig, ParallelRunner, PredSpec, Query};
-use pf_common::{Column, DataType, Datum, Row, Schema};
-use pf_exec::CompareOp;
+use std::sync::Arc;
 
-/// Serializes mutations of the process-global `PF_SCAN_KERNELS` toggle
-/// (tests in this binary may run concurrently).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+use harness::{differential_runs, resolved_pred, Fixture, SEEDS, TABLE};
+use pagefeed::Query;
+use pf_common::{PageId, Row};
+use pf_exec::{run_count, SeqScan};
 
-/// Runs `f` with the kernel toggle pinned to `on`, restoring the default
-/// (kernels enabled) afterwards.
-fn with_kernels<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    let _guard = ENV_LOCK.lock().unwrap();
-    if on {
-        std::env::remove_var("PF_SCAN_KERNELS");
-    } else {
-        std::env::set_var("PF_SCAN_KERNELS", "off");
-    }
-    let out = f();
-    std::env::remove_var("PF_SCAN_KERNELS");
-    out
+fn is_count(query: &Query) -> bool {
+    matches!(query, Query::Count { .. })
 }
 
-/// A table exercising every kernel-eligible type (Int, Float, Date) plus
-/// a Str column whose predicates force the row-at-a-time fallback, with
-/// indexes so feedback can flip access paths.
-fn build_db(fault_rate: f64) -> Database {
-    let mut db = Database::new();
-    let schema = Schema::new(vec![
-        Column::new("id", DataType::Int),
-        Column::new("corr", DataType::Int),
-        Column::new("scat", DataType::Int),
-        Column::new("val", DataType::Float),
-        Column::new("day", DataType::Date),
-        Column::new("tag", DataType::Str),
-        Column::new("pad", DataType::Str),
-    ]);
-    let n = 6_000i64;
-    let rows = (0..n)
-        .map(|i| {
-            Row::new(vec![
-                Datum::Int(i),
-                Datum::Int(i),
-                Datum::Int((i * 7919) % n),
-                Datum::Float(i as f64 * 0.5),
-                Datum::Date((i % 365) as i32),
-                Datum::Str(format!("tag{}", i % 10)),
-                Datum::Str("x".repeat(120)),
-            ])
-        })
-        .collect::<Vec<Row>>();
-    db.create_table("t", schema, rows, Some("id")).unwrap();
-    db.create_index("ix_corr", "t", "corr").unwrap();
-    db.create_index("ix_scat", "t", "scat").unwrap();
-    db.analyze().unwrap();
-    if fault_rate > 0.0 {
-        db.set_fault_plan(Some(FaultPlan::new(42, fault_rate).unwrap()))
-            .unwrap();
-    }
-    db
-}
-
-/// Shapes covering: empty predicate, single- and multi-atom kernels over
-/// each fixed-width type, a short-circuiting narrow+wide pair, and a Str
-/// predicate that cannot compile to a kernel.
-fn workload() -> Vec<Query> {
-    vec![
-        Query::count("t", vec![]),
-        Query::count(
-            "t",
-            vec![PredSpec::new("corr", CompareOp::Lt, Datum::Int(4_000))],
-        ),
-        Query::count(
-            "t",
-            vec![
-                PredSpec::new("corr", CompareOp::Lt, Datum::Int(4_000)),
-                PredSpec::new("scat", CompareOp::Ge, Datum::Int(1_000)),
-            ],
-        ),
-        Query::count(
-            "t",
-            vec![PredSpec::new("val", CompareOp::Le, Datum::Float(1_500.0))],
-        ),
-        Query::count(
-            "t",
-            vec![PredSpec::new("day", CompareOp::Lt, Datum::Date(180))],
-        ),
-        Query::count(
-            "t",
-            vec![
-                PredSpec::new("corr", CompareOp::Lt, Datum::Int(150)),
-                PredSpec::new("scat", CompareOp::Lt, Datum::Int(5_500)),
-            ],
-        ),
-        Query::count(
-            "t",
-            vec![PredSpec::new(
-                "tag",
-                CompareOp::Eq,
-                Datum::Str("tag3".into()),
-            )],
-        ),
-        Query::count(
-            "t",
-            vec![
-                PredSpec::new("day", CompareOp::Ge, Datum::Date(90)),
-                PredSpec::new("val", CompareOp::Lt, Datum::Float(2_400.0)),
-                PredSpec::new("tag", CompareOp::Ne, Datum::Str("tag7".into())),
-            ],
-        ),
-    ]
-}
-
-fn run_workload(
-    db: &Database,
-    queries: &[Query],
-    cfg: &MonitorConfig,
-    jobs: usize,
-    kernels: bool,
-) -> Vec<pagefeed::QueryOutcome> {
-    with_kernels(kernels, || {
-        ParallelRunner::new(jobs)
-            .run_queries(db, queries, cfg)
-            .unwrap()
-    })
-}
-
-fn assert_outcomes_identical(
-    baseline: &[pagefeed::QueryOutcome],
-    other: &[pagefeed::QueryOutcome],
-    what: &str,
-) {
-    assert_eq!(baseline.len(), other.len(), "{what}: workload length");
-    for (i, (b, o)) in baseline.iter().zip(other).enumerate() {
-        assert_eq!(b.count, o.count, "{what}: count diverged at query {i}");
-        assert_eq!(b.stats, o.stats, "{what}: stats diverged at query {i}");
-        assert_eq!(b.report, o.report, "{what}: report diverged at query {i}");
-        assert_eq!(
-            b.description, o.description,
-            "{what}: plan diverged at query {i}"
-        );
-        assert!(
-            (b.elapsed_ms - o.elapsed_ms).abs() < 1e-12,
-            "{what}: simulated time diverged at query {i}: {} vs {}",
-            b.elapsed_ms,
-            o.elapsed_ms
-        );
-        assert_eq!(
-            b.fault_retries, o.fault_retries,
-            "{what}: fault retries diverged at query {i}"
-        );
-    }
-}
-
-/// Kernels on ≡ kernels off at every worker count, exact and sampled
-/// monitoring, on a fault-free database.
 #[test]
 fn kernel_identity_fault_free() {
-    let db = build_db(0.0);
-    let queries = workload();
-    for cfg in [MonitorConfig::default(), MonitorConfig::sampled(0.5)] {
-        let baseline = run_workload(&db, &queries, &cfg, 1, false);
-        assert!(
-            baseline.iter().any(|o| !o.report.measurements.is_empty()),
-            "workload must produce feedback"
-        );
-        for jobs in [1usize, 2, 8] {
-            for kernels in [true, false] {
-                let out = run_workload(&db, &queries, &cfg, jobs, kernels);
-                let what = format!(
-                    "fault-free, sampling {}, jobs {jobs}, kernels {kernels}",
-                    cfg.sampling_fraction
-                );
-                assert_outcomes_identical(&baseline, &out, &what);
-            }
-        }
-    }
+    differential_runs(0.0, is_count);
 }
 
-/// The same identity under an injected fault plan: checksum faults,
-/// retries, skipped pages, and degraded sketches reproduce exactly on
-/// the batched path.
+/// Checksum faults, retries, skipped pages and degraded sketches
+/// reproduce exactly at every worker count.
 #[test]
 fn kernel_identity_under_faults() {
-    let db = build_db(0.01);
-    let queries = workload();
-    let cfg = MonitorConfig::default();
-    let baseline = run_workload(&db, &queries, &cfg, 1, false);
-    let retries: u32 = baseline.iter().map(|o| o.fault_retries).sum();
-    let degraded = baseline.iter().filter(|o| o.report.is_degraded()).count();
     assert!(
-        retries > 0 || degraded > 0,
-        "fault plan must actually fire (retries or degraded sketches)"
+        differential_runs(0.01, is_count),
+        "fault plan must fire (retries or degraded outcomes)"
     );
-    for jobs in [1usize, 2, 8] {
-        for kernels in [true, false] {
-            let out = run_workload(&db, &queries, &cfg, jobs, kernels);
-            let what = format!("faulted, jobs {jobs}, kernels {kernels}");
-            assert_outcomes_identical(&baseline, &out, &what);
+}
+
+/// An unmonitored full scan over every generated count predicate reads
+/// each page once, sequentially, and charges exactly the evaluations a
+/// per-row short-circuit loop performs — whether a page kernel or the
+/// row loop ran.
+#[test]
+fn unmonitored_full_scan_charges_match_row_loop() {
+    for seed in SEEDS {
+        let fx = Fixture::new(seed);
+        let db = fx.database(0.0);
+        let meta = db.catalog().table_by_name(TABLE).expect("table");
+        let pages = u64::from(meta.storage.page_count());
+        let rows: Vec<Row> = (0..meta.storage.page_count())
+            .flat_map(|p| meta.storage.rows_on_page(PageId(p)).expect("page"))
+            .collect();
+        for query in &fx.queries {
+            if !is_count(query) {
+                continue;
+            }
+            let pred = resolved_pred(query);
+            let mut scan = SeqScan::full(Arc::clone(&meta.storage), meta.id, pred.clone(), None);
+            let mut ctx = db.make_context();
+            let count = run_count(&mut scan, &mut ctx).expect("scan runs");
+            let s = ctx.stats();
+            let what = format!("seed {seed}, {pred}");
+            assert_eq!(s.logical_reads, pages, "{what}: logical reads");
+            assert_eq!(s.seq_physical_reads, pages, "{what}: sequential reads");
+            assert_eq!(s.rand_physical_reads, 0, "{what}: random reads");
+            assert_eq!(s.rows_processed, rows.len() as u64, "{what}: rows");
+            let evals: u64 = rows
+                .iter()
+                .map(|r| pred.eval_short_circuit(r).1 as u64)
+                .sum();
+            assert_eq!(s.pred_evals, evals, "{what}: predicate evaluations");
+            assert_eq!(s.extra_pred_evals, 0, "{what}: extra evaluations");
+            let passing = rows
+                .iter()
+                .filter(|r| pred.eval_short_circuit(*r).0)
+                .count();
+            assert_eq!(count, passing as u64, "{what}: count");
         }
     }
 }
