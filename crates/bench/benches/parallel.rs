@@ -27,10 +27,18 @@ fn quick() -> bool {
     matches!(std::env::var("PF_BENCH_QUICK").as_deref(), Ok("1"))
 }
 
-fn db() -> Database {
+fn nrows() -> i64 {
+    if quick() {
+        10_000
+    } else {
+        40_000
+    }
+}
+
+fn synthetic_db(rows: i64, with_t1: bool) -> Database {
     build(&SyntheticConfig {
-        rows: if quick() { 10_000 } else { 40_000 },
-        with_t1: false,
+        rows: rows as usize,
+        with_t1,
         seed: 2_024,
     })
     .unwrap()
@@ -42,6 +50,11 @@ fn workload(db: &Database) -> Vec<Query> {
     single_table_workload(db, "T", &["c2", "c3", "c4", "c5"], n, (0.01, 0.10), 7).unwrap()
 }
 
+/// Table size of the feedback-flipped cases in both modes: a flipped
+/// index fetch or INL join over a smaller table touches too few pages
+/// to show anything but per-morsel overhead.
+const FLIP_ROWS: i64 = 40_000;
+
 struct Sample {
     jobs: usize,
     queries_per_sec: f64,
@@ -52,7 +65,7 @@ struct Sample {
 }
 
 fn main() {
-    let db = db();
+    let db = synthetic_db(nrows(), false);
     let queries = workload(&db);
     let cfg = MonitorConfig::default();
     let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -121,13 +134,17 @@ fn main() {
 
     // -----------------------------------------------------------------
     // Intra-query morsel scaling: single queries repeatedly executed
-    // through `run_query`, which splits the monitored scan into
-    // page-range morsels and the hash join into build/probe morsels.
-    // Each case asserts bit-identity against its jobs=1 outcome before
-    // timing counts for anything.
+    // through `run_query`, which splits each of the four morsel shapes:
+    // a monitored scan into page-range morsels, a hash join into build
+    // and probe morsels, an index fetch into RID-run morsels, and an
+    // index-nested-loops join into outer page-range morsels. The last
+    // two are the plans the paper's feedback loop flips to, so they run
+    // on their own `FLIP_ROWS` database (with the join copy `T1`) after
+    // one run absorbs the measured DPCs. Each case asserts identity
+    // against the serial outcome before timing counts for anything.
     // -----------------------------------------------------------------
-    let nrows = if quick() { 10_000i64 } else { 40_000 };
-    let cases: Vec<(&str, Query, MonitorConfig)> = vec![
+    let nrows = nrows();
+    let cases: Vec<(&str, Query, MonitorConfig, bool)> = vec![
         (
             "monitored_scan",
             Query::count(
@@ -139,6 +156,7 @@ fn main() {
                 )],
             ),
             MonitorConfig::sampled(0.5),
+            false,
         ),
         (
             // Scattered inner join column keeps the optimizer on a hash
@@ -146,25 +164,70 @@ fn main() {
             "hash_join",
             Query::join_count("T", "T", vec![], "c2", "c5"),
             MonitorConfig::default(),
+            false,
+        ),
+        (
+            // The correlated column's measured DPC flips a table scan to
+            // an index fetch of 1 000 rows.
+            "index_fetch",
+            Query::count(
+                "T",
+                vec![PredSpec::new("c2", CompareOp::Lt, Datum::Int(1_000))],
+            ),
+            MonitorConfig::default(),
+            true,
+        ),
+        (
+            // `T1 ⋈ T` on the correlated column: the bit-vector DPC
+            // measured by the hash join flips it to index nested loops
+            // (as in `examples/join_tuning.rs`).
+            "inl_join",
+            Query::join_count(
+                "T1",
+                "T",
+                vec![PredSpec::new(
+                    "c1",
+                    CompareOp::Lt,
+                    Datum::Int(FLIP_ROWS / 40),
+                )],
+                "c2",
+                "c2",
+            ),
+            MonitorConfig::default(),
+            true,
         ),
     ];
+    let mut flip_db = synthetic_db(FLIP_ROWS, true);
+    for (name, query, mcfg, _) in cases.iter().filter(|c| c.3) {
+        let first = flip_db.run(query, mcfg).unwrap();
+        flip_db.absorb_feedback(&first.report).unwrap();
+        let now = flip_db.run(query, mcfg).unwrap();
+        assert_ne!(
+            first.choice.name(),
+            now.choice.name(),
+            "{name}: feedback must flip the plan"
+        );
+        println!("{name:<16} {} -> {}", first.description, now.description);
+    }
     let reps = if quick() { 3 } else { 8 };
     let mut intra: Vec<(String, usize, f64, f64)> = Vec::new();
-    for (name, query, mcfg) in &cases {
+    for (name, query, mcfg, flip) in &cases {
+        let db = if *flip { &flip_db } else { &db };
         let serial = db.run(query, mcfg).unwrap();
         let mut base_eps = 0.0;
         for jobs in [1usize, 2, 4, 8] {
             let runner = ParallelRunner::new(jobs);
             // Warm the pool, and check the morsel result is the serial
             // result before trusting any timing from this case.
-            let outcome = runner.run_query(&db, query, mcfg).unwrap();
+            let outcome = runner.run_query(db, query, mcfg).unwrap();
             assert_eq!(serial.count, outcome.count, "{name} jobs={jobs}");
             assert_eq!(serial.stats, outcome.stats, "{name} jobs={jobs}");
+            assert_eq!(serial.report, outcome.report, "{name} jobs={jobs}");
             let mut best = f64::INFINITY;
             for _ in 0..3 {
                 let start = Instant::now();
                 for _ in 0..reps {
-                    runner.run_query(&db, query, mcfg).unwrap();
+                    runner.run_query(db, query, mcfg).unwrap();
                 }
                 best = best.min(start.elapsed().as_secs_f64());
             }
@@ -244,7 +307,7 @@ fn main() {
             std::process::exit(1);
         }
         println!("scaling gate passed: jobs=8 {eight:.1} q/s >= jobs=1 {one:.1} q/s");
-        for (name, _, _) in &cases {
+        for (name, ..) in &cases {
             let eps_at = |jobs: usize| {
                 intra
                     .iter()

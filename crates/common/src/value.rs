@@ -40,7 +40,12 @@ impl fmt::Display for DataType {
 /// [`f64::total_cmp`]) so it can key B+-trees and histograms; comparing
 /// across types is a programming error surfaced by the expression layer,
 /// not here — cross-type `partial_cmp` returns `None`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality agrees with that order and with [`std::hash::Hash`]: floats
+/// are equal exactly when their bits are, so `NaN` equals itself and
+/// `-0.0` differs from `0.0`. Every join method — hash, merge, and
+/// index-nested-loops over a B+-tree — therefore matches the same keys.
+#[derive(Debug, Clone)]
 pub enum Datum {
     /// 64-bit signed integer.
     Int(i64),
@@ -173,8 +178,8 @@ impl fmt::Display for Datum {
 /// strings borrow the underlying bytes — no allocation. `DatumRef` is
 /// the currency of the zero-copy page pipeline: predicates compare it
 /// against literal [`Datum`]s and monitors hash it, both without ever
-/// materializing an owned value.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// materializing an owned value. Equality is [`Datum`]'s: floats by bits.
+#[derive(Debug, Clone, Copy)]
 pub enum DatumRef<'a> {
     /// 64-bit signed integer.
     Int(i64),
@@ -253,7 +258,25 @@ pub trait DatumAccess {
     fn datum_ref(&self, idx: usize) -> DatumRef<'_>;
 }
 
+impl PartialEq for Datum {
+    fn eq(&self, other: &Self) -> bool {
+        DatumRef::from(self) == DatumRef::from(other)
+    }
+}
+
 impl Eq for Datum {}
+
+impl PartialEq for DatumRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (DatumRef::Int(a), DatumRef::Int(b)) => a == b,
+            (DatumRef::Float(a), DatumRef::Float(b)) => a.to_bits() == b.to_bits(),
+            (DatumRef::Str(a), DatumRef::Str(b)) => a == b,
+            (DatumRef::Date(a), DatumRef::Date(b)) => a == b,
+            _ => false,
+        }
+    }
+}
 
 // `Datum` participates in hash tables (hash-join keys, bit-vector
 // filters). Floats hash their bit pattern, consistent with `total_cmp`.
@@ -310,6 +333,24 @@ mod tests {
     fn float_total_order_handles_nan() {
         let nan = Datum::Float(f64::NAN);
         assert_eq!(nan.cmp_same_type(&nan), Some(Ordering::Equal));
+    }
+
+    /// Equality agrees with `total_cmp` and with bit hashing.
+    #[test]
+    fn float_equality_is_bitwise() {
+        let (nan, neg, pos) = (
+            Datum::Float(f64::NAN),
+            Datum::Float(-0.0),
+            Datum::Float(0.0),
+        );
+        assert_eq!(nan, nan.clone());
+        assert_ne!(neg, pos);
+        assert_eq!(DatumRef::from(&nan), DatumRef::Float(f64::NAN));
+        assert_ne!(DatumRef::from(&neg), DatumRef::from(&pos));
+        for (a, b) in [(&nan, &nan), (&neg, &pos), (&pos, &pos)] {
+            assert_eq!(a == b, a.cmp_same_type(b) == Some(Ordering::Equal));
+        }
+        assert_ne!(Datum::Int(1), Datum::Date(1));
     }
 
     #[test]

@@ -3,23 +3,21 @@
 use crate::breaker::CircuitBreaker;
 use crate::feedback_store::FeedbackStore;
 use crate::plan_cache::{PlanCache, PlanCacheStats};
-use crate::planner::{LoweredPlan, MonitorConfig, OptimizedQuery, PlanChoice, Planner};
-use crate::query::Query;
-use pf_common::{Datum, Error, IndexId, PageId, Result, Rid, Row, Schema, TableId};
-use pf_exec::index::{Fetch, IndexSeek, RidList, SeekRange};
-use pf_exec::monitor::{FetchTemplate, MonitorTemplate, ScanMonitorPartial, SemiJoinRecipe};
-use pf_exec::scan::SeqScan;
-use pf_exec::{run_count, CancelToken, Conjunction, ExecContext, RidSource};
-use pf_feedback::{BitVectorFilter, FeedbackReport, LinearCounter};
-use pf_optimizer::{
-    AccessPath, CostModel, DbStats, EpochStamp, HintSet, JoinMethod, JoinPlan, JoinSpec, Optimizer,
-    SingleTablePlan, StalenessPolicy, TableEpochState,
+use crate::planner::{
+    HarnessPartial, LoweredPlan, MonitorConfig, OptimizedQuery, PlanChoice, PlanSlice, Planner,
 };
-use pf_storage::{Catalog, DiskModel, FaultPlan, IoStats, TableBuilder};
-use std::cell::RefCell;
+use crate::query::Query;
+use pf_common::{Error, IndexId, PageId, Result, Row, Schema, TableId};
+use pf_exec::join::BuildSide;
+use pf_exec::{run_count, CancelToken, Conjunction, ExecContext};
+use pf_feedback::FeedbackReport;
+use pf_optimizer::{
+    AccessPath, CostModel, DbStats, EpochStamp, HintSet, JoinMethod, Optimizer, StalenessPolicy,
+    TableEpochState,
+};
+use pf_storage::{Catalog, DiskModel, FaultPlan, IoStats, PageMiss, TableBuilder};
 use std::collections::HashMap;
 use std::path::Path;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// How many times a transient fault (an injected read stall) is retried
@@ -70,97 +68,59 @@ impl QueryOutcome {
     }
 }
 
-/// The shared description of a scan that will execute as page-range
-/// morsels: the winning plan, its resolved predicate, and the full page
-/// range. Plain data (no monitor handles), so it can be captured by
-/// reference from every worker thread.
+/// What every morsel of a query lowers: the cached optimizer decision,
+/// plus the page span of the plan's driving scan (the single-table scan,
+/// or a join's outer scan; empty for fetch plans, whose RID source
+/// drives them). Shared by reference with every worker.
 #[derive(Debug, Clone)]
-pub struct MorselScan {
-    /// The winning sequential-scan plan.
-    pub plan: SingleTablePlan,
-    /// The resolved predicate all morsels filter with.
-    pub pred: Conjunction,
-    /// `[first, last)` pages the whole scan covers.
-    pub page_range: (u32, u32),
-    /// Whether the scan's first page access pays a random (positioning)
-    /// I/O — true for clustered range scans; morsel 0 inherits it.
-    pub first_random: bool,
+pub struct Morsels {
+    /// The optimizer decision each morsel lowers.
+    pub(crate) optimized: Arc<OptimizedQuery>,
+    /// `[first, last)` pages of the driving scan.
+    pub(crate) pages: (u32, u32),
+    /// Whether the driving scan's first page access pays a random
+    /// (positioning) I/O — true for clustered range scans; the first
+    /// morsel inherits it.
+    pub(crate) first_random: bool,
 }
 
-/// An index-driven single-table plan whose RID fetch list executes as
-/// contiguous-run morsels.
-#[derive(Debug, Clone)]
-pub struct MorselFetch {
-    /// The winning index-driven plan (`IndexSeek` / `IndexIntersection`).
-    pub plan: SingleTablePlan,
-    /// The full resolved predicate (seekable atoms plus residual).
-    pub pred: Conjunction,
-}
-
-/// A hash join whose build side runs as outer-scan morsels and whose
-/// probe side runs as inner page-range morsels.
-#[derive(Debug, Clone)]
-pub struct MorselHashJoin {
-    /// The winning join plan.
-    pub plan: JoinPlan,
-    /// The resolved join specification.
-    pub spec: JoinSpec,
-    /// The build-side scan, morsel-partitionable.
-    pub outer_scan: MorselScan,
-    /// `[first, last)` pages of the probe-side full scan.
-    pub inner_range: (u32, u32),
-    /// Semi-join filter sizing `(numbits, seed)` when the planner would
-    /// attach one — mirrors the serial lowering's `BitVectorConfig`, so
-    /// per-morsel filter fragments OR-merge into the serial filter.
-    pub filter: Option<(usize, u64)>,
-    /// The planner's filter-pushdown decision (see
-    /// [`crate::planner::Planner::join_pushdown`]): probe morsels carry
-    /// the merged build filter as a scan pre-filter.
-    pub pushdown: bool,
-}
-
-/// An index-nested-loops join: outer-scan morsels collect join keys, the
-/// coordinator replays the inner index seeks, and the resulting RID run
-/// fetches in morsels.
-#[derive(Debug, Clone)]
-pub struct MorselInlJoin {
-    /// The winning join plan.
-    pub plan: JoinPlan,
-    /// The resolved join specification.
-    pub spec: JoinSpec,
-    /// The outer (driving) scan, morsel-partitionable.
-    pub outer_scan: MorselScan,
-}
-
-/// Every query shape the parallel driver can execute as morsels. Shapes
-/// not represented here (merge joins, index-only scans, DPC-cache
-/// overlays, governor deadlines) fall back to a serial run.
+/// Every query shape the parallel driver can execute as morsels, each a
+/// sequence of phases over one per-morsel runner
+/// (`Database::run_morsel`). Shapes not represented here (merge joins,
+/// index-only scans, DPC-cache overlays, governor deadlines) fall back
+/// to a serial run.
 #[derive(Debug, Clone)]
 pub enum MorselPlan {
-    /// A sequential scan split into page-range morsels.
-    Scan(MorselScan),
-    /// An index-driven fetch split into RID-run morsels.
-    Fetch(MorselFetch),
-    /// A hash join with morsel build and probe phases.
-    HashJoin(MorselHashJoin),
-    /// An index-nested-loops join with morsel outer and fetch phases.
-    InlJoin(MorselInlJoin),
+    /// Page morsels over a sequential scan.
+    Scan(Morsels),
+    /// The coordinator drains the index RID source, then RID-run
+    /// morsels fetch.
+    Fetch(Morsels),
+    /// Page morsels over the outer side each build a hash table; the
+    /// merged build side is then probed by page morsels over the inner.
+    HashJoin(Morsels),
+    /// Page morsels over the outer side, each running the whole
+    /// index-nested-loops join.
+    InlJoin(Morsels),
 }
 
-/// What one build-side join morsel returns: the passing rows' join keys
-/// in row order, the morsel's I/O counters, its scan-monitor partial,
-/// and its semi-join bit-vector fragment.
-pub type BuildMorselOutput = (
-    Vec<Datum>,
-    IoStats,
-    Option<ScanMonitorPartial>,
-    Option<BitVectorFilter>,
-);
-
-/// Seed for the coordinator's radix-partitioned multiplicity table —
-/// distinct from every monitor seed so table routing never correlates
-/// with sketch hashing.
-pub(crate) const PARTITION_SEED: u64 = 0xC0FF_EE00_D15C_0B01;
+/// What one morsel returns to the coordinator: all plain `Send` data,
+/// merged in phase-then-morsel order.
+pub(crate) struct MorselOutput {
+    /// Rows the morsel counted (0 for a hash join's build morsels).
+    pub(crate) count: u64,
+    /// The morsel's I/O counters against its own cold pool.
+    pub(crate) stats: IoStats,
+    /// The pages the morsel missed, in access order (see
+    /// [`pf_storage::merge_morsel_stats`]).
+    pub(crate) misses: Vec<PageMiss>,
+    /// The morsel's finished monitors.
+    pub(crate) monitors: HarnessPartial,
+    /// A hash join build morsel's completed build side.
+    pub(crate) built: Option<BuildSide>,
+    /// The attempt that succeeded (0 unless a transient fault retried).
+    pub(crate) attempt: u32,
+}
 
 /// An embedded analytical database with page-count execution feedback.
 ///
@@ -794,17 +754,6 @@ impl Database {
     // Intra-query morsel parallelism.
     // ------------------------------------------------------------------
 
-    /// Decides whether `query` under `cfg` can execute as plain
-    /// page-range scan morsels, returning the shared scan description if
-    /// so. Retained (delegating to [`Database::morsel_plan`]) for
-    /// callers that only care about the scan shape.
-    pub fn morsel_scan(&self, query: &Query, cfg: &MonitorConfig) -> Result<Option<MorselScan>> {
-        Ok(match self.morsel_plan(query, cfg)? {
-            Some(MorselPlan::Scan(scan)) => Some(scan),
-            _ => None,
-        })
-    }
-
     /// Classifies `query` under `cfg` into a morsel-executable shape, or
     /// `None` when only the serial path preserves bit-identity.
     ///
@@ -813,31 +762,32 @@ impl Database {
     /// shedding assumes one monotone clock) force a serial run. Sampled
     /// and budgeted monitors are fine: page sampling is a pure function
     /// of `(seed, page)` and budget shedding is decided once at
-    /// lowering, so both replicate per morsel.
+    /// lowering, which every morsel repeats.
     /// Sequential scans parallelize even under a fault plan (stalls
     /// retry morsel-locally; corruption is a pure function of the page);
     /// index-fetch and join shapes additionally require a fault-free
-    /// catalog, and shapes whose distinct-page accounting is reconciled
-    /// at merge time require a buffer pool that cannot evict
-    /// (`pages ≤ pool_pages`).
+    /// catalog and a buffer pool that cannot evict (`pages ≤
+    /// pool_pages`), since their morsels may touch the same pages and
+    /// [`pf_storage::merge_morsel_stats`] reconciles residency only for a
+    /// serial pool that never evicts.
     pub fn morsel_plan(&self, query: &Query, cfg: &MonitorConfig) -> Result<Option<MorselPlan>> {
         if self.dpc_cache.is_some() || cfg.deadline_ms.is_some() {
             return Ok(None);
         }
         let planner = self.planner()?;
         let optimized = self.optimized(query, cfg, &planner)?;
+        let morsels = |(pages, first_random)| Morsels {
+            optimized: Arc::clone(&optimized),
+            pages,
+            first_random,
+        };
         match &*optimized {
             OptimizedQuery::Single { plan, pred } => {
-                if let Some((page_range, first_random)) = planner.scan_page_range(plan, pred)? {
-                    if page_range.1.saturating_sub(page_range.0) < 2 {
+                if let Some((pages, first_random)) = planner.scan_page_range(plan, pred)? {
+                    if pages.1.saturating_sub(pages.0) < 2 {
                         return Ok(None);
                     }
-                    return Ok(Some(MorselPlan::Scan(MorselScan {
-                        plan: plan.clone(),
-                        pred: pred.clone(),
-                        page_range,
-                        first_random,
-                    })));
+                    return Ok(Some(MorselPlan::Scan(morsels((pages, first_random)))));
                 }
                 if self.fault_plan().is_some() {
                     return Ok(None);
@@ -846,322 +796,77 @@ impl Database {
                     AccessPath::IndexSeek { .. } | AccessPath::IndexIntersection { .. } => {}
                     _ => return Ok(None),
                 }
-                let meta = self.catalog.table(plan.table)?;
-                if meta.stats.pages as usize > self.pool_pages {
-                    // Merge-time residency reconciliation assumes no
-                    // eviction: every re-fetch of a page must hit.
+                if self.catalog.table(plan.table)?.stats.pages as usize > self.pool_pages {
                     return Ok(None);
                 }
-                Ok(Some(MorselPlan::Fetch(MorselFetch {
-                    plan: plan.clone(),
-                    pred: pred.clone(),
-                })))
+                Ok(Some(MorselPlan::Fetch(morsels(((0, 0), false)))))
             }
             OptimizedQuery::Join { plan, spec } => {
                 if self.fault_plan().is_some() {
                     return Ok(None);
                 }
-                let Some((page_range, first_random)) =
-                    planner.scan_page_range(&plan.outer_plan, &spec.outer_pred)?
+                let Some(outer) = planner.scan_page_range(&plan.outer_plan, &spec.outer_pred)?
                 else {
                     return Ok(None);
-                };
-                let outer_scan = MorselScan {
-                    plan: plan.outer_plan.clone(),
-                    pred: spec.outer_pred.clone(),
-                    page_range,
-                    first_random,
                 };
                 let outer_pages = self.catalog.table(spec.outer)?.stats.pages as usize;
                 let inner_pages = self.catalog.table(spec.inner)?.stats.pages as usize;
                 if outer_pages + inner_pages > self.pool_pages {
-                    // Cross-phase residency reconciliation (a self-join's
-                    // probe hits the build scan's pages; fetch runs hit
-                    // earlier runs' pages) assumes the serial pool never
-                    // evicted during the whole join.
                     return Ok(None);
                 }
                 match plan.method {
-                    JoinMethod::Hash => {
-                        if inner_pages < 2 {
-                            return Ok(None);
-                        }
-                        let filter = planner.join_filter_config(plan, spec, cfg)?;
-                        let pushdown = filter.is_some() && planner.join_pushdown(plan, spec)?;
-                        Ok(Some(MorselPlan::HashJoin(MorselHashJoin {
-                            plan: plan.clone(),
-                            spec: spec.clone(),
-                            outer_scan,
-                            inner_range: (0, inner_pages as u32),
-                            filter,
-                            pushdown,
-                        })))
+                    JoinMethod::Hash if inner_pages >= 2 => {
+                        Ok(Some(MorselPlan::HashJoin(morsels(outer))))
                     }
-                    JoinMethod::IndexNestedLoops => {
-                        if spec.inner == spec.outer {
-                            // A self-join's inner fetches interleave with
-                            // the outer scan in serial execution: a fetch
-                            // can warm a page *ahead* of the scan cursor,
-                            // turning a later sequential miss into a hit.
-                            // That accounting is inherently order-
-                            // dependent, so INL self-joins stay serial.
-                            return Ok(None);
-                        }
-                        Ok(Some(MorselPlan::InlJoin(MorselInlJoin {
-                            plan: plan.clone(),
-                            spec: spec.clone(),
-                            outer_scan,
-                        })))
-                    }
-                    JoinMethod::Merge => Ok(None),
+                    JoinMethod::IndexNestedLoops => Ok(Some(MorselPlan::InlJoin(morsels(outer)))),
+                    JoinMethod::Hash | JoinMethod::Merge => Ok(None),
                 }
             }
         }
     }
 
-    /// Runs one morsel of a partitioned scan: a private scan over
-    /// `page_range` whose monitor set is rebuilt from the reference
-    /// `template` (extracted post-governor, so budget shedding
-    /// replicates), reusing `ctx`. Transient injected stalls retry
-    /// morsel-locally — a cold restart of just this page range. Returns
-    /// the morsel's row count, I/O counters, finished monitor partial,
-    /// and the attempt index that succeeded: the coordinator's
+    /// Runs one morsel: lowers the cached `optimized` plan restricted to
+    /// `slice` and counts it against `ctx`'s cold pool — or, for a hash
+    /// join's page slice, runs only the join's build phase. Transient
+    /// injected stalls retry morsel-locally (a cold restart of just this
+    /// slice, re-lowered so monitors start fresh); the coordinator's
     /// `fault_retries` is the max over morsels, which equals the serial
     /// whole-query retry count (a stall site's budget is a pure function
     /// of the site).
-    pub fn run_morsel(
+    pub(crate) fn run_morsel(
         &self,
-        scan: &MorselScan,
-        template: Option<&MonitorTemplate>,
-        page_range: (u32, u32),
-        first_random: bool,
+        optimized: &OptimizedQuery,
+        cfg: &MonitorConfig,
+        slice: &PlanSlice,
         ctx: &mut ExecContext,
-    ) -> Result<(u64, IoStats, Option<ScanMonitorPartial>, u32)> {
-        let meta = self.catalog.table(scan.plan.table)?;
+    ) -> Result<MorselOutput> {
+        let planner = self.planner()?;
         let mut attempt = 0;
         loop {
-            let handle = template.map(|t| Rc::new(RefCell::new(t.instantiate(&scan.pred))));
-            let mut op = SeqScan::with_page_range(
-                Arc::clone(&meta.storage),
-                scan.plan.table,
-                scan.pred.clone(),
-                handle.clone(),
-                page_range,
-                first_random,
-            );
+            let LoweredPlan {
+                mut op, harness, ..
+            } = planner.lower_slice(optimized, cfg, slice)?;
             ctx.cold_start();
             ctx.fault_attempt = attempt;
-            // Count page-at-a-time like the serial driver
-            // (`execute_attempt`); materialization is never charged.
-            match run_count(&mut op, ctx) {
-                Ok(count) => {
-                    drop(op); // release the operator's clone of the monitor handle
-                    let partial = match handle {
-                        Some(h) => Some(Self::unwrap_scan_handle(h)?.into_partial()),
-                        None => None,
-                    };
-                    return Ok((count, ctx.stats(), partial, attempt));
+            let run = match (slice, op.as_hash_join()) {
+                (PlanSlice::Pages { .. }, Some(join)) => join.build_side(ctx).map(|b| (0, Some(b))),
+                _ => run_count(op.as_mut(), ctx).map(|n| (n, None)),
+            };
+            match run {
+                Ok((count, built)) => {
+                    return Ok(MorselOutput {
+                        count,
+                        stats: ctx.stats(),
+                        misses: ctx.pool.misses().to_vec(),
+                        monitors: harness.into_partial(),
+                        built,
+                        attempt,
+                    });
                 }
                 Err(e) if e.is_transient() && attempt < MAX_TRANSIENT_RETRIES => attempt += 1,
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// Recovers sole ownership of a worker-local scan-monitor handle
-    /// after its operator is dropped.
-    fn unwrap_scan_handle(
-        h: Rc<RefCell<pf_exec::monitor::ScanMonitorSet>>,
-    ) -> Result<pf_exec::monitor::ScanMonitorSet> {
-        Ok(Rc::try_unwrap(h)
-            .map_err(|_| Error::Internal("morsel monitor handle still shared".into()))?
-            .into_inner())
-    }
-
-    /// Runs one contiguous run of an index-driven plan's RID fetch list:
-    /// a private [`Fetch`] over `rids` with worker-local monitors rebuilt
-    /// from `templates`, reusing `ctx`. Returns the run's fetched-row
-    /// count, I/O counters, and finished per-monitor page counters for
-    /// the coordinator to merge in run order (only fault-free shapes
-    /// reach this path, so no retry loop is needed). The caller owns
-    /// residency reconciliation: a page this run misses may be resident
-    /// in the serial stream, so the summed `rand_physical_reads` must be
-    /// corrected by the cross-run overlap.
-    pub fn run_fetch_morsel(
-        &self,
-        table: TableId,
-        rids: &[Rid],
-        residual: &Conjunction,
-        templates: Option<&[FetchTemplate]>,
-        ctx: &mut ExecContext,
-    ) -> Result<(u64, IoStats, Vec<LinearCounter>)> {
-        let meta = self.catalog.table(table)?;
-        let handle = templates.map(|ts| {
-            Rc::new(RefCell::new(
-                ts.iter()
-                    .map(FetchTemplate::instantiate)
-                    .collect::<Vec<_>>(),
-            ))
-        });
-        let mut op = Fetch::new(
-            Box::new(RidList::new(rids.to_vec())),
-            Arc::clone(&meta.storage),
-            table,
-            residual.clone(),
-            handle.clone(),
-        );
-        ctx.cold_start();
-        ctx.fault_attempt = 0;
-        let count = run_count(&mut op, ctx)?;
-        drop(op);
-        let counters = match handle {
-            Some(h) => Rc::try_unwrap(h)
-                .map_err(|_| Error::Internal("fetch morsel monitor handle still shared".into()))?
-                .into_inner()
-                .into_iter()
-                .map(|m| m.counter)
-                .collect(),
-            None => Vec::new(),
-        };
-        Ok((count, ctx.stats(), counters))
-    }
-
-    /// Runs one build-side morsel of a parallel hash or INL join: scans
-    /// `page_range` of the outer table, collecting each passing row's
-    /// join key in row order. `filter` rebuilds the planner's semi-join
-    /// bit-vector sizing so per-insert hash charges replicate;
-    /// `charge_build_hash` mirrors the serial hash join's one hash op
-    /// per build row (INL joins charge nothing per outer row).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_join_build_morsel(
-        &self,
-        scan: &MorselScan,
-        template: Option<&MonitorTemplate>,
-        filter: Option<(usize, u64)>,
-        key_col: usize,
-        charge_build_hash: bool,
-        page_range: (u32, u32),
-        first_random: bool,
-        ctx: &mut ExecContext,
-    ) -> Result<BuildMorselOutput> {
-        let meta = self.catalog.table(scan.plan.table)?;
-        let handle = template.map(|t| Rc::new(RefCell::new(t.instantiate(&scan.pred))));
-        let mut op = SeqScan::with_page_range(
-            Arc::clone(&meta.storage),
-            scan.plan.table,
-            scan.pred.clone(),
-            handle.clone(),
-            page_range,
-            first_random,
-        );
-        ctx.cold_start();
-        ctx.fault_attempt = 0;
-        let mut keys: Vec<Datum> = Vec::new();
-        let mut bv = filter.map(|(numbits, seed)| BitVectorFilter::new(numbits, seed));
-        // Page-batched: gather the page's keys off borrowed views, then
-        // bulk-insert the batch into the filter fragment. The per-row
-        // charges (one build hash, one per filter insert) are those of
-        // the serial hash join's build.
-        while op.next_page_rows(ctx, &mut |rows, ctx| {
-            let start = keys.len();
-            rows.for_each(|_slot, view| {
-                if charge_build_hash {
-                    ctx.pool.charge_hashes(1);
-                }
-                keys.push(view.get(key_col).to_datum());
-                Ok(())
-            })?;
-            if let Some(f) = bv.as_mut() {
-                let n = f.insert_batch(keys[start..].iter().map(pf_common::DatumRef::from));
-                ctx.pool.charge_hashes(n);
-            }
-            Ok(())
-        })? {}
-        drop(op);
-        let partial = match handle {
-            Some(h) => Some(Self::unwrap_scan_handle(h)?.into_partial()),
-            None => None,
-        };
-        Ok((keys, ctx.stats(), partial, bv))
-    }
-
-    /// Runs one probe-side morsel of a parallel hash join: a full-scan
-    /// page range of the inner table, counting matches against the
-    /// coordinator's radix-partitioned multiplicity table. `recipe` plus
-    /// the merged build filter rebuild the worker-local semi-join
-    /// monitor set the serial probe scan would carry; `pushdown` makes
-    /// the morsel scan carry the merged filter as a page-pass pre-filter
-    /// (the scan then charges the per-row probe hash, so the loop here
-    /// must not).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_probe_morsel(
-        &self,
-        inner: TableId,
-        recipe: Option<(&SemiJoinRecipe, &BitVectorFilter)>,
-        table: &pf_exec::RadixTable,
-        probe_col: usize,
-        pushdown: Option<&BitVectorFilter>,
-        page_range: (u32, u32),
-        ctx: &mut ExecContext,
-    ) -> Result<(u64, IoStats, Option<ScanMonitorPartial>)> {
-        let meta = self.catalog.table(inner)?;
-        let handle = recipe.map(|(r, f)| Rc::new(RefCell::new(r.instantiate(f.clone()))));
-        let mut op = SeqScan::with_page_range(
-            Arc::clone(&meta.storage),
-            inner,
-            Conjunction::always_true(),
-            handle.clone(),
-            page_range,
-            false,
-        );
-        ctx.cold_start();
-        ctx.fault_attempt = 0;
-        let prefiltered = pushdown.is_some();
-        if let Some(f) = pushdown {
-            op.set_semi_join_prefilter(f.clone(), probe_col);
-        }
-        let mut count = 0u64;
-        while op.next_page_rows(ctx, &mut |rows, ctx| {
-            rows.for_each(|_slot, view| {
-                if !prefiltered {
-                    ctx.pool.charge_hashes(1);
-                }
-                count += table.matches(view.get(probe_col));
-                Ok(())
-            })
-        })? {}
-        drop(op);
-        let partial = match handle {
-            Some(h) => Some(Self::unwrap_scan_handle(h)?.into_partial()),
-            None => None,
-        };
-        Ok((count, ctx.stats(), partial))
-    }
-
-    /// Replays the serial INL join's inner index seeks — one per outer
-    /// key, in outer-row order — charging exactly the serial per-posting
-    /// index-node reads, and returns the concatenated RID run the fetch
-    /// morsels will cover.
-    pub fn inl_rid_run(
-        &self,
-        inner: TableId,
-        inner_col: usize,
-        keys: &[Datum],
-        ctx: &mut ExecContext,
-    ) -> Result<Vec<Rid>> {
-        let ix = self
-            .catalog
-            .index_on_column(inner, inner_col)
-            .ok_or_else(|| Error::Internal("INL morsel plan without an inner index".into()))?;
-        let mut rids = Vec::new();
-        for key in keys {
-            let mut seek =
-                IndexSeek::new(Arc::clone(&ix.tree), ix.height, SeekRange::eq(key.clone()));
-            while let Some(rid) = seek.next_rid(ctx)? {
-                rids.push(rid);
-            }
-        }
-        Ok(rids)
     }
 
     // ------------------------------------------------------------------
@@ -1403,6 +1108,31 @@ mod tests {
         assert_eq!(after.choice.name(), "IndexSeek");
         assert_eq!(after.count, before.count, "plans agree on the answer");
         assert!(after.elapsed_ms < before.elapsed_ms / 2.0);
+    }
+
+    /// Only a governor deadline keeps a splittable scan serial:
+    /// sampling and memory budgets — and the sheds a budget forces — are
+    /// decided per lowering, which every morsel repeats.
+    #[test]
+    fn morsel_plan_refuses_only_deadlines() {
+        let db = demo_db();
+        let wide = q("corr", 15_000);
+        let splits = |cfg: MonitorConfig| {
+            matches!(
+                db.morsel_plan(&wide, &cfg).unwrap(),
+                Some(MorselPlan::Scan(_))
+            )
+        };
+        assert!(splits(MonitorConfig::default()));
+        assert!(splits(MonitorConfig::sampled(0.25)));
+        assert!(splits(MonitorConfig {
+            memory_budget: Some(64),
+            ..MonitorConfig::default()
+        }));
+        assert!(!splits(MonitorConfig {
+            deadline_ms: Some(5.0),
+            ..MonitorConfig::default()
+        }));
     }
 
     #[test]

@@ -90,8 +90,8 @@ pub use admission::{
 };
 pub use breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 pub use db::{
-    deadline_from_env, Database, MorselFetch, MorselHashJoin, MorselInlJoin, MorselPlan,
-    MorselScan, QueryOutcome, DEADLINE_ENV, MAX_TRANSIENT_RETRIES,
+    deadline_from_env, Database, MorselPlan, Morsels, QueryOutcome, DEADLINE_ENV,
+    MAX_TRANSIENT_RETRIES,
 };
 pub use dba::{DbaDiagnosis, Discrepancy};
 pub use feedback_loop::FeedbackOutcome;

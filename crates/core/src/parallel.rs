@@ -32,29 +32,26 @@
 //! holds for intra-query morsel parallelism
 //! ([`ParallelRunner::run_query`]), which covers monitored (sampled,
 //! budgeted) sequential scans, index-fetch plans, and hash / INL joins:
-//! morsels carry worker-local monitor sets rebuilt from post-governor
-//! templates, and their partials ([`pf_feedback::GroupedPageCounter`]s,
-//! [`pf_feedback::LinearCounter`]s, [`pf_feedback::BitVectorFilter`]
-//! fragments) are merged in morsel order, reproducing the serial sketch
-//! bit for bit.
+//! every morsel lowers the planner's own operator tree over its page
+//! range or RID run, and the coordinator merges the morsels' counters,
+//! page misses and monitor partials ([`pf_feedback::GroupedPageCounter`]s,
+//! [`pf_feedback::LinearCounter`]s, hash-join build sides) in morsel
+//! order, reproducing the serial outcome bit for bit.
 //!
 //! Every `run_*` call records a contention profile ([`RunStats`]:
 //! per-worker wall/busy/queue-wait) retrievable via
 //! [`ParallelRunner::last_run_stats`] — scaling regressions are
 //! measured, not guessed.
 
-use crate::db::{
-    Database, MorselFetch, MorselHashJoin, MorselInlJoin, MorselPlan, MorselScan, QueryOutcome,
-};
+use crate::db::{Database, MorselOutput, MorselPlan, Morsels, QueryOutcome};
 use crate::feedback_loop::FeedbackOutcome;
-use crate::planner::{LoweredPlan, MonitorConfig};
+use crate::planner::{MonitorConfig, OptimizedQuery, PlanSlice};
 use crate::query::Query;
 use pf_common::hash::mix64;
-use pf_common::{Datum, Error, Result};
-use pf_exec::monitor::FetchTemplate;
-use pf_exec::{Conjunction, ExecContext};
-use pf_feedback::{BitVectorFilter, FeedbackReport};
-use pf_storage::{split_run_extra_misses, IoStats};
+use pf_common::{Error, Result};
+use pf_exec::ExecContext;
+use pf_feedback::FeedbackReport;
+use pf_storage::{merge_morsel_stats, IoStats};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -687,15 +684,20 @@ impl ParallelRunner {
     }
 
     /// Executes one query, splitting eligible shapes into morsels across
-    /// the pool (see [`Database::morsel_plan`]): page-range morsels for
-    /// sequential scans — sampled and budgeted monitors included — and
-    /// for both sides of a hash join, RID-run morsels for index-fetch
-    /// plans and INL inner fetches. Every driver merges per-morsel I/O
-    /// counters and monitor partials deterministically in morsel order,
-    /// so the outcome — count, stats, simulated time, sketches, plan
-    /// description — is byte-identical to [`Database::run`] for any job
-    /// count. Falls back to a serial run when the query is ineligible or
-    /// the runner has one job.
+    /// the pool (see [`Database::morsel_plan`]). Every shape is a
+    /// sequence of phases over one per-morsel runner
+    /// (`Database::run_morsel`), each morsel lowering the planner's own
+    /// operator tree over its slice: page morsels for scans and for an
+    /// INL join's outer side, RID-run morsels after the coordinator
+    /// drains a fetch plan's RID source, and a hash join's build page
+    /// morsels (their build sides merged in morsel order) followed by
+    /// its probe page morsels. Counters merge by
+    /// [`merge_morsel_stats`] in phase-then-morsel order and monitor
+    /// partials are absorbed in the same order, so the outcome — count,
+    /// stats, simulated time, sketches, plan description — is
+    /// byte-identical to [`Database::run`] for any job count. Falls back
+    /// to a serial run when the query is ineligible or the runner has
+    /// one job.
     pub fn run_query(
         &self,
         db: &Database,
@@ -705,13 +707,119 @@ impl ParallelRunner {
         if self.jobs <= 1 {
             return db.run(query, cfg);
         }
-        match db.morsel_plan(query, cfg)? {
-            Some(MorselPlan::Scan(scan)) => self.run_scan_morsels(db, query, cfg, &scan),
-            Some(MorselPlan::Fetch(fetch)) => self.run_fetch_morsels(db, query, cfg, &fetch),
-            Some(MorselPlan::HashJoin(join)) => self.run_hash_join_morsels(db, query, cfg, &join),
-            Some(MorselPlan::InlJoin(join)) => self.run_inl_join_morsels(db, query, cfg, &join),
-            None => db.run(query, cfg),
+        let Some(plan) = db.morsel_plan(query, cfg)? else {
+            return db.run(query, cfg);
+        };
+        let (MorselPlan::Scan(m)
+        | MorselPlan::Fetch(m)
+        | MorselPlan::HashJoin(m)
+        | MorselPlan::InlJoin(m)) = &plan;
+        let page_slices = |pages| {
+            self.page_chunks(pages)
+                .into_iter()
+                .enumerate()
+                .map(|(i, range)| PlanSlice::Pages {
+                    range,
+                    first_random: i == 0 && m.first_random,
+                })
+                .collect::<Vec<_>>()
+        };
+        // `coordinator` is the coordinator's own share of the I/O: a
+        // fetch plan's drained RID source.
+        let (coordinator, outputs) = match &plan {
+            MorselPlan::Scan(_) | MorselPlan::InlJoin(_) => (
+                IoStats::default(),
+                self.run_phase(db, m, cfg, &page_slices(m.pages))?,
+            ),
+            MorselPlan::Fetch(_) => {
+                let OptimizedQuery::Single { plan, pred } = &*m.optimized else {
+                    return Err(Error::Internal("fetch morsels of a join plan".into()));
+                };
+                let Some((mut source, _)) = db.planner()?.rid_source(plan, pred)? else {
+                    return Err(Error::Internal("fetch morsels without a RID source".into()));
+                };
+                let mut ctx = db.make_context();
+                let mut rids = Vec::new();
+                while let Some(rid) = source.next_rid(&mut ctx)? {
+                    rids.push(rid);
+                }
+                if rids.len() < 2 {
+                    return db.run(query, cfg);
+                }
+                let slices: Vec<PlanSlice> = self
+                    .index_runs(rids.len())
+                    .into_iter()
+                    .map(|(lo, hi)| PlanSlice::Rids(rids[lo..hi].to_vec()))
+                    .collect();
+                (ctx.stats(), self.run_phase(db, m, cfg, &slices)?)
+            }
+            MorselPlan::HashJoin(_) => {
+                let OptimizedQuery::Join { spec, .. } = &*m.optimized else {
+                    return Err(Error::Internal(
+                        "hash join morsels of a single-table plan".into(),
+                    ));
+                };
+                let mut builds = self.run_phase(db, m, cfg, &page_slices(m.pages))?;
+                let mut sides = builds.iter_mut().filter_map(|o| o.built.take());
+                let mut built = sides
+                    .next()
+                    .ok_or_else(|| Error::Internal("hash join without build morsels".into()))?;
+                for side in sides {
+                    built.merge(side)?;
+                }
+                let built = Arc::new(built);
+                let inner_pages = db.catalog().table(spec.inner)?.storage.page_count();
+                let probes: Vec<PlanSlice> = self
+                    .page_chunks((0, inner_pages))
+                    .into_iter()
+                    .map(|range| PlanSlice::Probe {
+                        range,
+                        built: Arc::clone(&built),
+                    })
+                    .collect();
+                builds.extend(self.run_phase(db, m, cfg, &probes)?);
+                (IoStats::default(), builds)
+            }
+        };
+        // The reference lowering supplies the outcome's metadata and the
+        // monitors every morsel's partial merges into.
+        let lowered = db.planner()?.lower_optimized(&m.optimized, cfg)?;
+        let stats = merge_morsel_stats(
+            std::iter::once((&coordinator, &[][..]))
+                .chain(outputs.iter().map(|o| (&o.stats, o.misses.as_slice()))),
+        );
+        let mut count = 0;
+        let mut fault_retries = 0;
+        for o in outputs {
+            count += o.count;
+            fault_retries = fault_retries.max(o.attempt);
+            lowered.harness.absorb(o.monitors)?;
         }
+        let monitor_bytes = lowered.harness.approx_monitor_bytes();
+        Ok(QueryOutcome {
+            count,
+            elapsed_ms: db.disk.elapsed_ms(&stats),
+            stats,
+            report: lowered.harness.harvest(),
+            description: lowered.description,
+            choice: lowered.choice,
+            fault_retries,
+            monitor_bytes,
+        })
+    }
+
+    /// Runs one phase: a morsel per slice across the pool, outputs in
+    /// slice order.
+    fn run_phase(
+        &self,
+        db: &Database,
+        m: &Morsels,
+        cfg: &MonitorConfig,
+        slices: &[PlanSlice],
+    ) -> Result<Vec<MorselOutput>> {
+        self.run_indexed(slices.len(), |i, scratch| {
+            db.run_morsel(&m.optimized, cfg, &slices[i], scratch.ctx_for(db))
+        })
     }
 
     /// Splits `[first, last)` into at most `jobs` contiguous non-empty
@@ -738,353 +846,6 @@ impl ParallelRunner {
             .map(|i| ((i * chunk).min(n), ((i + 1) * chunk).min(n)))
             .filter(|(lo, hi)| lo < hi)
             .collect()
-    }
-
-    /// Assembles the outcome from the reference lowering's metadata, the
-    /// merged counters, and the harvested (partial-absorbed) monitors.
-    fn finish_outcome(
-        db: &Database,
-        lowered: LoweredPlan,
-        count: u64,
-        stats: IoStats,
-        fault_retries: u32,
-    ) -> QueryOutcome {
-        let monitor_bytes = lowered.harness.approx_monitor_bytes();
-        QueryOutcome {
-            count,
-            elapsed_ms: db.disk.elapsed_ms(&stats),
-            stats,
-            report: lowered.harness.harvest(),
-            description: lowered.description,
-            choice: lowered.choice,
-            fault_retries,
-            monitor_bytes,
-        }
-    }
-
-    /// Page-range morsels over a sequential scan. Each morsel scans a
-    /// private sub-range with a monitor set rebuilt from the reference
-    /// set's post-governor template (so page sampling — a pure function
-    /// of `(seed, page)` — and budget shedding replicate); the
-    /// coordinator sums I/O counters component-wise, merges monitor
-    /// partials in morsel order, and reports the *maximum* per-morsel
-    /// fault-retry count, matching the serial whole-query retry loop.
-    fn run_scan_morsels(
-        &self,
-        db: &Database,
-        query: &Query,
-        cfg: &MonitorConfig,
-        scan: &MorselScan,
-    ) -> Result<QueryOutcome> {
-        // Reference lowering: supplies the outcome metadata and the
-        // primary monitor set the partials merge into.
-        let lowered = db.lower(query, cfg)?;
-        let template = lowered
-            .harness
-            .single_scan_handle()
-            .and_then(|h| h.borrow().template());
-        let chunks = self.page_chunks(scan.page_range);
-        let parts = self.run_indexed(chunks.len(), |i, scratch| {
-            db.run_morsel(
-                scan,
-                template.as_ref(),
-                chunks[i],
-                i == 0 && scan.first_random,
-                scratch.ctx_for(db),
-            )
-        })?;
-        let mut stats = IoStats::default();
-        let mut count = 0u64;
-        let mut retries = 0u32;
-        for (c, s, _, attempt) in &parts {
-            count += c;
-            stats.add(s);
-            retries = retries.max(*attempt);
-        }
-        if let Some(handle) = lowered.harness.single_scan_handle() {
-            let mut set = handle.borrow_mut();
-            for (_, _, partial, _) in &parts {
-                if let Some(p) = partial {
-                    set.absorb_partial(p);
-                }
-            }
-        }
-        Ok(Self::finish_outcome(db, lowered, count, stats, retries))
-    }
-
-    /// RID-run morsels over an index-driven plan. The coordinator
-    /// replays the plan's RID enumeration (charging index-node reads and
-    /// intersection hashes exactly as the serial plan does), splits the
-    /// RID list into contiguous runs, and fetches each run with
-    /// worker-local monitors rebuilt from the reference fetch templates.
-    /// Distinct-page accounting is reconciled at merge time: pages
-    /// resident across run boundaries in the serial stream are
-    /// subtracted from the summed random-read counter
-    /// ([`split_run_extra_misses`]).
-    fn run_fetch_morsels(
-        &self,
-        db: &Database,
-        query: &Query,
-        cfg: &MonitorConfig,
-        fetch: &MorselFetch,
-    ) -> Result<QueryOutcome> {
-        let lowered = db.lower(query, cfg)?;
-        let mut cctx = db.make_context();
-        cctx.cold_start();
-        let planner = db.planner()?;
-        let Some((rids, residual)) = planner.fetch_rid_run(&fetch.plan, &fetch.pred, &mut cctx)?
-        else {
-            return db.run(query, cfg);
-        };
-        if rids.len() < 2 {
-            return db.run(query, cfg);
-        }
-        let templates: Option<Vec<FetchTemplate>> = lowered
-            .harness
-            .fetch_handle()
-            .map(|h| h.borrow().iter().map(|m| m.template()).collect());
-        let runs = self.index_runs(rids.len());
-        let parts = self.run_indexed(runs.len(), |i, scratch| {
-            let (lo, hi) = runs[i];
-            db.run_fetch_morsel(
-                fetch.plan.table,
-                &rids[lo..hi],
-                &residual,
-                templates.as_deref(),
-                scratch.ctx_for(db),
-            )
-        })?;
-        let mut stats = cctx.stats();
-        let mut count = 0u64;
-        for (c, s, _) in &parts {
-            count += c;
-            stats.add(s);
-        }
-        stats.rand_physical_reads -= split_run_extra_misses(
-            runs.iter()
-                .map(|&(lo, hi)| rids[lo..hi].iter().map(|rid| rid.page.0)),
-        );
-        Self::merge_fetch_counters(&lowered, &parts)?;
-        Ok(Self::finish_outcome(db, lowered, count, stats, 0))
-    }
-
-    /// Folds per-run fetch-monitor counters into the reference fetch
-    /// monitors, in run order.
-    fn merge_fetch_counters(
-        lowered: &LoweredPlan,
-        parts: &[(u64, IoStats, Vec<pf_feedback::LinearCounter>)],
-    ) -> Result<()> {
-        let Some(handle) = lowered.harness.fetch_handle() else {
-            return Ok(());
-        };
-        let mut monitors = handle.borrow_mut();
-        for (_, _, counters) in parts {
-            for (monitor, counter) in monitors.iter_mut().zip(counters) {
-                monitor.counter.merge(counter)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Morsel-parallel hash join. Build-side page-range morsels collect
-    /// join keys (and per-morsel bit-vector filter fragments) in row
-    /// order; the fragments OR-merge into the filter a serial build
-    /// would have produced, and the key stream hash-partitions into
-    /// per-partition multiplicity maps. Probe-side page-range morsels
-    /// then count matches against the maps — reproducing the serial
-    /// bucket-length sums — while carrying semi-join monitor sets
-    /// rebuilt from the reference recipe around the merged filter.
-    fn run_hash_join_morsels(
-        &self,
-        db: &Database,
-        query: &Query,
-        cfg: &MonitorConfig,
-        join: &MorselHashJoin,
-    ) -> Result<QueryOutcome> {
-        let lowered = db.lower(query, cfg)?;
-        let outer_template = lowered
-            .harness
-            .outer_scan_handle()
-            .and_then(|h| h.borrow().template());
-        let recipe = lowered
-            .harness
-            .semi_join_handle()
-            .and_then(|h| h.borrow().semi_join_recipe());
-        // Build phase: scan morsels over the (filtered) outer side.
-        let build_chunks = self.page_chunks(join.outer_scan.page_range);
-        let builds = self.run_indexed(build_chunks.len(), |i, scratch| {
-            db.run_join_build_morsel(
-                &join.outer_scan,
-                outer_template.as_ref(),
-                join.filter,
-                join.spec.outer_join_col,
-                true,
-                build_chunks[i],
-                i == 0 && join.outer_scan.first_random,
-                scratch.ctx_for(db),
-            )
-        })?;
-        let mut stats = IoStats::default();
-        let mut keys: Vec<Datum> = Vec::new();
-        let mut filter: Option<BitVectorFilter> = None;
-        let mut build_partials = Vec::new();
-        for (ks, s, partial, fragment) in builds {
-            stats.add(&s);
-            keys.extend(ks);
-            if let Some(fragment) = fragment {
-                match filter.as_mut() {
-                    Some(acc) => acc.merge(&fragment)?,
-                    None => filter = Some(fragment),
-                }
-            }
-            build_partials.push(partial);
-        }
-        if let Some(handle) = lowered.harness.outer_scan_handle() {
-            let mut set = handle.borrow_mut();
-            for p in build_partials.iter().flatten() {
-                set.absorb_partial(p);
-            }
-        }
-        // Partition phase: a single coordinator pass moves the ordered
-        // key stream into the radix-partitioned multiplicity table all
-        // probe morsels share (pure CPU, uncharged — the serial build's
-        // table inserts are uncharged too, and the per-row hash charges
-        // were already paid by the build morsels). This replaces the old
-        // per-partition sweep that rehashed and cloned every key once
-        // per worker.
-        let mut table = pf_exec::RadixTable::new(
-            pf_exec::join_partitions(keys.len() as f64),
-            crate::db::PARTITION_SEED,
-        );
-        for key in keys {
-            table.insert_owned(key);
-        }
-        let table = &table;
-        // Probe phase: scan morsels over the inner side.
-        let probe_chunks = self.page_chunks(join.inner_range);
-        let recipe_filter = recipe.as_ref().zip(filter.as_ref());
-        let pushdown_filter = if join.pushdown { filter.as_ref() } else { None };
-        let probes = self.run_indexed(probe_chunks.len(), |i, scratch| {
-            db.run_probe_morsel(
-                join.spec.inner,
-                recipe_filter,
-                table,
-                join.spec.inner_join_col,
-                pushdown_filter,
-                probe_chunks[i],
-                scratch.ctx_for(db),
-            )
-        })?;
-        let mut count = 0u64;
-        let mut probe_partials = Vec::new();
-        for (c, s, partial) in probes {
-            count += c;
-            stats.add(&s);
-            probe_partials.push(partial);
-        }
-        if join.spec.inner == join.spec.outer {
-            // Self-join: the serial probe scan re-reads pages the build
-            // scan just left resident, so those pages hit. Each probe
-            // morsel charged them as misses (fresh scratch pools), and
-            // because the build phase fully precedes the probe phase —
-            // and eligibility caps total pages at pool capacity, so the
-            // serial pool never evicted — the overlap with the outer
-            // scan's page range is exactly the set of converted reads.
-            let (a, b) = join.outer_scan.page_range;
-            let (lo, hi) = join.inner_range;
-            stats.seq_physical_reads -= u64::from(hi.min(b).saturating_sub(lo.max(a)));
-        }
-        if let Some(handle) = lowered.harness.semi_join_handle() {
-            let mut set = handle.borrow_mut();
-            if let Some(f) = filter {
-                // The serial SE→RE callback: install the completed
-                // build-side filter before harvesting.
-                set.set_semi_join_filter(f);
-            }
-            for p in probe_partials.iter().flatten() {
-                set.absorb_partial(p);
-            }
-        }
-        Ok(Self::finish_outcome(db, lowered, count, stats, 0))
-    }
-
-    /// Morsel-parallel index-nested-loops join. Outer scan morsels
-    /// collect join keys in row order (no per-row charges — the serial
-    /// INL outer has none); the coordinator replays the inner index
-    /// seeks in that order (charging the serial per-posting index-node
-    /// reads); and the concatenated RID run fetches in contiguous-run
-    /// morsels with the same residency reconciliation as index-fetch
-    /// plans.
-    fn run_inl_join_morsels(
-        &self,
-        db: &Database,
-        query: &Query,
-        cfg: &MonitorConfig,
-        join: &MorselInlJoin,
-    ) -> Result<QueryOutcome> {
-        let lowered = db.lower(query, cfg)?;
-        let outer_template = lowered
-            .harness
-            .outer_scan_handle()
-            .and_then(|h| h.borrow().template());
-        let build_chunks = self.page_chunks(join.outer_scan.page_range);
-        let builds = self.run_indexed(build_chunks.len(), |i, scratch| {
-            db.run_join_build_morsel(
-                &join.outer_scan,
-                outer_template.as_ref(),
-                None,
-                join.spec.outer_join_col,
-                false,
-                build_chunks[i],
-                i == 0 && join.outer_scan.first_random,
-                scratch.ctx_for(db),
-            )
-        })?;
-        let mut stats = IoStats::default();
-        let mut keys: Vec<Datum> = Vec::new();
-        let mut build_partials = Vec::new();
-        for (ks, s, partial, _) in builds {
-            stats.add(&s);
-            keys.extend(ks);
-            build_partials.push(partial);
-        }
-        if let Some(handle) = lowered.harness.outer_scan_handle() {
-            let mut set = handle.borrow_mut();
-            for p in build_partials.iter().flatten() {
-                set.absorb_partial(p);
-            }
-        }
-        let mut cctx = db.make_context();
-        cctx.cold_start();
-        let rids = db.inl_rid_run(join.spec.inner, join.spec.inner_join_col, &keys, &mut cctx)?;
-        stats.add(&cctx.stats());
-        let templates: Option<Vec<FetchTemplate>> = lowered
-            .harness
-            .fetch_handle()
-            .map(|h| h.borrow().iter().map(|m| m.template()).collect());
-        let residual = Conjunction::always_true();
-        let runs = self.index_runs(rids.len());
-        let parts = self.run_indexed(runs.len(), |i, scratch| {
-            let (lo, hi) = runs[i];
-            db.run_fetch_morsel(
-                join.spec.inner,
-                &rids[lo..hi],
-                &residual,
-                templates.as_deref(),
-                scratch.ctx_for(db),
-            )
-        })?;
-        let mut count = 0u64;
-        for (c, s, _) in &parts {
-            count += c;
-            stats.add(s);
-        }
-        stats.rand_physical_reads -= split_run_extra_misses(
-            runs.iter()
-                .map(|&(lo, hi)| rids[lo..hi].iter().map(|rid| rid.page.0)),
-        );
-        Self::merge_fetch_counters(&lowered, &parts)?;
-        Ok(Self::finish_outcome(db, lowered, count, stats, 0))
     }
 
     /// Evaluates `task(i, scratch)` for `i ∈ 0..n` across the worker

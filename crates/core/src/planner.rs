@@ -14,17 +14,17 @@
 //! * **INL joins** get a linear counter on the inner fetch.
 
 use crate::query::{CountArg, Query};
-use pf_common::{Datum, Error, Result, TableId};
-use pf_exec::index::{Fetch, IndexIntersection, IndexOnlyScan, IndexSeek, SeekRange};
-use pf_exec::join::{BitVectorConfig, HashJoin, InlJoin, MergeJoin};
-use pf_exec::monitor::{semi_join_slot, ScanMonitorHandle};
+use pf_common::{Datum, Error, Result, Rid, TableId};
+use pf_exec::index::{Fetch, IndexIntersection, IndexOnlyScan, IndexSeek, RidList, SeekRange};
+use pf_exec::join::{BitVectorConfig, BuildSide, HashJoin, InlJoin, MergeJoin};
+use pf_exec::monitor::{semi_join_slot, ScanMonitorHandle, ScanMonitorPartial};
 use pf_exec::scan::SeqScan;
 use pf_exec::sort::Sort;
 use pf_exec::{
-    CompareOp, Conjunction, FetchMonitor, FetchObserveWhen, Operator, ScanExprMonitor,
+    CompareOp, Conjunction, FetchMonitor, FetchObserveWhen, Operator, RidSource, ScanExprMonitor,
     ScanMonitorSet,
 };
-use pf_feedback::FeedbackReport;
+use pf_feedback::{FeedbackReport, LinearCounter};
 use pf_optimizer::dpc_model::cardenas;
 use pf_optimizer::{
     join_dpc_key, AccessPath, CardinalityEstimator, CostModel, DbStats, HintSet, JoinPlan,
@@ -204,40 +204,47 @@ impl MonitorHarness {
         scans + fetches
     }
 
-    /// The lone scan monitor handle, when the harness watches exactly
-    /// one scan and nothing else — the morsel coordinator's merge
-    /// target for per-morsel monitor partials.
-    pub fn single_scan_handle(&self) -> Option<&ScanMonitorHandle> {
-        match (self.scans.as_slice(), self.fetches.is_empty()) {
-            ([(_, handle, _)], true) => Some(handle),
-            _ => None,
+    /// Finishes every monitor and moves its mergeable state out, in
+    /// harness order — one morsel's monitors as plain `Send` data for
+    /// the coordinator's [`MonitorHarness::absorb`].
+    pub(crate) fn into_partial(self) -> HarnessPartial {
+        HarnessPartial {
+            scans: self
+                .scans
+                .iter()
+                .map(|(_, handle, _)| handle.borrow_mut().take_partial())
+                .collect(),
+            fetches: self
+                .fetches
+                .iter()
+                .map(|(_, handle)| {
+                    std::mem::take(&mut *handle.borrow_mut())
+                        .into_iter()
+                        .map(|m| m.counter)
+                        .collect()
+                })
+                .collect(),
         }
     }
 
-    /// The first plain (non-semi-join) scan handle: the outer side's
-    /// monitor set under a join lowering, or the scan set of a
-    /// single-table scan plan. Morsel coordinators extract the
-    /// [`pf_exec::monitor::MonitorTemplate`] from it and absorb worker
-    /// partials back into it.
-    pub fn outer_scan_handle(&self) -> Option<&ScanMonitorHandle> {
-        self.scans
-            .iter()
-            .find(|(_, _, sj_bytes)| *sj_bytes == 0)
-            .map(|(_, handle, _)| handle)
-    }
-
-    /// The semi-join scan handle (the probe-side monitor set of a
-    /// Hash/Merge join), when one is attached.
-    pub fn semi_join_handle(&self) -> Option<&ScanMonitorHandle> {
-        self.scans
-            .iter()
-            .find(|(_, _, sj_bytes)| *sj_bytes > 0)
-            .map(|(_, handle, _)| handle)
-    }
-
-    /// The first fetch-monitor handle (index plans and INL joins).
-    pub fn fetch_handle(&self) -> Option<&pf_exec::monitor::FetchMonitorHandle> {
-        self.fetches.first().map(|(_, handle)| handle)
+    /// Merges a morsel's [`HarnessPartial`] into these monitors, which
+    /// must come from a lowering of the same plan under the same config
+    /// (so shapes, seeds and shed flags agree). Call in morsel order.
+    pub(crate) fn absorb(&self, partial: HarnessPartial) -> Result<()> {
+        if partial.scans.len() != self.scans.len() || partial.fetches.len() != self.fetches.len() {
+            return Err(Error::Internal(
+                "morsel monitors come from a differently-shaped plan".into(),
+            ));
+        }
+        for ((_, handle, _), p) in self.scans.iter().zip(partial.scans) {
+            handle.borrow_mut().absorb_partial(p);
+        }
+        for ((_, handle), counters) in self.fetches.iter().zip(partial.fetches) {
+            for (m, c) in handle.borrow_mut().iter_mut().zip(&counters) {
+                m.counter.merge(c)?;
+            }
+        }
+        Ok(())
     }
 
     /// Applies the config's resource limits: creates the governor,
@@ -301,6 +308,43 @@ impl MonitorHarness {
         }
         self.governor = Some(governor);
     }
+}
+
+/// An index plan's RID source, and the predicate atoms it covers.
+pub(crate) type CoveringSource = (Box<dyn RidSource>, Vec<usize>);
+
+/// A morsel's finished monitors (see [`MonitorHarness::into_partial`]).
+pub(crate) struct HarnessPartial {
+    scans: Vec<ScanMonitorPartial>,
+    fetches: Vec<Vec<LinearCounter>>,
+}
+
+/// The part of a plan that one lowering executes. Morsels of one query
+/// each lower the whole cached plan — so every morsel makes the same
+/// shed decisions and seeds the same monitors — restricted to a slice.
+pub(crate) enum PlanSlice {
+    /// The whole plan.
+    Whole,
+    /// `[first, last)` pages of the plan's driving scan: a single-table
+    /// scan, or a join's outer scan (a hash join then runs only its
+    /// build phase). `first_random` marks the slice whose first access
+    /// pays the clustered seek's random I/O.
+    Pages {
+        /// The page range.
+        range: (u32, u32),
+        /// Whether the first page access is a random read.
+        first_random: bool,
+    },
+    /// A run of a fetch plan's RIDs, already drawn from its index source.
+    Rids(Vec<Rid>),
+    /// Pages `[first, last)` of a hash join's probe scan, probed against
+    /// a completed build side.
+    Probe {
+        /// The probe page range.
+        range: (u32, u32),
+        /// The merged build side of every build morsel.
+        built: Arc<BuildSide>,
+    },
 }
 
 /// A fully lowered, executable plan.
@@ -400,9 +444,23 @@ impl<'a> Planner<'a> {
         optimized: &OptimizedQuery,
         cfg: &MonitorConfig,
     ) -> Result<LoweredPlan> {
+        self.lower_slice(optimized, cfg, &PlanSlice::Whole)
+    }
+
+    /// [`Planner::lower_optimized`] restricted to `slice` — one morsel's
+    /// share of the plan. The whole plan is lowered and governed, so
+    /// the monitors match the serial lowering's shape, seeds and shed
+    /// decisions; only the driving scan's page range, the fetch's RID
+    /// source, or the hash join's build and probe ranges change.
+    pub(crate) fn lower_slice(
+        &self,
+        optimized: &OptimizedQuery,
+        cfg: &MonitorConfig,
+        slice: &PlanSlice,
+    ) -> Result<LoweredPlan> {
         let mut lowered = match optimized {
-            OptimizedQuery::Single { plan, pred } => self.lower_single(plan, pred, cfg)?,
-            OptimizedQuery::Join { plan, spec } => self.lower_join(plan, spec, cfg)?,
+            OptimizedQuery::Single { plan, pred } => self.single(plan, pred, cfg, slice)?,
+            OptimizedQuery::Join { plan, spec } => self.join(plan, spec, cfg, slice)?,
         };
         lowered.harness.apply_governor(cfg);
         Ok(lowered)
@@ -436,6 +494,61 @@ impl<'a> Planner<'a> {
         pred: &Conjunction,
         cfg: &MonitorConfig,
     ) -> Result<LoweredPlan> {
+        self.single(plan, pred, cfg, &PlanSlice::Whole)
+    }
+
+    /// Lowers a given join plan.
+    pub fn lower_join(
+        &self,
+        plan: &JoinPlan,
+        spec: &JoinSpec,
+        cfg: &MonitorConfig,
+    ) -> Result<LoweredPlan> {
+        self.join(plan, spec, cfg, &PlanSlice::Whole)
+    }
+
+    /// The RID source an index-driven plan fetches from — a seek, or the
+    /// intersection of two — plus the predicate atoms it covers, or
+    /// `None` for access paths that are not fetch plans. Shared by the
+    /// lowering and by a parallel fetch's coordinator, which drains it
+    /// once before its RID-run morsels fetch.
+    pub(crate) fn rid_source(
+        &self,
+        plan: &SingleTablePlan,
+        pred: &Conjunction,
+    ) -> Result<Option<CoveringSource>> {
+        let seek = |index, atoms: &[usize]| -> Result<IndexSeek> {
+            let ix = self.catalog.index(index)?;
+            let pairs: Vec<(CompareOp, Datum)> = atoms
+                .iter()
+                .map(|&i| (pred.atoms[i].op, pred.atoms[i].value.clone()))
+                .collect();
+            let range = SeekRange::from_atoms(&pairs)
+                .ok_or_else(|| Error::NoPlanFound("seek atoms are not seekable".into()))?;
+            Ok(IndexSeek::new(Arc::clone(&ix.tree), ix.height, range))
+        };
+        Ok(match &plan.path {
+            AccessPath::IndexSeek { index, atoms } => {
+                Some((Box::new(seek(*index, atoms)?), atoms.clone()))
+            }
+            AccessPath::IndexIntersection { a, b } => {
+                let inter =
+                    IndexIntersection::new(Box::new(seek(a.0, &a.1)?), Box::new(seek(b.0, &b.1)?));
+                let mut both: Vec<usize> = a.1.iter().chain(b.1.iter()).copied().collect();
+                both.sort_unstable();
+                Some((Box::new(inter), both))
+            }
+            _ => None,
+        })
+    }
+
+    fn single(
+        &self,
+        plan: &SingleTablePlan,
+        pred: &Conjunction,
+        cfg: &MonitorConfig,
+        slice: &PlanSlice,
+    ) -> Result<LoweredPlan> {
         let meta = self.catalog.table(plan.table)?;
         let mut harness = MonitorHarness::default();
         let pages = f64::from(meta.stats.pages);
@@ -467,17 +580,26 @@ impl<'a> Planner<'a> {
                 } else {
                     None
                 };
-                match &plan.path {
-                    AccessPath::FullScan => Box::new(SeqScan::full(
-                        Arc::clone(&meta.storage),
+                let storage = Arc::clone(&meta.storage);
+                match (slice, &plan.path) {
+                    (
+                        PlanSlice::Pages {
+                            range,
+                            first_random,
+                        },
+                        _,
+                    ) => Box::new(SeqScan::with_page_range(
+                        storage,
                         plan.table,
                         pred.clone(),
                         monitors,
+                        *range,
+                        *first_random,
                     )),
-                    AccessPath::ClusteredRange { atoms } => {
+                    (_, AccessPath::ClusteredRange { atoms }) => {
                         let (lo, hi) = combined_bounds(pred, atoms);
                         Box::new(SeqScan::clustered_range(
-                            Arc::clone(&meta.storage),
+                            storage,
                             plan.table,
                             lo.as_ref(),
                             hi.as_ref(),
@@ -485,32 +607,29 @@ impl<'a> Planner<'a> {
                             monitors,
                         )?)
                     }
-                    _ => unreachable!("outer match restricts to scans"),
+                    _ => Box::new(SeqScan::full(storage, plan.table, pred.clone(), monitors)),
                 }
             }
-            AccessPath::IndexSeek { index, atoms } => {
-                let ix = self.catalog.index(*index)?;
-                let pairs: Vec<(pf_exec::CompareOp, pf_common::Datum)> = atoms
-                    .iter()
-                    .map(|&i| (pred.atoms[i].op, pred.atoms[i].value.clone()))
-                    .collect();
-                let range = SeekRange::from_atoms(&pairs)
-                    .ok_or_else(|| Error::NoPlanFound("seek atoms are not seekable".into()))?;
-                let seek = IndexSeek::new(Arc::clone(&ix.tree), ix.height, range);
-                let residual_idx: Vec<usize> =
-                    (0..pred.len()).filter(|i| !atoms.contains(i)).collect();
+            AccessPath::IndexSeek { .. } | AccessPath::IndexIntersection { .. } => {
+                let (source, covered) = self
+                    .rid_source(plan, pred)?
+                    .ok_or_else(|| Error::Internal("fetch path without a RID source".into()))?;
+                let source = match slice {
+                    PlanSlice::Rids(run) => Box::new(RidList::new(run.clone())),
+                    _ => source,
+                };
                 let residual = Conjunction::new(
-                    residual_idx
-                        .iter()
-                        .map(|&i| pred.atoms[i].clone())
+                    (0..pred.len())
+                        .filter(|i| !covered.contains(i))
+                        .map(|i| pred.atoms[i].clone())
                         .collect(),
                 );
                 let monitors = if cfg.enabled {
                     let mut ms = vec![FetchMonitor::new(
-                        pred.key_of(atoms),
+                        pred.key_of(&covered),
                         FetchObserveWhen::AllFetched,
                         meta.stats.pages,
-                        Some(cardenas(est.rows_of(pred, atoms), pages)),
+                        Some(cardenas(est.rows_of(pred, &covered), pages)),
                         cfg.seed,
                     )];
                     if !residual.is_empty() {
@@ -532,7 +651,7 @@ impl<'a> Planner<'a> {
                     None
                 };
                 Box::new(Fetch::new(
-                    Box::new(seek),
+                    source,
                     Arc::clone(&meta.storage),
                     plan.table,
                     residual,
@@ -559,66 +678,6 @@ impl<'a> Planner<'a> {
                     key_col.ty,
                 ))
             }
-            AccessPath::IndexIntersection { a, b } => {
-                let (ix_a, atoms_a) = (self.catalog.index(a.0)?, &a.1);
-                let (ix_b, atoms_b) = (self.catalog.index(b.0)?, &b.1);
-                let to_pairs = |idx: &[usize]| {
-                    idx.iter()
-                        .map(|&i| (pred.atoms[i].op, pred.atoms[i].value.clone()))
-                        .collect::<Vec<_>>()
-                };
-                let ra = SeekRange::from_atoms(&to_pairs(atoms_a))
-                    .ok_or_else(|| Error::NoPlanFound("atoms not seekable".into()))?;
-                let rb = SeekRange::from_atoms(&to_pairs(atoms_b))
-                    .ok_or_else(|| Error::NoPlanFound("atoms not seekable".into()))?;
-                let inter = IndexIntersection::new(
-                    Box::new(IndexSeek::new(Arc::clone(&ix_a.tree), ix_a.height, ra)),
-                    Box::new(IndexSeek::new(Arc::clone(&ix_b.tree), ix_b.height, rb)),
-                );
-                let mut both: Vec<usize> = atoms_a.iter().chain(atoms_b.iter()).copied().collect();
-                both.sort_unstable();
-                let residual_idx: Vec<usize> =
-                    (0..pred.len()).filter(|i| !both.contains(i)).collect();
-                let residual = Conjunction::new(
-                    residual_idx
-                        .iter()
-                        .map(|&i| pred.atoms[i].clone())
-                        .collect(),
-                );
-                let monitors = if cfg.enabled {
-                    let mut ms = vec![FetchMonitor::new(
-                        pred.key_of(&both),
-                        FetchObserveWhen::AllFetched,
-                        meta.stats.pages,
-                        Some(cardenas(est.rows_of(pred, &both), pages)),
-                        cfg.seed,
-                    )];
-                    if !residual.is_empty() {
-                        let all: Vec<usize> = (0..pred.len()).collect();
-                        ms.push(FetchMonitor::new(
-                            pred.key(),
-                            FetchObserveWhen::PassedResidual,
-                            meta.stats.pages,
-                            Some(cardenas(est.rows_of(pred, &all), pages)),
-                            cfg.seed ^ 1,
-                        ));
-                    }
-                    let handle = Rc::new(RefCell::new(ms));
-                    harness
-                        .fetches
-                        .push((meta.name.clone(), Rc::clone(&handle)));
-                    Some(handle)
-                } else {
-                    None
-                };
-                Box::new(Fetch::new(
-                    Box::new(inter),
-                    Arc::clone(&meta.storage),
-                    plan.table,
-                    residual,
-                    monitors,
-                ))
-            }
         };
 
         let description = describe_single(&meta.name, plan, self.catalog);
@@ -632,19 +691,25 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// Lowers a given join plan.
-    pub fn lower_join(
+    fn join(
         &self,
         plan: &JoinPlan,
         spec: &JoinSpec,
         cfg: &MonitorConfig,
+        slice: &PlanSlice,
     ) -> Result<LoweredPlan> {
         let outer_meta = self.catalog.table(spec.outer)?;
         let inner_meta = self.catalog.table(spec.inner)?;
         let inner_pages = f64::from(inner_meta.stats.pages);
 
-        // Lower the outer side (with its own access-method monitors).
-        let mut lowered_outer = self.lower_single(&plan.outer_plan, &spec.outer_pred, cfg)?;
+        // Lower the outer side (with its own access-method monitors); a
+        // page slice restricts the outer scan.
+        let outer_slice = match slice {
+            PlanSlice::Pages { .. } => slice,
+            _ => &PlanSlice::Whole,
+        };
+        let mut lowered_outer =
+            self.single(&plan.outer_plan, &spec.outer_pred, cfg, outer_slice)?;
         let mut harness = std::mem::take(&mut lowered_outer.harness);
 
         let jkey = join_dpc_key(
@@ -695,23 +760,35 @@ impl<'a> Planner<'a> {
                 } else {
                     (None, None)
                 };
-                let probe = SeqScan::full(
-                    Arc::clone(&inner_meta.storage),
-                    spec.inner,
-                    Conjunction::always_true(),
-                    probe_monitors,
-                );
+                let probe = match slice {
+                    PlanSlice::Probe { range, .. } => SeqScan::with_page_range(
+                        Arc::clone(&inner_meta.storage),
+                        spec.inner,
+                        Conjunction::always_true(),
+                        probe_monitors,
+                        *range,
+                        false,
+                    ),
+                    _ => SeqScan::full(
+                        Arc::clone(&inner_meta.storage),
+                        spec.inner,
+                        Conjunction::always_true(),
+                        probe_monitors,
+                    ),
+                };
                 if plan.method == pf_optimizer::JoinMethod::Hash {
-                    Box::new(
-                        HashJoin::new(
-                            lowered_outer.op,
-                            Box::new(probe),
-                            spec.outer_join_col,
-                            spec.inner_join_col,
-                            bv_config,
-                        )
-                        .with_partitions(partitions),
+                    let join = HashJoin::new(
+                        lowered_outer.op,
+                        Box::new(probe),
+                        spec.outer_join_col,
+                        spec.inner_join_col,
+                        bv_config,
                     )
+                    .with_partitions(partitions);
+                    Box::new(match slice {
+                        PlanSlice::Probe { built, .. } => join.with_build_side(Arc::clone(built)),
+                        _ => join,
+                    })
                 } else {
                     // Merge: sort any side not already in join-key order.
                     let outer_sorted =
@@ -834,7 +911,7 @@ impl<'a> Planner<'a> {
     /// The page range a scan lowering of `plan` would cover, plus
     /// whether its first access pays a random (positioning) I/O.
     /// `None` for non-scan access paths.
-    pub fn scan_page_range(
+    pub(crate) fn scan_page_range(
         &self,
         plan: &SingleTablePlan,
         pred: &Conjunction,
@@ -861,7 +938,7 @@ impl<'a> Planner<'a> {
     /// it), so target fill ≈ 1/(32·rpp): per-page FP ≈ 3 %, which the
     /// collision correction in the monitor then removes with little
     /// variance.
-    pub fn join_filter_config(
+    fn join_filter_config(
         &self,
         plan: &JoinPlan,
         spec: &JoinSpec,
@@ -891,78 +968,12 @@ impl<'a> Planner<'a> {
     /// I/O statistics. The selectivity threshold skips pushdown when
     /// most probe rows match anyway; the decision is a pure function of
     /// the plan (never of runtime knobs), so explain output is stable.
-    pub fn join_pushdown(&self, plan: &JoinPlan, spec: &JoinSpec) -> Result<bool> {
+    fn join_pushdown(&self, plan: &JoinPlan, spec: &JoinSpec) -> Result<bool> {
         if plan.method != pf_optimizer::JoinMethod::Hash {
             return Ok(false);
         }
         let inner_rows = self.catalog.table(spec.inner)?.stats.rows as f64;
         Ok(plan.est_rows < 0.5 * inner_rows)
-    }
-
-    /// Materializes the RID list an index-driven lowering of `plan`
-    /// would fetch, charging `ctx` exactly what the serial plan's
-    /// RID-source phase charges (index-node reads for a seek; node
-    /// reads plus intersection hashing for an intersection). Returns
-    /// the RIDs in fetch order plus the residual conjunction the fetch
-    /// applies, or `None` for access paths that are not fetch plans.
-    ///
-    /// This is the coordinator half of a parallel index fetch: the RID
-    /// run is split into contiguous slices and each worker replays only
-    /// the per-RID fetch against its own context.
-    pub fn fetch_rid_run(
-        &self,
-        plan: &SingleTablePlan,
-        pred: &Conjunction,
-        ctx: &mut pf_exec::ExecContext,
-    ) -> Result<Option<(Vec<pf_common::Rid>, Conjunction)>> {
-        use pf_exec::RidSource;
-        let to_pairs = |idx: &[usize]| {
-            idx.iter()
-                .map(|&i| (pred.atoms[i].op, pred.atoms[i].value.clone()))
-                .collect::<Vec<_>>()
-        };
-        let residual_of = |covered: &[usize]| {
-            let residual_idx: Vec<usize> =
-                (0..pred.len()).filter(|i| !covered.contains(i)).collect();
-            Conjunction::new(
-                residual_idx
-                    .iter()
-                    .map(|&i| pred.atoms[i].clone())
-                    .collect(),
-            )
-        };
-        let (mut source, residual): (Box<dyn RidSource>, Conjunction) = match &plan.path {
-            AccessPath::IndexSeek { index, atoms } => {
-                let ix = self.catalog.index(*index)?;
-                let range = SeekRange::from_atoms(&to_pairs(atoms))
-                    .ok_or_else(|| Error::NoPlanFound("seek atoms are not seekable".into()))?;
-                (
-                    Box::new(IndexSeek::new(Arc::clone(&ix.tree), ix.height, range)),
-                    residual_of(atoms),
-                )
-            }
-            AccessPath::IndexIntersection { a, b } => {
-                let (ix_a, atoms_a) = (self.catalog.index(a.0)?, &a.1);
-                let (ix_b, atoms_b) = (self.catalog.index(b.0)?, &b.1);
-                let ra = SeekRange::from_atoms(&to_pairs(atoms_a))
-                    .ok_or_else(|| Error::NoPlanFound("atoms not seekable".into()))?;
-                let rb = SeekRange::from_atoms(&to_pairs(atoms_b))
-                    .ok_or_else(|| Error::NoPlanFound("atoms not seekable".into()))?;
-                let inter = IndexIntersection::new(
-                    Box::new(IndexSeek::new(Arc::clone(&ix_a.tree), ix_a.height, ra)),
-                    Box::new(IndexSeek::new(Arc::clone(&ix_b.tree), ix_b.height, rb)),
-                );
-                let mut both: Vec<usize> = atoms_a.iter().chain(atoms_b.iter()).copied().collect();
-                both.sort_unstable();
-                (Box::new(inter), residual_of(&both))
-            }
-            _ => return Ok(None),
-        };
-        let mut rids = Vec::new();
-        while let Some(rid) = source.next_rid(ctx)? {
-            rids.push(rid);
-        }
-        Ok(Some((rids, residual)))
     }
 
     /// Builds the scan-plan monitor set: one expression per indexed

@@ -173,6 +173,18 @@ impl IndexSeek {
     }
 }
 
+impl IndexSeek {
+    /// Re-aims the seek at `range` and hands out all its RIDs in key
+    /// order, charging the walk exactly as pulling them one by one
+    /// would. Lets an index-nested-loops join reuse one seek for every
+    /// outer row.
+    pub(crate) fn rids_in(&mut self, range: SeekRange, ctx: &mut ExecContext) -> Vec<Rid> {
+        self.range = range;
+        self.materialize(ctx);
+        self.rids.take().unwrap_or_default()
+    }
+}
+
 impl RidSource for IndexSeek {
     fn next_rid(&mut self, ctx: &mut ExecContext) -> Result<Option<Rid>> {
         if self.rids.is_none() {
@@ -258,10 +270,10 @@ impl RidSource for IndexIntersection {
     }
 }
 
-/// A pre-materialized RID run that charges nothing: the morsel
-/// coordinator runs the seek side of a fetch plan once (paying index
-/// I/O exactly as the serial plan would), then hands each fetch-morsel
-/// worker its contiguous slice of the RID stream through this source.
+/// A pre-materialized RID run that charges nothing: whoever drew the
+/// RIDs from an index already paid for them — a parallel fetch's
+/// coordinator, which hands each RID-run morsel its slice of the
+/// stream, or an index-nested-loops join's per-row seek.
 pub struct RidList {
     rids: Vec<Rid>,
     pos: usize,
@@ -417,6 +429,15 @@ impl Fetch {
             batch_obs: None,
             prefilter: None,
         }
+    }
+
+    /// Starts a new RID stream from `source`, keeping the table, the
+    /// residual and the monitors: the stream state (corrupt pages seen,
+    /// pending observation run) resets as in a fresh Fetch.
+    pub(crate) fn restart(&mut self, source: Box<dyn RidSource>) {
+        self.source = source;
+        self.corrupt_pages.clear();
+        self.pending_obs = None;
     }
 
     /// Attaches a completed semi-join filter as a delivery pre-filter on

@@ -16,7 +16,7 @@
 
 use crate::context::ExecContext;
 use crate::expr::Conjunction;
-use crate::index::{Fetch, IndexSeek, SeekRange};
+use crate::index::{Fetch, IndexSeek, RidList, SeekRange};
 use crate::join_table::{join_partitions, RadixTable};
 use crate::monitor::{FetchMonitorHandle, SemiJoinSlot};
 use crate::op::Operator;
@@ -47,6 +47,33 @@ pub struct BitVectorConfig {
     pub pushdown: bool,
 }
 
+/// A hash join's completed build side: the radix table of build keys
+/// and the semi-join bit-vector filter built beside it (when the join
+/// monitors). Plain `Send + Sync` data, so the build sides of a join's
+/// build morsels can [`BuildSide::merge`] into the one a serial build
+/// produces, and the probe morsels share it.
+#[derive(Debug)]
+pub struct BuildSide {
+    table: RadixTable,
+    filter: Option<BitVectorFilter>,
+}
+
+impl BuildSide {
+    /// Folds the build side of a later build morsel into this one: key
+    /// multiplicities add and the filters OR, exactly as one build over
+    /// both morsels' rows would have filled them.
+    pub fn merge(&mut self, other: BuildSide) -> Result<()> {
+        self.table.merge(other.table);
+        match (&mut self.filter, other.filter) {
+            (Some(a), Some(b)) => a.merge(&b),
+            (None, None) => Ok(()),
+            _ => Err(Error::Internal(
+                "build morsels disagree on the semi-join filter".into(),
+            )),
+        }
+    }
+}
+
 /// In-memory hash join (equijoin on one column per side).
 ///
 /// Output rows are `build_row ++ probe_row`.
@@ -57,11 +84,12 @@ pub struct HashJoin {
     probe_key: usize,
     bitvector: Option<BitVectorConfig>,
     schema: Schema,
-    /// The radix-partitioned build side; stores chained rows only when
-    /// the join is driven row-at-a-time (counting drivers keep
-    /// multiplicities only).
-    table: RadixTable,
-    built: bool,
+    /// Radix-partition count of the build table.
+    partitions: usize,
+    /// The completed build side (its filter already handed to the probe
+    /// side); stores chained rows only when the join is driven
+    /// row-at-a-time (counting drivers keep multiplicities only).
+    built: Option<Arc<BuildSide>>,
     /// Rows were not stored at build time (counting-driver mode); a
     /// subsequent row pull is a driver bug, not an empty join.
     count_mode: bool,
@@ -89,8 +117,8 @@ impl HashJoin {
             probe_key,
             bitvector,
             schema,
-            table: RadixTable::new(join_partitions(0.0), BUILD_TABLE_SEED),
-            built: false,
+            partitions: join_partitions(0.0),
+            built: None,
             count_mode: false,
             prefiltered: false,
             pending: VecDeque::new(),
@@ -102,19 +130,37 @@ impl HashJoin {
     /// layout). Purely internal layout — results are identical for any
     /// count.
     pub fn with_partitions(mut self, partitions: usize) -> Self {
-        self.table = RadixTable::new(partitions, BUILD_TABLE_SEED);
+        self.partitions = partitions;
         self
+    }
+
+    /// Starts the join from an already-completed build side — the merged
+    /// build of a parallel join's build morsels — so only the probe side
+    /// runs, counting (one probe morsel).
+    pub fn with_build_side(mut self, side: Arc<BuildSide>) -> Self {
+        let filter = side.filter.clone();
+        self.count_mode = true;
+        self.install(side, filter);
+        self
+    }
+
+    /// Runs only the build phase, in counting mode, and hands out the
+    /// completed build side instead of probing — one build morsel of a
+    /// parallel join. Charges exactly what the serial build charges for
+    /// the same rows.
+    pub fn build_side(&mut self, ctx: &mut ExecContext) -> Result<BuildSide> {
+        self.build_phase(ctx, false)
     }
 
     /// Build: page-at-a-time over the build scan into the
     /// radix-partitioned table, with per-page bulk filter inserts. Each
     /// build row charges one hash, plus one per filter insert.
-    fn build_phase(&mut self, ctx: &mut ExecContext, store_rows: bool) -> Result<()> {
+    fn build_phase(&mut self, ctx: &mut ExecContext, store_rows: bool) -> Result<BuildSide> {
         let mut filter = self
             .bitvector
             .as_ref()
             .map(|c| BitVectorFilter::new(c.numbits, c.seed));
-        let table = &mut self.table;
+        let mut table = RadixTable::new(self.partitions, BUILD_TABLE_SEED);
         let build_key = self.build_key;
         match self
             .build
@@ -122,7 +168,7 @@ impl HashJoin {
             .filter(|s| s.supports_page_visits())
         {
             Some(scan) => {
-                let filter = &mut filter;
+                let (table, filter) = (&mut table, &mut filter);
                 while scan.next_page_rows(ctx, &mut |rows, ctx| {
                     rows.for_each(|_slot, view| {
                         let key = view.get(build_key);
@@ -155,7 +201,29 @@ impl HashJoin {
                 }
             }
         }
-        self.count_mode = !store_rows;
+        Ok(BuildSide { table, filter })
+    }
+
+    /// Builds (when no build side was installed yet) in the given mode.
+    fn ensure_built(&mut self, ctx: &mut ExecContext, store_rows: bool) -> Result<()> {
+        if self.built.is_none() {
+            let BuildSide { table, filter } = self.build_phase(ctx, store_rows)?;
+            self.count_mode = !store_rows;
+            self.install(
+                Arc::new(BuildSide {
+                    table,
+                    filter: None,
+                }),
+                filter,
+            );
+        }
+        Ok(())
+    }
+
+    /// Hands the completed build-side `filter` to the probe side — the
+    /// monitor's semi-join slot and, when the planner pushes it down,
+    /// the probe scan's page pass — and keeps `side` for probing.
+    fn install(&mut self, side: Arc<BuildSide>, filter: Option<BitVectorFilter>) {
         if let (Some(f), Some(c)) = (filter, &self.bitvector) {
             if c.pushdown {
                 if let Some(scan) = self
@@ -172,8 +240,7 @@ impl HashJoin {
             }
             c.slot.borrow_mut().filter = Some(f);
         }
-        self.built = true;
-        Ok(())
+        self.built = Some(side);
     }
 }
 
@@ -183,14 +250,13 @@ impl Operator for HashJoin {
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        if !self.built {
-            self.build_phase(ctx, true)?;
-        }
+        self.ensure_built(ctx, true)?;
         if self.count_mode {
             return Err(Error::Internal(
                 "hash join built for counting cannot deliver rows".into(),
             ));
         }
+        let table = &self.built.as_deref().expect("built above").table;
         loop {
             if let Some(row) = self.pending.pop_front() {
                 return Ok(Some(row));
@@ -202,20 +268,15 @@ impl Operator for HashJoin {
             if !self.prefiltered {
                 ctx.pool.charge_hashes(1);
             }
-            for b in self
-                .table
-                .rows_for(DatumRef::from(probe_row.get(self.probe_key)))
-            {
+            for b in table.rows_for(DatumRef::from(probe_row.get(self.probe_key))) {
                 self.pending.push_back(b.join(&probe_row));
             }
         }
     }
 
     fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
-        if !self.built {
-            self.build_phase(ctx, false)?;
-        }
-        let table = &self.table;
+        self.ensure_built(ctx, false)?;
+        let table = &self.built.as_deref().expect("built above").table;
         let probe_key = self.probe_key;
         let prefiltered = self.prefiltered;
         match self
@@ -257,6 +318,10 @@ impl Operator for HashJoin {
             }
         }
     }
+
+    fn as_hash_join(&mut self) -> Option<&mut HashJoin> {
+        Some(self)
+    }
 }
 
 /// Index Nested Loops join: for each outer row, seek the inner table's
@@ -267,14 +332,15 @@ impl Operator for HashJoin {
 /// with linear counting — the Section IV INL case.
 pub struct InlJoin {
     outer: Box<dyn Operator>,
-    inner_tree: Arc<BPlusTree>,
-    inner_height: u32,
-    inner_storage: Arc<TableStorage>,
-    inner_table_id: TableId,
     outer_key: usize,
+    /// The inner index seek, re-aimed at each outer row's key.
+    seek: IndexSeek,
+    /// The inner fetch, restarted over each outer row's RIDs. Reusing
+    /// one seek and one fetch keeps the per-row work free of shared
+    /// reference-count traffic, so morsels of one join scale.
+    fetch: Fetch,
     /// Residual predicate on the joined (outer ++ inner) row.
     residual: Conjunction,
-    inner_monitors: Option<FetchMonitorHandle>,
     schema: Schema,
     pending: VecDeque<Row>,
 }
@@ -294,19 +360,34 @@ impl InlJoin {
         inner_monitors: Option<FetchMonitorHandle>,
     ) -> Self {
         let schema = outer.schema().join(inner_storage.schema());
+        let everything = SeekRange {
+            lo: std::ops::Bound::Unbounded,
+            hi: std::ops::Bound::Unbounded,
+        };
         InlJoin {
             outer,
-            inner_tree,
-            inner_height,
-            inner_storage,
-            inner_table_id,
             outer_key,
+            seek: IndexSeek::new(inner_tree, inner_height, everything),
+            fetch: Fetch::new(
+                Box::new(RidList::new(Vec::new())),
+                inner_storage,
+                inner_table_id,
+                Conjunction::always_true(),
+                inner_monitors,
+            ),
             residual,
-            inner_monitors,
             schema,
             pending: VecDeque::new(),
         }
     }
+}
+
+/// One index lookup per outer row: seeks `key` (charging the index
+/// reads) and restarts `fetch` over the matching RIDs — the seek-then-
+/// fetch order of an `IndexSeek → Fetch` plan.
+fn probe_inner(seek: &mut IndexSeek, fetch: &mut Fetch, key: Datum, ctx: &mut ExecContext) {
+    let rids = seek.rids_in(SeekRange::eq(key), ctx);
+    fetch.restart(Box::new(RidList::new(rids)));
 }
 
 impl Operator for InlJoin {
@@ -326,20 +407,8 @@ impl Operator for InlJoin {
             // seek + fetch, so this is the INL page-ish granularity.
             ctx.check_interrupt()?;
             let key = outer_row.get(self.outer_key).clone();
-            // One index lookup per outer row.
-            let seek = IndexSeek::new(
-                Arc::clone(&self.inner_tree),
-                self.inner_height,
-                SeekRange::eq(key),
-            );
-            let mut fetch = Fetch::new(
-                Box::new(seek),
-                Arc::clone(&self.inner_storage),
-                self.inner_table_id,
-                Conjunction::always_true(),
-                self.inner_monitors.clone(),
-            );
-            while let Some(inner_row) = fetch.next(ctx)? {
+            probe_inner(&mut self.seek, &mut self.fetch, key, ctx);
+            while let Some(inner_row) = self.fetch.next(ctx)? {
                 let joined = outer_row.join(&inner_row);
                 let (pass, evaluated) = self.residual.eval_short_circuit(&joined);
                 ctx.pool.charge_pred_evals(evaluated as u64);
@@ -348,6 +417,31 @@ impl Operator for InlJoin {
                 }
             }
         }
+    }
+
+    fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
+        let outer = match self.outer.as_seq_scan() {
+            Some(scan) if scan.supports_page_visits() && self.residual.is_empty() => scan,
+            _ => return Ok(self.next(ctx)?.map(|_| 1)),
+        };
+        // Page-batched outer: the page access, then per outer row (in
+        // slot order) the checkpoint, seek and fetch of the row pull —
+        // the same access stream and charges — without materializing
+        // outer or joined rows. With no residual, every fetched row
+        // joins.
+        let (seek, fetch, outer_key) = (&mut self.seek, &mut self.fetch, self.outer_key);
+        let mut total = 0u64;
+        let more = outer.next_page_rows(ctx, &mut |rows, ctx| {
+            rows.for_each(|_slot, view| {
+                ctx.check_interrupt()?;
+                probe_inner(seek, fetch, view.get(outer_key).to_datum(), ctx);
+                while fetch.next(ctx)?.is_some() {
+                    total += 1;
+                }
+                Ok(())
+            })
+        })?;
+        Ok(more.then_some(total))
     }
 }
 
@@ -727,6 +821,44 @@ mod tests {
         for r in &rows {
             assert_eq!(r.get(0), r.get(3), "join keys equal");
         }
+    }
+
+    /// The INL join's counting pull replays the row pull's access
+    /// stream and charges exactly, monitors included.
+    #[test]
+    fn inl_join_count_driver_matches_row_driver() {
+        let (outer, inner, tree, h) = setup(300);
+        let run = |count: bool| {
+            let monitors = Rc::new(RefCell::new(vec![FetchMonitor::new(
+                "j",
+                FetchObserveWhen::AllFetched,
+                inner.page_count(),
+                None,
+                5,
+            )]));
+            let mut inl = InlJoin::new(
+                Box::new(outer_scan(&outer, 120)),
+                0,
+                Arc::clone(&tree),
+                h,
+                Arc::clone(&inner),
+                TableId(1),
+                Conjunction::always_true(),
+                Some(Rc::clone(&monitors)),
+            );
+            let mut ctx = ExecContext::new(8192);
+            let n = if count {
+                run_count(&mut inl, &mut ctx).expect("join counts")
+            } else {
+                drain(&mut inl, &mut ctx).expect("join drains").len() as u64
+            };
+            let mut report = FeedbackReport::new();
+            monitors.borrow()[0].harvest("inner", &mut report);
+            (n, ctx.stats(), format!("{report:?}"))
+        };
+        let counted = run(true);
+        assert_eq!(counted.0, 120);
+        assert_eq!(counted, run(false));
     }
 
     #[test]

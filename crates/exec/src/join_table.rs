@@ -5,15 +5,15 @@
 //! partition's open-addressing directory (low bits), and build rows are
 //! chained off their entry in insertion order.
 //!
-//! **Key equality.** A probe key matches a stored key only on full-hash
-//! agreement *and* derived `Datum` equality. So `NaN` never matches
-//! anything (each `NaN` build row is its own unreachable entry), and
-//! `-0.0` and `0.0` — equal under `==` — hash apart and never match
-//! each other. Every other pair matches exactly when `==` holds.
+//! **Key equality.** A probe key matches a stored key on full-hash
+//! agreement *and* `Datum` equality, under which floats are equal
+//! exactly when their bits are: `NaN` matches `NaN`, and `-0.0` and
+//! `0.0` never match each other — the same keys a merge join or a
+//! B+-tree seek matches.
 //!
-//! The same structure backs the morsel driver's partition phase: in
-//! count mode no rows are stored, only per-key multiplicities, and the
-//! table is `Sync` so probe morsels share one reference.
+//! In count mode no rows are stored, only per-key multiplicities: build
+//! morsels each fill a table, `RadixTable::merge` adds them up, and
+//! the table is `Sync` so probe morsels share one reference.
 
 use pf_common::hash::hash_datum_ref;
 use pf_common::{Datum, DatumRef, Row};
@@ -51,6 +51,35 @@ struct Partition {
 }
 
 impl Partition {
+    /// The index of the entry holding `key` (full hash `h`), or the
+    /// empty directory slot a new entry for it belongs in. Grows the
+    /// directory first when it is 7/8 full.
+    fn locate(&mut self, h: u64, key: DatumRef<'_>) -> Result<usize, usize> {
+        if self.entries.len() * 8 >= self.slots.len() * 7 {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut s = (h as usize) & mask;
+        loop {
+            match self.slots[s] {
+                0 => return Err(s),
+                e => {
+                    let entry = &self.entries[(e - 1) as usize];
+                    if entry.hash == h && DatumRef::from(&entry.key) == key {
+                        return Ok((e - 1) as usize);
+                    }
+                    s = (s + 1) & mask;
+                }
+            }
+        }
+    }
+
+    /// Stores a new entry at the empty directory slot `slot`.
+    fn push(&mut self, slot: usize, entry: Entry) {
+        self.entries.push(entry);
+        self.slots[slot] = self.entries.len() as u32;
+    }
+
     /// Doubles the slot directory and reinserts entry indices by their
     /// stored hashes.
     fn grow(&mut self) {
@@ -126,79 +155,58 @@ impl RadixTable {
             None => NIL,
         };
         let part = &mut self.parts[((h >> 32) & self.part_mask) as usize];
-        if part.entries.len() * 8 >= part.slots.len() * 7 {
-            part.grow();
-        }
-        let mask = part.slots.len() - 1;
-        let mut s = (h as usize) & mask;
-        loop {
-            match part.slots[s] {
-                0 => {
-                    part.entries.push(Entry {
+        match part.locate(h, key) {
+            Ok(e) => {
+                let entry = &mut part.entries[e];
+                entry.count += 1;
+                if row_idx != NIL {
+                    if entry.tail == NIL {
+                        entry.head = row_idx;
+                    } else {
+                        self.next[entry.tail as usize] = row_idx;
+                    }
+                    entry.tail = row_idx;
+                }
+            }
+            Err(slot) => {
+                part.push(
+                    slot,
+                    Entry {
                         hash: h,
                         key: key.to_datum(),
                         count: 1,
                         head: row_idx,
                         tail: row_idx,
-                    });
-                    part.slots[s] = part.entries.len() as u32;
-                    self.distinct += 1;
-                    return;
-                }
-                e => {
-                    let entry = &mut part.entries[(e - 1) as usize];
-                    if entry.hash == h && DatumRef::from(&entry.key) == key {
-                        entry.count += 1;
-                        if row_idx != NIL {
-                            if entry.tail == NIL {
-                                entry.head = row_idx;
-                            } else {
-                                self.next[entry.tail as usize] = row_idx;
-                            }
-                            entry.tail = row_idx;
-                        }
-                        return;
-                    }
-                    s = (s + 1) & mask;
-                }
+                    },
+                );
+                self.distinct += 1;
             }
         }
     }
 
-    /// Inserts an owned key in count mode (the morsel partition phase —
-    /// keys arrive already cloned out of build morsels, so this moves
-    /// rather than re-clones).
-    pub fn insert_owned(&mut self, key: Datum) {
-        let h = hash_datum_ref(DatumRef::from(&key), self.seed);
-        let part = &mut self.parts[((h >> 32) & self.part_mask) as usize];
-        if part.entries.len() * 8 >= part.slots.len() * 7 {
-            part.grow();
-        }
-        let mask = part.slots.len() - 1;
-        let mut s = (h as usize) & mask;
-        loop {
-            match part.slots[s] {
-                0 => {
-                    part.entries.push(Entry {
-                        hash: h,
-                        key,
-                        count: 1,
-                        head: NIL,
-                        tail: NIL,
-                    });
-                    part.slots[s] = part.entries.len() as u32;
+    /// Folds `other` — a count-mode table with the same seed and
+    /// partition count, such as another build morsel's — into this one:
+    /// each key's multiplicity adds, so merging the build morsels of a
+    /// partitioned build side in any order yields the serial counts.
+    pub(crate) fn merge(&mut self, other: RadixTable) {
+        assert!(
+            self.seed == other.seed && self.part_mask == other.part_mask,
+            "build tables of one join share their seed and partition count"
+        );
+        for entry in other.parts.into_iter().flat_map(|p| p.entries) {
+            let part = &mut self.parts[((entry.hash >> 32) & self.part_mask) as usize];
+            match part.locate(entry.hash, DatumRef::from(&entry.key)) {
+                Ok(e) => part.entries[e].count += entry.count,
+                Err(slot) => {
+                    part.push(
+                        slot,
+                        Entry {
+                            head: NIL,
+                            tail: NIL,
+                            ..entry
+                        },
+                    );
                     self.distinct += 1;
-                    return;
-                }
-                e => {
-                    // Same hash-then-`Datum`-equality rule as `insert`
-                    // (NaN keys each stay their own entry).
-                    let entry = &mut part.entries[(e - 1) as usize];
-                    if entry.hash == h && entry.key == key {
-                        entry.count += 1;
-                        return;
-                    }
-                    s = (s + 1) & mask;
                 }
             }
         }
@@ -282,16 +290,41 @@ mod tests {
     }
 
     #[test]
-    fn nan_keys_never_match_like_derived_eq() {
-        // `Datum::Float(NaN) != Datum::Float(NaN)` under derived
-        // `PartialEq`, so each NaN build row is its own unreachable
-        // entry.
+    fn nan_keys_match_by_bits() {
+        // Floats compare by bits, so both NaN build rows share one
+        // entry and a NaN probe finds them.
         let mut t = RadixTable::new(1, 7);
         let nan = Datum::Float(f64::NAN);
         t.insert(DatumRef::from(&nan), None);
         t.insert(DatumRef::from(&nan), None);
-        assert_eq!(t.distinct_keys(), 2, "each NaN is its own entry");
-        assert_eq!(t.matches(DatumRef::from(&nan)), 0, "NaN probes miss");
+        assert_eq!(t.distinct_keys(), 1, "NaN keys share an entry");
+        assert_eq!(t.matches(DatumRef::from(&nan)), 2, "NaN probes match");
+    }
+
+    #[test]
+    fn merge_adds_multiplicities() {
+        let keys = |range: std::ops::Range<i64>| {
+            let mut t = RadixTable::new(4, 11);
+            for i in range {
+                let d = Datum::Int(i % 50);
+                t.insert(DatumRef::from(&d), None);
+            }
+            t
+        };
+        let serial = keys(0..300);
+        let mut merged = keys(0..120);
+        merged.merge(keys(120..210));
+        merged.merge(keys(210..300));
+        assert_eq!(merged.distinct_keys(), serial.distinct_keys());
+        assert_eq!(merged.total_rows(), serial.total_rows());
+        for k in -5..55i64 {
+            let d = Datum::Int(k);
+            assert_eq!(
+                merged.matches(DatumRef::from(&d)),
+                serial.matches(DatumRef::from(&d)),
+                "key {k}"
+            );
+        }
     }
 
     #[test]
@@ -300,8 +333,7 @@ mod tests {
         let neg = Datum::Float(-0.0);
         t.insert(DatumRef::from(&neg), None);
         let pos = Datum::Float(0.0);
-        // `to_bits` hashing puts -0.0 and 0.0 in different buckets, so
-        // the probe never reaches the entry.
+        // Different bits: different hashes, and unequal keys.
         assert_eq!(t.matches(DatumRef::from(&pos)), 0);
         assert_eq!(t.matches(DatumRef::from(&neg)), 1);
     }

@@ -658,100 +658,41 @@ impl ScanMonitorSet {
         self.page_sampled = false;
     }
 
-    /// Whether this set's observations can be partitioned across
-    /// disjoint page ranges and merged exactly. Page sampling is a pure
-    /// function of `(seed, page_id)` ([`page_sampled`]), shed flags
-    /// replicate into morsel workers through [`MonitorTemplate`], and the
-    /// semi-join harvest correction uses set-level row/page counters that
-    /// [`ScanMonitorSet::absorb_partial`] sums exactly — so the only
-    /// remaining serial dependency is a governor *deadline*, whose
-    /// mid-run shedding assumes a single monotone clock.
-    pub fn supports_partition(&self) -> bool {
-        self.governor
-            .as_ref()
-            .is_none_or(|g| g.borrow().deadline_ms().is_none())
-    }
-
-    /// Extracts a plain-data recipe for rebuilding this set inside a
-    /// morsel worker: per-expression atom indices, estimates, and
-    /// (post-admission) shed flags, plus the sampling fraction and seed.
-    /// Returns `None` when any expression is a semi-join — its slot is an
-    /// `Rc` that cannot cross threads (the join morsel path builds its
-    /// per-worker probe sets directly instead).
-    pub fn template(&self) -> Option<MonitorTemplate> {
-        let mut exprs = Vec::with_capacity(self.exprs.len());
-        for e in &self.exprs {
-            match &e.kind {
-                ScanExprKind::Atoms { indices, .. } => exprs.push(TemplateExpr {
-                    indices: indices.clone(),
-                    estimated: e.estimated,
-                    shed: e.shed,
-                }),
-                ScanExprKind::SemiJoin(_) => return None,
-            }
-        }
-        Some(MonitorTemplate {
-            exprs,
-            fraction: self.fraction,
-            seed: self.seed,
-        })
-    }
-
-    /// Finishes the set and extracts its per-expression counters for a
-    /// cross-thread merge. The set itself holds `Rc` handles and cannot
-    /// leave its worker; the counters are plain mergeable sketches.
-    pub fn into_partial(mut self) -> ScanMonitorPartial {
+    /// Finishes the set and moves its morsel-mergeable state out: the
+    /// per-expression counters, the set-level page/row counters, and the
+    /// semi-join filter its slot holds (a probe morsel's copy of the
+    /// merged build-side filter). The set itself holds `Rc` handles and
+    /// cannot leave its worker; the partial is plain `Send` data.
+    pub fn take_partial(&mut self) -> ScanMonitorPartial {
         self.finish();
+        let filter = self.exprs.iter().find_map(|e| match &e.kind {
+            ScanExprKind::SemiJoin(slot) => slot.borrow_mut().filter.take(),
+            ScanExprKind::Atoms { .. } => None,
+        });
         ScanMonitorPartial {
-            counters: self.exprs.iter().map(|e| e.counter.clone()).collect(),
+            counters: self
+                .exprs
+                .iter_mut()
+                .map(|e| std::mem::take(&mut e.counter))
+                .collect(),
             pages_seen: self.pages_seen,
             pages_sampled: self.pages_sampled,
             rows_seen: self.rows_seen,
             skipped_pages: self.skipped_pages,
-        }
-    }
-
-    /// Extracts a plain-data recipe for rebuilding this set's semi-join
-    /// monitoring inside a probe-morsel worker. Only sets consisting of
-    /// exactly one semi-join expression qualify (the shape
-    /// `lower_join` builds for hash/INL probes); each worker
-    /// instantiates the recipe around its own clone of the merged
-    /// build-side filter, so the `Rc` slot never crosses a thread.
-    pub fn semi_join_recipe(&self) -> Option<SemiJoinRecipe> {
-        match self.exprs.as_slice() {
-            [e] => match &e.kind {
-                ScanExprKind::SemiJoin(slot) => Some(SemiJoinRecipe {
-                    label: e.label.clone(),
-                    estimated: e.estimated,
-                    shed: e.shed,
-                    fraction: self.fraction,
-                    seed: self.seed,
-                    key_column: slot.borrow().key_column,
-                }),
-                ScanExprKind::Atoms { .. } => None,
-            },
-            _ => None,
-        }
-    }
-
-    /// Installs `filter` into the first semi-join expression's slot —
-    /// how the morsel coordinator hands the merged build-side filter to
-    /// the reference set before harvesting (the serial path installs it
-    /// through the join operator instead).
-    pub fn set_semi_join_filter(&mut self, filter: BitVectorFilter) {
-        for e in &self.exprs {
-            if let ScanExprKind::SemiJoin(slot) = &e.kind {
-                slot.borrow_mut().filter = Some(filter);
-                return;
-            }
+            filter,
         }
     }
 
     /// Folds one morsel's finished partial into this set via
     /// [`GroupedPageCounter::merge`]. Exact when morsels scanned disjoint
-    /// page ranges ([`ScanMonitorSet::supports_partition`]); call in
-    /// morsel order so set-level counters accumulate deterministically.
-    pub fn absorb_partial(&mut self, partial: &ScanMonitorPartial) {
+    /// page ranges of the same lowering (page sampling is a pure
+    /// function of `(seed, page)` and budget shedding is decided at
+    /// lowering); call in morsel order so set-level counters accumulate
+    /// deterministically. A partial carrying a semi-join filter installs
+    /// it into an empty slot, as the join operator does on the serial
+    /// path; a partial whose morsel never fed this set merges as a
+    /// no-op.
+    pub fn absorb_partial(&mut self, partial: ScanMonitorPartial) {
         assert_eq!(
             self.exprs.len(),
             partial.counters.len(),
@@ -764,12 +705,21 @@ impl ScanMonitorSet {
         self.pages_sampled += partial.pages_sampled;
         self.rows_seen += partial.rows_seen;
         self.skipped_pages += partial.skipped_pages;
+        if let Some(filter) = partial.filter {
+            for e in &self.exprs {
+                if let ScanExprKind::SemiJoin(slot) = &e.kind {
+                    slot.borrow_mut().filter.get_or_insert(filter);
+                    return;
+                }
+            }
+        }
     }
 }
 
 /// A morsel worker's finished scan-monitor state, reduced to plain
 /// mergeable data (`Send`): one [`GroupedPageCounter`] per monitored
-/// expression plus the set-level page/row counters.
+/// expression, the set-level page/row counters, and the semi-join
+/// filter the set tested against.
 #[derive(Debug, Clone)]
 pub struct ScanMonitorPartial {
     counters: Vec<GroupedPageCounter>,
@@ -777,98 +727,14 @@ pub struct ScanMonitorPartial {
     pages_sampled: u64,
     rows_seen: u64,
     skipped_pages: u64,
+    filter: Option<BitVectorFilter>,
 }
 
-/// One atom-conjunction expression of a [`MonitorTemplate`].
-#[derive(Debug, Clone)]
-struct TemplateExpr {
-    indices: Vec<usize>,
-    estimated: Option<f64>,
-    shed: bool,
-}
-
-/// A plain-data (`Send + Sync`) recipe for rebuilding a scan's monitor
-/// set inside a morsel worker, extracted once by the coordinator from
-/// the reference lowering ([`ScanMonitorSet::template`]) — after
-/// memory-budget admission, so shed flags replicate — and shared by
-/// every morsel. Each worker's [`MonitorTemplate::instantiate`] yields a
-/// set with identical labels, estimates, shed flags, and (page-keyed)
-/// sampling decisions.
-#[derive(Debug, Clone)]
-pub struct MonitorTemplate {
-    exprs: Vec<TemplateExpr>,
-    fraction: f64,
-    seed: u64,
-}
-
-// The whole point of the templates is to cross worker threads.
+// Partials are what crosses worker threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<MonitorTemplate>();
     assert_send_sync::<ScanMonitorPartial>();
-    assert_send_sync::<SemiJoinRecipe>();
-    assert_send_sync::<FetchTemplate>();
 };
-
-/// A plain-data (`Send + Sync`) recipe for rebuilding a probe scan's
-/// semi-join monitor set inside a join-morsel worker, extracted by the
-/// coordinator from the reference lowering
-/// ([`ScanMonitorSet::semi_join_recipe`]) after budget admission so the
-/// shed flag replicates. Unlike [`MonitorTemplate`], instantiation takes
-/// the (merged) build-side filter: each worker gets a private slot
-/// holding its own clone, so no `Rc` crosses threads.
-#[derive(Debug, Clone)]
-pub struct SemiJoinRecipe {
-    label: String,
-    estimated: Option<f64>,
-    shed: bool,
-    fraction: f64,
-    seed: u64,
-    key_column: usize,
-}
-
-impl SemiJoinRecipe {
-    /// Rebuilds a worker-local probe monitor set around `filter`.
-    pub fn instantiate(&self, filter: BitVectorFilter) -> ScanMonitorSet {
-        let slot = semi_join_slot(self.key_column);
-        slot.borrow_mut().filter = Some(filter);
-        let mut set = ScanMonitorSet::new(
-            vec![ScanExprMonitor::semi_join(
-                self.label.clone(),
-                slot,
-                self.estimated,
-            )],
-            self.fraction,
-            self.seed,
-        );
-        if self.shed {
-            set.shed_expr(0);
-        }
-        set
-    }
-}
-
-impl MonitorTemplate {
-    /// Rebuilds a worker-local monitor set over `predicate` — the same
-    /// conjunction the reference set was built from, so rebuilt labels
-    /// match the reference byte for byte.
-    pub fn instantiate(&self, predicate: &Conjunction) -> ScanMonitorSet {
-        let mut set = ScanMonitorSet::new(
-            self.exprs
-                .iter()
-                .map(|t| ScanExprMonitor::atoms(predicate, t.indices.clone(), t.estimated))
-                .collect(),
-            self.fraction,
-            self.seed,
-        );
-        for (i, t) in self.exprs.iter().enumerate() {
-            if t.shed {
-                set.shed_expr(i);
-            }
-        }
-        set
-    }
-}
 
 /// When a [`FetchMonitor`] observes a fetched row's page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -894,11 +760,6 @@ pub struct FetchMonitor {
     /// `true` once the governor shed this monitor: it stops observing
     /// and its harvest is marked `budget_shed`.
     pub shed: bool,
-    /// Table size the counter was sized for (kept so the monitor can be
-    /// re-instantiated bit-identically in a morsel worker).
-    table_pages: u32,
-    /// Counter seed (ditto).
-    seed: u64,
     governor: Option<GovernorHandle>,
 }
 
@@ -917,24 +778,7 @@ impl FetchMonitor {
             when,
             counter: LinearCounter::for_table(table_pages, seed),
             shed: false,
-            table_pages,
-            seed,
             governor: None,
-        }
-    }
-
-    /// Extracts a plain-data recipe for rebuilding this monitor inside a
-    /// fetch-morsel worker. Extracted after budget admission so the shed
-    /// flag replicates; rebuilt counters share size and seed, so
-    /// per-morsel [`LinearCounter::merge`] is exact.
-    pub fn template(&self) -> FetchTemplate {
-        FetchTemplate {
-            label: self.label.clone(),
-            when: self.when,
-            table_pages: self.table_pages,
-            estimated: self.estimated,
-            seed: self.seed,
-            shed: self.shed,
         }
     }
 
@@ -995,34 +839,6 @@ impl FetchMonitor {
             skipped_pages: self.counter.skipped_pages(),
             budget_shed: self.shed,
         });
-    }
-}
-
-/// A plain-data (`Send + Sync`) recipe for rebuilding a
-/// [`FetchMonitor`] inside a fetch-morsel worker
-/// ([`FetchMonitor::template`]).
-#[derive(Debug, Clone)]
-pub struct FetchTemplate {
-    label: String,
-    when: FetchObserveWhen,
-    table_pages: u32,
-    estimated: Option<f64>,
-    seed: u64,
-    shed: bool,
-}
-
-impl FetchTemplate {
-    /// Rebuilds a worker-local fetch monitor.
-    pub fn instantiate(&self) -> FetchMonitor {
-        let mut m = FetchMonitor::new(
-            self.label.clone(),
-            self.when,
-            self.table_pages,
-            self.estimated,
-            self.seed,
-        );
-        m.shed = self.shed;
-        m
     }
 }
 
@@ -1430,8 +1246,8 @@ mod tests {
         let (mut lo, mut hi) = (mk(), mk());
         feed(&mut lo, 0..23);
         feed(&mut hi, 23..40);
-        reference.absorb_partial(&lo.into_partial());
-        reference.absorb_partial(&hi.into_partial());
+        reference.absorb_partial(lo.take_partial());
+        reference.absorb_partial(hi.take_partial());
         let harvest = |set: &mut ScanMonitorSet| {
             let mut rep = FeedbackReport::new();
             set.harvest("t", &mut rep);
@@ -1441,65 +1257,88 @@ mod tests {
         assert_eq!(harvest(&mut serial), harvest(&mut reference));
     }
 
-    /// Template round-trip: instantiated sets reproduce labels,
-    /// estimates, shed flags, and sampling decisions; semi-join sets
-    /// refuse to template.
+    /// A probe morsel's partial hands the reference set the merged
+    /// build-side filter its semi-join expression tested against (the
+    /// harvest's collision correction reads it), and a partial from a
+    /// morsel that never fed the set merges as a no-op.
     #[test]
-    fn template_reproduces_reference_set() {
-        let s = schema();
-        let c = conj(&s);
-        let mut set = ScanMonitorSet::new(
-            vec![
-                ScanExprMonitor::atoms(&c, vec![0], Some(7.0)),
-                ScanExprMonitor::atoms(&c, vec![1], None),
-            ],
-            0.5,
-            99,
-        );
-        set.shed_expr(1);
-        let template = set.template().expect("atom-only set must template");
-        let mut rebuilt = template.instantiate(&c);
-        assert_eq!(rebuilt.shed_count(), 1);
-        let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
-        for p in 0..20u32 {
-            assert_eq!(set.start_page(p), rebuilt.start_page(p), "page {p}");
-            set.observe_row(&[Some(true), Some(true)], &row);
-            rebuilt.observe_row(&[Some(true), Some(true)], &row);
-        }
+    fn semi_join_partial_installs_filter_and_unfed_partial_is_no_op() {
+        let row = |k| Row::new(vec![Datum::Int(k), Datum::Int(0)]);
+        let mut filter = BitVectorFilter::new(256, 7);
+        filter.insert(&Datum::Int(5));
+        let mk = |with_filter: bool| {
+            let slot = semi_join_slot(0);
+            if with_filter {
+                slot.borrow_mut().filter = Some(filter.clone());
+            }
+            ScanMonitorSet::new(vec![ScanExprMonitor::semi_join("j", slot, None)], 1.0, 2)
+        };
+        let feed = |set: &mut ScanMonitorSet, pages: std::ops::Range<u32>| {
+            for p in pages {
+                set.start_page(p);
+                set.observe_row(&[], &row(i64::from(p % 2) + 5));
+            }
+        };
         let harvest = |set: &mut ScanMonitorSet| {
             let mut rep = FeedbackReport::new();
             set.harvest("t", &mut rep);
             rep
         };
-        assert_eq!(harvest(&mut set), harvest(&mut rebuilt));
-
-        let sj = ScanMonitorSet::new(
-            vec![ScanExprMonitor::semi_join("j", semi_join_slot(0), None)],
-            1.0,
-            1,
-        );
-        assert!(sj.template().is_none(), "semi-join slots cannot template");
+        let mut serial = mk(true);
+        feed(&mut serial, 0..6);
+        let mut reference = mk(false);
+        let unfed = mk(false).take_partial();
+        let (mut lo, mut hi) = (mk(true), mk(true));
+        feed(&mut lo, 0..4);
+        feed(&mut hi, 4..6);
+        reference.absorb_partial(unfed);
+        reference.absorb_partial(lo.take_partial());
+        reference.absorb_partial(hi.take_partial());
+        assert_eq!(harvest(&mut serial), harvest(&mut reference));
     }
 
-    /// The partition gate: only a governor deadline forces serial.
+    /// Shed flags are decided at lowering, so a morsel's set and the
+    /// reference set carry them alike: partials of shed expressions add
+    /// nothing, and the merged harvest matches the serial one.
     #[test]
-    fn partition_support_blocks_only_deadlines() {
-        use crate::governor::governor_handle;
+    fn shed_expressions_merge_like_serial() {
         let s = schema();
         let c = conj(&s);
-        let mk = |fraction| {
-            ScanMonitorSet::new(vec![ScanExprMonitor::atoms(&c, vec![1], None)], fraction, 1)
+        let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
+        let mk = || {
+            let mut set = ScanMonitorSet::new(
+                vec![
+                    ScanExprMonitor::atoms(&c, vec![0], Some(7.0)),
+                    ScanExprMonitor::atoms(&c, vec![1], None),
+                ],
+                0.5,
+                99,
+            );
+            set.shed_expr(1);
+            set
         };
-        assert!(mk(1.0).supports_partition());
-        assert!(mk(0.25).supports_partition(), "sampling now partitions");
-        let mut shed = mk(1.0);
-        shed.shed_expr(0);
-        assert!(shed.supports_partition(), "shed flags replicate");
-        let mut budget = mk(1.0);
-        budget.set_governor(governor_handle(Some(1024), None));
-        assert!(budget.supports_partition(), "memory budgets partition");
-        let mut deadline = mk(1.0);
-        deadline.set_governor(governor_handle(None, Some(5.0)));
-        assert!(!deadline.supports_partition(), "deadlines stay serial");
+        let feed = |set: &mut ScanMonitorSet, pages: std::ops::Range<u32>| {
+            for p in pages {
+                set.start_page(p);
+                set.observe_row(&[Some(true), Some(true)], &row);
+            }
+        };
+        let harvest = |set: &mut ScanMonitorSet| {
+            let mut rep = FeedbackReport::new();
+            set.harvest("t", &mut rep);
+            rep
+        };
+        let mut serial = mk();
+        feed(&mut serial, 0..20);
+        let mut reference = mk();
+        for pages in [0..9, 9..20] {
+            let mut morsel = mk();
+            feed(&mut morsel, pages);
+            reference.absorb_partial(morsel.take_partial());
+        }
+        let merged = harvest(&mut reference);
+        assert_eq!(harvest(&mut serial), merged);
+        assert!(merged.measurements[1].budget_shed);
+        assert_eq!(merged.measurements[1].actual, 0.0);
     }
 }

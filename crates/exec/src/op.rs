@@ -29,6 +29,14 @@ pub trait Operator {
     fn as_seq_scan(&mut self) -> Option<&mut crate::scan::SeqScan> {
         None
     }
+
+    /// Downcast hook for a parallel join's build morsels, which run only
+    /// the build phase of a [`crate::join::HashJoin`] (see
+    /// [`crate::join::HashJoin::build_side`]). Everything else returns
+    /// `None`.
+    fn as_hash_join(&mut self) -> Option<&mut crate::join::HashJoin> {
+        None
+    }
 }
 
 /// An SE-side producer of row identifiers (index seeks and RID

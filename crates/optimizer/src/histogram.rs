@@ -6,6 +6,7 @@
 //! what a DPC histogram (Section VI's future work) would extend.
 
 use pf_common::Datum;
+use std::cmp::Ordering;
 
 /// One equi-depth bucket over `[lo, hi]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,6 +23,11 @@ pub struct Bucket {
 
 /// An equi-depth histogram over a numeric column
 /// (`Int`/`Float`/`Date` via [`Datum::numeric`]).
+///
+/// Values, bucket bounds and literals are all compared by
+/// [`f64::total_cmp`] — the order `Datum` sorts floats by — so `NaN`
+/// (sorted last) and `±0.0` land in buckets like any other value and
+/// every selectivity stays finite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EquiDepthHistogram {
     buckets: Vec<Bucket>,
@@ -49,7 +55,7 @@ impl EquiDepthHistogram {
             let slice = &values[i..end];
             let mut distinct = 1u64;
             for w in slice.windows(2) {
-                if w[0] != w[1] {
+                if w[0].total_cmp(&w[1]) != Ordering::Equal {
                     distinct += 1;
                 }
             }
@@ -79,17 +85,20 @@ impl EquiDepthHistogram {
     pub fn rows_below(&self, x: f64) -> f64 {
         let mut acc = 0.0;
         for b in &self.buckets {
-            if x <= b.lo {
+            if x.total_cmp(&b.lo) != Ordering::Greater {
                 break;
             }
-            if x > b.hi {
+            if x.total_cmp(&b.hi) == Ordering::Greater {
                 acc += b.count as f64;
             } else {
                 let width = b.hi - b.lo;
-                let frac = if width <= 0.0 {
-                    0.5 // point bucket straddled: half by convention
-                } else {
+                // Interpolate only across a finite width; a point bucket,
+                // or one bounded by an infinity or NaN, is straddled at
+                // half by convention.
+                let frac = if width.is_finite() && width > 0.0 {
                     (x - b.lo) / width
+                } else {
+                    0.5
                 };
                 acc += b.count as f64 * frac;
                 break;
@@ -105,7 +114,9 @@ impl EquiDepthHistogram {
         // bucket's per-distinct-value share.
         self.buckets
             .iter()
-            .filter(|b| x >= b.lo && x <= b.hi)
+            .filter(|b| {
+                x.total_cmp(&b.lo) != Ordering::Less && x.total_cmp(&b.hi) != Ordering::Greater
+            })
             .map(|b| b.count as f64 / b.distinct.max(1) as f64)
             .sum()
     }
@@ -179,6 +190,47 @@ mod tests {
         let le = h.selectivity(HistOp::Le, x);
         let gt = h.selectivity(HistOp::Gt, x);
         assert!((le + gt - 1.0).abs() < 1e-9);
+    }
+
+    /// A column with 5 % NaN (sorted into the last bucket): every op
+    /// stays a finite selectivity in [0, 1] for every literal, NaN and
+    /// the infinities included, and the complementary identities hold.
+    #[test]
+    fn nan_column_selectivities_are_finite_and_complementary() {
+        let vals: Vec<f64> = (0..1_000)
+            .map(|i| {
+                if i % 20 == 0 {
+                    f64::NAN
+                } else {
+                    (i % 100) as f64
+                }
+            })
+            .collect();
+        let h = EquiDepthHistogram::build(vals, 50);
+        for x in [f64::NAN, f64::NEG_INFINITY, -0.0, 0.0, 49.0, f64::INFINITY] {
+            let sel = |op| h.selectivity(op, x);
+            for op in [
+                HistOp::Eq,
+                HistOp::Lt,
+                HistOp::Le,
+                HistOp::Gt,
+                HistOp::Ge,
+                HistOp::Ne,
+            ] {
+                let s = sel(op);
+                assert!((0.0..=1.0).contains(&s), "{op:?} {x}: {s}");
+            }
+            assert!(
+                (sel(HistOp::Lt) + sel(HistOp::Ge) - 1.0).abs() < 1e-9,
+                "{x}"
+            );
+            assert!(
+                (sel(HistOp::Le) + sel(HistOp::Gt) - 1.0).abs() < 1e-9,
+                "{x}"
+            );
+        }
+        assert!((h.selectivity(HistOp::Eq, f64::NAN) - 0.05).abs() < 1e-9);
+        assert!((h.selectivity(HistOp::Lt, f64::NAN) - 0.95).abs() < 1e-9);
     }
 
     #[test]

@@ -77,32 +77,67 @@ impl IoStats {
     }
 }
 
-/// The page-residency overlap between contiguous runs of a split fetch
-/// stream: how many misses the runs pay *in total* that a single serial
-/// stream (one pool, no run boundaries) would have served as hits.
+/// One physical read: the page that missed and how the read reached
+/// the disk.
+pub type PageMiss = (TableId, PageId, AccessPattern);
+
+/// Reassembles the counters of one serial pool from morsels that each
+/// ran a contiguous piece of the serial access stream against their own
+/// cold pool, given in stream order.
 ///
-/// Each run executes against its own cold pool, so a page is a miss on
-/// its first appearance in *every* run that touches it; serially the
-/// page misses only on its global first appearance. The difference —
-/// pages first-seen-in-a-run that an earlier run already saw — is what a
-/// parallel fetch driver must subtract from its summed
-/// [`IoStats::rand_physical_reads`] to reproduce the serial counter.
-/// Exact only when the serial pool never evicts (table pages ≤ pool
-/// capacity), which callers must gate on.
-pub fn split_run_extra_misses<I: IntoIterator<Item = u32>>(
-    runs: impl IntoIterator<Item = I>,
-) -> u64 {
-    let mut seen = std::collections::HashSet::new();
-    let mut extra = 0u64;
-    for run in runs {
-        let mut run_seen = std::collections::HashSet::new();
-        for page in run {
-            if run_seen.insert(page) && !seen.insert(page) {
-                extra += 1;
+/// A morsel misses every page on its first touch, while the serial pool
+/// misses a page only on its first touch in the whole stream. So the
+/// serial counters are the summed counters minus every miss on a page
+/// that an earlier morsel already missed, taken from the counter of that
+/// miss's access pattern. Exact only when the serial pool never evicts
+/// (the pages the stream touches fit in the pool), which callers must
+/// gate on.
+pub fn merge_morsel_stats<'a>(
+    morsels: impl IntoIterator<Item = (&'a IoStats, &'a [PageMiss])>,
+) -> IoStats {
+    let mut total = IoStats::default();
+    // One bitmap of already-missed pages per table (queries touch one
+    // or two).
+    let mut missed: Vec<(TableId, Vec<u64>)> = Vec::new();
+    for (stats, misses) in morsels {
+        total.add(stats);
+        for &(table, page, pattern) in misses {
+            let (word, bit) = missed_bit(&mut missed, table, page);
+            if *word & bit != 0 {
+                match pattern {
+                    AccessPattern::Sequential => total.seq_physical_reads -= 1,
+                    AccessPattern::Random => total.rand_physical_reads -= 1,
+                }
             }
         }
+        for &(table, page, _) in misses {
+            let (word, bit) = missed_bit(&mut missed, table, page);
+            *word |= bit;
+        }
     }
-    extra
+    total
+}
+
+/// The bitmap word and bit of `(table, page)` in per-table bitmaps,
+/// growing them as needed.
+fn missed_bit(
+    missed: &mut Vec<(TableId, Vec<u64>)>,
+    table: TableId,
+    page: PageId,
+) -> (&mut u64, u64) {
+    let t = match missed.iter().position(|(t, _)| *t == table) {
+        Some(t) => t,
+        None => {
+            missed.push((table, Vec::new()));
+            missed.len() - 1
+        }
+    };
+    let bits = &mut missed[t].1;
+    let word = page.0 as usize / 64;
+    if bits.len() <= word {
+        bits.resize(word + 1, 0);
+    }
+    (&mut bits[word], 1u64 << (page.0 % 64))
 }
 
 /// An LRU buffer pool over `(table, page)` keys.
@@ -115,6 +150,9 @@ pub fn split_run_extra_misses<I: IntoIterator<Item = u32>>(
 pub struct BufferPool {
     frames: LruSet<(TableId, PageId)>,
     stats: IoStats,
+    /// Every physical read since the last [`BufferPool::clear`], in
+    /// access order.
+    misses: Vec<PageMiss>,
 }
 
 impl BufferPool {
@@ -123,6 +161,7 @@ impl BufferPool {
         BufferPool {
             frames: LruSet::new(capacity_pages),
             stats: IoStats::default(),
+            misses: Vec::new(),
         }
     }
 
@@ -142,7 +181,16 @@ impl BufferPool {
             AccessPattern::Random => &mut self.stats.rand_physical_reads,
         };
         *counter += miss;
+        if !hit {
+            self.misses.push((table, page, pattern));
+        }
         hit
+    }
+
+    /// The physical reads since the last [`BufferPool::clear`], in
+    /// access order — one morsel's input to [`merge_morsel_stats`].
+    pub fn misses(&self) -> &[PageMiss] {
+        &self.misses
     }
 
     /// Whether a page is resident, with no accounting side effects.
@@ -203,6 +251,7 @@ impl BufferPool {
     pub fn clear(&mut self) {
         self.frames.clear();
         self.stats = IoStats::default();
+        self.misses.clear();
     }
 
     /// Number of resident pages.
@@ -294,25 +343,70 @@ mod tests {
         assert_eq!(bp.stats().rand_physical_reads, 0);
     }
 
-    #[test]
-    fn split_run_overlap_reconciles_to_serial_misses() {
-        // Serial stream: 0 1 2 | 1 3 | 0 2 4 (runs split at '|').
-        // Serial distinct pages = {0,1,2,3,4} = 5 misses.
-        // Per-run distinct = 3 + 2 + 3 = 8 misses.
-        let runs = [vec![0u32, 1, 2], vec![1, 3], vec![0, 2, 4]];
-        let extra = split_run_extra_misses(runs.clone());
-        assert_eq!(extra, 3);
-        let per_run: u64 = runs
-            .iter()
-            .map(|r| {
-                let mut s = std::collections::HashSet::new();
-                r.iter().filter(|p| s.insert(**p)).count() as u64
+    /// Runs `stream` through one pool, and through one cold pool per
+    /// `cuts`-delimited piece merged with [`merge_morsel_stats`]: the two
+    /// must agree counter for counter.
+    fn assert_morsels_replay_serial(stream: &[(u32, AccessPattern)], cuts: &[usize]) {
+        let access = |bp: &mut BufferPool, &(page, pattern): &(u32, AccessPattern)| {
+            bp.access(T, PageId(page), pattern);
+        };
+        let mut serial = BufferPool::new(64);
+        stream.iter().for_each(|a| access(&mut serial, a));
+        let mut bounds = vec![0];
+        bounds.extend_from_slice(cuts);
+        bounds.push(stream.len());
+        let morsels: Vec<(IoStats, Vec<PageMiss>)> = bounds
+            .windows(2)
+            .map(|w| {
+                let mut bp = BufferPool::new(64);
+                stream[w[0]..w[1]].iter().for_each(|a| access(&mut bp, a));
+                (bp.stats(), bp.misses().to_vec())
             })
-            .sum();
-        assert_eq!(per_run - extra, 5);
-        // Duplicates within one run never count as overlap.
-        assert_eq!(split_run_extra_misses([vec![7u32, 7, 7]]), 0);
-        assert_eq!(split_run_extra_misses(Vec::<Vec<u32>>::new()), 0);
+            .collect();
+        let merged = merge_morsel_stats(morsels.iter().map(|(s, m)| (s, m.as_slice())));
+        assert_eq!(merged, serial.stats(), "cuts {cuts:?}");
+    }
+
+    #[test]
+    fn morsel_misses_merge_to_one_serial_pool() {
+        use AccessPattern::{Random as R, Sequential as S};
+        // Split fetch runs: pages recur across runs.
+        let fetch = [
+            (0, R),
+            (1, R),
+            (2, R),
+            (1, R),
+            (3, R),
+            (0, R),
+            (2, R),
+            (4, R),
+        ];
+        for cuts in [&[3][..], &[3, 5], &[1, 2, 7]] {
+            assert_morsels_replay_serial(&fetch, cuts);
+        }
+        // A hash self-join: a build scan over pages 0..4, then a probe
+        // scan over the same pages (serially all hits), each phase split
+        // into morsels.
+        let self_join: Vec<(u32, AccessPattern)> = (0..4).chain(0..4).map(|p| (p, S)).collect();
+        for cuts in [&[2, 4, 6][..], &[4], &[1, 5]] {
+            assert_morsels_replay_serial(&self_join, cuts);
+        }
+        // An INL self-join: scanning page 0 fetches page 2 ahead of the
+        // scan, whose sequential read of page 2 is then a serial hit;
+        // scanning page 3 fetches page 1 behind it.
+        let inl = [(0, S), (2, R), (1, S), (2, S), (3, S), (1, R), (0, R)];
+        for cuts in [&[2][..], &[2, 3], &[3, 4], &[1, 2, 3, 4]] {
+            assert_morsels_replay_serial(&inl, cuts);
+        }
+        // The same page id of two tables is two pages.
+        let one_miss = IoStats {
+            logical_reads: 1,
+            seq_physical_reads: 1,
+            ..Default::default()
+        };
+        let (a, b) = ([(T, PageId(0), S)], [(TableId(2), PageId(0), S)]);
+        let merged = merge_morsel_stats([(&one_miss, &a[..]), (&one_miss, &b[..])]);
+        assert_eq!(merged.seq_physical_reads, 2);
     }
 
     #[test]

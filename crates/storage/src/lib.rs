@@ -40,7 +40,7 @@ pub mod page;
 pub mod table;
 pub mod view;
 
-pub use bufferpool::{split_run_extra_misses, AccessPattern, BufferPool, IoStats};
+pub use bufferpool::{merge_morsel_stats, AccessPattern, BufferPool, IoStats, PageMiss};
 pub use catalog::{Catalog, IndexMeta, TableBuilder, TableMeta, TableStats};
 pub use disk::DiskModel;
 pub use fault::{

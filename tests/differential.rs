@@ -12,9 +12,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pf_common::{Column, DataType, Datum, DatumRef, Row, Schema, TableId};
-use pf_exec::join::HashJoin;
-use pf_exec::{drain, run_count, Conjunction, ExecContext, RadixTable, SeqScan};
+use pf_exec::join::{HashJoin, InlJoin, MergeJoin, StreamingMergeJoin};
+use pf_exec::sort::Sort;
+use pf_exec::{drain, run_count, Conjunction, ExecContext, Operator, RadixTable, SeqScan};
 use pf_feedback::BitVectorFilter;
+use pf_storage::btree::BPlusTree;
 use pf_storage::TableStorage;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -52,12 +54,9 @@ fn key_join(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> HashJoin {
 }
 
 /// The join's key equality (`pf_exec::join_table`): `Datum` equality,
-/// except that NaN never matches and `-0.0` and `0.0` hash apart.
+/// under which floats match exactly when their bits do.
 fn keys_match(b: &Datum, p: &Datum) -> bool {
-    match (b, p) {
-        (Datum::Float(x), Datum::Float(y)) => x == y && x.to_bits() == y.to_bits(),
-        _ => b == p,
-    }
+    b == p
 }
 
 /// Runs `bt ⋈ pt` (holding keys `bk` and `pk`) through the count driver
@@ -98,6 +97,72 @@ fn check_hash_join(
     Ok(())
 }
 
+/// One Float equality across join methods: the self-join of
+/// `{-0.0, 0.0, 1.0, NaN}` pairs each key with itself alone under the
+/// hash join, both merge joins, and the index-nested-loops join, whose
+/// B+-tree seeks order keys by `total_cmp`.
+#[test]
+fn float_self_join_counts_alike_under_every_join_method() {
+    // Clustered on the key, so the streaming merge join's inputs are
+    // already in `total_cmp` order (NaN sorts last).
+    let keys: Vec<Datum> = [-0.0, 0.0, 1.0, f64::NAN]
+        .into_iter()
+        .map(Datum::Float)
+        .collect();
+    let schema = Schema::new(vec![Column::new("k", DataType::Float)]);
+    let rows: Vec<Row> = keys.iter().map(|k| Row::new(vec![k.clone()])).collect();
+    let t = Arc::new(TableStorage::bulk_load(schema, &rows, Some(0), 512, 1.0).expect("load"));
+    let scan = || -> Box<dyn Operator> {
+        Box::new(SeqScan::full(
+            Arc::clone(&t),
+            TableId(0),
+            Conjunction::always_true(),
+            None,
+        ))
+    };
+    let mut tree = BPlusTree::new();
+    for rid in t.all_rids() {
+        tree.insert(t.read_row(rid).expect("row").get(0).clone(), rid);
+    }
+    let tree = Arc::new(tree);
+    let height = tree.height();
+    let joins: Vec<(&str, Box<dyn Operator>)> = vec![
+        ("hash", Box::new(HashJoin::new(scan(), scan(), 0, 0, None))),
+        (
+            "merge",
+            Box::new(MergeJoin::new(
+                Box::new(Sort::new(scan(), 0)),
+                Box::new(Sort::new(scan(), 0)),
+                0,
+                0,
+                None,
+            )),
+        ),
+        (
+            "streaming merge",
+            Box::new(StreamingMergeJoin::new(scan(), scan(), 0, 0, None)),
+        ),
+        (
+            "index nested loops",
+            Box::new(InlJoin::new(
+                scan(),
+                0,
+                tree,
+                height,
+                Arc::clone(&t),
+                TableId(0),
+                Conjunction::always_true(),
+                None,
+            )),
+        ),
+    ];
+    for (method, mut join) in joins {
+        let mut ctx = ExecContext::new(64);
+        let n = run_count(join.as_mut(), &mut ctx).expect("join counts");
+        assert_eq!(n, 4, "{method} join");
+    }
+}
+
 /// Quarter-step floats (forcing genuine key collisions, `-0.0` among
 /// them) with NaN injected every `nan_every` keys.
 fn float_keys(raw: &[f64], nan_every: usize) -> Vec<Datum> {
@@ -125,9 +190,8 @@ proptest! {
         check_hash_join(&bk, &pk, &key_table(&bk), &key_table(&pk))?;
     }
 
-    /// The same over float keys with NaNs and signed zeros: each NaN
-    /// build key is its own unreachable entry, NaN probes never match,
-    /// and `-0.0` never meets `0.0`.
+    /// The same over float keys with NaNs and signed zeros: NaN keys
+    /// match each other, and `-0.0` never meets `0.0`.
     #[test]
     fn hash_join_matches_nested_loop_nan_float_keys(
         build in prop::collection::vec(-4.0f64..4.0, 1..80),

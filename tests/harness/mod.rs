@@ -22,15 +22,20 @@
 //! executable form of the determinism contracts in DESIGN.md §5f–§5h
 //! and §5k.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
-use pagefeed::{Database, FaultPlan, MonitorConfig, ParallelRunner, PredSpec, Query, QueryOutcome};
+use pagefeed::{
+    Database, FaultPlan, MonitorConfig, MorselPlan, ParallelRunner, PredSpec, Query, QueryOutcome,
+};
 use pf_common::rng::Rng;
 use pf_common::{Column, DataType, Datum, Row, Schema};
 use pf_exec::{CompareOp, Conjunction};
 use pf_feedback::Mechanism;
 
 pub const TABLE: &str = "t";
+/// An unindexed copy of `t` with the same rows, the outer side of
+/// `t1 ⋈ t` joins (so the oracles over `t`'s rows hold unchanged).
+const COPY: &str = "t1";
 const ROWS: i64 = 3_000;
 pub const SEEDS: [u64; 3] = [1, 2, 3];
 /// Predicate columns, by schema position (`pad` is never filtered).
@@ -180,21 +185,27 @@ impl Fixture {
                 Query::count(TABLE, pred)
             });
         }
-        // Self-joins on an indexed Int or Date inner key (so bit-vector
-        // monitoring engages): one with a handful of outer rows, two
-        // with 0–2 random outer atoms.
-        let keys: Vec<usize> = indexes.iter().copied().filter(|&c| c != F).collect();
-        for j in 0..3 {
-            let inner = pick(&mut rng, &keys);
-            let outer = if inner == D {
-                D
+        // Self-joins on an indexed inner key (so bit-vector monitoring
+        // engages): one with a handful of outer rows, two with 0–2
+        // random outer atoms. Float and Date keys join their own column;
+        // Int keys any Int column.
+        // Then the same over the copy table as the outer side, `t1 ⋈ t`.
+        for j in 0..5 {
+            let inner = pick(&mut rng, &indexes);
+            let outer = if inner == D || inner == F {
+                inner
             } else {
                 pick(&mut rng, &[ID, A, B])
             };
-            let pred = if j == 0 && clustered {
+            let (outer_table, narrow) = if j < 3 {
+                (TABLE, j == 0)
+            } else {
+                (COPY, j == 3)
+            };
+            let pred = if narrow && clustered {
                 let hi = 1 + rng.gen_range(6) as i64;
                 vec![PredSpec::new("id", CompareOp::Lt, Datum::Int(hi))]
-            } else if j == 0 {
+            } else if narrow {
                 let v = atom(&mut rng, &rows, indexes[0]).value;
                 vec![PredSpec::new(COLUMNS[indexes[0]], CompareOp::Eq, v)]
             } else {
@@ -202,13 +213,24 @@ impl Fixture {
                 atoms(&mut rng, &rows, n, &hot, &ALL_COLS)
             };
             queries.push(Query::join_count(
-                TABLE,
+                outer_table,
                 TABLE,
                 pred,
                 COLUMNS[outer],
                 COLUMNS[inner],
             ));
         }
+        // A few outer rows joined on the correlated `b`: where `b` is
+        // indexed, its measured join DPC flips the hash join to index
+        // nested loops over the outer scan, which the seeded joins above
+        // may never reach.
+        queries.push(Query::join_count(
+            COPY,
+            TABLE,
+            vec![PredSpec::new("id", CompareOp::Lt, Datum::Int(40))],
+            "b",
+            "b",
+        ));
         Fixture {
             rows,
             clustered,
@@ -226,6 +248,13 @@ impl Fixture {
             self.clustered.then_some("id"),
         )
         .expect("create table");
+        db.create_table(
+            COPY,
+            schema(),
+            self.rows.clone(),
+            self.clustered.then_some("id"),
+        )
+        .expect("create copy table");
         for col in self.indexes {
             let name = COLUMNS[col];
             db.create_index(&format!("ix_{name}"), TABLE, name)
@@ -253,8 +282,8 @@ pub fn resolved_pred(query: &Query) -> Conjunction {
 // Brute-force oracles
 // ---------------------------------------------------------------------
 
-/// Nested-loop self-join count over the generated rows (Int and Date
-/// keys, so `Datum` equality is the join's key equality).
+/// Nested-loop self-join count over the generated rows, under `Datum`
+/// equality (floats by bits) — every join method's key equality.
 fn nested_loop_self_join(rows: &[Row], pred: &Conjunction, outer: usize, inner: usize) -> u64 {
     let mut inner_keys: HashMap<&Datum, u64> = HashMap::new();
     for r in rows {
@@ -347,7 +376,7 @@ fn check_against_brute_force(
             match m.mechanism {
                 Mechanism::ExactScan => {
                     let sub = labelled_subset(&pred, &m.expression);
-                    let dpc = db.true_dpc(TABLE, &sub).expect("oracle");
+                    let dpc = db.true_dpc(&m.table, &sub).expect("oracle");
                     assert_eq!(m.actual, dpc as f64, "{what}: DPC of {}", m.expression);
                 }
                 Mechanism::BitVector(bits) if unsampled => {
@@ -432,41 +461,78 @@ fn assert_identical(base: &[QueryOutcome], other: &[QueryOutcome], what: &str) {
     }
 }
 
+/// What [`differential_runs`] saw across its runs.
+pub struct Coverage {
+    /// Whether any injected fault fired (a retry or a degraded outcome).
+    pub fired: bool,
+    /// The [`MorselPlan`] variants [`Database::morsel_plan`] returned for
+    /// the checked queries, in either pass.
+    pub shapes: BTreeSet<&'static str>,
+}
+
+fn shape(plan: &MorselPlan) -> &'static str {
+    match plan {
+        MorselPlan::Scan(_) => "Scan",
+        MorselPlan::Fetch(_) => "Fetch",
+        MorselPlan::HashJoin(_) => "HashJoin",
+        MorselPlan::InlJoin(_) => "InlJoin",
+    }
+}
+
 /// Runs the queries of every seed's workload that `keep` selects at
 /// `fault_rate`, through both entry points at every worker count and
-/// monitor config; returns whether any injected fault fired.
-pub fn differential_runs(fault_rate: f64, keep: fn(&Query) -> bool) -> bool {
+/// monitor config — twice: the second pass runs after the first pass's
+/// reports are absorbed, so plans that feedback flips (index fetches,
+/// INL joins) go through the same identity and brute-force checks.
+pub fn differential_runs(fault_rate: f64, keep: fn(&Query) -> bool) -> Coverage {
     let runners = [1, 2, 8].map(ParallelRunner::new);
-    let mut fired = false;
+    let mut coverage = Coverage {
+        fired: false,
+        shapes: BTreeSet::new(),
+    };
     for seed in SEEDS {
         let mut fx = Fixture::new(seed);
         fx.queries.retain(keep);
-        let db = fx.database(fault_rate);
+        let mut db = fx.database(fault_rate);
         // The oracles read pristine pages, never the injected faults.
         let counts = true_counts(&db, &fx);
-        for cfg in [MonitorConfig::default(), MonitorConfig::sampled(0.5)] {
-            for entry in [Entry::RunQueries, Entry::RunQuery] {
-                let what = format!(
-                    "seed {seed}, fault rate {fault_rate}, sampling {}, {entry:?}",
-                    cfg.sampling_fraction
-                );
-                let base = run(entry, &runners[0], &db, &fx, &cfg);
-                for runner in &runners[1..] {
-                    let out = run(entry, runner, &db, &fx, &cfg);
-                    assert_identical(&base, &out, &format!("{what}, jobs {}", runner.jobs()));
+        for pass in 1..=2 {
+            let mut feedback = Vec::new();
+            for cfg in [MonitorConfig::default(), MonitorConfig::sampled(0.5)] {
+                for query in &fx.queries {
+                    if let Some(plan) = db.morsel_plan(query, &cfg).expect("classify") {
+                        coverage.shapes.insert(shape(&plan));
+                    }
                 }
-                check_against_brute_force(
-                    &db,
-                    &fx,
-                    &counts,
-                    &base,
-                    fault_rate == 0.0,
-                    cfg.sampling_fraction >= 1.0,
-                    &what,
-                );
-                fired |= base.iter().any(|o| o.fault_retries > 0 || o.degraded());
+                for entry in [Entry::RunQueries, Entry::RunQuery] {
+                    let what = format!(
+                        "seed {seed}, pass {pass}, fault rate {fault_rate}, sampling {}, {entry:?}",
+                        cfg.sampling_fraction
+                    );
+                    let base = run(entry, &runners[0], &db, &fx, &cfg);
+                    for runner in &runners[1..] {
+                        let out = run(entry, runner, &db, &fx, &cfg);
+                        assert_identical(&base, &out, &format!("{what}, jobs {}", runner.jobs()));
+                    }
+                    check_against_brute_force(
+                        &db,
+                        &fx,
+                        &counts,
+                        &base,
+                        fault_rate == 0.0,
+                        cfg.sampling_fraction >= 1.0,
+                        &what,
+                    );
+                    coverage.fired |= base.iter().any(|o| o.fault_retries > 0 || o.degraded());
+                    if feedback.is_empty() {
+                        feedback = base;
+                    }
+                }
+            }
+            for outcome in &feedback {
+                db.absorb_feedback(&outcome.report).expect("absorb");
             }
         }
     }
-    fired
+    coverage
 }

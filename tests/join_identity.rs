@@ -14,9 +14,18 @@ fn is_join(query: &Query) -> bool {
     matches!(query, Query::JoinCount { .. })
 }
 
+/// Also the coverage guard: across the seeds' fault-free runs,
+/// [`pagefeed::Database::morsel_plan`] splits queries into every morsel
+/// shape this workload can take.
 #[test]
 fn join_identity_fault_free() {
-    differential_runs(0.0, is_join);
+    let shapes = differential_runs(0.0, is_join).shapes;
+    for shape in ["HashJoin", "InlJoin"] {
+        assert!(
+            shapes.contains(shape),
+            "no {shape} morsel plan in {shapes:?}"
+        );
+    }
 }
 
 /// The vectorized probe refuses pages that fail verification, so
@@ -25,7 +34,7 @@ fn join_identity_fault_free() {
 #[test]
 fn join_identity_under_faults() {
     assert!(
-        differential_runs(0.01, is_join),
+        differential_runs(0.01, is_join).fired,
         "fault plan must fire (retries or degraded outcomes)"
     );
 }

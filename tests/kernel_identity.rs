@@ -18,9 +18,18 @@ fn is_count(query: &Query) -> bool {
     matches!(query, Query::Count { .. })
 }
 
+/// Also the coverage guard: across the seeds' fault-free runs,
+/// [`pagefeed::Database::morsel_plan`] splits queries into every morsel
+/// shape this workload can take.
 #[test]
 fn kernel_identity_fault_free() {
-    differential_runs(0.0, is_count);
+    let shapes = differential_runs(0.0, is_count).shapes;
+    for shape in ["Scan", "Fetch"] {
+        assert!(
+            shapes.contains(shape),
+            "no {shape} morsel plan in {shapes:?}"
+        );
+    }
 }
 
 /// Checksum faults, retries, skipped pages and degraded sketches
@@ -28,7 +37,7 @@ fn kernel_identity_fault_free() {
 #[test]
 fn kernel_identity_under_faults() {
     assert!(
-        differential_runs(0.01, is_count),
+        differential_runs(0.01, is_count).fired,
         "fault plan must fire (retries or degraded outcomes)"
     );
 }

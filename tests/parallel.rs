@@ -224,8 +224,7 @@ fn build_db() -> Database {
 }
 
 /// `with_copy` adds `t1`, an identical second table, so join tests can
-/// exercise shapes whose morsel eligibility depends on the inner and
-/// outer tables being distinct (INL self-joins fall back to serial).
+/// exercise joins of two distinct tables beside self-joins.
 fn build_db_with_copy(with_copy: bool) -> Database {
     let mut db = Database::new();
     let schema = || {
@@ -515,7 +514,10 @@ fn morsel_run_query_is_bit_identical_to_serial() {
     for (qi, query) in shapes.iter().enumerate() {
         let serial = db.run(query, &cfg).unwrap();
         assert!(
-            db.morsel_scan(query, &cfg).unwrap().is_some(),
+            matches!(
+                db.morsel_plan(query, &cfg).unwrap(),
+                Some(MorselPlan::Scan(_))
+            ),
             "shape {qi} must be morsel-eligible"
         );
         for jobs in [2, 8] {
@@ -651,14 +653,13 @@ fn morsel_hash_join_matches_serial() {
     );
 }
 
-/// Index-nested-loops joins split the outer scan into morsels, replay
-/// the inner index seeks on the coordinator, and fetch the joined RIDs
-/// in runs — still bit-identical to serial.
+/// Index-nested-loops joins split the outer scan into morsels, each
+/// running the whole join over its pages — still bit-identical to
+/// serial, self-joins included.
 #[test]
 fn morsel_inl_join_matches_serial() {
-    // A distinct outer table keeps the inner fetches order-independent;
-    // INL *self*-joins interleave inner fetches with the outer scan's
-    // own residency and fall back to serial (asserted below).
+    // A distinct outer table first; then an INL *self*-join, whose inner
+    // fetches interleave with the outer scan's own residency.
     let mut db = build_db_with_copy(true);
     let join = Query::join_count(
         "t1",
@@ -689,9 +690,13 @@ fn morsel_inl_join_matches_serial() {
     let out = db.run(&self_join, &cfg).unwrap();
     db.absorb_feedback(&out.report).unwrap();
     assert!(
-        db.morsel_plan(&self_join, &cfg).unwrap().is_none(),
-        "INL self-joins must fall back to serial"
+        matches!(
+            db.morsel_plan(&self_join, &cfg).unwrap(),
+            Some(MorselPlan::InlJoin(_))
+        ),
+        "INL self-joins split into outer page morsels"
     );
+    assert_jobs_invariant(&db, &self_join, &cfg, "inl self-join");
     let s = db.run(&self_join, &cfg).unwrap();
     let p = ParallelRunner::new(4)
         .run_query(&db, &self_join, &cfg)
