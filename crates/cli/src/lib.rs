@@ -24,8 +24,8 @@ pub struct Shell {
     db: Option<Database>,
     monitor: MonitorConfig,
     runner: ParallelRunner,
-    /// Per-query deadline in simulated ms (`PF_DEADLINE_MS` or
-    /// `.deadline`); `None` disables it.
+    /// Per-query deadline in simulated ms (`.deadline`), put into the
+    /// config of every SQL statement; `None` disables it.
     deadline_ms: Option<u64>,
     /// Queries this session aborted via cancellation or deadline.
     queries_cancelled: u64,
@@ -39,14 +39,14 @@ pub struct Shell {
 
 impl Shell {
     /// A fresh shell with no database loaded, exact monitoring, the
-    /// worker count from `PF_JOBS` (default: all cores), and the
-    /// per-query deadline from `PF_DEADLINE_MS` (default: none).
+    /// worker count from `PF_JOBS` (default: all cores), and no
+    /// per-query deadline.
     pub fn new() -> Self {
         Shell {
             db: None,
             monitor: MonitorConfig::default(),
             runner: ParallelRunner::from_env(),
-            deadline_ms: pagefeed::deadline_from_env(),
+            deadline_ms: None,
             queries_cancelled: 0,
             admission: AdmissionController::new(AdmissionConfig::from_env()),
             sim_now_ms: 0.0,
@@ -193,7 +193,9 @@ impl Shell {
         // Every statement passes the admission gate on the session's
         // simulated clock. Shell queries are interactive-class; the
         // shell is serial, so a Queued verdict just means the token
-        // bucket is pacing us — wait it out on the simulated clock.
+        // bucket is pacing us — wait it out on the simulated clock. The
+        // statement is alone in the queue and nothing runs, so the drain
+        // at the controller's hint admits it.
         let mut note = String::new();
         let id = self.admission.stats().submitted;
         match self
@@ -225,15 +227,13 @@ impl Shell {
         let Some(db) = &self.db else {
             return NO_DB.to_string();
         };
-        // A live deadline forces the serial interruptible path: the
-        // abort point is a pure function of the simulated clock.
-        let result = if let Some(deadline) = self.deadline_ms {
-            db.run_query_with_deadline(&query, &self.monitor, deadline)
-        } else {
-            // Morsel-parallel when the scan is eligible and jobs > 1;
-            // bit-identical to db.run either way.
-            self.runner.run_query(db, &query, &self.monitor)
+        // Morsel-parallel when the plan is eligible and jobs > 1 (a
+        // deadline keeps it serial); bit-identical to db.run either way.
+        let cfg = MonitorConfig {
+            deadline_ms: self.deadline_ms,
+            ..self.monitor.clone()
         };
+        let result = self.runner.run_query(db, &query, &cfg);
         if let Ok(out) = &result {
             self.sim_now_ms += out.elapsed_ms;
         } else if let Some(deadline) = self.deadline_ms {
@@ -854,7 +854,7 @@ commands:
   .feedback evict     age hints against current table epochs; drop dead measurements
   .hints              show feedback-cache status
   .jobs [N]           show / set worker threads for .bench (default: PF_JOBS or all cores)
-  .deadline [MS|off]  show / set the per-query deadline in simulated ms (default: PF_DEADLINE_MS)
+  .deadline [MS|off]  show / set the per-query deadline in simulated ms (default: off)
   .faults [S R [E]|off] show / set deterministic fault injection (seed S, page rate R,
                       optional error-return rate E); no args also reports watchdog and
                       cancellation counters; off also resets admission/breaker counters
@@ -1103,6 +1103,24 @@ mod tests {
         sh.eval("SELECT COUNT(*) FROM products WHERE category < 20");
         assert!(out(sh.eval(".deadline off")).contains("counters reset"));
         assert!(out(sh.eval(".admit")).contains("0 submitted"));
+    }
+
+    /// A statement the token bucket paces runs once a token refills,
+    /// never strands in the admission queue ahead of every later one.
+    #[test]
+    fn paced_statements_all_run() {
+        let mut sh = Shell::new();
+        sh.eval(".load products");
+        sh.eval(".monitor off");
+        assert!(out(sh.eval(".admit 4 8 1 2")).contains("1 tokens/s"));
+        for k in 1..=12 {
+            let res = out(sh.eval(&format!(
+                "SELECT COUNT(*) FROM products WHERE category < {k}"
+            )));
+            assert!(res.contains("count:"), "statement {k}: {res}");
+        }
+        let st = out(sh.eval(".admit"));
+        assert!(st.contains("12 submitted, 12 admitted"), "{st}");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! System-wide overload protection: admission control, per-query
 //! memory reservations, and the admitted-workload driver.
 //!
-//! Per-monitor shedding ([`pf_exec::MonitorGovernor`]) bounds one
-//! query's instrumentation and cancellation (PR 8) bounds one query's
-//! lifetime, but neither protects the *system*: an arrival storm can
+//! A per-query monitor memory budget ([`MonitorConfig::memory_budget`])
+//! bounds one query's instrumentation and a query deadline
+//! ([`MonitorConfig::deadline_ms`]) bounds one query's lifetime, but
+//! neither protects the *system*: an arrival storm can
 //! queue without bound and exhaust monitor memory across queries. This
 //! module adds the missing layer:
 //!
@@ -16,8 +17,8 @@
 //!   at admission, using the plan-shape-derived estimate from
 //!   [`Database::estimate_monitor_bytes`]. Over-budget queries degrade
 //!   in the fixed [`DegradeStep`] ladder: full monitoring, then
-//!   governor-budgeted monitors (reusing the per-query shed recipes),
-//!   then an unmonitored plan, then shedding.
+//!   budgeted monitors (reusing the per-query shed recipes), then an
+//!   unmonitored plan, then shedding.
 //! * [`run_admitted_workload`] — a discrete-event driver on the
 //!   simulated clock: arrivals, admissions, completions, deadlines,
 //!   cancellations, and breaker probes all happen at simulated
@@ -45,12 +46,6 @@ pub const ADMIT_QUEUE_ENV: &str = "PF_ADMIT_QUEUE";
 pub const ADMIT_RATE_ENV: &str = "PF_ADMIT_RATE";
 /// Env knob: token-bucket burst capacity in queries (default 8).
 pub const ADMIT_BURST_ENV: &str = "PF_ADMIT_BURST";
-/// Env knob: global monitor-memory budget in bytes (default 1 MiB).
-pub const MEM_BUDGET_ENV: &str = "PF_MEM_BUDGET";
-
-/// Default [`MEM_BUDGET_ENV`] capacity.
-pub const DEFAULT_MEM_BUDGET_BYTES: usize = 1 << 20;
-
 /// Baseline bytes every running query reserves for executor scratch
 /// (contexts, cursors, partial aggregates), independent of monitoring.
 pub const BASE_QUERY_BYTES: usize = 64 << 10;
@@ -339,9 +334,10 @@ impl AdmissionController {
     }
 
     /// The earliest simulated instant at which a queued query could be
-    /// admitted by token refill alone — the driver's wakeup hint.
-    /// `None` when nothing is queued or no execution slot is free (a
-    /// completion, not time, unblocks those cases).
+    /// admitted by token refill alone — the driver's wakeup hint: a
+    /// [`AdmissionController::drain`] at that instant finds a whole
+    /// token. `None` when nothing is queued or no execution slot is free
+    /// (a completion, not time, unblocks those cases).
     pub fn next_admit_opportunity_ms(&self, now_ms: f64) -> Option<f64> {
         if self.queue.is_empty() || self.running >= self.cfg.max_concurrent {
             return None;
@@ -350,7 +346,14 @@ impl AdmissionController {
         if tokens >= 1.0 {
             return Some(now_ms);
         }
-        Some(now_ms + (1.0 - tokens) / self.cfg.tokens_per_sec * 1000.0)
+        let from = now_ms.max(self.last_refill_ms);
+        let mut at = from + (1.0 - tokens) / self.cfg.tokens_per_sec * 1000.0;
+        // Rounding can leave the refill at `at` a hair under one token;
+        // step to the first representable instant at which it is whole.
+        while self.refilled_tokens(at) < 1.0 {
+            at = at.next_up();
+        }
+        Some(at)
     }
 
     /// Queries currently executing.
@@ -413,11 +416,6 @@ impl MemoryBudget {
             over_estimated: 0,
             under_estimated: 0,
         }
-    }
-
-    /// A budget sized by `PF_MEM_BUDGET` (default 1 MiB).
-    pub fn from_env() -> Self {
-        Self::new(env_knob(MEM_BUDGET_ENV).unwrap_or(DEFAULT_MEM_BUDGET_BYTES))
     }
 
     /// Reserves `bytes` if they fit; records the new peak.
@@ -485,8 +483,9 @@ impl MemoryBudget {
 pub enum DegradeStep {
     /// Full monitoring as configured.
     Full = 0,
-    /// Monitors under a governor byte budget (the per-query shed
-    /// recipes of [`pf_exec::MonitorGovernor`] decide which survive).
+    /// Monitors under a per-query byte budget
+    /// ([`MonitorConfig::memory_budget`]: the shed order of
+    /// [`pf_exec::ShedClass`] decides at lowering which survive).
     BudgetedMonitors = 1,
     /// An unmonitored plan: same answer, no feedback harvested.
     Unmonitored = 2,
@@ -526,7 +525,7 @@ pub fn degrade_step(free: usize, estimate: usize) -> (DegradeStep, usize) {
     }
     if free >= BASE_QUERY_BYTES + MIN_MONITOR_BYTES {
         // Reserve everything that fits (capped by the full estimate);
-        // the governor sheds whatever exceeds the monitor share.
+        // lowering sheds whatever exceeds the monitor share.
         return (DegradeStep::BudgetedMonitors, free.min(full));
     }
     if free >= BASE_QUERY_BYTES {
@@ -660,10 +659,10 @@ struct PendingCompletion {
 /// absorbing feedback through the breaker), drains the admission
 /// queue, then processes arrivals. An admitted query executes *at its
 /// admission instant* via [`ParallelRunner::run_query`] (morsel
-/// parallelism inside one query; byte-identical to a serial run) or,
-/// when it carries a deadline or cancellation, via the interruptible
-/// serial path — either way its simulated `elapsed_ms` schedules the
-/// completion event. Shed queries never execute at all.
+/// parallelism inside one query; byte-identical to a serial run), with
+/// its deadline or cancellation instant as the config's query deadline;
+/// its simulated `elapsed_ms` schedules the completion event. Shed
+/// queries never execute at all.
 ///
 /// Determinism: every decision reads only simulated time, the
 /// controller/budget state, and deterministic per-query outcomes, so
@@ -802,15 +801,16 @@ pub fn run_admitted_workload(
         let cancel_bites =
             matches!((deadline_rel, cancel_rel), (d, Some(c)) if d.is_none_or(|d| c < d));
 
-        let result = match eff {
-            None => runner.run_query(db, &job.query, &run_cfg),
-            Some(ms) => db
-                .run_query_with_deadline(&job.query, &run_cfg, ms)
-                .map_err(|e| match e {
-                    Error::DeadlineExceeded { .. } if cancel_bites => Error::Cancelled,
-                    other => other,
-                }),
+        let run_cfg = MonitorConfig {
+            deadline_ms: eff,
+            ..run_cfg
         };
+        let result = runner
+            .run_query(db, &job.query, &run_cfg)
+            .map_err(|e| match e {
+                Error::DeadlineExceeded { .. } if cancel_bites => Error::Cancelled,
+                other => other,
+            });
         let done_us = match &result {
             Ok(outcome) => now_us + to_us(outcome.elapsed_ms),
             Err(e) if e.is_abort() => now_us + eff.unwrap_or(0) * 1000,
@@ -1092,6 +1092,47 @@ mod tests {
         let drained = c.drain(100.0);
         assert_eq!(drained.len(), 1);
         assert!((drained[0].waited_ms - 99.0).abs() < 1e-9);
+    }
+
+    /// A query paced by the token bucket is admitted by a drain at the
+    /// controller's hint: refilling to that instant yields a whole token,
+    /// never a rounding hair under one that would strand the query in
+    /// the queue (and every later arrival behind it).
+    #[test]
+    fn drain_at_the_hint_admits_a_paced_query() {
+        let mut c = ctrl(4, 8, 3.0, 1.0);
+        assert_eq!(
+            c.request(0, Priority::Interactive, 0.0),
+            AdmitDecision::Admit
+        );
+        c.on_complete(1.1);
+        assert_eq!(
+            c.request(1, Priority::Interactive, 1.1),
+            AdmitDecision::Queued { depth: 1 }
+        );
+        let at = c
+            .next_admit_opportunity_ms(1.1)
+            .expect("queued + free slot");
+        // A `now` before the last refill gets the same reachable hint.
+        assert_eq!(c.next_admit_opportunity_ms(0.5), Some(at));
+        assert_eq!(c.drain(at).len(), 1, "stranded at {at} ms");
+
+        // The same holds for every shell-style session: one statement at
+        // a time, each running a pseudo-random simulated time.
+        for (rate, burst) in [(1.0, 1.0), (3.0, 1.0), (7.0, 2.0), (200.0, 4.0)] {
+            let mut c = ctrl(4, 8, rate, burst);
+            let (mut now, mut x) = (0.0f64, 0x9E37_79B9_u64);
+            for id in 0..500 {
+                if let AdmitDecision::Queued { .. } = c.request(id, Priority::Interactive, now) {
+                    now = c.next_admit_opportunity_ms(now).expect("a token refills");
+                    assert_eq!(c.drain(now).len(), 1, "rate {rate}: query {id} stranded");
+                }
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                now += (x >> 40) as f64 / (1u64 << 24) as f64 * 5.0;
+                c.on_complete(now);
+            }
+            assert_eq!(c.stats().admitted, 500, "rate {rate}");
+        }
     }
 
     #[test]

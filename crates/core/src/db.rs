@@ -25,16 +25,6 @@ use std::sync::Arc;
 /// site, so this always clears an injected stall.
 pub const MAX_TRANSIENT_RETRIES: u32 = 3;
 
-/// Environment knob naming a default per-query deadline in simulated
-/// milliseconds (see [`Database::run_query_with_deadline`]). Unset or
-/// unparsable means no deadline.
-pub const DEADLINE_ENV: &str = "PF_DEADLINE_MS";
-
-/// The [`DEADLINE_ENV`] value, if one is set and parses.
-pub fn deadline_from_env() -> Option<u64> {
-    pf_common::env_knob(DEADLINE_ENV)
-}
-
 /// Everything one run of a query produced.
 #[derive(Debug)]
 pub struct QueryOutcome {
@@ -87,8 +77,8 @@ pub struct Morsels {
 /// Every query shape the parallel driver can execute as morsels, each a
 /// sequence of phases over one per-morsel runner
 /// (`Database::run_morsel`). Shapes not represented here (merge joins,
-/// index-only scans, DPC-cache overlays, governor deadlines) fall back
-/// to a serial run.
+/// index-only scans, DPC-cache overlays, query deadlines) fall back to
+/// a serial run.
 #[derive(Debug, Clone)]
 pub enum MorselPlan {
     /// Page morsels over a sequential scan.
@@ -501,8 +491,21 @@ impl Database {
     /// DPC-histogram cache (if enabled) for expressions lacking exact
     /// feedback, and otherwise serves repeated query shapes from the
     /// plan cache (optimizer decision memoized; monitors still built
-    /// fresh per call from `cfg.seed`).
+    /// fresh per call from `cfg.seed`). The plan carries
+    /// `cfg.deadline_ms` into [`Database::execute`]; a deadline run may
+    /// abort, so it reads the plan cache but never fills it.
     pub fn lower(&self, query: &Query, cfg: &MonitorConfig) -> Result<LoweredPlan> {
+        self.lower_cached(query, cfg, cfg.deadline_ms.is_none())
+    }
+
+    /// [`Database::lower`], filling the plan cache on a miss only when
+    /// `fill_cache` is set.
+    fn lower_cached(
+        &self,
+        query: &Query,
+        cfg: &MonitorConfig,
+        fill_cache: bool,
+    ) -> Result<LoweredPlan> {
         if self.dpc_cache.is_some() {
             // Histogram-cache overlays are per-query hint sets; their
             // decisions are not cacheable under a single key.
@@ -510,17 +513,18 @@ impl Database {
             return self.lower_with(query, cfg, &hints);
         }
         let planner = self.planner()?;
-        let optimized = self.optimized(query, cfg, &planner)?;
+        let optimized = self.optimized(query, cfg, &planner, fill_cache)?;
         planner.lower_optimized(&optimized, cfg)
     }
 
     /// The optimizer decision for `query`, served from the plan cache
-    /// when possible.
+    /// when possible; a miss is stored only when `fill_cache` is set.
     fn optimized(
         &self,
         query: &Query,
         cfg: &MonitorConfig,
         planner: &Planner<'_>,
+        fill_cache: bool,
     ) -> Result<Arc<OptimizedQuery>> {
         if !self.plan_cache.is_enabled() {
             return Ok(Arc::new(planner.optimize_query(query)?));
@@ -530,7 +534,9 @@ impl Database {
             return Ok(cached);
         }
         let fresh = Arc::new(planner.optimize_query(query)?);
-        self.plan_cache.insert(key, Arc::clone(&fresh));
+        if fill_cache {
+            self.plan_cache.insert(key, Arc::clone(&fresh));
+        }
         Ok(fresh)
     }
 
@@ -563,7 +569,8 @@ impl Database {
         .lower_query(query, cfg)
     }
 
-    /// Executes a lowered plan cold-cache and harvests its monitors.
+    /// Executes a lowered plan cold-cache, under the query deadline of
+    /// the config it was lowered with, and harvests its monitors.
     ///
     /// Single-attempt: under an active fault plan an injected read stall
     /// surfaces as a transient [`Error::ReadStalled`]. Prefer
@@ -591,9 +598,11 @@ impl Database {
             choice,
             description,
             explain: _,
+            deadline_ms,
         } = plan;
         ctx.cold_start();
         ctx.fault_attempt = attempt;
+        ctx.deadline_ms = deadline_ms;
         // Counting driver: operators that can count page-at-a-time
         // (vectorized joins, scans) skip row materialization entirely.
         // Materialization was never charged, so I/O statistics are
@@ -661,56 +670,23 @@ impl Database {
         self.execute_with_retry_in(|| self.lower(query, cfg), ctx)
     }
 
-    // ------------------------------------------------------------------
-    // Interruptible execution: cooperative cancellation and deadlines.
-    // ------------------------------------------------------------------
-
     /// Runs `query` under a caller-held [`CancelToken`]: operators poll
     /// the token at page granularity and an armed or tripped token
     /// aborts the query with [`Error::Cancelled`]. An aborted run is
     /// hygienic — it returns no [`QueryOutcome`], so no feedback can be
     /// absorbed, and the plan cache is only *read*, never populated, so
     /// database state is byte-identical to the query never having run.
+    /// Cancellation is non-transient, so the retry loop (which only
+    /// absorbs injected read stalls) surfaces it immediately.
     pub fn run_query_cancellable(
         &self,
         query: &Query,
         cfg: &MonitorConfig,
         cancel: CancelToken,
     ) -> Result<QueryOutcome> {
-        self.run_interruptible(query, cfg, cancel, None)
-    }
-
-    /// Runs `query` with a deadline on the *simulated* clock: once the
-    /// context's charged elapsed time passes `deadline_ms`, the next
-    /// page boundary aborts with [`Error::DeadlineExceeded`]. Because
-    /// the clock is simulated, the abort point is a pure function of
-    /// the query and the database — deterministic across machines,
-    /// worker counts, and repeat runs. The same hygiene as
-    /// [`Database::run_query_cancellable`] applies: no feedback, no
-    /// plan-cache writes.
-    pub fn run_query_with_deadline(
-        &self,
-        query: &Query,
-        cfg: &MonitorConfig,
-        deadline_ms: u64,
-    ) -> Result<QueryOutcome> {
-        self.run_interruptible(query, cfg, CancelToken::new(), Some(deadline_ms))
-    }
-
-    /// Shared engine for the interruptible entry points. Cancellation
-    /// and deadline errors are non-transient, so the retry loop (which
-    /// only absorbs injected read stalls) surfaces them immediately.
-    fn run_interruptible(
-        &self,
-        query: &Query,
-        cfg: &MonitorConfig,
-        cancel: CancelToken,
-        deadline_ms: Option<u64>,
-    ) -> Result<QueryOutcome> {
         let mut ctx = self.make_context();
         ctx.cancel = cancel;
-        ctx.deadline_ms = deadline_ms;
-        self.execute_with_retry_in(|| self.lower_without_cache_insert(query, cfg), &mut ctx)
+        self.execute_with_retry_in(|| self.lower_cached(query, cfg, false), &mut ctx)
     }
 
     /// Plan-shape-derived monitor memory estimate for running `query`
@@ -725,29 +701,8 @@ impl Database {
         if !cfg.enabled {
             return Ok(0);
         }
-        let lowered = self.lower_without_cache_insert(query, cfg)?;
+        let lowered = self.lower_cached(query, cfg, false)?;
         Ok(lowered.harness.approx_monitor_bytes())
-    }
-
-    /// [`Database::lower`] for interruptible runs: a cached optimizer
-    /// decision may be *read* (hits are harmless) but a miss optimizes
-    /// without populating the cache, so a run that later aborts leaves
-    /// the cache exactly as it found it.
-    fn lower_without_cache_insert(
-        &self,
-        query: &Query,
-        cfg: &MonitorConfig,
-    ) -> Result<LoweredPlan> {
-        if self.dpc_cache.is_some() {
-            let hints = self.effective_hints(query)?;
-            return self.lower_with(query, cfg, &hints);
-        }
-        let planner = self.planner()?;
-        let optimized = match self.plan_cache.get(&PlanCache::key_for(query, cfg)) {
-            Some(cached) => cached,
-            None => Arc::new(planner.optimize_query(query)?),
-        };
-        planner.lower_optimized(&optimized, cfg)
     }
 
     // ------------------------------------------------------------------
@@ -758,10 +713,10 @@ impl Database {
     /// `None` when only the serial path preserves bit-identity.
     ///
     /// Global gates: a DPC-histogram overlay (per-query hint sets are
-    /// neither cacheable nor splittable) or a governor deadline (mid-run
-    /// shedding assumes one monotone clock) force a serial run. Sampled
-    /// and budgeted monitors are fine: page sampling is a pure function
-    /// of `(seed, page)` and budget shedding is decided once at
+    /// neither cacheable nor splittable) or a query deadline (its abort
+    /// point reads one whole-query simulated clock) force a serial run.
+    /// Sampled and budgeted monitors are fine: page sampling is a pure
+    /// function of `(seed, page)` and budget shedding is decided once at
     /// lowering, which every morsel repeats.
     /// Sequential scans parallelize even under a fault plan (stalls
     /// retry morsel-locally; corruption is a pure function of the page);
@@ -775,7 +730,7 @@ impl Database {
             return Ok(None);
         }
         let planner = self.planner()?;
-        let optimized = self.optimized(query, cfg, &planner)?;
+        let optimized = self.optimized(query, cfg, &planner, true)?;
         let morsels = |(pages, first_random)| Morsels {
             optimized: Arc::clone(&optimized),
             pages,
@@ -1110,7 +1065,7 @@ mod tests {
         assert!(after.elapsed_ms < before.elapsed_ms / 2.0);
     }
 
-    /// Only a governor deadline keeps a splittable scan serial:
+    /// Only a query deadline keeps a splittable scan serial:
     /// sampling and memory budgets — and the sheds a budget forces — are
     /// decided per lowering, which every morsel repeats.
     #[test]
@@ -1130,7 +1085,7 @@ mod tests {
             ..MonitorConfig::default()
         }));
         assert!(!splits(MonitorConfig {
-            deadline_ms: Some(5.0),
+            deadline_ms: Some(5),
             ..MonitorConfig::default()
         }));
     }
@@ -1199,16 +1154,20 @@ mod tests {
         let db = demo_db();
         let query = q("id", 19_999); // near-full scan: plenty of pages
         let cfg = MonitorConfig::off();
-        let err = db.run_query_with_deadline(&query, &cfg, 0).unwrap_err();
+        let deadline = |deadline_ms| MonitorConfig {
+            deadline_ms: Some(deadline_ms),
+            ..cfg.clone()
+        };
+        let err = db.run(&query, &deadline(0)).unwrap_err();
         assert_eq!(err, Error::DeadlineExceeded { deadline_ms: 0 });
-        let again = db.run_query_with_deadline(&query, &cfg, 0).unwrap_err();
+        let again = db.run(&query, &deadline(0)).unwrap_err();
         assert_eq!(
             err, again,
             "the abort point is a pure function of the query"
         );
         // A generous deadline completes bit-identically to a plain run.
         let plain = db.run(&query, &cfg).unwrap();
-        let under = db.run_query_with_deadline(&query, &cfg, 1_000_000).unwrap();
+        let under = db.run(&query, &deadline(1_000_000)).unwrap();
         assert_eq!(under.count, plain.count);
         assert_eq!(under.stats, plain.stats);
         assert_eq!(under.elapsed_ms, plain.elapsed_ms);

@@ -38,7 +38,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Environment variable naming the directory a feedback store should
-/// live in (used by the repro binaries and the CLI).
+/// live in (read by the repro binary).
 pub const FEEDBACK_DIR_ENV: &str = "PF_FEEDBACK_DIR";
 
 /// WAL file name inside the store directory.
@@ -381,14 +381,6 @@ impl FeedbackStore {
             fault_plan: None,
             torn: false,
         })
-    }
-
-    /// Opens the store named by [`FEEDBACK_DIR_ENV`], if set.
-    pub fn from_env() -> Result<Option<Self>> {
-        match std::env::var(FEEDBACK_DIR_ENV) {
-            Ok(dir) if !dir.trim().is_empty() => Ok(Some(Self::open(dir.trim())?)),
-            _ => Ok(None),
-        }
     }
 
     /// Installs (or clears) a fault plan used to inject torn writes
@@ -1023,14 +1015,5 @@ mod tests {
         std::fs::write(dir.join(SNAP_FILE), b"not a snapshot").expect("write junk");
         assert!(FeedbackStore::open(&dir).is_err());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn from_env_without_variable_is_none() {
-        // Tests run threaded: only the unset path is exercised (no env
-        // mutation), mirroring parallel.rs's from_env test.
-        if std::env::var(FEEDBACK_DIR_ENV).is_err() {
-            assert!(FeedbackStore::from_env().expect("no store").is_none());
-        }
     }
 }

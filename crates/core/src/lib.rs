@@ -74,6 +74,7 @@ pub mod db;
 pub mod dba;
 pub mod feedback_loop;
 pub mod feedback_store;
+mod governor;
 pub mod histogram_cache;
 pub mod parallel;
 pub mod plan_cache;
@@ -86,13 +87,9 @@ pub use admission::{
     degrade_step, run_admitted_workload, AdmissionConfig, AdmissionController, AdmissionStats,
     AdmitDecision, AdmittedJob, AdmittedRunReport, DegradeStep, JobRecord, MemoryBudget, Priority,
     ADMIT_BURST_ENV, ADMIT_CONCURRENCY_ENV, ADMIT_QUEUE_ENV, ADMIT_RATE_ENV, BASE_QUERY_BYTES,
-    DEFAULT_MEM_BUDGET_BYTES, MEM_BUDGET_ENV,
 };
 pub use breaker::{BreakerState, BreakerTransition, CircuitBreaker};
-pub use db::{
-    deadline_from_env, Database, MorselPlan, Morsels, QueryOutcome, DEADLINE_ENV,
-    MAX_TRANSIENT_RETRIES,
-};
+pub use db::{Database, MorselPlan, Morsels, QueryOutcome, MAX_TRANSIENT_RETRIES};
 pub use dba::{DbaDiagnosis, Discrepancy};
 pub use feedback_loop::FeedbackOutcome;
 pub use feedback_store::{FeedbackStore, StoreStats, StoredReport, FEEDBACK_DIR_ENV};

@@ -58,10 +58,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Backoff ceiling for runner-level transient-fault retries.
-const MAX_BACKOFF_MS: u64 = 8;
-/// Runner-level retries on top of the database's own per-query retries.
-const RUNNER_RETRIES: u32 = 2;
 /// Environment variable overriding the stall-watchdog budget in wall
 /// milliseconds (`0` disables the watchdog).
 pub const STALL_BUDGET_ENV: &str = "PF_STALL_BUDGET_MS";
@@ -497,29 +493,17 @@ impl<T: Send, F: Fn(usize, &mut WorkerScratch) -> Result<T> + Sync> PoolJob
     }
 }
 
-/// One guarded evaluation of `task(i)`: panics become
+/// One guarded evaluation of `task(i)`: a panic becomes
 /// [`Error::WorkerPanicked`] (the query is quarantined, the worker
-/// thread survives), and transient fault errors are retried with capped
-/// exponential backoff — a second line of defence on top of the
-/// database's own re-lower-and-retry loop.
+/// thread survives). Transient faults are the task's own business: the
+/// database retries them inside every run.
 fn run_guarded<T>(
     task: &(impl Fn(usize, &mut WorkerScratch) -> Result<T> + Sync),
     i: usize,
     scratch: &mut WorkerScratch,
 ) -> Result<T> {
-    let mut delay_ms = 1u64;
-    let mut tries = 0;
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| task(i, &mut *scratch))) {
-            Err(_) => return Err(Error::WorkerPanicked { query_index: i }),
-            Ok(Err(e)) if e.is_transient() && tries < RUNNER_RETRIES => {
-                tries += 1;
-                std::thread::sleep(Duration::from_millis(delay_ms));
-                delay_ms = (delay_ms * 2).min(MAX_BACKOFF_MS);
-            }
-            Ok(r) => return r,
-        }
-    }
+    catch_unwind(AssertUnwindSafe(|| task(i, scratch)))
+        .unwrap_or(Err(Error::WorkerPanicked { query_index: i }))
 }
 
 /// Outcome of one seeded scheduler-fuzz sweep

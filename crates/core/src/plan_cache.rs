@@ -82,10 +82,10 @@ impl PlanCache {
 
     /// Canonical cache key: the query's full shape (tables, atoms with
     /// operators and literal values, count argument) plus the
-    /// plan-relevant `MonitorConfig` shape. The seed is deliberately
-    /// excluded — plans do not depend on it, and including it would turn
-    /// the per-query-index seeding of parallel runs into a 100% miss
-    /// workload.
+    /// plan-relevant `MonitorConfig` shape. The seed and the deadline
+    /// are deliberately excluded — plans depend on neither, and
+    /// including the seed would turn the per-query-index seeding of
+    /// parallel runs into a 100% miss workload.
     pub fn key_for(query: &Query, cfg: &MonitorConfig) -> String {
         let mut key = String::with_capacity(96);
         let push_pred = |key: &mut String, pred: &[PredSpec]| {
@@ -122,13 +122,12 @@ impl PlanCache {
         }
         let _ = write!(
             key,
-            "#m{}f{}b{:?}p{}B{:?}d{:?}",
+            "#m{}f{}b{:?}p{}B{:?}",
             u8::from(cfg.enabled),
             cfg.sampling_fraction,
             cfg.bitvector_bits,
             u8::from(cfg.monitor_pairs),
             cfg.memory_budget,
-            cfg.deadline_ms,
         );
         key
     }
@@ -204,6 +203,13 @@ mod tests {
             base,
             PlanCache::key_for(&q(10), &reseeded),
             "seed must not shape the key"
+        );
+        let mut deadline = cfg.clone();
+        deadline.deadline_ms = Some(5);
+        assert_eq!(
+            base,
+            PlanCache::key_for(&q(10), &deadline),
+            "a deadline run reads the plan a plain run cached"
         );
         let mut sampled = cfg.clone();
         sampled.sampling_fraction = 0.25;

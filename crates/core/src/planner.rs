@@ -51,11 +51,14 @@ pub struct MonitorConfig {
     /// Seed for sampling and hashing (vary across runs for independence).
     pub seed: u64,
     /// Monitor memory budget in bytes; monitors that do not fit (charged
-    /// in descending [`ShedClass`] priority) are shed at admission.
+    /// in descending [`pf_exec::ShedClass`] priority) are shed at
+    /// lowering.
     pub memory_budget: Option<usize>,
-    /// Monitoring deadline in simulated milliseconds; once a run's
-    /// elapsed time passes it, remaining monitors are shed mid-run.
-    pub deadline_ms: Option<f64>,
+    /// Query deadline in simulated milliseconds: past it, the query
+    /// aborts with [`Error::DeadlineExceeded`] at its next page, RID or
+    /// probe checkpoint. A deadline run never fills the plan cache, so an
+    /// aborted run leaves the database as it found it.
+    pub deadline_ms: Option<u64>,
 }
 
 impl Default for MonitorConfig {
@@ -146,14 +149,12 @@ impl PlanChoice {
 ///
 /// Each scan entry carries the byte size of the semi-join bit-vector
 /// filter its monitors will test (0 when none): the filter installs only
-/// after the join's build phase, so the governor's admission pass needs
-/// the planner-known size up front.
+/// after the join's build phase, so the memory budget needs the
+/// planner-known size up front.
 #[derive(Default)]
 pub struct MonitorHarness {
     scans: Vec<(String, ScanMonitorHandle, usize)>,
     fetches: Vec<(String, Rc<RefCell<Vec<FetchMonitor>>>)>,
-    /// The run's resource governor, when the config requested one.
-    pub governor: Option<pf_exec::GovernorHandle>,
 }
 
 impl MonitorHarness {
@@ -247,66 +248,43 @@ impl MonitorHarness {
         Ok(())
     }
 
-    /// Applies the config's resource limits: creates the governor,
-    /// charges every monitor against the memory budget in descending
-    /// [`pf_exec::ShedClass`] priority (declaration order breaks ties, so
-    /// the admission sequence is identical on every run), sheds what does
-    /// not fit, and attaches the governor for mid-run deadline shedding.
+    /// Applies the config's monitor memory budget, once, at lowering:
+    /// the governor (`governor::shed_over_budget`) charges every monitor
+    /// in descending [`pf_exec::ShedClass`] priority (declaration order
+    /// breaks ties, so the charge sequence is identical on every run) and
+    /// sheds each one that does not fit in what is left.
     pub fn apply_governor(&mut self, cfg: &MonitorConfig) {
-        if cfg.memory_budget.is_none() && cfg.deadline_ms.is_none() {
+        let Some(budget) = cfg.memory_budget else {
             return;
-        }
-        let governor = pf_exec::governor_handle(cfg.memory_budget, cfg.deadline_ms);
-        // (class, bytes, is_fetch, outer index, inner index)
-        let mut entries: Vec<(pf_exec::ShedClass, usize, bool, usize, usize)> = Vec::new();
+        };
+        // Every monitor's (class, bytes) and (is_fetch, outer, inner)
+        // position, scans first, each in declaration order.
+        let (mut costs, mut at) = (Vec::new(), Vec::new());
         for (si, (_, handle, sj_bytes)) in self.scans.iter().enumerate() {
-            for (ei, (bytes, class)) in handle.borrow().expr_costs(*sj_bytes).iter().enumerate() {
-                entries.push((*class, *bytes, false, si, ei));
+            for (ei, (bytes, class)) in handle
+                .borrow()
+                .expr_costs(*sj_bytes)
+                .into_iter()
+                .enumerate()
+            {
+                costs.push((class, bytes));
+                at.push((false, si, ei));
             }
         }
         for (fi, (_, handle)) in self.fetches.iter().enumerate() {
             for (mi, m) in handle.borrow().iter().enumerate() {
-                entries.push((
-                    pf_exec::ShedClass::LinearCounting,
-                    m.approx_bytes(),
-                    true,
-                    fi,
-                    mi,
-                ));
+                costs.push((pf_exec::ShedClass::LinearCounting, m.approx_bytes()));
+                at.push((true, fi, mi));
             }
         }
-        entries.sort_by(|a, b| {
-            b.0.cmp(&a.0)
-                .then(a.2.cmp(&b.2))
-                .then(a.3.cmp(&b.3))
-                .then(a.4.cmp(&b.4))
-        });
-        let mut shed = 0u64;
-        for (_, bytes, is_fetch, i, j) in entries {
-            if governor.borrow_mut().try_charge(bytes) {
-                continue;
-            }
+        let shed = crate::governor::shed_over_budget(budget, &costs);
+        for ((is_fetch, i, j), _) in at.into_iter().zip(shed).filter(|(_, shed)| *shed) {
             if is_fetch {
-                if let Some(m) = self.fetches[i].1.borrow_mut().get_mut(j) {
-                    m.shed = true;
-                }
+                self.fetches[i].1.borrow_mut()[j].shed = true;
             } else {
                 self.scans[i].1.borrow_mut().shed_expr(j);
             }
-            shed += 1;
         }
-        if shed > 0 {
-            governor.borrow_mut().note_shed(shed);
-        }
-        for (_, handle, _) in &self.scans {
-            handle.borrow_mut().set_governor(Rc::clone(&governor));
-        }
-        for (_, handle) in &self.fetches {
-            for m in handle.borrow_mut().iter_mut() {
-                m.set_governor(Rc::clone(&governor));
-            }
-        }
-        self.governor = Some(governor);
     }
 }
 
@@ -359,6 +337,8 @@ pub struct LoweredPlan {
     pub description: String,
     /// Multi-line `EXPLAIN`-style tree with estimates and provenance.
     pub explain: String,
+    /// The lowering config's query deadline, which execution enforces.
+    pub(crate) deadline_ms: Option<u64>,
 }
 
 /// Lowers optimizer output to operator trees.
@@ -495,16 +475,6 @@ impl<'a> Planner<'a> {
         cfg: &MonitorConfig,
     ) -> Result<LoweredPlan> {
         self.single(plan, pred, cfg, &PlanSlice::Whole)
-    }
-
-    /// Lowers a given join plan.
-    pub fn lower_join(
-        &self,
-        plan: &JoinPlan,
-        spec: &JoinSpec,
-        cfg: &MonitorConfig,
-    ) -> Result<LoweredPlan> {
-        self.join(plan, spec, cfg, &PlanSlice::Whole)
     }
 
     /// The RID source an index-driven plan fetches from — a seek, or the
@@ -688,6 +658,7 @@ impl<'a> Planner<'a> {
             choice: PlanChoice::Single(plan.clone()),
             description,
             explain,
+            deadline_ms: cfg.deadline_ms,
         })
     }
 
@@ -905,6 +876,7 @@ impl<'a> Planner<'a> {
             choice: PlanChoice::Join(plan.clone()),
             description,
             explain,
+            deadline_ms: cfg.deadline_ms,
         })
     }
 

@@ -6,8 +6,9 @@
 //!   hints are a subset of the pre-crash hints),
 //! * DML past the drift tolerance evicts stamped hints and the plan
 //!   falls back to the analytical model,
-//! * a tiny monitor memory budget or deadline sheds monitors without
-//!   panics, identically at any worker count.
+//! * a tiny monitor memory budget sheds monitors without panics, and a
+//!   query deadline aborts without a trace, identically at any worker
+//!   count.
 
 use pagefeed::{Database, MonitorConfig, ParallelRunner, PredSpec, Query};
 use pf_common::{Column, DataType, Datum, Row, Schema};
@@ -270,30 +271,48 @@ fn tiny_memory_budget_sheds_monitors_identically_at_any_worker_count() {
     );
 }
 
+/// A query deadline aborts mid-run identically at any worker count and
+/// never sheds a monitor: completed runs carry full, absorbable
+/// measurements, and aborted runs leave the hints and the attached
+/// store untouched.
 #[test]
-fn deadline_sheds_mid_run_and_stays_jobs_invariant() {
-    let db = demo_db();
-    let queries: Vec<Query> = (1..=6).map(|i| q("corr", 500 * i)).collect();
-    // The simulated clock passes 0.05 ms within the first few pages of
-    // a 20 000-row scan: monitors start, then are shed mid-run.
+fn deadline_aborts_hygienically_and_stays_jobs_invariant() {
+    let dir = tmp("deadline");
+    let mut db = demo_db();
+    db.attach_feedback_store(&dir).expect("attach store");
+    // Clustered range scans whose simulated time grows with the range.
+    let queries: Vec<Query> = (1..=6).map(|i| q("id", 3_000 * i)).collect();
+    let plain = ParallelRunner::new(1)
+        .run_queries(&db, &queries, &MonitorConfig::default())
+        .expect("plain run");
     let cfg = MonitorConfig {
-        deadline_ms: Some(0.05),
+        deadline_ms: Some(plain[2].elapsed_ms as u64),
         ..MonitorConfig::default()
     };
-    let serial = ParallelRunner::new(1)
-        .run_queries(&db, &queries, &cfg)
-        .expect("serial run");
-    let parallel = ParallelRunner::new(8)
-        .run_queries(&db, &queries, &cfg)
-        .expect("parallel run");
-    let mut shed_seen = false;
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.count, p.count);
-        assert_eq!(
-            s.report, p.report,
-            "deadline shedding must be deterministic"
-        );
-        shed_seen |= s.report.measurements.iter().any(|m| m.budget_shed);
+    let (hints, stored) = (db.hints().len(), db.feedback_store().map(|s| s.len()));
+    let serial = ParallelRunner::new(1).run_queries_quarantined(&db, &queries, &cfg);
+    let parallel = ParallelRunner::new(8).run_queries_quarantined(&db, &queries, &cfg);
+    let mut aborted = 0;
+    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+        match (s, p) {
+            (Ok(s), Ok(p)) => {
+                assert_eq!(s.count, p.count, "query {i} count");
+                assert_eq!(s.report, p.report, "query {i} report");
+                assert_eq!(s.report, plain[i].report, "query {i} runs as if unbounded");
+                assert!(
+                    !s.report.is_budget_shed(),
+                    "query {i}: a deadline never sheds"
+                );
+            }
+            (Err(s), Err(p)) => {
+                assert_eq!(s, p, "query {i}: the abort is jobs-invariant");
+                aborted += 1;
+            }
+            _ => panic!("query {i}: {s:?} vs {p:?}"),
+        }
     }
-    assert!(shed_seen, "the deadline must shed at least one monitor");
+    assert!(aborted > 0 && aborted < queries.len(), "aborted {aborted}");
+    assert_eq!(db.hints().len(), hints, "an aborted run absorbs nothing");
+    assert_eq!(db.feedback_store().map(|s| s.len()), stored);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -232,4 +232,25 @@ mod tests {
         ctx.clear_interrupts();
         assert!(ctx.check_interrupt().is_ok());
     }
+
+    /// A fired deadline stays fired: the simulated clock never runs
+    /// backwards within a run, so every later checkpoint aborts too.
+    #[test]
+    fn deadline_latches() {
+        let mut ctx = ExecContext::new(16);
+        ctx.deadline_ms = Some(10);
+        for p in 0..2 {
+            ctx.pool
+                .access(TableId(0), PageId(p), AccessPattern::Random);
+        }
+        assert!(ctx.check_interrupt().is_ok(), "8 ms fits a 10 ms deadline");
+        ctx.pool
+            .access(TableId(0), PageId(2), AccessPattern::Random);
+        let fired = Err(Error::DeadlineExceeded { deadline_ms: 10 });
+        assert_eq!(ctx.check_interrupt(), fired);
+        // A buffer hit still charges a logical read: time only grows.
+        ctx.pool
+            .access(TableId(0), PageId(0), AccessPattern::Random);
+        assert_eq!(ctx.check_interrupt(), fired);
+    }
 }

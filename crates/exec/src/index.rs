@@ -12,7 +12,6 @@ use crate::expr::{CompareOp, Conjunction};
 use crate::monitor::{FetchMonitorHandle, FetchObserveWhen};
 use crate::op::{Operator, RidSource};
 use pf_common::{Datum, Result, Rid, Row, Schema, TableId};
-use pf_feedback::BitVectorFilter;
 use pf_storage::btree::BPlusTree;
 use pf_storage::{AccessPattern, TableStorage};
 use std::ops::Bound;
@@ -392,21 +391,12 @@ pub struct Fetch {
     /// Pages discovered corrupt during this fetch stream: later RIDs on
     /// the same page are skipped without re-verifying (or re-counting).
     corrupt_pages: std::collections::HashSet<u32>,
-    /// Pending same-page run of `AllFetched` observations on the batched
-    /// path: `(page, rows)`, flushed when the stream moves to another
-    /// page or ends. Fetch streams are clustered (index order groups
-    /// RIDs by page), so one [`LinearCounter::observe_page`] call
-    /// replaces a run of per-row observes bit-identically.
+    /// Pending same-page run of `AllFetched` observations: `(page,
+    /// rows)`, flushed when the stream moves to another page or ends.
+    /// Fetch streams are clustered (index order groups RIDs by page), so
+    /// one [`pf_feedback::LinearCounter::observe_page`] call replaces a
+    /// run of per-row observes bit-identically.
     pending_obs: Option<(u32, u64)>,
-    /// Whether observations may be batched per page run — resolved on
-    /// first fetch. Any governor *deadline* forces the row-at-a-time
-    /// cadence: each fetched row is a deadline checkpoint, and shed
-    /// timing must be reproducible.
-    batch_obs: Option<bool>,
-    /// Semi-join pre-filter `(filter, key column)`: residual-passing
-    /// rows whose key misses the filter are dropped before delivery,
-    /// charging one hash per tested row (see [`Fetch::with_prefilter`]).
-    prefilter: Option<(BitVectorFilter, usize)>,
 }
 
 impl Fetch {
@@ -426,8 +416,6 @@ impl Fetch {
             monitors,
             corrupt_pages: std::collections::HashSet::new(),
             pending_obs: None,
-            batch_obs: None,
-            prefilter: None,
         }
     }
 
@@ -438,18 +426,6 @@ impl Fetch {
         self.source = source;
         self.corrupt_pages.clear();
         self.pending_obs = None;
-    }
-
-    /// Attaches a completed semi-join filter as a delivery pre-filter on
-    /// `key_col`: a residual-passing row is tested (one hash charged)
-    /// and dropped when its key cannot be in the filter's build side.
-    /// Because the filter has no false negatives, dropped rows are
-    /// exactly rows a downstream hash probe would reject — the fetch
-    /// analogue of the scan-side pushdown. Monitor observations are
-    /// unchanged (they happen before the test, at fetch granularity).
-    pub fn with_prefilter(mut self, filter: BitVectorFilter, key_col: usize) -> Self {
-        self.prefilter = Some((filter, key_col));
-        self
     }
 
     /// Flushes a pending `(page, rows)` run into every live `AllFetched`
@@ -502,30 +478,13 @@ impl Operator for Fetch {
             ctx.pool.charge_rows(1);
 
             if let Some(ms) = &self.monitors {
-                let batch = *self
-                    .batch_obs
-                    .get_or_insert_with(|| ms.borrow().iter().all(|m| !m.has_deadline()));
-                if batch {
-                    // No deadline anywhere: per-row checkpoints are
-                    // no-ops, so same-page runs coalesce into one
-                    // bulk observation per page, flushed on page change.
-                    match &mut self.pending_obs {
-                        Some((p, n)) if *p == rid.page.0 => *n += 1,
-                        pending => {
-                            if let Some((page, rows)) = pending.replace((rid.page.0, 1)) {
-                                Self::flush_pending(ms, ctx, page, rows);
-                            }
-                        }
-                    }
-                } else {
-                    // Each fetched row is a deadline checkpoint: the
-                    // clock is simulated, so shedding is deterministic.
-                    let elapsed = ctx.elapsed_ms();
-                    for m in ms.borrow_mut().iter_mut() {
-                        m.check_deadline(elapsed);
-                        if !m.shed && m.when == FetchObserveWhen::AllFetched {
-                            m.counter.observe(rid.page.0);
-                            ctx.pool.charge_hashes(1);
+                // Same-page runs coalesce into one bulk observation per
+                // page, flushed on page change.
+                match &mut self.pending_obs {
+                    Some((p, n)) if *p == rid.page.0 => *n += 1,
+                    pending => {
+                        if let Some((page, rows)) = pending.replace((rid.page.0, 1)) {
+                            Self::flush_pending(ms, ctx, page, rows);
                         }
                     }
                 }
@@ -534,12 +493,6 @@ impl Operator for Fetch {
             let (pass, evaluated) = self.residual.eval_short_circuit(&view);
             ctx.pool.charge_pred_evals(evaluated as u64);
             if pass {
-                if let Some((filter, key_col)) = &self.prefilter {
-                    ctx.pool.charge_hashes(1);
-                    if !filter.may_contain_ref(view.get(*key_col)) {
-                        continue;
-                    }
-                }
                 if let Some(ms) = &self.monitors {
                     for m in ms.borrow_mut().iter_mut() {
                         if !m.shed && m.when == FetchObserveWhen::PassedResidual {
@@ -660,36 +613,50 @@ mod tests {
         assert_eq!(ctx.stats().rand_physical_reads, touched.len() as u64);
     }
 
+    /// A query deadline aborts a monitored fetch at the RID checkpoint
+    /// past it — the same RID on every run — and never sheds the monitor;
+    /// a deadline that never fires changes nothing.
     #[test]
-    fn prefilter_drops_rows_absent_from_build_side() {
-        let (storage, tree, h) = setup(500);
-        // Filter over even keys only; large enough that odd keys in
-        // 0..100 never collide into false positives for this check.
-        let mut filter = BitVectorFilter::new(1 << 16, 99);
-        for k in (0..500i64).step_by(2) {
-            filter.insert(&Datum::Int(k));
-        }
-        let seek = IndexSeek::new(
-            Arc::clone(&tree),
-            h,
-            SeekRange::from_atom(CompareOp::Lt, Datum::Int(100)).expect("seekable comparison"),
+    fn deadline_aborts_a_monitored_fetch_at_a_rid_checkpoint() {
+        let (storage, tree, h) = setup(2_000);
+        let run = |deadline_ms| {
+            let seek = IndexSeek::new(
+                Arc::clone(&tree),
+                h,
+                SeekRange::from_atom(CompareOp::Lt, Datum::Int(400)).expect("seekable comparison"),
+            );
+            let monitors = Rc::new(RefCell::new(vec![FetchMonitor::new(
+                "perm<400",
+                FetchObserveWhen::AllFetched,
+                storage.page_count(),
+                None,
+                9,
+            )]));
+            let mut fetch = Fetch::new(
+                Box::new(seek),
+                Arc::clone(&storage),
+                TableId(0),
+                Conjunction::always_true(),
+                Some(Rc::clone(&monitors)),
+            );
+            let mut ctx = ExecContext::new(16_384);
+            ctx.deadline_ms = deadline_ms;
+            let count = run_count(&mut fetch, &mut ctx);
+            let shed = monitors.borrow()[0].shed;
+            (count, ctx.stats(), shed)
+        };
+        let (full, full_stats, _) = run(None);
+        assert_eq!(full, Ok(400));
+        let half = (pf_storage::DiskModel::default().elapsed_ms(&full_stats) / 2.0) as u64;
+        let (aborted, stats, shed) = run(Some(half));
+        assert_eq!(
+            aborted,
+            Err(pf_common::Error::DeadlineExceeded { deadline_ms: half })
         );
-        let mut fetch = Fetch::new(
-            Box::new(seek),
-            Arc::clone(&storage),
-            TableId(0),
-            Conjunction::always_true(),
-            None,
-        )
-        .with_prefilter(filter, 1);
-        let mut ctx = ExecContext::new(8192);
-        let rows = drain(&mut fetch, &mut ctx).expect("plan drains without error");
-        assert_eq!(rows.len(), 50, "odd keys dropped before delivery");
-        assert!(rows
-            .iter()
-            .all(|r| r.get(1).as_int().expect("int column") % 2 == 0));
-        // One hash per residual-passing row tested.
-        assert_eq!(ctx.stats().hash_ops, 100);
+        assert!(!shed, "a deadline aborts the query, never a monitor");
+        assert!(stats.rand_physical_reads < full_stats.rand_physical_reads);
+        assert_eq!(run(Some(half)), (aborted, stats, false), "same abort RID");
+        assert_eq!(run(Some(u64::MAX / 2)), (full, full_stats, false));
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! * [`context`] — [`ExecContext`]: buffer pool + disk model threaded
 //!   through every operator,
 //! * [`monitor`] — monitor wiring: scan-side DPC monitors (exact /
-//!   page-sampled / semi-join filtered) and fetch-side linear counters,
-//! * [`governor`] — per-run monitor resource governance: memory budgets
-//!   charged per sketch and deadlines that shed monitors mid-run,
+//!   page-sampled / semi-join filtered), fetch-side linear counters, and
+//!   the [`ShedClass`] order a memory budget sheds them in,
 //! * [`op`] — the `Operator` / `RidSource` traits and drivers,
 //! * [`scan`] — SE-side sequential & clustered-range scans,
 //! * [`index`] — SE-side index seek, RID intersection, and Fetch,
@@ -34,7 +33,6 @@
 pub mod agg;
 pub mod context;
 pub mod expr;
-pub mod governor;
 pub mod index;
 pub mod join;
 pub mod join_table;
@@ -45,8 +43,9 @@ pub mod sort;
 
 pub use context::{CancelToken, ExecContext};
 pub use expr::{AtomicPredicate, CompareOp, Conjunction, PageKernel};
-pub use governor::{governor_handle, GovernorHandle, MonitorGovernor, ShedClass};
 pub use join_table::{join_partitions, RadixTable};
-pub use monitor::{FetchMonitor, FetchObserveWhen, ScanExprMonitor, ScanMonitorSet, SemiJoinSlot};
+pub use monitor::{
+    FetchMonitor, FetchObserveWhen, ScanExprMonitor, ScanMonitorSet, SemiJoinSlot, ShedClass,
+};
 pub use op::{drain, run_count, Operator, RidSource};
 pub use scan::{PageRows, SeqScan};

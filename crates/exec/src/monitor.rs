@@ -15,7 +15,6 @@
 //!   its build-side bit vector before the probe scan runs (Fig 5).
 
 use crate::expr::Conjunction;
-use crate::governor::{GovernorHandle, ShedClass};
 use pf_common::DatumAccess;
 pub use pf_feedback::page_sampled;
 use pf_feedback::{
@@ -171,6 +170,26 @@ impl AtomResults<'_> {
     }
 }
 
+/// Shedding priority of a monitor under a memory budget, cheapest to
+/// lose first.
+///
+/// Ordering is the *shed* order: `PageSampled` monitors go first (their
+/// estimates are already approximate and they force short-circuiting
+/// off), then semi-join bit-vector tests (per-row hashing), then fetch
+/// linear counters, and exact prefix counters last (they are nearly
+/// free and exact — shedding them loses the most information per byte).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ShedClass {
+    /// Non-prefix atom expressions counted via page sampling.
+    PageSampled = 0,
+    /// Derived semi-join predicate tests (Fig 5).
+    SemiJoin = 1,
+    /// Linear-counting fetch monitors (Fig 3).
+    LinearCounting = 2,
+    /// Exact prefix counters on scans (Section III-B).
+    Exact = 3,
+}
+
 /// The set of DPC monitors attached to one scan operator.
 ///
 /// Drives all monitored expressions from a single per-page sampling
@@ -191,7 +210,6 @@ pub struct ScanMonitorSet {
     rows_this_page: u64,
     hash_ops: u64,
     skipped_pages: u64,
-    governor: Option<GovernorHandle>,
 }
 
 impl ScanMonitorSet {
@@ -210,14 +228,7 @@ impl ScanMonitorSet {
             rows_this_page: 0,
             hash_ops: 0,
             skipped_pages: 0,
-            governor: None,
         }
-    }
-
-    /// Attaches the run's resource governor; the set consults it for
-    /// deadline shedding at page boundaries.
-    pub fn set_governor(&mut self, governor: GovernorHandle) {
-        self.governor = Some(governor);
     }
 
     /// Whether any monitored expression requires short-circuiting off on
@@ -278,30 +289,6 @@ impl ScanMonitorSet {
             .filter(|(e, _)| !e.shed)
             .map(|(_, (bytes, _))| bytes)
             .sum()
-    }
-
-    /// Consults the governor's deadline against the simulated clock;
-    /// once exceeded, sheds every still-live expression. Called by the
-    /// scan at page boundaries, so shedding lands at the same page on
-    /// every run regardless of worker count.
-    pub fn check_deadline(&mut self, elapsed_ms: f64) {
-        let Some(governor) = &self.governor else {
-            return;
-        };
-        if !governor.borrow_mut().deadline_exceeded(elapsed_ms) {
-            return;
-        }
-        let mut newly_shed = 0;
-        for e in &mut self.exprs {
-            if !e.shed {
-                e.shed = true;
-                e.satisfied_this_page = false;
-                newly_shed += 1;
-            }
-        }
-        if newly_shed > 0 {
-            governor.borrow_mut().note_shed(newly_shed);
-        }
     }
 
     /// Starts a new page; returns whether this page is sampled (the scan
@@ -757,10 +744,9 @@ pub struct FetchMonitor {
     pub when: FetchObserveWhen,
     /// The probabilistic counter.
     pub counter: LinearCounter,
-    /// `true` once the governor shed this monitor: it stops observing
-    /// and its harvest is marked `budget_shed`.
+    /// `true` when the memory budget shed this monitor at lowering: it
+    /// never observes and its harvest is marked `budget_shed`.
     pub shed: bool,
-    governor: Option<GovernorHandle>,
 }
 
 impl FetchMonitor {
@@ -778,46 +764,13 @@ impl FetchMonitor {
             when,
             counter: LinearCounter::for_table(table_pages, seed),
             shed: false,
-            governor: None,
         }
-    }
-
-    /// Attaches the run's resource governor for deadline shedding.
-    pub fn set_governor(&mut self, governor: GovernorHandle) {
-        self.governor = Some(governor);
     }
 
     /// Memory this monitor holds — dominated by the linear counter's
     /// bitmap (one bit per table page).
     pub fn approx_bytes(&self) -> usize {
         self.counter.approx_bytes() + self.label.capacity()
-    }
-
-    /// Consults the governor's deadline; once exceeded, sheds this
-    /// monitor. Called by the Fetch operator between fetched rows.
-    pub fn check_deadline(&mut self, elapsed_ms: f64) {
-        if self.shed {
-            return;
-        }
-        let Some(governor) = &self.governor else {
-            return;
-        };
-        let mut g = governor.borrow_mut();
-        if g.deadline_exceeded(elapsed_ms) {
-            self.shed = true;
-            g.note_shed(1);
-        }
-    }
-
-    /// Whether a governor deadline is attached. With a deadline, every
-    /// fetched row is a potential shed point, so observations must stay
-    /// row-at-a-time for shed timing to be reproducible; without one the
-    /// Fetch operator may batch same-page runs into
-    /// [`LinearCounter::observe_page`].
-    pub fn has_deadline(&self) -> bool {
-        self.governor
-            .as_ref()
-            .is_some_and(|g| g.borrow().deadline_ms().is_some())
     }
 
     /// Records a page whose rows could not be fetched (checksum failure):
@@ -1091,37 +1044,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_sheds_every_live_expr() {
-        use crate::governor::governor_handle;
-        let s = schema();
-        let c = conj(&s);
-        let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
-        let mut set = ScanMonitorSet::new(
-            vec![
-                ScanExprMonitor::atoms(&c, vec![0], None),
-                ScanExprMonitor::atoms(&c, vec![1], None),
-            ],
-            1.0,
-            1,
-        );
-        let gov = governor_handle(None, Some(5.0));
-        set.set_governor(Rc::clone(&gov));
-        set.check_deadline(4.0);
-        assert_eq!(set.shed_count(), 0, "before the deadline nothing sheds");
-        set.start_page(0);
-        set.observe_row(&[Some(true), Some(true)], &row);
-        set.check_deadline(5.5);
-        assert_eq!(set.shed_count(), 2);
-        assert_eq!(gov.borrow().shed_monitors(), 2);
-        assert!(gov.borrow().deadline_fired());
-        let mut rep = FeedbackReport::new();
-        set.harvest("t", &mut rep);
-        assert!(rep.measurements.iter().all(|m| m.budget_shed));
-    }
-
-    #[test]
     fn expr_costs_classify_monitors() {
-        use crate::governor::ShedClass;
         let s = schema();
         let c = conj(&s);
         let set = ScanMonitorSet::new(
@@ -1141,26 +1064,6 @@ mod tests {
             costs[2].0 >= 4096 / 8 && costs[2].0 > costs[1].0,
             "semi-join carries the filter bytes"
         );
-    }
-
-    #[test]
-    fn fetch_monitor_sheds_on_deadline_and_stays_shed() {
-        use crate::governor::governor_handle;
-        let mut m = FetchMonitor::new("a<10", FetchObserveWhen::AllFetched, 100, None, 3);
-        assert!(m.approx_bytes() > 0);
-        let gov = governor_handle(None, Some(2.0));
-        m.set_governor(Rc::clone(&gov));
-        m.check_deadline(1.0);
-        assert!(!m.shed);
-        m.check_deadline(3.0);
-        assert!(m.shed);
-        assert_eq!(gov.borrow().shed_monitors(), 1);
-        // Re-checking must not double-count the shed.
-        m.check_deadline(4.0);
-        assert_eq!(gov.borrow().shed_monitors(), 1);
-        let mut rep = FeedbackReport::new();
-        m.harvest("t", &mut rep);
-        assert!(rep.measurements[0].budget_shed);
     }
 
     #[test]

@@ -291,14 +291,9 @@ impl SeqScan {
         // Monitoring setup for this page (Fig 4, steps 3–4). In
         // deferred mode the page is announced when its first row is
         // delivered instead.
-        let elapsed = ctx.elapsed_ms();
         let (_sampled, full_eval) = match &self.monitors {
             Some(m) if !self.deferred_monitoring => {
                 let mut m = m.borrow_mut();
-                // Page boundaries are the deadline checkpoints: the
-                // simulated clock is deterministic, so shedding lands on
-                // the same page in every run.
-                m.check_deadline(elapsed);
                 let sampled = m.start_page(pid.0);
                 (sampled, sampled && m.needs_full_eval())
             }
@@ -578,7 +573,6 @@ impl SeqScan {
         let view = page.view(storage.layout(), SlotId(slot))?;
         let mut m = m.borrow_mut();
         if self.last_delivered_page != Some(pid) {
-            m.check_deadline(ctx.elapsed_ms());
             m.start_page(pid);
             self.last_delivered_page = Some(pid);
         }
@@ -772,6 +766,42 @@ mod tests {
         let mut rep = FeedbackReport::new();
         monitors.borrow_mut().harvest("t", &mut rep);
         assert_eq!(rep.measurements[0].actual, truth as f64);
+    }
+
+    /// A query deadline aborts a monitored scan at the first page
+    /// checkpoint past it — the same page on every run — and never sheds
+    /// a monitor; a deadline that never fires changes nothing.
+    #[test]
+    fn deadline_aborts_a_monitored_scan_at_a_page_boundary() {
+        let t = make_table(800);
+        let pred = Conjunction::new(vec![lt(&t, "val", 200)]);
+        let run = |deadline_ms| {
+            let monitors = Rc::new(RefCell::new(ScanMonitorSet::new(
+                vec![ScanExprMonitor::atoms(&pred, vec![0], None)],
+                1.0,
+                3,
+            )));
+            let mut scan = SeqScan::full(
+                Arc::clone(&t),
+                TableId(0),
+                pred.clone(),
+                Some(Rc::clone(&monitors)),
+            );
+            let mut ctx = ExecContext::new(4096);
+            ctx.deadline_ms = deadline_ms;
+            let count = run_count(&mut scan, &mut ctx);
+            let shed = monitors.borrow().shed_count();
+            (count, ctx.stats(), shed)
+        };
+        let (aborted, stats, shed) = run(Some(0));
+        assert_eq!(
+            aborted,
+            Err(pf_common::Error::DeadlineExceeded { deadline_ms: 0 })
+        );
+        assert_eq!(shed, 0, "a deadline aborts the query, never a monitor");
+        assert_eq!(stats.physical_reads(), 1, "aborts at the second page");
+        assert_eq!(run(Some(0)), (aborted, stats, 0), "same abort page");
+        assert_eq!(run(Some(u64::MAX / 2)), run(None));
     }
 
     #[test]

@@ -54,9 +54,9 @@ pub struct DpcMeasurement {
     pub degraded: bool,
     /// How many pages were skipped (0 unless `degraded`).
     pub skipped_pages: u64,
-    /// `true` when the monitor governor shed this monitor before the
-    /// run finished (memory budget or deadline exceeded): the actual is
-    /// a partial count and must not be fed back to the optimizer.
+    /// `true` when the query's monitor memory budget shed this monitor
+    /// at lowering: the actual is a partial count and must not be fed
+    /// back to the optimizer.
     pub budget_shed: bool,
 }
 
@@ -123,12 +123,12 @@ impl FeedbackReport {
         self.measurements.iter().filter(|m| m.degraded)
     }
 
-    /// Whether any monitor was shed by the governor mid-run.
+    /// Whether any monitor was shed by the memory budget.
     pub fn is_budget_shed(&self) -> bool {
         self.measurements.iter().any(|m| m.budget_shed)
     }
 
-    /// Measurements whose monitors were shed by the governor.
+    /// Measurements whose monitors were shed by the memory budget.
     pub fn budget_shed(&self) -> impl Iterator<Item = &DpcMeasurement> {
         self.measurements.iter().filter(|m| m.budget_shed)
     }

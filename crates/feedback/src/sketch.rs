@@ -1,14 +1,13 @@
 //! Memory accounting for feedback sketches.
 //!
-//! The monitor governor (pf-exec) gives each monitored run a byte
-//! budget; to enforce it, every sketch must answer "how much memory do
-//! you hold?". [`Sketch::approx_bytes`] reports the sketch's resident
-//! size — the struct itself plus any heap-allocated bitmap words — so
-//! the governor can charge monitors against the budget deterministically
-//! at attach time.
+//! A monitored run may carry a monitor memory budget; to enforce it,
+//! every sketch must answer "how much memory do you hold?".
+//! [`Sketch::approx_bytes`] reports the sketch's resident size — the
+//! struct itself plus any heap-allocated bitmap words — so lowering can
+//! charge monitors against the budget deterministically.
 //!
 //! The accounting is *approximate by design*: it ignores allocator
-//! overhead and rounding, because the governor only needs a stable,
+//! overhead and rounding, because the budget only needs a stable,
 //! platform-independent-enough ordering of "who costs what", not a
 //! malloc-accurate ledger. Crucially it is also *deterministic*: the
 //! same sketch configuration always reports the same size, so budget

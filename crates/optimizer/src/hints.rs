@@ -223,7 +223,7 @@ impl HintSet {
 
     /// Absorbs every measurement of a feedback report as a DPC hint —
     /// the "DBA pipes `statistics xml` back into the optimizer" loop.
-    /// Measurements cut short by the monitor governor (`budget_shed`)
+    /// Measurements of monitors the memory budget shed (`budget_shed`)
     /// are partial counts and are skipped.
     pub fn absorb_report(&mut self, report: &FeedbackReport) {
         self.absorb_report_stamped(report, &HashMap::new());
@@ -341,7 +341,7 @@ mod tests {
             table: "sales".into(),
             expression: "state='CA'".into(),
             estimated: Some(4_000.0),
-            actual: 7.0, // partial count: the monitor was shed mid-run
+            actual: 7.0, // partial count: the memory budget shed the monitor
             mechanism: Mechanism::ExactScan,
             degraded: false,
             skipped_pages: 0,

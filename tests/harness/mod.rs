@@ -16,6 +16,14 @@
 //! * every fault-free, unsampled bit-vector DPC is consistent with
 //!   [`Database::true_join_dpc`] (see [`check_bitvector_dpc`]).
 //!
+//! The default config then reruns under a query deadline at the median
+//! simulated time of its outcomes, through
+//! [`ParallelRunner::run_queries_quarantined`] and
+//! [`ParallelRunner::run_query`] at every worker count: each query
+//! completes byte-identical to its deadline-free outcome or aborts with
+//! the same [`Error::DeadlineExceeded`] everywhere, and no run adds a
+//! hint or a plan-cache entry.
+//!
 //! `tests/kernel_identity.rs` runs the count queries and
 //! `tests/join_identity.rs` the self-joins; together with the
 //! operator-level checks of `tests/differential.rs` they are the
@@ -28,7 +36,7 @@ use pagefeed::{
     Database, FaultPlan, MonitorConfig, MorselPlan, ParallelRunner, PredSpec, Query, QueryOutcome,
 };
 use pf_common::rng::Rng;
-use pf_common::{Column, DataType, Datum, Row, Schema};
+use pf_common::{Column, DataType, Datum, Error, Result, Row, Schema};
 use pf_exec::{CompareOp, Conjunction};
 use pf_feedback::Mechanism;
 
@@ -440,25 +448,83 @@ fn run(
 fn assert_identical(base: &[QueryOutcome], other: &[QueryOutcome], what: &str) {
     assert_eq!(base.len(), other.len(), "{what}: workload length");
     for (i, (b, o)) in base.iter().zip(other).enumerate() {
-        assert_eq!(b.count, o.count, "{what}: count of query {i}");
-        assert_eq!(b.stats, o.stats, "{what}: stats of query {i}");
-        // Debug text, so NaN estimates compare equal to themselves.
-        assert_eq!(
-            format!("{:?}", b.report),
-            format!("{:?}", o.report),
-            "{what}: report of query {i}"
-        );
-        assert_eq!(b.description, o.description, "{what}: plan of query {i}");
-        assert_eq!(
-            b.elapsed_ms.to_bits(),
-            o.elapsed_ms.to_bits(),
-            "{what}: simulated time of query {i}"
-        );
-        assert_eq!(
-            b.fault_retries, o.fault_retries,
-            "{what}: fault retries of query {i}"
-        );
+        assert_same_outcome(b, o, &format!("{what}, query {i}"));
     }
+}
+
+fn assert_same_outcome(b: &QueryOutcome, o: &QueryOutcome, what: &str) {
+    assert_eq!(b.count, o.count, "{what}: count");
+    assert_eq!(b.stats, o.stats, "{what}: stats");
+    // Debug text, so NaN estimates compare equal to themselves.
+    assert_eq!(
+        format!("{:?}", b.report),
+        format!("{:?}", o.report),
+        "{what}: report"
+    );
+    assert_eq!(b.description, o.description, "{what}: plan");
+    assert_eq!(
+        b.elapsed_ms.to_bits(),
+        o.elapsed_ms.to_bits(),
+        "{what}: simulated time"
+    );
+    assert_eq!(b.fault_retries, o.fault_retries, "{what}: fault retries");
+}
+
+/// Reruns `entry`'s default-config workload under a query deadline at
+/// the median simulated time of its deadline-free outcomes `plain`, at
+/// every worker count. Each query must complete byte-identical to its
+/// plain outcome or abort with the deadline's `DeadlineExceeded`, the
+/// same queries must abort at every worker count, and no run may add a
+/// hint or a plan-cache entry. Returns the aborted query count.
+fn deadline_runs(
+    entry: Entry,
+    runners: &[ParallelRunner],
+    db: &Database,
+    fx: &Fixture,
+    plain: &[QueryOutcome],
+    what: &str,
+) -> usize {
+    let mut elapsed: Vec<f64> = plain.iter().map(|o| o.elapsed_ms).collect();
+    elapsed.sort_by(f64::total_cmp);
+    let deadline_ms = elapsed[elapsed.len() / 2] as u64;
+    let cfg = MonitorConfig {
+        deadline_ms: Some(deadline_ms),
+        ..MonitorConfig::default()
+    };
+    let state = || (db.hints().len(), db.plan_cache_stats().entries);
+    let before = state();
+    let mut reference: Option<Vec<usize>> = None;
+    for runner in runners {
+        let what = format!("{what}, deadline {deadline_ms} ms, jobs {}", runner.jobs());
+        let outcomes: Vec<Result<QueryOutcome>> = match entry {
+            Entry::RunQueries => runner.run_queries_quarantined(db, &fx.queries, &cfg),
+            Entry::RunQuery => fx
+                .queries
+                .iter()
+                .map(|q| runner.run_query(db, q, &cfg))
+                .collect(),
+        };
+        let mut aborted = Vec::new();
+        for (i, (out, plain)) in outcomes.iter().zip(plain).enumerate() {
+            match out {
+                Ok(out) => assert_same_outcome(plain, out, &format!("{what}, query {i}")),
+                Err(e) => {
+                    assert_eq!(
+                        *e,
+                        Error::DeadlineExceeded { deadline_ms },
+                        "{what}, query {i}"
+                    );
+                    aborted.push(i);
+                }
+            }
+        }
+        match &reference {
+            Some(r) => assert_eq!(&aborted, r, "{what}: aborted queries"),
+            None => reference = Some(aborted),
+        }
+        assert_eq!(state(), before, "{what}: hints and plan-cache entries");
+    }
+    reference.map_or(0, |r| r.len())
 }
 
 /// What [`differential_runs`] saw across its runs.
@@ -468,6 +534,8 @@ pub struct Coverage {
     /// The [`MorselPlan`] variants [`Database::morsel_plan`] returned for
     /// the checked queries, in either pass.
     pub shapes: BTreeSet<&'static str>,
+    /// Query runs under a deadline that aborted, and that completed.
+    pub deadline_runs: (usize, usize),
 }
 
 fn shape(plan: &MorselPlan) -> &'static str {
@@ -481,14 +549,16 @@ fn shape(plan: &MorselPlan) -> &'static str {
 
 /// Runs the queries of every seed's workload that `keep` selects at
 /// `fault_rate`, through both entry points at every worker count and
-/// monitor config — twice: the second pass runs after the first pass's
-/// reports are absorbed, so plans that feedback flips (index fetches,
-/// INL joins) go through the same identity and brute-force checks.
+/// monitor config, and under a deadline — twice: the second pass runs
+/// after the first pass's reports are absorbed, so plans that feedback
+/// flips (index fetches, INL joins) go through the same identity and
+/// brute-force checks.
 pub fn differential_runs(fault_rate: f64, keep: fn(&Query) -> bool) -> Coverage {
     let runners = [1, 2, 8].map(ParallelRunner::new);
     let mut coverage = Coverage {
         fired: false,
         shapes: BTreeSet::new(),
+        deadline_runs: (0, 0),
     };
     for seed in SEEDS {
         let mut fx = Fixture::new(seed);
@@ -497,7 +567,8 @@ pub fn differential_runs(fault_rate: f64, keep: fn(&Query) -> bool) -> Coverage 
         // The oracles read pristine pages, never the injected faults.
         let counts = true_counts(&db, &fx);
         for pass in 1..=2 {
-            let mut feedback = Vec::new();
+            // The default config's outcomes per entry point.
+            let mut plain = Vec::new();
             for cfg in [MonitorConfig::default(), MonitorConfig::sampled(0.5)] {
                 for query in &fx.queries {
                     if let Some(plan) = db.morsel_plan(query, &cfg).expect("classify") {
@@ -524,12 +595,18 @@ pub fn differential_runs(fault_rate: f64, keep: fn(&Query) -> bool) -> Coverage 
                         &what,
                     );
                     coverage.fired |= base.iter().any(|o| o.fault_retries > 0 || o.degraded());
-                    if feedback.is_empty() {
-                        feedback = base;
+                    if cfg.sampling_fraction >= 1.0 {
+                        plain.push((entry, base));
                     }
                 }
             }
-            for outcome in &feedback {
+            for (entry, base) in &plain {
+                let what = format!("seed {seed}, pass {pass}, fault rate {fault_rate}, {entry:?}");
+                let aborted = deadline_runs(*entry, &runners, &db, &fx, base, &what);
+                coverage.deadline_runs.0 += aborted;
+                coverage.deadline_runs.1 += base.len() - aborted;
+            }
+            for outcome in &plain[0].1 {
                 db.absorb_feedback(&outcome.report).expect("absorb");
             }
         }

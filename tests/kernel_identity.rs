@@ -20,16 +20,23 @@ fn is_count(query: &Query) -> bool {
 
 /// Also the coverage guard: across the seeds' fault-free runs,
 /// [`pagefeed::Database::morsel_plan`] splits queries into every morsel
-/// shape this workload can take.
+/// shape this workload can take, and the deadline reruns both abort
+/// and complete queries.
 #[test]
 fn kernel_identity_fault_free() {
-    let shapes = differential_runs(0.0, is_count).shapes;
+    let coverage = differential_runs(0.0, is_count);
     for shape in ["Scan", "Fetch"] {
         assert!(
-            shapes.contains(shape),
-            "no {shape} morsel plan in {shapes:?}"
+            coverage.shapes.contains(shape),
+            "no {shape} morsel plan in {:?}",
+            coverage.shapes
         );
     }
+    let (aborted, completed) = coverage.deadline_runs;
+    assert!(
+        aborted > 0 && completed > 0,
+        "deadline runs: {aborted} aborted, {completed} completed"
+    );
 }
 
 /// Checksum faults, retries, skipped pages and degraded sketches

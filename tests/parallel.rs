@@ -751,8 +751,8 @@ fn morsel_scan_under_fault_plan_matches_serial() {
 }
 
 /// Shapes outside the morsel matrix fall back to the serial path and
-/// still match `Database::run` exactly: governor deadlines shed monitors
-/// on whole-query simulated time, and DPC-histogram overlays consult
+/// still match `Database::run` exactly: query deadlines abort on
+/// whole-query simulated time, and DPC-histogram overlays consult
 /// serial whole-run state.
 #[test]
 fn morsel_run_query_falls_back_for_ineligible_shapes() {
@@ -760,7 +760,7 @@ fn morsel_run_query_falls_back_for_ineligible_shapes() {
     let runner = ParallelRunner::new(4);
 
     let deadline = MonitorConfig {
-        deadline_ms: Some(1e6),
+        deadline_ms: Some(1_000_000),
         ..MonitorConfig::default()
     };
     assert!(db.morsel_plan(&wide_scan(), &deadline).unwrap().is_none());
@@ -975,20 +975,102 @@ proptest! {
 fn deadline_runs_are_deterministic_and_hygienic() {
     let db = build_db();
     let cfg = MonitorConfig::default();
+    let deadline = |deadline_ms| MonitorConfig {
+        deadline_ms: Some(deadline_ms),
+        ..cfg.clone()
+    };
     let query = wide_scan();
-    let first = db.run_query_with_deadline(&query, &cfg, 1).unwrap_err();
-    let second = db.run_query_with_deadline(&query, &cfg, 1).unwrap_err();
+    let first = db.run(&query, &deadline(1)).unwrap_err();
+    let second = db.run(&query, &deadline(1)).unwrap_err();
     assert_eq!(first, Error::DeadlineExceeded { deadline_ms: 1 });
     assert_eq!(first, second, "simulated-clock aborts are repeatable");
     assert_eq!(db.hints().len(), 0, "an aborted run absorbs nothing");
 
     let plain = db.run(&query, &cfg).unwrap();
-    let generous = db
-        .run_query_with_deadline(&query, &cfg, u64::MAX / 2)
-        .unwrap();
+    let generous = db.run(&query, &deadline(u64::MAX / 2)).unwrap();
     assert_eq!(plain.count, generous.count);
     assert_eq!(plain.stats, generous.stats);
     assert_eq!(plain.report, generous.report);
+}
+
+/// The config's deadline is the only one, and every entry point honours
+/// it alike: `Database::run`, `lower` + `execute`, and the runner's
+/// `run_query` and `run_queries_quarantined` at 1, 2 and 8 workers each
+/// return the plain run's outcome or the same `DeadlineExceeded`, and no
+/// run adds a hint, a plan-cache entry or a feedback-store byte.
+#[test]
+fn config_deadline_is_one_deadline_at_every_entry_point() {
+    let dir = std::env::temp_dir().join(format!("pf-deadline-hygiene-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = build_db();
+    db.attach_feedback_store(&dir).unwrap();
+    // Clustered range scans whose simulated time grows with the range.
+    let queries: Vec<Query> = (1..=10)
+        .map(|i| {
+            Query::count(
+                "t",
+                vec![PredSpec::new("id", CompareOp::Lt, Datum::Int(2_000 * i))],
+            )
+        })
+        .collect();
+    let plain = ParallelRunner::new(1)
+        .run_queries(&db, &queries, &MonitorConfig::default())
+        .unwrap();
+    let mut elapsed: Vec<f64> = plain.iter().map(|o| o.elapsed_ms).collect();
+    elapsed.sort_by(f64::total_cmp);
+    let deadline_ms = elapsed[elapsed.len() / 2] as u64;
+    let cfg = MonitorConfig {
+        deadline_ms: Some(deadline_ms),
+        ..MonitorConfig::default()
+    };
+    let baseline = hygiene_snapshot(&db, &dir);
+
+    let same = |what: &str, i: usize, got: &pf_common::Result<pagefeed::QueryOutcome>| match got {
+        Ok(out) => {
+            assert_eq!(out.count, plain[i].count, "{what}, query {i}");
+            assert_eq!(out.stats, plain[i].stats, "{what}, query {i}");
+            assert_eq!(out.report, plain[i].report, "{what}, query {i}");
+            assert_eq!(out.description, plain[i].description, "{what}, query {i}");
+        }
+        Err(e) => assert_eq!(
+            *e,
+            Error::DeadlineExceeded { deadline_ms },
+            "{what}, query {i}"
+        ),
+    };
+    let mut aborted = 0;
+    for (i, query) in queries.iter().enumerate() {
+        let cfg_i = ParallelRunner::cfg_for(&cfg, i);
+        let reference = db.run(query, &cfg_i);
+        same("run", i, &reference);
+        aborted += usize::from(reference.is_err());
+        let lowered = db.lower(query, &cfg_i).and_then(|plan| db.execute(plan));
+        assert_eq!(
+            lowered.as_ref().err(),
+            reference.as_ref().err(),
+            "query {i}"
+        );
+        same("lower + execute", i, &lowered);
+        for jobs in [1, 2, 8] {
+            let out = ParallelRunner::new(jobs).run_query(&db, query, &cfg_i);
+            assert_eq!(out.as_ref().err(), reference.as_ref().err(), "query {i}");
+            same(&format!("run_query, jobs {jobs}"), i, &out);
+        }
+    }
+    assert!(
+        aborted > 0 && aborted < queries.len(),
+        "a median deadline must abort some queries and complete others, aborted {aborted}"
+    );
+    for jobs in [1, 2, 8] {
+        let outs = ParallelRunner::new(jobs).run_queries_quarantined(&db, &queries, &cfg);
+        for (i, out) in outs.iter().enumerate() {
+            same(&format!("run_queries_quarantined, jobs {jobs}"), i, out);
+        }
+        let aborts = outs.iter().filter(|o| o.is_err()).count();
+        assert_eq!(aborts, aborted, "jobs {jobs}");
+    }
+    assert_eq!(hygiene_snapshot(&db, &dir), baseline);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// With the stall budget floored at 1 ms the watchdog re-executes
