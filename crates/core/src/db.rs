@@ -118,7 +118,12 @@ pub(crate) struct MorselOutput {
 /// "feedback cache" of Section II-C), and the execution configuration.
 pub struct Database {
     catalog: Catalog,
-    stats: Option<DbStats>,
+    /// Per-column statistics; each table's set is stamped with the epoch
+    /// it was analyzed at.
+    stats: DbStats,
+    /// Whether `stats` describes the tables as they are: cleared by table
+    /// creation and DML, set again by [`Database::analyze`].
+    stats_current: bool,
     hints: HintSet,
     /// Self-tuning DPC-histogram cache (None = disabled).
     pub(crate) dpc_cache: Option<crate::histogram_cache::DpcHistogramCache>,
@@ -149,7 +154,8 @@ impl Database {
         catalog.set_fault_plan(FaultPlan::from_env());
         Database {
             catalog,
-            stats: None,
+            stats: DbStats::default(),
+            stats_current: false,
             hints: HintSet::new(),
             dpc_cache: None,
             feedback_store: None,
@@ -183,7 +189,7 @@ impl Database {
             b = b.clustered_on(c);
         }
         let id = b.register(&mut self.catalog)?;
-        self.stats = None; // statistics are stale
+        self.stats_current = false; // the new table has no statistics yet
         self.plan_cache.invalidate();
         Ok(id)
     }
@@ -192,7 +198,7 @@ impl Database {
     /// fill factor).
     pub fn create_table_with(&mut self, builder: TableBuilder) -> Result<TableId> {
         let id = builder.register(&mut self.catalog)?;
-        self.stats = None;
+        self.stats_current = false;
         self.plan_cache.invalidate();
         Ok(id)
     }
@@ -204,9 +210,12 @@ impl Database {
         self.catalog.create_index(name, id, column)
     }
 
-    /// Builds (or rebuilds) per-column statistics with a full scan.
+    /// Brings per-column statistics up to date: tables that are new, or
+    /// whose modification epoch moved since they were last analyzed, are
+    /// rescanned (one pass each); the others keep their statistics.
     pub fn analyze(&mut self) -> Result<()> {
-        self.stats = Some(DbStats::build(&self.catalog)?);
+        self.stats.refresh(&self.catalog)?;
+        self.stats_current = true;
         self.plan_cache.invalidate();
         Ok(())
     }
@@ -234,9 +243,13 @@ impl Database {
 
     /// Per-column statistics ([`Database::analyze`] must have run).
     pub fn stats(&self) -> Result<&DbStats> {
-        self.stats
-            .as_ref()
-            .ok_or_else(|| Error::InvalidArgument("call analyze() before optimizing".into()))
+        if self.stats_current {
+            Ok(&self.stats)
+        } else {
+            Err(Error::InvalidArgument(
+                "call analyze() before optimizing".into(),
+            ))
+        }
     }
 
     /// The persistent hint set (injected cardinalities / page counts).
@@ -436,10 +449,11 @@ impl Database {
     }
 
     /// Inserts a row into `table`, advancing its modification epoch.
-    /// Statistics go stale (re-run [`Database::analyze`]) and stamped
-    /// DPC hints are aged against the new state: drifted measurements
-    /// are discounted toward the analytical estimate, dead ones are
-    /// evicted.
+    /// The table's indexes follow the rows it moved in place; statistics
+    /// go stale until the next [`Database::analyze`] (which rescans only
+    /// the tables DML changed), and stamped DPC hints are aged against
+    /// the new state: drifted measurements are discounted toward the
+    /// analytical estimate, dead ones are evicted.
     pub fn insert_row(&mut self, table: &str, row: Row) -> Result<()> {
         let id = self.catalog.table_by_name(table)?.id;
         self.catalog.insert_row(id, row)?;
@@ -460,7 +474,7 @@ impl Database {
     }
 
     fn after_dml(&mut self) -> Result<()> {
-        self.stats = None; // cardinality statistics are stale
+        self.stats_current = false; // the changed table's statistics are stale
         let states = self.table_epoch_states();
         self.hints.apply_staleness(self.staleness, &states);
         self.plan_cache.invalidate();
@@ -1171,6 +1185,67 @@ mod tests {
         assert_eq!(under.count, plain.count);
         assert_eq!(under.stats, plain.stats);
         assert_eq!(under.elapsed_ms, plain.elapsed_ms);
+    }
+
+    /// An index-only plan holds the index tree but not the table, so a
+    /// row replacement beside it succeeds: the held plan keeps its
+    /// snapshot of the tree and a fresh plan sees the change. A plan
+    /// that holds the table makes DML fail, and the refused statement
+    /// changes no index entry and no stats epoch.
+    #[test]
+    fn dml_beside_an_outstanding_plan() {
+        let mut db = demo_db();
+        let t = db.catalog().table_by_name("t").unwrap().id;
+        let star = Query::count_star(
+            "t",
+            vec![PredSpec::new("scat", CompareOp::Lt, Datum::Int(5_000))],
+        );
+        let held = db.lower(&star, &MonitorConfig::off()).unwrap();
+        assert!(
+            held.description.contains("IndexOnlyScan"),
+            "{}",
+            held.description
+        );
+
+        let row = |k: i64| {
+            Row::new(vec![
+                Datum::Int(k),
+                Datum::Int(k),
+                Datum::Int(k),
+                Datum::Str("x".repeat(60)),
+            ])
+        };
+        assert_eq!(
+            db.delete_where("t", |r| r.get(2) == &Datum::Int(7))
+                .unwrap(),
+            1
+        );
+        db.insert_row("t", row(20_000)).unwrap();
+        assert!(db.stats().is_err(), "DML leaves stats stale until analyze");
+        assert_eq!(db.execute(held).unwrap().count, 5_000, "held snapshot");
+        db.analyze().unwrap();
+        assert_eq!(db.stats().unwrap().epoch(t), Some(2));
+        assert_eq!(db.run(&star, &MonitorConfig::off()).unwrap().count, 4_999);
+
+        let entries = |db: &Database| -> Vec<Vec<(Datum, Vec<pf_common::Rid>)>> {
+            db.catalog()
+                .indexes_on(t)
+                .map(|ix| {
+                    ix.tree
+                        .iter()
+                        .map(|(k, r)| (k.clone(), r.to_vec()))
+                        .collect()
+                })
+                .collect()
+        };
+        let before = entries(&db);
+        let base = db.lower(&q("scat", 5_000), &MonitorConfig::off()).unwrap();
+        assert!(db.insert_row("t", row(20_001)).is_err());
+        assert!(db.delete_where("t", |_| true).is_err());
+        assert_eq!(entries(&db), before, "a refused DML changes no index entry");
+        assert_eq!(db.catalog().epoch_state(t).unwrap().epoch, 2);
+        assert_eq!(db.stats().unwrap().epoch(t), Some(2));
+        assert_eq!(db.execute(base).unwrap().count, 4_999);
     }
 
     #[test]

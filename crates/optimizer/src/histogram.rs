@@ -39,6 +39,12 @@ impl EquiDepthHistogram {
     /// column's values (any order; sorted internally).
     pub fn build(mut values: Vec<f64>, num_buckets: usize) -> Self {
         values.sort_by(f64::total_cmp);
+        Self::from_sorted(&values, num_buckets)
+    }
+
+    /// [`EquiDepthHistogram::build`] over values already sorted by
+    /// [`f64::total_cmp`].
+    pub(crate) fn from_sorted(values: &[f64], num_buckets: usize) -> Self {
         let total = values.len() as u64;
         if values.is_empty() {
             return EquiDepthHistogram {

@@ -3,7 +3,8 @@
 //!
 //! Design notes:
 //! * Leaf nodes hold `(key, Vec<Rid>)` entries; duplicates for a key
-//!   accumulate in one entry (a nonclustered index posting list).
+//!   accumulate in one entry (a nonclustered index posting list), kept
+//!   in ascending RID order whatever order entries arrive and leave in.
 //! * Internal nodes hold separator keys and child pointers; children are
 //!   indices into a node arena (no `unsafe`, no `Rc` cycles).
 //! * Order (max keys per node) is configurable; small orders are used in
@@ -12,7 +13,8 @@
 //!   order, insertion with node splits, and deletion (with relaxed
 //!   underflow handling — nodes may become sparse but never invalid,
 //!   which is the classic "lazy delete" used by several production
-//!   engines).
+//!   engines). A tree whose keys fit one node folds back into a single
+//!   leaf, the shape a fresh build of those keys has.
 //!
 //! RIDs returned by range scans arrive in *key order*, which is exactly
 //! the access pattern of the paper's Index Seek plan (Fig 2, right):
@@ -20,14 +22,14 @@
 //! property does **not** hold and DPC monitoring needs probabilistic
 //! counting.
 
-use pf_common::{Datum, Rid};
+use pf_common::{Datum, PageId, Rid};
 use std::cmp::Ordering;
 use std::ops::Bound;
 
 /// Max keys per node (both leaf and internal) unless overridden.
 pub const DEFAULT_ORDER: usize = 64;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         keys: Vec<Datum>,
@@ -43,7 +45,7 @@ enum Node {
 }
 
 /// B+-tree mapping `Datum` keys to posting lists of RIDs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BPlusTree {
     arena: Vec<Node>,
     root: usize,
@@ -89,7 +91,8 @@ impl BPlusTree {
         self.entry_count
     }
 
-    /// Inserts a `(key, rid)` pair.
+    /// Inserts a `(key, rid)` pair, at its place in the key's posting
+    /// list (after any equal RID).
     pub fn insert(&mut self, key: Datum, rid: Rid) {
         if let Some((sep, right)) = self.insert_rec(self.root, key, rid) {
             // Root split: grow the tree by one level.
@@ -106,7 +109,9 @@ impl BPlusTree {
         match &mut self.arena[node] {
             Node::Leaf { keys, postings, .. } => match keys.binary_search_by(|k| dcmp(k, &key)) {
                 Ok(i) => {
-                    postings[i].push(rid);
+                    let posting = &mut postings[i];
+                    let at = posting.partition_point(|r| *r <= rid);
+                    posting.insert(at, rid);
                     self.entry_count += 1;
                     None
                 }
@@ -205,7 +210,8 @@ impl BPlusTree {
 
     /// Removes one `(key, rid)` pair; returns whether it existed. When a
     /// posting list empties, the key is removed from its leaf (lazy
-    /// underflow: nodes are allowed to become sparse).
+    /// underflow: nodes are allowed to become sparse), and a tree left
+    /// with no more keys than one node holds collapses to a root leaf.
     pub fn remove(&mut self, key: &Datum, rid: Rid) -> bool {
         let mut node = self.root;
         loop {
@@ -218,17 +224,63 @@ impl BPlusTree {
                     let Ok(i) = keys.binary_search_by(|k| dcmp(k, key)) else {
                         return false;
                     };
-                    let Some(pos) = postings[i].iter().position(|r| *r == rid) else {
+                    let Ok(pos) = postings[i].binary_search(&rid) else {
                         return false;
                     };
-                    postings[i].swap_remove(pos);
+                    postings[i].remove(pos);
                     self.entry_count -= 1;
                     if postings[i].is_empty() {
                         postings.remove(i);
                         keys.remove(i);
                         self.len -= 1;
+                        if node != self.root && self.len <= self.order {
+                            self.collapse();
+                        }
                     }
                     return true;
+                }
+            }
+        }
+    }
+
+    /// Moves every entry, in key order, into a single leaf that becomes
+    /// the whole tree.
+    fn collapse(&mut self) {
+        let mut node = self.root;
+        while let Node::Internal { children, .. } = &self.arena[node] {
+            node = children[0];
+        }
+        let (mut all_keys, mut all_postings) = (Vec::new(), Vec::new());
+        let mut leaf = Some(node);
+        while let Some(n) = leaf {
+            let Node::Leaf {
+                keys,
+                postings,
+                next,
+            } = &mut self.arena[n]
+            else {
+                unreachable!("leaf chain holds only leaves")
+            };
+            all_keys.append(keys);
+            all_postings.append(postings);
+            leaf = *next;
+        }
+        self.arena = vec![Node::Leaf {
+            keys: all_keys,
+            postings: all_postings,
+            next: None,
+        }];
+        self.root = 0;
+    }
+
+    /// Rewrites the page of every RID through `map`, in one pass over
+    /// the leaves. `map` must be monotone, so that every posting list
+    /// stays in ascending RID order.
+    pub fn remap_pages(&mut self, map: impl Fn(PageId) -> PageId) {
+        for node in &mut self.arena {
+            if let Node::Leaf { postings, .. } = node {
+                for rid in postings.iter_mut().flatten() {
+                    rid.page = map(rid.page);
                 }
             }
         }
@@ -318,6 +370,9 @@ impl BPlusTree {
                     }
                     if postings.iter().any(Vec::is_empty) {
                         problems.push(format!("leaf {i}: empty posting list"));
+                    }
+                    if postings.iter().any(|p| p.windows(2).any(|w| w[0] > w[1])) {
+                        problems.push(format!("leaf {i}: posting list out of RID order"));
                     }
                 }
                 Node::Internal { keys, children } => {
@@ -508,6 +563,87 @@ mod tests {
             let k = (i * 2654435761) % 10_000;
             assert!(t.get(&Datum::Int(k)).is_some(), "lost key {k}");
         }
+    }
+
+    #[test]
+    fn postings_stay_in_rid_order() {
+        let mut t = BPlusTree::with_order(4);
+        for n in [7, 3, 9, 3, 0, 5] {
+            t.insert(Datum::Int(1), rid(n));
+        }
+        assert_eq!(
+            t.get(&Datum::Int(1)).unwrap(),
+            &[rid(0), rid(3), rid(3), rid(5), rid(7), rid(9)]
+        );
+        assert!(t.remove(&Datum::Int(1), rid(3)));
+        assert!(t.remove(&Datum::Int(1), rid(0)));
+        assert_eq!(
+            t.get(&Datum::Int(1)).unwrap(),
+            &[rid(3), rid(5), rid(7), rid(9)]
+        );
+        assert!(t.check_invariants().is_empty());
+    }
+
+    #[test]
+    fn remap_pages_rewrites_every_rid() {
+        let mut t = BPlusTree::with_order(4);
+        for i in 0..100u32 {
+            t.insert(Datum::Int(i64::from(i % 7)), rid(i));
+        }
+        let before: Vec<Vec<Rid>> = t.iter().map(|(_, r)| r.to_vec()).collect();
+        // Pages 3.. shift up by two, as after a split below them.
+        t.remap_pages(|p| if p.0 >= 3 { PageId(p.0 + 2) } else { p });
+        let shift = |r: &Rid| {
+            if r.page.0 >= 3 {
+                Rid::new(r.page.0 + 2, r.slot.0)
+            } else {
+                *r
+            }
+        };
+        let after: Vec<Vec<Rid>> = t.iter().map(|(_, r)| r.to_vec()).collect();
+        let expect: Vec<Vec<Rid>> = before
+            .iter()
+            .map(|rs| rs.iter().map(shift).collect())
+            .collect();
+        assert_eq!(after, expect);
+        assert!(t.check_invariants().is_empty());
+    }
+
+    #[test]
+    fn shrinking_to_one_node_collapses_to_a_leaf() {
+        let mut t = BPlusTree::with_order(4);
+        for i in 0..40 {
+            t.insert(Datum::Int(i), rid(i as u32));
+        }
+        assert!(t.height() > 2);
+        for i in 4..40 {
+            assert!(t.remove(&Datum::Int(i), rid(i as u32)));
+        }
+        assert_eq!(t.height(), 1, "four keys fit one leaf");
+        assert_eq!(t.key_count(), 4);
+        let keys: Vec<i64> = t.iter().map(|(k, _)| k.as_int().unwrap()).collect();
+        assert_eq!(keys, [0, 1, 2, 3]);
+        assert!(t.check_invariants().is_empty());
+        // The collapsed tree grows again like a fresh one.
+        for i in 40..60 {
+            t.insert(Datum::Int(i), rid(i as u32));
+        }
+        assert_eq!(t.key_count(), 24);
+        assert!(t.check_invariants().is_empty());
+    }
+
+    #[test]
+    fn clones_are_independent() {
+        let mut t = BPlusTree::with_order(4);
+        for i in 0..50 {
+            t.insert(Datum::Int(i), rid(i as u32));
+        }
+        let snapshot = t.clone();
+        assert!(t.remove(&Datum::Int(10), rid(10)));
+        t.insert(Datum::Int(99), rid(99));
+        assert_eq!(snapshot.entry_count(), 50);
+        assert_eq!(snapshot.get(&Datum::Int(10)).unwrap(), &[rid(10)]);
+        assert!(snapshot.get(&Datum::Int(99)).is_none());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use crate::btree::BPlusTree;
 use crate::fault::FaultPlan;
 use crate::page::DEFAULT_PAGE_SIZE;
-use crate::table::TableStorage;
-use pf_common::{Error, IndexId, Result, Row, Schema, TableId};
+use crate::table::{RidDelta, TableStorage};
+use pf_common::{Error, IndexId, PageId, Result, Row, Schema, TableId};
 use std::sync::Arc;
 
 /// Catalog-level statistics for a table (what `sys.dm_db_partition_stats`
@@ -57,6 +57,46 @@ pub struct IndexMeta {
     pub leaf_pages: u32,
     /// Tree height (root to leaf).
     pub height: u32,
+    /// Stored bytes of every key in the tree, kept current by DML so
+    /// that `leaf_pages` follows the same formula as a fresh build.
+    key_bytes: usize,
+}
+
+impl IndexMeta {
+    /// Follows one DML statement's RID changes in place: drops the
+    /// entries of the rewritten pages, remaps the pages that shifted,
+    /// then adds the entries of the replacement pages. A plan that holds
+    /// the tree keeps its snapshot (the tree is copied on write).
+    fn apply(&mut self, delta: &RidDelta) {
+        let col = self.key_column;
+        let tree = Arc::make_mut(&mut self.tree);
+        for (rid, row) in &delta.removed {
+            let key = row.get(col);
+            let found = tree.remove(key, *rid);
+            assert!(found, "index {} lacks {key} -> {rid}", self.name);
+            self.key_bytes -= key.stored_size();
+        }
+        if let Some(map) = &delta.page_map {
+            tree.remap_pages(|p| PageId(map[p.0 as usize]));
+        }
+        for (rid, row) in &delta.added {
+            let key = row.get(col);
+            self.key_bytes += key.stored_size();
+            tree.insert(key.clone(), *rid);
+        }
+        self.leaf_pages = leaf_pages(tree.entry_count(), self.key_bytes);
+        self.height = tree.height();
+    }
+}
+
+/// Estimated leaf pages of an index with `entries` entries whose keys
+/// total `key_bytes`: a leaf entry is its key plus a 6-byte RID, at the
+/// ~70 % leaf fill of a real engine.
+fn leaf_pages(entries: usize, key_bytes: usize) -> u32 {
+    let entries = entries.max(1);
+    let avg_entry = key_bytes / entries + 6;
+    let leaf_bytes = entries * avg_entry;
+    ((leaf_bytes as f64 / (DEFAULT_PAGE_SIZE as f64 * 0.7)).ceil() as u32).max(1)
 }
 
 /// The catalog.
@@ -155,8 +195,7 @@ impl Catalog {
         }
         let meta = self.table(table)?;
         let col = meta.schema().index_of(column)?;
-        let storage = Arc::clone(&meta.storage);
-        let (tree, leaf_pages, height) = Self::build_index_tree(&storage, col)?;
+        let (tree, key_bytes) = Self::build_index_tree(&meta.storage, col)?;
 
         let id = IndexId(self.indexes.len() as u32);
         self.indexes.push(IndexMeta {
@@ -164,44 +203,38 @@ impl Catalog {
             name,
             table,
             key_column: col,
+            leaf_pages: leaf_pages(tree.entry_count(), key_bytes),
+            height: tree.height(),
             tree: Arc::new(tree),
-            leaf_pages,
-            height,
+            key_bytes,
         });
         Ok(id)
     }
 
-    /// Builds the B+-tree (and its leaf-page/height estimates) for an
-    /// index keyed on column ordinal `col` of `storage`. Shared by
-    /// initial index creation and post-DML rebuilds.
-    fn build_index_tree(storage: &TableStorage, col: usize) -> Result<(BPlusTree, u32, u32)> {
+    /// Builds the B+-tree for an index keyed on column ordinal `col` of
+    /// `storage`, in RID order and decoding only the key column; returns
+    /// it with the stored bytes of its keys. DML maintains the tree in
+    /// place afterwards ([`Catalog::insert_row`], [`Catalog::delete_where`]).
+    fn build_index_tree(storage: &TableStorage, col: usize) -> Result<(BPlusTree, usize)> {
         let mut tree = BPlusTree::new();
-        let mut key_bytes_total = 0usize;
+        let mut key_bytes = 0usize;
         for rid in storage.all_rids() {
-            let row = storage.read_row(rid)?;
-            let key = row.get(col).clone();
-            key_bytes_total += key.stored_size();
+            let key = storage.read_row_view(rid)?.get(col).to_datum();
+            key_bytes += key.stored_size();
             tree.insert(key, rid);
         }
-        // Leaf entry ≈ key + 6-byte RID; ~70% leaf fill like a real engine.
-        let entries = tree.entry_count().max(1);
-        let avg_entry = key_bytes_total / entries + 6;
-        let leaf_bytes = entries * avg_entry;
-        let leaf_pages =
-            ((leaf_bytes as f64 / (DEFAULT_PAGE_SIZE as f64 * 0.7)).ceil() as u32).max(1);
-        let height = tree.height();
-        Ok((tree, leaf_pages, height))
+        Ok((tree, key_bytes))
     }
 
     /// Applies `mutate` to the storage of `table` — the single entry
     /// point for DML. Requires exclusive ownership of the storage (no
     /// concurrent query or index build may hold a reference), then
-    /// refreshes the table's statistics and rebuilds every index on the
-    /// table (DML rewrites pages, so RIDs shift).
+    /// refreshes the table's statistics and carries the RID changes the
+    /// statement reports into every index on the table, in place.
     fn mutate_table<R>(
         &mut self,
         table: TableId,
-        mutate: impl FnOnce(&mut TableStorage) -> Result<R>,
+        mutate: impl FnOnce(&mut TableStorage) -> Result<(R, RidDelta)>,
     ) -> Result<R> {
         let meta = self
             .tables
@@ -213,26 +246,23 @@ impl Catalog {
                 meta.name
             ))
         })?;
-        let out = mutate(storage)?;
+        let (out, delta) = mutate(storage)?;
         meta.stats = TableStats {
             rows: storage.row_count(),
             pages: storage.page_count(),
             rows_per_page: storage.avg_rows_per_page(),
         };
-        // Rebuild the indexes over the rewritten storage.
-        let storage = Arc::clone(&self.tables[table.0 as usize].storage);
-        for ix in self.indexes.iter_mut().filter(|i| i.table == table) {
-            let (tree, leaf_pages, height) = Self::build_index_tree(&storage, ix.key_column)?;
-            ix.tree = Arc::new(tree);
-            ix.leaf_pages = leaf_pages;
-            ix.height = height;
+        if !delta.is_empty() {
+            for ix in self.indexes.iter_mut().filter(|i| i.table == table) {
+                ix.apply(&delta);
+            }
         }
         Ok(out)
     }
 
     /// Inserts `row` into `table`, keeping stats and indexes consistent.
     pub fn insert_row(&mut self, table: TableId, row: Row) -> Result<()> {
-        self.mutate_table(table, |s| s.insert_row(row))
+        self.mutate_table(table, |s| Ok(((), s.insert_row(row)?)))
     }
 
     /// Deletes every row of `table` matching `pred`; returns the count.
@@ -551,8 +581,8 @@ mod tests {
         assert_eq!(state.epoch, 1);
         assert!(state.dirty_pages > 0);
 
-        // The index was rebuilt: entry count matches, and every RID it
-        // holds points at a row with the indexed key.
+        // The index followed the delete: entry count matches, and every
+        // RID it holds points at a row with the indexed key.
         let ixm = cat.index(ix).expect("index exists");
         assert_eq!(ixm.tree.entry_count(), 400);
         let table = cat.table(id).expect("table exists");
@@ -562,7 +592,7 @@ mod tests {
                     let row = table
                         .storage
                         .read_row(*rid)
-                        .expect("rid valid post-rebuild");
+                        .expect("rid valid after the delete");
                     assert_eq!(row.get(1), &Datum::Int((k * 7) % 500));
                 }
             }
@@ -599,6 +629,114 @@ mod tests {
                 Row::new(vec![Datum::Int(1), Datum::Int(1), Datum::Str("CA".into())]),
             )
             .is_ok());
+    }
+
+    /// Every `(key, RIDs)` entry of `tree`, in key order.
+    fn entries(tree: &BPlusTree) -> Vec<(Datum, Vec<pf_common::Rid>)> {
+        tree.iter().map(|(k, r)| (k.clone(), r.to_vec())).collect()
+    }
+
+    /// Random DML over 1 KiB pages, clustered and heap: after every
+    /// statement each maintained index must equal a fresh build over the
+    /// current table — the same key → RID sequence (posting lists in RID
+    /// order included), the same `leaf_pages` and the same `height`.
+    /// Inserts split pages mid-table and deletes empty whole pages, so
+    /// the page map is exercised; heap tables shrink far enough that
+    /// their `k` index falls back to one leaf.
+    #[test]
+    fn maintained_indexes_equal_a_fresh_build() {
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("k", DataType::Int),
+            Column::new("s", DataType::Str),
+            Column::new("pad", DataType::Str),
+        ]);
+        let row = |rng: &mut pf_common::rng::Rng, id: i64| {
+            Row::new(vec![
+                Datum::Int(id),
+                Datum::Int(rng.gen_range(150) as i64),
+                Datum::Str(format!("s{:03}", rng.gen_range(400))),
+                Datum::Str("p".repeat(20 + rng.gen_range(40) as usize)),
+            ])
+        };
+        for seed in 0..20u64 {
+            for clustered in [true, false] {
+                let mut rng = pf_common::rng::Rng::new(seed);
+                let rows: Vec<Row> = (0..300).map(|i| row(&mut rng, i * 4)).collect();
+                let mut table = TableBuilder::new("t", schema.clone())
+                    .rows(rows)
+                    .page_size(1024);
+                if clustered {
+                    table = table.clustered_on("id");
+                }
+                let mut cat = Catalog::new();
+                let id = table.register(&mut cat).expect("register test table");
+                for c in ["id", "k", "s"] {
+                    cat.create_index(format!("ix_{c}"), id, c)
+                        .expect("index over known column");
+                }
+                let (mut splits, mut emptied) = (0, 0);
+                for step in 0..60 {
+                    let storage = Arc::clone(&cat.table(id).expect("table").storage);
+                    let pages = storage.page_count();
+                    let last_id = storage
+                        .read_row(storage.all_rids().last().expect("nonempty table"))
+                        .expect("live rid")
+                        .get(0)
+                        .as_int()
+                        .expect("int id");
+                    let r = rng.gen_range(10);
+                    let page_rows = storage
+                        .rows_on_page(PageId(rng.gen_range(u64::from(pages)) as u32))
+                        .expect("live page");
+                    drop(storage);
+                    if r < 6 {
+                        let new_id = rng.gen_range(1_250) as i64;
+                        cat.insert_row(id, row(&mut rng, new_id))
+                            .expect("insert succeeds");
+                        let now = cat.table(id).expect("table").storage.page_count();
+                        if now > pages && new_id < last_id {
+                            splits += 1;
+                        }
+                    } else if r < 8 {
+                        // Empty one whole page: delete every row sharing
+                        // an id with it.
+                        let ids: Vec<Datum> = page_rows.iter().map(|r| r.get(0).clone()).collect();
+                        cat.delete_where(id, |r| ids.contains(r.get(0)))
+                            .expect("delete succeeds");
+                        let now = cat.table(id).expect("table").storage.page_count();
+                        if now < pages {
+                            emptied += 1;
+                        }
+                    } else {
+                        let k = Datum::Int(rng.gen_range(150) as i64);
+                        cat.delete_where(id, |r| r.get(1) == &k)
+                            .expect("delete succeeds");
+                    }
+                    let storage = &cat.table(id).expect("table").storage;
+                    for ix in cat.indexes_on(id) {
+                        let (fresh, key_bytes) =
+                            Catalog::build_index_tree(storage, ix.key_column).expect("build");
+                        let at =
+                            format!("seed {seed} clustered {clustered} step {step} {}", ix.name);
+                        assert!(ix.tree.check_invariants().is_empty(), "{at}");
+                        assert_eq!(entries(&ix.tree), entries(&fresh), "{at}");
+                        assert_eq!(ix.key_bytes, key_bytes, "{at}");
+                        assert_eq!(
+                            ix.leaf_pages,
+                            leaf_pages(fresh.entry_count(), key_bytes),
+                            "{at}"
+                        );
+                        assert_eq!(ix.height, fresh.height(), "{at}");
+                        assert_eq!(ix.height, ix.tree.height(), "{at}");
+                    }
+                }
+                if clustered {
+                    assert!(splits > 0, "seed {seed}: no insert split a page mid-table");
+                }
+                assert!(emptied > 0, "seed {seed}: no delete emptied a page");
+            }
+        }
     }
 
     #[test]

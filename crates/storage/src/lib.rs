@@ -9,7 +9,8 @@
 //! * [`view`] — zero-copy row views: a schema-compiled [`RowLayout`]
 //!   plus borrowed [`RowView`]s and [`PageCursor`]s, so the executor's
 //!   scan hot path decodes without allocating,
-//! * [`table`] — bulk-loaded table storage; a table is either a heap
+//! * [`table`] — table storage, bulk-loaded and then changed in place by
+//!   DML that reports the RIDs it moved; a table is either a heap
 //!   (load order) or a *clustered index* (rows ordered by the clustering
 //!   key, with a sparse page-level key index for seeks),
 //! * [`btree`] — a from-scratch B+-tree used for nonclustered indexes

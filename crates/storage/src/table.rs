@@ -1,4 +1,4 @@
-//! Bulk-loaded table storage.
+//! Table storage: bulk-loaded, then changed in place by DML.
 //!
 //! A [`TableStorage`] is an ordered sequence of slotted pages. The *load
 //! order is the physical order*: loading rows sorted by a column makes
@@ -18,7 +18,8 @@ use crate::view::{PageCursor, RowLayout, RowView};
 use pf_common::{Datum, Error, PageId, Result, Rid, Row, Schema, SlotId, TableId};
 use std::collections::HashMap;
 
-/// Immutable, bulk-loaded table storage.
+/// Table storage: bulk-loaded, then changed in place one DML statement
+/// at a time ([`TableStorage::insert_row`], [`TableStorage::delete_where`]).
 #[derive(Debug)]
 pub struct TableStorage {
     schema: Schema,
@@ -66,6 +67,40 @@ pub struct EpochState {
     pub dirty_pages: u64,
     /// Current page count.
     pub pages: u32,
+}
+
+/// The RID changes one DML statement caused — what index maintenance
+/// needs to follow the rows. A page the statement did not rewrite keeps
+/// its rows in their slots; at most its page number shifts.
+#[derive(Debug, Clone, Default)]
+pub struct RidDelta {
+    /// Every row of each rewritten page, under its old RID.
+    pub removed: Vec<(Rid, Row)>,
+    /// Every row of the pages that replaced them, under its new RID.
+    pub added: Vec<(Rid, Row)>,
+    /// New page number of each old page, indexed by old page number
+    /// (the entries of rewritten pages are unused). Present only when
+    /// some untouched page moved: a split in the middle of a clustered
+    /// table, or a page a delete emptied. Monotone, so RID order among
+    /// untouched rows survives the remap.
+    pub page_map: Option<Vec<u32>>,
+}
+
+impl RidDelta {
+    /// Whether the statement changed no RID at all.
+    pub fn is_empty(&self) -> bool {
+        self.removed.is_empty() && self.added.is_empty() && self.page_map.is_none()
+    }
+}
+
+/// The RIDs of `pages`, numbered from page `first`, in physical order.
+fn rids_from(first: usize, pages: &[Page]) -> impl Iterator<Item = Rid> + '_ {
+    pages.iter().zip(first as u32..).flat_map(|(page, p)| {
+        (0..page.slot_count()).map(move |s| Rid {
+            page: PageId(p),
+            slot: SlotId(s),
+        })
+    })
 }
 
 impl TableStorage {
@@ -316,8 +351,9 @@ impl TableStorage {
     /// bracketing its key (splitting the page when it overflows), heaps
     /// append to the tail. Every rewritten page is re-sealed with a
     /// fresh CRC, the sparse index is respliced, injected fault copies
-    /// are re-derived, and the modification epoch advances.
-    pub fn insert_row(&mut self, row: Row) -> Result<()> {
+    /// are re-derived, and the modification epoch advances. Returns the
+    /// RIDs the insert moved.
+    pub fn insert_row(&mut self, row: Row) -> Result<RidDelta> {
         // Validate the row against the schema up front (and learn its
         // encoded size) so a malformed row cannot half-apply.
         let mut scratch = Vec::new();
@@ -339,14 +375,19 @@ impl TableStorage {
         }
 
         if self.pages.is_empty() {
-            let (pages, keys) = self.pack_rows(std::slice::from_ref(&row))?;
+            let rows = vec![row];
+            let (pages, keys) = self.pack_rows(&rows)?;
+            let added = rids_from(0, &pages).zip(rows).collect();
             self.dirty_pages += pages.len() as u64;
             self.pages = pages;
             self.sparse_index = keys;
             self.row_count += 1;
             self.epoch += 1;
             self.rematerialize_faults();
-            return Ok(());
+            return Ok(RidDelta {
+                added,
+                ..RidDelta::default()
+            });
         }
 
         let cmp = |a: &Datum, b: &Datum| a.cmp_same_type(b).unwrap_or(std::cmp::Ordering::Equal);
@@ -361,15 +402,37 @@ impl TableStorage {
             None => self.pages.len() - 1,
         };
 
-        let mut rows = self.pages[target].read_all(&self.schema)?;
+        let old_rows = self.pages[target].read_all(&self.schema)?;
         let pos = match self.clustering_column {
-            Some(col) => rows
+            Some(col) => old_rows
                 .partition_point(|r| cmp(r.get(col), row.get(col)) != std::cmp::Ordering::Greater),
-            None => rows.len(),
+            None => old_rows.len(),
         };
+        let mut rows = old_rows.clone();
         rows.insert(pos, row);
 
         let (new_pages, new_keys) = self.pack_rows(&rows)?;
+        // Pages after the target shift by however many pages the split
+        // added.
+        let grown = new_pages.len() - 1;
+        let page_map = (grown > 0 && target + 1 < self.pages.len()).then(|| {
+            (0..self.pages.len() as u32)
+                .map(|p| {
+                    if p as usize > target {
+                        p + grown as u32
+                    } else {
+                        p
+                    }
+                })
+                .collect()
+        });
+        let delta = RidDelta {
+            removed: rids_from(target, std::slice::from_ref(&self.pages[target]))
+                .zip(old_rows)
+                .collect(),
+            added: rids_from(target, &new_pages).zip(rows).collect(),
+            page_map,
+        };
         self.dirty_pages += new_pages.len() as u64;
         self.pages.splice(target..=target, new_pages);
         if self.clustering_column.is_some() {
@@ -378,55 +441,92 @@ impl TableStorage {
         self.row_count += 1;
         self.epoch += 1;
         self.rematerialize_faults();
-        Ok(())
+        Ok(delta)
     }
 
     /// Deletes every row matching `pred`, rewriting (and re-sealing)
     /// only the pages that held a match and dropping pages left empty.
-    /// Returns the number of rows deleted; the epoch advances only if
-    /// at least one row was deleted.
-    pub fn delete_where<F>(&mut self, mut pred: F) -> Result<u64>
+    /// Returns the number of rows deleted and the RIDs the delete moved;
+    /// the epoch advances only if at least one row was deleted.
+    pub fn delete_where<F>(&mut self, mut pred: F) -> Result<(u64, RidDelta)>
     where
         F: FnMut(&Row) -> bool,
     {
-        let mut new_pages = Vec::with_capacity(self.pages.len());
-        let mut new_keys = Vec::new();
+        /// One page that held a match: its old rows and what replaces it.
+        struct Rewrite {
+            page: usize,
+            old_rows: Vec<Row>,
+            kept: Vec<Row>,
+            pages: Vec<Page>,
+            keys: Vec<Datum>,
+        }
+        // Decide every page before changing any, so that a failure
+        // leaves the table as it was.
+        let mut rewrites = Vec::new();
+        let mut keep = Vec::new();
         let mut deleted = 0u64;
-        let mut touched = 0u64;
-        for page in &self.pages {
+        for (p, page) in self.pages.iter().enumerate() {
             let rows = page.read_all(&self.schema)?;
-            let before = rows.len();
-            let kept: Vec<Row> = rows.into_iter().filter(|r| !pred(r)).collect();
-            if kept.len() == before {
-                if let Some(col) = self.clustering_column {
-                    if let Some(first) = kept.first() {
-                        new_keys.push(first.get(col).clone());
-                    }
-                }
-                new_pages.push(page.clone());
+            keep.clear();
+            keep.extend(rows.iter().map(|r| !pred(r)));
+            let kept_count = keep.iter().filter(|k| **k).count();
+            if kept_count == rows.len() {
                 continue;
             }
-            deleted += (before - kept.len()) as u64;
-            touched += 1;
-            if kept.is_empty() {
-                continue; // page drops out entirely
-            }
-            let (packed, keys) = self.pack_rows(&kept)?;
-            new_pages.extend(packed);
-            new_keys.extend(keys);
+            deleted += (rows.len() - kept_count) as u64;
+            let kept: Vec<Row> = rows
+                .iter()
+                .zip(&keep)
+                .filter(|(_, k)| **k)
+                .map(|(r, _)| r.clone())
+                .collect();
+            // An emptied page packs to no page at all and drops out.
+            let (pages, keys) = self.pack_rows(&kept)?;
+            rewrites.push(Rewrite {
+                page: p,
+                old_rows: rows,
+                kept,
+                pages,
+                keys,
+            });
         }
         if deleted == 0 {
-            return Ok(0);
+            return Ok((0, RidDelta::default()));
         }
-        self.pages = new_pages;
-        if self.clustering_column.is_some() {
-            self.sparse_index = new_keys;
+
+        let touched = rewrites.len() as u64;
+        let old_pages = std::mem::take(&mut self.pages);
+        let mut old_keys = std::mem::take(&mut self.sparse_index).into_iter();
+        let clustered = self.clustering_column.is_some();
+        let mut page_map = Vec::with_capacity(old_pages.len());
+        let mut shifted = false;
+        let mut delta = RidDelta::default();
+        let mut rewrites = rewrites.into_iter().peekable();
+        for (p, page) in old_pages.into_iter().enumerate() {
+            let at = self.pages.len();
+            page_map.push(at as u32);
+            let key = if clustered { old_keys.next() } else { None };
+            match rewrites.next_if(|r| r.page == p) {
+                None => {
+                    shifted |= at != p;
+                    self.pages.push(page);
+                    self.sparse_index.extend(key);
+                }
+                Some(r) => {
+                    let old = rids_from(p, std::slice::from_ref(&page)).zip(r.old_rows);
+                    delta.removed.extend(old);
+                    delta.added.extend(rids_from(at, &r.pages).zip(r.kept));
+                    self.pages.extend(r.pages);
+                    self.sparse_index.extend(r.keys);
+                }
+            }
         }
+        delta.page_map = shifted.then_some(page_map);
         self.row_count -= deleted;
         self.dirty_pages += touched;
         self.epoch += 1;
         self.rematerialize_faults();
-        Ok(deleted)
+        Ok((deleted, delta))
     }
 
     /// The fault plan this table was registered under, if any.
@@ -534,12 +634,7 @@ impl TableStorage {
 
     /// All RIDs of the table in physical order (used for index builds).
     pub fn all_rids(&self) -> impl Iterator<Item = Rid> + '_ {
-        self.pages.iter().enumerate().flat_map(|(p, page)| {
-            (0..page.slot_count()).map(move |s| Rid {
-                page: PageId(p as u32),
-                slot: SlotId(s),
-            })
-        })
+        rids_from(0, &self.pages)
     }
 
     /// For a clustered table, the contiguous page range that may contain
@@ -943,7 +1038,7 @@ mod tests {
         let mut t = TableStorage::bulk_load(schema(), &rows(500, 30), Some(0), 1024, 1.0)
             .expect("bulk load test table");
         let pages_before = t.page_count();
-        let deleted = t
+        let (deleted, _) = t
             .delete_where(|r| {
                 let k = r.get(0).as_int().unwrap_or(0);
                 (100..200).contains(&k)
@@ -984,7 +1079,7 @@ mod tests {
     fn delete_everything_empties_the_table() {
         let mut t = TableStorage::bulk_load(schema(), &rows(100, 10), Some(0), 512, 1.0)
             .expect("bulk load test table");
-        assert_eq!(t.delete_where(|_| true).expect("delete succeeds"), 100);
+        assert_eq!(t.delete_where(|_| true).expect("delete succeeds").0, 100);
         assert_eq!(t.row_count(), 0);
         assert_eq!(t.page_count(), 0);
         assert_eq!(
@@ -998,7 +1093,9 @@ mod tests {
     fn delete_matching_nothing_keeps_epoch() {
         let mut t = TableStorage::bulk_load(schema(), &rows(100, 10), Some(0), 512, 1.0)
             .expect("bulk load test table");
-        assert_eq!(t.delete_where(|_| false).expect("delete succeeds"), 0);
+        let (deleted, delta) = t.delete_where(|_| false).expect("delete succeeds");
+        assert_eq!(deleted, 0);
+        assert!(delta.is_empty());
         assert_eq!(t.epoch(), 0);
         assert_eq!(t.dirty_pages(), 0);
     }
@@ -1030,6 +1127,71 @@ mod tests {
         }
         assert_eq!(caught, t.injected_fault_count());
         assert!(caught > 0, "rate-0.5 plan must damage some live page");
+    }
+
+    /// Every row of `t` under its RID.
+    fn snapshot(t: &TableStorage) -> Vec<(Rid, Row)> {
+        t.all_rids()
+            .map(|rid| (rid, t.read_row(rid).expect("live rid")))
+            .collect()
+    }
+
+    /// `before` with `delta` applied: the rewritten rows leave, the
+    /// untouched ones follow the page map, the new ones arrive.
+    fn follow(before: Vec<(Rid, Row)>, delta: &RidDelta) -> Vec<(Rid, Row)> {
+        let mut rows: Vec<(Rid, Row)> = before
+            .into_iter()
+            .filter(|entry| !delta.removed.contains(entry))
+            .map(|(rid, row)| match &delta.page_map {
+                Some(map) => (Rid::new(map[rid.page.0 as usize], rid.slot.0), row),
+                None => (rid, row),
+            })
+            .chain(delta.added.iter().cloned())
+            .collect();
+        rows.sort_by_key(|(rid, _)| *rid);
+        rows
+    }
+
+    #[test]
+    fn rid_delta_accounts_for_every_move() {
+        for clustered in [Some(0), None] {
+            let mut t = TableStorage::bulk_load(schema(), &rows(400, 30), clustered, 1024, 1.0)
+                .expect("bulk load test table");
+            let mut rng = pf_common::rng::Rng::new(11);
+            let (mut splits, mut emptied) = (0, 0);
+            for step in 0..60 {
+                let before = snapshot(&t);
+                let pages = t.page_count();
+                let delta = if step % 3 == 2 {
+                    // Delete the whole of one page's key range.
+                    let page = t
+                        .rows_on_page(PageId(rng.gen_range(u64::from(pages)) as u32))
+                        .expect("live page");
+                    let keys: Vec<Datum> = page.iter().map(|r| r.get(0).clone()).collect();
+                    let (n, delta) = t
+                        .delete_where(|r| keys.contains(r.get(0)))
+                        .expect("delete succeeds");
+                    assert!(n >= keys.len() as u64);
+                    delta
+                } else {
+                    let k = rng.gen_range(400) as i64;
+                    t.insert_row(Row::new(vec![Datum::Int(k), Datum::Str("y".repeat(30))]))
+                        .expect("insert fits")
+                };
+                if delta.page_map.is_some() {
+                    if t.page_count() > pages {
+                        splits += 1;
+                    } else {
+                        emptied += 1;
+                    }
+                }
+                assert_eq!(follow(before, &delta), snapshot(&t), "step {step}");
+            }
+            if clustered.is_some() {
+                assert!(splits > 0, "no insert split a page mid-table");
+            }
+            assert!(emptied > 0, "no delete emptied a page mid-table");
+        }
     }
 
     #[test]
