@@ -60,7 +60,7 @@ fn main() {
             let report = &reference.report;
             let shed_rate = report.shed_rate();
             let p99 = report.stats.p99_queue_wait_ms();
-            let trips = report.run_stats.breaker_trips;
+            let trips = report.breaker_trips;
             println!(
                 "seed={seed} rate={error_rate:<4} shed={:>5.1}% p99_wait={p99:>8.3} ms trips={trips} completed={} durable={} digest={:016x}",
                 shed_rate * 100.0,

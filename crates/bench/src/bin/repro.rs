@@ -1,40 +1,43 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--jobs N] [--fault-seed N] [--fault-rate P] [--feedback-dir D]
+//! repro [--jobs N] [--fault-seed N] [--fault-rate P] [--fault-error-rate E]
+//!       [--feedback-dir D]
 //!       table1 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11
 //!       | ablation-counters | ablation-bitvector | ablation-dpsample | ablation-models
+//!       | ablation-histogram | ablation-buffer | ablation-sensitivity
 //!       | all | quick
 //! ```
 //!
 //! `quick` runs everything at reduced scale (useful for smoke testing);
 //! `PF_ROWS=<n>` overrides the synthetic table size for any subcommand.
-//! `--jobs N` (or `PF_JOBS=<n>`, default: all cores) sets how many
-//! worker threads the feedback-loop experiments use — output is
-//! identical for any worker count.
+//! `--jobs N` (default: all cores) sets how many worker threads the
+//! feedback-loop experiments use — output is identical for any worker
+//! count.
 //!
-//! `--fault-seed N --fault-rate P` (or `PF_FAULT_SEED` /
-//! `PF_FAULT_RATE`) turn on deterministic storage fault injection: a
-//! fraction `P` of pages is damaged at load, chosen purely by
-//! `(seed, table, page)`. The run must still complete — corrupt pages
+//! `--fault-seed N --fault-rate P` turn on deterministic storage fault
+//! injection: every database an experiment builds has a fraction `P` of
+//! its pages damaged, chosen purely by `(seed, table, page)` (the seed
+//! defaults to `0xFA17`). The run must still complete — corrupt pages
 //! are skipped and the affected estimates labelled degraded.
-//! `--fault-error-rate E` (or `PF_FAULT_ERROR_RATE`) additionally makes
-//! a fraction `E` of storage operations *return typed errors* (failed
-//! reads, writes, fsyncs, renames) on their first attempt; retries make
-//! the run transparent, so output stays byte-identical to a clean run.
+//! `--fault-error-rate E` additionally makes a fraction `E` of storage
+//! operations *return typed errors* (failed reads, writes, fsyncs,
+//! renames) on their first attempt; retries make the run transparent,
+//! so output stays byte-identical to a clean run.
 //!
-//! `--feedback-dir D` (or `PF_FEEDBACK_DIR`) makes the feedback-loop
-//! figures (6, 7, 8, 11) persist every harvested measurement to a
-//! crash-safe store under `D` (one subdirectory per experiment) and
-//! recover whatever an earlier — possibly crashed — run persisted
-//! before re-optimizing. Kill a run mid-figure, rerun it, and the
-//! re-optimized plans come out byte-identical to an uninterrupted run.
+//! `--feedback-dir D` makes the feedback-loop figures (6, 7, 8, 11)
+//! persist every harvested measurement to a crash-safe store under `D`
+//! (one subdirectory per experiment) and recover whatever an earlier —
+//! possibly crashed — run persisted before re-optimizing. Kill a run
+//! mid-figure, rerun it, and the re-optimized plans come out
+//! byte-identical to an uninterrupted run.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use pagefeed::ParallelRunner;
-use pf_bench::util::synthetic_rows;
+use pagefeed::{FaultPlan, ParallelRunner};
+use pf_bench::util::ExperimentConfig;
 use pf_bench::*;
+use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
@@ -68,7 +71,7 @@ fn flag_value<T: std::str::FromStr>(
 }
 
 fn main() {
-    let mut jobs = ParallelRunner::from_env().jobs();
+    let mut jobs = ParallelRunner::default().jobs();
     let mut fault_seed: Option<u64> = None;
     let mut fault_rate: Option<f64> = None;
     let mut fault_error_rate: Option<f64> = None;
@@ -116,48 +119,47 @@ fn main() {
             }
         }
     }
-    // Experiments construct their databases internally, so the fault
-    // plan travels via the environment `FaultPlan::from_env` reads.
-    // Single-threaded here: no worker threads exist yet.
-    if let Some(seed) = fault_seed {
-        std::env::set_var(pf_storage::FAULT_SEED_ENV, seed.to_string());
-    }
-    if let Some(rate) = fault_rate {
-        if !(0.0..=1.0).contains(&rate) {
-            eprintln!("--fault-rate expects a probability in [0, 1], got {rate}");
-            usage();
+    let (rate, error_rate) = (fault_rate.unwrap_or(0.0), fault_error_rate.unwrap_or(0.0));
+    let fault_plan = if rate == 0.0 && error_rate == 0.0 {
+        None
+    } else {
+        match FaultPlan::new(fault_seed.unwrap_or(0xFA17), rate)
+            .and_then(|p| p.with_error_returns(error_rate))
+        {
+            Ok(plan) => Some(plan),
+            Err(e) => {
+                eprintln!("{e}");
+                usage();
+            }
         }
-        std::env::set_var(pf_storage::FAULT_RATE_ENV, rate.to_string());
-    }
-    if let Some(rate) = fault_error_rate {
-        if !(0.0..=1.0).contains(&rate) {
-            eprintln!("--fault-error-rate expects a probability in [0, 1], got {rate}");
-            usage();
-        }
-        std::env::set_var(pf_storage::FAULT_ERROR_RATE_ENV, rate.to_string());
-    }
-    if let Some(dir) = feedback_dir {
-        std::env::set_var(pagefeed::FEEDBACK_DIR_ENV, dir);
-    }
+    };
+    let cfg = ExperimentConfig {
+        jobs,
+        fault_plan,
+        feedback_root: feedback_dir.filter(|d| !d.is_empty()).map(PathBuf::from),
+    };
     let cmd = cmd.unwrap_or_else(|| "all".to_string());
-    let rows = synthetic_rows();
+    let rows = std::env::var("PF_ROWS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(320_000);
     let result = match cmd.as_str() {
-        "table1" => run_table1(rows).map(|_| ()),
-        "fig6" => run_fig6(rows, 25, jobs).map(|_| ()),
-        "fig7" => run_fig7(rows, 25, jobs).map(|_| ()),
-        "fig8" => run_fig8(rows, 10, jobs).map(|_| ()),
-        "fig9" => run_fig9(rows).map(|_| ()),
-        "fig10" => run_fig10().map(|_| ()),
-        "fig11" => run_fig11(5, jobs).map(|_| ()),
+        "table1" => run_table1(rows, &cfg).map(|_| ()),
+        "fig6" => run_fig6(rows, 25, &cfg).map(|_| ()),
+        "fig7" => run_fig7(rows, 25, &cfg).map(|_| ()),
+        "fig8" => run_fig8(rows, 10, &cfg).map(|_| ()),
+        "fig9" => run_fig9(rows, &cfg).map(|_| ()),
+        "fig10" => run_fig10(&cfg).map(|_| ()),
+        "fig11" => run_fig11(5, &cfg).map(|_| ()),
         "ablation-counters" => ablation_counters().map(|_| ()),
         "ablation-bitvector" => ablation_bitvector().map(|_| ()),
         "ablation-dpsample" => ablation_dpsample().map(|_| ()),
         "ablation-models" => ablation_models().map(|_| ()),
-        "ablation-histogram" => ablation_histogram(rows).map(|_| ()),
-        "ablation-buffer" => ablation_buffer().map(|_| ()),
-        "ablation-sensitivity" => ablation_sensitivity(rows.min(80_000)).map(|_| ()),
-        "all" => run_all(rows, 25, 10, 5, jobs),
-        "quick" => run_all(40_000, 4, 3, 2, jobs),
+        "ablation-histogram" => ablation_histogram(rows, &cfg).map(|_| ()),
+        "ablation-buffer" => ablation_buffer(&cfg).map(|_| ()),
+        "ablation-sensitivity" => ablation_sensitivity(rows.min(80_000), &cfg).map(|_| ()),
+        "all" => run_all(rows, 25, 10, 5, &cfg),
+        "quick" => run_all(40_000, 4, 3, 2, &cfg),
         other => {
             eprintln!("unknown experiment: {other}");
             usage();
@@ -174,21 +176,21 @@ fn run_all(
     single_per_col: usize,
     join_per_col: usize,
     real_per_col: usize,
-    jobs: usize,
+    cfg: &ExperimentConfig,
 ) -> pf_common::Result<()> {
-    run_table1(rows)?;
-    run_fig6(rows, single_per_col, jobs)?;
-    run_fig7(rows, single_per_col, jobs)?;
-    run_fig8(rows, join_per_col, jobs)?;
-    run_fig9(rows)?;
-    run_fig10()?;
-    run_fig11(real_per_col, jobs)?;
+    run_table1(rows, cfg)?;
+    run_fig6(rows, single_per_col, cfg)?;
+    run_fig7(rows, single_per_col, cfg)?;
+    run_fig8(rows, join_per_col, cfg)?;
+    run_fig9(rows, cfg)?;
+    run_fig10(cfg)?;
+    run_fig11(real_per_col, cfg)?;
     ablation_counters()?;
     ablation_bitvector()?;
     ablation_dpsample()?;
     ablation_models()?;
-    ablation_histogram(rows)?;
-    ablation_buffer()?;
-    ablation_sensitivity(rows.min(80_000))?;
+    ablation_histogram(rows, cfg)?;
+    ablation_buffer(cfg)?;
+    ablation_sensitivity(rows.min(80_000), cfg)?;
     Ok(())
 }

@@ -1,6 +1,6 @@
 //! Ablations beyond the paper's plots (DESIGN.md §4).
 
-use crate::util::{mean, section};
+use crate::util::{mean, section, ExperimentConfig};
 use pf_common::rng::Rng;
 use pf_common::{Datum, Result};
 use pf_feedback::distinct_estimators::{estimate_chao, estimate_gee, ReservoirSampler};
@@ -220,7 +220,7 @@ pub struct SensitivityRow {
 /// depends on the DPC, and feedback changes little; as seeks get
 /// relatively costlier the mis-estimated DPC becomes the dominant error
 /// and feedback speedups grow.
-pub fn ablation_sensitivity(rows: usize) -> Result<Vec<SensitivityRow>> {
+pub fn ablation_sensitivity(rows: usize, cfg: &ExperimentConfig) -> Result<Vec<SensitivityRow>> {
     use pagefeed::MonitorConfig;
     use pf_storage::DiskModel;
     use pf_workloads::synthetic::{build, SyntheticConfig};
@@ -228,11 +228,11 @@ pub fn ablation_sensitivity(rows: usize) -> Result<Vec<SensitivityRow>> {
 
     let mut out = Vec::new();
     for ratio in [1.0, 5.0, 20.0, 80.0] {
-        let mut db = build(&SyntheticConfig {
+        let mut db = cfg.with_faults(build(&SyntheticConfig {
             rows,
             with_t1: false,
             seed: 151,
-        })?;
+        })?)?;
         db.disk = DiskModel {
             rand_read_ms: DiskModel::default().seq_read_ms * ratio,
             ..DiskModel::default()
@@ -285,7 +285,7 @@ pub struct BufferRow {
 /// With a large pool, fetches == DPC (the paper's setting); once the
 /// pool is smaller than the working set, re-fetches appear — the regime
 /// M-L models and DPC alone does not.
-pub fn ablation_buffer() -> Result<Vec<BufferRow>> {
+pub fn ablation_buffer(cfg: &ExperimentConfig) -> Result<Vec<BufferRow>> {
     use pagefeed::{Database, MonitorConfig, PredSpec, Query};
     use pf_common::{Column, DataType, Row, Schema};
     use pf_exec::CompareOp;
@@ -313,6 +313,7 @@ pub fn ablation_buffer() -> Result<Vec<BufferRow>> {
     db.create_table("t", schema, rows, Some("id"))?;
     db.create_index("ix", "t", "scat")?;
     db.analyze()?;
+    db.set_fault_plan(cfg.fault_plan)?;
 
     let select = (n / 10) as i64;
     let query = Query::count(
@@ -376,17 +377,17 @@ pub struct HistogramRow {
 /// Self-tuning DPC histograms (Section VI future work): train the cache
 /// on one workload, then measure DPC-prediction error and plan quality
 /// on *unseen* queries over the same columns — no per-query feedback.
-pub fn ablation_histogram(rows: usize) -> Result<Vec<HistogramRow>> {
+pub fn ablation_histogram(rows: usize, cfg: &ExperimentConfig) -> Result<Vec<HistogramRow>> {
     use pagefeed::{MonitorConfig, PredSpec, Query};
     use pf_exec::CompareOp;
     use pf_workloads::synthetic::{build, SyntheticConfig};
     section("Ablation: self-tuning DPC histograms on unseen queries");
 
-    let mut db = build(&SyntheticConfig {
+    let mut db = cfg.with_faults(build(&SyntheticConfig {
         rows,
         with_t1: false,
         seed: 202,
-    })?;
+    })?)?;
     db.enable_dpc_histograms(32);
     let n = rows as i64;
     let q = |col: &str, lo: i64, hi: i64| {

@@ -5,7 +5,7 @@
 //! The paper's finding: CR varies widely (mean 0.56, σ 0.4) — "simple
 //! analytical formulas may be insufficient".
 
-use crate::util::{mean, section, std_dev};
+use crate::util::{mean, section, std_dev, ExperimentConfig};
 use pagefeed::{Database, PredSpec, Query};
 use pf_common::{Datum, Result};
 use pf_exec::CompareOp;
@@ -66,7 +66,7 @@ fn observe(
 
 /// Runs the Fig 10 experiment: several predicates per indexed column of
 /// each of the five databases.
-pub fn run_fig10() -> Result<Vec<CrPoint>> {
+pub fn run_fig10(cfg: &ExperimentConfig) -> Result<Vec<CrPoint>> {
     section("Fig 10: Page Clustering for Real Datasets");
     let mut points = Vec::new();
 
@@ -74,31 +74,31 @@ pub fn run_fig10() -> Result<Vec<CrPoint>> {
         (
             "Book Retailer",
             "book_retailer",
-            realworld::book_retailer(101)?,
+            cfg.with_faults(realworld::book_retailer(101)?)?,
             vec!["order_date", "ship_date", "cust_id", "book_cat"],
         ),
         (
             "Yellow Pages",
             "yellow_pages",
-            realworld::yellow_pages(102)?,
+            cfg.with_faults(realworld::yellow_pages(102)?)?,
             vec!["zip", "category", "phone"],
         ),
         (
             "TPC-H",
             "lineitem",
-            tpch::build_lineitem(103)?,
+            cfg.with_faults(tpch::build_lineitem(103)?)?,
             vec!["l_shipdate", "l_commitdate", "l_receiptdate", "l_suppkey"],
         ),
         (
             "Voter data",
             "voter",
-            realworld::voter(104)?,
+            cfg.with_faults(realworld::voter(104)?)?,
             vec!["reg_date", "precinct", "birth_year"],
         ),
         (
             "Products",
             "products",
-            realworld::products(105)?,
+            cfg.with_faults(realworld::products(105)?)?,
             vec!["category", "supplier", "list_price"],
         ),
     ];

@@ -5,7 +5,7 @@
 //! feedback loop. Expected shape: substantial speedups on columns whose
 //! clustering the analytical model misjudges, ≈0 on scattered columns.
 
-use crate::util::{mean, section};
+use crate::util::{mean, section, ExperimentConfig};
 use pagefeed::{Database, MonitorConfig, ParallelRunner};
 use pf_common::Result;
 use pf_workloads::{realworld, single_table_workload, tpch};
@@ -24,48 +24,48 @@ pub struct RealWorldPoint {
 }
 
 /// Runs the Fig 11 experiment with `per_column` queries per column,
-/// each database's workload dispatched across `jobs` worker threads.
-pub fn run_fig11(per_column: usize, jobs: usize) -> Result<Vec<RealWorldPoint>> {
+/// each database's workload dispatched across `cfg.jobs` worker threads.
+pub fn run_fig11(per_column: usize, cfg: &ExperimentConfig) -> Result<Vec<RealWorldPoint>> {
     section("Fig 11: SpeedUp for Real World Databases");
     let mut dbs: Vec<(&str, &str, Database, Vec<&str>)> = vec![
         (
             "Book Retailer",
             "book_retailer",
-            realworld::book_retailer(111)?,
+            cfg.with_faults(realworld::book_retailer(111)?)?,
             vec!["order_date", "ship_date", "cust_id"],
         ),
         (
             "Yellow Pages",
             "yellow_pages",
-            realworld::yellow_pages(112)?,
+            cfg.with_faults(realworld::yellow_pages(112)?)?,
             vec!["zip", "phone"],
         ),
         (
             "TPC-H",
             "lineitem",
-            tpch::build_lineitem(113)?,
+            cfg.with_faults(tpch::build_lineitem(113)?)?,
             vec!["l_shipdate", "l_commitdate", "l_receiptdate"],
         ),
         (
             "Voter data",
             "voter",
-            realworld::voter(114)?,
+            cfg.with_faults(realworld::voter(114)?)?,
             vec!["reg_date", "precinct", "birth_year"],
         ),
         (
             "Products",
             "products",
-            realworld::products(115)?,
+            cfg.with_faults(realworld::products(115)?)?,
             vec!["category", "supplier"],
         ),
     ];
 
-    let runner = ParallelRunner::new(jobs);
+    let runner = ParallelRunner::new(cfg.jobs);
     let mut points = Vec::new();
     let mut all_outcomes = Vec::new();
     let mut qid = 0;
     for (dbname, table, db, cols) in &mut dbs {
-        crate::util::attach_feedback_from_env(db, &format!("fig11-{table}"))?;
+        cfg.attach_feedback(db, &format!("fig11-{table}"))?;
         let queries =
             single_table_workload(db, table, cols, per_column, (0.01, 0.10), 116 + qid as u64)?;
         let outcomes = runner.run_feedback(db, &queries, &MonitorConfig::default())?;
@@ -109,6 +109,5 @@ pub fn run_fig11(per_column: usize, jobs: usize) -> Result<Vec<RealWorldPoint>> 
         println!("mean speedup {dbname}: {:.1}%", mean(&s) * 100.0);
     }
     crate::util::report_degraded(&all_outcomes);
-    crate::util::report_resilience(&runner);
     Ok(points)
 }

@@ -7,7 +7,7 @@
 //! over-estimates their page counts, so feedback flips Table Scan →
 //! Index Seek), ≈0 on C5 (the analytical estimate is already right).
 
-use crate::util::{mean, section};
+use crate::util::{mean, section, ExperimentConfig};
 use pagefeed::{MonitorConfig, ParallelRunner};
 use pf_common::Result;
 use pf_workloads::{single_table_workload, synthetic};
@@ -26,20 +26,24 @@ pub struct SpeedupPoint {
 }
 
 /// Runs the Fig 6 experiment; `per_column` queries per column, feedback
-/// cells dispatched across `jobs` worker threads (results are identical
-/// for any worker count).
-pub fn run_fig6(rows: usize, per_column: usize, jobs: usize) -> Result<Vec<SpeedupPoint>> {
+/// cells dispatched across `cfg.jobs` worker threads (results are
+/// identical for any worker count).
+pub fn run_fig6(
+    rows: usize,
+    per_column: usize,
+    cfg: &ExperimentConfig,
+) -> Result<Vec<SpeedupPoint>> {
     section("Fig 6: SpeedUp for single table queries");
-    let mut db = synthetic::build(&synthetic::SyntheticConfig {
+    let mut db = cfg.with_faults(synthetic::build(&synthetic::SyntheticConfig {
         rows,
         with_t1: false,
         seed: 61,
-    })?;
-    crate::util::attach_feedback_from_env(&mut db, "fig6")?;
+    })?)?;
+    cfg.attach_feedback(&mut db, "fig6")?;
     let columns = ["c2", "c3", "c4", "c5"];
     let queries = single_table_workload(&db, "T", &columns, per_column, (0.01, 0.10), 62)?;
 
-    let runner = ParallelRunner::new(jobs);
+    let runner = ParallelRunner::new(cfg.jobs);
     let outcomes = runner.run_feedback(&mut db, &queries, &MonitorConfig::default())?;
     let mut points = Vec::new();
     for (i, (q, out)) in queries.iter().zip(&outcomes).enumerate() {
@@ -74,6 +78,5 @@ pub fn run_fig6(rows: usize, per_column: usize, jobs: usize) -> Result<Vec<Speed
         println!("mean speedup {col}: {:.1}%", mean(&s) * 100.0);
     }
     crate::util::report_degraded(&outcomes);
-    crate::util::report_resilience(&runner);
     Ok(points)
 }

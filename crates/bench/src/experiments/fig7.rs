@@ -4,7 +4,7 @@
 //! `(T_monitored − T)/T` on the simulated clock (both runs cold-cache).
 //! The paper reports < 2 % for most queries.
 
-use crate::util::{max, mean, section};
+use crate::util::{max, mean, section, ExperimentConfig};
 use pagefeed::{MonitorConfig, ParallelRunner};
 use pf_common::Result;
 use pf_workloads::{single_table_workload, synthetic};
@@ -18,15 +18,19 @@ pub struct OverheadPoint {
     pub overhead: f64,
 }
 
-/// Runs the Fig 7 experiment across `jobs` worker threads.
-pub fn run_fig7(rows: usize, per_column: usize, jobs: usize) -> Result<Vec<OverheadPoint>> {
+/// Runs the Fig 7 experiment across `cfg.jobs` worker threads.
+pub fn run_fig7(
+    rows: usize,
+    per_column: usize,
+    cfg: &ExperimentConfig,
+) -> Result<Vec<OverheadPoint>> {
     section("Fig 7: Overheads for single table queries");
-    let mut db = synthetic::build(&synthetic::SyntheticConfig {
+    let mut db = cfg.with_faults(synthetic::build(&synthetic::SyntheticConfig {
         rows,
         with_t1: false,
         seed: 71,
-    })?;
-    crate::util::attach_feedback_from_env(&mut db, "fig7")?;
+    })?)?;
+    cfg.attach_feedback(&mut db, "fig7")?;
     let queries = single_table_workload(
         &db,
         "T",
@@ -36,7 +40,7 @@ pub fn run_fig7(rows: usize, per_column: usize, jobs: usize) -> Result<Vec<Overh
         72,
     )?;
 
-    let runner = ParallelRunner::new(jobs);
+    let runner = ParallelRunner::new(cfg.jobs);
     let outcomes = runner.run_feedback(&mut db, &queries, &MonitorConfig::default())?;
     let points: Vec<OverheadPoint> = outcomes
         .iter()
@@ -57,6 +61,5 @@ pub fn run_fig7(rows: usize, per_column: usize, jobs: usize) -> Result<Vec<Overh
         max(&os) * 100.0
     );
     crate::util::report_degraded(&outcomes);
-    crate::util::report_resilience(&runner);
     Ok(points)
 }

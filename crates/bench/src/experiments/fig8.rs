@@ -7,7 +7,7 @@
 //! INL DPC from the Hash Join execution; feedback flips Hash → INL when
 //! the join column is clustered.
 
-use crate::util::{max, mean, section};
+use crate::util::{max, mean, section, ExperimentConfig};
 use pagefeed::{MonitorConfig, ParallelRunner};
 use pf_common::Result;
 use pf_workloads::{join_workload, synthetic};
@@ -30,15 +30,15 @@ pub struct JoinPoint {
 }
 
 /// Runs the Fig 8 experiment; `per_column` queries per join column,
-/// dispatched across `jobs` worker threads.
-pub fn run_fig8(rows: usize, per_column: usize, jobs: usize) -> Result<Vec<JoinPoint>> {
+/// dispatched across `cfg.jobs` worker threads.
+pub fn run_fig8(rows: usize, per_column: usize, cfg: &ExperimentConfig) -> Result<Vec<JoinPoint>> {
     section("Fig 8: SpeedUp for join queries");
-    let mut db = synthetic::build(&synthetic::SyntheticConfig {
+    let mut db = cfg.with_faults(synthetic::build(&synthetic::SyntheticConfig {
         rows,
         with_t1: true,
         seed: 81,
-    })?;
-    crate::util::attach_feedback_from_env(&mut db, "fig8")?;
+    })?)?;
+    cfg.attach_feedback(&mut db, "fig8")?;
     let columns = ["c2", "c3", "c4", "c5"];
     let queries = join_workload(
         &db,
@@ -54,9 +54,9 @@ pub fn run_fig8(rows: usize, per_column: usize, jobs: usize) -> Result<Vec<JoinP
     // DPSample at 50 % on the probe scan keeps the semi-join hashing
     // cost ≈ 2 % (the paper's bit-vector overhead bound) while halving
     // the estimator variance relative to sparser sampling.
-    let cfg = MonitorConfig::sampled(0.5);
-    let runner = ParallelRunner::new(jobs);
-    let outcomes = runner.run_feedback(&mut db, &queries, &cfg)?;
+    let monitor = MonitorConfig::sampled(0.5);
+    let runner = ParallelRunner::new(cfg.jobs);
+    let outcomes = runner.run_feedback(&mut db, &queries, &monitor)?;
     let mut points = Vec::new();
     for (i, (q, out)) in queries.iter().zip(&outcomes).enumerate() {
         let (_, _, _, outer_col, _) = q.as_join()?;
@@ -128,6 +128,5 @@ pub fn run_fig8(rows: usize, per_column: usize, jobs: usize) -> Result<Vec<JoinP
         );
     }
     crate::util::report_degraded(&outcomes);
-    crate::util::report_resilience(&runner);
     Ok(points)
 }

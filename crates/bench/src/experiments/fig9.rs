@@ -7,7 +7,7 @@
 //! 100 % (exact) line is impractical as predicates grow, while 1 %
 //! sampling holds ≈2 % overhead with ≤0.5 % DPC error.
 
-use crate::util::{max, section};
+use crate::util::{max, section, ExperimentConfig};
 use pagefeed::{MonitorConfig, Query};
 use pf_common::Result;
 use pf_workloads::{multi_predicate_workload, synthetic};
@@ -26,13 +26,13 @@ pub struct SamplingPoint {
 }
 
 /// Runs the Fig 9 experiment.
-pub fn run_fig9(rows: usize) -> Result<Vec<SamplingPoint>> {
+pub fn run_fig9(rows: usize, cfg: &ExperimentConfig) -> Result<Vec<SamplingPoint>> {
     section("Fig 9: Effectiveness of Page Sampling");
-    let mut db = synthetic::build(&synthetic::SyntheticConfig {
+    let mut db = cfg.with_faults(synthetic::build(&synthetic::SyntheticConfig {
         rows,
         with_t1: false,
         seed: 91,
-    })?;
+    })?)?;
     // Moderate per-atom selectivity so short-circuiting matters.
     let queries = multi_predicate_workload(&db, "T", &["c2", "c3", "c4", "c5"], 0.5, 92)?;
     let fractions = [0.01, 0.10, 1.0];

@@ -1,6 +1,6 @@
 //! Table I — databases used in experiments.
 
-use crate::util::section;
+use crate::util::{section, ExperimentConfig};
 use pagefeed::Database;
 use pf_common::Result;
 use pf_workloads::{realworld, synthetic, tpch};
@@ -21,7 +21,7 @@ pub struct DbShape {
 }
 
 /// Builds every Table I database and reports its shape.
-pub fn run_table1(synthetic_rows: usize) -> Result<Vec<DbShape>> {
+pub fn run_table1(synthetic_rows: usize, cfg: &ExperimentConfig) -> Result<Vec<DbShape>> {
     section("Table I: Databases Used In Experiments (1:200 scale)");
     let mut shapes = Vec::new();
     let mut record =
@@ -37,21 +37,21 @@ pub fn run_table1(synthetic_rows: usize) -> Result<Vec<DbShape>> {
             Ok(())
         };
 
-    let br = realworld::book_retailer(11)?;
+    let br = cfg.with_faults(realworld::book_retailer(11)?)?;
     record("Book Retailer", &br, "book_retailer", 27.0)?;
-    let yp = realworld::yellow_pages(12)?;
+    let yp = cfg.with_faults(realworld::yellow_pages(12)?)?;
     record("Yellow Pages", &yp, "yellow_pages", 39.0)?;
-    let li = tpch::build_lineitem(13)?;
+    let li = cfg.with_faults(tpch::build_lineitem(13)?)?;
     record("TPC-H (Z=1) lineitem", &li, "lineitem", 54.0)?;
-    let vo = realworld::voter(14)?;
+    let vo = cfg.with_faults(realworld::voter(14)?)?;
     record("Voter data", &vo, "voter", 46.0)?;
-    let pr = realworld::products(15)?;
+    let pr = cfg.with_faults(realworld::products(15)?)?;
     record("Products", &pr, "products", 9.0)?;
-    let sy = synthetic::build(&synthetic::SyntheticConfig {
+    let sy = cfg.with_faults(synthetic::build(&synthetic::SyntheticConfig {
         rows: synthetic_rows,
         with_t1: false,
         seed: 16,
-    })?;
+    })?)?;
     record("Synthetic", &sy, "T", 80.0)?;
 
     println!(

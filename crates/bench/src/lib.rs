@@ -7,8 +7,8 @@
 //!
 //! Scale note: databases are built at ~1:200 of the paper's (DESIGN.md
 //! §2); experiment structure, workload shapes, and *relative* outcomes
-//! (who wins, crossovers) are preserved. Set `PF_ROWS` to override the
-//! synthetic table size.
+//! (who wins, crossovers) are preserved. `repro` reads `PF_ROWS` to
+//! override the synthetic table size.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 

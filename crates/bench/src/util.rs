@@ -1,4 +1,63 @@
-//! Small shared helpers for experiment output.
+//! The experiments' configuration and small shared helpers for their
+//! output.
+
+use pagefeed::{Database, FaultPlan};
+use pf_common::Result;
+use std::path::PathBuf;
+
+/// What `repro`'s flags set for every experiment.
+#[derive(Debug, Clone)]
+pub struct ExperimentConfig {
+    /// Worker threads of the feedback-loop experiments; their output is
+    /// identical for any count.
+    pub jobs: usize,
+    /// Fault plan installed on every database an experiment builds.
+    pub fault_plan: Option<FaultPlan>,
+    /// Directory under which the feedback-loop experiments keep durable
+    /// feedback stores (`None`: in-memory hints only).
+    pub feedback_root: Option<PathBuf>,
+}
+
+impl ExperimentConfig {
+    /// `jobs` workers, no fault injection, no durable feedback.
+    pub fn new(jobs: usize) -> Self {
+        ExperimentConfig {
+            jobs,
+            fault_plan: None,
+            feedback_root: None,
+        }
+    }
+
+    /// A freshly built `db` with the fault plan installed. Damage is a
+    /// pure function of `(seed, table, page)` and index builds and
+    /// statistics read the pristine pages, so installing after the build
+    /// equals installing before it.
+    pub fn with_faults(&self, mut db: Database) -> Result<Database> {
+        db.set_fault_plan(self.fault_plan)?;
+        Ok(db)
+    }
+
+    /// Attaches a durable feedback store under `<feedback_root>/<name>`,
+    /// when a root is set. Recovered measurements are replayed into the
+    /// hint set before the workload runs, so a repro restarted after a
+    /// crash re-optimizes from persisted feedback — the re-optimized
+    /// plans are byte-identical to the uninterrupted run's — and every
+    /// measurement the workload harvests is WAL-durable before it is
+    /// used. Returns the recovered-report count (0 when persistence is
+    /// off).
+    pub fn attach_feedback(&self, db: &mut Database, name: &str) -> Result<usize> {
+        let Some(root) = &self.feedback_root else {
+            return Ok(0);
+        };
+        let dir = root.join(name);
+        let recovered = db.attach_feedback_store(&dir)?;
+        println!(
+            "feedback store {}: {recovered} report(s) recovered",
+            dir.display()
+        );
+        Ok(recovered)
+    }
+}
 
 /// Mean of a slice (0 for empty).
 pub fn mean(xs: &[f64]) -> f64 {
@@ -23,41 +82,9 @@ pub fn max(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(0.0, f64::max)
 }
 
-/// The synthetic table size, overridable via `PF_ROWS` for quick runs.
-pub fn synthetic_rows() -> usize {
-    pf_common::env_knob("PF_ROWS").unwrap_or(320_000)
-}
-
 /// Prints a header line for an experiment section.
 pub fn section(title: &str) {
     println!("\n=== {title} ===");
-}
-
-/// Attaches a durable feedback store under `$PF_FEEDBACK_DIR/<name>`
-/// (set by `repro --feedback-dir`), when the variable names a directory.
-/// Recovered measurements are replayed into the hint set before the
-/// workload runs, so a repro restarted after a crash re-optimizes from
-/// persisted feedback — the re-optimized plans are byte-identical to the
-/// uninterrupted run's — and every measurement the workload harvests is
-/// WAL-durable before it is used. Returns the recovered-report count
-/// (0 when persistence is off).
-pub fn attach_feedback_from_env(
-    db: &mut pagefeed::Database,
-    name: &str,
-) -> pf_common::Result<usize> {
-    let Ok(root) = std::env::var(pagefeed::FEEDBACK_DIR_ENV) else {
-        return Ok(0);
-    };
-    if root.is_empty() {
-        return Ok(0);
-    }
-    let dir = std::path::Path::new(&root).join(name);
-    let recovered = db.attach_feedback_store(&dir)?;
-    println!(
-        "feedback store {}: {recovered} report(s) recovered",
-        dir.display()
-    );
-    Ok(recovered)
 }
 
 /// Prints which queries of a feedback workload ran degraded (skipped
@@ -80,21 +107,6 @@ pub fn report_degraded(outcomes: &[pagefeed::FeedbackOutcome]) {
     }
 }
 
-/// Prints the watchdog and cancellation counters of `runner`'s last
-/// invocation — silent when nothing stalled, was rescued, or was
-/// aborted, so fault-free experiment output stays byte-identical.
-pub fn report_resilience(runner: &pagefeed::ParallelRunner) {
-    let Some(rs) = runner.last_run_stats() else {
-        return;
-    };
-    if rs.stalls_detected > 0 || rs.morsels_rescued > 0 || rs.queries_cancelled > 0 {
-        println!(
-            "resilience: {} stall(s) detected, {} morsel(s) rescued, {} query(ies) cancelled",
-            rs.stalls_detected, rs.morsels_rescued, rs.queries_cancelled
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,12 +117,5 @@ mod tests {
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
         assert_eq!(std_dev(&[1.0, 3.0]), 1.0);
         assert_eq!(max(&[1.0, -2.0, 0.5]), 1.0);
-    }
-
-    #[test]
-    fn report_resilience_is_silent_without_a_run() {
-        // Smoke: a fresh runner has no last-run stats and must not
-        // panic or print.
-        report_resilience(&pagefeed::ParallelRunner::new(1));
     }
 }

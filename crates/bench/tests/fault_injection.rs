@@ -4,8 +4,8 @@
 //! every *non-degraded* query's feedback sketch identical to the
 //! fault-free run's — the headline robustness guarantee of the harness.
 
-use pagefeed::{Database, FaultPlan, MonitorConfig, ParallelRunner, PredSpec, Query};
-use pf_common::Datum;
+use pagefeed::{Database, FaultPlan, MonitorConfig, ParallelRunner, PredSpec, Query, QueryOutcome};
+use pf_common::{Datum, PageId};
 use pf_exec::CompareOp;
 use pf_workloads::synthetic::{self, SyntheticConfig};
 
@@ -159,4 +159,123 @@ fn healing_the_plan_restores_the_fault_free_run() {
         assert_eq!(h.report, r.report, "query {i}");
         assert!(!h.degraded(), "query {i} still degraded after healing");
     }
+}
+
+/// The synthetic database loaded table by table into an empty database
+/// that already carries `plan`, from the pristine rows of `src`.
+fn build_db_plan_first(src: &Database, plan: FaultPlan) -> Database {
+    let mut db = Database::new();
+    db.set_fault_plan(Some(plan)).expect("install fault plan");
+    let rows = |name: &str| {
+        let storage = &src.catalog().table_by_name(name).expect("table").storage;
+        (0..storage.page_count())
+            .flat_map(|p| storage.rows_on_page(PageId(p)).expect("pristine rows"))
+            .collect()
+    };
+    db.create_table("T", synthetic::schema(), rows("T"), Some("c1"))
+        .expect("load T");
+    for c in ["c2", "c3", "c4", "c5"] {
+        db.create_index(&format!("ix_T_{c}"), "T", c)
+            .expect("index");
+    }
+    db.create_table("T1", synthetic::schema(), rows("T1"), Some("c1"))
+        .expect("load T1");
+    db.analyze().expect("analyze");
+    db
+}
+
+/// Experiments install their fault plan after the builder returns. That
+/// must equal a plan set on the empty database before any load, index
+/// build or analyze: same damage, same feedback-loop outcomes, same
+/// hints.
+#[test]
+fn plan_installed_after_load_equals_plan_set_before() {
+    let plan = FaultPlan::new(42, 0.05)
+        .and_then(|p| p.with_error_returns(0.05))
+        .expect("valid plan");
+    let mut after = build_db(None);
+    let mut before = build_db_plan_first(&after, plan);
+    after
+        .set_fault_plan(Some(plan))
+        .expect("install after load");
+
+    for (a, b) in after
+        .catalog()
+        .tables()
+        .iter()
+        .zip(before.catalog().tables())
+    {
+        assert_eq!(a.name, b.name);
+        assert_eq!(a.storage.page_count(), b.storage.page_count(), "{}", a.name);
+        for p in (0..a.storage.page_count()).map(PageId) {
+            assert_eq!(
+                a.storage.page(p).expect("page").bytes(),
+                b.storage.page(p).expect("page").bytes(),
+                "{} page {p:?}: same pristine bytes",
+                a.name
+            );
+        }
+        assert_eq!(
+            a.storage.injected_fault_count(),
+            b.storage.injected_fault_count(),
+            "{}: same damage",
+            a.name
+        );
+    }
+    let damaged: usize = after
+        .catalog()
+        .tables()
+        .iter()
+        .map(|t| t.storage.injected_fault_count())
+        .sum();
+    assert!(damaged > 0, "the plan must damage pages");
+
+    // The shared workload's scans and join, plus narrow ranges on the
+    // scattered column c5, whose index seeks fetch from pages all over
+    // the table.
+    let mut queries = workload();
+    for lo in (0..12).map(|k| k * 3_000) {
+        queries.push(Query::count(
+            "T",
+            vec![
+                PredSpec::new("c5", CompareOp::Ge, Datum::Int(lo)),
+                PredSpec::new("c5", CompareOp::Lt, Datum::Int(lo + 12)),
+            ],
+        ));
+    }
+    let cfg = MonitorConfig::default();
+    let runner = ParallelRunner::new(2);
+    let a = runner
+        .run_feedback(&mut after, &queries, &cfg)
+        .expect("feedback workload, plan after load");
+    let b = runner
+        .run_feedback(&mut before, &queries, &cfg)
+        .expect("feedback workload, plan before load");
+    assert_eq!(a.len(), b.len());
+    let same = |what: &str, i: usize, x: &QueryOutcome, y: &QueryOutcome| {
+        assert_eq!(x.count, y.count, "query {i} {what}: count");
+        assert_eq!(x.stats, y.stats, "query {i} {what}: stats");
+        assert_eq!(x.report, y.report, "query {i} {what}: report");
+        assert_eq!(x.description, y.description, "query {i} {what}: plan");
+        assert_eq!(
+            x.elapsed_ms.to_bits(),
+            y.elapsed_ms.to_bits(),
+            "query {i} {what}: elapsed_ms"
+        );
+    };
+    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+        same("before feedback", i, &x.before, &y.before);
+        same("after feedback", i, &x.after, &y.after);
+        assert_eq!(x.report, y.report, "query {i}: harvested report");
+        assert_eq!(
+            x.monitored_elapsed_ms.to_bits(),
+            y.monitored_elapsed_ms.to_bits(),
+            "query {i}: monitored elapsed_ms"
+        );
+    }
+    assert!(
+        a.iter().any(|o| o.before.degraded() || o.after.degraded()),
+        "the damage must reach the workload"
+    );
+    assert_eq!(after.hints().len(), before.hints().len());
 }

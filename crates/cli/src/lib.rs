@@ -30,7 +30,7 @@ pub struct Shell {
     /// Queries this session aborted via cancellation or deadline.
     queries_cancelled: u64,
     /// The admission gate every SQL statement passes through, on the
-    /// session's simulated clock (`PF_ADMIT_*` or `.admit`).
+    /// session's simulated clock (`.admit` reconfigures it).
     admission: AdmissionController,
     /// Session simulated clock: advances by each query's simulated
     /// elapsed time, driving admission tokens and breaker probes.
@@ -38,17 +38,18 @@ pub struct Shell {
 }
 
 impl Shell {
-    /// A fresh shell with no database loaded, exact monitoring, the
-    /// worker count from `PF_JOBS` (default: all cores), and no
-    /// per-query deadline.
+    /// A fresh shell with no database loaded, exact monitoring, one
+    /// worker per core, the default admission gate, no fault plan and
+    /// no per-query deadline; `.jobs`, `.admit`, `.faults` and
+    /// `.deadline` change them for the session.
     pub fn new() -> Self {
         Shell {
             db: None,
             monitor: MonitorConfig::default(),
-            runner: ParallelRunner::from_env(),
+            runner: ParallelRunner::default(),
             deadline_ms: None,
             queries_cancelled: 0,
-            admission: AdmissionController::new(AdmissionConfig::from_env()),
+            admission: AdmissionController::new(AdmissionConfig::default()),
             sim_now_ms: 0.0,
         }
     }
@@ -532,18 +533,6 @@ impl Shell {
                     s
                 }
             };
-            let _ = write!(
-                s,
-                "\nwatchdog: stall budget {} ms",
-                self.runner.stall_budget_ms()
-            );
-            if let Some(rs) = self.runner.last_run_stats() {
-                let _ = write!(
-                    s,
-                    "; last run: {} stall(s) detected, {} morsel(s) rescued, {} query(ies) cancelled",
-                    rs.stalls_detected, rs.morsels_rescued, rs.queries_cancelled
-                );
-            }
             if self.queries_cancelled > 0 {
                 let _ = write!(
                     s,
@@ -766,16 +755,6 @@ impl Shell {
                         pc.hit_rate() * 100.0,
                     );
                 }
-                if let Some(rs) = runner.last_run_stats() {
-                    if rs.stalls_detected > 0 || rs.morsels_rescued > 0 || rs.queries_cancelled > 0
-                    {
-                        let _ = write!(
-                            out,
-                            "\nresilience: {} stall(s) detected, {} morsel(s) rescued, {} query(ies) cancelled",
-                            rs.stalls_detected, rs.morsels_rescued, rs.queries_cancelled
-                        );
-                    }
-                }
                 out
             }
             Err(e) => format!("bench failed: {e}"),
@@ -853,13 +832,13 @@ commands:
   .feedback stats     show store size and contents
   .feedback evict     age hints against current table epochs; drop dead measurements
   .hints              show feedback-cache status
-  .jobs [N]           show / set worker threads for .bench (default: PF_JOBS or all cores)
+  .jobs [N]           show / set worker threads for .bench (default: all cores)
   .deadline [MS|off]  show / set the per-query deadline in simulated ms (default: off)
   .faults [S R [E]|off] show / set deterministic fault injection (seed S, page rate R,
-                      optional error-return rate E); no args also reports watchdog and
-                      cancellation counters; off also resets admission/breaker counters
+                      optional error-return rate E; default: off); no args also reports
+                      the session's cancellations; off also resets admission/breaker counters
   .admit [C Q [R [B]]|reset] show / set the admission gate (C concurrent, queue Q deep,
-                      R tokens/s, burst B — default: PF_ADMIT_*); reset clears counters
+                      R tokens/s, burst B — default: 4 8 1000 8); reset clears counters
   .breaker [on|off|trip|reset] show / manage the feedback circuit breaker; trip forces
                       it open (durability suspended), reset closes it again
   .bench <n> <sql>    run the query n times across the worker pool, report throughput
@@ -1007,11 +986,11 @@ mod tests {
     }
 
     #[test]
-    fn faults_status_reports_watchdog_and_error_returns() {
+    fn faults_status_reports_error_returns() {
         let mut sh = Shell::new();
         sh.eval(".load products");
         let status = out(sh.eval(".faults"));
-        assert!(status.contains("watchdog: stall budget"), "{status}");
+        assert_eq!(status, "fault injection off");
         let on = out(sh.eval(".faults 7 0.01 0.5"));
         assert!(on.contains("error returns at 0.5"), "{on}");
         assert!(out(sh.eval(".faults 7 0.01 2.0")).contains("bad fault plan"));

@@ -15,7 +15,6 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod env;
 pub mod error;
 pub mod hash;
 pub mod ids;
@@ -23,7 +22,6 @@ pub mod rng;
 pub mod schema;
 pub mod value;
 
-pub use env::env_knob;
 pub use error::{Error, Result};
 pub use ids::{ColumnId, IndexId, PageId, Rid, SlotId, TableId};
 pub use schema::{Column, Row, Schema};

@@ -30,22 +30,13 @@
 //!   wall-clock time, never simulated time).
 
 use crate::db::{Database, QueryOutcome};
-use crate::parallel::{ParallelRunner, RunStats};
+use crate::parallel::ParallelRunner;
 use crate::planner::MonitorConfig;
 use crate::query::Query;
-use pf_common::{env_knob, Error, Result};
+use pf_common::{Error, Result};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-/// Env knob: maximum concurrently executing queries (default 4).
-pub const ADMIT_CONCURRENCY_ENV: &str = "PF_ADMIT_CONCURRENCY";
-/// Env knob: admission-queue capacity; a full queue sheds (default 8).
-pub const ADMIT_QUEUE_ENV: &str = "PF_ADMIT_QUEUE";
-/// Env knob: token-bucket refill rate in queries per simulated second
-/// (default 1000).
-pub const ADMIT_RATE_ENV: &str = "PF_ADMIT_RATE";
-/// Env knob: token-bucket burst capacity in queries (default 8).
-pub const ADMIT_BURST_ENV: &str = "PF_ADMIT_BURST";
 /// Baseline bytes every running query reserves for executor scratch
 /// (contexts, cursors, partial aggregates), independent of monitoring.
 pub const BASE_QUERY_BYTES: usize = 64 << 10;
@@ -99,17 +90,6 @@ impl Default for AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// Reads `PF_ADMIT_*` overrides on top of the defaults.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        AdmissionConfig {
-            max_concurrent: env_knob(ADMIT_CONCURRENCY_ENV).unwrap_or(d.max_concurrent),
-            queue_capacity: env_knob(ADMIT_QUEUE_ENV).unwrap_or(d.queue_capacity),
-            tokens_per_sec: env_knob(ADMIT_RATE_ENV).unwrap_or(d.tokens_per_sec),
-            burst: env_knob(ADMIT_BURST_ENV).unwrap_or(d.burst),
-        }
-    }
-
     fn sanitized(mut self) -> Self {
         self.max_concurrent = self.max_concurrent.max(1);
         if self.tokens_per_sec.is_nan() || self.tokens_per_sec <= 0.0 {
@@ -361,11 +341,6 @@ impl AdmissionController {
         self.running
     }
 
-    /// Queries currently queued.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
     /// The accumulated counters.
     pub fn stats(&self) -> &AdmissionStats {
         &self.stats
@@ -609,8 +584,9 @@ pub struct AdmittedRunReport {
     pub durable_reports: u64,
     /// Reports lost entirely (store failed with no breaker attached).
     pub lost_reports: u64,
-    /// Overload counters folded into the pool-stats shape.
-    pub run_stats: RunStats,
+    /// Feedback circuit-breaker trips during the run (0 without a
+    /// breaker).
+    pub breaker_trips: u64,
     /// The breaker's transition trace (empty without a breaker).
     pub breaker_trace: Vec<String>,
 }
@@ -684,7 +660,6 @@ pub fn run_admitted_workload(
     let mut absorbed_reports = 0u64;
     let mut durable_reports = 0u64;
     let mut lost_reports = 0u64;
-    let mut queries_cancelled = 0u64;
 
     let mut arrivals: Vec<(SimUs, usize)> = jobs
         .iter()
@@ -707,8 +682,7 @@ pub fn run_admitted_workload(
                          completions: &mut BTreeMap<(SimUs, u64), PendingCompletion>,
                          seq: &mut u64,
                          trace: &mut Vec<String>,
-                         records: &mut Vec<Option<JobRecord>>,
-                         queries_cancelled: &mut u64|
+                         records: &mut Vec<Option<JobRecord>>|
      -> bool {
         let job = &jobs[idx];
         let now_ms = us_to_ms(now_us);
@@ -716,7 +690,6 @@ pub fn run_admitted_workload(
         // Cancelled while queued: the slot frees immediately.
         if job.cancel_at_ms.is_some_and(|c| to_us(c) <= now_us) {
             trace.push(format!("t={} q{idx} cancelled before start", fmt_t(now_us)));
-            *queries_cancelled += 1;
             records[idx] = Some(JobRecord {
                 result: Err(Error::Cancelled),
                 step: None,
@@ -844,7 +817,6 @@ pub fn run_admitted_workload(
                 &mut seq,
                 &mut trace,
                 &mut records,
-                &mut queries_cancelled,
             )
         };
     }
@@ -915,9 +887,6 @@ pub fn run_admitted_workload(
                 }
                 Err(e) => {
                     budget.release(done.reservation);
-                    if e.is_abort() {
-                        queries_cancelled += 1;
-                    }
                     let tag = match e {
                         Error::Cancelled => "cancelled".to_string(),
                         Error::DeadlineExceeded { deadline_ms } => {
@@ -984,12 +953,7 @@ pub fn run_admitted_workload(
 
     let stats = controller.stats().clone();
     let breaker_trace = db.breaker().map(|b| b.trace_lines()).unwrap_or_default();
-    let run_stats = RunStats {
-        queries_cancelled,
-        queries_shed: stats.shed(),
-        breaker_trips: db.breaker().map(|b| b.trips()).unwrap_or(0),
-        ..RunStats::default()
-    };
+    let breaker_trips = db.breaker().map(|b| b.trips()).unwrap_or(0);
     AdmittedRunReport {
         records: records
             .into_iter()
@@ -1010,7 +974,7 @@ pub fn run_admitted_workload(
         absorbed_reports,
         durable_reports,
         lost_reports,
-        run_stats,
+        breaker_trips,
         breaker_trace,
     }
 }
@@ -1242,11 +1206,7 @@ mod tests {
     }
 
     #[test]
-    fn admission_config_env_is_parsed() {
-        // Serialized against other env-mutating tests via the
-        // pf-common lock idiom: this test only reads defaults (the
-        // variables are process-global; see pf-common's env tests for
-        // the mutation coverage).
+    fn admission_config_defaults_and_sanitizing() {
         let cfg = AdmissionConfig::default();
         assert_eq!(cfg.max_concurrent, 4);
         assert_eq!(cfg.queue_capacity, 8);

@@ -148,12 +148,8 @@ impl Database {
     /// (512 MB at 8 KB/page — large enough that within-query re-fetches
     /// never occur at our scales, matching the paper's setup).
     pub fn new() -> Self {
-        let mut catalog = Catalog::new();
-        // Fault injection is opt-in via PF_FAULT_RATE / PF_FAULT_SEED:
-        // unset, this is None and every code path below is fault-free.
-        catalog.set_fault_plan(FaultPlan::from_env());
         Database {
-            catalog,
+            catalog: Catalog::new(),
             stats: DbStats::default(),
             stats_current: false,
             hints: HintSet::new(),

@@ -37,10 +37,6 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Environment variable naming the directory a feedback store should
-/// live in (read by the repro binary).
-pub const FEEDBACK_DIR_ENV: &str = "PF_FEEDBACK_DIR";
-
 /// WAL file name inside the store directory.
 const WAL_FILE: &str = "feedback.wal";
 /// Snapshot file name inside the store directory.

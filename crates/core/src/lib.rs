@@ -86,20 +86,17 @@ pub mod sql;
 pub use admission::{
     degrade_step, run_admitted_workload, AdmissionConfig, AdmissionController, AdmissionStats,
     AdmitDecision, AdmittedJob, AdmittedRunReport, DegradeStep, JobRecord, MemoryBudget, Priority,
-    ADMIT_BURST_ENV, ADMIT_CONCURRENCY_ENV, ADMIT_QUEUE_ENV, ADMIT_RATE_ENV, BASE_QUERY_BYTES,
+    BASE_QUERY_BYTES,
 };
 pub use breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 pub use db::{Database, MorselPlan, Morsels, QueryOutcome, MAX_TRANSIENT_RETRIES};
 pub use dba::{DbaDiagnosis, Discrepancy};
 pub use feedback_loop::FeedbackOutcome;
-pub use feedback_store::{FeedbackStore, StoreStats, StoredReport, FEEDBACK_DIR_ENV};
+pub use feedback_store::{FeedbackStore, StoreStats, StoredReport};
 pub use histogram_cache::DpcHistogramCache;
-pub use parallel::{
-    chaos_seed_from_env, ChaosReport, ParallelRunner, RunStats, WorkerRunStats, WorkloadSummary,
-    CHAOS_SEED_ENV, STALL_BUDGET_ENV,
-};
+pub use parallel::{ParallelRunner, RunStats, WorkerRunStats, WorkloadSummary};
 pub use pf_exec::CancelToken;
-pub use pf_storage::{ErrorFault, FaultKind, FaultPlan, FAULT_ERROR_RATE_ENV};
+pub use pf_storage::{ErrorFault, FaultKind, FaultPlan};
 pub use plan_cache::PlanCacheStats;
 pub use planner::{LoweredPlan, MonitorConfig, MonitorHarness, OptimizedQuery, PlanChoice};
 pub use query::{PredSpec, Query};

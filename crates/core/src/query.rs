@@ -100,19 +100,6 @@ impl Query {
         }
     }
 
-    /// A single-table `COUNT(column)` query.
-    pub fn count_column(
-        table: impl Into<String>,
-        predicate: Vec<PredSpec>,
-        column: impl Into<String>,
-    ) -> Self {
-        Query::Count {
-            table: table.into(),
-            predicate,
-            count_arg: CountArg::Column(column.into()),
-        }
-    }
-
     /// A two-table equijoin count query.
     pub fn join_count(
         outer: impl Into<String>,

@@ -59,11 +59,6 @@ impl CancelToken {
         self.inner.cancelled.store(true, Ordering::SeqCst);
     }
 
-    /// Whether the token has tripped.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::SeqCst)
-    }
-
     /// Record one checkpoint; returns `true` when the token is (now)
     /// tripped. Self-trips when a `cancel_after` budget reaches zero.
     pub fn checkpoint(&self) -> bool {

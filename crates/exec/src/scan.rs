@@ -190,11 +190,6 @@ impl SeqScan {
         ))
     }
 
-    /// Pages this scan will touch.
-    pub fn pages_to_scan(&self) -> u32 {
-        self.page_range.1 - self.page_range.0
-    }
-
     /// The storage this scan reads — page-batched parents use it to
     /// re-derive row views by `(page, slot)` provenance.
     pub fn storage(&self) -> &Arc<TableStorage> {

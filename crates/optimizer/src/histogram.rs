@@ -5,7 +5,6 @@
 //! still needs a realistic default estimator — and the histogram is also
 //! what a DPC histogram (Section VI's future work) would extend.
 
-use pf_common::Datum;
 use std::cmp::Ordering;
 
 /// One equi-depth bucket over `[lo, hi]`.
@@ -22,7 +21,7 @@ pub struct Bucket {
 }
 
 /// An equi-depth histogram over a numeric column
-/// (`Int`/`Float`/`Date` via [`Datum::numeric`]).
+/// (`Int`/`Float`/`Date` via [`pf_common::Datum::numeric`]).
 ///
 /// Values, bucket bounds and literals are all compared by
 /// [`f64::total_cmp`] — the order `Datum` sorts floats by — so `NaN`
@@ -145,11 +144,6 @@ impl EquiDepthHistogram {
         };
         (rows / t).clamp(0.0, 1.0)
     }
-}
-
-/// Extracts the numeric view of a datum column, skipping strings.
-pub fn numeric_column(values: &[Datum]) -> Vec<f64> {
-    values.iter().filter_map(Datum::numeric).collect()
 }
 
 #[cfg(test)]

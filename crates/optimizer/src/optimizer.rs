@@ -323,12 +323,6 @@ impl<'a> Optimizer<'a> {
             .ok_or_else(|| Error::NoPlanFound("no join candidates".into()))
     }
 
-    /// The analytical DPC the optimizer would use for `n` rows on a table
-    /// of `pages` pages — exposed so reports can show estimated-vs-actual.
-    pub fn analytical_dpc(&self, n: f64, pages: f64) -> f64 {
-        cardenas(n, pages)
-    }
-
     fn dpc_or_analytic(&self, table: &str, key: &str, n: f64, pages: f64) -> (f64, DpcSource) {
         match self.hints.dpc(table, key) {
             Some(v) => (v, DpcSource::Injected),

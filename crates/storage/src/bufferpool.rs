@@ -193,11 +193,6 @@ impl BufferPool {
         &self.misses
     }
 
-    /// Whether a page is resident, with no accounting side effects.
-    pub fn is_resident(&self, table: TableId, page: PageId) -> bool {
-        self.frames.contains(&(table, page))
-    }
-
     /// Charges `n` B+-tree node reads.
     pub fn charge_index_nodes(&mut self, n: u64) {
         self.stats.index_node_reads += n;

@@ -114,12 +114,6 @@ impl Catalog {
         Self::default()
     }
 
-    /// Sets the fault plan applied to tables registered *after* this
-    /// call (`None` disables injection for subsequent tables).
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault_plan = plan;
-    }
-
     /// The catalog's active fault plan.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()

@@ -5,8 +5,8 @@
 //! torn writes, and slow reads. This module provides a *seeded,
 //! reproducible* fault plan: given `(seed, rate)`, every `(TableId,
 //! PageId)` site independently draws whether it faults and how, so a
-//! run with `PF_FAULT_SEED=42 PF_FAULT_RATE=0.01` damages exactly the
-//! same pages every time, on every machine, at every worker count.
+//! plan with seed 42 and rate 0.01 damages exactly the same pages every
+//! time, on every machine, at every worker count.
 //!
 //! Fault kinds mirror the failure modes a page-oriented engine sees:
 //!
@@ -31,15 +31,6 @@
 use pf_common::hash::mix64;
 use pf_common::{PageId, TableId};
 use std::fmt;
-
-/// Environment variable holding the fault-plan seed (u64, default 0xFA17).
-pub const FAULT_SEED_ENV: &str = "PF_FAULT_SEED";
-/// Environment variable holding the per-page fault rate (f64 in [0, 1]).
-pub const FAULT_RATE_ENV: &str = "PF_FAULT_RATE";
-/// Environment variable holding the per-site *error-return* rate
-/// (f64 in [0, 1]): how often a durable operation fails outright
-/// (ENOSPC, fsync, rename, read error) instead of corrupting bytes.
-pub const FAULT_ERROR_RATE_ENV: &str = "PF_FAULT_ERROR_RATE";
 
 /// One injected failure mode for a page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,26 +142,6 @@ impl FaultPlan {
         Ok(self)
     }
 
-    /// Reads `PF_FAULT_SEED` / `PF_FAULT_RATE` / `PF_FAULT_ERROR_RATE`;
-    /// `None` when both rates are unset, unparsable, or zero (faults
-    /// disabled).
-    pub fn from_env() -> Option<Self> {
-        let parse_rate = |var: &str| -> f64 {
-            pf_common::env_knob::<f64>(var)
-                .unwrap_or(0.0)
-                .clamp(0.0, 1.0)
-        };
-        let rate = parse_rate(FAULT_RATE_ENV);
-        let error_rate = parse_rate(FAULT_ERROR_RATE_ENV);
-        if rate <= 0.0 && error_rate <= 0.0 {
-            return None;
-        }
-        let seed = pf_common::env_knob(FAULT_SEED_ENV).unwrap_or(0xFA17);
-        FaultPlan::new(seed, rate)
-            .and_then(|p| p.with_error_returns(error_rate))
-            .ok()
-    }
-
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -218,7 +189,7 @@ impl FaultPlan {
     }
 
     /// The plan's error-return rate (0 unless enabled via
-    /// [`FaultPlan::with_error_returns`] / `PF_FAULT_ERROR_RATE`).
+    /// [`FaultPlan::with_error_returns`]).
     pub fn error_rate(&self) -> f64 {
         self.error_rate
     }

@@ -44,9 +44,7 @@ pub mod view;
 pub use bufferpool::{merge_morsel_stats, AccessPattern, BufferPool, IoStats, PageMiss};
 pub use catalog::{Catalog, IndexMeta, TableBuilder, TableMeta, TableStats};
 pub use disk::DiskModel;
-pub use fault::{
-    ErrorFault, FaultKind, FaultPlan, FAULT_ERROR_RATE_ENV, FAULT_RATE_ENV, FAULT_SEED_ENV,
-};
+pub use fault::{ErrorFault, FaultKind, FaultPlan};
 pub use page::{crc32, Page, DEFAULT_PAGE_SIZE};
 pub use table::{EpochState, TableStorage};
 pub use view::{PageCursor, RowLayout, RowView};

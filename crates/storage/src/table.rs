@@ -586,18 +586,6 @@ impl TableStorage {
         Ok(page)
     }
 
-    /// Zero-copy cursor over page `pid` via the checked read path.
-    pub fn checked_page_cursor(
-        &self,
-        pid: PageId,
-        attempt: u32,
-        verify: bool,
-    ) -> Result<PageCursor<'_>> {
-        Ok(self
-            .checked_page(pid, attempt, verify)?
-            .cursor(&self.layout))
-    }
-
     /// Zero-copy view of the row at `rid` via the checked read path.
     pub fn checked_row_view(&self, rid: Rid, attempt: u32, verify: bool) -> Result<RowView<'_>> {
         self.checked_page(rid.page, attempt, verify)?

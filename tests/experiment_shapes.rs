@@ -3,14 +3,14 @@
 //! (who wins, where the spread lies). These run the same code paths as
 //! the `repro` binary.
 
-use pf_bench::util::{max, mean};
+use pf_bench::util::{max, mean, ExperimentConfig};
 use pf_bench::*;
 
 /// Fig 6 shape: correlated columns (c2, c3) benefit substantially from
 /// page-count feedback; the uncorrelated column (c5) does not.
 #[test]
 fn fig6_correlated_columns_benefit() {
-    let points = run_fig6(40_000, 6, 2).unwrap();
+    let points = run_fig6(40_000, 6, &ExperimentConfig::new(2)).unwrap();
     let mean_of = |col: &str| {
         mean(
             &points
@@ -36,7 +36,7 @@ fn fig6_correlated_columns_benefit() {
 /// queries).
 #[test]
 fn fig7_overheads_are_small() {
-    let points = run_fig7(40_000, 6, 2).unwrap();
+    let points = run_fig7(40_000, 6, &ExperimentConfig::new(2)).unwrap();
     let os: Vec<f64> = points.iter().map(|p| p.overhead).collect();
     assert!(mean(&os) < 0.02, "mean overhead {}", mean(&os));
     assert!(max(&os) < 0.06, "max overhead {}", max(&os));
@@ -46,7 +46,7 @@ fn fig7_overheads_are_small() {
 /// the scattered column sees none; bit-vector overhead stays small.
 #[test]
 fn fig8_join_feedback_shape() {
-    let points = run_fig8(60_000, 5, 2).unwrap();
+    let points = run_fig8(60_000, 5, &ExperimentConfig::new(2)).unwrap();
     let speeds = |col: &str| {
         points
             .iter()
@@ -73,7 +73,7 @@ fn fig8_join_feedback_shape() {
 /// stays small while errors remain bounded.
 #[test]
 fn fig9_sampling_tames_shortcircuit_cost() {
-    let points = run_fig9(40_000).unwrap();
+    let points = run_fig9(40_000, &ExperimentConfig::new(1)).unwrap();
     let cell = |k: usize, f: f64| {
         points
             .iter()
@@ -115,7 +115,7 @@ fn fig9_sampling_tames_shortcircuit_cost() {
 /// databases (the paper: mean 0.56, σ 0.4 — "no single formula fits").
 #[test]
 fn fig10_clustering_ratio_spread() {
-    let points = run_fig10().unwrap();
+    let points = run_fig10(&ExperimentConfig::new(1)).unwrap();
     assert!(points.len() > 30, "only {} observations", points.len());
     let crs: Vec<f64> = points.iter().map(|p| p.cr).collect();
     let spread =
@@ -130,7 +130,7 @@ fn fig10_clustering_ratio_spread() {
 /// by plan changes on clustered columns.
 #[test]
 fn fig11_real_world_speedups() {
-    let points = run_fig11(2, 2).unwrap();
+    let points = run_fig11(2, &ExperimentConfig::new(2)).unwrap();
     let all: Vec<f64> = points.iter().map(|p| p.speedup).collect();
     assert!(mean(&all) > 0.05, "mean speedup {}", mean(&all));
     assert!(points.iter().any(|p| p.plan_changed));
@@ -145,7 +145,7 @@ fn fig11_real_world_speedups() {
 /// Table I shape: the scaled databases keep the paper's rows-per-page.
 #[test]
 fn table1_shapes_match() {
-    let shapes = run_table1(40_000).unwrap();
+    let shapes = run_table1(40_000, &ExperimentConfig::new(1)).unwrap();
     assert_eq!(shapes.len(), 6);
     for s in &shapes {
         let rel = (s.rows_per_page - s.paper_rows_per_page).abs() / s.paper_rows_per_page;
@@ -206,7 +206,7 @@ fn ablation_shapes() {
 /// track the Mackert–Lohman prediction once the pool thrashes.
 #[test]
 fn ablation_buffer_shape() {
-    let rows = ablation_buffer().unwrap();
+    let rows = ablation_buffer(&ExperimentConfig::new(1)).unwrap();
     let roomy = rows.iter().max_by_key(|r| r.buffer_pages).unwrap();
     assert_eq!(roomy.physical_reads, roomy.dpc, "no refetches with room");
     let tight = rows.iter().min_by_key(|r| r.buffer_pages).unwrap();
@@ -221,7 +221,7 @@ fn ablation_buffer_shape() {
 /// analytical model on clustered columns.
 #[test]
 fn ablation_histogram_shape() {
-    let rows = ablation_histogram(20_000).unwrap();
+    let rows = ablation_histogram(20_000, &ExperimentConfig::new(1)).unwrap();
     // Among well-trained test points with large analytical error
     // (clustered column), the histogram must cut the error sharply.
     let improved: Vec<_> = rows

@@ -133,7 +133,7 @@ fn faulted_store_trips_breaker_without_losing_feedback() {
         "a 20% fault rate must cost some durable appends"
     );
     assert!(
-        report.run_stats.breaker_trips >= 1,
+        report.breaker_trips >= 1,
         "consecutive append failures must trip the breaker"
     );
     assert!(!report.breaker_trace.is_empty());

@@ -807,48 +807,7 @@ fn shrinking_batch_after_large_batch() {
 }
 
 // ---------------------------------------------------------------------
-// Scheduler fuzz: seeded interleaving sweeps over the worker pool
-// ---------------------------------------------------------------------
-
-/// Eight seeds of the scheduler fuzzer (shrinking/growing batches,
-/// panicking jobs, injected stalls) run without a panic escaping, a
-/// wedge, or a lost job — and each seed's report is bit-identical on a
-/// repeat run over the same (aged) pool. This is the PR 6 wedge class
-/// (stale workers from a drained generation racing fresh wakeups)
-/// swept adversarially instead of by a single hand-picked schedule.
-#[test]
-fn scheduler_fuzz_eight_seeds_no_wedge_no_loss() {
-    let runner = ParallelRunner::new(4);
-    // `PF_CHAOS_SEED` (CI matrix) shifts the whole sweep, so each
-    // matrix leg explores a disjoint class of schedules.
-    let base = pagefeed::chaos_seed_from_env();
-    for seed in base..base + 8 {
-        let a = runner.scheduler_fuzz(seed).unwrap();
-        let b = runner.scheduler_fuzz(seed).unwrap();
-        assert_eq!(a, b, "seed {seed}: same seed, same pool → same report");
-        assert!(a.tasks > 0 && a.rounds >= 5, "seed {seed}: {a:?}");
-        assert!(a.panics > 0, "seed {seed}: the panic lane must fire");
-        assert!(a.stalls > 0, "seed {seed}: the stall lane must fire");
-    }
-}
-
-/// The fuzz report is a pure function of the seed — round sizes and
-/// per-task behavior never depend on the worker count — so runs at 1,
-/// 2, and 8 jobs must agree bit for bit. (At 8 jobs the batch size is
-/// exactly `n/64`, so the seed sweep covers the batch range {1..64}.)
-#[test]
-fn scheduler_fuzz_digest_is_jobs_invariant() {
-    for seed in [1u64, 2] {
-        let r1 = ParallelRunner::new(1).scheduler_fuzz(seed).unwrap();
-        let r2 = ParallelRunner::new(2).scheduler_fuzz(seed).unwrap();
-        let r8 = ParallelRunner::new(8).scheduler_fuzz(seed).unwrap();
-        assert_eq!(r1, r2, "seed {seed}");
-        assert_eq!(r1, r8, "seed {seed}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Cancellation hygiene and the stall watchdog
+// Cancellation hygiene and fault-injected invariance
 // ---------------------------------------------------------------------
 
 /// Snapshot of everything a cancelled query must not touch: hint count,
@@ -1073,13 +1032,11 @@ fn config_deadline_is_one_deadline_at_every_entry_point() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// With the stall budget floored at 1 ms the watchdog re-executes
-/// whatever the workers still hold on almost every generation; rescue
-/// must be idempotent (tasks are pure), so results — including under an
-/// active fault plan with injected stalls at rate 0.01 — stay
-/// bit-identical to the serial run.
+/// Under an active fault plan with injected damage and read stalls at
+/// rate 0.01, repeated runs at eight jobs over the same (aged) pool
+/// stay bit-identical to the serial run.
 #[test]
-fn aggressive_watchdog_preserves_jobs_invariance_under_faults() {
+fn eight_jobs_match_serial_under_faults_across_rounds() {
     let mut db = build_db();
     db.set_fault_plan(Some(FaultPlan::new(42, 0.01).unwrap()))
         .unwrap();
@@ -1089,7 +1046,6 @@ fn aggressive_watchdog_preserves_jobs_invariance_under_faults() {
         .run_queries(&db, &queries, &cfg)
         .unwrap();
     let runner = ParallelRunner::new(8);
-    runner.set_stall_budget_ms(1);
     for round in 0..3 {
         let out = runner.run_queries(&db, &queries, &cfg).unwrap();
         for (i, (s, p)) in serial.iter().zip(&out).enumerate() {
@@ -1100,10 +1056,10 @@ fn aggressive_watchdog_preserves_jobs_invariance_under_faults() {
     }
 }
 
-/// Error-return injection (`PF_FAULT_ERROR_RATE`): a buffer-pool read
-/// that fails once surfaces as a transient stall, is retried, and the
-/// surviving attempt is bit-identical to the fault-free run — serially
-/// and across worker counts.
+/// Error-return injection ([`FaultPlan::with_error_returns`]): a
+/// buffer-pool read that fails once surfaces as a transient stall, is
+/// retried, and the surviving attempt is bit-identical to the
+/// fault-free run — serially and across worker counts.
 #[test]
 fn error_return_injection_is_transparent_after_retry() {
     let mut db = build_db();
