@@ -1,6 +1,6 @@
 //! Fig 11 — SpeedUp for real-world databases.
 //!
-//! 80 queries across the five non-synthetic databases (for TPC-H, the
+//! 65 queries across the five non-synthetic databases (for TPC-H, the
 //! three `lineitem` date columns), selectivity < 10 %, run through the
 //! feedback loop. Expected shape: substantial speedups on columns whose
 //! clustering the analytical model misjudges, ≈0 on scattered columns.

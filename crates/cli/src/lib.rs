@@ -914,6 +914,22 @@ mod tests {
         assert!(ex.contains("pushdown="), "{ex}");
     }
 
+    /// An INL join reads the inner only through index seeks and fetches,
+    /// so its explain names that access, never a probe scan, and the
+    /// outer subtree's continuation lines stay under its own branch.
+    #[test]
+    fn explain_inl_join_names_the_inner_index() {
+        let mut sh = Shell::new();
+        sh.eval(".load synthetic");
+        let ex =
+            out(sh
+                .eval(".explain SELECT COUNT(T.pad) FROM T1, T WHERE T1.c1 < 40 AND T1.c2 = T.c2"));
+        assert!(ex.contains("INLJoin"), "{ex}");
+        assert!(ex.contains("ix_T_c2"), "{ex}");
+        assert!(!ex.contains("[probe]"), "{ex}");
+        assert!(!ex.contains("├─ └─"), "{ex}");
+    }
+
     #[test]
     fn save_and_open_round_trip() {
         let mut sh = Shell::new();

@@ -79,34 +79,12 @@ impl Datum {
         }
     }
 
-    /// Returns the contained float or a type error.
-    pub fn as_float(&self) -> Result<f64> {
-        match self {
-            Datum::Float(v) => Ok(*v),
-            other => Err(Error::TypeMismatch {
-                expected: "Float",
-                found: other.type_name(),
-            }),
-        }
-    }
-
     /// Returns the contained string or a type error.
     pub fn as_str(&self) -> Result<&str> {
         match self {
             Datum::Str(v) => Ok(v),
             other => Err(Error::TypeMismatch {
                 expected: "Str",
-                found: other.type_name(),
-            }),
-        }
-    }
-
-    /// Returns the contained date (days since epoch) or a type error.
-    pub fn as_date(&self) -> Result<i32> {
-        match self {
-            Datum::Date(v) => Ok(*v),
-            other => Err(Error::TypeMismatch {
-                expected: "Date",
                 found: other.type_name(),
             }),
         }
@@ -312,8 +290,6 @@ mod tests {
         assert_eq!(Datum::Int(7).as_int().unwrap(), 7);
         assert!(Datum::Int(7).as_str().is_err());
         assert_eq!(Datum::Str("ca".into()).as_str().unwrap(), "ca");
-        assert_eq!(Datum::Date(100).as_date().unwrap(), 100);
-        assert!((Datum::Float(1.5).as_float().unwrap() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -76,9 +76,9 @@ pub struct Morsels {
 
 /// Every query shape the parallel driver can execute as morsels, each a
 /// sequence of phases over one per-morsel runner
-/// (`Database::run_morsel`). Shapes not represented here (merge joins,
-/// index-only scans, DPC-cache overlays, query deadlines) fall back to
-/// a serial run.
+/// (`Database::run_morsel`). Shapes not represented here (index-only
+/// scans, scans and hash-join probes under two pages, DPC-cache
+/// overlays, query deadlines) fall back to a serial run.
 #[derive(Debug, Clone)]
 pub enum MorselPlan {
     /// Page morsels over a sequential scan.
@@ -784,7 +784,7 @@ impl Database {
                         Ok(Some(MorselPlan::HashJoin(morsels(outer))))
                     }
                     JoinMethod::IndexNestedLoops => Ok(Some(MorselPlan::InlJoin(morsels(outer)))),
-                    JoinMethod::Hash | JoinMethod::Merge => Ok(None),
+                    JoinMethod::Hash => Ok(None),
                 }
             }
         }

@@ -9,17 +9,16 @@
 //!   (a free prefix);
 //! * **index plans** get [`FetchMonitor`]s — linear counters over the
 //!   fetched PIDs for the seek expression and the full expression;
-//! * **hash / merge joins** get a bit-vector filter handed from the
-//!   build side into the probe scan's monitor ([`pf_exec::monitor::SemiJoinSlot`]);
+//! * **hash joins** get a bit-vector filter handed from the build side
+//!   into the probe scan's monitor ([`pf_exec::monitor::SemiJoinSlot`]);
 //! * **INL joins** get a linear counter on the inner fetch.
 
 use crate::query::{CountArg, Query};
 use pf_common::{Datum, Error, Result, Rid, TableId};
 use pf_exec::index::{Fetch, IndexIntersection, IndexOnlyScan, IndexSeek, RidList, SeekRange};
-use pf_exec::join::{BitVectorConfig, BuildSide, HashJoin, InlJoin, MergeJoin};
+use pf_exec::join::{BitVectorConfig, BuildSide, HashJoin, InlJoin};
 use pf_exec::monitor::{semi_join_slot, ScanMonitorHandle, ScanMonitorPartial};
 use pf_exec::scan::SeqScan;
-use pf_exec::sort::Sort;
 use pf_exec::{
     CompareOp, Conjunction, FetchMonitor, FetchObserveWhen, Operator, RidSource, ScanExprMonitor,
     ScanMonitorSet,
@@ -701,7 +700,7 @@ impl<'a> Planner<'a> {
         let partitions = pf_exec::join_partitions(plan.outer_plan.est_rows);
 
         let op: Box<dyn Operator> = match plan.method {
-            pf_optimizer::JoinMethod::Hash | pf_optimizer::JoinMethod::Merge => {
+            pf_optimizer::JoinMethod::Hash => {
                 // Semi-join monitoring only when an index on the inner
                 // join column makes the INL DPC relevant (Section IV).
                 let (probe_monitors, bv_config) = if let Some((bits, filter_seed)) = filter_cfg {
@@ -747,59 +746,18 @@ impl<'a> Planner<'a> {
                         probe_monitors,
                     ),
                 };
-                if plan.method == pf_optimizer::JoinMethod::Hash {
-                    let join = HashJoin::new(
-                        lowered_outer.op,
-                        Box::new(probe),
-                        spec.outer_join_col,
-                        spec.inner_join_col,
-                        bv_config,
-                    )
-                    .with_partitions(partitions);
-                    Box::new(match slice {
-                        PlanSlice::Probe { built, .. } => join.with_build_side(Arc::clone(built)),
-                        _ => join,
-                    })
-                } else {
-                    // Merge: sort any side not already in join-key order.
-                    let outer_sorted =
-                        outer_meta.storage.clustering_column() == Some(spec.outer_join_col);
-                    let inner_sorted =
-                        inner_meta.storage.clustering_column() == Some(spec.inner_join_col);
-                    if outer_sorted && inner_sorted {
-                        // No Sorts on either input — Section IV's
-                        // *partial* bit-vector case: the filter grows as
-                        // the outer streams, and the probe scan defers
-                        // each observation until the join has consumed
-                        // the row.
-                        let right = probe.with_deferred_monitoring();
-                        Box::new(pf_exec::join::StreamingMergeJoin::new(
-                            lowered_outer.op,
-                            Box::new(right),
-                            spec.outer_join_col,
-                            spec.inner_join_col,
-                            bv_config,
-                        ))
-                    } else {
-                        let left: Box<dyn Operator> = if outer_sorted {
-                            lowered_outer.op
-                        } else {
-                            Box::new(Sort::new(lowered_outer.op, spec.outer_join_col))
-                        };
-                        let right: Box<dyn Operator> = if inner_sorted {
-                            Box::new(probe)
-                        } else {
-                            Box::new(Sort::new(Box::new(probe), spec.inner_join_col))
-                        };
-                        Box::new(MergeJoin::new(
-                            left,
-                            right,
-                            spec.outer_join_col,
-                            spec.inner_join_col,
-                            bv_config,
-                        ))
-                    }
-                }
+                let join = HashJoin::new(
+                    lowered_outer.op,
+                    Box::new(probe),
+                    spec.outer_join_col,
+                    spec.inner_join_col,
+                    bv_config,
+                )
+                .with_partitions(partitions);
+                Box::new(match slice {
+                    PlanSlice::Probe { built, .. } => join.with_build_side(Arc::clone(built)),
+                    _ => join,
+                })
             }
             pf_optimizer::JoinMethod::IndexNestedLoops => {
                 let ix = inner_index.ok_or_else(|| {
@@ -862,12 +820,23 @@ impl<'a> Planner<'a> {
                     if pushdown { "yes" } else { "no" },
                 ));
             }
-            for line in lowered_outer.explain.lines() {
-                s.push_str("├─ ");
+            // The outer subtree hangs off `├─`; its own children continue
+            // under `│`.
+            for (i, line) in lowered_outer.explain.lines().enumerate() {
+                s.push_str(if i == 0 { "├─ " } else { "│  " });
                 s.push_str(line);
                 s.push('\n');
             }
-            s.push_str(&format!("└─ SeqScan({})  [probe]", inner_meta.name));
+            // The inner side: a hash join's probe scan, or the index seek
+            // and fetch an INL join repeats per outer row.
+            let inner = &inner_meta.name;
+            match (plan.method, inner_index) {
+                (pf_optimizer::JoinMethod::IndexNestedLoops, Some(ix)) => s.push_str(&format!(
+                    "└─ IndexSeek({inner}.{}) → Fetch({inner})  [inner, per outer row]",
+                    ix.name
+                )),
+                _ => s.push_str(&format!("└─ SeqScan({inner})  [probe]")),
+            }
             s
         };
         Ok(LoweredPlan {
@@ -900,7 +869,7 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// The bit-vector filter parameters `(numbits, seed)` a Hash/Merge
+    /// The bit-vector filter parameters `(numbits, seed)` a hash-join
     /// lowering of `plan` would build, or `None` when the join carries
     /// no semi-join monitoring (monitoring off, or no index on the
     /// inner join column makes the INL DPC relevant — Section IV).
@@ -934,11 +903,9 @@ impl<'a> Planner<'a> {
     }
 
     /// Planner decision: push the completed build-side filter into the
-    /// probe scan as a page-pass pre-filter. Hash joins only — a merge
-    /// lowering may put a `Sort` above the probe, which charges hashes
-    /// on its *input* cardinality, so culling rows below it would change
-    /// I/O statistics. The selectivity threshold skips pushdown when
-    /// most probe rows match anyway; the decision is a pure function of
+    /// probe scan as a page-pass pre-filter. Hash joins only — an INL
+    /// join has no probe scan. The selectivity threshold skips pushdown
+    /// when most probe rows match anyway; the decision is a pure function of
     /// the plan (never of runtime knobs), so explain output is stable.
     fn join_pushdown(&self, plan: &JoinPlan, spec: &JoinSpec) -> Result<bool> {
         if plan.method != pf_optimizer::JoinMethod::Hash {

@@ -1,4 +1,4 @@
-//! RE-side joins: Hash, Index-Nested-Loops, and Merge — Section IV.
+//! RE-side joins: Hash and Index-Nested-Loops — Section IV.
 //!
 //! The join operators run in the relational engine, where PIDs are not
 //! visible. Monitoring the DPC an *INL join* would incur therefore works
@@ -9,10 +9,7 @@
 //! * [`HashJoin`] — builds a bit-vector over outer join keys during the
 //!   build phase and installs it into the probe-side scan's
 //!   [`SemiJoinSlot`] (the SE→RE callback of Section V-A), where the
-//!   scan's monitor counts pages with ≥1 filter hit (Fig 5);
-//! * [`MergeJoin`] — when the outer child is blocking (a Sort), the full
-//!   bit vector exists before the inner is scanned and the same
-//!   mechanism applies.
+//!   scan's monitor counts pages with ≥1 filter hit (Fig 5).
 
 use crate::context::ExecContext;
 use crate::expr::Conjunction;
@@ -41,9 +38,7 @@ pub struct BitVectorConfig {
     /// Hash seed.
     pub seed: u64,
     /// Planner decision: push the completed filter into the probe-side
-    /// scan as a pre-filter (hash joins only; merge joins never push — a
-    /// probe-side Sort charges hashes on its *input* cardinality, so
-    /// culling would change I/O statistics).
+    /// scan as a pre-filter.
     pub pushdown: bool,
 }
 
@@ -162,11 +157,7 @@ impl HashJoin {
             .map(|c| BitVectorFilter::new(c.numbits, c.seed));
         let mut table = RadixTable::new(self.partitions, BUILD_TABLE_SEED);
         let build_key = self.build_key;
-        match self
-            .build
-            .as_seq_scan()
-            .filter(|s| s.supports_page_visits())
-        {
+        match self.build.as_seq_scan() {
             Some(scan) => {
                 let (table, filter) = (&mut table, &mut filter);
                 while scan.next_page_rows(ctx, &mut |rows, ctx| {
@@ -226,11 +217,7 @@ impl HashJoin {
     fn install(&mut self, side: Arc<BuildSide>, filter: Option<BitVectorFilter>) {
         if let (Some(f), Some(c)) = (filter, &self.bitvector) {
             if c.pushdown {
-                if let Some(scan) = self
-                    .probe
-                    .as_seq_scan()
-                    .filter(|s| s.supports_page_visits())
-                {
+                if let Some(scan) = self.probe.as_seq_scan() {
                     // Filter pushdown: the completed build-side filter
                     // culls probe rows inside the scan's page pass. The
                     // scan charges the per-row probe hash from here on.
@@ -279,11 +266,7 @@ impl Operator for HashJoin {
         let table = &self.built.as_deref().expect("built above").table;
         let probe_key = self.probe_key;
         let prefiltered = self.prefiltered;
-        match self
-            .probe
-            .as_seq_scan()
-            .filter(|s| s.supports_page_visits())
-        {
+        match self.probe.as_seq_scan() {
             Some(scan) => {
                 // Page-batched probe: gather the page's join keys from
                 // borrowed views and count matches in a tight loop —
@@ -421,7 +404,7 @@ impl Operator for InlJoin {
 
     fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
         let outer = match self.outer.as_seq_scan() {
-            Some(scan) if scan.supports_page_visits() && self.residual.is_empty() => scan,
+            Some(scan) if self.residual.is_empty() => scan,
             _ => return Ok(self.next(ctx)?.map(|_| 1)),
         };
         // Page-batched outer: the page access, then per outer row (in
@@ -445,296 +428,6 @@ impl Operator for InlJoin {
     }
 }
 
-/// Merge join over inputs sorted on their join keys.
-///
-/// The outer (left) input is **materialized at open** — the paper's
-/// "outer child is a Sort" case, where the blocking `GetNext` lets the
-/// bit vector be completed before the inner is scanned; with `bitvector`
-/// set, the filter is installed into the probe-side slot at that point.
-/// Output rows are `left_row ++ right_row`.
-pub struct MergeJoin {
-    left: Box<dyn Operator>,
-    right: Box<dyn Operator>,
-    left_key: usize,
-    right_key: usize,
-    bitvector: Option<BitVectorConfig>,
-    schema: Schema,
-    left_rows: Option<Vec<Row>>,
-    /// Current equal-key group in `left_rows`.
-    group: (usize, usize),
-    group_key: Option<Datum>,
-    left_pos: usize,
-    pending: VecDeque<Row>,
-}
-
-impl MergeJoin {
-    /// Builds a merge join (inputs must already be key-sorted).
-    pub fn new(
-        left: Box<dyn Operator>,
-        right: Box<dyn Operator>,
-        left_key: usize,
-        right_key: usize,
-        bitvector: Option<BitVectorConfig>,
-    ) -> Self {
-        let schema = left.schema().join(right.schema());
-        MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            bitvector,
-            schema,
-            left_rows: None,
-            group: (0, 0),
-            group_key: None,
-            left_pos: 0,
-            pending: VecDeque::new(),
-        }
-    }
-
-    fn open_left(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        let mut rows = Vec::new();
-        while let Some(r) = self.left.next(ctx)? {
-            rows.push(r);
-        }
-        debug_assert!(
-            rows.windows(2).all(|w| {
-                w[0].get(self.left_key)
-                    .cmp_same_type(w[1].get(self.left_key))
-                    .is_some_and(|o| o != std::cmp::Ordering::Greater)
-            }),
-            "merge-join left input not sorted"
-        );
-        if let Some(c) = &self.bitvector {
-            let mut f = BitVectorFilter::new(c.numbits, c.seed);
-            for r in &rows {
-                f.insert(r.get(self.left_key));
-                ctx.pool.charge_hashes(1);
-            }
-            c.slot.borrow_mut().filter = Some(f);
-        }
-        self.left_rows = Some(rows);
-        Ok(())
-    }
-
-    /// Positions `group` on the run of left rows with key == `key`
-    /// (advancing monotonically).
-    fn advance_group(&mut self, key: &Datum, ctx: &mut ExecContext) {
-        let rows = self.left_rows.as_ref().expect("left opened");
-        if self.group_key.as_ref() == Some(key) {
-            return;
-        }
-        use std::cmp::Ordering;
-        let mut i = self.left_pos;
-        while i < rows.len() {
-            ctx.pool.charge_hashes(1); // comparison ~ cheap CPU op
-            match rows[i]
-                .get(self.left_key)
-                .cmp_same_type(key)
-                .expect("join keys same-typed")
-            {
-                Ordering::Less => i += 1,
-                _ => break,
-            }
-        }
-        let start = i;
-        let mut end = i;
-        while end < rows.len()
-            && rows[end].get(self.left_key).cmp_same_type(key) == Some(std::cmp::Ordering::Equal)
-        {
-            end += 1;
-        }
-        self.left_pos = start;
-        self.group = (start, end);
-        self.group_key = Some(key.clone());
-    }
-}
-
-impl Operator for MergeJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        if self.left_rows.is_none() {
-            self.open_left(ctx)?;
-        }
-        loop {
-            if let Some(row) = self.pending.pop_front() {
-                return Ok(Some(row));
-            }
-            let Some(right_row) = self.right.next(ctx)? else {
-                return Ok(None);
-            };
-            let key = right_row.get(self.right_key).clone();
-            self.advance_group(&key, ctx);
-            let (s, e) = self.group;
-            let rows = self.left_rows.as_ref().expect("left opened");
-            for l in &rows[s..e] {
-                self.pending.push_back(l.join(&right_row));
-            }
-        }
-    }
-}
-
-/// Streaming merge join over inputs already sorted on their join keys —
-/// the "no Sorts on either input" case of Section IV, using **partial
-/// bit-vector filters**.
-///
-/// Neither side is materialized. As each left (outer) row is consumed,
-/// its key is inserted into the (initially empty) filter in the shared
-/// [`SemiJoinSlot`]. Correctness of the partial filter rests on the
-/// merge invariant the paper cites: the right (inner) pointer only
-/// advances past key `k` once the left pointer has consumed every key
-/// `≤ k` — so at the moment the probe-side scan delivers a row (use
-/// [`crate::scan::SeqScan::with_deferred_monitoring`]), all outer keys
-/// that could match it are already in the filter.
-pub struct StreamingMergeJoin {
-    left: Box<dyn Operator>,
-    right: Box<dyn Operator>,
-    left_key: usize,
-    right_key: usize,
-    bitvector: Option<BitVectorConfig>,
-    schema: Schema,
-    /// Current left group: rows sharing `group_key`.
-    group: Vec<Row>,
-    group_key: Option<Datum>,
-    /// Left row read past the current group.
-    left_ahead: Option<Row>,
-    left_done: bool,
-    opened: bool,
-    pending: VecDeque<Row>,
-}
-
-impl StreamingMergeJoin {
-    /// Builds a streaming merge join (inputs must be key-sorted).
-    pub fn new(
-        left: Box<dyn Operator>,
-        right: Box<dyn Operator>,
-        left_key: usize,
-        right_key: usize,
-        bitvector: Option<BitVectorConfig>,
-    ) -> Self {
-        let schema = left.schema().join(right.schema());
-        StreamingMergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            bitvector,
-            schema,
-            group: Vec::new(),
-            group_key: None,
-            left_ahead: None,
-            left_done: false,
-            opened: false,
-            pending: VecDeque::new(),
-        }
-    }
-
-    fn open(&mut self) {
-        // Install an *empty* filter immediately: it grows as the left
-        // side is consumed (the partial-filter regime).
-        if let Some(c) = &self.bitvector {
-            c.slot.borrow_mut().filter = Some(BitVectorFilter::new(c.numbits, c.seed));
-        }
-        self.opened = true;
-    }
-
-    /// Pulls one left row, recording its key into the partial filter.
-    fn pull_left(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        let row = self.left.next(ctx)?;
-        if let (Some(r), Some(c)) = (&row, &self.bitvector) {
-            if let Some(f) = c.slot.borrow_mut().filter.as_mut() {
-                f.insert(r.get(self.left_key));
-                ctx.pool.charge_hashes(1);
-            }
-        }
-        Ok(row)
-    }
-
-    /// Advances the left group until `group_key >= key`.
-    fn advance_left_to(&mut self, key: &Datum, ctx: &mut ExecContext) -> Result<()> {
-        use std::cmp::Ordering;
-        loop {
-            if self.group_key.as_ref().is_some_and(|g| {
-                g.cmp_same_type(key).expect("join keys same-typed") != Ordering::Less
-            }) {
-                return Ok(());
-            }
-            if self.left_done {
-                self.group.clear();
-                self.group_key = None;
-                return Ok(());
-            }
-            // Start the next group from the look-ahead row (or stream).
-            let first = match self.left_ahead.take() {
-                Some(r) => Some(r),
-                None => self.pull_left(ctx)?,
-            };
-            let Some(first) = first else {
-                self.left_done = true;
-                continue;
-            };
-            let k = first.get(self.left_key).clone();
-            self.group.clear();
-            self.group.push(first);
-            loop {
-                match self.pull_left(ctx)? {
-                    Some(r) if r.get(self.left_key).cmp_same_type(&k) == Some(Ordering::Equal) => {
-                        self.group.push(r);
-                    }
-                    Some(r) => {
-                        self.left_ahead = Some(r);
-                        break;
-                    }
-                    None => {
-                        self.left_done = true;
-                        break;
-                    }
-                }
-            }
-            self.group_key = Some(k);
-            ctx.pool.charge_hashes(1); // group comparison
-        }
-    }
-}
-
-impl Operator for StreamingMergeJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        if !self.opened {
-            self.open();
-        }
-        loop {
-            if let Some(row) = self.pending.pop_front() {
-                return Ok(Some(row));
-            }
-            let Some(right_row) = self.right.next(ctx)? else {
-                // Drain the remaining left side so the partial filter
-                // finishes complete (harvests then reflect the full
-                // outer, matching the paper's accounting).
-                while !self.left_done {
-                    if self.pull_left(ctx)?.is_none() {
-                        self.left_done = true;
-                    }
-                }
-                return Ok(None);
-            };
-            let key = right_row.get(self.right_key).clone();
-            self.advance_left_to(&key, ctx)?;
-            if self.group_key.as_ref() == Some(&key) {
-                for l in &self.group {
-                    self.pending.push_back(l.join(&right_row));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,7 +437,6 @@ mod tests {
     };
     use crate::op::{drain, run_count};
     use crate::scan::SeqScan;
-    use crate::sort::Sort;
     use pf_common::{Column, DataType};
     use pf_feedback::FeedbackReport;
     use std::cell::RefCell;
@@ -1003,196 +695,6 @@ mod tests {
         assert!(
             (t * 0.75..=t * 1.25).contains(&est),
             "est {est} vs truth {t}"
-        );
-    }
-
-    #[test]
-    fn merge_join_with_sorted_inputs() {
-        let (outer, inner, _, _) = setup(300);
-        let left = Sort::new(Box::new(outer_scan(&outer, 120)), 0);
-        let right = Sort::new(
-            Box::new(SeqScan::full(
-                Arc::clone(&inner),
-                TableId(1),
-                Conjunction::always_true(),
-                None,
-            )),
-            1,
-        );
-        let mut mj = MergeJoin::new(Box::new(left), Box::new(right), 0, 1, None);
-        let mut ctx = ExecContext::new(8192);
-        let rows = drain(&mut mj, &mut ctx).expect("plan drains without error");
-        assert_eq!(rows.len(), 120);
-        for r in &rows {
-            assert_eq!(r.get(0), r.get(3));
-        }
-    }
-
-    #[test]
-    fn merge_join_bitvector_installed_before_inner() {
-        let (outer, inner, _, _) = setup(500);
-        let slot = semi_join_slot(1);
-        let scan_monitors = Rc::new(RefCell::new(ScanMonitorSet::new(
-            vec![ScanExprMonitor::semi_join("jp", Rc::clone(&slot), None)],
-            1.0,
-            6,
-        )));
-        let left = Sort::new(Box::new(outer_scan(&outer, 100)), 0);
-        let right = Sort::new(
-            Box::new(SeqScan::full(
-                Arc::clone(&inner),
-                TableId(1),
-                Conjunction::always_true(),
-                Some(Rc::clone(&scan_monitors)),
-            )),
-            1,
-        );
-        let mut mj = MergeJoin::new(
-            Box::new(left),
-            Box::new(right),
-            0,
-            1,
-            Some(BitVectorConfig {
-                slot: Rc::clone(&slot),
-                numbits: 2048,
-                seed: 3,
-                pushdown: false,
-            }),
-        );
-        let mut ctx = ExecContext::new(8192);
-        let n = run_count(&mut mj, &mut ctx).expect("plan drains without error");
-        assert_eq!(n, 100);
-        // NOTE: with Sort on the probe side the scan runs during the
-        // right Sort's materialization, i.e. after MergeJoin::open_left
-        // has installed the filter only if open order is left-first.
-        // MergeJoin opens left on first next(), and Sort(right) only
-        // materializes when first pulled — which happens after. The
-        // monitor therefore saw a complete filter:
-        let mut rep = FeedbackReport::new();
-        scan_monitors.borrow_mut().harvest("inner", &mut rep);
-        assert!(rep.measurements[0].actual > 0.0);
-    }
-
-    #[test]
-    fn streaming_merge_join_matches_materializing_merge() {
-        let (outer, inner, _, _) = setup(500);
-        // Both inputs sorted on the join key via clustered order:
-        // outer(k) is clustered on k; inner must be sorted on k too, so
-        // sort it explicitly for this unit test.
-        let left = outer_scan(&outer, 200);
-        let right = Sort::new(
-            Box::new(SeqScan::full(
-                Arc::clone(&inner),
-                TableId(1),
-                Conjunction::always_true(),
-                None,
-            )),
-            1,
-        );
-        let mut smj = StreamingMergeJoin::new(Box::new(left), Box::new(right), 0, 1, None);
-        let mut ctx = ExecContext::new(8192);
-        let mut got: Vec<i64> = drain(&mut smj, &mut ctx)
-            .expect("test value is well-formed")
-            .iter()
-            .map(|r| r.get(0).as_int().expect("int column"))
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..200).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn streaming_merge_join_duplicates() {
-        let schema = Schema::new(vec![Column::new("k", DataType::Int)]);
-        let rows = vec![
-            Row::new(vec![Datum::Int(1)]),
-            Row::new(vec![Datum::Int(1)]),
-            Row::new(vec![Datum::Int(2)]),
-            Row::new(vec![Datum::Int(3)]),
-        ];
-        let t = Arc::new(
-            TableStorage::bulk_load(schema, &rows, Some(0), 512, 1.0)
-                .expect("bulk load test table"),
-        );
-        let mk = || SeqScan::full(Arc::clone(&t), TableId(0), Conjunction::always_true(), None);
-        let mut smj = StreamingMergeJoin::new(Box::new(mk()), Box::new(mk()), 0, 0, None);
-        let mut ctx = ExecContext::new(256);
-        // 1⋈1: 2×2, 2⋈2: 1, 3⋈3: 1 ⇒ 6 rows.
-        assert_eq!(
-            run_count(&mut smj, &mut ctx).expect("plan drains without error"),
-            6
-        );
-    }
-
-    #[test]
-    fn partial_bitvector_with_deferred_scan_measures_join_dpc() {
-        let (outer, inner, _, _) = setup(2_000);
-        // Sort the inner physically on k for the no-sorts case: rebuild
-        // it clustered on column 1.
-        let mut rows: Vec<Row> = (0..inner.page_count())
-            .flat_map(|p| {
-                inner
-                    .rows_on_page(pf_common::PageId(p))
-                    .expect("page id within table")
-            })
-            .collect();
-        rows.sort_by_key(|r| r.get(1).as_int().expect("int column"));
-        let inner_sorted = Arc::new(
-            TableStorage::bulk_load(inner.schema().clone(), &rows, Some(1), 1024, 1.0)
-                .expect("bulk load test table"),
-        );
-
-        let slot = semi_join_slot(1);
-        let monitors = Rc::new(RefCell::new(ScanMonitorSet::new(
-            vec![ScanExprMonitor::semi_join("jp", Rc::clone(&slot), None)],
-            1.0,
-            4,
-        )));
-        let left = outer_scan(&outer, 400);
-        let right = SeqScan::full(
-            Arc::clone(&inner_sorted),
-            TableId(1),
-            Conjunction::always_true(),
-            Some(Rc::clone(&monitors)),
-        )
-        .with_deferred_monitoring();
-        let mut smj = StreamingMergeJoin::new(
-            Box::new(left),
-            Box::new(right),
-            0,
-            1,
-            Some(BitVectorConfig {
-                slot: Rc::clone(&slot),
-                numbits: 1 << 20,
-                seed: 8,
-                pushdown: false,
-            }),
-        );
-        let mut ctx = ExecContext::new(8192);
-        assert_eq!(
-            run_count(&mut smj, &mut ctx).expect("plan drains without error"),
-            400
-        );
-
-        // Inner is clustered on k, so the 400 matching rows sit on a
-        // small contiguous page run — the partial filter must find it.
-        let mut truth = std::collections::HashSet::new();
-        for p in 0..inner_sorted.page_count() {
-            for r in inner_sorted
-                .rows_on_page(pf_common::PageId(p))
-                .expect("page id within table")
-            {
-                if r.get(1).as_int().expect("int column") < 400 {
-                    truth.insert(p);
-                }
-            }
-        }
-        let mut rep = FeedbackReport::new();
-        monitors.borrow_mut().harvest("inner", &mut rep);
-        let est = rep.measurements[0].actual;
-        let t = truth.len() as f64;
-        assert!(
-            (est - t).abs() <= t.mul_add(0.3, 3.0),
-            "partial-filter estimate {est} vs truth {t}"
         );
     }
 

@@ -8,8 +8,8 @@
 //! **Key equality.** A probe key matches a stored key on full-hash
 //! agreement *and* `Datum` equality, under which floats are equal
 //! exactly when their bits are: `NaN` matches `NaN`, and `-0.0` and
-//! `0.0` never match each other — the same keys a merge join or a
-//! B+-tree seek matches.
+//! `0.0` never match each other — the same keys an INL join's B+-tree
+//! seek matches.
 //!
 //! In count mode no rows are stored, only per-key multiplicities: build
 //! morsels each fill a table, `RadixTable::merge` adds them up, and

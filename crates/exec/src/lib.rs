@@ -17,8 +17,8 @@
 //! * [`op`] — the `Operator` / `RidSource` traits and drivers,
 //! * [`scan`] — SE-side sequential & clustered-range scans,
 //! * [`index`] — SE-side index seek, RID intersection, and Fetch,
-//! * [`join`] — RE-side Hash, Merge, and Index-Nested-Loops joins,
-//! * [`sort`] / [`agg`] — RE-side sort and `COUNT` aggregation.
+//! * [`join`] — RE-side Hash and Index-Nested-Loops joins,
+//! * [`agg`] — RE-side `COUNT` aggregation.
 //!
 //! Monitors are **caller-owned** (`Rc<RefCell<...>>` handles): the
 //! planner constructs them, hands clones to the operators that drive
@@ -39,7 +39,6 @@ pub mod join_table;
 pub mod monitor;
 pub mod op;
 pub mod scan;
-pub mod sort;
 
 pub use context::{CancelToken, ExecContext};
 pub use expr::{AtomicPredicate, CompareOp, Conjunction, PageKernel};

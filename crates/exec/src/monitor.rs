@@ -11,8 +11,8 @@
 //!   semi-join bit-vector instead of/apart from atoms;
 //! * [`FetchMonitor`] — attached to a Fetch/INL-inner: a linear counter
 //!   over fetched PIDs;
-//! * [`SemiJoinSlot`] — the callback cell a Hash/Merge Join fills with
-//!   its build-side bit vector before the probe scan runs (Fig 5).
+//! * [`SemiJoinSlot`] — the callback cell a hash join fills with its
+//!   build-side bit vector before the probe scan runs (Fig 5).
 
 use crate::expr::Conjunction;
 use pf_common::DatumAccess;

@@ -23,7 +23,7 @@ pub trait Operator {
     }
 
     /// Downcast hook for page-batched consumers: a [`crate::SeqScan`]
-    /// returns itself so parents (vectorized joins, sorts) can drive it
+    /// returns itself so parents (vectorized joins) can drive it
     /// a page at a time instead of row by row. Everything else is not
     /// page-addressable and returns `None`.
     fn as_seq_scan(&mut self) -> Option<&mut crate::scan::SeqScan> {

@@ -31,10 +31,8 @@ pub struct SeqScan {
     next_page: u32,
     started: bool,
     finished: bool,
-    /// Materialized qualifying rows of the current page, each tagged
-    /// with its `(page, slot)` provenance so deferred observation can
-    /// re-derive a view without cloning the row.
-    buffer: VecDeque<(Row, u32, u16)>,
+    /// Materialized qualifying rows of the current page.
+    buffer: VecDeque<Row>,
     /// Per-conjunct truth of the current row on fully-evaluated pages
     /// (row loop only).
     atom_buf: Vec<bool>,
@@ -54,28 +52,14 @@ pub struct SeqScan {
     /// is outside the fixed-width prefix, in which case every page takes
     /// the row loop.
     kernel: Option<PageKernel>,
-    /// When set, monitors observe each row as it is *delivered* to the
-    /// parent (not when its page is loaded). Required for partial
-    /// bit-vector filters under a streaming merge join (Section IV): the
-    /// filter grows while the scan runs, so a row must be tested no
-    /// earlier than the moment the join consumes it. Only valid for
-    /// monitor sets with no full-evaluation needs (semi-join monitors).
-    deferred_monitoring: bool,
     /// Semi-join pre-filter pushed down from a hash join: once the
     /// build side completes, its merged [`BitVectorFilter`] is evaluated
     /// in the page pass (after monitors observe the full page) and rows
-    /// with no possible build match are culled before materialization. Charging rule: one hash op per qualifying row
-    /// *tested* — exactly the per-probe-row hash the join itself would
-    /// have charged — so I/O statistics are byte-identical to the
-    /// unfiltered plan.
+    /// with no possible build match are culled before materialization.
+    /// Charging rule: one hash op per qualifying row *tested* — exactly
+    /// the per-probe-row hash the join itself would have charged — so
+    /// I/O statistics are byte-identical to the unfiltered plan.
     prefilter: Option<(BitVectorFilter, usize)>,
-    last_delivered_page: Option<u32>,
-    /// Deferred mode observes each row one delivery *late*: a streaming
-    /// merge join advances its outer side (growing the partial filter)
-    /// only after receiving a probe row, so the filter is complete for
-    /// that row's key exactly when the *next* row is requested. Held as
-    /// `(page, slot)` — the view is re-derived at observation time.
-    pending_observation: Option<(u32, u16)>,
 }
 
 impl SeqScan {
@@ -106,10 +90,7 @@ impl SeqScan {
             page_mask: Vec::new(),
             slot_offs: Vec::new(),
             kernel,
-            deferred_monitoring: false,
             prefilter: None,
-            last_delivered_page: None,
-            pending_observation: None,
         }
     }
 
@@ -150,24 +131,6 @@ impl SeqScan {
         )
     }
 
-    /// Switches to delivery-time monitoring (see the field docs). Only
-    /// valid for predicate-free scans with semi-join monitors: filtered
-    /// rows would never be delivered, hence never observed.
-    pub fn with_deferred_monitoring(mut self) -> Self {
-        assert!(
-            self.predicate.is_empty(),
-            "deferred monitoring requires a predicate-free scan"
-        );
-        if let Some(m) = &self.monitors {
-            assert!(
-                !m.borrow().needs_full_eval(),
-                "deferred monitoring supports semi-join monitors only"
-            );
-        }
-        self.deferred_monitoring = true;
-        self
-    }
-
     /// A clustered range scan: pages bracketing clustering-key values in
     /// `[lo, hi]` (either bound optional), positioned with one random
     /// I/O then read sequentially.
@@ -190,21 +153,10 @@ impl SeqScan {
         ))
     }
 
-    /// The storage this scan reads — page-batched parents use it to
-    /// re-derive row views by `(page, slot)` provenance.
-    pub fn storage(&self) -> &Arc<TableStorage> {
-        &self.storage
-    }
-
     /// Installs a semi-join pre-filter over `key_col` (see the field
     /// docs for the charging contract). Only meaningful before the
-    /// first delivery; deferred-monitoring scans cannot take one (their
-    /// filter is still growing while pages stream).
+    /// first delivery.
     pub fn set_semi_join_prefilter(&mut self, filter: BitVectorFilter, key_col: usize) {
-        assert!(
-            !self.deferred_monitoring,
-            "prefilter pushdown requires a completed build-side filter"
-        );
         self.prefilter = Some((filter, key_col));
     }
 
@@ -229,7 +181,7 @@ impl SeqScan {
                         let slot = word * 64 + bits.trailing_zeros() as usize;
                         bits &= bits - 1;
                         let row = page.view(layout, SlotId(slot as u16))?.materialize();
-                        self.buffer.push_back((row, pid, slot as u16));
+                        self.buffer.push_back(row);
                     }
                 }
                 Ok(true)
@@ -269,11 +221,9 @@ impl SeqScan {
                 ctx.pool.skip_corrupt(self.table_id, pid);
                 if let Some(m) = &self.monitors {
                     let mut m = m.borrow_mut();
-                    if !self.deferred_monitoring {
-                        // Announce the page first so page/sample
-                        // accounting matches a fault-free run.
-                        m.start_page(pid.0);
-                    }
+                    // Announce the page first so page/sample accounting
+                    // matches a fault-free run.
+                    m.start_page(pid.0);
                     m.note_skipped_page();
                 }
                 return Ok(PageEval::Skipped);
@@ -283,16 +233,14 @@ impl SeqScan {
         let layout = self.storage.layout();
         ctx.pool.charge_rows(u64::from(page.slot_count()));
 
-        // Monitoring setup for this page (Fig 4, steps 3–4). In
-        // deferred mode the page is announced when its first row is
-        // delivered instead.
-        let (_sampled, full_eval) = match &self.monitors {
-            Some(m) if !self.deferred_monitoring => {
+        // Monitoring setup for this page (Fig 4, steps 3–4).
+        let full_eval = match &self.monitors {
+            Some(m) => {
                 let mut m = m.borrow_mut();
                 let sampled = m.start_page(pid.0);
-                (sampled, sampled && m.needs_full_eval())
+                sampled && m.needs_full_eval()
             }
-            _ => (false, false),
+            None => false,
         };
 
         // Pass 1: evaluate the whole page into the qualifying bitmap —
@@ -358,17 +306,14 @@ impl SeqScan {
                 }
 
                 if let Some(m) = &self.monitors {
-                    if !self.deferred_monitoring {
-                        let mut m = m.borrow_mut();
-                        m.observe_page_atoms(&self.atom_bits, words, n_rows as u64);
-                        ctx.pool.charge_monitor_ops(n_rows as u64);
-                        // Semi-join expressions hash per-row keys, which
-                        // bitmaps cannot carry: the batched observation
-                        // walks views only on sampled pages with live
-                        // semi-join monitors, stopping as soon as all
-                        // are satisfied.
-                        m.observe_semi_join_page(page.cursor(layout))?;
-                    }
+                    let mut m = m.borrow_mut();
+                    m.observe_page_atoms(&self.atom_bits, words, n_rows as u64);
+                    ctx.pool.charge_monitor_ops(n_rows as u64);
+                    // Semi-join expressions hash per-row keys, which
+                    // bitmaps cannot carry: the batched observation walks
+                    // views only on sampled pages with live semi-join
+                    // monitors, stopping as soon as all are satisfied.
+                    m.observe_semi_join_page(page.cursor(layout))?;
                 }
             }
         }
@@ -395,16 +340,13 @@ impl SeqScan {
                 } else {
                     let (pass, evaluated) = self.predicate.eval_short_circuit(&view);
                     ctx.pool.charge_pred_evals(evaluated as u64);
-                    if self.monitors.is_some() && !self.deferred_monitoring {
-                        if let Some(m) = &self.monitors {
-                            // Truths known from short-circuit evaluation:
-                            // conjuncts before the stopping point are
-                            // true, the stopping conjunct is true iff the
-                            // row passed, later conjuncts were never
-                            // evaluated.
-                            m.borrow_mut().observe_prefix_row(evaluated, pass, &view);
-                            ctx.pool.charge_monitor_ops(1);
-                        }
+                    if let Some(m) = &self.monitors {
+                        // Truths known from short-circuit evaluation:
+                        // conjuncts before the stopping point are true,
+                        // the stopping conjunct is true iff the row
+                        // passed, later conjuncts were never evaluated.
+                        m.borrow_mut().observe_prefix_row(evaluated, pass, &view);
+                        ctx.pool.charge_monitor_ops(1);
                     }
                     pass
                 };
@@ -495,30 +437,16 @@ impl<'a> PageRows<'a> {
 }
 
 impl SeqScan {
-    /// Whether this scan can serve [`SeqScan::next_page_rows`]:
-    /// deferred-monitoring scans cannot (observation there is coupled
-    /// to delivery order), so batch consumers must fall back to row
-    /// pulls.
-    pub fn supports_page_visits(&self) -> bool {
-        !self.deferred_monitoring
-    }
-
     /// Page-batched pull: evaluates the next page (skipping corrupt
     /// ones) and hands its qualifying rows to `visit` as borrowed
     /// views. Returns `false` once the range is exhausted (monitors
     /// are finished at that point). Must not be interleaved with
-    /// buffered `next()` deliveries, and is unavailable in deferred-
-    /// monitoring mode (observation there is coupled to delivery
-    /// order).
+    /// buffered `next()` deliveries.
     pub fn next_page_rows(
         &mut self,
         ctx: &mut ExecContext,
         visit: &mut dyn FnMut(&PageRows<'_>, &mut ExecContext) -> Result<()>,
     ) -> Result<bool> {
-        assert!(
-            !self.deferred_monitoring,
-            "page-batched pull is incompatible with deferred monitoring"
-        );
         debug_assert!(self.buffer.is_empty(), "mixed page-batched and row pulls");
         loop {
             if self.finished {
@@ -550,37 +478,6 @@ impl SeqScan {
     }
 }
 
-impl SeqScan {
-    fn observe_deferred(&mut self, pid: u32, slot: u16, ctx: &mut ExecContext) -> Result<()> {
-        let Some(m) = self.monitors.clone() else {
-            return Ok(());
-        };
-        // Re-derive a borrowed view of the delivered row instead of
-        // holding an owned clone per in-flight observation. The page was
-        // checksum-verified when its rows were loaded and delivered rows
-        // only come from intact pages, so this lookup (no re-verify, no
-        // new I/O: the buffer-pool residency was charged at load) cannot
-        // observe different bytes — and `DatumRef` hashing is defined to
-        // agree with owned-`Datum` hashing, so sketch contents are
-        // unchanged.
-        let storage = Arc::clone(&self.storage);
-        let page = storage.checked_page(PageId(pid), ctx.fault_attempt, false)?;
-        let view = page.view(storage.layout(), SlotId(slot))?;
-        let mut m = m.borrow_mut();
-        if self.last_delivered_page != Some(pid) {
-            m.start_page(pid);
-            self.last_delivered_page = Some(pid);
-        }
-        // Deferred scans are predicate-free (asserted at construction):
-        // no conjunct was evaluated, which is exactly an empty
-        // short-circuit prefix that passed.
-        m.observe_prefix_row(0, true, &view);
-        ctx.pool.charge_monitor_ops(1);
-        ctx.pool.charge_hashes(m.take_hash_ops());
-        Ok(())
-    }
-}
-
 impl Operator for SeqScan {
     fn schema(&self) -> &Schema {
         self.storage.schema()
@@ -588,45 +485,22 @@ impl Operator for SeqScan {
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
         loop {
-            if let Some((row, pid, slot)) = self.buffer.pop_front() {
-                if self.deferred_monitoring && self.monitors.is_some() {
-                    // Observe the *previous* delivery now (the consumer
-                    // has processed it, so a partial semi-join filter is
-                    // complete for its key), and queue this one by
-                    // provenance — no owned clone.
-                    if let Some((prev_pid, prev_slot)) = self.pending_observation.take() {
-                        self.observe_deferred(prev_pid, prev_slot, ctx)?;
-                    }
-                    self.pending_observation = Some((pid, slot));
-                }
+            if let Some(row) = self.buffer.pop_front() {
                 return Ok(Some(row));
             }
             if self.finished {
-                if let Some((prev_pid, prev_slot)) = self.pending_observation.take() {
-                    self.observe_deferred(prev_pid, prev_slot, ctx)?;
-                    if let Some(m) = &self.monitors {
-                        m.borrow_mut().finish();
-                    }
-                }
                 return Ok(None);
             }
             if !self.load_next_page(ctx)? {
                 self.finished = true;
-                if !self.deferred_monitoring {
-                    if let Some(m) = &self.monitors {
-                        m.borrow_mut().finish();
-                    }
+                if let Some(m) = &self.monitors {
+                    m.borrow_mut().finish();
                 }
             }
         }
     }
 
     fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
-        if self.deferred_monitoring {
-            // Deferred observation is coupled to delivery order; keep
-            // the row-at-a-time protocol.
-            return Ok(self.next(ctx)?.map(|_| 1));
-        }
         if !self.buffer.is_empty() {
             let n = self.buffer.len() as u64;
             self.buffer.clear();

@@ -40,13 +40,6 @@ impl BitVectorFilter {
         }
     }
 
-    /// Sizes a filter for an expected number of distinct build keys: the
-    /// paper notes that with at least as many bits as distinct outer
-    /// values there are no collisions; we default to 2× for slack.
-    pub fn for_build_side(expected_distinct: u64, seed: u64) -> Self {
-        Self::new((expected_distinct as usize).saturating_mul(2).max(64), seed)
-    }
-
     /// Inserts a build-side join-key value (Fig 5, build phase).
     #[inline]
     pub fn insert(&mut self, key: &Datum) {
@@ -149,12 +142,6 @@ impl BitVectorFilter {
     pub fn numbits(&self) -> u64 {
         self.numbits
     }
-
-    /// Size in bytes (to compare against table size, as the paper's
-    /// "< 1 % of the table size" sizing).
-    pub fn size_bytes(&self) -> usize {
-        self.bits.len() * 8
-    }
 }
 
 impl crate::sketch::Sketch for BitVectorFilter {
@@ -184,7 +171,8 @@ mod tests {
 
     #[test]
     fn absent_keys_mostly_rejected_when_sized_well() {
-        let mut f = BitVectorFilter::for_build_side(1_000, 5);
+        // Two bits per expected distinct key.
+        let mut f = BitVectorFilter::new(2_000, 5);
         for v in 0..1_000 {
             f.insert(&int(v));
         }
@@ -262,6 +250,6 @@ mod tests {
     fn size_accounting() {
         let f = BitVectorFilter::new(1000, 0);
         assert_eq!(f.numbits(), 1024);
-        assert_eq!(f.size_bytes(), 128);
+        assert_eq!(f.bits.len() * 8, 128);
     }
 }

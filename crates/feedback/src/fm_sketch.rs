@@ -96,11 +96,6 @@ impl FmSketch {
         Ok(())
     }
 
-    /// Number of bitmaps (memory in words).
-    pub fn num_bitmaps(&self) -> usize {
-        self.bitmaps.len()
-    }
-
     /// Rows observed (not distinct).
     pub fn observations(&self) -> u64 {
         self.observations
@@ -208,7 +203,7 @@ mod tests {
     #[test]
     fn rounding_and_reset() {
         let s = FmSketch::new(9, 0);
-        assert_eq!(s.num_bitmaps(), 16, "rounds to power of two");
+        assert_eq!(s.bitmaps.len(), 16, "rounds to power of two");
         let mut s = FmSketch::new(8, 0);
         s.observe(1);
         assert!(s.estimate() > 0.0);

@@ -15,7 +15,7 @@
 //! * [`dpsample`] — `DPSample`: Bernoulli page sampling that bounds the
 //!   cost of turning off predicate short-circuiting (Fig 4),
 //! * [`bitvector`] — bit-vector filters used as a *derived semi-join
-//!   predicate* so a Hash/Merge Join execution can measure the DPC an
+//!   predicate* so a hash join execution can measure the DPC an
 //!   INL join would incur (Fig 5),
 //! * [`distinct_estimators`] — the sampling-based alternative the paper
 //!   weighs against probabilistic counting (reservoir sampling + GEE /

@@ -19,7 +19,7 @@ pub enum Mechanism {
     LinearCounting,
     /// Bernoulli page sampling with the given fraction (Fig 4).
     PageSampling(f64),
-    /// Bit-vector filtering during a hash/merge join with the given
+    /// Bit-vector filtering during a hash join with the given
     /// filter size in bits (Fig 5), combined with page sampling.
     BitVector(u64),
 }

@@ -51,15 +51,6 @@ impl<'a> CardinalityEstimator<'a> {
             .selectivity(HistOp::from(atom.op), &atom.value)
     }
 
-    /// Estimated rows satisfying the atom at `idx`.
-    pub fn atom_rows(&self, pred: &Conjunction, idx: usize) -> f64 {
-        let key = pred.key_of(&[idx]);
-        if let Some(rows) = self.hints.cardinality(self.table_name, &key) {
-            return rows;
-        }
-        self.atom_selectivity(pred, idx) * self.table_rows as f64
-    }
-
     /// Estimated rows satisfying the sub-conjunction at `indices`
     /// (injected value if present, else independence product).
     pub fn rows_of(&self, pred: &Conjunction, indices: &[usize]) -> f64 {
@@ -142,7 +133,7 @@ mod tests {
         let mut hints = HintSet::new();
         hints.inject_cardinality("t", p.key_of(&[0]), 500.0);
         let est = CardinalityEstimator::new(&stats, &hints, id, "t", 1_000);
-        assert_eq!(est.atom_rows(&p, 0), 500.0);
+        assert_eq!(est.rows_of(&p, &[0]), 500.0);
         // Product now uses the injected 0.5 selectivity for atom 0.
         let rows = est.rows(&p);
         assert!((40.0..60.0).contains(&rows), "{rows}");

@@ -1,11 +1,13 @@
 //! The cost model.
 //!
-//! Mirrors the executor's charging exactly (same [`DiskModel`]
-//! constants), so that *when the optimizer is given accurate inputs —
-//! cardinality and distinct page count — its cost prediction matches the
-//! executor's simulated time*. That property is what makes injection
-//! experiments meaningful: any remaining plan-quality gap is attributable
-//! to estimation error, not cost-model divergence.
+//! Mirrors the executor's charging (same [`DiskModel`] constants), so
+//! that *when the optimizer is given accurate inputs — cardinality and
+//! distinct page count — its cost prediction matches the executor's
+//! simulated time*: within 0.1 % for index seeks, index intersections,
+//! hash and INL joins, 1 % for clustered range scans and 5 % for table
+//! scans (`tests/differential.rs`). That property is what makes
+//! injection experiments meaningful: any remaining plan-quality gap is
+//! attributable to estimation error, not cost-model divergence.
 
 use pf_storage::DiskModel;
 
@@ -123,35 +125,6 @@ impl CostModel {
             + matched_rows * (d.logical_read_ms + d.cpu_row_ms)
             + dpc * d.rand_read_ms
     }
-
-    /// Merge join: both access costs + sort CPU (`n·log₂n` comparisons
-    /// charged at hash cost) per unsorted side + merge comparisons.
-    pub fn merge_join(
-        &self,
-        outer_cost: f64,
-        outer_rows: f64,
-        outer_needs_sort: bool,
-        inner_cost: f64,
-        inner_rows: f64,
-        inner_needs_sort: bool,
-    ) -> f64 {
-        let d = &self.disk;
-        let nlogn = |n: f64| {
-            if n > 1.0 {
-                n * n.log2()
-            } else {
-                0.0
-            }
-        };
-        let mut cost = outer_cost + inner_cost + (outer_rows + inner_rows) * d.cpu_hash_ms;
-        if outer_needs_sort {
-            cost += nlogn(outer_rows) * d.cpu_hash_ms;
-        }
-        if inner_needs_sort {
-            cost += nlogn(inner_rows) * d.cpu_hash_ms;
-        }
-        cost
-    }
 }
 
 impl Default for CostModel {
@@ -205,14 +178,6 @@ mod tests {
         // Scattered join column: ~3 400 pages ⇒ hash wins.
         let inl_scattered = m.inl_join(outer_cost, 5_000.0, 3, 5_000.0, 3_400.0);
         assert!(inl_scattered > hash);
-    }
-
-    #[test]
-    fn merge_join_sort_cost_counts() {
-        let m = CostModel::new();
-        let sorted = m.merge_join(10.0, 10_000.0, false, 10.0, 10_000.0, false);
-        let unsorted = m.merge_join(10.0, 10_000.0, true, 10.0, 10_000.0, true);
-        assert!(unsorted > sorted);
     }
 
     #[test]

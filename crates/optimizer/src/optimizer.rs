@@ -5,8 +5,7 @@
 //!
 //! * **single table** — Table Scan vs Clustered Range Scan vs Index Seek
 //!   vs Index Intersection (Section III), and
-//! * **two-table equijoin** — Hash vs Index Nested Loops vs Merge
-//!   (Section IV).
+//! * **two-table equijoin** — Hash vs Index Nested Loops (Section IV).
 //!
 //! Every candidate whose cost involves fetching scattered pages carries a
 //! `DPC` estimate: injected (execution feedback) when present in the
@@ -288,29 +287,6 @@ impl<'a> Optimizer<'a> {
                 est_rows: matched,
             });
         }
-
-        // Merge join: sort sides not already ordered on the join key.
-        let outer_sorted = outer_meta.storage.clustering_column() == Some(spec.outer_join_col)
-            && matches!(
-                outer_plan.path,
-                AccessPath::FullScan | AccessPath::ClusteredRange { .. }
-            );
-        let inner_sorted = inner_meta.storage.clustering_column() == Some(spec.inner_join_col);
-        plans.push(JoinPlan {
-            method: JoinMethod::Merge,
-            outer_plan: outer_plan.clone(),
-            cost_ms: self.cost.merge_join(
-                outer_plan.cost_ms,
-                outer_rows,
-                !outer_sorted,
-                probe_cost,
-                inner_rows,
-                !inner_sorted,
-            ),
-            est_dpc: None,
-            dpc_source: DpcSource::NotApplicable,
-            est_rows: matched,
-        });
 
         Ok(plans)
     }

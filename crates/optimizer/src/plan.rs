@@ -119,8 +119,6 @@ pub enum JoinMethod {
     Hash,
     /// For each outer row, seek the inner's index on the join column.
     IndexNestedLoops,
-    /// Sort both inputs and merge.
-    Merge,
 }
 
 impl JoinMethod {
@@ -129,7 +127,6 @@ impl JoinMethod {
         match self {
             JoinMethod::Hash => "HashJoin",
             JoinMethod::IndexNestedLoops => "INLJoin",
-            JoinMethod::Merge => "MergeJoin",
         }
     }
 }

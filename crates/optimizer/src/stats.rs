@@ -142,11 +142,6 @@ impl DbStats {
     pub fn column(&self, table: TableId, column: usize) -> &ColumnStats {
         &self.tables[&table].columns[column]
     }
-
-    /// Whether stats exist for a table.
-    pub fn has_table(&self, table: TableId) -> bool {
-        self.tables.contains_key(&table)
-    }
 }
 
 /// Column statistics of `storage` from one zero-copy pass over its
@@ -420,7 +415,6 @@ mod tests {
             .register(&mut cat)
             .unwrap();
         let stats = DbStats::build(&cat).unwrap();
-        assert!(stats.has_table(id));
         assert_eq!(stats.column(id, 0).distinct, 200);
         let ca = stats
             .column(id, 1)

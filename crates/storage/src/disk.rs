@@ -73,16 +73,6 @@ impl DiskModel {
     pub fn overhead_ms(&self, with_monitoring: &IoStats, without: &IoStats) -> f64 {
         (self.elapsed_ms(with_monitoring) - self.elapsed_ms(without)).max(0.0)
     }
-
-    /// A model where random and sequential reads cost the same — used by
-    /// ablations to show the plan-choice impact of seek costs.
-    pub fn uniform_io(ms_per_page: f64) -> Self {
-        DiskModel {
-            seq_read_ms: ms_per_page,
-            rand_read_ms: ms_per_page,
-            ..Default::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -141,11 +131,5 @@ mod tests {
         };
         assert!(m.overhead_ms(&with, &base) > 0.0);
         assert_eq!(m.overhead_ms(&base, &with), 0.0);
-    }
-
-    #[test]
-    fn uniform_io_flattens_seek_penalty() {
-        let m = DiskModel::uniform_io(1.0);
-        assert_eq!(m.seq_read_ms, m.rand_read_ms);
     }
 }
