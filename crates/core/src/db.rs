@@ -207,10 +207,11 @@ impl Database {
     }
 
     /// Brings per-column statistics up to date: tables that are new, or
-    /// whose modification epoch moved since they were last analyzed, are
-    /// rescanned (one pass each); the others keep their statistics.
+    /// whose modification epoch moved since they were last analyzed, get
+    /// statistics built from the column values the catalog keeps current
+    /// (no page is read and nothing is sorted); the others keep theirs.
     pub fn analyze(&mut self) -> Result<()> {
-        self.stats.refresh(&self.catalog)?;
+        self.stats.refresh(&self.catalog);
         self.stats_current = true;
         self.plan_cache.invalidate();
         Ok(())
@@ -445,11 +446,12 @@ impl Database {
     }
 
     /// Inserts a row into `table`, advancing its modification epoch.
-    /// The table's indexes follow the rows it moved in place; statistics
-    /// go stale until the next [`Database::analyze`] (which rescans only
-    /// the tables DML changed), and stamped DPC hints are aged against
-    /// the new state: drifted measurements are discounted toward the
-    /// analytical estimate, dead ones are evicted.
+    /// The table's indexes and column values follow the rows it moved in
+    /// place; statistics go stale until the next [`Database::analyze`]
+    /// (which rebuilds only the changed tables' statistics, from those
+    /// values), and stamped DPC hints are aged against the new state:
+    /// drifted measurements are discounted toward the analytical
+    /// estimate, dead ones are evicted.
     pub fn insert_row(&mut self, table: &str, row: Row) -> Result<()> {
         let id = self.catalog.table_by_name(table)?.id;
         self.catalog.insert_row(id, row)?;

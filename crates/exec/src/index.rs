@@ -438,14 +438,11 @@ impl Fetch {
             }
         }
     }
-}
 
-impl Operator for Fetch {
-    fn schema(&self) -> &Schema {
-        self.storage.schema()
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
+    /// Fetches RIDs until one passes the residual and returns it, with
+    /// every I/O, hash and monitor charge applied; no row is decoded
+    /// into owned values. `None` at the end of the RID stream.
+    fn next_passing(&mut self, ctx: &mut ExecContext) -> Result<Option<Rid>> {
         while let Some(rid) = self.source.next_rid(ctx)? {
             // Cancellation/deadline checkpoint before each fetched RID:
             // an aborted fetch never touches the page or its monitors.
@@ -501,7 +498,7 @@ impl Operator for Fetch {
                         }
                     }
                 }
-                return Ok(Some(view.materialize()));
+                return Ok(Some(rid));
             }
         }
         // End of the RID stream: flush the trailing page run (taking it
@@ -512,6 +509,29 @@ impl Operator for Fetch {
             }
         }
         Ok(None)
+    }
+}
+
+impl Operator for Fetch {
+    fn schema(&self) -> &Schema {
+        self.storage.schema()
+    }
+
+    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
+        let Some(rid) = self.next_passing(ctx)? else {
+            return Ok(None);
+        };
+        // The page passed verification in `next_passing`, so this
+        // re-lookup (no re-verify, no new I/O: residency was charged
+        // there) sees the same bytes.
+        let view = self
+            .storage
+            .checked_row_view(rid, ctx.fault_attempt, false)?;
+        Ok(Some(view.materialize()))
+    }
+
+    fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
+        Ok(self.next_passing(ctx)?.map(|_| 1))
     }
 }
 
@@ -691,49 +711,66 @@ mod tests {
         assert!(err < 0.10, "estimate {est}, truth {truth}");
     }
 
+    /// The residual filters and the two observation points measure
+    /// different DPCs. Counting the plan decodes no row yet yields the
+    /// same count, I/O charges and feedback report as materializing it.
     #[test]
     fn residual_predicate_filters_and_both_monitors_differ() {
         let (storage, tree, h) = setup(1_000);
-        let seek = IndexSeek::new(
-            Arc::clone(&tree),
-            h,
-            SeekRange::from_atom(CompareOp::Lt, Datum::Int(500)).expect("seekable comparison"),
-        );
-        let residual = Conjunction::new(vec![AtomicPredicate::new(
-            storage.schema(),
-            "id",
-            CompareOp::Lt,
-            Datum::Int(100),
-        )
-        .expect("test value is well-formed")]);
-        let monitors = Rc::new(RefCell::new(vec![
-            FetchMonitor::new(
-                "perm<500",
-                FetchObserveWhen::AllFetched,
-                storage.page_count(),
-                None,
-                1,
-            ),
-            FetchMonitor::new(
-                "perm<500 AND id<100",
-                FetchObserveWhen::PassedResidual,
-                storage.page_count(),
-                None,
-                2,
-            ),
-        ]));
-        let mut fetch = Fetch::new(
-            Box::new(seek),
-            Arc::clone(&storage),
-            TableId(0),
-            residual,
-            Some(Rc::clone(&monitors)),
-        );
-        let mut ctx = ExecContext::new(16_384);
-        let n = run_count(&mut fetch, &mut ctx).expect("plan drains without error");
-        assert!(n < 500, "residual filtered ({n})");
-        let ms = monitors.borrow();
-        assert!(ms[0].counter.estimate() > ms[1].counter.estimate());
+        let run = |count: bool| {
+            let seek = IndexSeek::new(
+                Arc::clone(&tree),
+                h,
+                SeekRange::from_atom(CompareOp::Lt, Datum::Int(500)).expect("seekable comparison"),
+            );
+            let residual = Conjunction::new(vec![AtomicPredicate::new(
+                storage.schema(),
+                "id",
+                CompareOp::Lt,
+                Datum::Int(100),
+            )
+            .expect("test value is well-formed")]);
+            let monitors = Rc::new(RefCell::new(vec![
+                FetchMonitor::new(
+                    "perm<500",
+                    FetchObserveWhen::AllFetched,
+                    storage.page_count(),
+                    None,
+                    1,
+                ),
+                FetchMonitor::new(
+                    "perm<500 AND id<100",
+                    FetchObserveWhen::PassedResidual,
+                    storage.page_count(),
+                    None,
+                    2,
+                ),
+            ]));
+            let mut fetch = Fetch::new(
+                Box::new(seek),
+                Arc::clone(&storage),
+                TableId(0),
+                residual,
+                Some(Rc::clone(&monitors)),
+            );
+            let mut ctx = ExecContext::new(16_384);
+            let n = if count {
+                run_count(&mut fetch, &mut ctx)
+            } else {
+                drain(&mut fetch, &mut ctx).map(|rows| rows.len() as u64)
+            }
+            .expect("plan drains without error");
+            let ms = monitors.borrow();
+            assert!(ms[0].counter.estimate() > ms[1].counter.estimate());
+            let mut report = FeedbackReport::new();
+            for m in ms.iter() {
+                m.harvest("t", &mut report);
+            }
+            (n, ctx.stats(), report)
+        };
+        let counted = run(true);
+        assert!(counted.0 < 500, "residual filtered ({})", counted.0);
+        assert_eq!(run(false), counted);
     }
 
     #[test]

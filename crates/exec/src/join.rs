@@ -161,7 +161,7 @@ impl HashJoin {
             Some(scan) => {
                 let (table, filter) = (&mut table, &mut filter);
                 while scan.next_page_rows(ctx, &mut |rows, ctx| {
-                    rows.for_each(|_slot, view| {
+                    rows.for_each(|view| {
                         let key = view.get(build_key);
                         ctx.pool.charge_hashes(1);
                         if let Some(f) = filter.as_mut() {
@@ -273,7 +273,7 @@ impl Operator for HashJoin {
                 // no probe row is ever materialized.
                 let mut total = 0u64;
                 let more = scan.next_page_rows(ctx, &mut |rows, ctx| {
-                    rows.for_each(|_slot, view| {
+                    rows.for_each(|view| {
                         if !prefiltered {
                             ctx.pool.charge_hashes(1);
                         }
@@ -410,16 +410,16 @@ impl Operator for InlJoin {
         // Page-batched outer: the page access, then per outer row (in
         // slot order) the checkpoint, seek and fetch of the row pull —
         // the same access stream and charges — without materializing
-        // outer or joined rows. With no residual, every fetched row
-        // joins.
+        // outer, inner or joined rows. With no residual, every fetched
+        // row joins.
         let (seek, fetch, outer_key) = (&mut self.seek, &mut self.fetch, self.outer_key);
         let mut total = 0u64;
         let more = outer.next_page_rows(ctx, &mut |rows, ctx| {
-            rows.for_each(|_slot, view| {
+            rows.for_each(|view| {
                 ctx.check_interrupt()?;
                 probe_inner(seek, fetch, view.get(outer_key).to_datum(), ctx);
-                while fetch.next(ctx)?.is_some() {
-                    total += 1;
+                while let Some(n) = fetch.next_count(ctx)? {
+                    total += n;
                 }
                 Ok(())
             })

@@ -403,33 +403,17 @@ pub struct PageRows<'a> {
     page: &'a Page,
     layout: &'a RowLayout,
     qualifying: &'a [u64],
-    pid: u32,
 }
 
 impl<'a> PageRows<'a> {
-    /// The page id these rows come from.
-    pub fn pid(&self) -> u32 {
-        self.pid
-    }
-
-    /// Number of qualifying rows on the page.
-    pub fn len(&self) -> u64 {
-        bitmap::popcount(self.qualifying)
-    }
-
-    /// Whether the page has no qualifying rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Visits each qualifying row as a borrowed view, in slot order.
-    pub fn for_each(&self, mut f: impl FnMut(u16, RowView<'a>) -> Result<()>) -> Result<()> {
+    pub fn for_each(&self, mut f: impl FnMut(RowView<'a>) -> Result<()>) -> Result<()> {
         for (word, &bits) in self.qualifying.iter().enumerate() {
             let mut bits = bits;
             while bits != 0 {
                 let slot = (word * 64 + bits.trailing_zeros() as usize) as u16;
                 bits &= bits - 1;
-                f(slot, self.page.view(self.layout, SlotId(slot))?)?;
+                f(self.page.view(self.layout, SlotId(slot))?)?;
             }
         }
         Ok(())
@@ -468,7 +452,6 @@ impl SeqScan {
                         page,
                         layout: storage.layout(),
                         qualifying: &self.qualifying,
-                        pid,
                     };
                     visit(&rows, ctx)?;
                     return Ok(true);

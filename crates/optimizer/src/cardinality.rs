@@ -93,7 +93,7 @@ mod tests {
             .clustered_on("a")
             .register(&mut cat)
             .unwrap();
-        let stats = DbStats::build(&cat).unwrap();
+        let stats = DbStats::build(&cat);
         (cat, stats, id)
     }
 

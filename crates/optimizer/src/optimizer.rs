@@ -346,7 +346,7 @@ mod tests {
             .unwrap();
         cat.create_index("ix_c2", id, "c2").unwrap();
         cat.create_index("ix_c5", id, "c5").unwrap();
-        let stats = DbStats::build(&cat).unwrap();
+        let stats = DbStats::build(&cat);
         (cat, stats, id)
     }
 
@@ -465,7 +465,7 @@ mod tests {
             .clustered_on("c1")
             .register(&mut cat)
             .unwrap();
-        let stats = DbStats::build(&cat).unwrap();
+        let stats = DbStats::build(&cat);
 
         let spec = JoinSpec {
             outer: t1,

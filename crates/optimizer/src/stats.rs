@@ -1,10 +1,12 @@
-//! Per-column statistics, built by one scan per table and rebuilt only
-//! for tables whose modification epoch moved since.
+//! Per-column statistics, built from the column values the catalog
+//! keeps current ([`ColumnValues`]) and rebuilt only for tables whose
+//! modification epoch moved since. Building reads no page and sorts
+//! nothing.
 
 use crate::histogram::EquiDepthHistogram;
 use crate::plan::HistOp;
-use pf_common::{DataType, Datum, DatumRef, PageId, Result, TableId};
-use pf_storage::{Catalog, TableStorage};
+use pf_common::{Datum, TableId};
+use pf_storage::{Catalog, ColumnValues};
 use std::collections::HashMap;
 
 /// Default histogram resolution (SQL Server uses up to 200 steps).
@@ -45,12 +47,23 @@ impl ColumnStats {
 
     /// Stats of a string column over `count` rows from its per-value
     /// counts.
-    fn from_counts(counts: HashMap<&str, u64>, count: u64) -> Self {
+    fn from_counts(counts: &HashMap<String, u64>, count: u64) -> Self {
         ColumnStats {
             distinct: counts.len() as u64,
-            str_counts: Some(counts.into_iter().map(|(s, n)| (s.to_owned(), n)).collect()),
+            str_counts: Some(counts.clone()),
             histogram: None,
             count,
+        }
+    }
+
+    /// Stats of a column of `count` rows from its values. A column is a
+    /// string column iff it holds a string, so an emptied column gets
+    /// empty numeric stats whatever its type.
+    fn from_values(values: &ColumnValues, count: u64) -> Self {
+        if values.strs().is_empty() {
+            Self::from_sorted(values.nums())
+        } else {
+            Self::from_counts(values.strs(), count)
         }
     }
 
@@ -107,29 +120,35 @@ struct AnalyzedTable {
 }
 
 impl DbStats {
-    /// Builds statistics for every table in the catalog, one full scan
-    /// each (the `CREATE STATISTICS … WITH FULLSCAN` of this engine).
-    pub fn build(catalog: &Catalog) -> Result<Self> {
+    /// Builds statistics for every table in the catalog (the `CREATE
+    /// STATISTICS … WITH FULLSCAN` of this engine, over the column values
+    /// the catalog keeps).
+    pub fn build(catalog: &Catalog) -> Self {
         let mut stats = DbStats::default();
-        stats.refresh(catalog)?;
-        Ok(stats)
+        stats.refresh(catalog);
+        stats
     }
 
     /// Rebuilds the statistics of every table that is new or whose
     /// modification epoch moved since it was last analyzed, and keeps
     /// the rest; returns how many tables it rebuilt.
-    pub fn refresh(&mut self, catalog: &Catalog) -> Result<usize> {
+    pub fn refresh(&mut self, catalog: &Catalog) -> usize {
         let mut rebuilt = 0;
         for t in catalog.tables() {
             let epoch = t.storage.epoch();
             if self.epoch(t.id) == Some(epoch) {
                 continue;
             }
-            let columns = analyze(&t.storage)?;
+            let rows = t.storage.row_count();
+            let columns = t
+                .values
+                .iter()
+                .map(|v| ColumnStats::from_values(v, rows))
+                .collect();
             self.tables.insert(t.id, AnalyzedTable { epoch, columns });
             rebuilt += 1;
         }
-        Ok(rebuilt)
+        rebuilt
     }
 
     /// The modification epoch `table` was last analyzed at, if ever.
@@ -144,60 +163,18 @@ impl DbStats {
     }
 }
 
-/// Column statistics of `storage` from one zero-copy pass over its
-/// pages: numeric values go straight into one vector per column, which
-/// is sorted once; strings are counted by borrowed `&str`, allocating
-/// once per distinct value. A column is a string column iff it holds a
-/// string, so an empty table yields empty numeric stats throughout.
-fn analyze(storage: &TableStorage) -> Result<Vec<ColumnStats>> {
-    let rows = storage.row_count() as usize;
-    let mut nums: Vec<Vec<f64>> = storage
-        .schema()
-        .columns()
-        .iter()
-        .map(|c| Vec::with_capacity(if c.ty == DataType::Str { 0 } else { rows }))
-        .collect();
-    let mut strs: Vec<HashMap<&str, u64>> = vec![HashMap::new(); nums.len()];
-    let mut count = 0u64;
-    for p in 0..storage.page_count() {
-        for view in storage.page_cursor(PageId(p))? {
-            let view = view?;
-            count += 1;
-            for (c, (nums, strs)) in nums.iter_mut().zip(&mut strs).enumerate() {
-                match view.get(c) {
-                    DatumRef::Int(v) => nums.push(v as f64),
-                    DatumRef::Float(v) => nums.push(v),
-                    DatumRef::Date(v) => nums.push(f64::from(v)),
-                    DatumRef::Str(s) => *strs.entry(s).or_insert(0) += 1,
-                }
-            }
-        }
-    }
-    Ok(nums
-        .into_iter()
-        .zip(strs)
-        .map(|(mut nums, strs)| {
-            if strs.is_empty() {
-                nums.sort_by(f64::total_cmp);
-                ColumnStats::from_sorted(&nums)
-            } else {
-                ColumnStats::from_counts(strs, count)
-            }
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pf_common::rng::Rng;
-    use pf_common::{Column, Row, Schema};
-    use pf_storage::TableBuilder;
+    use pf_common::{Column, DataType, Row, Schema};
+    use pf_storage::{TableBuilder, TableStorage};
 
     impl ColumnStats {
-        /// Column stats as computed before the one-pass analyze, kept as
-        /// the oracle it must match bit for bit: every value
-        /// materialized, each numeric column sorted twice.
+        /// Column stats as a row-materializing builder computes them,
+        /// kept as the oracle that stats built from the maintained column
+        /// values must match bit for bit: every value materialized, each
+        /// numeric column sorted twice.
         fn build(values: &[Datum]) -> Self {
             let count = values.len() as u64;
             if values.iter().all(|v| v.numeric().is_some()) {
@@ -302,7 +279,7 @@ mod tests {
                 };
                 let t = load("t", 400, &mut rng);
                 let u = load("u", 150, &mut rng);
-                let mut stats = DbStats::build(&cat).unwrap();
+                let mut stats = DbStats::build(&cat);
                 assert_eq!((stats.epoch(t), stats.epoch(u)), (Some(0), Some(0)));
                 assert_matches_oracle(&stats, &cat, "load");
                 for step in 0..40 {
@@ -317,27 +294,30 @@ mod tests {
                             .unwrap();
                     }
                     let moved = cat.epoch_state(t).unwrap().epoch != before;
-                    let rebuilt = stats.refresh(&cat).unwrap();
+                    let rebuilt = stats.refresh(&cat);
                     assert_eq!(
                         rebuilt,
                         usize::from(moved),
                         "step {step}: only t re-analyzed"
                     );
                     assert_eq!(stats.epoch(u), Some(0));
-                    assert_eq!(stats, DbStats::build(&cat).unwrap(), "step {step}");
+                    assert_eq!(stats, DbStats::build(&cat), "step {step}");
                     assert_matches_oracle(&stats, &cat, &format!("seed {seed} step {step}"));
                 }
                 cat.delete_where(t, |_| true).unwrap();
-                assert_eq!(stats.refresh(&cat).unwrap(), 1);
-                assert_eq!(stats, DbStats::build(&cat).unwrap());
+                assert_eq!(stats.refresh(&cat), 1);
+                assert_eq!(stats, DbStats::build(&cat));
                 assert_matches_oracle(&stats, &cat, "emptied");
             }
         }
     }
 
-    /// NaN, signed zeros and infinities: the one-pass analyze matches the
-    /// oracle bit for bit (compared through `Debug`, which prints `NaN`
-    /// and `-0.0` as such, since `NaN != NaN`).
+    /// NaN, signed zeros and infinities: statistics match the oracle bit
+    /// for bit at load and after every statement that deletes or
+    /// re-inserts one of them (compared through `Debug`, which prints
+    /// `NaN` and `-0.0` as such, since `NaN != NaN`). Maintenance that
+    /// matched values with `==` would never find a NaN to remove, and
+    /// could remove a `0.0` for a `-0.0`.
     #[test]
     fn special_floats_match_the_oracle_bit_for_bit() {
         let specials = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5];
@@ -354,12 +334,28 @@ mod tests {
             .page_size(512)
             .register(&mut cat)
             .unwrap();
-        let stats = DbStats::build(&cat).unwrap();
-        let values = &columns(&cat.table(t).unwrap().storage)[0];
-        assert_eq!(
-            format!("{:?}", stats.column(t, 0)),
-            format!("{:?}", ColumnStats::build(values))
-        );
+        let mut stats = DbStats::build(&cat);
+        let check = |stats: &DbStats, cat: &Catalog, at: &str| {
+            let values = &columns(&cat.table(t).unwrap().storage)[0];
+            assert_eq!(
+                format!("{:?}", stats.column(t, 0)),
+                format!("{:?}", ColumnStats::build(values)),
+                "{at}"
+            );
+        };
+        check(&stats, &cat, "load");
+        for x in &specials[..5] {
+            let v = Datum::Float(*x);
+            let deleted = cat.delete_where(t, |r| r.get(0) == &v).unwrap();
+            assert!(deleted > 0, "no row holds {x:?}");
+            stats.refresh(&cat);
+            check(&stats, &cat, &format!("delete {x:?}"));
+            for i in 0..3 {
+                cat.insert_row(t, Row::new(vec![v.clone()])).unwrap();
+                stats.refresh(&cat);
+                check(&stats, &cat, &format!("insert {x:?} #{i}"));
+            }
+        }
     }
 
     #[test]
@@ -414,7 +410,7 @@ mod tests {
             .clustered_on("id")
             .register(&mut cat)
             .unwrap();
-        let stats = DbStats::build(&cat).unwrap();
+        let stats = DbStats::build(&cat);
         assert_eq!(stats.column(id, 0).distinct, 200);
         let ca = stats
             .column(id, 1)

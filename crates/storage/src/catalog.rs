@@ -4,7 +4,11 @@ use crate::btree::BPlusTree;
 use crate::fault::FaultPlan;
 use crate::page::DEFAULT_PAGE_SIZE;
 use crate::table::{RidDelta, TableStorage};
-use pf_common::{Error, IndexId, PageId, Result, Row, Schema, TableId};
+use pf_common::{
+    DataType, Datum, DatumRef, Error, IndexId, PageId, Result, Rid, Row, Schema, TableId,
+};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Catalog-level statistics for a table (what `sys.dm_db_partition_stats`
@@ -31,12 +35,206 @@ pub struct TableMeta {
     pub storage: Arc<TableStorage>,
     /// Statistics captured at load time.
     pub stats: TableStats,
+    /// Every column's values, in schema order, kept current by DML.
+    pub values: Vec<ColumnValues>,
 }
 
 impl TableMeta {
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
         self.storage.schema()
+    }
+}
+
+/// One column's values: what `analyze` builds the column's statistics
+/// from. Built by one scan at registration, then kept current by every
+/// DML statement, so re-analyzing a changed table reads no page.
+#[derive(Debug)]
+pub struct ColumnValues {
+    /// Every numeric (`Int`, `Float`, `Date`) value as `f64`, sorted by
+    /// [`f64::total_cmp`].
+    nums: Vec<f64>,
+    /// The number of rows holding each distinct string; no count is 0.
+    strs: HashMap<String, u64>,
+}
+
+impl ColumnValues {
+    /// Every numeric value of the column as `f64`, sorted by
+    /// [`f64::total_cmp`] (empty for a `Str` column).
+    pub fn nums(&self) -> &[f64] {
+        &self.nums
+    }
+
+    /// The number of rows holding each distinct string (empty for a
+    /// numeric column); no count is 0.
+    pub fn strs(&self) -> &HashMap<String, u64> {
+        &self.strs
+    }
+
+    /// The values of every column of `storage`, from one zero-copy pass
+    /// over its pages: numeric values go straight into one vector per
+    /// column, which is sorted once; strings are counted by borrowed
+    /// `&str`, allocating once per distinct value.
+    fn scan(storage: &TableStorage) -> Result<Vec<ColumnValues>> {
+        let rows = storage.row_count() as usize;
+        let mut cols: Vec<ColumnValues> = storage
+            .schema()
+            .columns()
+            .iter()
+            .map(|c| ColumnValues {
+                nums: Vec::with_capacity(if c.ty == DataType::Str { 0 } else { rows }),
+                strs: HashMap::new(),
+            })
+            .collect();
+        for p in 0..storage.page_count() {
+            for view in storage.page_cursor(PageId(p))? {
+                let view = view?;
+                for (c, col) in cols.iter_mut().enumerate() {
+                    match view.get(c) {
+                        DatumRef::Int(v) => col.nums.push(v as f64),
+                        DatumRef::Float(v) => col.nums.push(v),
+                        DatumRef::Date(v) => col.nums.push(f64::from(v)),
+                        DatumRef::Str(s) => col.count(s),
+                    }
+                }
+            }
+        }
+        for col in &mut cols {
+            col.nums.sort_unstable_by(f64::total_cmp);
+        }
+        Ok(cols)
+    }
+
+    /// Counts one more row holding `s`.
+    fn count(&mut self, s: &str) {
+        match self.strs.get_mut(s) {
+            Some(n) => *n += 1,
+            None => {
+                self.strs.insert(s.to_owned(), 1);
+            }
+        }
+    }
+
+    /// Follows one DML statement: the values of column `col` in the
+    /// delta's removed rows leave, those in its added rows arrive.
+    /// Values on both sides cancel first — a delta lists whole pages, so
+    /// most do. What is left changes the sorted numbers in place, with
+    /// one compaction pass from the first removed value and one
+    /// back-to-front merge of the added ones; string counts go down and
+    /// up. Panics if a removed value is not there, as index maintenance
+    /// does.
+    fn apply(&mut self, col: usize, delta: &RidDelta) {
+        let (mut gone, mut new) = (Vec::new(), Vec::new());
+        let (mut gone_strs, mut new_strs) = (Vec::new(), Vec::new());
+        split(&delta.removed, col, &mut gone, &mut gone_strs);
+        split(&delta.added, col, &mut new, &mut new_strs);
+        cancel(&mut gone, &mut new, f64::total_cmp);
+        cancel(&mut gone_strs, &mut new_strs, Ord::cmp);
+        remove_sorted(&mut self.nums, &gone);
+        merge_sorted(&mut self.nums, &new);
+        for s in gone_strs {
+            let n = self
+                .strs
+                .get_mut(s)
+                .unwrap_or_else(|| panic!("column {col} lacks removed value {s:?}"));
+            *n -= 1;
+            if *n == 0 {
+                self.strs.remove(s);
+            }
+        }
+        for s in new_strs {
+            self.count(s);
+        }
+    }
+}
+
+/// Appends column `col` of `rows` to `nums` (numbers) or `strs`
+/// (strings).
+fn split<'r>(rows: &'r [(Rid, Row)], col: usize, nums: &mut Vec<f64>, strs: &mut Vec<&'r str>) {
+    for (_, row) in rows {
+        match row.get(col) {
+            Datum::Str(s) => strs.push(s),
+            d => nums.extend(d.numeric()),
+        }
+    }
+}
+
+/// Sorts `gone` and `new` by `cmp` and drops the values they have in
+/// common, counting multiplicity. `cmp` must be a total order whose
+/// equal values are interchangeable (for floats, `total_cmp`: equal
+/// means the same bits, where `==` would keep a NaN and match `-0.0`
+/// with `0.0`).
+fn cancel<T: Copy>(gone: &mut Vec<T>, new: &mut Vec<T>, cmp: impl Fn(&T, &T) -> Ordering) {
+    gone.sort_unstable_by(&cmp);
+    new.sort_unstable_by(&cmp);
+    let (mut g, mut n, mut gw, mut nw) = (0, 0, 0, 0);
+    while g < gone.len() || n < new.len() {
+        let ord = match (gone.get(g), new.get(n)) {
+            (Some(a), Some(b)) => cmp(a, b),
+            (Some(_), None) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        match ord {
+            Ordering::Less => {
+                gone[gw] = gone[g];
+                gw += 1;
+                g += 1;
+            }
+            Ordering::Greater => {
+                new[nw] = new[n];
+                nw += 1;
+                n += 1;
+            }
+            Ordering::Equal => {
+                g += 1;
+                n += 1;
+            }
+        }
+    }
+    gone.truncate(gw);
+    new.truncate(nw);
+}
+
+/// Removes every value of `gone` from `nums` in one compaction pass that
+/// starts at the first of them; both are sorted by `f64::total_cmp`.
+/// Panics if a value of `gone` is not in `nums`.
+fn remove_sorted(nums: &mut Vec<f64>, gone: &[f64]) {
+    let Some(first) = gone.first() else { return };
+    let mut w = nums.partition_point(|v| v.total_cmp(first).is_lt());
+    let mut r = w;
+    for g in gone {
+        while r < nums.len() && nums[r].total_cmp(g).is_lt() {
+            nums[w] = nums[r];
+            w += 1;
+            r += 1;
+        }
+        assert!(
+            r < nums.len() && nums[r].total_cmp(g).is_eq(),
+            "column lacks removed value {g:?}"
+        );
+        r += 1;
+    }
+    nums.copy_within(r.., w);
+    nums.truncate(nums.len() - (r - w));
+}
+
+/// Merges `new` into `nums`, both sorted by `f64::total_cmp`, in place:
+/// from the back, so each value of `nums` moves at most once.
+fn merge_sorted(nums: &mut Vec<f64>, new: &[f64]) {
+    if new.is_empty() {
+        return;
+    }
+    let mut r = nums.len();
+    nums.resize(r + new.len(), 0.0);
+    let mut w = nums.len();
+    for &x in new.iter().rev() {
+        while r > 0 && nums[r - 1].total_cmp(&x).is_gt() {
+            r -= 1;
+            w -= 1;
+            nums[w] = nums[r];
+        }
+        w -= 1;
+        nums[w] = x;
     }
 }
 
@@ -146,7 +344,8 @@ impl Catalog {
 
     /// Registers a loaded table under `name`. Fails on duplicate names.
     /// The table receives its catalog identity and, if a fault plan is
-    /// set, its deterministic share of injected page damage.
+    /// set, its deterministic share of injected page damage; one scan
+    /// collects every column's values ([`ColumnValues`]).
     pub fn add_table(
         &mut self,
         name: impl Into<String>,
@@ -165,11 +364,13 @@ impl Catalog {
             pages: storage.page_count(),
             rows_per_page: storage.avg_rows_per_page(),
         };
+        let values = ColumnValues::scan(&storage)?;
         self.tables.push(TableMeta {
             id,
             name,
             storage: Arc::new(storage),
             stats,
+            values,
         });
         Ok(id)
     }
@@ -224,7 +425,8 @@ impl Catalog {
     /// point for DML. Requires exclusive ownership of the storage (no
     /// concurrent query or index build may hold a reference), then
     /// refreshes the table's statistics and carries the RID changes the
-    /// statement reports into every index on the table, in place.
+    /// statement reports into the table's column values and every index
+    /// on the table, in place.
     fn mutate_table<R>(
         &mut self,
         table: TableId,
@@ -247,6 +449,9 @@ impl Catalog {
             rows_per_page: storage.avg_rows_per_page(),
         };
         if !delta.is_empty() {
+            for (c, values) in meta.values.iter_mut().enumerate() {
+                values.apply(c, &delta);
+            }
             for ix in self.indexes.iter_mut().filter(|i| i.table == table) {
                 ix.apply(&delta);
             }
@@ -630,10 +835,20 @@ mod tests {
         tree.iter().map(|(k, r)| (k.clone(), r.to_vec())).collect()
     }
 
+    /// Every column's values with numbers as their bits, so that values
+    /// compare as a fresh scan would produce them.
+    fn value_bits(values: &[ColumnValues]) -> Vec<(Vec<u64>, &HashMap<String, u64>)> {
+        values
+            .iter()
+            .map(|v| (v.nums.iter().map(|x| x.to_bits()).collect(), &v.strs))
+            .collect()
+    }
+
     /// Random DML over 1 KiB pages, clustered and heap: after every
     /// statement each maintained index must equal a fresh build over the
     /// current table — the same key → RID sequence (posting lists in RID
-    /// order included), the same `leaf_pages` and the same `height`.
+    /// order included), the same `leaf_pages` and the same `height` —
+    /// and the maintained column values must equal a fresh scan.
     /// Inserts split pages mid-table and deletes empty whole pages, so
     /// the page map is exercised; heap tables shrink far enough that
     /// their `k` index falls back to one leaf.
@@ -724,6 +939,12 @@ mod tests {
                         assert_eq!(ix.height, fresh.height(), "{at}");
                         assert_eq!(ix.height, ix.tree.height(), "{at}");
                     }
+                    let fresh = ColumnValues::scan(storage).expect("scan");
+                    assert_eq!(
+                        value_bits(&cat.table(id).expect("table").values),
+                        value_bits(&fresh),
+                        "seed {seed} clustered {clustered} step {step}"
+                    );
                 }
                 if clustered {
                     assert!(splits > 0, "seed {seed}: no insert split a page mid-table");

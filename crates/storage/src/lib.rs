@@ -42,7 +42,7 @@ pub mod table;
 pub mod view;
 
 pub use bufferpool::{merge_morsel_stats, AccessPattern, BufferPool, IoStats, PageMiss};
-pub use catalog::{Catalog, IndexMeta, TableBuilder, TableMeta, TableStats};
+pub use catalog::{Catalog, ColumnValues, IndexMeta, TableBuilder, TableMeta, TableStats};
 pub use disk::DiskModel;
 pub use fault::{ErrorFault, FaultKind, FaultPlan};
 pub use page::{crc32, Page, DEFAULT_PAGE_SIZE};

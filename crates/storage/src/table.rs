@@ -446,8 +446,11 @@ impl TableStorage {
 
     /// Deletes every row matching `pred`, rewriting (and re-sealing)
     /// only the pages that held a match and dropping pages left empty.
-    /// Returns the number of rows deleted and the RIDs the delete moved;
-    /// the epoch advances only if at least one row was deleted.
+    /// `pred` sees every row once, in physical order, decoded into one
+    /// reused [`Row`]; only the pages that hold a match are decoded into
+    /// owned rows. Returns the number of rows deleted and the RIDs the
+    /// delete moved; the epoch advances only if at least one row was
+    /// deleted.
     pub fn delete_where<F>(&mut self, mut pred: F) -> Result<(u64, RidDelta)>
     where
         F: FnMut(&Row) -> bool,
@@ -464,16 +467,20 @@ impl TableStorage {
         // leaves the table as it was.
         let mut rewrites = Vec::new();
         let mut keep = Vec::new();
+        let mut row = Row::new(Vec::new());
         let mut deleted = 0u64;
         for (p, page) in self.pages.iter().enumerate() {
-            let rows = page.read_all(&self.schema)?;
             keep.clear();
-            keep.extend(rows.iter().map(|r| !pred(r)));
+            for view in page.cursor(&self.layout) {
+                view?.materialize_into(&mut row);
+                keep.push(!pred(&row));
+            }
             let kept_count = keep.iter().filter(|k| **k).count();
-            if kept_count == rows.len() {
+            if kept_count == keep.len() {
                 continue;
             }
-            deleted += (rows.len() - kept_count) as u64;
+            deleted += (keep.len() - kept_count) as u64;
+            let rows = page.read_all(&self.schema)?;
             let kept: Vec<Row> = rows
                 .iter()
                 .zip(&keep)

@@ -237,40 +237,66 @@ impl<'a> RowView<'a> {
     /// [`crate::codec::decode_row`] on the same bytes.
     pub fn materialize(&self) -> Row {
         let mut values = Vec::with_capacity(self.layout.arity());
+        self.walk(|_, d| values.push(d.to_datum()));
+        Row::new(values)
+    }
+
+    /// Overwrites `row` with this row's values — the same values
+    /// [`RowView::materialize`] returns — reusing `row`'s vector and
+    /// every `String` that lands on a `Str` column again, whatever the
+    /// arity and types `row` held before. A loop that decodes many rows
+    /// into one `Row` allocates only when a string outgrows its buffer.
+    pub fn materialize_into(&self, row: &mut Row) {
+        let values = &mut row.values;
+        values.truncate(self.layout.arity());
+        self.walk(|c, d| match (values.get_mut(c), d) {
+            (Some(Datum::Str(buf)), DatumRef::Str(s)) => {
+                buf.clear();
+                buf.push_str(s);
+            }
+            (Some(slot), d) => *slot = d.to_datum(),
+            (None, d) => values.push(d.to_datum()),
+        });
+    }
+
+    /// Hands `f` every column's value in ordinal order, in one walk over
+    /// the encoding.
+    #[inline]
+    fn walk(&self, mut f: impl FnMut(usize, DatumRef<'a>)) {
+        let bytes = self.bytes;
         let mut pos = 0usize;
-        for col in &self.layout.cols {
-            match col.ty {
+        for (c, col) in self.layout.cols.iter().enumerate() {
+            let d = match col.ty {
                 DataType::Int => {
-                    values.push(Datum::Int(i64::from_le_bytes(
-                        self.bytes[pos..pos + 8].try_into().expect("validated"),
-                    )));
                     pos += 8;
+                    DatumRef::Int(i64::from_le_bytes(
+                        bytes[pos - 8..pos].try_into().expect("validated"),
+                    ))
                 }
                 DataType::Float => {
-                    values.push(Datum::Float(f64::from_bits(u64::from_le_bytes(
-                        self.bytes[pos..pos + 8].try_into().expect("validated"),
-                    ))));
                     pos += 8;
+                    DatumRef::Float(f64::from_bits(u64::from_le_bytes(
+                        bytes[pos - 8..pos].try_into().expect("validated"),
+                    )))
                 }
                 DataType::Date => {
-                    values.push(Datum::Date(i32::from_le_bytes(
-                        self.bytes[pos..pos + 4].try_into().expect("validated"),
-                    )));
                     pos += 4;
+                    DatumRef::Date(i32::from_le_bytes(
+                        bytes[pos - 4..pos].try_into().expect("validated"),
+                    ))
                 }
                 DataType::Str => {
-                    let len =
-                        u32::from_le_bytes(self.bytes[pos..pos + 4].try_into().expect("validated"))
-                            as usize;
-                    pos += 4;
-                    let s = std::str::from_utf8(&self.bytes[pos..pos + len])
-                        .expect("validated at view construction");
-                    values.push(Datum::Str(s.to_string()));
-                    pos += len;
+                    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("validated"))
+                        as usize;
+                    pos += 4 + len;
+                    DatumRef::Str(
+                        std::str::from_utf8(&bytes[pos - len..pos])
+                            .expect("validated at view construction"),
+                    )
                 }
-            }
+            };
+            f(c, d);
         }
-        Row::new(values)
     }
 }
 

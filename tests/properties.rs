@@ -124,13 +124,16 @@ fn schema_of(cells: &[Datum]) -> Schema {
 proptest! {
     /// For arbitrary schemas — including multiple `Str` columns and empty
     /// strings — `RowView::materialize` is value-identical to
-    /// `decode_row`, per-column borrowed access agrees with both, and
+    /// `decode_row`, and so is `RowView::materialize_into` whatever the
+    /// reused row held before (longer strings, values of other types,
+    /// another arity); per-column borrowed access agrees with both, and
     /// `RowLayout::validate` consumes exactly the bytes the owned decoder
     /// consumes.
     #[test]
     fn row_view_matches_owned_decode(
         cells in prop::collection::vec(arb_datum(), 1..8),
         suffix in prop::collection::vec(any::<u64>().prop_map(|v| v as u8), 0..16),
+        stale in prop::collection::vec(arb_datum(), 0..10),
     ) {
         let schema = schema_of(&cells);
         let row = Row::new(cells);
@@ -150,6 +153,30 @@ proptest! {
         prop_assert_eq!(&decoded, &row);
         for (i, cell) in row.values.iter().enumerate() {
             prop_assert_eq!(&view.get(i).to_datum(), cell);
+        }
+
+        let longer: Vec<Datum> = row
+            .values
+            .iter()
+            .map(|d| match d {
+                Datum::Str(s) => Datum::Str(format!("{s} and a stale tail")),
+                _ => Datum::Str("stale".into()),
+            })
+            .chain([Datum::Int(7)])
+            .collect();
+        let other_types: Vec<Datum> = row.values[1..]
+            .iter()
+            .map(|d| match d {
+                Datum::Str(_) => Datum::Float(f64::NAN),
+                _ => Datum::Str(String::new()),
+            })
+            .collect();
+        for held in [longer, other_types, stale] {
+            let mut reused = Row::new(held);
+            view.materialize_into(&mut reused);
+            prop_assert_eq!(&reused, &decoded);
+            view.materialize_into(&mut reused);
+            prop_assert_eq!(&reused, &decoded);
         }
     }
 
