@@ -14,11 +14,9 @@
 use criterion::{black_box, Bencher, Criterion};
 use pf_common::{Column, DataType, Datum, Row, Schema, TableId};
 use pf_exec::join::{BitVectorConfig, HashJoin};
-use pf_exec::monitor::{semi_join_slot, ScanExprMonitor, ScanMonitorSet};
+use pf_exec::monitor::{ScanExprMonitor, ScanMonitorSet};
 use pf_exec::{run_count, Conjunction, ExecContext, SeqScan};
 use pf_storage::TableStorage;
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// A join-key table: `k = (i * 7919) % key_mod` scrambles the key order
@@ -60,14 +58,12 @@ fn join_count(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
 /// Hash join with a bit-vector filter and pushdown requested: the
 /// completed filter is installed as a probe-scan pre-filter.
 fn join_count_filtered(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
-    let slot = semi_join_slot(0);
     let mut hj = HashJoin::new(
         Box::new(scan(build, 0)),
         Box::new(scan(probe, 1)),
         0,
         0,
         Some(BitVectorConfig {
-            slot,
             numbits: 1 << 16,
             seed: 17,
             pushdown: true,
@@ -80,12 +76,12 @@ fn join_count_filtered(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> 
 /// Hash join whose probe scan carries a semi-join monitor: the sketch
 /// observes every page (DPSample fraction 1.0), the shape Fig 8 runs.
 fn join_count_monitored(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
-    let slot = semi_join_slot(0);
-    let monitors = Rc::new(RefCell::new(ScanMonitorSet::new(
-        vec![ScanExprMonitor::semi_join("jp", Rc::clone(&slot), None)],
+    let monitors = ScanMonitorSet::new(
+        "probe",
+        vec![ScanExprMonitor::semi_join("jp", 0, (1 << 16) / 8, None)],
         1.0,
         7,
-    )));
+    );
     let probe_scan = SeqScan::full(
         Arc::clone(probe),
         TableId(1),
@@ -98,7 +94,6 @@ fn join_count_monitored(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) ->
         0,
         0,
         Some(BitVectorConfig {
-            slot,
             numbits: 1 << 16,
             seed: 17,
             pushdown: false,

@@ -456,7 +456,7 @@ impl Shell {
         let Some(db) = &mut self.db else {
             return NO_DB.to_string();
         };
-        let policy = db.staleness;
+        let policy = pf_optimizer::StalenessPolicy::default();
         let states = db.table_epoch_states();
         let from_hints = db.hints_mut().apply_staleness(policy, &states);
         let from_store = match db.feedback_store_mut() {

@@ -77,9 +77,11 @@ pub enum Error {
         /// Index of the query in the submitted workload.
         query_index: usize,
     },
-    /// The query was cooperatively cancelled via its
-    /// `CancelToken` before completing. Nothing the query touched is
-    /// kept: no feedback is absorbed, no plan is cached.
+    /// The query was cancelled before completing: `run_admitted_workload`
+    /// reports it for a job whose cancellation instant came first, while
+    /// queued or (run as a simulated-clock deadline) mid-run. Nothing
+    /// the query touched is kept: no feedback is absorbed, no plan is
+    /// cached.
     Cancelled,
     /// The query's simulated-clock deadline elapsed before it finished.
     /// Like [`Error::Cancelled`], the abort is hygienic: no partial

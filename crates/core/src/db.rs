@@ -3,13 +3,12 @@
 use crate::breaker::CircuitBreaker;
 use crate::feedback_store::FeedbackStore;
 use crate::plan_cache::{PlanCache, PlanCacheStats};
-use crate::planner::{
-    HarnessPartial, LoweredPlan, MonitorConfig, OptimizedQuery, PlanChoice, PlanSlice, Planner,
-};
+use crate::planner::{LoweredPlan, MonitorConfig, OptimizedQuery, PlanChoice, PlanSlice, Planner};
 use crate::query::Query;
 use pf_common::{Error, IndexId, PageId, Result, Row, Schema, TableId};
 use pf_exec::join::BuildSide;
-use pf_exec::{run_count, CancelToken, Conjunction, ExecContext};
+use pf_exec::monitor::MonitorPartial;
+use pf_exec::{run_count, Conjunction, ExecContext};
 use pf_feedback::FeedbackReport;
 use pf_optimizer::{
     AccessPath, CostModel, DbStats, EpochStamp, HintSet, JoinMethod, Optimizer, StalenessPolicy,
@@ -44,7 +43,7 @@ pub struct QueryOutcome {
     /// fault-free run).
     pub fault_retries: u32,
     /// Bytes the run's still-observing monitors held at harvest time
-    /// (see [`MonitorHarness::approx_monitor_bytes`]) — what a memory
+    /// (see [`LoweredPlan::monitor_bytes`]) — what a memory
     /// reservation is reconciled against at completion. 0 when
     /// monitoring was off.
     pub monitor_bytes: usize,
@@ -104,8 +103,8 @@ pub(crate) struct MorselOutput {
     /// The pages the morsel missed, in access order (see
     /// [`pf_storage::merge_morsel_stats`]).
     pub(crate) misses: Vec<PageMiss>,
-    /// The morsel's finished monitors.
-    pub(crate) monitors: HarnessPartial,
+    /// The morsel's finished monitors, in plan order.
+    pub(crate) monitors: Vec<MonitorPartial>,
     /// A hash join build morsel's completed build side.
     pub(crate) built: Option<BuildSide>,
     /// The attempt that succeeded (0 unless a transient fault retried).
@@ -135,8 +134,6 @@ pub struct Database {
     /// Memoized optimizer decisions, invalidated on anything that can
     /// change a plan.
     plan_cache: PlanCache,
-    /// How stamped hints are aged as DML drifts their tables.
-    pub staleness: StalenessPolicy,
     /// Disk-model constants used for costing *and* execution accounting.
     pub disk: DiskModel,
     /// Buffer-pool capacity in pages for each execution.
@@ -157,7 +154,6 @@ impl Database {
             feedback_store: None,
             breaker: None,
             plan_cache: PlanCache::new(true),
-            staleness: StalenessPolicy::default(),
             disk: DiskModel::default(),
             pool_pages: 65_536,
         }
@@ -278,7 +274,8 @@ impl Database {
         let recovered = store.len();
         store.replay_into(&mut self.hints);
         let states = self.table_epoch_states();
-        self.hints.apply_staleness(self.staleness, &states);
+        self.hints
+            .apply_staleness(StalenessPolicy::default(), &states);
         self.feedback_store = Some(store);
         self.plan_cache.invalidate();
         Ok(recovered)
@@ -474,7 +471,8 @@ impl Database {
     fn after_dml(&mut self) -> Result<()> {
         self.stats_current = false; // the changed table's statistics are stale
         let states = self.table_epoch_states();
-        self.hints.apply_staleness(self.staleness, &states);
+        self.hints
+            .apply_staleness(StalenessPolicy::default(), &states);
         self.plan_cache.invalidate();
         Ok(())
     }
@@ -600,36 +598,27 @@ impl Database {
 
     fn execute_attempt(
         &self,
-        plan: LoweredPlan,
+        mut plan: LoweredPlan,
         attempt: u32,
         ctx: &mut ExecContext,
     ) -> Result<QueryOutcome> {
-        let LoweredPlan {
-            mut op,
-            harness,
-            choice,
-            description,
-            explain: _,
-            deadline_ms,
-        } = plan;
         ctx.cold_start();
         ctx.fault_attempt = attempt;
-        ctx.deadline_ms = deadline_ms;
+        ctx.deadline_ms = plan.deadline_ms;
         // Counting driver: operators that can count page-at-a-time
         // (vectorized joins, scans) skip row materialization entirely.
         // Materialization was never charged, so I/O statistics are
         // byte-identical to the old drain-then-count.
-        let count = run_count(op.as_mut(), ctx)?;
-        let monitor_bytes = harness.approx_monitor_bytes();
+        let count = run_count(plan.op.as_mut(), ctx)?;
         Ok(QueryOutcome {
             count,
             stats: ctx.stats(),
             elapsed_ms: ctx.elapsed_ms(),
-            report: harness.harvest(),
-            description,
-            choice,
+            report: plan.harvest(),
+            monitor_bytes: plan.monitor_bytes(),
+            description: plan.description,
+            choice: plan.choice,
             fault_retries: attempt,
-            monitor_bytes,
         })
     }
 
@@ -682,28 +671,9 @@ impl Database {
         self.execute_with_retry_in(|| self.lower(query, cfg), ctx)
     }
 
-    /// Runs `query` under a caller-held [`CancelToken`]: operators poll
-    /// the token at page granularity and an armed or tripped token
-    /// aborts the query with [`Error::Cancelled`]. An aborted run is
-    /// hygienic — it returns no [`QueryOutcome`], so no feedback can be
-    /// absorbed, and the plan cache is only *read*, never populated, so
-    /// database state is byte-identical to the query never having run.
-    /// Cancellation is non-transient, so the retry loop (which only
-    /// absorbs injected read stalls) surfaces it immediately.
-    pub fn run_query_cancellable(
-        &self,
-        query: &Query,
-        cfg: &MonitorConfig,
-        cancel: CancelToken,
-    ) -> Result<QueryOutcome> {
-        let mut ctx = self.make_context();
-        ctx.cancel = cancel;
-        self.execute_with_retry_in(|| self.lower_cached(query, cfg, false), &mut ctx)
-    }
-
     /// Plan-shape-derived monitor memory estimate for running `query`
     /// under `cfg`: the byte total the lowered plan's monitors would
-    /// hold ([`crate::MonitorHarness::approx_monitor_bytes`]). This is what a
+    /// hold ([`LoweredPlan::monitor_bytes`]). This is what a
     /// query reserves against the global [`crate::MemoryBudget`] at
     /// admission; the reservation is reconciled against the outcome's
     /// `monitor_bytes` at completion. Lowering here is hygienic (no
@@ -713,8 +683,7 @@ impl Database {
         if !cfg.enabled {
             return Ok(0);
         }
-        let lowered = self.lower_cached(query, cfg, false)?;
-        Ok(lowered.harness.approx_monitor_bytes())
+        Ok(self.lower_cached(query, cfg, false)?.monitor_bytes())
     }
 
     // ------------------------------------------------------------------
@@ -810,14 +779,12 @@ impl Database {
         let planner = self.planner()?;
         let mut attempt = 0;
         loop {
-            let LoweredPlan {
-                mut op, harness, ..
-            } = planner.lower_slice(optimized, cfg, slice)?;
+            let mut lowered = planner.lower_slice(optimized, cfg, slice)?;
             ctx.cold_start();
             ctx.fault_attempt = attempt;
-            let run = match (slice, op.as_hash_join()) {
+            let run = match (slice, lowered.op.as_hash_join()) {
                 (PlanSlice::Pages { .. }, Some(join)) => join.build_side(ctx).map(|b| (0, Some(b))),
-                _ => run_count(op.as_mut(), ctx).map(|n| (n, None)),
+                _ => run_count(lowered.op.as_mut(), ctx).map(|n| (n, None)),
             };
             match run {
                 Ok((count, built)) => {
@@ -825,7 +792,7 @@ impl Database {
                         count,
                         stats: ctx.stats(),
                         misses: ctx.pool.misses().to_vec(),
-                        monitors: harness.into_partial(),
+                        monitors: lowered.take_partials(),
                         built,
                         attempt,
                     });
@@ -1124,41 +1091,6 @@ mod tests {
         db.create_table("t", schema, vec![Row::new(vec![Datum::Int(1)])], None)
             .unwrap();
         assert!(db.run(&q("a", 1), &MonitorConfig::off()).is_err());
-    }
-
-    #[test]
-    fn cancelled_query_leaves_no_trace() {
-        let db = demo_db();
-        let query = q("corr", 400);
-        let cfg = MonitorConfig::default();
-        let before = db.plan_cache_stats();
-        assert_eq!(before.entries, 0);
-        let err = db
-            .run_query_cancellable(&query, &cfg, CancelToken::cancel_after(0))
-            .unwrap_err();
-        assert_eq!(err, Error::Cancelled);
-        let after = db.plan_cache_stats();
-        assert_eq!(
-            after.entries, 0,
-            "an aborted run must not populate the plan cache"
-        );
-        // An unarmed token lets the identical call complete normally.
-        let ok = db
-            .run_query_cancellable(&query, &cfg, CancelToken::new())
-            .unwrap();
-        assert_eq!(ok.count, 400);
-        assert!(!ok.report.measurements.is_empty());
-    }
-
-    #[test]
-    fn externally_tripped_token_aborts_mid_run() {
-        let db = demo_db();
-        let token = CancelToken::new();
-        token.cancel();
-        let err = db
-            .run_query_cancellable(&q("corr", 400), &MonitorConfig::off(), token)
-            .unwrap_err();
-        assert_eq!(err, Error::Cancelled);
     }
 
     #[test]

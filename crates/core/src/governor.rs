@@ -3,10 +3,11 @@
 //!
 //! The paper's monitors are "low overhead" by construction, but a
 //! production engine still bounds them: a monitored run must not hold
-//! unbounded sketch memory. [`crate::MonitorHarness::apply_governor`]
-//! lists every monitor of a lowered plan with its byte cost (via
-//! [`pf_feedback::Sketch::approx_bytes`]) and [`ShedClass`], and
-//! [`shed_over_budget`] decides which of them the budget sheds. Shed
+//! unbounded sketch memory. Lowering walks the plan's operator tree
+//! ([`pf_exec::monitor::costs`]) for every monitor's byte cost (via
+//! [`pf_feedback::Sketch::approx_bytes`]) and [`ShedClass`],
+//! [`shed_over_budget`] decides which of them the budget sheds, and
+//! [`pf_exec::monitor::shed`] marks them in the operators. Shed
 //! monitors stay in the plan and still harvest, but their measurements
 //! carry `budget_shed = true` — partial counts the feedback loop never
 //! absorbs. The decision depends only on the plan and the config, so it
@@ -16,13 +17,13 @@
 use pf_exec::ShedClass;
 
 /// Which monitors `budget` bytes shed, given each monitor's `(class,
-/// bytes)` in declaration order: monitors are charged most valuable
-/// class first (declaration order breaks ties), and each one that does
+/// bytes)` in report order: monitors are charged most valuable
+/// class first (report order breaks ties), and each one that does
 /// not fit in what is left is shed — a later, smaller one may still
-/// fit. Returns the shed flags in declaration order.
+/// fit. Returns the shed flags in report order.
 pub(crate) fn shed_over_budget(budget: usize, costs: &[(ShedClass, usize)]) -> Vec<bool> {
     let mut order: Vec<usize> = (0..costs.len()).collect();
-    // Stable: equal classes keep declaration order.
+    // Stable: equal classes keep report order.
     order.sort_by_key(|&i| std::cmp::Reverse(costs[i].0));
     let mut left = budget;
     let mut shed = vec![false; costs.len()];
@@ -117,10 +118,7 @@ mod tests {
                 deadline_ms,
                 ..MonitorConfig::default()
             };
-            db.lower(&query, &cfg)
-                .unwrap()
-                .harness
-                .approx_monitor_bytes()
+            db.lower(&query, &cfg).unwrap().monitor_bytes()
         };
         let (full, budgeted) = (kept(None, None), kept(Some(64), None));
         assert!(budgeted < full, "a 64-byte budget sheds");

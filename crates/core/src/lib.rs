@@ -95,9 +95,8 @@ pub use feedback_loop::FeedbackOutcome;
 pub use feedback_store::{FeedbackStore, StoreStats, StoredReport};
 pub use histogram_cache::DpcHistogramCache;
 pub use parallel::{ParallelRunner, RunStats, WorkerRunStats, WorkloadSummary};
-pub use pf_exec::CancelToken;
 pub use pf_storage::{ErrorFault, FaultKind, FaultPlan};
 pub use plan_cache::PlanCacheStats;
-pub use planner::{LoweredPlan, MonitorConfig, MonitorHarness, OptimizedQuery, PlanChoice};
+pub use planner::{LoweredPlan, MonitorConfig, OptimizedQuery, PlanChoice};
 pub use query::{PredSpec, Query};
 pub use sql::parse_query;

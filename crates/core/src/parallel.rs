@@ -7,9 +7,10 @@
 //! (catalog, table pages, B+-trees, statistics, hints) is immutable
 //! during execution and shared by `Arc`/reference; everything a query
 //! writes (buffer pool, [`pf_storage::IoStats`], monitors) lives in its
-//! own [`pf_exec::ExecContext`], so workers never contend on the hot
-//! path. Monitors stay `Rc<RefCell<...>>` *within* a worker — each plan
-//! is lowered, executed, and harvested on one thread.
+//! own [`pf_exec::ExecContext`] and operator tree, so workers never
+//! contend on the hot path: each plan is lowered, executed, and
+//! harvested on one thread, and its monitors are plain data the
+//! operators own.
 //!
 //! Two mechanisms keep the steady state cheap:
 //!
@@ -89,9 +90,9 @@ impl WorkerScratch {
         }
         let ctx = self.ctx.as_mut().expect("scratch context just ensured");
         ctx.model = db.disk;
-        // A recycled context must never carry a previous query's armed
-        // cancel token or deadline into the next one.
-        ctx.clear_interrupts();
+        // A recycled context must never carry a previous query's
+        // deadline into the next one.
+        ctx.deadline_ms = None;
         ctx
     }
 }
@@ -604,7 +605,7 @@ impl ParallelRunner {
         };
         // The reference lowering supplies the outcome's metadata and the
         // monitors every morsel's partial merges into.
-        let lowered = db.planner()?.lower_optimized(&m.optimized, cfg)?;
+        let mut lowered = db.planner()?.lower_optimized(&m.optimized, cfg)?;
         let stats = merge_morsel_stats(
             std::iter::once((&coordinator, &[][..]))
                 .chain(outputs.iter().map(|o| (&o.stats, o.misses.as_slice()))),
@@ -614,18 +615,17 @@ impl ParallelRunner {
         for o in outputs {
             count += o.count;
             fault_retries = fault_retries.max(o.attempt);
-            lowered.harness.absorb(o.monitors)?;
+            lowered.absorb(o.monitors)?;
         }
-        let monitor_bytes = lowered.harness.approx_monitor_bytes();
         Ok(QueryOutcome {
             count,
             elapsed_ms: db.disk.elapsed_ms(&stats),
             stats,
-            report: lowered.harness.harvest(),
+            report: lowered.harvest(),
+            monitor_bytes: lowered.monitor_bytes(),
             description: lowered.description,
             choice: lowered.choice,
             fault_retries,
-            monitor_bytes,
         })
     }
 

@@ -9,29 +9,33 @@
 //!   (a free prefix);
 //! * **index plans** get [`FetchMonitor`]s — linear counters over the
 //!   fetched PIDs for the seek expression and the full expression;
-//! * **hash joins** get a bit-vector filter handed from the build side
-//!   into the probe scan's monitor ([`pf_exec::monitor::SemiJoinSlot`]);
+//! * **hash joins** get a semi-join expression on the probe scan, which
+//!   tests the bit-vector filter the join hands over after its build
+//!   phase;
 //! * **INL joins** get a linear counter on the inner fetch.
+//!
+//! Each monitor moves into the operator that drives it. The lowered
+//! plan reads them back by walking its operator tree
+//! ([`LoweredPlan::harvest`], [`LoweredPlan::monitor_bytes`]), and the
+//! config's memory budget sheds monitors through the same walk.
 
 use crate::query::{CountArg, Query};
-use pf_common::{Datum, Error, Result, Rid, TableId};
+use pf_common::{Datum, Error, Result, Rid};
 use pf_exec::index::{Fetch, IndexIntersection, IndexOnlyScan, IndexSeek, RidList, SeekRange};
 use pf_exec::join::{BitVectorConfig, BuildSide, HashJoin, InlJoin};
-use pf_exec::monitor::{semi_join_slot, ScanMonitorHandle, ScanMonitorPartial};
+use pf_exec::monitor::{self, MonitorPartial};
 use pf_exec::scan::SeqScan;
 use pf_exec::{
     CompareOp, Conjunction, FetchMonitor, FetchObserveWhen, Operator, RidSource, ScanExprMonitor,
     ScanMonitorSet,
 };
-use pf_feedback::{FeedbackReport, LinearCounter};
+use pf_feedback::FeedbackReport;
 use pf_optimizer::dpc_model::cardenas;
 use pf_optimizer::{
     join_dpc_key, AccessPath, CardinalityEstimator, CostModel, DbStats, HintSet, JoinPlan,
     JoinSpec, Optimizer, SingleTablePlan,
 };
-use pf_storage::Catalog;
-use std::cell::RefCell;
-use std::rc::Rc;
+use pf_storage::{Catalog, TableMeta};
 use std::sync::Arc;
 
 /// What to monitor, and how.
@@ -144,157 +148,8 @@ impl PlanChoice {
     }
 }
 
-/// The monitor handles attached to a lowered plan, for harvesting.
-///
-/// Each scan entry carries the byte size of the semi-join bit-vector
-/// filter its monitors will test (0 when none): the filter installs only
-/// after the join's build phase, so the memory budget needs the
-/// planner-known size up front.
-#[derive(Default)]
-pub struct MonitorHarness {
-    scans: Vec<(String, ScanMonitorHandle, usize)>,
-    fetches: Vec<(String, Rc<RefCell<Vec<FetchMonitor>>>)>,
-}
-
-impl MonitorHarness {
-    /// Collects every measurement into a feedback report.
-    pub fn harvest(&self) -> FeedbackReport {
-        let mut report = FeedbackReport::new();
-        for (table, handle, _) in &self.scans {
-            handle.borrow_mut().harvest(table, &mut report);
-        }
-        for (table, handle) in &self.fetches {
-            for m in handle.borrow().iter() {
-                m.harvest(table, &mut report);
-            }
-        }
-        report
-    }
-
-    /// Whether any monitor is attached.
-    pub fn is_empty(&self) -> bool {
-        self.scans.is_empty() && self.fetches.is_empty()
-    }
-
-    /// Total bytes held by every still-observing monitor: the planner's
-    /// per-expression cost model (what `apply_governor` charges) summed
-    /// over scans and fetches, excluding shed monitors. Immediately
-    /// after lowering this is the plan-shape-derived *reservation
-    /// estimate* a query admits against the global [`crate::MemoryBudget`];
-    /// at completion it is the *actual* held figure the reservation is
-    /// reconciled with.
-    pub fn approx_monitor_bytes(&self) -> usize {
-        let scans: usize = self
-            .scans
-            .iter()
-            .map(|(_, handle, sj_bytes)| handle.borrow().resident_bytes(*sj_bytes))
-            .sum();
-        let fetches: usize = self
-            .fetches
-            .iter()
-            .map(|(_, handle)| {
-                handle
-                    .borrow()
-                    .iter()
-                    .filter(|m| !m.shed)
-                    .map(|m| m.approx_bytes())
-                    .sum::<usize>()
-            })
-            .sum();
-        scans + fetches
-    }
-
-    /// Finishes every monitor and moves its mergeable state out, in
-    /// harness order — one morsel's monitors as plain `Send` data for
-    /// the coordinator's [`MonitorHarness::absorb`].
-    pub(crate) fn into_partial(self) -> HarnessPartial {
-        HarnessPartial {
-            scans: self
-                .scans
-                .iter()
-                .map(|(_, handle, _)| handle.borrow_mut().take_partial())
-                .collect(),
-            fetches: self
-                .fetches
-                .iter()
-                .map(|(_, handle)| {
-                    std::mem::take(&mut *handle.borrow_mut())
-                        .into_iter()
-                        .map(|m| m.counter)
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
-    /// Merges a morsel's [`HarnessPartial`] into these monitors, which
-    /// must come from a lowering of the same plan under the same config
-    /// (so shapes, seeds and shed flags agree). Call in morsel order.
-    pub(crate) fn absorb(&self, partial: HarnessPartial) -> Result<()> {
-        if partial.scans.len() != self.scans.len() || partial.fetches.len() != self.fetches.len() {
-            return Err(Error::Internal(
-                "morsel monitors come from a differently-shaped plan".into(),
-            ));
-        }
-        for ((_, handle, _), p) in self.scans.iter().zip(partial.scans) {
-            handle.borrow_mut().absorb_partial(p);
-        }
-        for ((_, handle), counters) in self.fetches.iter().zip(partial.fetches) {
-            for (m, c) in handle.borrow_mut().iter_mut().zip(&counters) {
-                m.counter.merge(c)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies the config's monitor memory budget, once, at lowering:
-    /// the governor (`governor::shed_over_budget`) charges every monitor
-    /// in descending [`pf_exec::ShedClass`] priority (declaration order
-    /// breaks ties, so the charge sequence is identical on every run) and
-    /// sheds each one that does not fit in what is left.
-    pub fn apply_governor(&mut self, cfg: &MonitorConfig) {
-        let Some(budget) = cfg.memory_budget else {
-            return;
-        };
-        // Every monitor's (class, bytes) and (is_fetch, outer, inner)
-        // position, scans first, each in declaration order.
-        let (mut costs, mut at) = (Vec::new(), Vec::new());
-        for (si, (_, handle, sj_bytes)) in self.scans.iter().enumerate() {
-            for (ei, (bytes, class)) in handle
-                .borrow()
-                .expr_costs(*sj_bytes)
-                .into_iter()
-                .enumerate()
-            {
-                costs.push((class, bytes));
-                at.push((false, si, ei));
-            }
-        }
-        for (fi, (_, handle)) in self.fetches.iter().enumerate() {
-            for (mi, m) in handle.borrow().iter().enumerate() {
-                costs.push((pf_exec::ShedClass::LinearCounting, m.approx_bytes()));
-                at.push((true, fi, mi));
-            }
-        }
-        let shed = crate::governor::shed_over_budget(budget, &costs);
-        for ((is_fetch, i, j), _) in at.into_iter().zip(shed).filter(|(_, shed)| *shed) {
-            if is_fetch {
-                self.fetches[i].1.borrow_mut()[j].shed = true;
-            } else {
-                self.scans[i].1.borrow_mut().shed_expr(j);
-            }
-        }
-    }
-}
-
 /// An index plan's RID source, and the predicate atoms it covers.
 pub(crate) type CoveringSource = (Box<dyn RidSource>, Vec<usize>);
-
-/// A morsel's finished monitors (see [`MonitorHarness::into_partial`]).
-pub(crate) struct HarnessPartial {
-    scans: Vec<ScanMonitorPartial>,
-    fetches: Vec<Vec<LinearCounter>>,
-}
 
 /// The part of a plan that one lowering executes. Morsels of one query
 /// each lower the whole cached plan — so every morsel makes the same
@@ -326,10 +181,9 @@ pub(crate) enum PlanSlice {
 
 /// A fully lowered, executable plan.
 pub struct LoweredPlan {
-    /// The root operator (produces the query's result rows).
+    /// The root operator (produces the query's result rows); its tree
+    /// owns the plan's monitors.
     pub op: Box<dyn Operator>,
-    /// Attached monitors.
-    pub harness: MonitorHarness,
     /// The optimizer decision this lowers.
     pub choice: PlanChoice,
     /// Human-readable plan description.
@@ -338,6 +192,39 @@ pub struct LoweredPlan {
     pub explain: String,
     /// The lowering config's query deadline, which execution enforces.
     pub(crate) deadline_ms: Option<u64>,
+}
+
+impl LoweredPlan {
+    /// Collects every monitor's measurement into one feedback report:
+    /// each scan's expressions in plan order, then each fetch monitor in
+    /// plan order. Call after the plan drains.
+    pub fn harvest(&mut self) -> FeedbackReport {
+        monitor::harvest(self.op.as_mut())
+    }
+
+    /// Bytes held by every still-observing monitor: the per-expression
+    /// cost model the memory budget charges, summed over the monitors
+    /// it did not shed. Right after lowering this is the
+    /// plan-shape-derived *reservation estimate* a query admits against
+    /// the global [`crate::MemoryBudget`]; at completion it is the
+    /// *actual* held figure the reservation is reconciled with.
+    pub fn monitor_bytes(&mut self) -> usize {
+        monitor::monitor_bytes(self.op.as_mut())
+    }
+
+    /// Finishes every monitor and moves its mergeable state out, in plan
+    /// order — one morsel's monitors as plain `Send` data for the
+    /// coordinator's [`LoweredPlan::absorb`].
+    pub(crate) fn take_partials(&mut self) -> Vec<MonitorPartial> {
+        monitor::take_partials(self.op.as_mut())
+    }
+
+    /// Merges a morsel's partials into these monitors, which must come
+    /// from a lowering of the same plan under the same config (so
+    /// shapes, seeds and shed flags agree). Call in morsel order.
+    pub(crate) fn absorb(&mut self, partials: Vec<MonitorPartial>) -> Result<()> {
+        monitor::absorb(self.op.as_mut(), partials)
+    }
 }
 
 /// Lowers optimizer output to operator trees.
@@ -441,7 +328,11 @@ impl<'a> Planner<'a> {
             OptimizedQuery::Single { plan, pred } => self.single(plan, pred, cfg, slice)?,
             OptimizedQuery::Join { plan, spec } => self.join(plan, spec, cfg, slice)?,
         };
-        lowered.harness.apply_governor(cfg);
+        if let Some(budget) = cfg.memory_budget {
+            let op = lowered.op.as_mut();
+            let shed = crate::governor::shed_over_budget(budget, &monitor::costs(op));
+            monitor::shed(op, &shed);
+        }
         Ok(lowered)
     }
 
@@ -519,7 +410,6 @@ impl<'a> Planner<'a> {
         slice: &PlanSlice,
     ) -> Result<LoweredPlan> {
         let meta = self.catalog.table(plan.table)?;
-        let mut harness = MonitorHarness::default();
         let pages = f64::from(meta.stats.pages);
         let est = CardinalityEstimator::new(
             self.stats,
@@ -531,24 +421,11 @@ impl<'a> Planner<'a> {
 
         let op: Box<dyn Operator> = match &plan.path {
             AccessPath::FullScan | AccessPath::ClusteredRange { .. } => {
-                let monitors = if cfg.enabled {
-                    let range_atoms = match &plan.path {
-                        AccessPath::ClusteredRange { atoms } => atoms.as_slice(),
-                        _ => &[],
-                    };
-                    let set = self.scan_monitors(plan.table, pred, cfg, &est, pages, range_atoms);
-                    if let Some(set) = set {
-                        let handle = Rc::new(RefCell::new(set));
-                        harness
-                            .scans
-                            .push((meta.name.clone(), Rc::clone(&handle), 0));
-                        Some(handle)
-                    } else {
-                        None
-                    }
-                } else {
-                    None
+                let range_atoms = match &plan.path {
+                    AccessPath::ClusteredRange { atoms } => atoms.as_slice(),
+                    _ => &[],
                 };
+                let monitors = self.scan_monitors(meta, pred, cfg, &est, range_atoms);
                 let storage = Arc::clone(&meta.storage);
                 match (slice, &plan.path) {
                     (
@@ -593,17 +470,20 @@ impl<'a> Planner<'a> {
                         .map(|i| pred.atoms[i].clone())
                         .collect(),
                 );
-                let monitors = if cfg.enabled {
-                    let mut ms = vec![FetchMonitor::new(
+                let mut monitors = Vec::new();
+                if cfg.enabled {
+                    monitors.push(FetchMonitor::new(
+                        meta.name.clone(),
                         pred.key_of(&covered),
                         FetchObserveWhen::AllFetched,
                         meta.stats.pages,
                         Some(cardenas(est.rows_of(pred, &covered), pages)),
                         cfg.seed,
-                    )];
+                    ));
                     if !residual.is_empty() {
                         let all: Vec<usize> = (0..pred.len()).collect();
-                        ms.push(FetchMonitor::new(
+                        monitors.push(FetchMonitor::new(
+                            meta.name.clone(),
                             pred.key(),
                             FetchObserveWhen::PassedResidual,
                             meta.stats.pages,
@@ -611,14 +491,7 @@ impl<'a> Planner<'a> {
                             cfg.seed ^ 1,
                         ));
                     }
-                    let handle = Rc::new(RefCell::new(ms));
-                    harness
-                        .fetches
-                        .push((meta.name.clone(), Rc::clone(&handle)));
-                    Some(handle)
-                } else {
-                    None
-                };
+                }
                 Box::new(Fetch::new(
                     source,
                     Arc::clone(&meta.storage),
@@ -653,7 +526,6 @@ impl<'a> Planner<'a> {
         let explain = explain_single(&meta.name, plan, pred, self.catalog);
         Ok(LoweredPlan {
             op,
-            harness,
             choice: PlanChoice::Single(plan.clone()),
             description,
             explain,
@@ -678,9 +550,7 @@ impl<'a> Planner<'a> {
             PlanSlice::Pages { .. } => slice,
             _ => &PlanSlice::Whole,
         };
-        let mut lowered_outer =
-            self.single(&plan.outer_plan, &spec.outer_pred, cfg, outer_slice)?;
-        let mut harness = std::mem::take(&mut lowered_outer.harness);
+        let lowered_outer = self.single(&plan.outer_plan, &spec.outer_pred, cfg, outer_slice)?;
 
         let jkey = join_dpc_key(
             &outer_meta.name,
@@ -704,24 +574,20 @@ impl<'a> Planner<'a> {
                 // Semi-join monitoring only when an index on the inner
                 // join column makes the INL DPC relevant (Section IV).
                 let (probe_monitors, bv_config) = if let Some((bits, filter_seed)) = filter_cfg {
-                    let slot = semi_join_slot(spec.inner_join_col);
                     let set = ScanMonitorSet::new(
+                        inner_meta.name.clone(),
                         vec![ScanExprMonitor::semi_join(
                             jkey.clone(),
-                            Rc::clone(&slot),
+                            spec.inner_join_col,
+                            bits / 8,
                             Some(analytic_join_dpc),
                         )],
                         cfg.sampling_fraction,
                         cfg.seed ^ 0xB17,
                     );
-                    let handle = Rc::new(RefCell::new(set));
-                    harness
-                        .scans
-                        .push((inner_meta.name.clone(), Rc::clone(&handle), bits / 8));
                     (
-                        Some(handle),
+                        Some(set),
                         Some(BitVectorConfig {
-                            slot,
                             numbits: bits,
                             seed: filter_seed,
                             pushdown,
@@ -764,19 +630,16 @@ impl<'a> Planner<'a> {
                     Error::NoPlanFound("INL join chosen without an inner index".into())
                 })?;
                 let monitors = if cfg.enabled {
-                    let handle = Rc::new(RefCell::new(vec![FetchMonitor::new(
+                    vec![FetchMonitor::new(
+                        inner_meta.name.clone(),
                         jkey.clone(),
                         FetchObserveWhen::AllFetched,
                         inner_meta.stats.pages,
                         Some(analytic_join_dpc),
                         cfg.seed ^ 0x1111,
-                    )]));
-                    harness
-                        .fetches
-                        .push((inner_meta.name.clone(), Rc::clone(&handle)));
-                    Some(handle)
+                    )]
                 } else {
-                    None
+                    Vec::new()
                 };
                 Box::new(InlJoin::new(
                     lowered_outer.op,
@@ -841,7 +704,6 @@ impl<'a> Planner<'a> {
         };
         Ok(LoweredPlan {
             op,
-            harness,
             choice: PlanChoice::Join(plan.clone()),
             description,
             explain,
@@ -915,9 +777,11 @@ impl<'a> Planner<'a> {
         Ok(plan.est_rows < 0.5 * inner_rows)
     }
 
-    /// Builds the scan-plan monitor set: one expression per indexed
-    /// seekable atom group, optional indexed group pairs, and the full
-    /// conjunction — the same expression keys the optimizer costs with.
+    /// Builds the scan-plan monitor set over `meta`'s table — one
+    /// expression per indexed seekable atom group, optional indexed
+    /// group pairs, and the full conjunction, the same expression keys
+    /// the optimizer costs with — or `None` when monitoring is off or
+    /// nothing is watched.
     ///
     /// A clustered range scan reads only the pages bracketing its
     /// `range_atoms`, so it watches only subsets containing all of them:
@@ -925,17 +789,20 @@ impl<'a> Planner<'a> {
     /// the range alone would under-report that subset's DPC.
     fn scan_monitors(
         &self,
-        table: TableId,
+        meta: &TableMeta,
         pred: &Conjunction,
         cfg: &MonitorConfig,
         est: &CardinalityEstimator<'_>,
-        pages: f64,
         range_atoms: &[usize],
     ) -> Option<ScanMonitorSet> {
+        if !cfg.enabled {
+            return None;
+        }
+        let pages = f64::from(meta.stats.pages);
         let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
         for (i, a) in pred.atoms.iter().enumerate() {
             if matches!(a.op, CompareOp::Ne)
-                || self.catalog.index_on_column(table, a.column).is_none()
+                || self.catalog.index_on_column(meta.id, a.column).is_none()
             {
                 continue;
             }
@@ -978,7 +845,12 @@ impl<'a> Planner<'a> {
         if exprs.is_empty() {
             return None;
         }
-        Some(ScanMonitorSet::new(exprs, cfg.sampling_fraction, cfg.seed))
+        Some(ScanMonitorSet::new(
+            meta.name.clone(),
+            exprs,
+            cfg.sampling_fraction,
+            cfg.seed,
+        ))
     }
 }
 
@@ -1246,13 +1118,12 @@ mod tests {
             dpc_source: DpcSource::NotApplicable,
         };
         let planner = db.planner().unwrap();
-        let lowered = planner
+        let mut lowered = planner
             .lower_single(&plan, &p, &MonitorConfig::default())
             .unwrap();
         let mut ctx = pf_exec::ExecContext::with_model(db.pool_pages, db.disk);
-        let mut op = lowered.op;
-        drain(op.as_mut(), &mut ctx).unwrap();
-        let report = lowered.harness.harvest();
+        drain(lowered.op.as_mut(), &mut ctx).unwrap();
+        let report = lowered.harvest();
         let exprs: Vec<&str> = report
             .measurements
             .iter()
@@ -1273,10 +1144,10 @@ mod tests {
             PredSpec::new("b", pf_exec::CompareOp::Lt, Datum::Int(3_000)),
         ];
         let q = Query::count("t", specs.to_vec());
-        let off = db.lower(&q, &MonitorConfig::off()).unwrap();
-        assert!(off.harness.is_empty());
-        let on = db.lower(&q, &MonitorConfig::default()).unwrap();
-        assert!(!on.harness.is_empty());
+        let mut off = db.lower(&q, &MonitorConfig::off()).unwrap();
+        assert_eq!(off.monitor_bytes(), 0);
+        let mut on = db.lower(&q, &MonitorConfig::default()).unwrap();
+        assert!(on.monitor_bytes() > 0);
         let out = db.execute(on).unwrap();
         // a, b, and (a AND b) — the pair and the full conjunction are
         // the same expression here and must be deduplicated.

@@ -6,6 +6,7 @@
 //! experiments study.
 
 use crate::context::ExecContext;
+use crate::monitor::MonitorMut;
 use crate::op::Operator;
 use pf_common::{Column, DataType, Datum, Result, Row, Schema};
 
@@ -45,6 +46,10 @@ impl Operator for CountAgg {
         }
         self.done = true;
         Ok(Some(Row::new(vec![Datum::Int(n as i64)])))
+    }
+
+    fn visit_monitors(&mut self, visit: &mut dyn FnMut(MonitorMut<'_>)) {
+        self.input.visit_monitors(visit);
     }
 }
 

@@ -1,80 +1,7 @@
-//! Execution context: buffer pool + disk model + cancellation.
+//! Execution context: buffer pool, disk model and query deadline.
 
 use pf_common::{Error, Result};
 use pf_storage::{BufferPool, DiskModel, IoStats};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
-
-/// A shared, cloneable cooperative-cancellation handle.
-///
-/// Operators poll the token at page/morsel boundaries via
-/// [`ExecContext::check_interrupt`]; once tripped, the query unwinds
-/// with [`Error::Cancelled`] without absorbing any feedback. Besides
-/// the usual externally-tripped flag ([`CancelToken::cancel`]), a token
-/// can be armed to trip *at the n-th checkpoint*
-/// ([`CancelToken::cancel_after`]) — a deterministic way to abort a
-/// query at any chosen page boundary, which is exactly what the
-/// cancellation-hygiene tests sweep over.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    inner: Arc<TokenInner>,
-}
-
-#[derive(Debug)]
-struct TokenInner {
-    cancelled: AtomicBool,
-    /// Remaining checkpoints before the token trips itself; negative
-    /// means "never self-trip" (the default).
-    budget: AtomicI64,
-}
-
-impl Default for TokenInner {
-    fn default() -> Self {
-        TokenInner {
-            cancelled: AtomicBool::new(false),
-            budget: AtomicI64::new(i64::MIN / 2),
-        }
-    }
-}
-
-impl CancelToken {
-    /// A fresh token that only trips when [`CancelToken::cancel`] is called.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// A token that trips at the `n`-th checkpoint (0 = the very first
-    /// [`ExecContext::check_interrupt`] call aborts).
-    pub fn cancel_after(n: u64) -> Self {
-        let t = CancelToken::new();
-        t.inner
-            .budget
-            .store(i64::try_from(n).unwrap_or(i64::MAX), Ordering::SeqCst);
-        t
-    }
-
-    /// Trip the token: every context holding a clone aborts at its next
-    /// checkpoint.
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::SeqCst);
-    }
-
-    /// Record one checkpoint; returns `true` when the token is (now)
-    /// tripped. Self-trips when a `cancel_after` budget reaches zero.
-    pub fn checkpoint(&self) -> bool {
-        if self.inner.cancelled.load(Ordering::SeqCst) {
-            return true;
-        }
-        // A `cancel_after` budget counts down to exactly zero; the
-        // deeply negative default never reaches it, so ordinary tokens
-        // only trip via `cancel()`.
-        if self.inner.budget.fetch_sub(1, Ordering::SeqCst) == 0 {
-            self.inner.cancelled.store(true, Ordering::SeqCst);
-            return true;
-        }
-        false
-    }
-}
 
 /// Everything an operator needs at `next()` time.
 ///
@@ -93,12 +20,12 @@ pub struct ExecContext {
     /// runner that retries with an incremented attempt always makes
     /// progress.
     pub fault_attempt: u32,
-    /// Cooperative cancellation handle, polled at page granularity.
-    pub cancel: CancelToken,
     /// Simulated-clock deadline: when `elapsed_ms()` passes this the
     /// next checkpoint aborts with [`Error::DeadlineExceeded`]. Driven
     /// by the *simulated* clock, so the abort point is deterministic
-    /// across machines and worker counts.
+    /// across machines and worker counts. It is the only interrupt a
+    /// query has: a caller that wants to stop a query sooner sets an
+    /// earlier deadline.
     pub deadline_ms: Option<u64>,
 }
 
@@ -109,7 +36,6 @@ impl ExecContext {
             pool: BufferPool::new(pool_pages),
             model: DiskModel::default(),
             fault_attempt: 0,
-            cancel: CancelToken::new(),
             deadline_ms: None,
         }
     }
@@ -120,7 +46,6 @@ impl ExecContext {
             pool: BufferPool::new(pool_pages),
             model,
             fault_attempt: 0,
-            cancel: CancelToken::new(),
             deadline_ms: None,
         }
     }
@@ -130,15 +55,13 @@ impl ExecContext {
         self.model.elapsed_ms(&self.pool.stats())
     }
 
-    /// Cancellation/deadline checkpoint. Operators call this at page
-    /// (and morsel) boundaries; an `Err` here must propagate untouched
-    /// so the abort reaches the runner before any feedback is
-    /// harvested. The deadline check reads the simulated clock, and the
-    /// clock is monotone within a run, so a fired deadline stays fired.
+    /// Deadline checkpoint. Operators call this at page, RID and probe
+    /// boundaries; an `Err` here must propagate untouched so the abort
+    /// reaches the runner before any feedback is harvested. The check
+    /// reads the simulated clock (a handful of multiply-adds over the
+    /// I/O counters, nothing when no deadline is set), and the clock is
+    /// monotone within a run, so a fired deadline stays fired.
     pub fn check_interrupt(&self) -> Result<()> {
-        if self.cancel.checkpoint() {
-            return Err(Error::Cancelled);
-        }
         if let Some(deadline_ms) = self.deadline_ms {
             #[allow(clippy::cast_precision_loss)]
             if self.elapsed_ms() > deadline_ms as f64 {
@@ -146,13 +69,6 @@ impl ExecContext {
             }
         }
         Ok(())
-    }
-
-    /// Drop any armed cancellation/deadline state (used when a pooled
-    /// context is recycled for the next query).
-    pub fn clear_interrupts(&mut self) {
-        self.cancel = CancelToken::new();
-        self.deadline_ms = None;
     }
 
     /// Counter snapshot.
@@ -193,27 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_trips_every_clone() {
-        let ctx = ExecContext::new(16);
-        let handle = ctx.cancel.clone();
-        assert!(ctx.check_interrupt().is_ok());
-        handle.cancel();
-        assert_eq!(ctx.check_interrupt(), Err(Error::Cancelled));
-        // Once tripped, it stays tripped.
-        assert_eq!(ctx.check_interrupt(), Err(Error::Cancelled));
-    }
-
-    #[test]
-    fn cancel_after_counts_checkpoints() {
-        let mut ctx = ExecContext::new(16);
-        ctx.cancel = CancelToken::cancel_after(3);
-        for _ in 0..3 {
-            assert!(ctx.check_interrupt().is_ok());
-        }
-        assert_eq!(ctx.check_interrupt(), Err(Error::Cancelled));
-    }
-
-    #[test]
     fn deadline_fires_on_simulated_clock() {
         let mut ctx = ExecContext::new(16);
         ctx.deadline_ms = Some(0);
@@ -224,7 +119,7 @@ mod tests {
             ctx.check_interrupt(),
             Err(Error::DeadlineExceeded { deadline_ms: 0 })
         );
-        ctx.clear_interrupts();
+        ctx.deadline_ms = None;
         assert!(ctx.check_interrupt().is_ok());
     }
 

@@ -9,7 +9,7 @@
 
 use crate::context::ExecContext;
 use crate::expr::{CompareOp, Conjunction};
-use crate::monitor::{FetchMonitorHandle, FetchObserveWhen};
+use crate::monitor::{FetchMonitor, FetchObserveWhen, MonitorMut};
 use crate::op::{Operator, RidSource};
 use pf_common::{Datum, Result, Rid, Row, Schema, TableId};
 use pf_storage::btree::BPlusTree;
@@ -380,14 +380,15 @@ impl Operator for IndexOnlyScan {
 
 /// The Fetch operator: turns RIDs into base-table rows with one random
 /// page access each (deduped by the buffer pool), evaluates the residual
-/// predicate, and drives the attached [`crate::monitor::FetchMonitor`]s.
+/// predicate, and drives the [`FetchMonitor`]s it owns.
 pub struct Fetch {
     source: Box<dyn RidSource>,
     storage: Arc<TableStorage>,
     table_id: TableId,
     /// Conjuncts not implied by the seek, evaluated after the fetch.
     residual: Conjunction,
-    monitors: Option<FetchMonitorHandle>,
+    /// The monitors this fetch drives (empty when unmonitored).
+    monitors: Vec<FetchMonitor>,
     /// Pages discovered corrupt during this fetch stream: later RIDs on
     /// the same page are skipped without re-verifying (or re-counting).
     corrupt_pages: std::collections::HashSet<u32>,
@@ -406,7 +407,7 @@ impl Fetch {
         storage: Arc<TableStorage>,
         table_id: TableId,
         residual: Conjunction,
-        monitors: Option<FetchMonitorHandle>,
+        monitors: Vec<FetchMonitor>,
     ) -> Self {
         Fetch {
             source,
@@ -430,8 +431,8 @@ impl Fetch {
 
     /// Flushes a pending `(page, rows)` run into every live `AllFetched`
     /// monitor, charging the hash ops the per-row path would have.
-    fn flush_pending(ms: &FetchMonitorHandle, ctx: &mut ExecContext, page: u32, rows: u64) {
-        for m in ms.borrow_mut().iter_mut() {
+    fn flush_pending(ms: &mut [FetchMonitor], ctx: &mut ExecContext, page: u32, rows: u64) {
+        for m in ms {
             if !m.shed && m.when == FetchObserveWhen::AllFetched {
                 m.counter.observe_page(page, rows);
                 ctx.pool.charge_hashes(rows);
@@ -444,8 +445,8 @@ impl Fetch {
     /// into owned values. `None` at the end of the RID stream.
     fn next_passing(&mut self, ctx: &mut ExecContext) -> Result<Option<Rid>> {
         while let Some(rid) = self.source.next_rid(ctx)? {
-            // Cancellation/deadline checkpoint before each fetched RID:
-            // an aborted fetch never touches the page or its monitors.
+            // Deadline checkpoint before each fetched RID: an aborted
+            // fetch never touches the page or its monitors.
             ctx.check_interrupt()?;
             if self.corrupt_pages.contains(&rid.page.0) {
                 continue;
@@ -463,10 +464,8 @@ impl Fetch {
                 Err(pf_common::Error::ChecksumMismatch { .. }) => {
                     ctx.pool.skip_corrupt(self.table_id, rid.page);
                     self.corrupt_pages.insert(rid.page.0);
-                    if let Some(ms) = &self.monitors {
-                        for m in ms.borrow_mut().iter_mut() {
-                            m.note_skipped_page();
-                        }
+                    for m in &mut self.monitors {
+                        m.note_skipped_page();
                     }
                     continue;
                 }
@@ -474,14 +473,14 @@ impl Fetch {
             };
             ctx.pool.charge_rows(1);
 
-            if let Some(ms) = &self.monitors {
+            if !self.monitors.is_empty() {
                 // Same-page runs coalesce into one bulk observation per
                 // page, flushed on page change.
                 match &mut self.pending_obs {
                     Some((p, n)) if *p == rid.page.0 => *n += 1,
                     pending => {
                         if let Some((page, rows)) = pending.replace((rid.page.0, 1)) {
-                            Self::flush_pending(ms, ctx, page, rows);
+                            Self::flush_pending(&mut self.monitors, ctx, page, rows);
                         }
                     }
                 }
@@ -490,12 +489,10 @@ impl Fetch {
             let (pass, evaluated) = self.residual.eval_short_circuit(&view);
             ctx.pool.charge_pred_evals(evaluated as u64);
             if pass {
-                if let Some(ms) = &self.monitors {
-                    for m in ms.borrow_mut().iter_mut() {
-                        if !m.shed && m.when == FetchObserveWhen::PassedResidual {
-                            m.counter.observe(rid.page.0);
-                            ctx.pool.charge_hashes(1);
-                        }
+                for m in &mut self.monitors {
+                    if !m.shed && m.when == FetchObserveWhen::PassedResidual {
+                        m.counter.observe(rid.page.0);
+                        ctx.pool.charge_hashes(1);
                     }
                 }
                 return Ok(Some(rid));
@@ -504,9 +501,7 @@ impl Fetch {
         // End of the RID stream: flush the trailing page run (taking it
         // keeps repeated end-of-stream calls idempotent).
         if let Some((page, rows)) = self.pending_obs.take() {
-            if let Some(ms) = &self.monitors {
-                Self::flush_pending(ms, ctx, page, rows);
-            }
+            Self::flush_pending(&mut self.monitors, ctx, page, rows);
         }
         Ok(None)
     }
@@ -533,18 +528,21 @@ impl Operator for Fetch {
     fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
         Ok(self.next_passing(ctx)?.map(|_| 1))
     }
+
+    fn visit_monitors(&mut self, visit: &mut dyn FnMut(MonitorMut<'_>)) {
+        for m in &mut self.monitors {
+            visit(MonitorMut::Fetch(m));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::AtomicPredicate;
-    use crate::monitor::FetchMonitor;
+    use crate::monitor::harvest;
     use crate::op::{drain, run_count};
     use pf_common::{Column, DataType, PageId};
-    use pf_feedback::FeedbackReport;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     /// Table of n rows clustered on id, with `perm` a scrambled copy.
     fn setup(n: i64) -> (Arc<TableStorage>, Arc<BPlusTree>, u32) {
@@ -588,7 +586,7 @@ mod tests {
             Arc::clone(&storage),
             TableId(0),
             Conjunction::always_true(),
-            None,
+            Vec::new(),
         );
         let mut ctx = ExecContext::new(4096);
         let rows = drain(&mut fetch, &mut ctx).expect("plan drains without error");
@@ -613,7 +611,7 @@ mod tests {
             Arc::clone(&storage),
             TableId(0),
             Conjunction::always_true(),
-            None,
+            Vec::new(),
         );
         let mut ctx = ExecContext::new(8192);
         run_count(&mut fetch, &mut ctx).expect("plan drains without error");
@@ -645,24 +643,25 @@ mod tests {
                 h,
                 SeekRange::from_atom(CompareOp::Lt, Datum::Int(400)).expect("seekable comparison"),
             );
-            let monitors = Rc::new(RefCell::new(vec![FetchMonitor::new(
+            let monitors = vec![FetchMonitor::new(
+                "t",
                 "perm<400",
                 FetchObserveWhen::AllFetched,
                 storage.page_count(),
                 None,
                 9,
-            )]));
+            )];
             let mut fetch = Fetch::new(
                 Box::new(seek),
                 Arc::clone(&storage),
                 TableId(0),
                 Conjunction::always_true(),
-                Some(Rc::clone(&monitors)),
+                monitors,
             );
             let mut ctx = ExecContext::new(16_384);
             ctx.deadline_ms = deadline_ms;
             let count = run_count(&mut fetch, &mut ctx);
-            let shed = monitors.borrow()[0].shed;
+            let shed = harvest(&mut fetch).is_budget_shed();
             (count, ctx.stats(), shed)
         };
         let (full, full_stats, _) = run(None);
@@ -687,26 +686,25 @@ mod tests {
             h,
             SeekRange::from_atom(CompareOp::Lt, Datum::Int(400)).expect("seekable comparison"),
         );
-        let monitors = Rc::new(RefCell::new(vec![FetchMonitor::new(
+        let monitors = vec![FetchMonitor::new(
+            "t",
             "perm<400",
             FetchObserveWhen::AllFetched,
             storage.page_count(),
             None,
             9,
-        )]));
+        )];
         let mut fetch = Fetch::new(
             Box::new(seek),
             Arc::clone(&storage),
             TableId(0),
             Conjunction::always_true(),
-            Some(Rc::clone(&monitors)),
+            monitors,
         );
         let mut ctx = ExecContext::new(16_384);
         run_count(&mut fetch, &mut ctx).expect("plan drains without error");
         let truth = ctx.stats().rand_physical_reads as f64;
-        let mut rep = FeedbackReport::new();
-        monitors.borrow()[0].harvest("t", &mut rep);
-        let est = rep.measurements[0].actual;
+        let est = harvest(&mut fetch).measurements[0].actual;
         let err = (est - truth).abs() / truth;
         assert!(err < 0.10, "estimate {est}, truth {truth}");
     }
@@ -730,8 +728,9 @@ mod tests {
                 Datum::Int(100),
             )
             .expect("test value is well-formed")]);
-            let monitors = Rc::new(RefCell::new(vec![
+            let monitors = vec![
                 FetchMonitor::new(
+                    "t",
                     "perm<500",
                     FetchObserveWhen::AllFetched,
                     storage.page_count(),
@@ -739,19 +738,20 @@ mod tests {
                     1,
                 ),
                 FetchMonitor::new(
+                    "t",
                     "perm<500 AND id<100",
                     FetchObserveWhen::PassedResidual,
                     storage.page_count(),
                     None,
                     2,
                 ),
-            ]));
+            ];
             let mut fetch = Fetch::new(
                 Box::new(seek),
                 Arc::clone(&storage),
                 TableId(0),
                 residual,
-                Some(Rc::clone(&monitors)),
+                monitors,
             );
             let mut ctx = ExecContext::new(16_384);
             let n = if count {
@@ -760,12 +760,8 @@ mod tests {
                 drain(&mut fetch, &mut ctx).map(|rows| rows.len() as u64)
             }
             .expect("plan drains without error");
-            let ms = monitors.borrow();
-            assert!(ms[0].counter.estimate() > ms[1].counter.estimate());
-            let mut report = FeedbackReport::new();
-            for m in ms.iter() {
-                m.harvest("t", &mut report);
-            }
+            let report = harvest(&mut fetch);
+            assert!(report.measurements[0].actual > report.measurements[1].actual);
             (n, ctx.stats(), report)
         };
         let counted = run(true);
@@ -794,7 +790,7 @@ mod tests {
             Arc::clone(&storage),
             TableId(0),
             Conjunction::always_true(),
-            None,
+            Vec::new(),
         );
         let mut ctx = ExecContext::new(8192);
         let rows = drain(&mut fetch, &mut ctx).expect("plan drains without error");
@@ -825,7 +821,7 @@ mod tests {
             Arc::clone(&storage),
             TableId(0),
             Conjunction::always_true(),
-            None,
+            Vec::new(),
         );
         let mut ctx = ExecContext::new(1024);
         assert_eq!(

@@ -7,15 +7,17 @@
 //! * [`InlJoin`] — the inner fetches go through the storage engine, so a
 //!   linear counter on the inner Fetch observes the DPC directly;
 //! * [`HashJoin`] — builds a bit-vector over outer join keys during the
-//!   build phase and installs it into the probe-side scan's
-//!   [`SemiJoinSlot`] (the SE→RE callback of Section V-A), where the
-//!   scan's monitor counts pages with ≥1 filter hit (Fig 5).
+//!   build phase and hands it to the probe-side scan
+//!   ([`crate::SeqScan::install_semi_join_filter`], the SE→RE callback of
+//!   Section V-A), where the scan's monitor counts pages with ≥1 filter
+//!   hit (Fig 5) and, when the planner pushes it down, the page pass
+//!   culls rows the filter rejects.
 
 use crate::context::ExecContext;
 use crate::expr::Conjunction;
 use crate::index::{Fetch, IndexSeek, RidList, SeekRange};
 use crate::join_table::{join_partitions, RadixTable};
-use crate::monitor::{FetchMonitorHandle, SemiJoinSlot};
+use crate::monitor::{FetchMonitor, MonitorMut};
 use crate::op::Operator;
 use pf_common::{Datum, DatumRef, Error, Result, Row, Schema, TableId};
 use pf_feedback::BitVectorFilter;
@@ -31,8 +33,6 @@ const BUILD_TABLE_SEED: u64 = 0x5EED_B01D_FACE_D0E5;
 /// Configuration for the bit-vector filter a join builds for monitoring.
 #[derive(Debug, Clone)]
 pub struct BitVectorConfig {
-    /// The slot shared with the probe-side scan's monitor.
-    pub slot: SemiJoinSlot,
     /// Filter size in bits.
     pub numbits: usize,
     /// Hash seed.
@@ -211,21 +211,18 @@ impl HashJoin {
         Ok(())
     }
 
-    /// Hands the completed build-side `filter` to the probe side — the
-    /// monitor's semi-join slot and, when the planner pushes it down,
-    /// the probe scan's page pass — and keeps `side` for probing.
+    /// Hands the completed build-side `filter` to the probe scan — its
+    /// semi-join monitor and, when the planner pushes it down, its page
+    /// pass — and keeps `side` for probing.
     fn install(&mut self, side: Arc<BuildSide>, filter: Option<BitVectorFilter>) {
         if let (Some(f), Some(c)) = (filter, &self.bitvector) {
-            if c.pushdown {
-                if let Some(scan) = self.probe.as_seq_scan() {
-                    // Filter pushdown: the completed build-side filter
-                    // culls probe rows inside the scan's page pass. The
-                    // scan charges the per-row probe hash from here on.
-                    scan.set_semi_join_prefilter(f.clone(), self.probe_key);
-                    self.prefiltered = true;
-                }
+            if let Some(scan) = self.probe.as_seq_scan() {
+                scan.install_semi_join_filter(f, self.probe_key, c.pushdown);
+                // A pushed-down filter culls probe rows inside the scan's
+                // page pass, and the scan charges the per-row probe hash
+                // from here on.
+                self.prefiltered = c.pushdown;
             }
-            c.slot.borrow_mut().filter = Some(f);
         }
         self.built = Some(side);
     }
@@ -302,6 +299,11 @@ impl Operator for HashJoin {
         }
     }
 
+    fn visit_monitors(&mut self, visit: &mut dyn FnMut(MonitorMut<'_>)) {
+        self.build.visit_monitors(visit);
+        self.probe.visit_monitors(visit);
+    }
+
     fn as_hash_join(&mut self) -> Option<&mut HashJoin> {
         Some(self)
     }
@@ -310,8 +312,8 @@ impl Operator for HashJoin {
 /// Index Nested Loops join: for each outer row, seek the inner table's
 /// nonclustered index on the join column and fetch matching rows.
 ///
-/// Output rows are `outer_row ++ inner_row`. The `inner_monitors` handle
-/// (observing `AllFetched`) measures `DPC(inner, join-pred)` directly
+/// Output rows are `outer_row ++ inner_row`. The inner fetch's monitors
+/// (observing `AllFetched`) measure `DPC(inner, join-pred)` directly
 /// with linear counting — the Section IV INL case.
 pub struct InlJoin {
     outer: Box<dyn Operator>,
@@ -340,7 +342,7 @@ impl InlJoin {
         inner_storage: Arc<TableStorage>,
         inner_table_id: TableId,
         residual: Conjunction,
-        inner_monitors: Option<FetchMonitorHandle>,
+        inner_monitors: Vec<FetchMonitor>,
     ) -> Self {
         let schema = outer.schema().join(inner_storage.schema());
         let everything = SeekRange {
@@ -426,21 +428,21 @@ impl Operator for InlJoin {
         })?;
         Ok(more.then_some(total))
     }
+
+    fn visit_monitors(&mut self, visit: &mut dyn FnMut(MonitorMut<'_>)) {
+        self.outer.visit_monitors(visit);
+        self.fetch.visit_monitors(visit);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{AtomicPredicate, CompareOp};
-    use crate::monitor::{
-        semi_join_slot, FetchMonitor, FetchObserveWhen, ScanExprMonitor, ScanMonitorSet,
-    };
+    use crate::monitor::{harvest, FetchObserveWhen, ScanExprMonitor, ScanMonitorSet};
     use crate::op::{drain, run_count};
     use crate::scan::SeqScan;
     use pf_common::{Column, DataType};
-    use pf_feedback::FeedbackReport;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     /// Two tables: `outer(k, tag)` clustered on k with keys 0..n,
     /// `inner(id, k, pad)` clustered on id with k scrambled.
@@ -521,13 +523,14 @@ mod tests {
     fn inl_join_count_driver_matches_row_driver() {
         let (outer, inner, tree, h) = setup(300);
         let run = |count: bool| {
-            let monitors = Rc::new(RefCell::new(vec![FetchMonitor::new(
+            let monitors = vec![FetchMonitor::new(
+                "inner",
                 "j",
                 FetchObserveWhen::AllFetched,
                 inner.page_count(),
                 None,
                 5,
-            )]));
+            )];
             let mut inl = InlJoin::new(
                 Box::new(outer_scan(&outer, 120)),
                 0,
@@ -536,7 +539,7 @@ mod tests {
                 Arc::clone(&inner),
                 TableId(1),
                 Conjunction::always_true(),
-                Some(Rc::clone(&monitors)),
+                monitors,
             );
             let mut ctx = ExecContext::new(8192);
             let n = if count {
@@ -544,9 +547,7 @@ mod tests {
             } else {
                 drain(&mut inl, &mut ctx).expect("join drains").len() as u64
             };
-            let mut report = FeedbackReport::new();
-            monitors.borrow()[0].harvest("inner", &mut report);
-            (n, ctx.stats(), format!("{report:?}"))
+            (n, ctx.stats(), format!("{:?}", harvest(&mut inl)))
         };
         let counted = run(true);
         assert_eq!(counted.0, 120);
@@ -583,7 +584,7 @@ mod tests {
             Arc::clone(&inner),
             TableId(1),
             Conjunction::always_true(),
-            None,
+            Vec::new(),
         );
         let mut inl_keys: Vec<i64> = drain(&mut inl, &mut ctx)
             .expect("test value is well-formed")
@@ -597,13 +598,14 @@ mod tests {
     #[test]
     fn inl_monitor_measures_join_dpc() {
         let (outer, inner, tree, h) = setup(2_000);
-        let monitors = Rc::new(RefCell::new(vec![FetchMonitor::new(
+        let monitors = vec![FetchMonitor::new(
+            "inner",
             "outer.k=inner.k",
             FetchObserveWhen::AllFetched,
             inner.page_count(),
             None,
             4,
-        )]));
+        )];
         let outer_op = outer_scan(&outer, 300);
         let mut inl = InlJoin::new(
             Box::new(outer_op),
@@ -613,7 +615,7 @@ mod tests {
             Arc::clone(&inner),
             TableId(1),
             Conjunction::always_true(),
-            Some(Rc::clone(&monitors)),
+            monitors,
         );
         let mut ctx = ExecContext::new(32_768);
         run_count(&mut inl, &mut ctx).expect("plan drains without error");
@@ -629,9 +631,7 @@ mod tests {
                 }
             }
         }
-        let mut rep = FeedbackReport::new();
-        monitors.borrow()[0].harvest("inner", &mut rep);
-        let est = rep.measurements[0].actual;
+        let est = harvest(&mut inl).measurements[0].actual;
         // The counter is sized at ~1 bit/page (paper's sizing); at the
         // high load factor of this dense join, expect ≲20 % error.
         let err = (est - truth.len() as f64).abs() / truth.len() as f64;
@@ -641,22 +641,24 @@ mod tests {
     #[test]
     fn hash_join_bitvector_measures_inl_dpc() {
         let (outer, inner, _, _) = setup(2_000);
-        let slot = semi_join_slot(1); // probe-side key column is `k` (#1)
-        let scan_monitors = Rc::new(RefCell::new(ScanMonitorSet::new(
+        // The probe-side key column is `k` (#1).
+        let scan_monitors = ScanMonitorSet::new(
+            "inner",
             vec![ScanExprMonitor::semi_join(
                 "outer.k=inner.k",
-                Rc::clone(&slot),
+                1,
+                4096 / 8,
                 None,
             )],
             1.0,
             5,
-        )));
+        );
         let build = outer_scan(&outer, 300);
         let probe = SeqScan::full(
             Arc::clone(&inner),
             TableId(1),
             Conjunction::always_true(),
-            Some(Rc::clone(&scan_monitors)),
+            Some(scan_monitors),
         );
         let mut hj = HashJoin::new(
             Box::new(build),
@@ -664,7 +666,6 @@ mod tests {
             0,
             1,
             Some(BitVectorConfig {
-                slot: Rc::clone(&slot),
                 numbits: 4096,
                 seed: 11,
                 pushdown: false,
@@ -685,9 +686,7 @@ mod tests {
                 }
             }
         }
-        let mut rep = FeedbackReport::new();
-        scan_monitors.borrow_mut().harvest("inner", &mut rep);
-        let est = rep.measurements[0].actual;
+        let est = harvest(&mut hj).measurements[0].actual;
         // The collision-corrected estimate is unbiased, not one-sided;
         // this dense join (15 % of keys on the build side) at 4 096 bits
         // is the correction's noisiest regime, so allow ±25 %.

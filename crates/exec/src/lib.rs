@@ -9,22 +9,25 @@
 //!
 //! * [`expr`] — atomic comparison predicates and conjunctions with
 //!   *short-circuit* evaluation (the optimization Fig 4 works around),
-//! * [`context`] — [`ExecContext`]: buffer pool + disk model threaded
-//!   through every operator,
+//! * [`context`] — [`ExecContext`]: buffer pool + disk model + query
+//!   deadline threaded through every operator,
 //! * [`monitor`] — monitor wiring: scan-side DPC monitors (exact /
-//!   page-sampled / semi-join filtered), fetch-side linear counters, and
-//!   the [`ShedClass`] order a memory budget sheds them in,
+//!   page-sampled / semi-join filtered), fetch-side linear counters, the
+//!   [`ShedClass`] order a memory budget sheds them in, and the tree
+//!   walk that harvests, prices and merges them,
 //! * [`op`] — the `Operator` / `RidSource` traits and drivers,
 //! * [`scan`] — SE-side sequential & clustered-range scans,
 //! * [`index`] — SE-side index seek, RID intersection, and Fetch,
 //! * [`join`] — RE-side Hash and Index-Nested-Loops joins,
 //! * [`agg`] — RE-side `COUNT` aggregation.
 //!
-//! Monitors are **caller-owned** (`Rc<RefCell<...>>` handles): the
-//! planner constructs them, hands clones to the operators that drive
-//! them, and harvests the measurements after the plan is drained —
-//! mirroring how the prototype surfaces counters through the
-//! `statistics xml` mode without touching the cached plan.
+//! Monitors are **operator-owned** plain data: the planner constructs
+//! them and moves each into the operator that drives it, and after the
+//! plan is drained [`monitor::harvest`] walks the tree
+//! ([`Operator::visit_monitors`]) to read them back — mirroring how the
+//! paper's engine surfaces counters through the `statistics xml` mode
+//! without touching the cached plan. The executor holds no shared
+//! mutable state.
 
 // Corruption tolerance: operators must surface typed errors, never
 // panic, when page bytes fail verification.
@@ -40,11 +43,9 @@ pub mod monitor;
 pub mod op;
 pub mod scan;
 
-pub use context::{CancelToken, ExecContext};
+pub use context::ExecContext;
 pub use expr::{AtomicPredicate, CompareOp, Conjunction, PageKernel};
 pub use join_table::{join_partitions, RadixTable};
-pub use monitor::{
-    FetchMonitor, FetchObserveWhen, ScanExprMonitor, ScanMonitorSet, SemiJoinSlot, ShedClass,
-};
+pub use monitor::{FetchMonitor, FetchObserveWhen, ScanExprMonitor, ScanMonitorSet, ShedClass};
 pub use op::{drain, run_count, Operator, RidSource};
 pub use scan::{PageRows, SeqScan};

@@ -1,51 +1,33 @@
 //! Monitor wiring between operators and the `pf-feedback` mechanisms.
 //!
-//! Monitors are created by the planner, shared with operators as
-//! `Rc<RefCell<...>>` handles, and harvested after the plan drains. Three
-//! shapes exist, matching Sections III–IV:
+//! The planner builds monitors and hands them to the operators that
+//! drive them. Each operator owns its monitors as plain data, and each
+//! monitor knows the table it reports for; after the plan drains,
+//! [`harvest`] walks the operator tree ([`Operator::visit_monitors`])
+//! and collects one report. Two shapes exist, matching Sections III–IV:
 //!
-//! * [`ScanMonitorSet`] — attached to a scan: one entry per monitored
+//! * [`ScanMonitorSet`] — owned by a scan: one entry per monitored
 //!   expression, each either *exact* (a prefix of the scan's conjuncts —
-//!   free under short-circuiting) or *page-sampled* (non-prefix, needs
-//!   short-circuiting off on sampled pages), optionally testing a
-//!   semi-join bit-vector instead of/apart from atoms;
-//! * [`FetchMonitor`] — attached to a Fetch/INL-inner: a linear counter
-//!   over fetched PIDs;
-//! * [`SemiJoinSlot`] — the callback cell a hash join fills with its
-//!   build-side bit vector before the probe scan runs (Fig 5).
+//!   free under short-circuiting), *page-sampled* (non-prefix, needs
+//!   short-circuiting off on sampled pages), or the derived semi-join
+//!   predicate, which tests the bit vector a hash join installs after
+//!   its build phase (Fig 5);
+//! * [`FetchMonitor`] — owned by a Fetch/INL-inner: a linear counter
+//!   over fetched PIDs.
+//!
+//! The same walk prices the monitors for a memory budget ([`costs`],
+//! [`shed`], [`monitor_bytes`]) and moves a morsel's monitors out for
+//! the coordinator to merge ([`take_partials`], [`absorb`]).
 
 use crate::expr::Conjunction;
-use pf_common::DatumAccess;
+use crate::op::Operator;
+use pf_common::{DatumAccess, Error, Result};
 pub use pf_feedback::page_sampled;
 use pf_feedback::{
     BitVectorFilter, DpcMeasurement, FeedbackReport, GroupedPageCounter, LinearCounter, Mechanism,
     Sketch,
 };
-use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::rc::Rc;
-
-/// The cell through which the RE-side join hands its bit-vector filter to
-/// the SE-side probe scan. Starts empty; the join fills it after the
-/// build phase, strictly before any probe row flows.
-#[derive(Debug, Default)]
-pub struct SemiJoinFilter {
-    /// The filter, once built.
-    pub filter: Option<BitVectorFilter>,
-    /// Probe-side join-key column ordinal.
-    pub key_column: usize,
-}
-
-/// Shared handle to a [`SemiJoinFilter`].
-pub type SemiJoinSlot = Rc<RefCell<SemiJoinFilter>>;
-
-/// Creates an empty semi-join slot for probe-side key column `key_column`.
-pub fn semi_join_slot(key_column: usize) -> SemiJoinSlot {
-    Rc::new(RefCell::new(SemiJoinFilter {
-        filter: None,
-        key_column,
-    }))
-}
 
 /// How one monitored expression on a scan decides "row satisfies".
 #[derive(Debug)]
@@ -59,7 +41,17 @@ enum ScanExprKind {
     },
     /// The derived semi-join predicate: bit-vector membership of the
     /// row's join key (Fig 5). Costs one hash per row on sampled pages.
-    SemiJoin(SemiJoinSlot),
+    SemiJoin {
+        /// Probe-side join-key column ordinal.
+        key_column: usize,
+        /// Size of the filter the plan will build — what a memory budget
+        /// charges before the filter exists.
+        filter_bytes: usize,
+        /// The hash join's build-side filter, installed after its build
+        /// phase, strictly before any probe row flows. Boxed so the
+        /// expression keeps its size (and every budget its charge).
+        filter: Option<Box<BitVectorFilter>>,
+    },
 }
 
 /// One monitored expression on a scan.
@@ -107,12 +99,23 @@ impl ScanExprMonitor {
         }
     }
 
-    /// Monitors the derived semi-join predicate through `slot`.
-    pub fn semi_join(label: impl Into<String>, slot: SemiJoinSlot, estimated: Option<f64>) -> Self {
+    /// Monitors the derived semi-join predicate on probe key column
+    /// `key_column`, testing a `filter_bytes`-byte filter the hash join
+    /// installs after its build phase.
+    pub fn semi_join(
+        label: impl Into<String>,
+        key_column: usize,
+        filter_bytes: usize,
+        estimated: Option<f64>,
+    ) -> Self {
         ScanExprMonitor {
             label: label.into(),
             estimated,
-            kind: ScanExprKind::SemiJoin(slot),
+            kind: ScanExprKind::SemiJoin {
+                key_column,
+                filter_bytes,
+                filter: None,
+            },
             satisfied_this_page: false,
             counter: GroupedPageCounter::new(),
             shed: false,
@@ -197,8 +200,10 @@ pub enum ShedClass {
 /// cost is paid once per sampled page regardless of how many expressions
 /// are watched — and so any page sub-range makes exactly the decisions
 /// the whole-table scan would.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ScanMonitorSet {
+    /// The table the measurements are reported for.
+    table: String,
     exprs: Vec<ScanExprMonitor>,
     fraction: f64,
     seed: u64,
@@ -213,10 +218,16 @@ pub struct ScanMonitorSet {
 }
 
 impl ScanMonitorSet {
-    /// Builds a monitor set sampling pages at `fraction` (1.0 = every
-    /// page; exact counts for all expressions).
-    pub fn new(exprs: Vec<ScanExprMonitor>, fraction: f64, seed: u64) -> Self {
+    /// Builds a monitor set over `table` sampling pages at `fraction`
+    /// (1.0 = every page; exact counts for all expressions).
+    pub fn new(
+        table: impl Into<String>,
+        exprs: Vec<ScanExprMonitor>,
+        fraction: f64,
+        seed: u64,
+    ) -> Self {
         ScanMonitorSet {
+            table: table.into(),
             exprs,
             fraction: fraction.clamp(f64::MIN_POSITIVE, 1.0),
             seed,
@@ -238,12 +249,10 @@ impl ScanMonitorSet {
         self.exprs.iter().any(|e| !e.shed && e.needs_full_eval())
     }
 
-    /// Memory cost and shed class of each monitored expression, in expr
-    /// order. `semi_join_bytes` is the size of the bit-vector filter a
-    /// semi-join expression will test (the planner knows the configured
-    /// filter size; the filter itself installs only after the build
-    /// phase).
-    pub fn expr_costs(&self, semi_join_bytes: usize) -> Vec<(usize, ShedClass)> {
+    /// Shed class and memory cost of each monitored expression, in expr
+    /// order. A semi-join expression is charged its planned filter size:
+    /// the filter itself installs only after the build phase.
+    pub fn expr_costs(&self) -> Vec<(ShedClass, usize)> {
         self.exprs
             .iter()
             .map(|e| {
@@ -256,9 +265,11 @@ impl ScanMonitorSet {
                         } else {
                             ShedClass::PageSampled
                         };
-                        (bytes, class)
+                        (class, bytes)
                     }
-                    ScanExprKind::SemiJoin(_) => (base + semi_join_bytes, ShedClass::SemiJoin),
+                    ScanExprKind::SemiJoin { filter_bytes, .. } => {
+                        (ShedClass::SemiJoin, base + filter_bytes)
+                    }
                 }
             })
             .collect()
@@ -273,6 +284,20 @@ impl ScanMonitorSet {
         }
     }
 
+    /// Installs a hash join's completed build-side filter into the
+    /// set's semi-join expression (a set without one ignores it).
+    pub fn install_semi_join_filter(&mut self, filter: BitVectorFilter) {
+        for e in &mut self.exprs {
+            if let ScanExprKind::SemiJoin {
+                filter: installed, ..
+            } = &mut e.kind
+            {
+                *installed = Some(Box::new(filter));
+                return;
+            }
+        }
+    }
+
     /// Number of expressions currently shed.
     pub fn shed_count(&self) -> usize {
         self.exprs.iter().filter(|e| e.shed).count()
@@ -282,12 +307,12 @@ impl ScanMonitorSet {
     /// expressions free their observation state) — the reservation
     /// system's reconciliation hook: what a query *actually* held, as
     /// opposed to the [`ScanMonitorSet::expr_costs`] admission estimate.
-    pub fn resident_bytes(&self, semi_join_bytes: usize) -> usize {
+    pub fn resident_bytes(&self) -> usize {
         self.exprs
             .iter()
-            .zip(self.expr_costs(semi_join_bytes))
+            .zip(self.expr_costs())
             .filter(|(e, _)| !e.shed)
-            .map(|(_, (bytes, _))| bytes)
+            .map(|(_, (_, bytes))| bytes)
             .sum()
     }
 
@@ -410,7 +435,7 @@ impl ScanMonitorSet {
     pub fn wants_semi_join_rows(&self) -> bool {
         self.page_sampled
             && self.exprs.iter().any(|e| {
-                !e.shed && !e.satisfied_this_page && matches!(e.kind, ScanExprKind::SemiJoin(_))
+                !e.shed && !e.satisfied_this_page && matches!(e.kind, ScanExprKind::SemiJoin { .. })
             })
     }
 
@@ -430,13 +455,15 @@ impl ScanMonitorSet {
             if e.satisfied_this_page || e.shed {
                 continue;
             }
-            let ScanExprKind::SemiJoin(slot) = &e.kind else {
+            let ScanExprKind::SemiJoin {
+                key_column, filter, ..
+            } = &e.kind
+            else {
                 continue;
             };
-            let cell = slot.borrow();
             self.hash_ops += 1;
-            let hit = match &cell.filter {
-                Some(f) => f.may_contain_ref(row.datum_ref(cell.key_column)),
+            let hit = match filter {
+                Some(f) => f.may_contain_ref(row.datum_ref(*key_column)),
                 None => true,
             };
             if hit {
@@ -495,14 +522,15 @@ impl ScanMonitorSet {
                         e.satisfied_this_page = true;
                     }
                 }
-                ScanExprKind::SemiJoin(slot) => {
+                ScanExprKind::SemiJoin {
+                    key_column, filter, ..
+                } => {
                     if !sampled {
                         continue;
                     }
-                    let cell = slot.borrow();
                     self.hash_ops += 1;
-                    let hit = match &cell.filter {
-                        Some(f) => f.may_contain_ref(row.datum_ref(cell.key_column)),
+                    let hit = match filter {
+                        Some(f) => f.may_contain_ref(row.datum_ref(*key_column)),
                         // Filter not yet installed: conservatively true
                         // (cannot under-count; should not occur in a
                         // well-formed plan).
@@ -564,8 +592,8 @@ impl ScanMonitorSet {
         self.skipped_pages > 0
     }
 
-    /// Harvests measurements into a report, keyed by `table` name.
-    pub fn harvest(&mut self, table: &str, report: &mut FeedbackReport) {
+    /// Harvests measurements into a report, keyed by the set's table.
+    pub fn harvest(&mut self, report: &mut FeedbackReport) {
         self.finish();
         for e in &self.exprs {
             let count = e.counter.count();
@@ -574,7 +602,7 @@ impl ScanMonitorSet {
             } else {
                 let scaled = count as f64 / self.fraction;
                 match &e.kind {
-                    ScanExprKind::SemiJoin(slot) => {
+                    ScanExprKind::SemiJoin { filter, .. } => {
                         // Correct for hash collisions: a page with no
                         // true match still tests ≈ rows-per-page absent
                         // keys, each a false positive with probability
@@ -584,9 +612,7 @@ impl ScanMonitorSet {
                         // of the filter's false-positive rate (the
                         // paper's "small overestimation" regime is
                         // recovered even with compact filters).
-                        let cell = slot.borrow();
-                        let (bits, fill) = cell
-                            .filter
+                        let (bits, fill) = filter
                             .as_ref()
                             .map_or((0, 0.0), |f| (f.numbits(), f.fill_ratio()));
                         let pages = self.pages_seen as f64;
@@ -616,7 +642,7 @@ impl ScanMonitorSet {
                 }
             };
             report.push(DpcMeasurement {
-                table: table.to_string(),
+                table: self.table.clone(),
                 expression: e.label.clone(),
                 estimated: e.estimated,
                 actual,
@@ -645,83 +671,49 @@ impl ScanMonitorSet {
         self.page_sampled = false;
     }
 
-    /// Finishes the set and moves its morsel-mergeable state out: the
-    /// per-expression counters, the set-level page/row counters, and the
-    /// semi-join filter its slot holds (a probe morsel's copy of the
-    /// merged build-side filter). The set itself holds `Rc` handles and
-    /// cannot leave its worker; the partial is plain `Send` data.
-    pub fn take_partial(&mut self) -> ScanMonitorPartial {
+    /// Finishes the set and moves it out, leaving an empty set behind: a
+    /// morsel's scan monitors as plain `Send` data for the coordinator's
+    /// [`ScanMonitorSet::absorb_partial`]. A semi-join expression's filter
+    /// (a probe morsel's copy of the merged build-side filter) travels
+    /// with it.
+    pub fn take_partial(&mut self) -> ScanMonitorSet {
         self.finish();
-        let filter = self.exprs.iter().find_map(|e| match &e.kind {
-            ScanExprKind::SemiJoin(slot) => slot.borrow_mut().filter.take(),
-            ScanExprKind::Atoms { .. } => None,
-        });
-        ScanMonitorPartial {
-            counters: self
-                .exprs
-                .iter_mut()
-                .map(|e| std::mem::take(&mut e.counter))
-                .collect(),
-            pages_seen: self.pages_seen,
-            pages_sampled: self.pages_sampled,
-            rows_seen: self.rows_seen,
-            skipped_pages: self.skipped_pages,
-            filter,
-        }
+        std::mem::take(self)
     }
 
-    /// Folds one morsel's finished partial into this set via
+    /// Folds one morsel's finished set into this one via
     /// [`GroupedPageCounter::merge`]. Exact when morsels scanned disjoint
     /// page ranges of the same lowering (page sampling is a pure
     /// function of `(seed, page)` and budget shedding is decided at
     /// lowering); call in morsel order so set-level counters accumulate
-    /// deterministically. A partial carrying a semi-join filter installs
-    /// it into an empty slot, as the join operator does on the serial
-    /// path; a partial whose morsel never fed this set merges as a
-    /// no-op.
-    pub fn absorb_partial(&mut self, partial: ScanMonitorPartial) {
-        assert_eq!(
-            self.exprs.len(),
-            partial.counters.len(),
-            "partial was extracted from a differently-shaped monitor set"
-        );
-        for (e, c) in self.exprs.iter_mut().zip(&partial.counters) {
-            e.counter.merge(c);
+    /// deterministically. A semi-join filter the partial carries fills a
+    /// semi-join expression that has none yet, as the join operator does
+    /// on the serial path; a partial whose morsel never fed this set
+    /// merges as a no-op. A partial with a different number of
+    /// expressions is an error.
+    pub fn absorb_partial(&mut self, partial: ScanMonitorSet) -> Result<()> {
+        if self.exprs.len() != partial.exprs.len() {
+            return Err(shape_mismatch());
+        }
+        for (e, p) in self.exprs.iter_mut().zip(partial.exprs) {
+            e.counter.merge(&p.counter);
+            if let (
+                ScanExprKind::SemiJoin { filter, .. },
+                ScanExprKind::SemiJoin {
+                    filter: Some(f), ..
+                },
+            ) = (&mut e.kind, p.kind)
+            {
+                filter.get_or_insert(f);
+            }
         }
         self.pages_seen += partial.pages_seen;
         self.pages_sampled += partial.pages_sampled;
         self.rows_seen += partial.rows_seen;
         self.skipped_pages += partial.skipped_pages;
-        if let Some(filter) = partial.filter {
-            for e in &self.exprs {
-                if let ScanExprKind::SemiJoin(slot) = &e.kind {
-                    slot.borrow_mut().filter.get_or_insert(filter);
-                    return;
-                }
-            }
-        }
+        Ok(())
     }
 }
-
-/// A morsel worker's finished scan-monitor state, reduced to plain
-/// mergeable data (`Send`): one [`GroupedPageCounter`] per monitored
-/// expression, the set-level page/row counters, and the semi-join
-/// filter the set tested against.
-#[derive(Debug, Clone)]
-pub struct ScanMonitorPartial {
-    counters: Vec<GroupedPageCounter>,
-    pages_seen: u64,
-    pages_sampled: u64,
-    rows_seen: u64,
-    skipped_pages: u64,
-    filter: Option<BitVectorFilter>,
-}
-
-// Partials are what crosses worker threads.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ScanMonitorPartial>();
-};
 
 /// When a [`FetchMonitor`] observes a fetched row's page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -736,6 +728,8 @@ pub enum FetchObserveWhen {
 /// A linear-counting DPC monitor on a Fetch (or INL-join inner fetch).
 #[derive(Debug)]
 pub struct FetchMonitor {
+    /// The table the measurement is reported for.
+    pub table: String,
     /// Canonical expression text for the report.
     pub label: String,
     /// Optimizer estimate (if known).
@@ -750,8 +744,9 @@ pub struct FetchMonitor {
 }
 
 impl FetchMonitor {
-    /// A monitor sized for `table_pages` pages.
+    /// A monitor over `table`, sized for its `table_pages` pages.
     pub fn new(
+        table: impl Into<String>,
         label: impl Into<String>,
         when: FetchObserveWhen,
         table_pages: u32,
@@ -759,6 +754,7 @@ impl FetchMonitor {
         seed: u64,
     ) -> Self {
         FetchMonitor {
+            table: table.into(),
             label: label.into(),
             estimated,
             when,
@@ -781,9 +777,9 @@ impl FetchMonitor {
     }
 
     /// Harvests the measurement into a report.
-    pub fn harvest(&self, table: &str, report: &mut FeedbackReport) {
+    pub fn harvest(&self, report: &mut FeedbackReport) {
         report.push(DpcMeasurement {
-            table: table.to_string(),
+            table: self.table.clone(),
             expression: self.label.clone(),
             estimated: self.estimated,
             actual: self.counter.estimate(),
@@ -795,10 +791,145 @@ impl FetchMonitor {
     }
 }
 
-/// Shared handle to a scan monitor set.
-pub type ScanMonitorHandle = Rc<RefCell<ScanMonitorSet>>;
-/// Shared handle to a fetch monitor list.
-pub type FetchMonitorHandle = Rc<RefCell<Vec<FetchMonitor>>>;
+/// One monitor of an operator tree, as [`Operator::visit_monitors`]
+/// hands it out.
+pub enum MonitorMut<'a> {
+    /// A scan's monitor set.
+    Scan(&'a mut ScanMonitorSet),
+    /// One monitor of a fetch.
+    Fetch(&'a mut FetchMonitor),
+}
+
+/// A morsel's finished monitor, moved out by [`take_partials`] for the
+/// coordinator's [`absorb`].
+#[derive(Debug)]
+pub enum MonitorPartial {
+    /// A scan's finished set (see [`ScanMonitorSet::take_partial`]).
+    Scan(ScanMonitorSet),
+    /// A fetch monitor's counter.
+    Fetch(LinearCounter),
+}
+
+// Monitors are plain data: a morsel's partials cross worker threads.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<MonitorPartial>();
+};
+
+fn shape_mismatch() -> Error {
+    Error::Internal("morsel monitors come from a differently-shaped plan".into())
+}
+
+/// Visits the monitors of `op`'s tree in report order: every scan set
+/// in plan order, then every fetch monitor in plan order. The two
+/// orders differ where a hash join's build side is an index fetch: its
+/// probe scan's semi-join expression reports (and is charged against a
+/// memory budget) before the fetch.
+fn visit_in_report_order(op: &mut dyn Operator, visit: &mut dyn FnMut(MonitorMut<'_>)) {
+    op.visit_monitors(&mut |m| {
+        if matches!(m, MonitorMut::Scan(_)) {
+            visit(m);
+        }
+    });
+    op.visit_monitors(&mut |m| {
+        if matches!(m, MonitorMut::Fetch(_)) {
+            visit(m);
+        }
+    });
+}
+
+/// Harvests every monitor of `op`'s tree into one report, in report
+/// order. Call after the plan drains.
+pub fn harvest(op: &mut dyn Operator) -> FeedbackReport {
+    let mut report = FeedbackReport::new();
+    visit_in_report_order(op, &mut |m| match m {
+        MonitorMut::Scan(set) => set.harvest(&mut report),
+        MonitorMut::Fetch(m) => m.harvest(&mut report),
+    });
+    report
+}
+
+/// Shed class and memory cost of every monitor of `op`'s tree, in
+/// report order: each scan's expressions, then each fetch monitor.
+/// [`shed`] takes its flags in the same order.
+pub fn costs(op: &mut dyn Operator) -> Vec<(ShedClass, usize)> {
+    let mut costs = Vec::new();
+    visit_in_report_order(op, &mut |m| match m {
+        MonitorMut::Scan(set) => costs.extend(set.expr_costs()),
+        MonitorMut::Fetch(m) => costs.push((ShedClass::LinearCounting, m.approx_bytes())),
+    });
+    costs
+}
+
+/// Sheds every monitor whose flag is set, `flags` in [`costs`] order.
+pub fn shed(op: &mut dyn Operator, flags: &[bool]) {
+    let mut flags = flags.iter().copied();
+    visit_in_report_order(op, &mut |m| match m {
+        MonitorMut::Scan(set) => {
+            for i in 0..set.exprs.len() {
+                if flags.next() == Some(true) {
+                    set.shed_expr(i);
+                }
+            }
+        }
+        MonitorMut::Fetch(m) => {
+            if flags.next() == Some(true) {
+                m.shed = true;
+            }
+        }
+    });
+}
+
+/// Bytes held by the still-observing monitors of `op`'s tree: the
+/// [`costs`] of every monitor not shed. Right after lowering this is
+/// the reservation a query admits against; at completion, what it held.
+pub fn monitor_bytes(op: &mut dyn Operator) -> usize {
+    let mut bytes = 0;
+    op.visit_monitors(&mut |m| {
+        bytes += match m {
+            MonitorMut::Scan(set) => set.resident_bytes(),
+            MonitorMut::Fetch(m) if !m.shed => m.approx_bytes(),
+            MonitorMut::Fetch(_) => 0,
+        }
+    });
+    bytes
+}
+
+/// Finishes every monitor of a morsel's tree and moves its mergeable
+/// state out, in plan order.
+pub fn take_partials(op: &mut dyn Operator) -> Vec<MonitorPartial> {
+    let mut partials = Vec::new();
+    op.visit_monitors(&mut |m| {
+        partials.push(match m {
+            MonitorMut::Scan(set) => MonitorPartial::Scan(set.take_partial()),
+            MonitorMut::Fetch(m) => MonitorPartial::Fetch(m.counter.clone()),
+        });
+    });
+    partials
+}
+
+/// Merges one morsel's [`take_partials`] into the monitors of `op`'s
+/// tree, which must come from a lowering of the same plan under the
+/// same config (so shapes, seeds and shed flags agree). Call in morsel
+/// order. Partials of a differently shaped tree are an error.
+pub fn absorb(op: &mut dyn Operator, partials: Vec<MonitorPartial>) -> Result<()> {
+    let mut partials = partials.into_iter();
+    let mut merged = Ok(());
+    op.visit_monitors(&mut |m| {
+        let step = match (m, partials.next()) {
+            (MonitorMut::Scan(set), Some(MonitorPartial::Scan(p))) => set.absorb_partial(p),
+            (MonitorMut::Fetch(m), Some(MonitorPartial::Fetch(c))) => m.counter.merge(&c),
+            _ => Err(shape_mismatch()),
+        };
+        if merged.is_ok() {
+            merged = step;
+        }
+    });
+    if partials.next().is_some() {
+        return Err(shape_mismatch());
+    }
+    merged
+}
 
 #[cfg(test)]
 mod tests {
@@ -827,7 +958,7 @@ mod tests {
         assert!(ScanExprMonitor::atoms(&c, vec![0], None).is_prefix());
         assert!(ScanExprMonitor::atoms(&c, vec![0, 1], None).is_prefix());
         assert!(!ScanExprMonitor::atoms(&c, vec![1], None).is_prefix());
-        let sj = ScanExprMonitor::semi_join("j", semi_join_slot(0), None);
+        let sj = ScanExprMonitor::semi_join("j", 0, 32, None);
         assert!(!sj.is_prefix());
         assert!(
             !sj.needs_full_eval(),
@@ -840,6 +971,7 @@ mod tests {
         let s = schema();
         let c = conj(&s);
         let mut set = ScanMonitorSet::new(
+            "t",
             vec![ScanExprMonitor::atoms(&c, vec![0], None)],
             0.000_1, // sampling never fires, but prefixes are exact anyway
             1,
@@ -854,7 +986,7 @@ mod tests {
             );
         }
         let mut rep = FeedbackReport::new();
-        set.harvest("t", &mut rep);
+        set.harvest(&mut rep);
         assert_eq!(rep.measurements[0].actual, 2.0);
         assert_eq!(rep.measurements[0].mechanism, Mechanism::ExactScan);
     }
@@ -863,7 +995,8 @@ mod tests {
     fn non_prefix_scaled_by_fraction() {
         let s = schema();
         let c = conj(&s);
-        let mut set = ScanMonitorSet::new(vec![ScanExprMonitor::atoms(&c, vec![1], None)], 1.0, 1);
+        let mut set =
+            ScanMonitorSet::new("t", vec![ScanExprMonitor::atoms(&c, vec![1], None)], 1.0, 1);
         assert!(set.needs_full_eval());
         for page in 0..4u32 {
             let sampled = set.start_page(page);
@@ -874,34 +1007,28 @@ mod tests {
             );
         }
         let mut rep = FeedbackReport::new();
-        set.harvest("t", &mut rep);
+        set.harvest(&mut rep);
         assert_eq!(rep.measurements[0].actual, 2.0);
     }
 
     #[test]
     fn semi_join_counts_filter_hits() {
-        let slot = semi_join_slot(0);
-        {
-            let mut f = BitVectorFilter::new(256, 7);
-            f.insert(&Datum::Int(5));
-            slot.borrow_mut().filter = Some(f);
-        }
+        let mut f = BitVectorFilter::new(256, 7);
+        f.insert(&Datum::Int(5));
         let mut set = ScanMonitorSet::new(
-            vec![ScanExprMonitor::semi_join(
-                "r1.k=r2.k",
-                Rc::clone(&slot),
-                None,
-            )],
+            "r2",
+            vec![ScanExprMonitor::semi_join("r1.k=r2.k", 0, 32, None)],
             1.0,
             2,
         );
+        set.install_semi_join_filter(f);
         // Page 0: key 5 present (hit). Page 1: only key 6 (likely miss).
         set.start_page(0);
         set.observe_row(&[], &Row::new(vec![Datum::Int(5), Datum::Int(0)]));
         set.start_page(1);
         set.observe_row(&[], &Row::new(vec![Datum::Int(6), Datum::Int(0)]));
         let mut rep = FeedbackReport::new();
-        set.harvest("r2", &mut rep);
+        set.harvest(&mut rep);
         let actual = rep.measurements[0].actual;
         // One true-hit page; the collision correction shaves the
         // expected false-positive mass (tiny here), so allow ~1.
@@ -920,6 +1047,7 @@ mod tests {
         let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
         let mk = || {
             ScanMonitorSet::new(
+                "t",
                 vec![
                     ScanExprMonitor::atoms(&c, vec![0], None),
                     ScanExprMonitor::atoms(&c, vec![0, 1], None),
@@ -931,7 +1059,7 @@ mod tests {
         };
         let harvest = |set: &mut ScanMonitorSet| {
             let mut rep = FeedbackReport::new();
-            set.harvest("t", &mut rep);
+            set.harvest(&mut rep);
             rep.measurements
                 .iter()
                 .map(|m| m.actual)
@@ -968,7 +1096,8 @@ mod tests {
     fn skipped_pages_mark_harvest_degraded() {
         let s = schema();
         let c = conj(&s);
-        let mut set = ScanMonitorSet::new(vec![ScanExprMonitor::atoms(&c, vec![0], None)], 1.0, 1);
+        let mut set =
+            ScanMonitorSet::new("t", vec![ScanExprMonitor::atoms(&c, vec![0], None)], 1.0, 1);
         let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
         set.start_page(0);
         set.observe_row(&[Some(true), None], &row);
@@ -978,7 +1107,7 @@ mod tests {
         set.start_page(2);
         set.observe_row(&[Some(true), None], &row);
         let mut rep = FeedbackReport::new();
-        set.harvest("t", &mut rep);
+        set.harvest(&mut rep);
         assert_eq!(rep.measurements[0].actual, 2.0, "skip does not count");
         assert!(rep.measurements[0].degraded);
         assert_eq!(rep.measurements[0].skipped_pages, 1);
@@ -987,24 +1116,31 @@ mod tests {
 
     #[test]
     fn fetch_monitor_degrades_on_skips() {
-        let mut m = FetchMonitor::new("a<10", FetchObserveWhen::AllFetched, 100, None, 3);
+        let mut m = FetchMonitor::new("t", "a<10", FetchObserveWhen::AllFetched, 100, None, 3);
         m.counter.observe(1);
         m.note_skipped_page();
         let mut rep = FeedbackReport::new();
-        m.harvest("t", &mut rep);
+        m.harvest(&mut rep);
         assert!(rep.measurements[0].degraded);
         assert_eq!(rep.measurements[0].skipped_pages, 1);
     }
 
     #[test]
     fn fetch_monitor_harvests_linear_estimate() {
-        let mut m = FetchMonitor::new("a<10", FetchObserveWhen::AllFetched, 1000, Some(5.0), 3);
+        let mut m = FetchMonitor::new(
+            "t",
+            "a<10",
+            FetchObserveWhen::AllFetched,
+            1000,
+            Some(5.0),
+            3,
+        );
         for p in 0..100u32 {
             m.counter.observe(p);
             m.counter.observe(p);
         }
         let mut rep = FeedbackReport::new();
-        m.harvest("t", &mut rep);
+        m.harvest(&mut rep);
         let a = rep.measurements[0].actual;
         assert!((90.0..110.0).contains(&a), "estimate {a}");
         assert_eq!(rep.measurements[0].estimated, Some(5.0));
@@ -1016,6 +1152,7 @@ mod tests {
         let c = conj(&s);
         let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
         let mut set = ScanMonitorSet::new(
+            "t",
             vec![
                 ScanExprMonitor::atoms(&c, vec![0], None),
                 ScanExprMonitor::atoms(&c, vec![1], None),
@@ -1033,7 +1170,7 @@ mod tests {
         set.start_page(1);
         set.observe_row(&[Some(true), Some(true)], &row);
         let mut rep = FeedbackReport::new();
-        set.harvest("t", &mut rep);
+        set.harvest(&mut rep);
         assert_eq!(rep.measurements[0].actual, 2.0);
         assert!(!rep.measurements[0].budget_shed);
         // The shed expr counted only the pre-shed page... but its page-1
@@ -1043,27 +1180,87 @@ mod tests {
         assert!(rep.measurements[1].actual <= 1.0);
     }
 
+    /// A memory budget charges each expression the monitor's own 128 B
+    /// plus what it tests: 8 B per atom index, or the planned filter
+    /// bytes of a semi-join expression, installed or not. Pinned
+    /// exactly: a layout change would move every budgeted lowering.
     #[test]
     fn expr_costs_classify_monitors() {
         let s = schema();
         let c = conj(&s);
-        let set = ScanMonitorSet::new(
+        let mut set = ScanMonitorSet::new(
+            "t",
             vec![
                 ScanExprMonitor::atoms(&c, vec![0], None),
                 ScanExprMonitor::atoms(&c, vec![1], None),
-                ScanExprMonitor::semi_join("j", semi_join_slot(0), None),
+                ScanExprMonitor::atoms(&c, vec![0, 1], None),
+                ScanExprMonitor::semi_join("j", 0, 4096 / 8, None),
             ],
             1.0,
             1,
         );
-        let costs = set.expr_costs(4096 / 8);
-        assert_eq!(costs[0].1, ShedClass::Exact);
-        assert_eq!(costs[1].1, ShedClass::PageSampled);
-        assert_eq!(costs[2].1, ShedClass::SemiJoin);
-        assert!(
-            costs[2].0 >= 4096 / 8 && costs[2].0 > costs[1].0,
-            "semi-join carries the filter bytes"
-        );
+        let charges = [
+            (ShedClass::Exact, 128 + 8),
+            (ShedClass::PageSampled, 128 + 8),
+            (ShedClass::Exact, 128 + 16),
+            (ShedClass::SemiJoin, 128 + 512),
+        ];
+        assert_eq!(set.expr_costs(), charges);
+        set.install_semi_join_filter(BitVectorFilter::new(4096, 7));
+        assert_eq!(set.expr_costs(), charges);
+        set.shed_expr(1);
+        assert_eq!(set.resident_bytes(), 136 + 144 + 640);
+    }
+
+    /// A stand-in operator owning fetch monitors, for the tree walk.
+    struct Fetches(Vec<FetchMonitor>, Schema);
+
+    impl Operator for Fetches {
+        fn schema(&self) -> &Schema {
+            &self.1
+        }
+
+        fn next(&mut self, _ctx: &mut crate::ExecContext) -> Result<Option<Row>> {
+            Ok(None)
+        }
+
+        fn visit_monitors(&mut self, visit: &mut dyn FnMut(MonitorMut<'_>)) {
+            for m in &mut self.0 {
+                visit(MonitorMut::Fetch(m));
+            }
+        }
+    }
+
+    /// Merging partials into a differently shaped set or tree is an
+    /// error, never a panic or a silent truncation; the same shape
+    /// merges.
+    #[test]
+    fn partials_of_another_shape_are_an_error() {
+        let s = schema();
+        let c = conj(&s);
+        let set = |n: usize| {
+            let exprs = (0..n)
+                .map(|i| ScanExprMonitor::atoms(&c, vec![i], None))
+                .collect();
+            ScanMonitorSet::new("t", exprs, 1.0, 1)
+        };
+        let mismatch = set(1).absorb_partial(set(2));
+        assert!(matches!(mismatch, Err(Error::Internal(_))), "{mismatch:?}");
+        assert!(set(2).absorb_partial(set(2)).is_ok());
+
+        let fetches = |n: usize| {
+            let monitor =
+                || FetchMonitor::new("t", "a<10", FetchObserveWhen::AllFetched, 100, None, 3);
+            Fetches((0..n).map(|_| monitor()).collect(), s.clone())
+        };
+        let mut two = fetches(2);
+        for n in [1, 3] {
+            let merged = absorb(&mut two, take_partials(&mut fetches(n)));
+            assert!(matches!(merged, Err(Error::Internal(_))), "{n}: {merged:?}");
+        }
+        let scans = vec![MonitorPartial::Scan(set(1)), MonitorPartial::Scan(set(1))];
+        assert!(absorb(&mut two, scans).is_err());
+        assert!(absorb(&mut two, take_partials(&mut fetches(2))).is_ok());
     }
 
     #[test]
@@ -1072,6 +1269,7 @@ mod tests {
         let c = conj(&s);
         // Fraction so small no page gets sampled (seeded).
         let mut set = ScanMonitorSet::new(
+            "t",
             vec![
                 ScanExprMonitor::atoms(&c, vec![0], None),
                 ScanExprMonitor::atoms(&c, vec![1], None),
@@ -1089,7 +1287,7 @@ mod tests {
             set.observe_row(&results, &Row::new(vec![Datum::Int(0), Datum::Int(0)]));
         }
         let mut rep = FeedbackReport::new();
-        set.harvest("t", &mut rep);
+        set.harvest(&mut rep);
         assert_eq!(rep.measurements[0].actual, 50.0, "prefix exact");
         // Sampled expr saw no sampled pages: 0 count (scaled 0).
         assert_eq!(rep.measurements[1].actual, 0.0);
@@ -1129,6 +1327,7 @@ mod tests {
         let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
         let mk = || {
             ScanMonitorSet::new(
+                "t",
                 vec![
                     ScanExprMonitor::atoms(&c, vec![0], None),
                     ScanExprMonitor::atoms(&c, vec![1], None),
@@ -1149,11 +1348,11 @@ mod tests {
         let (mut lo, mut hi) = (mk(), mk());
         feed(&mut lo, 0..23);
         feed(&mut hi, 23..40);
-        reference.absorb_partial(lo.take_partial());
-        reference.absorb_partial(hi.take_partial());
+        reference.absorb_partial(lo.take_partial()).unwrap();
+        reference.absorb_partial(hi.take_partial()).unwrap();
         let harvest = |set: &mut ScanMonitorSet| {
             let mut rep = FeedbackReport::new();
-            set.harvest("t", &mut rep);
+            set.harvest(&mut rep);
             rep
         };
         assert_eq!(serial.pages_sampled(), reference.pages_sampled());
@@ -1170,11 +1369,12 @@ mod tests {
         let mut filter = BitVectorFilter::new(256, 7);
         filter.insert(&Datum::Int(5));
         let mk = |with_filter: bool| {
-            let slot = semi_join_slot(0);
+            let expr = ScanExprMonitor::semi_join("j", 0, 32, None);
+            let mut set = ScanMonitorSet::new("t", vec![expr], 1.0, 2);
             if with_filter {
-                slot.borrow_mut().filter = Some(filter.clone());
+                set.install_semi_join_filter(filter.clone());
             }
-            ScanMonitorSet::new(vec![ScanExprMonitor::semi_join("j", slot, None)], 1.0, 2)
+            set
         };
         let feed = |set: &mut ScanMonitorSet, pages: std::ops::Range<u32>| {
             for p in pages {
@@ -1184,7 +1384,7 @@ mod tests {
         };
         let harvest = |set: &mut ScanMonitorSet| {
             let mut rep = FeedbackReport::new();
-            set.harvest("t", &mut rep);
+            set.harvest(&mut rep);
             rep
         };
         let mut serial = mk(true);
@@ -1194,9 +1394,9 @@ mod tests {
         let (mut lo, mut hi) = (mk(true), mk(true));
         feed(&mut lo, 0..4);
         feed(&mut hi, 4..6);
-        reference.absorb_partial(unfed);
-        reference.absorb_partial(lo.take_partial());
-        reference.absorb_partial(hi.take_partial());
+        reference.absorb_partial(unfed).unwrap();
+        reference.absorb_partial(lo.take_partial()).unwrap();
+        reference.absorb_partial(hi.take_partial()).unwrap();
         assert_eq!(harvest(&mut serial), harvest(&mut reference));
     }
 
@@ -1210,6 +1410,7 @@ mod tests {
         let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
         let mk = || {
             let mut set = ScanMonitorSet::new(
+                "t",
                 vec![
                     ScanExprMonitor::atoms(&c, vec![0], Some(7.0)),
                     ScanExprMonitor::atoms(&c, vec![1], None),
@@ -1228,7 +1429,7 @@ mod tests {
         };
         let harvest = |set: &mut ScanMonitorSet| {
             let mut rep = FeedbackReport::new();
-            set.harvest("t", &mut rep);
+            set.harvest(&mut rep);
             rep
         };
         let mut serial = mk();
@@ -1237,7 +1438,7 @@ mod tests {
         for pages in [0..9, 9..20] {
             let mut morsel = mk();
             feed(&mut morsel, pages);
-            reference.absorb_partial(morsel.take_partial());
+            reference.absorb_partial(morsel.take_partial()).unwrap();
         }
         let merged = harvest(&mut reference);
         assert_eq!(harvest(&mut serial), merged);

@@ -1,6 +1,7 @@
 //! Operator traits and drivers.
 
 use crate::context::ExecContext;
+use crate::monitor::MonitorMut;
 use pf_common::{Result, Rid, Row, Schema};
 
 /// A Volcano-style row operator.
@@ -21,6 +22,14 @@ pub trait Operator {
     fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
         Ok(self.next(ctx)?.map(|_| 1))
     }
+
+    /// Hands every monitor this operator's subtree owns to `visit`, in
+    /// plan order: inputs before the operator's own monitors, a join's
+    /// outer (build) side before its inner (probe) side. The free
+    /// functions of [`crate::monitor`] harvest, price and merge monitors
+    /// through this walk. Operators that own monitors or have inputs
+    /// override it; the default visits nothing.
+    fn visit_monitors(&mut self, _visit: &mut dyn FnMut(MonitorMut<'_>)) {}
 
     /// Downcast hook for page-batched consumers: a [`crate::SeqScan`]
     /// returns itself so parents (vectorized joins) can drive it

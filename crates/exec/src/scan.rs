@@ -8,7 +8,7 @@
 
 use crate::context::ExecContext;
 use crate::expr::{Conjunction, PageKernel};
-use crate::monitor::ScanMonitorHandle;
+use crate::monitor::{MonitorMut, ScanMonitorSet};
 use crate::op::Operator;
 use pf_common::{Datum, PageId, Result, Row, Schema, SlotId, TableId};
 use pf_feedback::{bitmap, BitVectorFilter};
@@ -22,7 +22,7 @@ pub struct SeqScan {
     storage: Arc<TableStorage>,
     table_id: TableId,
     predicate: Conjunction,
-    monitors: Option<ScanMonitorHandle>,
+    monitors: Option<ScanMonitorSet>,
     /// `[first, last)` pages to scan.
     page_range: (u32, u32),
     /// Whether the first page access is a random I/O (a clustered seek
@@ -68,7 +68,7 @@ impl SeqScan {
         storage: Arc<TableStorage>,
         table_id: TableId,
         predicate: Conjunction,
-        monitors: Option<ScanMonitorHandle>,
+        monitors: Option<ScanMonitorSet>,
         page_range: (u32, u32),
         first_random: bool,
     ) -> Self {
@@ -99,7 +99,7 @@ impl SeqScan {
         storage: Arc<TableStorage>,
         table_id: TableId,
         predicate: Conjunction,
-        monitors: Option<ScanMonitorHandle>,
+        monitors: Option<ScanMonitorSet>,
     ) -> Self {
         let pages = storage.page_count();
         Self::build(storage, table_id, predicate, monitors, (0, pages), false)
@@ -115,7 +115,7 @@ impl SeqScan {
         storage: Arc<TableStorage>,
         table_id: TableId,
         predicate: Conjunction,
-        monitors: Option<ScanMonitorHandle>,
+        monitors: Option<ScanMonitorSet>,
         page_range: (u32, u32),
         first_random: bool,
     ) -> Self {
@@ -140,7 +140,7 @@ impl SeqScan {
         lo: Option<&Datum>,
         hi: Option<&Datum>,
         predicate: Conjunction,
-        monitors: Option<ScanMonitorHandle>,
+        monitors: Option<ScanMonitorSet>,
     ) -> Result<Self> {
         let (first, last) = storage.locate_range(lo, hi)?;
         Ok(Self::build(
@@ -153,11 +153,23 @@ impl SeqScan {
         ))
     }
 
-    /// Installs a semi-join pre-filter over `key_col` (see the field
-    /// docs for the charging contract). Only meaningful before the
-    /// first delivery.
-    pub fn set_semi_join_prefilter(&mut self, filter: BitVectorFilter, key_col: usize) {
-        self.prefilter = Some((filter, key_col));
+    /// Installs a hash join's completed build-side `filter` over probe
+    /// key column `key_col`: the scan's semi-join monitor (if any) tests
+    /// it, and with `pushdown` the page pass also culls rows it rejects
+    /// (see the `prefilter` field for the charging contract). Only
+    /// meaningful before the first delivery.
+    pub fn install_semi_join_filter(
+        &mut self,
+        filter: BitVectorFilter,
+        key_col: usize,
+        pushdown: bool,
+    ) {
+        if pushdown {
+            self.prefilter = Some((filter.clone(), key_col));
+        }
+        if let Some(m) = &mut self.monitors {
+            m.install_semi_join_filter(filter);
+        }
     }
 
     /// Materializing page load: evaluates the next page and buffers its
@@ -198,9 +210,9 @@ impl SeqScan {
         if self.next_page >= self.page_range.1 {
             return Ok(PageEval::Exhausted);
         }
-        // Page-boundary cancellation/deadline checkpoint: one per page
-        // actually visited, so `CancelToken::cancel_after(k)` aborts
-        // exactly before the (k+1)-th page is read.
+        // Page-boundary deadline checkpoint: one per page actually
+        // visited, so a deadline aborts before the first page read past
+        // it.
         ctx.check_interrupt()?;
         let pid = PageId(self.next_page);
         self.next_page += 1;
@@ -219,8 +231,7 @@ impl SeqScan {
             Ok(p) => p,
             Err(pf_common::Error::ChecksumMismatch { .. }) => {
                 ctx.pool.skip_corrupt(self.table_id, pid);
-                if let Some(m) = &self.monitors {
-                    let mut m = m.borrow_mut();
+                if let Some(m) = &mut self.monitors {
                     // Announce the page first so page/sample accounting
                     // matches a fault-free run.
                     m.start_page(pid.0);
@@ -234,9 +245,8 @@ impl SeqScan {
         ctx.pool.charge_rows(u64::from(page.slot_count()));
 
         // Monitoring setup for this page (Fig 4, steps 3–4).
-        let full_eval = match &self.monitors {
+        let full_eval = match &mut self.monitors {
             Some(m) => {
-                let mut m = m.borrow_mut();
                 let sampled = m.start_page(pid.0);
                 sampled && m.needs_full_eval()
             }
@@ -305,8 +315,7 @@ impl SeqScan {
                         .charge_extra_pred_evals((natoms as u64) * (n_rows as u64) - sc_evals);
                 }
 
-                if let Some(m) = &self.monitors {
-                    let mut m = m.borrow_mut();
+                if let Some(m) = &mut self.monitors {
                     m.observe_page_atoms(&self.atom_bits, words, n_rows as u64);
                     ctx.pool.charge_monitor_ops(n_rows as u64);
                     // Semi-join expressions hash per-row keys, which
@@ -332,20 +341,20 @@ impl SeqScan {
                     };
                     ctx.pool.charge_pred_evals(sc_evals as u64);
                     ctx.pool.charge_extra_pred_evals((natoms - sc_evals) as u64);
-                    if let Some(m) = &self.monitors {
-                        m.borrow_mut().observe_full_row(&self.atom_buf, &view);
+                    if let Some(m) = &mut self.monitors {
+                        m.observe_full_row(&self.atom_buf, &view);
                         ctx.pool.charge_monitor_ops(1);
                     }
                     pass
                 } else {
                     let (pass, evaluated) = self.predicate.eval_short_circuit(&view);
                     ctx.pool.charge_pred_evals(evaluated as u64);
-                    if let Some(m) = &self.monitors {
+                    if let Some(m) = &mut self.monitors {
                         // Truths known from short-circuit evaluation:
                         // conjuncts before the stopping point are true,
                         // the stopping conjunct is true iff the row
                         // passed, later conjuncts were never evaluated.
-                        m.borrow_mut().observe_prefix_row(evaluated, pass, &view);
+                        m.observe_prefix_row(evaluated, pass, &view);
                         ctx.pool.charge_monitor_ops(1);
                     }
                     pass
@@ -377,9 +386,8 @@ impl SeqScan {
             }
         }
 
-        if let Some(m) = &self.monitors {
-            let hashes = m.borrow_mut().take_hash_ops();
-            ctx.pool.charge_hashes(hashes);
+        if let Some(m) = &mut self.monitors {
+            ctx.pool.charge_hashes(m.take_hash_ops());
         }
         Ok(PageEval::Ready { pid: pid.0 })
     }
@@ -439,8 +447,8 @@ impl SeqScan {
             match self.eval_next_page(ctx)? {
                 PageEval::Exhausted => {
                     self.finished = true;
-                    if let Some(m) = &self.monitors {
-                        m.borrow_mut().finish();
+                    if let Some(m) = &mut self.monitors {
+                        m.finish();
                     }
                     return Ok(false);
                 }
@@ -476,8 +484,8 @@ impl Operator for SeqScan {
             }
             if !self.load_next_page(ctx)? {
                 self.finished = true;
-                if let Some(m) = &self.monitors {
-                    m.borrow_mut().finish();
+                if let Some(m) = &mut self.monitors {
+                    m.finish();
                 }
             }
         }
@@ -496,8 +504,8 @@ impl Operator for SeqScan {
             match self.eval_next_page(ctx)? {
                 PageEval::Exhausted => {
                     self.finished = true;
-                    if let Some(m) = &self.monitors {
-                        m.borrow_mut().finish();
+                    if let Some(m) = &mut self.monitors {
+                        m.finish();
                     }
                     return Ok(None);
                 }
@@ -512,6 +520,12 @@ impl Operator for SeqScan {
         }
     }
 
+    fn visit_monitors(&mut self, visit: &mut dyn FnMut(MonitorMut<'_>)) {
+        if let Some(m) = &mut self.monitors {
+            visit(MonitorMut::Scan(m));
+        }
+    }
+
     fn as_seq_scan(&mut self) -> Option<&mut SeqScan> {
         Some(self)
     }
@@ -521,12 +535,10 @@ impl Operator for SeqScan {
 mod tests {
     use super::*;
     use crate::expr::{AtomicPredicate, CompareOp};
-    use crate::monitor::{ScanExprMonitor, ScanMonitorSet};
+    use crate::monitor::{harvest, ScanExprMonitor};
     use crate::op::{drain, run_count};
     use pf_common::{Column, DataType};
     use pf_feedback::FeedbackReport;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn make_table(n: i64) -> Arc<TableStorage> {
         let schema = Schema::new(vec![
@@ -590,17 +602,13 @@ mod tests {
     fn exact_monitoring_matches_brute_force() {
         let t = make_table(800);
         let pred = Conjunction::new(vec![lt(&t, "val", 200)]);
-        let monitors = Rc::new(RefCell::new(ScanMonitorSet::new(
+        let monitors = ScanMonitorSet::new(
+            "t",
             vec![ScanExprMonitor::atoms(&pred, vec![0], None)],
             1.0,
             3,
-        )));
-        let mut scan = SeqScan::full(
-            Arc::clone(&t),
-            TableId(0),
-            pred.clone(),
-            Some(Rc::clone(&monitors)),
         );
+        let mut scan = SeqScan::full(Arc::clone(&t), TableId(0), pred.clone(), Some(monitors));
         let mut ctx = ExecContext::new(4096);
         let got = run_count(&mut scan, &mut ctx).unwrap();
         assert_eq!(got, 200);
@@ -615,8 +623,7 @@ mod tests {
                 .any(|r| r.get(1).as_int().unwrap() < 200);
             truth += u64::from(any);
         }
-        let mut rep = FeedbackReport::new();
-        monitors.borrow_mut().harvest("t", &mut rep);
+        let rep = harvest(&mut scan);
         assert_eq!(rep.measurements[0].actual, truth as f64);
     }
 
@@ -628,21 +635,17 @@ mod tests {
         let t = make_table(800);
         let pred = Conjunction::new(vec![lt(&t, "val", 200)]);
         let run = |deadline_ms| {
-            let monitors = Rc::new(RefCell::new(ScanMonitorSet::new(
+            let monitors = ScanMonitorSet::new(
+                "t",
                 vec![ScanExprMonitor::atoms(&pred, vec![0], None)],
                 1.0,
                 3,
-            )));
-            let mut scan = SeqScan::full(
-                Arc::clone(&t),
-                TableId(0),
-                pred.clone(),
-                Some(Rc::clone(&monitors)),
             );
+            let mut scan = SeqScan::full(Arc::clone(&t), TableId(0), pred.clone(), Some(monitors));
             let mut ctx = ExecContext::new(4096);
             ctx.deadline_ms = deadline_ms;
             let count = run_count(&mut scan, &mut ctx);
-            let shed = monitors.borrow().shed_count();
+            let shed = harvest(&mut scan).is_budget_shed();
             (count, ctx.stats(), shed)
         };
         let (aborted, stats, shed) = run(Some(0));
@@ -650,9 +653,9 @@ mod tests {
             aborted,
             Err(pf_common::Error::DeadlineExceeded { deadline_ms: 0 })
         );
-        assert_eq!(shed, 0, "a deadline aborts the query, never a monitor");
+        assert!(!shed, "a deadline aborts the query, never a monitor");
         assert_eq!(stats.physical_reads(), 1, "aborts at the second page");
-        assert_eq!(run(Some(0)), (aborted, stats, 0), "same abort page");
+        assert_eq!(run(Some(0)), (aborted, stats, false), "same abort page");
         assert_eq!(run(Some(u64::MAX / 2)), run(None));
     }
 
@@ -661,17 +664,13 @@ mod tests {
         let t = make_table(400);
         let pred = Conjunction::new(vec![lt(&t, "id", 10), lt(&t, "val", 200)]);
         // Monitor the non-prefix atom `val<200` at full sampling.
-        let monitors = Rc::new(RefCell::new(ScanMonitorSet::new(
+        let monitors = ScanMonitorSet::new(
+            "t",
             vec![ScanExprMonitor::atoms(&pred, vec![1], None)],
             1.0,
             3,
-        )));
-        let mut scan = SeqScan::full(
-            Arc::clone(&t),
-            TableId(0),
-            pred.clone(),
-            Some(Rc::clone(&monitors)),
         );
+        let mut scan = SeqScan::full(Arc::clone(&t), TableId(0), pred.clone(), Some(monitors));
         let mut ctx = ExecContext::new(4096);
         run_count(&mut scan, &mut ctx).unwrap();
         let s = ctx.stats();
@@ -692,8 +691,7 @@ mod tests {
                 .any(|r| r.get(1).as_int().unwrap() < 200);
             truth += u64::from(any);
         }
-        let mut rep = FeedbackReport::new();
-        monitors.borrow_mut().harvest("t", &mut rep);
+        let rep = harvest(&mut scan);
         assert_eq!(rep.measurements[0].actual, truth as f64);
     }
 
@@ -712,21 +710,16 @@ mod tests {
         let t = make_table(2_000);
         let pred = Conjunction::new(vec![lt(&t, "id", 50), lt(&t, "val", 1_000)]);
         let run = |fraction: f64| {
-            let monitors = Rc::new(RefCell::new(ScanMonitorSet::new(
+            let monitors = ScanMonitorSet::new(
+                "t",
                 vec![ScanExprMonitor::atoms(&pred, vec![1], None)],
                 fraction,
                 7,
-            )));
-            let mut scan = SeqScan::full(
-                Arc::clone(&t),
-                TableId(0),
-                pred.clone(),
-                Some(Rc::clone(&monitors)),
             );
+            let mut scan = SeqScan::full(Arc::clone(&t), TableId(0), pred.clone(), Some(monitors));
             let mut ctx = ExecContext::new(8192);
             run_count(&mut scan, &mut ctx).unwrap();
-            let mut rep = FeedbackReport::new();
-            monitors.borrow_mut().harvest("t", &mut rep);
+            let rep = harvest(&mut scan);
             (rep.measurements[0].actual, ctx.stats().extra_pred_evals)
         };
         let (exact, full_cost) = run(1.0);
@@ -785,20 +778,16 @@ mod tests {
                 .iter()
                 .map(|idx| ScanExprMonitor::atoms(pred, idx.clone(), None))
                 .collect();
-            Rc::new(RefCell::new(ScanMonitorSet::new(exprs, fraction, 11)))
+            ScanMonitorSet::new("t", exprs, fraction, 11)
         });
-        let mut scan = SeqScan::full(Arc::clone(t), TableId(0), pred.clone(), monitors.clone());
+        let mut scan = SeqScan::full(Arc::clone(t), TableId(0), pred.clone(), monitors);
         assert!(scan.kernel.is_some(), "{pred}: kernel must compile");
         if !kernel {
             scan.kernel = None;
         }
         let mut ctx = ExecContext::new(4096);
         let count = run_count(&mut scan, &mut ctx).unwrap();
-        let mut rep = FeedbackReport::new();
-        if let Some(m) = &monitors {
-            m.borrow_mut().harvest("t", &mut rep);
-        }
-        (count, ctx.stats(), rep)
+        (count, ctx.stats(), harvest(&mut scan))
     }
 
     #[test]

@@ -19,7 +19,7 @@ use pf_exec::join::{HashJoin, InlJoin};
 use pf_exec::{
     drain, run_count, CompareOp, Conjunction, ExecContext, Operator, RadixTable, SeqScan,
 };
-use pf_feedback::BitVectorFilter;
+use pf_feedback::{BitVectorFilter, Mechanism};
 use pf_optimizer::{join_dpc_key, AccessPath, JoinMethod};
 use pf_storage::btree::BPlusTree;
 use pf_storage::TableStorage;
@@ -142,7 +142,7 @@ fn float_self_join_counts_alike_under_every_join_method() {
                 Arc::clone(&t),
                 TableId(0),
                 Conjunction::always_true(),
-                None,
+                Vec::new(),
             )),
         ),
     ];
@@ -452,4 +452,59 @@ fn forced_candidates_cost_what_they_run_and_the_choice_is_fastest() {
             chosen.description
         );
     }
+}
+
+/// A hash join whose build side is an index fetch reports its probe
+/// scan's semi-join expression before the fetch's linear counter, and a
+/// memory budget charges them in that order: every scan monitor in plan
+/// order, then every fetch monitor in plan order. Plan order alone would
+/// put the fetch first. The bytes are the expression's 128 B plus its
+/// planned filter, and the fetch counter's bitmap plus its label.
+#[test]
+fn hash_join_over_an_index_fetch_reports_scans_before_fetches() {
+    let db = build(&SyntheticConfig {
+        rows: 20_000,
+        with_t1: false,
+        seed: 3,
+    })
+    .expect("build synthetic");
+    let planner = db.planner().expect("planner");
+    let outer_pred = [PredSpec::new("c2", CompareOp::Lt, Datum::Int(2))];
+    let spec = planner
+        .resolve_join("T", "T", &outer_pred, "c2", "c2")
+        .expect("resolve");
+    let plan = db
+        .optimizer()
+        .and_then(|o| o.candidate_join_plans(&spec))
+        .expect("candidates")
+        .into_iter()
+        .find(|p| p.method == JoinMethod::Hash)
+        .expect("a hash candidate");
+    assert!(
+        matches!(plan.outer_plan.path, AccessPath::IndexSeek { .. }),
+        "outer {:?}",
+        plan.outer_plan.path
+    );
+    let mut lowered = planner
+        .lower_optimized(
+            &OptimizedQuery::Join { plan, spec },
+            &MonitorConfig::default(),
+        )
+        .expect("lower");
+    assert_eq!(lowered.monitor_bytes(), 892);
+    let outcome = db.execute(lowered).expect("run");
+    assert_eq!(outcome.monitor_bytes, 892);
+    let [probe, fetch] = outcome.report.measurements.as_slice() else {
+        panic!("two measurements: {:?}", outcome.report.measurements);
+    };
+    assert_eq!(
+        (probe.table.as_str(), probe.expression.as_str()),
+        ("T", "T.c2=T.c2 | c2<2")
+    );
+    assert!(matches!(probe.mechanism, Mechanism::BitVector(_)));
+    assert_eq!(
+        (fetch.table.as_str(), fetch.expression.as_str()),
+        ("T", "c2<2")
+    );
+    assert_eq!(fetch.mechanism, Mechanism::LinearCounting);
 }

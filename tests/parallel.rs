@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use pagefeed::{
-    CancelToken, Database, FaultPlan, MonitorConfig, MorselPlan, ParallelRunner, PredSpec, Query,
+    Database, FaultPlan, MonitorConfig, MorselPlan, ParallelRunner, PredSpec, Query,
     WorkloadSummary,
 };
 use pf_common::{Column, DataType, Datum, Error, Row, Schema};
@@ -807,10 +807,10 @@ fn shrinking_batch_after_large_batch() {
 }
 
 // ---------------------------------------------------------------------
-// Cancellation hygiene and fault-injected invariance
+// Abort hygiene and fault-injected invariance
 // ---------------------------------------------------------------------
 
-/// Snapshot of everything a cancelled query must not touch: hint count,
+/// Snapshot of everything an aborted query must not touch: hint count,
 /// plan-cache entries, and the exact bytes of every feedback-store file.
 fn hygiene_snapshot(
     db: &Database,
@@ -830,54 +830,66 @@ fn hygiene_snapshot(
     (db.hints().len(), db.plan_cache_stats().entries, files)
 }
 
-/// Cancelling a monitored scan at *every* page boundary leaves the
-/// database byte-identical to the query never having run: no absorbed
-/// feedback, no plan-cache entry, no feedback-store write — and the
-/// boundary index `k` aborts after exactly k pages, so the sweep is
-/// exhaustive, not sampled. Afterwards the same query still runs
+/// `cfg` with a simulated-clock deadline of `deadline_ms`.
+fn with_deadline(cfg: &MonitorConfig, deadline_ms: u64) -> MonitorConfig {
+    MonitorConfig {
+        deadline_ms: Some(deadline_ms),
+        ..cfg.clone()
+    }
+}
+
+/// Aborting a monitored scan at *every* simulated millisecond of its run
+/// leaves the database byte-identical to the query never having run: no
+/// absorbed feedback, no plan-cache entry, no feedback-store write. The
+/// deadline rises one millisecond per run until the query completes, so
+/// the aborts land all along the scan, from before its first page to
+/// its last millisecond. Afterwards the same query still runs
 /// jobs-invariantly at 1/2/8 workers.
 #[test]
-fn cancellation_at_every_page_boundary_leaves_no_trace() {
-    let dir = std::env::temp_dir().join(format!("pf-cancel-hygiene-{}", std::process::id()));
+fn deadline_at_every_simulated_ms_leaves_no_trace() {
+    let dir = std::env::temp_dir().join(format!("pf-deadline-hygiene-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut db = build_db();
     db.attach_feedback_store(&dir).unwrap();
     let cfg = MonitorConfig::default();
     let query = wide_scan();
 
-    let reference = db
-        .run_query_cancellable(&query, &cfg, CancelToken::new())
-        .unwrap();
+    // A deadline run reads the plan cache but never fills it, so the
+    // reference run leaves it empty and a sweep run that filled it
+    // would show.
+    let reference = db.run(&query, &with_deadline(&cfg, u64::MAX / 2)).unwrap();
     let baseline = hygiene_snapshot(&db, &dir);
+    assert_eq!(baseline.1, 0, "the reference run cached no plan");
 
-    let mut boundaries = 0u64;
+    let mut deadline_ms = 0u64;
     loop {
-        match db.run_query_cancellable(&query, &cfg, CancelToken::cancel_after(boundaries)) {
-            Err(e) => assert_eq!(e, Error::Cancelled, "boundary {boundaries}"),
+        match db.run(&query, &with_deadline(&cfg, deadline_ms)) {
+            Err(e) => assert_eq!(e, Error::DeadlineExceeded { deadline_ms }),
             Ok(out) => {
-                // The token outlived the scan: the query ran to the end.
+                // The deadline outlived the scan: the query ran to the end.
                 assert_eq!(out.count, reference.count);
+                assert_eq!(out.report, reference.report);
                 break;
             }
         }
         assert_eq!(
             hygiene_snapshot(&db, &dir),
             baseline,
-            "cancellation at page boundary {boundaries} left a trace"
+            "an abort at {deadline_ms} simulated ms left a trace"
         );
-        boundaries += 1;
-        assert!(boundaries < 10_000, "scan must terminate");
+        deadline_ms += 1;
+        assert!(deadline_ms < 100_000, "scan must terminate");
     }
     assert!(
-        boundaries > 10,
-        "the sweep must cover many page boundaries, got {boundaries}"
+        deadline_ms > 10,
+        "the sweep must cover many abort points, got {deadline_ms} ms"
     );
 
-    assert_jobs_invariant(&db, &query, &cfg, "post-cancellation scan");
+    assert_jobs_invariant(&db, &query, &cfg, "post-abort scan");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A small (≈25-page) table so the per-case cost of the cancellation
+/// A small (≈25-page) table so the per-case cost of the deadline
 /// property below stays trivial.
 fn small_db() -> Database {
     let mut db = Database::new();
@@ -902,25 +914,23 @@ fn small_db() -> Database {
 }
 
 proptest! {
-    /// Property form of the hygiene sweep: at an arbitrary cancel point
-    /// (including points past the end of the scan) the run either
-    /// aborts with `Cancelled` and absorbs nothing, or completes with
-    /// the reference count.
+    /// Property form of the hygiene sweep: at an arbitrary deadline
+    /// (including ones past the end of the scan) the run either aborts
+    /// with `DeadlineExceeded` and leaves no hint or plan-cache entry
+    /// behind, or completes with the reference count.
     #[test]
-    fn cancellation_at_any_point_is_hygienic(k in 0u64..64) {
+    fn deadline_at_any_point_is_hygienic(deadline_ms in 0u64..64) {
         let db = small_db();
         let cfg = MonitorConfig::default();
         let query = Query::count(
             "s",
             vec![PredSpec::new("corr", CompareOp::Lt, Datum::Int(1_500))],
         );
-        let reference = db
-            .run_query_cancellable(&query, &cfg, CancelToken::new())
-            .unwrap();
+        let reference = db.run(&query, &with_deadline(&cfg, u64::MAX / 2)).unwrap();
         let hints = db.hints().len();
         let entries = db.plan_cache_stats().entries;
-        match db.run_query_cancellable(&query, &cfg, CancelToken::cancel_after(k)) {
-            Err(e) => prop_assert_eq!(e, Error::Cancelled),
+        match db.run(&query, &with_deadline(&cfg, deadline_ms)) {
+            Err(e) => prop_assert_eq!(e, Error::DeadlineExceeded { deadline_ms }),
             Ok(out) => prop_assert_eq!(out.count, reference.count),
         }
         prop_assert_eq!(db.hints().len(), hints);
