@@ -15,7 +15,7 @@ use criterion::{black_box, Bencher, Criterion};
 use pf_common::{Column, DataType, Datum, Row, Schema, TableId};
 use pf_exec::join::{BitVectorConfig, HashJoin};
 use pf_exec::monitor::{ScanExprMonitor, ScanMonitorSet};
-use pf_exec::{run_count, Conjunction, ExecContext, SeqScan};
+use pf_exec::{Conjunction, ExecContext, Operator, SeqScan};
 use pf_storage::TableStorage;
 use std::sync::Arc;
 
@@ -44,23 +44,17 @@ fn scan(t: &Arc<TableStorage>, id: u32) -> SeqScan {
 
 /// Plain hash join, counting driver.
 fn join_count(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
-    let mut hj = HashJoin::new(
-        Box::new(scan(build, 0)),
-        Box::new(scan(probe, 1)),
-        0,
-        0,
-        None,
-    );
+    let mut hj = HashJoin::new(scan(build, 0), scan(probe, 1), 0, 0, None);
     let mut ctx = ExecContext::new(1 << 14);
-    run_count(&mut hj, &mut ctx).unwrap()
+    hj.count(&mut ctx).unwrap()
 }
 
 /// Hash join with a bit-vector filter and pushdown requested: the
 /// completed filter is installed as a probe-scan pre-filter.
 fn join_count_filtered(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> u64 {
     let mut hj = HashJoin::new(
-        Box::new(scan(build, 0)),
-        Box::new(scan(probe, 1)),
+        scan(build, 0),
+        scan(probe, 1),
         0,
         0,
         Some(BitVectorConfig {
@@ -70,7 +64,7 @@ fn join_count_filtered(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> 
         }),
     );
     let mut ctx = ExecContext::new(1 << 14);
-    run_count(&mut hj, &mut ctx).unwrap()
+    hj.count(&mut ctx).unwrap()
 }
 
 /// Hash join whose probe scan carries a semi-join monitor: the sketch
@@ -89,8 +83,8 @@ fn join_count_monitored(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) ->
         Some(monitors),
     );
     let mut hj = HashJoin::new(
-        Box::new(scan(build, 0)),
-        Box::new(probe_scan),
+        scan(build, 0),
+        probe_scan,
         0,
         0,
         Some(BitVectorConfig {
@@ -100,7 +94,7 @@ fn join_count_monitored(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) ->
         }),
     );
     let mut ctx = ExecContext::new(1 << 14);
-    run_count(&mut hj, &mut ctx).unwrap()
+    hj.count(&mut ctx).unwrap()
 }
 
 struct Measurement {

@@ -1,7 +1,7 @@
 //! Monitoring-overhead bench: the real `SeqScan` operator with DPC
-//! monitors attached versus the bare zero-copy view pipeline over the
-//! same pages and predicate, and versus the same `SeqScan` with no
-//! monitors.
+//! monitors attached, counted through `Operator::count` as every query
+//! runs it, versus the bare zero-copy view pipeline over the same pages
+//! and predicate, and versus the same `SeqScan` with no monitors.
 //!
 //! The page-at-a-time pipeline batches sketch observation (one
 //! `observe_page` per monitor per page) and evaluates fixed-width
@@ -82,18 +82,14 @@ fn monitor_set(pred: &Conjunction, fraction: f64) -> ScanMonitorSet {
     ScanMonitorSet::new("t", exprs, fraction, 0xFEED)
 }
 
-/// The real operator, with monitors sampling at `fraction` attached, or
-/// none; a fresh monitor set per iteration so sketch state never
-/// accumulates across iterations.
+/// The real operator's count, with monitors sampling at `fraction`
+/// attached, or none; a fresh monitor set per iteration so sketch state
+/// never accumulates across iterations.
 fn operator_scan(t: &Arc<TableStorage>, p: &Conjunction, fraction: Option<f64>) -> u64 {
     let monitors = fraction.map(|f| monitor_set(p, f));
     let mut scan = SeqScan::full(Arc::clone(t), TableId(0), p.clone(), monitors);
     let mut ctx = ExecContext::new(1 << 14);
-    let mut n = 0u64;
-    while scan.next(&mut ctx).unwrap().is_some() {
-        n += 1;
-    }
-    n
+    scan.count(&mut ctx).unwrap()
 }
 
 struct Shape {

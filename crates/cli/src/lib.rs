@@ -27,8 +27,8 @@ pub struct Shell {
     /// Per-query deadline in simulated ms (`.deadline`), put into the
     /// config of every SQL statement; `None` disables it.
     deadline_ms: Option<u64>,
-    /// Queries this session aborted via cancellation or deadline.
-    queries_cancelled: u64,
+    /// Queries this session aborted by their deadline.
+    queries_deadline_aborted: u64,
     /// The admission gate every SQL statement passes through, on the
     /// session's simulated clock (`.admit` reconfigures it).
     admission: AdmissionController,
@@ -48,7 +48,7 @@ impl Shell {
             monitor: MonitorConfig::default(),
             runner: ParallelRunner::default(),
             deadline_ms: None,
-            queries_cancelled: 0,
+            queries_deadline_aborted: 0,
             admission: AdmissionController::new(AdmissionConfig::default()),
             sim_now_ms: 0.0,
         }
@@ -260,7 +260,7 @@ impl Shell {
                 s
             }
             Err(e) if e.is_abort() => {
-                self.queries_cancelled += 1;
+                self.queries_deadline_aborted += 1;
                 format!("aborted: {e}")
             }
             Err(e) => format!("execution failed: {e}"),
@@ -533,11 +533,11 @@ impl Shell {
                     s
                 }
             };
-            if self.queries_cancelled > 0 {
+            if self.queries_deadline_aborted > 0 {
                 let _ = write!(
                     s,
-                    "\n{} query(ies) aborted by cancellation/deadline this session",
-                    self.queries_cancelled
+                    "\n{} query(ies) aborted by their deadline this session",
+                    self.queries_deadline_aborted
                 );
             }
             return s;
@@ -836,7 +836,7 @@ commands:
   .deadline [MS|off]  show / set the per-query deadline in simulated ms (default: off)
   .faults [S R [E]|off] show / set deterministic fault injection (seed S, page rate R,
                       optional error-return rate E; default: off); no args also reports
-                      the session's cancellations; off also resets admission/breaker counters
+                      the session's deadline aborts; off also resets admission/breaker counters
   .admit [C Q [R [B]]|reset] show / set the admission gate (C concurrent, queue Q deep,
                       R tokens/s, burst B — default: 4 8 1000 8); reset clears counters
   .breaker [on|off|trip|reset] show / manage the feedback circuit breaker; trip forces
@@ -1025,7 +1025,7 @@ mod tests {
         assert!(aborted.contains("deadline"), "{aborted}");
         let status = out(sh.eval(".faults"));
         assert!(
-            status.contains("1 query(ies) aborted by cancellation/deadline"),
+            status.contains("1 query(ies) aborted by their deadline"),
             "{status}"
         );
         assert!(out(sh.eval(".deadline off")).contains("off"));
@@ -1133,16 +1133,31 @@ mod tests {
         assert!(out(sh.eval(".breaker")).contains("breaker closed: 0 trip(s)"));
 
         sh.eval(&format!(".feedback load {dirs}"));
-        out(sh.eval(".feedback SELECT COUNT(pad) FROM products WHERE supplier < 100"));
+        let feedback = ".feedback SELECT COUNT(pad) FROM products WHERE supplier < 100";
+        let reports = |sh: &mut Shell, n: usize| {
+            let stats = out(sh.eval(".feedback stats"));
+            assert!(stats.contains(&format!("\n  {n} report(s)")), "{stats}");
+        };
+        out(sh.eval(feedback));
+        reports(&mut sh, 1);
         assert!(out(sh.eval(".breaker trip")).contains("forced open"));
+        // Durability is suspended: the feedback loop still runs, but
+        // appends nothing to the store.
+        assert!(out(sh.eval(feedback)).contains("plan after"));
+        reports(&mut sh, 1);
         let skipped = out(sh.eval(".feedback save"));
         assert!(skipped.contains("skipped"), "{skipped}");
         assert!(
             out(sh.eval(".breaker")).contains("forced open until"),
             "trace shown"
         );
+        // .breaker reset closes it, and the feedback loop appends again.
+        assert!(out(sh.eval(".breaker reset")).contains("reset to closed"));
+        out(sh.eval(feedback));
+        reports(&mut sh, 2);
 
         // .faults off resets the breaker; compaction flows again.
+        assert!(out(sh.eval(".breaker trip")).contains("forced open"));
         let healed = out(sh.eval(".faults off"));
         assert!(healed.contains("counters reset"), "{healed}");
         assert!(out(sh.eval(".breaker")).contains("breaker closed: 0 trip(s)"));

@@ -86,15 +86,6 @@ impl Schema {
         }
         Ok(())
     }
-
-    /// Concatenation of two schemas (join output shape). Duplicate names
-    /// are disambiguated by the executor via positional access, so this
-    /// skips the uniqueness debug assertion.
-    pub fn join(&self, right: &Schema) -> Schema {
-        let mut columns = self.columns.clone();
-        columns.extend(right.columns.iter().cloned());
-        Schema { columns }
-    }
 }
 
 /// A tuple of values.
@@ -119,13 +110,6 @@ impl Row {
     /// plus each datum's stored size.
     pub fn stored_size(&self) -> usize {
         2 + self.values.iter().map(Datum::stored_size).sum::<usize>()
-    }
-
-    /// Concatenates two rows (join output).
-    pub fn join(&self, right: &Row) -> Row {
-        let mut values = self.values.clone();
-        values.extend(right.values.iter().cloned());
-        Row { values }
     }
 }
 
@@ -173,17 +157,6 @@ mod tests {
             Datum::Str("CA".into()),
         ]);
         assert!(s.validate(&wrong_type).is_err());
-    }
-
-    #[test]
-    fn join_concatenates() {
-        let s = sales_schema();
-        let joined = s.join(&Schema::new(vec![Column::new("qty", DataType::Int)]));
-        assert_eq!(joined.arity(), 4);
-        assert_eq!(joined.column(3).name, "qty");
-
-        let r = Row::new(vec![Datum::Int(1)]).join(&Row::new(vec![Datum::Int(2)]));
-        assert_eq!(r.values, vec![Datum::Int(1), Datum::Int(2)]);
     }
 
     #[test]

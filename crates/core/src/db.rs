@@ -8,7 +8,7 @@ use crate::query::Query;
 use pf_common::{Error, IndexId, PageId, Result, Row, Schema, TableId};
 use pf_exec::join::BuildSide;
 use pf_exec::monitor::MonitorPartial;
-use pf_exec::{run_count, Conjunction, ExecContext};
+use pf_exec::{Conjunction, ExecContext};
 use pf_feedback::FeedbackReport;
 use pf_optimizer::{
     AccessPath, CostModel, DbStats, EpochStamp, HintSet, JoinMethod, Optimizer, StalenessPolicy,
@@ -302,21 +302,27 @@ impl Database {
     /// feedback store is attached the report is made durable *first*
     /// (WAL before use): a crash after this call returns cannot lose
     /// the measurement.
+    ///
+    /// With a [`CircuitBreaker`] attached, the append goes through it as
+    /// [`Database::absorb_feedback_at`] would at the breaker's latest
+    /// transition instant: a clockless caller never probes an open
+    /// breaker early, never moves its clock, and appends nothing while
+    /// it is open.
     pub fn absorb_feedback(&mut self, report: &FeedbackReport) -> Result<()> {
-        let stamps = self.epoch_stamps();
-        if let Some(store) = &mut self.feedback_store {
-            store.append(report, &stamps)?;
-        }
-        self.hints.absorb_report_stamped(report, &stamps);
-        self.plan_cache.invalidate();
-        Ok(())
+        let now_ms = self
+            .breaker
+            .as_ref()
+            .and_then(|b| b.transitions().last())
+            .map_or(0, |t| t.at_ms);
+        self.absorb_feedback_at(report, now_ms).map(|_| ())
     }
 
     /// Attaches (or with `None`, detaches) a [`CircuitBreaker`] around
     /// the durable feedback path. With a breaker attached,
-    /// [`Database::absorb_feedback_at`] contains typed storage failures
-    /// instead of propagating them: queries keep running without
-    /// durability while the breaker is open.
+    /// [`Database::absorb_feedback`] and [`Database::absorb_feedback_at`]
+    /// contain typed storage failures instead of propagating them:
+    /// queries keep running without durability while the breaker is
+    /// open.
     pub fn set_breaker(&mut self, breaker: Option<CircuitBreaker>) {
         self.breaker = breaker;
     }
@@ -605,11 +611,7 @@ impl Database {
         ctx.cold_start();
         ctx.fault_attempt = attempt;
         ctx.deadline_ms = plan.deadline_ms;
-        // Counting driver: operators that can count page-at-a-time
-        // (vectorized joins, scans) skip row materialization entirely.
-        // Materialization was never charged, so I/O statistics are
-        // byte-identical to the old drain-then-count.
-        let count = run_count(plan.op.as_mut(), ctx)?;
+        let count = plan.op.count(ctx)?;
         Ok(QueryOutcome {
             count,
             stats: ctx.stats(),
@@ -784,7 +786,7 @@ impl Database {
             ctx.fault_attempt = attempt;
             let run = match (slice, lowered.op.as_hash_join()) {
                 (PlanSlice::Pages { .. }, Some(join)) => join.build_side(ctx).map(|b| (0, Some(b))),
-                _ => run_count(lowered.op.as_mut(), ctx).map(|n| (n, None)),
+                _ => lowered.op.count(ctx).map(|n| (n, None)),
             };
             match run {
                 Ok((count, built)) => {

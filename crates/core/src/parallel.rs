@@ -14,7 +14,7 @@
 //!
 //! Two mechanisms keep the steady state cheap:
 //!
-//! * a **persistent worker pool** ([`WorkerPool`]) owned by the runner
+//! * a **persistent worker pool** (`WorkerPool`) owned by the runner
 //!   and shared by its clones — threads are spawned once (lazily) and
 //!   parked on a condvar between runs, so `run_queries`/`run_feedback`
 //!   pay a wakeup, not `jobs − 1` thread spawns, per call. The calling

@@ -26,8 +26,8 @@ use pf_exec::join::{BitVectorConfig, BuildSide, HashJoin, InlJoin};
 use pf_exec::monitor::{self, MonitorPartial};
 use pf_exec::scan::SeqScan;
 use pf_exec::{
-    CompareOp, Conjunction, FetchMonitor, FetchObserveWhen, Operator, RidSource, ScanExprMonitor,
-    ScanMonitorSet,
+    CompareOp, Conjunction, FetchMonitor, FetchObserveWhen, JoinOuter, Operator, RidSource,
+    ScanExprMonitor, ScanMonitorSet,
 };
 use pf_feedback::FeedbackReport;
 use pf_optimizer::dpc_model::cardenas;
@@ -181,7 +181,7 @@ pub(crate) enum PlanSlice {
 
 /// A fully lowered, executable plan.
 pub struct LoweredPlan {
-    /// The root operator (produces the query's result rows); its tree
+    /// The root operator (counts the query's result rows); its tree
     /// owns the plan's monitors.
     pub op: Box<dyn Operator>,
     /// The optimizer decision this lowers.
@@ -197,7 +197,7 @@ pub struct LoweredPlan {
 impl LoweredPlan {
     /// Collects every monitor's measurement into one feedback report:
     /// each scan's expressions in plan order, then each fetch monitor in
-    /// plan order. Call after the plan drains.
+    /// plan order. Call after the plan has counted.
     pub fn harvest(&mut self) -> FeedbackReport {
         monitor::harvest(self.op.as_mut())
     }
@@ -225,6 +225,15 @@ impl LoweredPlan {
     pub(crate) fn absorb(&mut self, partials: Vec<MonitorPartial>) -> Result<()> {
         monitor::absorb(self.op.as_mut(), partials)
     }
+}
+
+/// A lowered single-table access path: a plan root, or — a scan or a
+/// fetch, which deliver base-table rows — a join's outer side.
+enum Access {
+    /// A scan or an index fetch.
+    Rows(JoinOuter),
+    /// A covering index-only scan, which only counts index entries.
+    IndexOnly(IndexOnlyScan),
 }
 
 /// Lowers optimizer output to operator trees.
@@ -409,6 +418,29 @@ impl<'a> Planner<'a> {
         cfg: &MonitorConfig,
         slice: &PlanSlice,
     ) -> Result<LoweredPlan> {
+        let op: Box<dyn Operator> = match self.access(plan, pred, cfg, slice)? {
+            Access::Rows(JoinOuter::Scan(scan)) => scan,
+            Access::Rows(JoinOuter::Fetch(fetch)) => fetch,
+            Access::IndexOnly(scan) => Box::new(scan),
+        };
+        let name = &self.catalog.table(plan.table)?.name;
+        Ok(LoweredPlan {
+            op,
+            choice: PlanChoice::Single(plan.clone()),
+            description: describe_single(name, plan, self.catalog),
+            explain: explain_single(name, plan, pred, self.catalog),
+            deadline_ms: cfg.deadline_ms,
+        })
+    }
+
+    /// Lowers a single-table access path, monitors attached.
+    fn access(
+        &self,
+        plan: &SingleTablePlan,
+        pred: &Conjunction,
+        cfg: &MonitorConfig,
+        slice: &PlanSlice,
+    ) -> Result<Access> {
         let meta = self.catalog.table(plan.table)?;
         let pages = f64::from(meta.stats.pages);
         let est = CardinalityEstimator::new(
@@ -419,7 +451,7 @@ impl<'a> Planner<'a> {
             meta.stats.rows,
         );
 
-        let op: Box<dyn Operator> = match &plan.path {
+        Ok(match &plan.path {
             AccessPath::FullScan | AccessPath::ClusteredRange { .. } => {
                 let range_atoms = match &plan.path {
                     AccessPath::ClusteredRange { atoms } => atoms.as_slice(),
@@ -427,34 +459,35 @@ impl<'a> Planner<'a> {
                 };
                 let monitors = self.scan_monitors(meta, pred, cfg, &est, range_atoms);
                 let storage = Arc::clone(&meta.storage);
-                match (slice, &plan.path) {
+                let scan = match (slice, &plan.path) {
                     (
                         PlanSlice::Pages {
                             range,
                             first_random,
                         },
                         _,
-                    ) => Box::new(SeqScan::with_page_range(
+                    ) => SeqScan::with_page_range(
                         storage,
                         plan.table,
                         pred.clone(),
                         monitors,
                         *range,
                         *first_random,
-                    )),
+                    ),
                     (_, AccessPath::ClusteredRange { atoms }) => {
                         let (lo, hi) = combined_bounds(pred, atoms);
-                        Box::new(SeqScan::clustered_range(
+                        SeqScan::clustered_range(
                             storage,
                             plan.table,
                             lo.as_ref(),
                             hi.as_ref(),
                             pred.clone(),
                             monitors,
-                        )?)
+                        )?
                     }
-                    _ => Box::new(SeqScan::full(storage, plan.table, pred.clone(), monitors)),
-                }
+                    _ => SeqScan::full(storage, plan.table, pred.clone(), monitors),
+                };
+                Access::Rows(scan.into())
             }
             AccessPath::IndexSeek { .. } | AccessPath::IndexIntersection { .. } => {
                 let (source, covered) = self
@@ -492,13 +525,16 @@ impl<'a> Planner<'a> {
                         ));
                     }
                 }
-                Box::new(Fetch::new(
-                    source,
-                    Arc::clone(&meta.storage),
-                    plan.table,
-                    residual,
-                    monitors,
-                ))
+                Access::Rows(
+                    Fetch::new(
+                        source,
+                        Arc::clone(&meta.storage),
+                        plan.table,
+                        residual,
+                        monitors,
+                    )
+                    .into(),
+                )
             }
             AccessPath::IndexOnlyScan { index, atoms } => {
                 let ix = self.catalog.index(*index)?;
@@ -509,27 +545,10 @@ impl<'a> Planner<'a> {
                 let range = SeekRange::from_atoms(&pairs).ok_or_else(|| {
                     Error::NoPlanFound("index-only atoms are not seekable".into())
                 })?;
-                let key_col = meta.schema().column(ix.key_column);
                 // Base-table PIDs never materialize here, so no DPC
                 // monitor can attach (Section II-B).
-                Box::new(IndexOnlyScan::new(
-                    Arc::clone(&ix.tree),
-                    ix.height,
-                    range,
-                    &key_col.name,
-                    key_col.ty,
-                ))
+                Access::IndexOnly(IndexOnlyScan::new(Arc::clone(&ix.tree), ix.height, range))
             }
-        };
-
-        let description = describe_single(&meta.name, plan, self.catalog);
-        let explain = explain_single(&meta.name, plan, pred, self.catalog);
-        Ok(LoweredPlan {
-            op,
-            choice: PlanChoice::Single(plan.clone()),
-            description,
-            explain,
-            deadline_ms: cfg.deadline_ms,
         })
     }
 
@@ -550,7 +569,21 @@ impl<'a> Planner<'a> {
             PlanSlice::Pages { .. } => slice,
             _ => &PlanSlice::Whole,
         };
-        let lowered_outer = self.single(&plan.outer_plan, &spec.outer_pred, cfg, outer_slice)?;
+        let outer = match self.access(&plan.outer_plan, &spec.outer_pred, cfg, outer_slice)? {
+            Access::Rows(outer) => outer,
+            Access::IndexOnly(_) => {
+                return Err(Error::NoPlanFound(
+                    "a join's outer side needs base-table rows, not an index-only scan".into(),
+                ))
+            }
+        };
+        let outer_description = describe_single(&outer_meta.name, &plan.outer_plan, self.catalog);
+        let outer_explain = explain_single(
+            &outer_meta.name,
+            &plan.outer_plan,
+            &spec.outer_pred,
+            self.catalog,
+        );
 
         let jkey = join_dpc_key(
             &outer_meta.name,
@@ -613,8 +646,8 @@ impl<'a> Planner<'a> {
                     ),
                 };
                 let join = HashJoin::new(
-                    lowered_outer.op,
-                    Box::new(probe),
+                    outer,
+                    probe,
                     spec.outer_join_col,
                     spec.inner_join_col,
                     bv_config,
@@ -642,13 +675,12 @@ impl<'a> Planner<'a> {
                     Vec::new()
                 };
                 Box::new(InlJoin::new(
-                    lowered_outer.op,
+                    outer,
                     spec.outer_join_col,
                     Arc::clone(&ix.tree),
                     ix.height,
                     Arc::clone(&inner_meta.storage),
                     spec.inner,
-                    Conjunction::always_true(),
                     monitors,
                 ))
             }
@@ -659,7 +691,7 @@ impl<'a> Planner<'a> {
             plan.method.name(),
             outer_meta.name,
             inner_meta.name,
-            lowered_outer.description
+            outer_description
         );
         let explain = {
             let mut s = format!(
@@ -685,7 +717,7 @@ impl<'a> Planner<'a> {
             }
             // The outer subtree hangs off `├─`; its own children continue
             // under `│`.
-            for (i, line) in lowered_outer.explain.lines().enumerate() {
+            for (i, line) in outer_explain.lines().enumerate() {
                 s.push_str(if i == 0 { "├─ " } else { "│  " });
                 s.push_str(line);
                 s.push('\n');
@@ -969,7 +1001,6 @@ mod tests {
     use crate::db::Database;
     use crate::query::PredSpec;
     use pf_common::{Column, DataType, Datum, Row, Schema};
-    use pf_exec::drain;
     use pf_optimizer::plan::DpcSource;
 
     /// 6 000 rows clustered on id with two indexed columns.
@@ -1059,8 +1090,7 @@ mod tests {
             assert_eq!(lowered.description, expect_desc);
             let mut ctx = pf_exec::ExecContext::with_model(db.pool_pages, db.disk);
             let mut op = lowered.op;
-            let rows = drain(op.as_mut(), &mut ctx).unwrap();
-            assert_eq!(rows.len() as u64, truth, "path {expect_desc}");
+            assert_eq!(op.count(&mut ctx).unwrap(), truth, "path {expect_desc}");
         }
     }
 
@@ -1088,8 +1118,7 @@ mod tests {
             .unwrap();
         let mut ctx = pf_exec::ExecContext::with_model(db.pool_pages, db.disk);
         let mut op = lowered.op;
-        let rows = drain(op.as_mut(), &mut ctx).unwrap();
-        assert_eq!(rows.len(), 250);
+        assert_eq!(op.count(&mut ctx).unwrap(), 250);
         // Only a fraction of the table's pages were read.
         let stats = ctx.stats();
         assert!(stats.physical_reads() < u64::from(meta.stats.pages) / 2);
@@ -1122,7 +1151,7 @@ mod tests {
             .lower_single(&plan, &p, &MonitorConfig::default())
             .unwrap();
         let mut ctx = pf_exec::ExecContext::with_model(db.pool_pages, db.disk);
-        drain(lowered.op.as_mut(), &mut ctx).unwrap();
+        lowered.op.count(&mut ctx).unwrap();
         let report = lowered.harvest();
         let exprs: Vec<&str> = report
             .measurements

@@ -3,7 +3,7 @@
 use pf_common::{Error, Result};
 use pf_storage::{BufferPool, DiskModel, IoStats};
 
-/// Everything an operator needs at `next()` time.
+/// Everything an operator needs while it runs.
 ///
 /// Single-threaded by design (one query at a time, like the paper's
 /// per-query experiments); operators receive `&mut ExecContext` so the

@@ -11,9 +11,9 @@ use crate::context::ExecContext;
 use crate::expr::{CompareOp, Conjunction};
 use crate::monitor::{FetchMonitor, FetchObserveWhen, MonitorMut};
 use crate::op::{Operator, RidSource};
-use pf_common::{Datum, Result, Rid, Row, Schema, TableId};
+use pf_common::{Datum, Result, Rid, TableId};
 use pf_storage::btree::BPlusTree;
-use pf_storage::{AccessPattern, TableStorage};
+use pf_storage::{AccessPattern, RowView, TableStorage};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -87,6 +87,11 @@ impl SeekRange {
         }
     }
 
+    /// The bounds as borrowed keys, the form a B+-tree range walk takes.
+    fn bounds(&self) -> (Bound<&Datum>, Bound<&Datum>) {
+        (self.lo.as_ref(), self.hi.as_ref())
+    }
+
     /// Derives the combined seek range of several atoms on one column.
     /// Returns `None` if any atom cannot seek (`Ne`) or the list is empty.
     pub fn from_atoms(atoms: &[(CompareOp, Datum)]) -> Option<Self> {
@@ -149,16 +154,7 @@ impl IndexSeek {
     }
 
     fn materialize(&mut self, ctx: &mut ExecContext) {
-        let lo = match &self.range.lo {
-            Bound::Included(d) => Bound::Included(d),
-            Bound::Excluded(d) => Bound::Excluded(d),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let hi = match &self.range.hi {
-            Bound::Included(d) => Bound::Included(d),
-            Bound::Excluded(d) => Bound::Excluded(d),
-            Bound::Unbounded => Bound::Unbounded,
-        };
+        let (lo, hi) = self.range.bounds();
         let mut rids = Vec::new();
         for (_, posting) in self.tree.range(lo, hi) {
             rids.extend_from_slice(posting);
@@ -298,8 +294,7 @@ impl RidSource for RidList {
 }
 
 /// A covering index-only scan: walks the index leaf level for a key
-/// range and emits `(key)` rows — one per index entry — without ever
-/// touching the base table.
+/// range and counts its entries without ever touching the base table.
 ///
 /// Fidelity note (Section II-B): because base-table PIDs never
 /// materialize in this operator, **no distinct page count can be
@@ -309,78 +304,42 @@ pub struct IndexOnlyScan {
     tree: Arc<BPlusTree>,
     height: u32,
     range: SeekRange,
-    schema: Schema,
-    rows: Option<Vec<Row>>,
-    pos: usize,
 }
 
 impl IndexOnlyScan {
-    /// Builds an index-only scan; `key_column_name` names the single
-    /// output column.
-    pub fn new(
-        tree: Arc<BPlusTree>,
-        height: u32,
-        range: SeekRange,
-        key_column_name: &str,
-        key_type: pf_common::DataType,
-    ) -> Self {
+    /// Builds an index-only scan over `tree` (of the given height, for
+    /// I/O charging).
+    pub fn new(tree: Arc<BPlusTree>, height: u32, range: SeekRange) -> Self {
         IndexOnlyScan {
             tree,
             height,
             range,
-            schema: Schema::new(vec![pf_common::Column::new(key_column_name, key_type)]),
-            rows: None,
-            pos: 0,
         }
-    }
-
-    fn materialize(&mut self, ctx: &mut ExecContext) {
-        let lo = match &self.range.lo {
-            Bound::Included(d) => Bound::Included(d),
-            Bound::Excluded(d) => Bound::Excluded(d),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let hi = match &self.range.hi {
-            Bound::Included(d) => Bound::Included(d),
-            Bound::Excluded(d) => Bound::Excluded(d),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let mut rows = Vec::new();
-        for (key, posting) in self.tree.range(lo, hi) {
-            for _ in 0..posting.len() {
-                rows.push(Row::new(vec![key.clone()]));
-            }
-        }
-        ctx.pool
-            .charge_index_nodes(u64::from(self.height) + (rows.len() as u64).div_ceil(64));
-        ctx.pool.charge_rows(rows.len() as u64);
-        self.rows = Some(rows);
     }
 }
 
 impl Operator for IndexOnlyScan {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        if self.rows.is_none() {
-            self.materialize(ctx);
-        }
-        let rows = self.rows.as_ref().expect("materialized above");
-        if self.pos < rows.len() {
-            let r = rows[self.pos].clone();
-            self.pos += 1;
-            Ok(Some(r))
-        } else {
-            Ok(None)
-        }
+    /// One output row per index entry: the postings in range, summed.
+    /// Charges the descent and leaf walk, and one row per entry.
+    fn count(&mut self, ctx: &mut ExecContext) -> Result<u64> {
+        let (lo, hi) = self.range.bounds();
+        let n: u64 = self
+            .tree
+            .range(lo, hi)
+            .map(|(_, posting)| posting.len() as u64)
+            .sum();
+        ctx.pool
+            .charge_index_nodes(u64::from(self.height) + n.div_ceil(64));
+        ctx.pool.charge_rows(n);
+        Ok(n)
     }
 }
 
 /// The Fetch operator: turns RIDs into base-table rows with one random
 /// page access each (deduped by the buffer pool), evaluates the residual
-/// predicate, and drives the [`FetchMonitor`]s it owns.
+/// predicate, and drives the [`FetchMonitor`]s it owns. It counts the
+/// rows that pass, or, as a join's outer side, hands them over as
+/// borrowed views ([`crate::JoinOuter`]).
 pub struct Fetch {
     source: Box<dyn RidSource>,
     storage: Arc<TableStorage>,
@@ -440,10 +399,15 @@ impl Fetch {
         }
     }
 
-    /// Fetches RIDs until one passes the residual and returns it, with
-    /// every I/O, hash and monitor charge applied; no row is decoded
-    /// into owned values. `None` at the end of the RID stream.
-    fn next_passing(&mut self, ctx: &mut ExecContext) -> Result<Option<Rid>> {
+    /// Runs the RID stream to completion, handing each row that passes
+    /// the residual to `f` as a borrowed view once every I/O, hash and
+    /// monitor charge for it is applied; no row is decoded into owned
+    /// values.
+    pub(crate) fn for_each_passing(
+        &mut self,
+        ctx: &mut ExecContext,
+        mut f: impl FnMut(RowView<'_>, &mut ExecContext) -> Result<()>,
+    ) -> Result<()> {
         while let Some(rid) = self.source.next_rid(ctx)? {
             // Deadline checkpoint before each fetched RID: an aborted
             // fetch never touches the page or its monitors.
@@ -495,7 +459,7 @@ impl Fetch {
                         ctx.pool.charge_hashes(1);
                     }
                 }
-                return Ok(Some(rid));
+                f(view, ctx)?;
             }
         }
         // End of the RID stream: flush the trailing page run (taking it
@@ -503,30 +467,18 @@ impl Fetch {
         if let Some((page, rows)) = self.pending_obs.take() {
             Self::flush_pending(&mut self.monitors, ctx, page, rows);
         }
-        Ok(None)
+        Ok(())
     }
 }
 
 impl Operator for Fetch {
-    fn schema(&self) -> &Schema {
-        self.storage.schema()
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        let Some(rid) = self.next_passing(ctx)? else {
-            return Ok(None);
-        };
-        // The page passed verification in `next_passing`, so this
-        // re-lookup (no re-verify, no new I/O: residency was charged
-        // there) sees the same bytes.
-        let view = self
-            .storage
-            .checked_row_view(rid, ctx.fault_attempt, false)?;
-        Ok(Some(view.materialize()))
-    }
-
-    fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
-        Ok(self.next_passing(ctx)?.map(|_| 1))
+    fn count(&mut self, ctx: &mut ExecContext) -> Result<u64> {
+        let mut n = 0;
+        self.for_each_passing(ctx, |_, _| {
+            n += 1;
+            Ok(())
+        })?;
+        Ok(n)
     }
 
     fn visit_monitors(&mut self, visit: &mut dyn FnMut(MonitorMut<'_>)) {
@@ -541,8 +493,7 @@ mod tests {
     use super::*;
     use crate::expr::AtomicPredicate;
     use crate::monitor::harvest;
-    use crate::op::{drain, run_count};
-    use pf_common::{Column, DataType, PageId};
+    use pf_common::{Column, DataType, PageId, Row, Schema};
 
     /// Table of n rows clustered on id, with `perm` a scrambled copy.
     fn setup(n: i64) -> (Arc<TableStorage>, Arc<BPlusTree>, u32) {
@@ -573,6 +524,18 @@ mod tests {
         (storage, Arc::new(tree), h)
     }
 
+    /// Column `col` of every row `fetch` hands over, in fetch order.
+    fn fetched_ints(fetch: &mut Fetch, ctx: &mut ExecContext, col: usize) -> Vec<i64> {
+        let mut out = Vec::new();
+        fetch
+            .for_each_passing(ctx, |view, _| {
+                out.push(view.get(col).to_datum().as_int()?);
+                Ok(())
+            })
+            .expect("fetch runs");
+        out
+    }
+
     #[test]
     fn seek_fetch_returns_exact_matches() {
         let (storage, tree, h) = setup(500);
@@ -589,11 +552,9 @@ mod tests {
             Vec::new(),
         );
         let mut ctx = ExecContext::new(4096);
-        let rows = drain(&mut fetch, &mut ctx).expect("plan drains without error");
-        assert_eq!(rows.len(), 50);
-        assert!(rows
-            .iter()
-            .all(|r| r.get(1).as_int().expect("int column") < 50));
+        let perms = fetched_ints(&mut fetch, &mut ctx, 1);
+        assert_eq!(perms.len(), 50);
+        assert!(perms.iter().all(|&p| p < 50));
         assert!(ctx.stats().index_node_reads > 0);
         assert!(ctx.stats().rand_physical_reads > 0);
     }
@@ -614,7 +575,7 @@ mod tests {
             Vec::new(),
         );
         let mut ctx = ExecContext::new(8192);
-        run_count(&mut fetch, &mut ctx).expect("plan drains without error");
+        fetch.count(&mut ctx).expect("fetch counts");
 
         // Ground truth DPC.
         let mut touched = std::collections::HashSet::new();
@@ -660,7 +621,7 @@ mod tests {
             );
             let mut ctx = ExecContext::new(16_384);
             ctx.deadline_ms = deadline_ms;
-            let count = run_count(&mut fetch, &mut ctx);
+            let count = fetch.count(&mut ctx);
             let shed = harvest(&mut fetch).is_budget_shed();
             (count, ctx.stats(), shed)
         };
@@ -702,7 +663,7 @@ mod tests {
             monitors,
         );
         let mut ctx = ExecContext::new(16_384);
-        run_count(&mut fetch, &mut ctx).expect("plan drains without error");
+        fetch.count(&mut ctx).expect("fetch counts");
         let truth = ctx.stats().rand_physical_reads as f64;
         let est = harvest(&mut fetch).measurements[0].actual;
         let err = (est - truth).abs() / truth;
@@ -710,8 +671,8 @@ mod tests {
     }
 
     /// The residual filters and the two observation points measure
-    /// different DPCs. Counting the plan decodes no row yet yields the
-    /// same count, I/O charges and feedback report as materializing it.
+    /// different DPCs. Counting the fetch yields the same count, I/O
+    /// charges and feedback report as handing its rows to a join.
     #[test]
     fn residual_predicate_filters_and_both_monitors_differ() {
         let (storage, tree, h) = setup(1_000);
@@ -755,11 +716,10 @@ mod tests {
             );
             let mut ctx = ExecContext::new(16_384);
             let n = if count {
-                run_count(&mut fetch, &mut ctx)
+                fetch.count(&mut ctx).expect("fetch counts")
             } else {
-                drain(&mut fetch, &mut ctx).map(|rows| rows.len() as u64)
-            }
-            .expect("plan drains without error");
+                fetched_ints(&mut fetch, &mut ctx, 0).len() as u64
+            };
             let report = harvest(&mut fetch);
             assert!(report.measurements[0].actual > report.measurements[1].actual);
             (n, ctx.stats(), report)
@@ -793,11 +753,9 @@ mod tests {
             Vec::new(),
         );
         let mut ctx = ExecContext::new(8192);
-        let rows = drain(&mut fetch, &mut ctx).expect("plan drains without error");
-        assert_eq!(rows.len(), 50);
-        assert!(rows
-            .iter()
-            .all(|r| (50..100).contains(&r.get(1).as_int().expect("int column"))));
+        let perms = fetched_ints(&mut fetch, &mut ctx, 1);
+        assert_eq!(perms.len(), 50);
+        assert!(perms.iter().all(|p| (50..100).contains(p)));
     }
 
     #[test]
@@ -824,10 +782,7 @@ mod tests {
             Vec::new(),
         );
         let mut ctx = ExecContext::new(1024);
-        assert_eq!(
-            run_count(&mut fetch, &mut ctx).expect("plan drains without error"),
-            0
-        );
+        assert_eq!(fetch.count(&mut ctx).expect("fetch counts"), 0);
         assert_eq!(ctx.stats().rand_physical_reads, 0);
     }
 }

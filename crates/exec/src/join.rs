@@ -12,6 +12,10 @@
 //!   Section V-A), where the scan's monitor counts pages with ≥1 filter
 //!   hit (Fig 5) and, when the planner pushes it down, the page pass
 //!   culls rows the filter rejects.
+//!
+//! Both joins count their output. They read the outer side through
+//! [`JoinOuter`] and a hash join's probe side straight from its
+//! [`SeqScan`], as borrowed rows: no join input row is materialized.
 
 use crate::context::ExecContext;
 use crate::expr::Conjunction;
@@ -19,16 +23,67 @@ use crate::index::{Fetch, IndexSeek, RidList, SeekRange};
 use crate::join_table::{join_partitions, RadixTable};
 use crate::monitor::{FetchMonitor, MonitorMut};
 use crate::op::Operator;
-use pf_common::{Datum, DatumRef, Error, Result, Row, Schema, TableId};
+use crate::scan::SeqScan;
+use pf_common::{Datum, Error, Result, TableId};
 use pf_feedback::BitVectorFilter;
 use pf_storage::btree::BPlusTree;
-use pf_storage::TableStorage;
-use std::collections::VecDeque;
+use pf_storage::{RowView, TableStorage};
 use std::sync::Arc;
 
 /// Seed for the radix build table's key hashing (internal layout only —
 /// never observable in results or charges).
 const BUILD_TABLE_SEED: u64 = 0x5EED_B01D_FACE_D0E5;
+
+/// A join's outer side — the rows a hash join builds from and an INL
+/// join probes with: the outer table's access path, a scan or an index
+/// fetch. Both variants are boxed, keeping the enum two words for
+/// either access path (a scan is twice a fetch's size).
+pub enum JoinOuter {
+    /// A sequential or clustered-range scan.
+    Scan(Box<SeqScan>),
+    /// An index seek (or intersection) and its fetch.
+    Fetch(Box<Fetch>),
+}
+
+impl JoinOuter {
+    /// Runs the outer side to completion, handing each qualifying row
+    /// to `f` as a borrowed view: a scan's page by page, a fetch's one
+    /// passing RID at a time. A scan checkpoints the deadline at its
+    /// page boundaries; a fetch also checkpoints between each fetched
+    /// row and `f`'s work on it.
+    pub fn for_each_row(
+        &mut self,
+        ctx: &mut ExecContext,
+        mut f: impl FnMut(RowView<'_>, &mut ExecContext) -> Result<()>,
+    ) -> Result<()> {
+        match self {
+            JoinOuter::Scan(scan) => scan.for_each_row(ctx, f),
+            JoinOuter::Fetch(fetch) => fetch.for_each_passing(ctx, |view, ctx| {
+                ctx.check_interrupt()?;
+                f(view, ctx)
+            }),
+        }
+    }
+
+    fn visit_monitors(&mut self, visit: &mut dyn FnMut(MonitorMut<'_>)) {
+        match self {
+            JoinOuter::Scan(scan) => scan.visit_monitors(visit),
+            JoinOuter::Fetch(fetch) => fetch.visit_monitors(visit),
+        }
+    }
+}
+
+impl From<SeqScan> for JoinOuter {
+    fn from(scan: SeqScan) -> Self {
+        JoinOuter::Scan(Box::new(scan))
+    }
+}
+
+impl From<Fetch> for JoinOuter {
+    fn from(fetch: Fetch) -> Self {
+        JoinOuter::Fetch(Box::new(fetch))
+    }
+}
 
 /// Configuration for the bit-vector filter a join builds for monitoring.
 #[derive(Debug, Clone)]
@@ -69,54 +124,44 @@ impl BuildSide {
     }
 }
 
-/// In-memory hash join (equijoin on one column per side).
-///
-/// Output rows are `build_row ++ probe_row`.
+/// In-memory hash join (equijoin on one column per side), counting the
+/// `build_row ++ probe_row` pairs whose keys match.
 pub struct HashJoin {
-    build: Box<dyn Operator>,
-    probe: Box<dyn Operator>,
+    build: JoinOuter,
+    probe: SeqScan,
     build_key: usize,
     probe_key: usize,
     bitvector: Option<BitVectorConfig>,
-    schema: Schema,
     /// Radix-partition count of the build table.
     partitions: usize,
-    /// The completed build side (its filter already handed to the probe
-    /// side); stores chained rows only when the join is driven
-    /// row-at-a-time (counting drivers keep multiplicities only).
+    /// The completed build side, its filter already handed to the probe
+    /// scan: built by the first count, or installed up front for a
+    /// probe morsel.
     built: Option<Arc<BuildSide>>,
-    /// Rows were not stored at build time (counting-driver mode); a
-    /// subsequent row pull is a driver bug, not an empty join.
-    count_mode: bool,
     /// The probe scan carries the pushed-down prefilter, which charges
     /// one hash per row it tests — so the join must not charge its own
     /// per-probe-row hash on top.
     prefiltered: bool,
-    pending: VecDeque<Row>,
 }
 
 impl HashJoin {
     /// Builds a hash join; `bitvector` enables DPC monitoring (Fig 5).
     pub fn new(
-        build: Box<dyn Operator>,
-        probe: Box<dyn Operator>,
+        build: impl Into<JoinOuter>,
+        probe: SeqScan,
         build_key: usize,
         probe_key: usize,
         bitvector: Option<BitVectorConfig>,
     ) -> Self {
-        let schema = build.schema().join(probe.schema());
         HashJoin {
-            build,
+            build: build.into(),
             probe,
             build_key,
             probe_key,
             bitvector,
-            schema,
             partitions: join_partitions(0.0),
             built: None,
-            count_mode: false,
             prefiltered: false,
-            pending: VecDeque::new(),
         }
     }
 
@@ -131,75 +176,59 @@ impl HashJoin {
 
     /// Starts the join from an already-completed build side — the merged
     /// build of a parallel join's build morsels — so only the probe side
-    /// runs, counting (one probe morsel).
+    /// runs (one probe morsel).
     pub fn with_build_side(mut self, side: Arc<BuildSide>) -> Self {
         let filter = side.filter.clone();
-        self.count_mode = true;
         self.install(side, filter);
         self
     }
 
-    /// Runs only the build phase, in counting mode, and hands out the
-    /// completed build side instead of probing — one build morsel of a
-    /// parallel join. Charges exactly what the serial build charges for
-    /// the same rows.
+    /// Runs only the build phase and hands out the completed build side
+    /// instead of probing — one build morsel of a parallel join, or the
+    /// first step of [`Operator::count`]. Page-at-a-time over a build
+    /// scan (a fetch: one passing RID at a time) into the
+    /// radix-partitioned table, each build row charging one hash, plus
+    /// one per filter insert.
     pub fn build_side(&mut self, ctx: &mut ExecContext) -> Result<BuildSide> {
-        self.build_phase(ctx, false)
-    }
-
-    /// Build: page-at-a-time over the build scan into the
-    /// radix-partitioned table, with per-page bulk filter inserts. Each
-    /// build row charges one hash, plus one per filter insert.
-    fn build_phase(&mut self, ctx: &mut ExecContext, store_rows: bool) -> Result<BuildSide> {
         let mut filter = self
             .bitvector
             .as_ref()
             .map(|c| BitVectorFilter::new(c.numbits, c.seed));
         let mut table = RadixTable::new(self.partitions, BUILD_TABLE_SEED);
         let build_key = self.build_key;
-        match self.build.as_seq_scan() {
-            Some(scan) => {
-                let (table, filter) = (&mut table, &mut filter);
-                while scan.next_page_rows(ctx, &mut |rows, ctx| {
-                    rows.for_each(|view| {
-                        let key = view.get(build_key);
-                        ctx.pool.charge_hashes(1);
-                        if let Some(f) = filter.as_mut() {
-                            f.insert_ref(key);
-                            ctx.pool.charge_hashes(1);
-                        }
-                        table.insert(key, store_rows.then(|| view.materialize()));
-                        Ok(())
-                    })
-                })? {}
+        self.build.for_each_row(ctx, |view, ctx| {
+            let key = view.get(build_key);
+            ctx.pool.charge_hashes(1);
+            if let Some(f) = filter.as_mut() {
+                f.insert_ref(key);
+                ctx.pool.charge_hashes(1);
             }
-            None => {
-                // Non-scan build input (an index fetch, another join):
-                // keep the row pull but build the radix table.
-                while let Some(row) = self.build.next(ctx)? {
-                    ctx.check_interrupt()?;
-                    ctx.pool.charge_hashes(1);
-                    if let Some(f) = filter.as_mut() {
-                        f.insert(row.get(build_key));
-                        ctx.pool.charge_hashes(1);
-                    }
-                    if store_rows {
-                        let key = row.get(build_key).clone();
-                        table.insert(DatumRef::from(&key), Some(row));
-                    } else {
-                        table.insert(DatumRef::from(row.get(build_key)), None);
-                    }
-                }
-            }
-        }
+            table.insert(key);
+            Ok(())
+        })?;
         Ok(BuildSide { table, filter })
     }
 
-    /// Builds (when no build side was installed yet) in the given mode.
-    fn ensure_built(&mut self, ctx: &mut ExecContext, store_rows: bool) -> Result<()> {
+    /// Hands the completed build-side `filter` to the probe scan — its
+    /// semi-join monitor and, when the planner pushes it down, its page
+    /// pass — and keeps `side` for probing.
+    fn install(&mut self, side: Arc<BuildSide>, filter: Option<BitVectorFilter>) {
+        if let (Some(f), Some(c)) = (filter, &self.bitvector) {
+            self.probe
+                .install_semi_join_filter(f, self.probe_key, c.pushdown);
+            // A pushed-down filter culls probe rows inside the scan's
+            // page pass, and the scan charges the per-row probe hash
+            // from here on.
+            self.prefiltered = c.pushdown;
+        }
+        self.built = Some(side);
+    }
+}
+
+impl Operator for HashJoin {
+    fn count(&mut self, ctx: &mut ExecContext) -> Result<u64> {
         if self.built.is_none() {
-            let BuildSide { table, filter } = self.build_phase(ctx, store_rows)?;
-            self.count_mode = !store_rows;
+            let BuildSide { table, filter } = self.build_side(ctx)?;
             self.install(
                 Arc::new(BuildSide {
                     table,
@@ -208,95 +237,19 @@ impl HashJoin {
                 filter,
             );
         }
-        Ok(())
-    }
-
-    /// Hands the completed build-side `filter` to the probe scan — its
-    /// semi-join monitor and, when the planner pushes it down, its page
-    /// pass — and keeps `side` for probing.
-    fn install(&mut self, side: Arc<BuildSide>, filter: Option<BitVectorFilter>) {
-        if let (Some(f), Some(c)) = (filter, &self.bitvector) {
-            if let Some(scan) = self.probe.as_seq_scan() {
-                scan.install_semi_join_filter(f, self.probe_key, c.pushdown);
-                // A pushed-down filter culls probe rows inside the scan's
-                // page pass, and the scan charges the per-row probe hash
-                // from here on.
-                self.prefiltered = c.pushdown;
-            }
-        }
-        self.built = Some(side);
-    }
-}
-
-impl Operator for HashJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        self.ensure_built(ctx, true)?;
-        if self.count_mode {
-            return Err(Error::Internal(
-                "hash join built for counting cannot deliver rows".into(),
-            ));
-        }
         let table = &self.built.as_deref().expect("built above").table;
-        loop {
-            if let Some(row) = self.pending.pop_front() {
-                return Ok(Some(row));
-            }
-            let Some(probe_row) = self.probe.next(ctx)? else {
-                return Ok(None);
-            };
-            ctx.check_interrupt()?;
-            if !self.prefiltered {
+        let (probe_key, prefiltered) = (self.probe_key, self.prefiltered);
+        // Page-batched probe: read each page's join keys from borrowed
+        // views and count their matches — no probe row is materialized.
+        let mut total = 0;
+        self.probe.for_each_row(ctx, |view, ctx| {
+            if !prefiltered {
                 ctx.pool.charge_hashes(1);
             }
-            for b in table.rows_for(DatumRef::from(probe_row.get(self.probe_key))) {
-                self.pending.push_back(b.join(&probe_row));
-            }
-        }
-    }
-
-    fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
-        self.ensure_built(ctx, false)?;
-        let table = &self.built.as_deref().expect("built above").table;
-        let probe_key = self.probe_key;
-        let prefiltered = self.prefiltered;
-        match self.probe.as_seq_scan() {
-            Some(scan) => {
-                // Page-batched probe: gather the page's join keys from
-                // borrowed views and count matches in a tight loop —
-                // no probe row is ever materialized.
-                let mut total = 0u64;
-                let more = scan.next_page_rows(ctx, &mut |rows, ctx| {
-                    rows.for_each(|view| {
-                        if !prefiltered {
-                            ctx.pool.charge_hashes(1);
-                        }
-                        total += table.matches(view.get(probe_key));
-                        Ok(())
-                    })
-                })?;
-                if more {
-                    Ok(Some(total))
-                } else {
-                    Ok(None)
-                }
-            }
-            None => {
-                let Some(probe_row) = self.probe.next(ctx)? else {
-                    return Ok(None);
-                };
-                ctx.check_interrupt()?;
-                if !prefiltered {
-                    ctx.pool.charge_hashes(1);
-                }
-                Ok(Some(
-                    table.matches(DatumRef::from(probe_row.get(probe_key))),
-                ))
-            }
-        }
+            total += table.matches(view.get(probe_key));
+            Ok(())
+        })?;
+        Ok(total)
     }
 
     fn visit_monitors(&mut self, visit: &mut dyn FnMut(MonitorMut<'_>)) {
@@ -310,13 +263,14 @@ impl Operator for HashJoin {
 }
 
 /// Index Nested Loops join: for each outer row, seek the inner table's
-/// nonclustered index on the join column and fetch matching rows.
+/// nonclustered index on the join column and fetch matching rows,
+/// counting the `outer_row ++ inner_row` pairs.
 ///
-/// Output rows are `outer_row ++ inner_row`. The inner fetch's monitors
-/// (observing `AllFetched`) measure `DPC(inner, join-pred)` directly
-/// with linear counting — the Section IV INL case.
+/// The inner fetch's monitors (observing `AllFetched`) measure
+/// `DPC(inner, join-pred)` directly with linear counting — the
+/// Section IV INL case.
 pub struct InlJoin {
-    outer: Box<dyn Operator>,
+    outer: JoinOuter,
     outer_key: usize,
     /// The inner index seek, re-aimed at each outer row's key.
     seek: IndexSeek,
@@ -324,33 +278,26 @@ pub struct InlJoin {
     /// one seek and one fetch keeps the per-row work free of shared
     /// reference-count traffic, so morsels of one join scale.
     fetch: Fetch,
-    /// Residual predicate on the joined (outer ++ inner) row.
-    residual: Conjunction,
-    schema: Schema,
-    pending: VecDeque<Row>,
 }
 
 impl InlJoin {
     /// Builds an INL join probing `inner_tree` (an index on the inner
     /// join column).
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
-        outer: Box<dyn Operator>,
+        outer: impl Into<JoinOuter>,
         outer_key: usize,
         inner_tree: Arc<BPlusTree>,
         inner_height: u32,
         inner_storage: Arc<TableStorage>,
         inner_table_id: TableId,
-        residual: Conjunction,
         inner_monitors: Vec<FetchMonitor>,
     ) -> Self {
-        let schema = outer.schema().join(inner_storage.schema());
         let everything = SeekRange {
             lo: std::ops::Bound::Unbounded,
             hi: std::ops::Bound::Unbounded,
         };
         InlJoin {
-            outer,
+            outer: outer.into(),
             outer_key,
             seek: IndexSeek::new(inner_tree, inner_height, everything),
             fetch: Fetch::new(
@@ -360,9 +307,6 @@ impl InlJoin {
                 Conjunction::always_true(),
                 inner_monitors,
             ),
-            residual,
-            schema,
-            pending: VecDeque::new(),
         }
     }
 }
@@ -376,57 +320,18 @@ fn probe_inner(seek: &mut IndexSeek, fetch: &mut Fetch, key: Datum, ctx: &mut Ex
 }
 
 impl Operator for InlJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.pending.pop_front() {
-                return Ok(Some(row));
-            }
-            let Some(outer_row) = self.outer.next(ctx)? else {
-                return Ok(None);
-            };
+    fn count(&mut self, ctx: &mut ExecContext) -> Result<u64> {
+        let (seek, fetch, outer_key) = (&mut self.seek, &mut self.fetch, self.outer_key);
+        let mut total = 0;
+        self.outer.for_each_row(ctx, |view, ctx| {
             // One checkpoint per outer row: each drives a fresh index
             // seek + fetch, so this is the INL page-ish granularity.
             ctx.check_interrupt()?;
-            let key = outer_row.get(self.outer_key).clone();
-            probe_inner(&mut self.seek, &mut self.fetch, key, ctx);
-            while let Some(inner_row) = self.fetch.next(ctx)? {
-                let joined = outer_row.join(&inner_row);
-                let (pass, evaluated) = self.residual.eval_short_circuit(&joined);
-                ctx.pool.charge_pred_evals(evaluated as u64);
-                if pass {
-                    self.pending.push_back(joined);
-                }
-            }
-        }
-    }
-
-    fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
-        let outer = match self.outer.as_seq_scan() {
-            Some(scan) if self.residual.is_empty() => scan,
-            _ => return Ok(self.next(ctx)?.map(|_| 1)),
-        };
-        // Page-batched outer: the page access, then per outer row (in
-        // slot order) the checkpoint, seek and fetch of the row pull —
-        // the same access stream and charges — without materializing
-        // outer, inner or joined rows. With no residual, every fetched
-        // row joins.
-        let (seek, fetch, outer_key) = (&mut self.seek, &mut self.fetch, self.outer_key);
-        let mut total = 0u64;
-        let more = outer.next_page_rows(ctx, &mut |rows, ctx| {
-            rows.for_each(|view| {
-                ctx.check_interrupt()?;
-                probe_inner(seek, fetch, view.get(outer_key).to_datum(), ctx);
-                while let Some(n) = fetch.next_count(ctx)? {
-                    total += n;
-                }
-                Ok(())
-            })
+            probe_inner(seek, fetch, view.get(outer_key).to_datum(), ctx);
+            total += fetch.count(ctx)?;
+            Ok(())
         })?;
-        Ok(more.then_some(total))
+        Ok(total)
     }
 
     fn visit_monitors(&mut self, visit: &mut dyn FnMut(MonitorMut<'_>)) {
@@ -440,9 +345,7 @@ mod tests {
     use super::*;
     use crate::expr::{AtomicPredicate, CompareOp};
     use crate::monitor::{harvest, FetchObserveWhen, ScanExprMonitor, ScanMonitorSet};
-    use crate::op::{drain, run_count};
-    use crate::scan::SeqScan;
-    use pf_common::{Column, DataType};
+    use pf_common::{Column, DataType, PageId, Row, Schema};
 
     /// Two tables: `outer(k, tag)` clustered on k with keys 0..n,
     /// `inner(id, k, pad)` clustered on id with k scrambled.
@@ -497,6 +400,14 @@ mod tests {
         SeqScan::full(Arc::clone(outer), TableId(0), pred, None)
     }
 
+    /// Column `col` of every row of `t`.
+    fn column(t: &TableStorage, col: usize) -> Vec<Datum> {
+        (0..t.page_count())
+            .flat_map(|p| t.rows_on_page(PageId(p)).expect("page id within table"))
+            .map(|r| r.get(col).clone())
+            .collect()
+    }
+
     #[test]
     fn hash_join_matches_nested_loop_semantics() {
         let (outer, inner, _, _) = setup(300);
@@ -507,51 +418,19 @@ mod tests {
             Conjunction::always_true(),
             None,
         );
-        let mut hj = HashJoin::new(Box::new(build), Box::new(probe), 0, 1, None);
+        let mut hj = HashJoin::new(build, probe, 0, 1, None);
         let mut ctx = ExecContext::new(8192);
-        let rows = drain(&mut hj, &mut ctx).expect("plan drains without error");
+        let n = hj.count(&mut ctx).expect("plan counts without error");
+        // Nested loop over the build keys (k < 50) and the probe keys.
+        let inner_keys = column(&inner, 1);
+        let expected = column(&outer, 0)
+            .iter()
+            .filter(|k| k.as_int().expect("int column") < 50)
+            .map(|k| inner_keys.iter().filter(|p| *p == k).count() as u64)
+            .sum::<u64>();
         // Each outer key 0..50 matches exactly one inner row.
-        assert_eq!(rows.len(), 50);
-        for r in &rows {
-            assert_eq!(r.get(0), r.get(3), "join keys equal");
-        }
-    }
-
-    /// The INL join's counting pull replays the row pull's access
-    /// stream and charges exactly, monitors included.
-    #[test]
-    fn inl_join_count_driver_matches_row_driver() {
-        let (outer, inner, tree, h) = setup(300);
-        let run = |count: bool| {
-            let monitors = vec![FetchMonitor::new(
-                "inner",
-                "j",
-                FetchObserveWhen::AllFetched,
-                inner.page_count(),
-                None,
-                5,
-            )];
-            let mut inl = InlJoin::new(
-                Box::new(outer_scan(&outer, 120)),
-                0,
-                Arc::clone(&tree),
-                h,
-                Arc::clone(&inner),
-                TableId(1),
-                Conjunction::always_true(),
-                monitors,
-            );
-            let mut ctx = ExecContext::new(8192);
-            let n = if count {
-                run_count(&mut inl, &mut ctx).expect("join counts")
-            } else {
-                drain(&mut inl, &mut ctx).expect("join drains").len() as u64
-            };
-            (n, ctx.stats(), format!("{:?}", harvest(&mut inl)))
-        };
-        let counted = run(true);
-        assert_eq!(counted.0, 120);
-        assert_eq!(counted, run(false));
+        assert_eq!(expected, 50);
+        assert_eq!(n, expected);
     }
 
     #[test]
@@ -566,33 +445,22 @@ mod tests {
             Conjunction::always_true(),
             None,
         );
-        let mut hj = HashJoin::new(Box::new(build), Box::new(probe), 0, 1, None);
-        let mut hash_keys: Vec<i64> = drain(&mut hj, &mut ctx)
-            .expect("test value is well-formed")
-            .iter()
-            .map(|r| r.get(0).as_int().expect("int column"))
-            .collect();
-        hash_keys.sort_unstable();
+        let mut hj = HashJoin::new(build, probe, 0, 1, None);
+        let hash = hj.count(&mut ctx).expect("hash join counts");
 
         ctx.cold_start();
-        let outer_op = outer_scan(&outer, 80);
         let mut inl = InlJoin::new(
-            Box::new(outer_op),
+            outer_scan(&outer, 80),
             0,
             tree,
             h,
             Arc::clone(&inner),
             TableId(1),
-            Conjunction::always_true(),
             Vec::new(),
         );
-        let mut inl_keys: Vec<i64> = drain(&mut inl, &mut ctx)
-            .expect("test value is well-formed")
-            .iter()
-            .map(|r| r.get(0).as_int().expect("int column"))
-            .collect();
-        inl_keys.sort_unstable();
-        assert_eq!(hash_keys, inl_keys);
+        let inl = inl.count(&mut ctx).expect("INL join counts");
+        assert_eq!(hash, 80);
+        assert_eq!(inl, hash);
     }
 
     #[test]
@@ -606,19 +474,17 @@ mod tests {
             None,
             4,
         )];
-        let outer_op = outer_scan(&outer, 300);
         let mut inl = InlJoin::new(
-            Box::new(outer_op),
+            outer_scan(&outer, 300),
             0,
             tree,
             h,
             Arc::clone(&inner),
             TableId(1),
-            Conjunction::always_true(),
             monitors,
         );
         let mut ctx = ExecContext::new(32_768);
-        run_count(&mut inl, &mut ctx).expect("plan drains without error");
+        inl.count(&mut ctx).expect("plan counts without error");
         // Ground truth: distinct inner pages holding k < 300.
         let mut truth = std::collections::HashSet::new();
         for p in 0..inner.page_count() {
@@ -661,8 +527,8 @@ mod tests {
             Some(scan_monitors),
         );
         let mut hj = HashJoin::new(
-            Box::new(build),
-            Box::new(probe),
+            build,
+            probe,
             0,
             1,
             Some(BitVectorConfig {
@@ -672,7 +538,7 @@ mod tests {
             }),
         );
         let mut ctx = ExecContext::new(32_768);
-        let n = run_count(&mut hj, &mut ctx).expect("plan drains without error");
+        let n = hj.count(&mut ctx).expect("plan counts without error");
         assert_eq!(n, 300);
 
         let mut truth = std::collections::HashSet::new();
@@ -712,12 +578,9 @@ mod tests {
         );
         let build = SeqScan::full(Arc::clone(&t), TableId(0), Conjunction::always_true(), None);
         let probe = SeqScan::full(Arc::clone(&t), TableId(0), Conjunction::always_true(), None);
-        let mut hj = HashJoin::new(Box::new(build), Box::new(probe), 0, 0, None);
+        let mut hj = HashJoin::new(build, probe, 0, 0, None);
         let mut ctx = ExecContext::new(1024);
         // 1⋈1: 2×2 = 4, 2⋈2: 1 ⇒ 5 rows.
-        assert_eq!(
-            run_count(&mut hj, &mut ctx).expect("plan drains without error"),
-            5
-        );
+        assert_eq!(hj.count(&mut ctx).expect("plan counts without error"), 5);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Keys are hashed once with the seeded [`hash_datum_ref`], the hash
 //! routes the entry to a partition (high bits) and to a slot inside the
-//! partition's open-addressing directory (low bits), and build rows are
-//! chained off their entry in insertion order.
+//! partition's open-addressing directory (low bits). An entry holds
+//! its key and the number of build rows carrying it — never the rows.
 //!
 //! **Key equality.** A probe key matches a stored key on full-hash
 //! agreement *and* `Datum` equality, under which floats are equal
@@ -11,15 +11,12 @@
 //! `0.0` never match each other — the same keys an INL join's B+-tree
 //! seek matches.
 //!
-//! In count mode no rows are stored, only per-key multiplicities: build
-//! morsels each fill a table, `RadixTable::merge` adds them up, and
-//! the table is `Sync` so probe morsels share one reference.
+//! Build morsels each fill a table, `RadixTable::merge` adds their
+//! multiplicities up, and the table is `Sync` so probe morsels share
+//! one reference.
 
 use pf_common::hash::hash_datum_ref;
-use pf_common::{Datum, DatumRef, Row};
-
-/// A no-row sentinel for chain heads in count mode.
-const NIL: u32 = u32::MAX;
+use pf_common::{Datum, DatumRef};
 
 /// Partition count for an expected number of build rows: one partition
 /// per ~4k keys, clamped to `[1, 256]` (always a power of two). The
@@ -37,10 +34,6 @@ struct Entry {
     key: Datum,
     /// Number of build rows with this key.
     count: u64,
-    /// First/last index into the shared row-chain arrays (`NIL` in
-    /// count mode).
-    head: u32,
-    tail: u32,
 }
 
 #[derive(Debug, Default)]
@@ -105,10 +98,6 @@ pub struct RadixTable {
     /// `(h >> 32) & part_mask`, disjoint from the low slot bits.
     part_mask: u64,
     parts: Vec<Partition>,
-    /// Row storage shared across partitions; `next[i]` chains rows of
-    /// one key in insertion order.
-    rows: Vec<Row>,
-    next: Vec<u32>,
     distinct: usize,
 }
 
@@ -121,8 +110,6 @@ impl RadixTable {
             seed,
             part_mask: (n - 1) as u64,
             parts: (0..n).map(|_| Partition::default()).collect(),
-            rows: Vec::new(),
-            next: Vec::new(),
             distinct: 0,
         }
     }
@@ -140,34 +127,13 @@ impl RadixTable {
             .sum()
     }
 
-    /// Inserts one build key, optionally chaining its materialized row
-    /// (row mode). The key is cloned to an owned `Datum` only on its
-    /// first occurrence.
-    pub fn insert(&mut self, key: DatumRef<'_>, row: Option<Row>) {
+    /// Inserts one build key. The key is cloned to an owned `Datum`
+    /// only on its first occurrence.
+    pub fn insert(&mut self, key: DatumRef<'_>) {
         let h = hash_datum_ref(key, self.seed);
-        let row_idx = match row {
-            Some(r) => {
-                let i = self.rows.len() as u32;
-                self.rows.push(r);
-                self.next.push(NIL);
-                i
-            }
-            None => NIL,
-        };
         let part = &mut self.parts[((h >> 32) & self.part_mask) as usize];
         match part.locate(h, key) {
-            Ok(e) => {
-                let entry = &mut part.entries[e];
-                entry.count += 1;
-                if row_idx != NIL {
-                    if entry.tail == NIL {
-                        entry.head = row_idx;
-                    } else {
-                        self.next[entry.tail as usize] = row_idx;
-                    }
-                    entry.tail = row_idx;
-                }
-            }
+            Ok(e) => part.entries[e].count += 1,
             Err(slot) => {
                 part.push(
                     slot,
@@ -175,8 +141,6 @@ impl RadixTable {
                         hash: h,
                         key: key.to_datum(),
                         count: 1,
-                        head: row_idx,
-                        tail: row_idx,
                     },
                 );
                 self.distinct += 1;
@@ -184,7 +148,7 @@ impl RadixTable {
         }
     }
 
-    /// Folds `other` — a count-mode table with the same seed and
+    /// Folds `other` — a table with the same seed and
     /// partition count, such as another build morsel's — into this one:
     /// each key's multiplicity adds, so merging the build morsels of a
     /// partitioned build side in any order yields the serial counts.
@@ -198,37 +162,8 @@ impl RadixTable {
             match part.locate(entry.hash, DatumRef::from(&entry.key)) {
                 Ok(e) => part.entries[e].count += entry.count,
                 Err(slot) => {
-                    part.push(
-                        slot,
-                        Entry {
-                            head: NIL,
-                            tail: NIL,
-                            ..entry
-                        },
-                    );
+                    part.push(slot, entry);
                     self.distinct += 1;
-                }
-            }
-        }
-    }
-
-    fn find(&self, key: DatumRef<'_>) -> Option<&Entry> {
-        let h = hash_datum_ref(key, self.seed);
-        let part = &self.parts[((h >> 32) & self.part_mask) as usize];
-        if part.slots.is_empty() {
-            return None;
-        }
-        let mask = part.slots.len() - 1;
-        let mut s = (h as usize) & mask;
-        loop {
-            match part.slots[s] {
-                0 => return None,
-                e => {
-                    let entry = &part.entries[(e - 1) as usize];
-                    if entry.hash == h && DatumRef::from(&entry.key) == key {
-                        return Some(entry);
-                    }
-                    s = (s + 1) & mask;
                 }
             }
         }
@@ -236,34 +171,25 @@ impl RadixTable {
 
     /// Number of build rows matching `key` (0 when absent).
     pub fn matches(&self, key: DatumRef<'_>) -> u64 {
-        self.find(key).map_or(0, |e| e.count)
-    }
-
-    /// The build rows matching `key`, in insertion order (row mode).
-    pub fn rows_for(&self, key: DatumRef<'_>) -> RowChain<'_> {
-        RowChain {
-            table: self,
-            cursor: self.find(key).map_or(NIL, |e| e.head),
+        let h = hash_datum_ref(key, self.seed);
+        let part = &self.parts[((h >> 32) & self.part_mask) as usize];
+        if part.slots.is_empty() {
+            return 0;
         }
-    }
-}
-
-/// Iterator over one key's chained build rows in insertion order.
-pub struct RowChain<'a> {
-    table: &'a RadixTable,
-    cursor: u32,
-}
-
-impl<'a> Iterator for RowChain<'a> {
-    type Item = &'a Row;
-
-    fn next(&mut self) -> Option<&'a Row> {
-        if self.cursor == NIL {
-            return None;
+        let mask = part.slots.len() - 1;
+        let mut s = (h as usize) & mask;
+        loop {
+            match part.slots[s] {
+                0 => return 0,
+                e => {
+                    let entry = &part.entries[(e - 1) as usize];
+                    if entry.hash == h && DatumRef::from(&entry.key) == key {
+                        return entry.count;
+                    }
+                    s = (s + 1) & mask;
+                }
+            }
         }
-        let i = self.cursor as usize;
-        self.cursor = self.table.next[i];
-        Some(&self.table.rows[i])
     }
 }
 
@@ -276,7 +202,7 @@ mod tests {
         let mut t = RadixTable::new(4, 0xABCD);
         for i in 0..1_000i64 {
             let d = Datum::Int(i % 37);
-            t.insert(DatumRef::from(&d), None);
+            t.insert(DatumRef::from(&d));
         }
         assert_eq!(t.distinct_keys(), 37);
         assert_eq!(t.total_rows(), 1_000);
@@ -295,8 +221,8 @@ mod tests {
         // entry and a NaN probe finds them.
         let mut t = RadixTable::new(1, 7);
         let nan = Datum::Float(f64::NAN);
-        t.insert(DatumRef::from(&nan), None);
-        t.insert(DatumRef::from(&nan), None);
+        t.insert(DatumRef::from(&nan));
+        t.insert(DatumRef::from(&nan));
         assert_eq!(t.distinct_keys(), 1, "NaN keys share an entry");
         assert_eq!(t.matches(DatumRef::from(&nan)), 2, "NaN probes match");
     }
@@ -307,7 +233,7 @@ mod tests {
             let mut t = RadixTable::new(4, 11);
             for i in range {
                 let d = Datum::Int(i % 50);
-                t.insert(DatumRef::from(&d), None);
+                t.insert(DatumRef::from(&d));
             }
             t
         };
@@ -331,7 +257,7 @@ mod tests {
     fn signed_zero_hashes_apart() {
         let mut t = RadixTable::new(1, 7);
         let neg = Datum::Float(-0.0);
-        t.insert(DatumRef::from(&neg), None);
+        t.insert(DatumRef::from(&neg));
         let pos = Datum::Float(0.0);
         // Different bits: different hashes, and unequal keys.
         assert_eq!(t.matches(DatumRef::from(&pos)), 0);
@@ -339,28 +265,11 @@ mod tests {
     }
 
     #[test]
-    fn row_chains_preserve_insertion_order() {
-        let mut t = RadixTable::new(2, 3);
-        let k = Datum::Int(1);
-        for i in 0..5i64 {
-            t.insert(
-                DatumRef::from(&k),
-                Some(Row::new(vec![Datum::Int(1), Datum::Int(i)])),
-            );
-        }
-        let tags: Vec<i64> = t
-            .rows_for(DatumRef::from(&k))
-            .map(|r| r.get(1).as_int().expect("int column"))
-            .collect();
-        assert_eq!(tags, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn growth_keeps_all_entries_reachable() {
         let mut t = RadixTable::new(1, 99);
         for i in 0..10_000i64 {
             let d = Datum::Int(i);
-            t.insert(DatumRef::from(&d), None);
+            t.insert(DatumRef::from(&d));
         }
         assert_eq!(t.distinct_keys(), 10_000);
         for i in (0..10_000i64).step_by(97) {

@@ -1,11 +1,10 @@
 //! # pf-exec — the relational-engine substrate
 //!
-//! A Volcano-style single-threaded executor with the architectural seam
-//! the paper's mechanisms depend on: the split between the **storage
+//! A single-threaded counting executor with the architectural seam the
+//! paper's mechanisms depend on: the split between the **storage
 //! engine (SE)** — where page ids are visible and predicates are
-//! evaluated inside scans — and the **relational engine (RE)** — joins
-//! and aggregation, where PIDs are *not* available (Section II-B,
-//! Example 2).
+//! evaluated inside scans — and the **relational engine (RE)** — joins,
+//! where PIDs are *not* available (Section II-B, Example 2).
 //!
 //! * [`expr`] — atomic comparison predicates and conjunctions with
 //!   *short-circuit* evaluation (the optimization Fig 4 works around),
@@ -15,15 +14,19 @@
 //!   page-sampled / semi-join filtered), fetch-side linear counters, the
 //!   [`ShedClass`] order a memory budget sheds them in, and the tree
 //!   walk that harvests, prices and merges them,
-//! * [`op`] — the `Operator` / `RidSource` traits and drivers,
+//! * [`op`] — the `Operator` / `RidSource` traits,
 //! * [`scan`] — SE-side sequential & clustered-range scans,
 //! * [`index`] — SE-side index seek, RID intersection, and Fetch,
-//! * [`join`] — RE-side Hash and Index-Nested-Loops joins,
-//! * [`agg`] — RE-side `COUNT` aggregation.
+//! * [`join`] — RE-side Hash and Index-Nested-Loops joins.
+//!
+//! Every query is a `SELECT COUNT(...)`, so an operator has one pull,
+//! [`Operator::count`], which runs it to completion. Joins read their
+//! inputs as borrowed rows instead: the outer side is a [`JoinOuter`]
+//! (a scan or a fetch) and a hash join's probe side is a [`SeqScan`].
 //!
 //! Monitors are **operator-owned** plain data: the planner constructs
 //! them and moves each into the operator that drives it, and after the
-//! plan is drained [`monitor::harvest`] walks the tree
+//! plan has counted [`monitor::harvest`] walks the tree
 //! ([`Operator::visit_monitors`]) to read them back — mirroring how the
 //! paper's engine surfaces counters through the `statistics xml` mode
 //! without touching the cached plan. The executor holds no shared
@@ -33,7 +36,6 @@
 // panic, when page bytes fail verification.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod agg;
 pub mod context;
 pub mod expr;
 pub mod index;
@@ -45,7 +47,8 @@ pub mod scan;
 
 pub use context::ExecContext;
 pub use expr::{AtomicPredicate, CompareOp, Conjunction, PageKernel};
+pub use join::JoinOuter;
 pub use join_table::{join_partitions, RadixTable};
 pub use monitor::{FetchMonitor, FetchObserveWhen, ScanExprMonitor, ScanMonitorSet, ShedClass};
-pub use op::{drain, run_count, Operator, RidSource};
-pub use scan::{PageRows, SeqScan};
+pub use op::{Operator, RidSource};
+pub use scan::SeqScan;

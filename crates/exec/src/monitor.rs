@@ -2,7 +2,7 @@
 //!
 //! The planner builds monitors and hands them to the operators that
 //! drive them. Each operator owns its monitors as plain data, and each
-//! monitor knows the table it reports for; after the plan drains,
+//! monitor knows the table it reports for; after the plan has counted,
 //! [`harvest`] walks the operator tree ([`Operator::visit_monitors`])
 //! and collects one report. Two shapes exist, matching Sections III–IV:
 //!
@@ -839,7 +839,7 @@ fn visit_in_report_order(op: &mut dyn Operator, visit: &mut dyn FnMut(MonitorMut
 }
 
 /// Harvests every monitor of `op`'s tree into one report, in report
-/// order. Call after the plan drains.
+/// order. Call after the plan has counted.
 pub fn harvest(op: &mut dyn Operator) -> FeedbackReport {
     let mut report = FeedbackReport::new();
     visit_in_report_order(op, &mut |m| match m {
@@ -1213,15 +1213,11 @@ mod tests {
     }
 
     /// A stand-in operator owning fetch monitors, for the tree walk.
-    struct Fetches(Vec<FetchMonitor>, Schema);
+    struct Fetches(Vec<FetchMonitor>);
 
     impl Operator for Fetches {
-        fn schema(&self) -> &Schema {
-            &self.1
-        }
-
-        fn next(&mut self, _ctx: &mut crate::ExecContext) -> Result<Option<Row>> {
-            Ok(None)
+        fn count(&mut self, _ctx: &mut crate::ExecContext) -> Result<u64> {
+            Ok(0)
         }
 
         fn visit_monitors(&mut self, visit: &mut dyn FnMut(MonitorMut<'_>)) {
@@ -1251,7 +1247,7 @@ mod tests {
         let fetches = |n: usize| {
             let monitor =
                 || FetchMonitor::new("t", "a<10", FetchObserveWhen::AllFetched, 100, None, 3);
-            Fetches((0..n).map(|_| monitor()).collect(), s.clone())
+            Fetches((0..n).map(|_| monitor()).collect())
         };
         let mut two = fetches(2);
         for n in [1, 3] {

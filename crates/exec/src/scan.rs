@@ -10,10 +10,9 @@ use crate::context::ExecContext;
 use crate::expr::{Conjunction, PageKernel};
 use crate::monitor::{MonitorMut, ScanMonitorSet};
 use crate::op::Operator;
-use pf_common::{Datum, PageId, Result, Row, Schema, SlotId, TableId};
+use pf_common::{Datum, PageId, Result, SlotId, TableId};
 use pf_feedback::{bitmap, BitVectorFilter};
-use pf_storage::{AccessPattern, Page, RowLayout, RowView, TableStorage};
-use std::collections::VecDeque;
+use pf_storage::{AccessPattern, RowView, TableStorage};
 use std::sync::Arc;
 
 /// A sequential scan over a contiguous page range of one table, with the
@@ -29,17 +28,12 @@ pub struct SeqScan {
     /// positions the disk arm once, then reads sequentially).
     first_random: bool,
     next_page: u32,
-    started: bool,
-    finished: bool,
-    /// Materialized qualifying rows of the current page.
-    buffer: VecDeque<Row>,
     /// Per-conjunct truth of the current row on fully-evaluated pages
     /// (row loop only).
     atom_buf: Vec<bool>,
     /// Reusable per-page bitmap of qualifying slots: predicates are
-    /// evaluated over the page in one batched pass, and only the slots
-    /// marked here are materialized into `buffer` (rows the parent will
-    /// actually receive).
+    /// evaluated over the page in one batched pass, and the slots
+    /// marked here are the rows the scan delivers.
     qualifying: Vec<u64>,
     /// Reusable per-atom truth stripes for the kernel path: atom `i`'s
     /// per-slot results occupy words `i*words..(i+1)*words`.
@@ -55,7 +49,7 @@ pub struct SeqScan {
     /// Semi-join pre-filter pushed down from a hash join: once the
     /// build side completes, its merged [`BitVectorFilter`] is evaluated
     /// in the page pass (after monitors observe the full page) and rows
-    /// with no possible build match are culled before materialization.
+    /// with no possible build match are culled before the join sees them.
     /// Charging rule: one hash op per qualifying row *tested* — exactly
     /// the per-probe-row hash the join itself would have charged — so
     /// I/O statistics are byte-identical to the unfiltered plan.
@@ -81,9 +75,6 @@ impl SeqScan {
             monitors,
             page_range,
             first_random,
-            started: false,
-            finished: false,
-            buffer: VecDeque::new(),
             atom_buf: Vec::new(),
             qualifying: Vec::new(),
             atom_bits: Vec::new(),
@@ -157,7 +148,7 @@ impl SeqScan {
     /// key column `key_col`: the scan's semi-join monitor (if any) tests
     /// it, and with `pushdown` the page pass also culls rows it rejects
     /// (see the `prefilter` field for the charging contract). Only
-    /// meaningful before the first delivery.
+    /// meaningful before the scan runs.
     pub fn install_semi_join_filter(
         &mut self,
         filter: BitVectorFilter,
@@ -172,40 +163,11 @@ impl SeqScan {
         }
     }
 
-    /// Materializing page load: evaluates the next page and buffers its
-    /// qualifying rows for row-at-a-time delivery.
-    fn load_next_page(&mut self, ctx: &mut ExecContext) -> Result<bool> {
-        match self.eval_next_page(ctx)? {
-            PageEval::Exhausted => Ok(false),
-            PageEval::Skipped => Ok(true),
-            PageEval::Ready { pid } => {
-                // Pass 2: materialize only the qualifying rows — the
-                // ones the parent operator will actually receive. The
-                // page passed verification in the eval pass, so this
-                // re-lookup (no re-verify, no new I/O: residency was
-                // charged there) sees the same bytes.
-                let storage = Arc::clone(&self.storage);
-                let page = storage.checked_page(PageId(pid), ctx.fault_attempt, false)?;
-                let layout = storage.layout();
-                for (word, &bits) in self.qualifying.iter().enumerate() {
-                    let mut bits = bits;
-                    while bits != 0 {
-                        let slot = word * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let row = page.view(layout, SlotId(slot as u16))?.materialize();
-                        self.buffer.push_back(row);
-                    }
-                }
-                Ok(true)
-            }
-        }
-    }
-
     /// Evaluates the next page of the range into the `qualifying`
     /// bitmap — checksum verification, monitor observation, predicate
     /// kernels, prefilter culling, and every I/O charge happen here,
-    /// identically for the materializing and the page-batched
-    /// consumers. No row is decoded into owned values.
+    /// identically for counting and for a join reading the rows. No row
+    /// is decoded into owned values.
     fn eval_next_page(&mut self, ctx: &mut ExecContext) -> Result<PageEval> {
         if self.next_page >= self.page_range.1 {
             return Ok(PageEval::Exhausted);
@@ -216,12 +178,11 @@ impl SeqScan {
         ctx.check_interrupt()?;
         let pid = PageId(self.next_page);
         self.next_page += 1;
-        let pattern = if self.first_random && !self.started {
+        let pattern = if self.first_random && pid.0 == self.page_range.0 {
             AccessPattern::Random
         } else {
             AccessPattern::Sequential
         };
-        self.started = true;
         let hit = ctx.pool.access(self.table_id, pid, pattern);
         // A miss means the bytes "came from disk": verify the checksum
         // (and let the fault plan interpose). A corrupt page is skipped
@@ -404,130 +365,67 @@ enum PageEval {
     Ready { pid: u32 },
 }
 
-/// Borrowed access to the qualifying rows of one evaluated page —
-/// what a page-batched consumer receives in place of materialized
-/// rows. Every charge for the page has already been applied.
-pub struct PageRows<'a> {
-    page: &'a Page,
-    layout: &'a RowLayout,
-    qualifying: &'a [u64],
-}
+impl SeqScan {
+    /// Evaluates the next page that passes verification (skipping
+    /// corrupt ones) and returns its id, with `qualifying` holding its
+    /// surviving slots. `None` once the range is exhausted, at which
+    /// point the monitors are finished.
+    fn next_ready_page(&mut self, ctx: &mut ExecContext) -> Result<Option<PageId>> {
+        loop {
+            match self.eval_next_page(ctx)? {
+                PageEval::Exhausted => {
+                    if let Some(m) = &mut self.monitors {
+                        m.finish();
+                    }
+                    return Ok(None);
+                }
+                PageEval::Skipped => {}
+                PageEval::Ready { pid } => return Ok(Some(PageId(pid))),
+            }
+        }
+    }
 
-impl<'a> PageRows<'a> {
-    /// Visits each qualifying row as a borrowed view, in slot order.
-    pub fn for_each(&self, mut f: impl FnMut(RowView<'a>) -> Result<()>) -> Result<()> {
-        for (word, &bits) in self.qualifying.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let slot = (word * 64 + bits.trailing_zeros() as usize) as u16;
-                bits &= bits - 1;
-                f(self.page.view(self.layout, SlotId(slot))?)?;
+    /// Runs the scan to completion, handing each qualifying row to `f`
+    /// as a borrowed view, page by page in slot order — how a join reads
+    /// its scan inputs. Every charge for a page is applied before its
+    /// first row reaches `f`.
+    pub fn for_each_row(
+        &mut self,
+        ctx: &mut ExecContext,
+        mut f: impl FnMut(RowView<'_>, &mut ExecContext) -> Result<()>,
+    ) -> Result<()> {
+        let storage = Arc::clone(&self.storage);
+        while let Some(pid) = self.next_ready_page(ctx)? {
+            // The page passed verification in the eval pass, so this
+            // re-lookup (no re-verify, no new I/O: residency was charged
+            // there) sees the same bytes.
+            let page = storage.checked_page(pid, ctx.fault_attempt, false)?;
+            for (word, &bits) in self.qualifying.iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    let slot = (word * 64 + bits.trailing_zeros() as usize) as u16;
+                    bits &= bits - 1;
+                    f(page.view(storage.layout(), SlotId(slot))?, ctx)?;
+                }
             }
         }
         Ok(())
     }
 }
 
-impl SeqScan {
-    /// Page-batched pull: evaluates the next page (skipping corrupt
-    /// ones) and hands its qualifying rows to `visit` as borrowed
-    /// views. Returns `false` once the range is exhausted (monitors
-    /// are finished at that point). Must not be interleaved with
-    /// buffered `next()` deliveries.
-    pub fn next_page_rows(
-        &mut self,
-        ctx: &mut ExecContext,
-        visit: &mut dyn FnMut(&PageRows<'_>, &mut ExecContext) -> Result<()>,
-    ) -> Result<bool> {
-        debug_assert!(self.buffer.is_empty(), "mixed page-batched and row pulls");
-        loop {
-            if self.finished {
-                return Ok(false);
-            }
-            match self.eval_next_page(ctx)? {
-                PageEval::Exhausted => {
-                    self.finished = true;
-                    if let Some(m) = &mut self.monitors {
-                        m.finish();
-                    }
-                    return Ok(false);
-                }
-                PageEval::Skipped => continue,
-                PageEval::Ready { pid } => {
-                    let storage = Arc::clone(&self.storage);
-                    let page = storage.checked_page(PageId(pid), ctx.fault_attempt, false)?;
-                    let rows = PageRows {
-                        page,
-                        layout: storage.layout(),
-                        qualifying: &self.qualifying,
-                    };
-                    visit(&rows, ctx)?;
-                    return Ok(true);
-                }
-            }
-        }
-    }
-}
-
 impl Operator for SeqScan {
-    fn schema(&self) -> &Schema {
-        self.storage.schema()
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.buffer.pop_front() {
-                return Ok(Some(row));
-            }
-            if self.finished {
-                return Ok(None);
-            }
-            if !self.load_next_page(ctx)? {
-                self.finished = true;
-                if let Some(m) = &mut self.monitors {
-                    m.finish();
-                }
-            }
+    fn count(&mut self, ctx: &mut ExecContext) -> Result<u64> {
+        let mut n = 0;
+        while self.next_ready_page(ctx)?.is_some() {
+            n += bitmap::popcount(&self.qualifying);
         }
-    }
-
-    fn next_count(&mut self, ctx: &mut ExecContext) -> Result<Option<u64>> {
-        if !self.buffer.is_empty() {
-            let n = self.buffer.len() as u64;
-            self.buffer.clear();
-            return Ok(Some(n));
-        }
-        loop {
-            if self.finished {
-                return Ok(None);
-            }
-            match self.eval_next_page(ctx)? {
-                PageEval::Exhausted => {
-                    self.finished = true;
-                    if let Some(m) = &mut self.monitors {
-                        m.finish();
-                    }
-                    return Ok(None);
-                }
-                PageEval::Skipped => continue,
-                PageEval::Ready { .. } => {
-                    let n = bitmap::popcount(&self.qualifying);
-                    if n > 0 {
-                        return Ok(Some(n));
-                    }
-                }
-            }
-        }
+        Ok(n)
     }
 
     fn visit_monitors(&mut self, visit: &mut dyn FnMut(MonitorMut<'_>)) {
         if let Some(m) = &mut self.monitors {
             visit(MonitorMut::Scan(m));
         }
-    }
-
-    fn as_seq_scan(&mut self) -> Option<&mut SeqScan> {
-        Some(self)
     }
 }
 
@@ -536,8 +434,7 @@ mod tests {
     use super::*;
     use crate::expr::{AtomicPredicate, CompareOp};
     use crate::monitor::{harvest, ScanExprMonitor};
-    use crate::op::{drain, run_count};
-    use pf_common::{Column, DataType};
+    use pf_common::{Column, DataType, Row, Schema};
     use pf_feedback::FeedbackReport;
 
     fn make_table(n: i64) -> Arc<TableStorage> {
@@ -568,8 +465,7 @@ mod tests {
         let pred = Conjunction::new(vec![lt(&t, "id", 100)]);
         let mut scan = SeqScan::full(Arc::clone(&t), TableId(0), pred, None);
         let mut ctx = ExecContext::new(1024);
-        let rows = drain(&mut scan, &mut ctx).unwrap();
-        assert_eq!(rows.len(), 100);
+        assert_eq!(scan.count(&mut ctx).unwrap(), 100);
         // All pages read sequentially exactly once.
         let s = ctx.stats();
         assert_eq!(s.seq_physical_reads, u64::from(t.page_count()));
@@ -592,7 +488,7 @@ mod tests {
         )
         .unwrap();
         let mut ctx = ExecContext::new(1024);
-        assert_eq!(run_count(&mut scan, &mut ctx).unwrap(), 50);
+        assert_eq!(scan.count(&mut ctx).unwrap(), 50);
         let s = ctx.stats();
         assert!(s.physical_reads() < u64::from(t.page_count()));
         assert_eq!(s.rand_physical_reads, 1, "seek positions once");
@@ -610,7 +506,7 @@ mod tests {
         );
         let mut scan = SeqScan::full(Arc::clone(&t), TableId(0), pred.clone(), Some(monitors));
         let mut ctx = ExecContext::new(4096);
-        let got = run_count(&mut scan, &mut ctx).unwrap();
+        let got = scan.count(&mut ctx).unwrap();
         assert_eq!(got, 200);
 
         // Brute force DPC.
@@ -644,7 +540,7 @@ mod tests {
             let mut scan = SeqScan::full(Arc::clone(&t), TableId(0), pred.clone(), Some(monitors));
             let mut ctx = ExecContext::new(4096);
             ctx.deadline_ms = deadline_ms;
-            let count = run_count(&mut scan, &mut ctx);
+            let count = scan.count(&mut ctx);
             let shed = harvest(&mut scan).is_budget_shed();
             (count, ctx.stats(), shed)
         };
@@ -672,7 +568,7 @@ mod tests {
         );
         let mut scan = SeqScan::full(Arc::clone(&t), TableId(0), pred.clone(), Some(monitors));
         let mut ctx = ExecContext::new(4096);
-        run_count(&mut scan, &mut ctx).unwrap();
+        scan.count(&mut ctx).unwrap();
         let s = ctx.stats();
         // Most rows fail id<10 immediately; monitoring forced val<200.
         assert!(
@@ -701,7 +597,7 @@ mod tests {
         let pred = Conjunction::new(vec![lt(&t, "id", 10), lt(&t, "val", 200)]);
         let mut scan = SeqScan::full(Arc::clone(&t), TableId(0), pred, None);
         let mut ctx = ExecContext::new(4096);
-        run_count(&mut scan, &mut ctx).unwrap();
+        scan.count(&mut ctx).unwrap();
         assert_eq!(ctx.stats().extra_pred_evals, 0);
     }
 
@@ -718,7 +614,7 @@ mod tests {
             );
             let mut scan = SeqScan::full(Arc::clone(&t), TableId(0), pred.clone(), Some(monitors));
             let mut ctx = ExecContext::new(8192);
-            run_count(&mut scan, &mut ctx).unwrap();
+            scan.count(&mut ctx).unwrap();
             let rep = harvest(&mut scan);
             (rep.measurements[0].actual, ctx.stats().extra_pred_evals)
         };
@@ -786,7 +682,7 @@ mod tests {
             scan.kernel = None;
         }
         let mut ctx = ExecContext::new(4096);
-        let count = run_count(&mut scan, &mut ctx).unwrap();
+        let count = scan.count(&mut ctx).unwrap();
         (count, ctx.stats(), harvest(&mut scan))
     }
 
@@ -844,7 +740,7 @@ mod tests {
         let t = make_table(100);
         let mut scan = SeqScan::full(Arc::clone(&t), TableId(0), Conjunction::always_true(), None);
         let mut ctx = ExecContext::new(1024);
-        assert_eq!(run_count(&mut scan, &mut ctx).unwrap(), 100);
+        assert_eq!(scan.count(&mut ctx).unwrap(), 100);
         assert_eq!(ctx.stats().pred_evals, 0);
     }
 }

