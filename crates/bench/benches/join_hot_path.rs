@@ -4,14 +4,16 @@
 //! filtered probe (bit-vector built and pushed into the probe scan), and
 //! the monitored probe (semi-join sketch observation on every page).
 //!
-//! Reports rows/sec per shape and writes `BENCH_join_hot_path.json` at
-//! the workspace root for the CI bench trajectory.
+//! Reports rows/sec per shape — the median of the shim's timing windows,
+//! with the slowest and fastest window and the window count beside it —
+//! and writes `BENCH_join_hot_path.json` at the workspace root for the
+//! CI bench trajectory.
 //!
 //! Run with `cargo bench --bench join_hot_path`; set
 //! `PF_BENCH_BUDGET_MS` (e.g. 25) and `PF_BENCH_QUICK=1` for the CI
 //! smoke configuration.
 
-use criterion::{black_box, Bencher, Criterion};
+use criterion::{black_box, Bencher, Criterion, Rate};
 use pf_common::{Column, DataType, Datum, Row, Schema, TableId};
 use pf_exec::join::{BitVectorConfig, HashJoin};
 use pf_exec::monitor::{ScanExprMonitor, ScanMonitorSet};
@@ -100,7 +102,7 @@ fn join_count_monitored(build: &Arc<TableStorage>, probe: &Arc<TableStorage>) ->
 struct Measurement {
     name: String,
     rows_per_iter: u64,
-    rows_per_sec: f64,
+    rows_per_sec: Rate,
 }
 
 fn measure(
@@ -110,10 +112,10 @@ fn measure(
     rows_per_iter: u64,
     mut routine: impl FnMut() -> u64,
 ) {
-    let mut rows_per_sec = 0.0;
+    let mut rows_per_sec = Rate::default();
     c.bench_function(name, |b: &mut Bencher| {
         b.iter(|| black_box(routine()));
-        rows_per_sec = rows_per_iter as f64 / b.ns_per_iter() * 1e9;
+        rows_per_sec = b.rate(rows_per_iter);
     });
     out.push(Measurement {
         name: name.to_string(),
@@ -165,8 +167,11 @@ fn main() {
         .iter()
         .map(|m| {
             format!(
-                "    {{\"name\": \"{}\", \"rows_per_iter\": {}, \"rows_per_sec\": {:.0}}}",
-                m.name, m.rows_per_iter, m.rows_per_sec
+                "    {{\"name\": \"{}\", \"rows_per_iter\": {}, {}, \"samples\": {}}}",
+                m.name,
+                m.rows_per_iter,
+                m.rows_per_sec.json_fields("rows_per_sec"),
+                m.rows_per_sec.samples
             )
         })
         .collect();

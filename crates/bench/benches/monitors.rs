@@ -10,14 +10,16 @@
 //! scan. This bench measures that factor per shape, plus the monitors'
 //! own cost on the operator (`monitor_overhead_pct`: monitored against
 //! unmonitored `SeqScan`, the wall-clock twin of Fig 7), and writes
-//! `BENCH_monitor_overhead.json` at the workspace root; under
-//! `PF_BENCH_ENFORCE` the full-scan shapes must show < 15% operator
-//! overhead against the view scan.
+//! `BENCH_monitor_overhead.json` at the workspace root: each rate is the
+//! median of the shim's timing windows, with the slowest and fastest
+//! window and the window count beside it, and the overheads compare
+//! medians. Under `PF_BENCH_ENFORCE` the full-scan shapes must show
+//! < 15% operator overhead against the view scan.
 //!
 //! Run with `cargo bench -p pf-bench --bench monitors`; set
 //! `PF_BENCH_QUICK=1` for the CI smoke configuration.
 
-use criterion::{black_box, Bencher, Criterion};
+use criterion::{black_box, Bencher, Criterion, Rate};
 use pf_common::{Column, DataType, Datum, PageId, Row, Schema, TableId};
 use pf_exec::scan::SeqScan;
 use pf_exec::{
@@ -94,20 +96,25 @@ fn operator_scan(t: &Arc<TableStorage>, p: &Conjunction, fraction: Option<f64>) 
 
 struct Shape {
     name: &'static str,
-    view_rows_per_sec: f64,
-    unmonitored_rows_per_sec: f64,
-    operator_rows_per_sec: f64,
+    view_rows_per_sec: Rate,
+    unmonitored_rows_per_sec: Rate,
+    operator_rows_per_sec: Rate,
     /// Monitored operator against the view scan (the gated figure).
     overhead_pct: f64,
     /// Monitored operator against the same operator unmonitored.
     monitor_overhead_pct: f64,
 }
 
-fn rows_per_sec(c: &mut Criterion, name: &str, rows: u64, mut routine: impl FnMut() -> u64) -> f64 {
-    let mut rps = 0.0;
+fn rows_per_sec(
+    c: &mut Criterion,
+    name: &str,
+    rows: u64,
+    mut routine: impl FnMut() -> u64,
+) -> Rate {
+    let mut rps = Rate::default();
     c.bench_function(name, |b: &mut Bencher| {
         b.iter(&mut routine);
-        rps = rows as f64 / b.ns_per_iter() * 1e9;
+        rps = b.rate(rows);
     });
     rps
 }
@@ -149,8 +156,8 @@ fn main() {
             view_rows_per_sec: view,
             unmonitored_rows_per_sec: bare,
             operator_rows_per_sec: op,
-            overhead_pct: (view / op - 1.0) * 100.0,
-            monitor_overhead_pct: (bare / op - 1.0) * 100.0,
+            overhead_pct: (view.median / op.median - 1.0) * 100.0,
+            monitor_overhead_pct: (bare.median / op.median - 1.0) * 100.0,
         }
     };
     let s = measure(&mut c, "full_scan_one_atom", &one_atom, 1.0);
@@ -165,9 +172,9 @@ fn main() {
             "{}: view {:.1}M rows/s, unmonitored operator {:.1}M rows/s, \
              monitored operator {:.1}M rows/s, overhead {:.1}% (view), {:.1}% (unmonitored)",
             s.name,
-            s.view_rows_per_sec / 1e6,
-            s.unmonitored_rows_per_sec / 1e6,
-            s.operator_rows_per_sec / 1e6,
+            s.view_rows_per_sec.median / 1e6,
+            s.unmonitored_rows_per_sec.median / 1e6,
+            s.operator_rows_per_sec.median / 1e6,
             s.overhead_pct,
             s.monitor_overhead_pct
         );
@@ -188,13 +195,14 @@ fn main() {
         .iter()
         .map(|s| {
             format!(
-                "    {{\"name\": \"{}\", \"view_rows_per_sec\": {:.0}, \
-                 \"unmonitored_rows_per_sec\": {:.0}, \"operator_rows_per_sec\": {:.0}, \
+                "    {{\"name\": \"{}\", {}, {}, {}, \"samples\": {}, \
                  \"overhead_pct\": {:.2}, \"monitor_overhead_pct\": {:.2}}}",
                 s.name,
-                s.view_rows_per_sec,
-                s.unmonitored_rows_per_sec,
-                s.operator_rows_per_sec,
+                s.view_rows_per_sec.json_fields("view_rows_per_sec"),
+                s.unmonitored_rows_per_sec
+                    .json_fields("unmonitored_rows_per_sec"),
+                s.operator_rows_per_sec.json_fields("operator_rows_per_sec"),
+                s.operator_rows_per_sec.samples,
                 s.overhead_pct,
                 s.monitor_overhead_pct
             )

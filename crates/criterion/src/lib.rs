@@ -6,8 +6,11 @@
 //! sources byte-compatible (`criterion_group!`/`criterion_main!`,
 //! `Criterion::benchmark_group`, `bench_function`/`bench_with_input`,
 //! `Throughput`, `black_box`) and reports wall-clock time per iteration
-//! plus element throughput on stdout. There is no statistical machinery —
-//! each benchmark is a single calibrated timing loop.
+//! plus element throughput on stdout. Each benchmark splits its time
+//! budget into ten timing windows, each at least five warm-up calls
+//! long, and reports the median window's time per iteration with the
+//! fastest and slowest beside it; there is no further statistical
+//! machinery.
 
 // Harness code must surface typed failures, not panic on them.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -54,9 +57,23 @@ impl From<&str> for BenchmarkId {
     }
 }
 
-/// Runs the closure under `Bencher::iter` in a calibrated timing loop.
+/// Timing windows per benchmark.
+const SAMPLES: u32 = 10;
+
+/// A window lasts at least this many warm-up calls, so a routine slow
+/// against the budget's share still repeats within every window.
+const MIN_WINDOW_WARMUPS: u32 = 5;
+
+/// Iteration cap of one timing window, for routines far faster than
+/// the window.
+const MAX_WINDOW_ITERS: u64 = 1_000_000;
+
+/// Runs the closure under `Bencher::iter` in calibrated timing windows.
 pub struct Bencher {
     budget: Duration,
+    /// Nanoseconds per iteration of each window of the last run,
+    /// ascending.
+    window_ns: Vec<f64>,
     iters: u64,
     elapsed: Duration,
 }
@@ -65,28 +82,44 @@ impl Bencher {
     fn new(budget: Duration) -> Self {
         Self {
             budget,
+            window_ns: Vec::new(),
             iters: 0,
             elapsed: Duration::ZERO,
         }
     }
 
+    /// Times `routine` after one warm-up call in ten windows, each
+    /// running the routine until a tenth of the budget or five warm-up
+    /// calls' time, whichever is longer, has passed (at least once), and
+    /// keeps each window's time per iteration.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
+        let warm_up = Instant::now();
         black_box(routine());
-        let start = Instant::now();
-        let mut iters = 0u64;
-        loop {
-            black_box(routine());
-            iters += 1;
-            let elapsed = start.elapsed();
-            if elapsed >= self.budget || iters >= 1_000_000 {
-                self.iters = iters;
-                self.elapsed = elapsed;
-                break;
-            }
+        let window = (self.budget / SAMPLES).max(warm_up.elapsed() * MIN_WINDOW_WARMUPS);
+        self.window_ns.clear();
+        self.iters = 0;
+        self.elapsed = Duration::ZERO;
+        for _ in 0..SAMPLES {
+            let start = Instant::now();
+            let mut iters = 0u64;
+            let elapsed = loop {
+                black_box(routine());
+                iters += 1;
+                let elapsed = start.elapsed();
+                if elapsed >= window || iters >= MAX_WINDOW_ITERS {
+                    break elapsed;
+                }
+            };
+            self.iters += iters;
+            self.elapsed += elapsed;
+            self.window_ns
+                .push(elapsed.as_nanos() as f64 / iters as f64);
         }
+        self.window_ns.sort_by(f64::total_cmp);
     }
 
-    /// Iterations measured by the last [`Bencher::iter`] run.
+    /// Iterations measured by the last [`Bencher::iter`] run, over all
+    /// windows.
     pub fn iters(&self) -> u64 {
         self.iters
     }
@@ -96,15 +129,69 @@ impl Bencher {
         self.elapsed
     }
 
-    /// Nanoseconds per iteration of the last [`Bencher::iter`] run
-    /// (`NaN` before any run). Public so harness-free benches can
-    /// compute derived metrics (rows/sec, JSON artifacts) from the same
-    /// measurement the report line prints.
+    /// Number of timing windows of the last [`Bencher::iter`] run.
+    pub fn samples(&self) -> usize {
+        self.window_ns.len()
+    }
+
+    /// Median over the windows of the last [`Bencher::iter`] run of
+    /// nanoseconds per iteration (`NaN` before any run). Public so
+    /// harness-free benches can compute derived metrics (rows/sec, JSON
+    /// artifacts) from the same measurement the report line prints.
     pub fn ns_per_iter(&self) -> f64 {
-        if self.iters == 0 {
-            return f64::NAN;
+        let ns = &self.window_ns;
+        match ns.len() {
+            0 => f64::NAN,
+            n if n % 2 == 1 => ns[n / 2],
+            n => (ns[n / 2 - 1] + ns[n / 2]) / 2.0,
         }
-        self.elapsed.as_nanos() as f64 / self.iters as f64
+    }
+
+    /// Nanoseconds per iteration of the fastest window (`NaN` before any
+    /// run).
+    pub fn min_ns_per_iter(&self) -> f64 {
+        self.window_ns.first().copied().unwrap_or(f64::NAN)
+    }
+
+    /// Nanoseconds per iteration of the slowest window (`NaN` before any
+    /// run).
+    pub fn max_ns_per_iter(&self) -> f64 {
+        self.window_ns.last().copied().unwrap_or(f64::NAN)
+    }
+
+    /// The last run as a rate of `units_per_iter` units per second.
+    pub fn rate(&self, units_per_iter: u64) -> Rate {
+        let per_sec = |ns: f64| units_per_iter as f64 / ns * 1e9;
+        Rate {
+            median: per_sec(self.ns_per_iter()),
+            min: per_sec(self.max_ns_per_iter()),
+            max: per_sec(self.min_ns_per_iter()),
+            samples: self.samples(),
+        }
+    }
+}
+
+/// A throughput over a run's timing windows: the median window's rate,
+/// the slowest and the fastest.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Rate {
+    /// Rate of the median window.
+    pub median: f64,
+    /// Rate of the slowest window.
+    pub min: f64,
+    /// Rate of the fastest window.
+    pub max: f64,
+    /// Number of windows.
+    pub samples: usize,
+}
+
+impl Rate {
+    /// `"key": median, "key_min": min, "key_max": max` for a JSON object.
+    pub fn json_fields(&self, key: &str) -> String {
+        format!(
+            "\"{key}\": {:.0}, \"{key}_min\": {:.0}, \"{key}_max\": {:.0}",
+            self.median, self.min, self.max
+        )
     }
 }
 
@@ -196,9 +283,9 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
-fn report(label: &str, b: &Bencher, throughput: Option<Throughput>) {
-    let ns = b.ns_per_iter();
-    let time = if ns >= 1e9 {
+/// `ns` nanoseconds in the largest unit that keeps it at or above one.
+fn format_time(ns: f64) -> String {
+    if ns >= 1e9 {
         format!("{:.3} s", ns / 1e9)
     } else if ns >= 1e6 {
         format!("{:.3} ms", ns / 1e6)
@@ -206,7 +293,11 @@ fn report(label: &str, b: &Bencher, throughput: Option<Throughput>) {
         format!("{:.3} µs", ns / 1e3)
     } else {
         format!("{ns:.1} ns")
-    };
+    }
+}
+
+fn report(label: &str, b: &Bencher, throughput: Option<Throughput>) {
+    let ns = b.ns_per_iter();
     let thrpt = match throughput {
         Some(Throughput::Elements(n)) => {
             format!("  thrpt: {:>10.3} Melem/s", n as f64 / ns * 1e3)
@@ -220,8 +311,12 @@ fn report(label: &str, b: &Bencher, throughput: Option<Throughput>) {
         None => String::new(),
     };
     println!(
-        "{label:<48} time: {time:>12}/iter{thrpt}   ({} iters)",
-        b.iters
+        "{label:<48} time: {:>12}/iter [{} .. {}]{thrpt}   ({} iters, {} samples)",
+        format_time(ns),
+        format_time(b.min_ns_per_iter()),
+        format_time(b.max_ns_per_iter()),
+        b.iters,
+        b.samples()
     );
 }
 
@@ -242,4 +337,53 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn windows_give_median_min_and_max() {
+        let mut b = Bencher::new(Duration::from_millis(5));
+        assert!(b.ns_per_iter().is_nan());
+        let mut calls = 0u32;
+        b.iter(|| {
+            calls += 1;
+            std::thread::sleep(Duration::from_micros(50));
+        });
+        assert_eq!(b.samples(), 10);
+        assert!(u64::from(calls) == b.iters() + 1, "one warm-up call");
+        let (min, med, max) = (b.min_ns_per_iter(), b.ns_per_iter(), b.max_ns_per_iter());
+        assert!(
+            min >= 50_000.0 && min <= med && med <= max,
+            "{min} {med} {max}"
+        );
+        let rate = b.rate(1_000);
+        assert!(rate.min <= rate.median && rate.median <= rate.max);
+        assert_eq!(rate.samples, 10);
+    }
+
+    #[test]
+    fn slow_routines_get_windows_of_several_warm_up_calls() {
+        // A 1 ms budget would give 0.1 ms windows, each holding one call;
+        // every window must instead last five warm-up calls (≥ 5 ms).
+        let mut b = Bencher::new(Duration::from_millis(1));
+        b.iter(|| std::thread::sleep(Duration::from_millis(1)));
+        assert_eq!(b.samples(), 10);
+        assert!(
+            b.elapsed() >= Duration::from_millis(50),
+            "{:?}",
+            b.elapsed()
+        );
+        assert!(b.iters() >= 10);
+    }
+
+    #[test]
+    fn even_window_counts_average_the_middle_pair() {
+        let mut b = Bencher::new(Duration::ZERO);
+        b.window_ns = vec![1.0, 2.0, 4.0, 8.0];
+        assert_eq!(b.ns_per_iter(), 3.0);
+        assert_eq!((b.min_ns_per_iter(), b.max_ns_per_iter()), (1.0, 8.0));
+    }
 }

@@ -10,6 +10,7 @@
 //! difference to the monitoring overhead (Fig 9).
 
 use pf_common::{Datum, DatumAccess, Error, Result, Schema};
+use pf_storage::ColumnZone;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -239,9 +240,13 @@ enum KernelValue {
 /// `offset` bytes into each row payload against `value`.
 #[derive(Debug, Clone)]
 struct KernelAtom {
+    /// Column ordinal — also the atom's entry in a page zone.
+    column: usize,
     offset: usize,
     op: CompareOp,
     value: KernelValue,
+    /// `value`'s zone order key ([`pf_storage::order_key`]).
+    key: i64,
 }
 
 /// A conjunction compiled for page-at-a-time evaluation.
@@ -253,6 +258,12 @@ struct KernelAtom {
 /// observed, never delivered. Comparison semantics are exactly those of
 /// [`AtomicPredicate::eval`]: `i64`/`i32` ordering for `Int`/`Date`,
 /// IEEE `total_cmp` for `Float` (matching `DatumRef::cmp_datum`).
+///
+/// Before reading rows, [`PageKernel::decide`] tries to settle each atom
+/// for the whole page from the page's zone (the min/max of each
+/// fixed-prefix column): an atom whose verdict is the same for every
+/// value in the zone's range passes all rows or none, and
+/// [`PageKernel::eval_decided`] writes its stripe without reading a row.
 #[derive(Debug, Clone)]
 pub struct PageKernel {
     atoms: Vec<KernelAtom>,
@@ -277,9 +288,11 @@ impl Conjunction {
             };
             span = span.max(offset + width);
             atoms.push(KernelAtom {
+                column: a.column,
                 offset,
                 op: a.op,
                 value,
+                key: pf_storage::order_key(&a.value)?,
             });
         }
         Some(PageKernel { atoms, span })
@@ -291,6 +304,43 @@ impl PageKernel {
     /// the page must guarantee per slot (see `Page::slot_offsets`).
     pub fn span(&self) -> usize {
         self.span
+    }
+
+    /// Settles atom `idx` for every row of a page from the page's
+    /// `zone`: `Some(true)` when all rows pass, `Some(false)` when none
+    /// does, `None` when the rows' values straddle the verdict and must
+    /// be read. Zone keys order exactly as the kernel compares (integer
+    /// order for `Int`/`Date`, `total_cmp` for `Float`), so a decision
+    /// always equals what [`PageKernel::eval_atom`] finds row by row.
+    pub fn decide(&self, idx: usize, zone: &[ColumnZone]) -> Option<bool> {
+        let atom = &self.atoms[idx];
+        let z = zone.get(atom.column)?;
+        let v = atom.key;
+        let (all, none) = match atom.op {
+            CompareOp::Lt => (z.max < v, z.min >= v),
+            CompareOp::Le => (z.max <= v, z.min > v),
+            CompareOp::Gt => (z.min > v, z.max <= v),
+            CompareOp::Ge => (z.min >= v, z.max < v),
+            CompareOp::Eq => (z.min == v && z.max == v, v < z.min || v > z.max),
+            CompareOp::Ne => (v < z.min || v > z.max, z.min == v && z.max == v),
+        };
+        if all {
+            Some(true)
+        } else if none {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Writes the stripe [`PageKernel::eval_atom`] produces for an atom
+    /// [`PageKernel::decide`] settled as `pass` for every row, without
+    /// reading a row: `page_mask` (the page's all-slots bitmap) in each
+    /// word where `active` is nonzero, zero elsewhere.
+    pub fn eval_decided(pass: bool, page_mask: &[u64], active: &[u64], out: &mut [u64]) {
+        for ((o, &mask), &a) in out.iter_mut().zip(page_mask).zip(active) {
+            *o = if pass && a != 0 { mask } else { 0 };
+        }
     }
 
     /// Evaluates atom `idx` over a page: `bytes` is the raw page image,
@@ -448,6 +498,136 @@ mod tests {
         let conj = Conjunction::always_true();
         assert_eq!(conj.eval_short_circuit(&row(1, 1, "x")), (true, 0));
         assert_eq!(conj.key(), "TRUE");
+    }
+
+    /// Values a zone test draws from: the type's extremes, values next
+    /// to zero, and (for Float) both NaNs, both zeros and both
+    /// infinities.
+    fn special_values(ty: usize) -> Vec<Datum> {
+        match ty {
+            0 => [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX]
+                .map(Datum::Int)
+                .to_vec(),
+            1 => [
+                -f64::NAN,
+                f64::NEG_INFINITY,
+                f64::MIN,
+                -1.0,
+                -0.0,
+                0.0,
+                1.0,
+                f64::MAX,
+                f64::INFINITY,
+                f64::NAN,
+            ]
+            .map(Datum::Float)
+            .to_vec(),
+            _ => [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX]
+                .map(Datum::Date)
+                .to_vec(),
+        }
+    }
+
+    /// A random value of column `ty` (0 Int, 1 Float, 2 Date): a
+    /// special value or a small one, so pages both straddle and miss
+    /// literals.
+    fn random_value(rng: &mut pf_common::rng::Rng, ty: usize) -> Datum {
+        if rng.bernoulli(0.3) {
+            let specials = special_values(ty);
+            return specials[rng.gen_range(specials.len() as u64) as usize].clone();
+        }
+        let v = rng.gen_range(21) as i64 - 10;
+        match ty {
+            0 => Datum::Int(v),
+            1 => Datum::Float(v as f64 * 0.5),
+            _ => Datum::Date(v as i32),
+        }
+    }
+
+    /// Zone decision soundness: over random pages of Int, Float and
+    /// Date values (extremes, NaN of both signs, ±0.0, ±∞, single-valued
+    /// pages) and every operator, whenever the zone settles an atom every
+    /// row evaluates to that verdict, and the settled stripe equals the
+    /// one the row-reading kernel writes.
+    #[test]
+    fn zone_decisions_agree_with_every_row() {
+        let schema = Schema::new(vec![
+            Column::new("i", DataType::Int),
+            Column::new("f", DataType::Float),
+            Column::new("d", DataType::Date),
+            Column::new("pad", DataType::Str),
+        ]);
+        let layout = pf_storage::RowLayout::new(&schema);
+        let ops = [
+            CompareOp::Eq,
+            CompareOp::Lt,
+            CompareOp::Le,
+            CompareOp::Gt,
+            CompareOp::Ge,
+            CompareOp::Ne,
+        ];
+        let mut rng = pf_common::rng::Rng::new(24);
+        let mut outcomes = [0u32; 3]; // none pass, all pass, undecided
+        for _ in 0..400 {
+            let n = 1 + rng.gen_range(150) as usize;
+            let single = rng.bernoulli(0.2);
+            let first: Vec<Datum> = (0..3).map(|ty| random_value(&mut rng, ty)).collect();
+            let rows: Vec<Row> = (0..n)
+                .map(|_| {
+                    let mut values: Vec<Datum> = if single {
+                        first.clone()
+                    } else {
+                        (0..3).map(|ty| random_value(&mut rng, ty)).collect()
+                    };
+                    values.push(Datum::Str(String::new()));
+                    Row::new(values)
+                })
+                .collect();
+            let mut page = pf_storage::Page::new(pf_storage::DEFAULT_PAGE_SIZE);
+            for row in &rows {
+                page.insert(&schema, row).expect("row fits");
+            }
+            page.seal();
+            let zone = page.zone().expect("fresh page has a zone");
+            let mut offs = Vec::new();
+            let words = n.div_ceil(64);
+            let mut mask = vec![0u64; words];
+            pf_feedback::bitmap::fill_ones(&mut mask, n);
+            for (col, name) in ["i", "f", "d"].into_iter().enumerate() {
+                for op in ops {
+                    // Literals: one of the page's values, a special value
+                    // or a random one.
+                    let value = match rng.gen_range(3) {
+                        0 => rows[rng.gen_range(n as u64) as usize].get(col).clone(),
+                        _ => random_value(&mut rng, col),
+                    };
+                    let atom = AtomicPredicate::new(&schema, name, op, value).unwrap();
+                    let kernel = Conjunction::new(vec![atom.clone()])
+                        .compile_page_kernel(&layout)
+                        .expect("fixed-prefix atom compiles");
+                    let Some(pass) = kernel.decide(0, zone) else {
+                        outcomes[2] += 1;
+                        continue;
+                    };
+                    outcomes[usize::from(pass)] += 1;
+                    for row in &rows {
+                        assert_eq!(atom.eval(row), pass, "{atom} on {row:?}, zone {zone:?}");
+                    }
+                    let active: Vec<u64> = (0..words)
+                        .map(|w| if rng.bernoulli(0.3) { 0 } else { mask[w] })
+                        .collect();
+                    let (mut read, mut decided) = (vec![0; words], vec![0; words]);
+                    assert!(page.slot_offsets(kernel.span(), &mut offs));
+                    kernel.eval_atom(0, page.bytes(), &offs, &active, &mut read);
+                    PageKernel::eval_decided(pass, &mask, &active, &mut decided);
+                    assert_eq!(decided, read, "{atom}: settled stripe");
+                }
+            }
+        }
+        assert!(
+            outcomes.iter().all(|&k| k > 100),
+            "none/all/undecided outcomes {outcomes:?}"
+        );
     }
 
     #[test]

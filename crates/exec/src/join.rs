@@ -101,11 +101,13 @@ pub struct BitVectorConfig {
 /// and the semi-join bit-vector filter built beside it (when the join
 /// monitors). Plain `Send + Sync` data, so the build sides of a join's
 /// build morsels can [`BuildSide::merge`] into the one a serial build
-/// produces, and the probe morsels share it.
+/// produces, and the probe morsels share it. The filter is read-only
+/// once built: every probe morsel's scan prefilter and semi-join
+/// monitor share this one copy.
 #[derive(Debug)]
 pub struct BuildSide {
     table: RadixTable,
-    filter: Option<BitVectorFilter>,
+    filter: Option<Arc<BitVectorFilter>>,
 }
 
 impl BuildSide {
@@ -115,7 +117,9 @@ impl BuildSide {
     pub fn merge(&mut self, other: BuildSide) -> Result<()> {
         self.table.merge(other.table);
         match (&mut self.filter, other.filter) {
-            (Some(a), Some(b)) => a.merge(&b),
+            // Build morsels' filters are not shared before they merge,
+            // so `make_mut` never copies here.
+            (Some(a), Some(b)) => Arc::make_mut(a).merge(&b),
             (None, None) => Ok(()),
             _ => Err(Error::Internal(
                 "build morsels disagree on the semi-join filter".into(),
@@ -178,7 +182,7 @@ impl HashJoin {
     /// build of a parallel join's build morsels — so only the probe side
     /// runs (one probe morsel).
     pub fn with_build_side(mut self, side: Arc<BuildSide>) -> Self {
-        let filter = side.filter.clone();
+        let filter = side.filter.as_ref().map(Arc::clone);
         self.install(side, filter);
         self
     }
@@ -206,13 +210,16 @@ impl HashJoin {
             table.insert(key);
             Ok(())
         })?;
-        Ok(BuildSide { table, filter })
+        Ok(BuildSide {
+            table,
+            filter: filter.map(Arc::new),
+        })
     }
 
     /// Hands the completed build-side `filter` to the probe scan — its
     /// semi-join monitor and, when the planner pushes it down, its page
     /// pass — and keeps `side` for probing.
-    fn install(&mut self, side: Arc<BuildSide>, filter: Option<BitVectorFilter>) {
+    fn install(&mut self, side: Arc<BuildSide>, filter: Option<Arc<BitVectorFilter>>) {
         if let (Some(f), Some(c)) = (filter, &self.bitvector) {
             self.probe
                 .install_semi_join_filter(f, self.probe_key, c.pushdown);
@@ -561,6 +568,64 @@ mod tests {
             (t * 0.75..=t * 1.25).contains(&est),
             "est {est} vs truth {t}"
         );
+    }
+
+    /// A probe morsel started from a merged build side shares its one
+    /// filter: the probe scan's prefilter and its semi-join monitor
+    /// each hold the build side's allocation, and no morsel copies the
+    /// bit array.
+    #[test]
+    fn probe_morsels_share_the_build_filter() {
+        let (outer, inner, _, _) = setup(600);
+        let bitvector = Some(BitVectorConfig {
+            numbits: 4096,
+            seed: 11,
+            pushdown: true,
+        });
+        let morsel = || {
+            let monitors = ScanMonitorSet::new(
+                "inner",
+                vec![ScanExprMonitor::semi_join(
+                    "outer.k=inner.k",
+                    1,
+                    4096 / 8,
+                    None,
+                )],
+                1.0,
+                5,
+            );
+            let probe = SeqScan::full(
+                Arc::clone(&inner),
+                TableId(1),
+                Conjunction::always_true(),
+                Some(monitors),
+            );
+            HashJoin::new(outer_scan(&outer, 100), probe, 0, 1, bitvector.clone())
+        };
+        let mut ctx = ExecContext::new(32_768);
+        let side = Arc::new(morsel().build_side(&mut ctx).expect("build runs"));
+        let filter = side
+            .filter
+            .as_ref()
+            .expect("monitored join builds a filter");
+        let mut probes: Vec<HashJoin> = (0..2)
+            .map(|_| morsel().with_build_side(Arc::clone(&side)))
+            .collect();
+        // The build side's own reference, plus prefilter and monitor per
+        // morsel.
+        assert_eq!(Arc::strong_count(filter), 1 + 2 * 2);
+        for hj in &mut probes {
+            let mut shared = false;
+            hj.visit_monitors(&mut |m| {
+                if let MonitorMut::Scan(set) = m {
+                    shared |= set
+                        .semi_join_filter()
+                        .is_some_and(|f| Arc::ptr_eq(f, filter));
+                }
+            });
+            assert!(shared, "the monitor tests the build side's filter");
+            assert_eq!(hj.count(&mut ctx).expect("probe runs"), 100);
+        }
     }
 
     #[test]

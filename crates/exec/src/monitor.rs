@@ -28,6 +28,7 @@ use pf_feedback::{
     Sketch,
 };
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// How one monitored expression on a scan decides "row satisfies".
 #[derive(Debug)]
@@ -48,9 +49,11 @@ enum ScanExprKind {
         /// charges before the filter exists.
         filter_bytes: usize,
         /// The hash join's build-side filter, installed after its build
-        /// phase, strictly before any probe row flows. Boxed so the
-        /// expression keeps its size (and every budget its charge).
-        filter: Option<Box<BitVectorFilter>>,
+        /// phase, strictly before any probe row flows. Shared with the
+        /// join's build side and the scan's prefilter (it is read-only),
+        /// and pointer-sized, so the expression keeps its size (and
+        /// every budget its charge).
+        filter: Option<Arc<BitVectorFilter>>,
     },
 }
 
@@ -286,16 +289,25 @@ impl ScanMonitorSet {
 
     /// Installs a hash join's completed build-side filter into the
     /// set's semi-join expression (a set without one ignores it).
-    pub fn install_semi_join_filter(&mut self, filter: BitVectorFilter) {
+    pub fn install_semi_join_filter(&mut self, filter: Arc<BitVectorFilter>) {
         for e in &mut self.exprs {
             if let ScanExprKind::SemiJoin {
                 filter: installed, ..
             } = &mut e.kind
             {
-                *installed = Some(Box::new(filter));
+                *installed = Some(filter);
                 return;
             }
         }
+    }
+
+    /// The filter installed in the set's semi-join expression, if any.
+    #[cfg(test)]
+    pub(crate) fn semi_join_filter(&self) -> Option<&Arc<BitVectorFilter>> {
+        self.exprs.iter().find_map(|e| match &e.kind {
+            ScanExprKind::SemiJoin { filter, .. } => filter.as_ref(),
+            ScanExprKind::Atoms { .. } => None,
+        })
     }
 
     /// Number of expressions currently shed.
@@ -1021,7 +1033,7 @@ mod tests {
             1.0,
             2,
         );
-        set.install_semi_join_filter(f);
+        set.install_semi_join_filter(Arc::new(f));
         // Page 0: key 5 present (hit). Page 1: only key 6 (likely miss).
         set.start_page(0);
         set.observe_row(&[], &Row::new(vec![Datum::Int(5), Datum::Int(0)]));
@@ -1206,7 +1218,7 @@ mod tests {
             (ShedClass::SemiJoin, 128 + 512),
         ];
         assert_eq!(set.expr_costs(), charges);
-        set.install_semi_join_filter(BitVectorFilter::new(4096, 7));
+        set.install_semi_join_filter(Arc::new(BitVectorFilter::new(4096, 7)));
         assert_eq!(set.expr_costs(), charges);
         set.shed_expr(1);
         assert_eq!(set.resident_bytes(), 136 + 144 + 640);
@@ -1364,11 +1376,12 @@ mod tests {
         let row = |k| Row::new(vec![Datum::Int(k), Datum::Int(0)]);
         let mut filter = BitVectorFilter::new(256, 7);
         filter.insert(&Datum::Int(5));
+        let filter = Arc::new(filter);
         let mk = |with_filter: bool| {
             let expr = ScanExprMonitor::semi_join("j", 0, 32, None);
             let mut set = ScanMonitorSet::new("t", vec![expr], 1.0, 2);
             if with_filter {
-                set.install_semi_join_filter(filter.clone());
+                set.install_semi_join_filter(Arc::clone(&filter));
             }
             set
         };

@@ -42,6 +42,9 @@ pub struct SeqScan {
     page_mask: Vec<u64>,
     /// Reusable slot-directory offsets of the current page.
     slot_offs: Vec<u32>,
+    /// Reusable per-atom verdicts the current page's zone settles
+    /// (`None`: the atom reads the page's rows).
+    verdicts: Vec<Option<bool>>,
     /// Compiled page-at-a-time kernel; `None` when any predicate column
     /// is outside the fixed-width prefix, in which case every page takes
     /// the row loop.
@@ -52,8 +55,10 @@ pub struct SeqScan {
     /// with no possible build match are culled before the join sees them.
     /// Charging rule: one hash op per qualifying row *tested* — exactly
     /// the per-probe-row hash the join itself would have charged — so
-    /// I/O statistics are byte-identical to the unfiltered plan.
-    prefilter: Option<(BitVectorFilter, usize)>,
+    /// I/O statistics are byte-identical to the unfiltered plan. The
+    /// filter is shared with the semi-join monitor and the join's build
+    /// side, never copied.
+    prefilter: Option<(Arc<BitVectorFilter>, usize)>,
 }
 
 impl SeqScan {
@@ -80,6 +85,7 @@ impl SeqScan {
             atom_bits: Vec::new(),
             page_mask: Vec::new(),
             slot_offs: Vec::new(),
+            verdicts: Vec::new(),
             kernel,
             prefilter: None,
         }
@@ -147,16 +153,16 @@ impl SeqScan {
     /// Installs a hash join's completed build-side `filter` over probe
     /// key column `key_col`: the scan's semi-join monitor (if any) tests
     /// it, and with `pushdown` the page pass also culls rows it rejects
-    /// (see the `prefilter` field for the charging contract). Only
-    /// meaningful before the scan runs.
+    /// (see the `prefilter` field for the charging contract); both hold
+    /// the same shared filter. Only meaningful before the scan runs.
     pub fn install_semi_join_filter(
         &mut self,
-        filter: BitVectorFilter,
+        filter: Arc<BitVectorFilter>,
         key_col: usize,
         pushdown: bool,
     ) {
         if pushdown {
-            self.prefilter = Some((filter.clone(), key_col));
+            self.prefilter = Some((Arc::clone(&filter), key_col));
         }
         if let Some(m) = &mut self.monitors {
             m.install_semi_join_filter(filter);
@@ -217,11 +223,13 @@ impl SeqScan {
         // Pass 1: evaluate the whole page into the qualifying bitmap —
         // no row is decoded into owned values here.
         //
-        // Preferred (kernel) path: comparison atoms read their operands
-        // straight out of the page buffer's fixed-prefix region, one
-        // truth stripe per atom, with no `RowView` construction (and no
-        // per-row validation walk) for rows that are only observed,
-        // never delivered. Monitors then receive one batched per-page
+        // Preferred (kernel) path: one truth stripe per atom. An atom the
+        // page's zone settles (every row passes, or none does) writes
+        // its stripe without touching a row; the others read their
+        // operands straight out of the page buffer's fixed-prefix
+        // region, with no `RowView` construction (and no per-row
+        // validation walk) for rows that are only observed, never
+        // delivered. Monitors then receive one batched per-page
         // observation instead of N per-row calls. Falls back to the row
         // loop when the predicate has non-fixed-prefix columns or a slot
         // directory fails the kernel's bounds pre-check. Both paths are
@@ -234,7 +242,13 @@ impl SeqScan {
 
         let mut used_kernel = false;
         if let Some(kernel) = &self.kernel {
-            if page.slot_offsets(kernel.span(), &mut self.slot_offs) {
+            // A damaged image has no zone: every atom reads its rows.
+            let zone = page.zone().unwrap_or_default();
+            self.verdicts.clear();
+            self.verdicts
+                .extend((0..natoms).map(|i| kernel.decide(i, zone)));
+            let all_decided = self.verdicts.iter().all(Option::is_some);
+            if all_decided || page.slot_offsets(kernel.span(), &mut self.slot_offs) {
                 used_kernel = true;
                 self.page_mask.clear();
                 self.page_mask.resize(words, 0);
@@ -261,13 +275,11 @@ impl SeqScan {
                     } else {
                         &self.qualifying
                     };
-                    kernel.eval_atom(
-                        i,
-                        bytes,
-                        &self.slot_offs,
-                        active,
-                        &mut self.atom_bits[stripe.clone()],
-                    );
+                    let out = &mut self.atom_bits[stripe.clone()];
+                    match self.verdicts[i] {
+                        Some(pass) => PageKernel::eval_decided(pass, &self.page_mask, active, out),
+                        None => kernel.eval_atom(i, bytes, &self.slot_offs, active, out),
+                    }
                     bitmap::and_into(&mut self.qualifying, &self.atom_bits[stripe]);
                 }
                 ctx.pool.charge_pred_evals(sc_evals);
@@ -628,14 +640,19 @@ mod tests {
         assert!(err < 0.25, "exact {exact} sampled {sampled}");
     }
 
-    /// `id`, `a` (scrambled Int), `f` (Float with NaN and ±0.0), `d`
-    /// (Date) in the fixed-width prefix, then a Str pad.
+    /// `id` (the clustering key), `a` (scrambled Int), `f` (Float with
+    /// NaN and ±0.0), `d` (Date), then `cf` and `cd`, a Float and a Date
+    /// that follow `id` — runs of one value, so page zones settle most
+    /// atoms on them — all in the fixed-width prefix, then a Str pad.
+    /// `cf` runs through −NaN, −∞, −0.0, 0.0, +∞ and NaN.
     fn typed_table(n: i64) -> Arc<TableStorage> {
         let schema = Schema::new(vec![
             Column::new("id", DataType::Int),
             Column::new("a", DataType::Int),
             Column::new("f", DataType::Float),
             Column::new("d", DataType::Date),
+            Column::new("cf", DataType::Float),
+            Column::new("cd", DataType::Date),
             Column::new("pad", DataType::Str),
         ]);
         let rows: Vec<Row> = (0..n)
@@ -646,11 +663,23 @@ mod tests {
                     13 => 0.0,
                     _ => ((i * 37) % 200) as f64 * 0.5 - 50.0,
                 };
+                // Twenty runs of equal length.
+                let cf = match i * 20 / n {
+                    0 => -f64::NAN,
+                    1 => f64::NEG_INFINITY,
+                    6 | 7 => -0.0,
+                    8 => 0.0,
+                    18 => f64::INFINITY,
+                    19 => f64::NAN,
+                    run => (run as f64 - 8.0) * 2.5,
+                };
                 Row::new(vec![
                     Datum::Int(i),
                     Datum::Int((i * 7919) % n),
                     Datum::Float(f),
                     Datum::Date(((i * 13) % 365) as i32),
+                    Datum::Float(cf),
+                    Datum::Date((i / 40) as i32 - 30),
                     Datum::Str("x".repeat(24)),
                 ])
             })
@@ -711,10 +740,50 @@ mod tests {
                 atom("d", CompareOp::Gt, Datum::Date(50)),
                 atom("f", CompareOp::Lt, Datum::Float(10.5)),
             ],
+            // Atoms page zones settle on all but a page or two: on the
+            // clustering key, on the clustered Float through its NaN and
+            // ±0.0 runs, and on the clustered Date — alone, and before
+            // and after atoms that read rows.
+            vec![atom("id", CompareOp::Lt, Datum::Int(1_500))],
+            vec![
+                atom("id", CompareOp::Ge, Datum::Int(700)),
+                atom("a", CompareOp::Lt, Datum::Int(1_200)),
+            ],
+            vec![
+                atom("a", CompareOp::Lt, Datum::Int(2_000)),
+                atom("id", CompareOp::Le, Datum::Int(400)),
+            ],
+            vec![atom("cf", CompareOp::Le, Datum::Float(0.0))],
+            vec![atom("cf", CompareOp::Eq, Datum::Float(-0.0))],
+            vec![
+                atom("cf", CompareOp::Gt, Datum::Float(f64::NEG_INFINITY)),
+                atom("f", CompareOp::Ge, Datum::Float(-10.0)),
+                atom("cf", CompareOp::Ne, Datum::Float(f64::NAN)),
+            ],
+            vec![
+                atom("f", CompareOp::Ne, Datum::Float(0.0)),
+                atom("cf", CompareOp::Lt, Datum::Float(-f64::NAN)),
+            ],
+            vec![
+                atom("cd", CompareOp::Ge, Datum::Date(0)),
+                atom("d", CompareOp::Lt, Datum::Date(200)),
+            ],
+            vec![
+                atom("d", CompareOp::Ge, Datum::Date(100)),
+                atom("cd", CompareOp::Ne, Datum::Date(-5)),
+                atom("id", CompareOp::Gt, Datum::Int(2_990)),
+            ],
         ];
+        // Pages whose zone settles every atom / leaves one to the rows.
+        let mut settled = [0u32; 2];
         for atoms in conjunctions {
             let pred = Conjunction::new(atoms);
             let n = pred.len();
+            let kernel = pred.compile_page_kernel(t.layout()).expect("kernel");
+            for p in 0..t.page_count() {
+                let zone = t.page(PageId(p)).unwrap().zone().expect("pristine");
+                settled[usize::from((0..n).all(|i| kernel.decide(i, zone).is_some()))] += 1;
+            }
             // Unmonitored; prefix-only (short-circuit observation); and
             // with a non-prefix subset, which forces full evaluation on
             // sampled pages.
@@ -733,6 +802,35 @@ mod tests {
                 }
             }
         }
+        assert!(settled.iter().all(|&k| k > 100), "pages {settled:?}");
+    }
+
+    /// With pushdown, the page-pass prefilter and the semi-join monitor
+    /// hold the one filter they were handed.
+    #[test]
+    fn prefilter_and_monitor_share_one_filter() {
+        let t = make_table(100);
+        let monitors = ScanMonitorSet::new(
+            "t",
+            vec![ScanExprMonitor::semi_join("sj", 1, 32, None)],
+            1.0,
+            3,
+        );
+        let mut scan = SeqScan::full(
+            Arc::clone(&t),
+            TableId(0),
+            Conjunction::always_true(),
+            Some(monitors),
+        );
+        let filter = Arc::new(BitVectorFilter::new(256, 7));
+        scan.install_semi_join_filter(Arc::clone(&filter), 1, true);
+        let (prefilter, _) = scan.prefilter.as_ref().expect("pushed down");
+        let monitored = scan
+            .monitors
+            .as_ref()
+            .and_then(ScanMonitorSet::semi_join_filter)
+            .expect("monitor installed");
+        assert!(Arc::ptr_eq(prefilter, &filter) && Arc::ptr_eq(monitored, &filter));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! precisely why the number of **distinct** pages, not the number of
 //! fetched rows, drives index-plan cost.
 
-use crate::lru::LruSet;
+use crate::lru::PageLru;
 use pf_common::{PageId, TableId};
 
 /// How a physical read reaches the disk arm.
@@ -142,13 +142,15 @@ fn missed_bit(
 
 /// An LRU buffer pool over `(table, page)` keys.
 ///
-/// The pool tracks residency only — page *bytes* live in
+/// Residency is found by index, not by hash: each table's pages map to
+/// their LRU slots through an array indexed by page id (see
+/// [`PageLru`]). The pool tracks residency only — page *bytes* live in
 /// [`crate::TableStorage`]; what matters for the experiments is the I/O
 /// accounting, which this type owns together with the CPU counters (they
 /// share [`IoStats`] so one object travels through the executor).
 #[derive(Debug)]
 pub struct BufferPool {
-    frames: LruSet<(TableId, PageId)>,
+    frames: PageLru,
     stats: IoStats,
     /// Every physical read since the last [`BufferPool::clear`], in
     /// access order.
@@ -159,7 +161,7 @@ impl BufferPool {
     /// A pool with room for `capacity_pages` pages.
     pub fn new(capacity_pages: usize) -> Self {
         BufferPool {
-            frames: LruSet::new(capacity_pages),
+            frames: PageLru::new(capacity_pages),
             stats: IoStats::default(),
             misses: Vec::new(),
         }
@@ -229,7 +231,7 @@ impl BufferPool {
     /// would hit it and bypass verification.
     pub fn skip_corrupt(&mut self, table: TableId, page: PageId) {
         self.stats.pages_skipped += 1;
-        self.frames.remove(&(table, page));
+        self.frames.remove((table, page));
     }
 
     /// Snapshot of the counters.

@@ -5,7 +5,8 @@
 //! hook into, so this crate builds that substrate from scratch:
 //!
 //! * [`codec`] — binary row serialization (schema-directed, no per-value tags),
-//! * [`page`] — slotted 8 KB pages with a slot directory,
+//! * [`page`] — slotted 8 KB pages with a slot directory and a per-page
+//!   min/max zone of each fixed-width column,
 //! * [`view`] — zero-copy row views: a schema-compiled [`RowLayout`]
 //!   plus borrowed [`RowView`]s and [`PageCursor`]s, so the executor's
 //!   scan hot path decodes without allocating,
@@ -45,6 +46,6 @@ pub use bufferpool::{merge_morsel_stats, AccessPattern, BufferPool, IoStats, Pag
 pub use catalog::{Catalog, ColumnValues, IndexMeta, TableBuilder, TableMeta, TableStats};
 pub use disk::DiskModel;
 pub use fault::{ErrorFault, FaultKind, FaultPlan};
-pub use page::{crc32, Page, DEFAULT_PAGE_SIZE};
+pub use page::{crc32, order_key, ColumnZone, Page, DEFAULT_PAGE_SIZE};
 pub use table::{EpochState, TableStorage};
 pub use view::{PageCursor, RowLayout, RowView};

@@ -6,6 +6,12 @@
 //! experiments, works over bulk-loaded read-mostly tables), which keeps
 //! the layout free of tombstones and compaction.
 //!
+//! Beside its bytes a page keeps a *zone*: the smallest and largest
+//! value of each fixed-prefix column over its rows (see [`ColumnZone`]),
+//! kept by [`Page::insert`] as rows arrive and dropped by every mutator
+//! that changes bytes behind the rows' backs, so a scan can settle a
+//! comparison for the whole page without reading a row.
+//!
 //! ```text
 //! +--------------------------------------------------------------+
 //! | header | row0 | row1 | ...        free        ... | s1 | s0 |
@@ -15,7 +21,7 @@
 
 use crate::codec;
 use crate::fault::FaultKind;
-use pf_common::{Error, Result, Row, Schema, SlotId};
+use pf_common::{Datum, Error, Result, Row, Schema, SlotId};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Default page size: 8 KB, matching SQL Server.
@@ -92,12 +98,49 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(!0u32, bytes)
 }
 
+/// The smallest and largest [order key](order_key) of one fixed-prefix
+/// column over the rows of a page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnZone {
+    /// Smallest order key on the page.
+    pub min: i64,
+    /// Largest order key on the page.
+    pub max: i64,
+}
+
+/// The integer whose signed order is [`f64::total_cmp`]'s order: the
+/// sign bit kept, the other bits inverted for negative values (the
+/// transform `total_cmp` itself compares by).
+fn float_order_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The key a fixed-width value sorts by in a zone, `None` for `Str`.
+/// Keys compare exactly as the values do: `Int` and `Date` as integers,
+/// `Float` by `total_cmp` (so `-0.0 < 0.0` and NaNs sort by sign at the
+/// ends).
+pub fn order_key(value: &Datum) -> Option<i64> {
+    match value {
+        Datum::Int(v) => Some(*v),
+        Datum::Float(v) => Some(float_order_key(*v)),
+        Datum::Date(v) => Some(i64::from(*v)),
+        Datum::Str(_) => None,
+    }
+}
+
 /// A fixed-size slotted page holding encoded rows.
 #[derive(Debug)]
 pub struct Page {
     data: Box<[u8]>,
     slot_count: u16,
     free_start: usize,
+    /// One [`ColumnZone`] per fixed-prefix column, in column order,
+    /// over the rows inserted so far (empty before the first row).
+    /// `None` once a byte-level mutator ran: the zone can no longer be
+    /// trusted to describe the bytes, and it stays unknown for the life
+    /// of the image.
+    zone: Option<Box<[ColumnZone]>>,
     /// Memoized "body matches the sealed checksum" verdict. Sealed pages
     /// are immutable, so a successful verification stays valid for the
     /// life of the image; only successes are cached, so a damaged page
@@ -112,6 +155,7 @@ impl Clone for Page {
             data: self.data.clone(),
             slot_count: self.slot_count,
             free_start: self.free_start,
+            zone: self.zone.clone(),
             verified: AtomicBool::new(self.verified.load(Ordering::Relaxed)),
         }
     }
@@ -132,6 +176,7 @@ impl Page {
             data: vec![0u8; page_size].into_boxed_slice(),
             slot_count: 0,
             free_start: HEADER_SIZE,
+            zone: Some(Box::default()),
             verified: AtomicBool::new(false),
         }
     }
@@ -158,6 +203,7 @@ impl Page {
     }
 
     /// Appends a row; returns its slot, or an error if it does not fit.
+    /// The row's fixed-prefix values widen the page's zone.
     pub fn insert(&mut self, schema: &Schema, row: &Row) -> Result<SlotId> {
         self.verified.store(false, Ordering::Relaxed);
         let payload = codec::encoded_size(row);
@@ -177,7 +223,29 @@ impl Page {
         let dir_pos = self.data.len() - SLOT_SIZE * (slot as usize + 1);
         self.data[dir_pos..dir_pos + SLOT_SIZE].copy_from_slice(&(offset as u16).to_le_bytes());
         self.slot_count += 1;
+        let keys = row.values.iter().map_while(order_key);
+        match &mut self.zone {
+            Some(zone) if slot == 0 => {
+                *zone = keys.map(|k| ColumnZone { min: k, max: k }).collect()
+            }
+            Some(zone) => {
+                for (z, k) in zone.iter_mut().zip(keys) {
+                    z.min = z.min.min(k);
+                    z.max = z.max.max(k);
+                }
+            }
+            None => {}
+        }
         Ok(SlotId(slot))
+    }
+
+    /// The page's zone: one [`ColumnZone`] per column of the row
+    /// layout's fixed-width prefix, in column order, covering every row
+    /// on the page. `None` when a byte-level mutator
+    /// ([`Page::flip_bit`], fault injection) has touched the image since
+    /// its rows were inserted — the rows must then be read.
+    pub fn zone(&self) -> Option<&[ColumnZone]> {
+        self.zone.as_deref()
     }
 
     /// Decodes the row in `slot` (owned path; see [`crate::view`] for the
@@ -247,7 +315,8 @@ impl Page {
     }
 
     /// Writes the page checksum into the reserved header bytes. Called
-    /// once per page at the end of bulk load; a sealed page is immutable.
+    /// once per page at the end of bulk load and of every DML rewrite; a
+    /// sealed page is immutable, so its zone is final too.
     pub fn seal(&mut self) {
         self.verified.store(false, Ordering::Relaxed);
         let c = self.compute_checksum();
@@ -284,6 +353,7 @@ impl Page {
     /// media bit rot; regular workloads never mutate a sealed page.
     pub fn flip_bit(&mut self, bit: u64) {
         self.verified.store(false, Ordering::Relaxed);
+        self.zone = None;
         let nbits = self.data.len() as u64 * 8;
         let pos = (bit % nbits) as usize;
         self.data[pos / 8] ^= 1 << (pos % 8);
@@ -294,6 +364,7 @@ impl Page {
     /// checked read path must discover the damage itself.
     pub(crate) fn inject_fault(&mut self, kind: FaultKind, entropy: u64) {
         self.verified.store(false, Ordering::Relaxed);
+        self.zone = None;
         let len = self.data.len();
         match kind {
             FaultKind::BitFlip => {
@@ -442,6 +513,120 @@ mod tests {
         p.seal();
         p.inject_fault(FaultKind::ReadStall, 42);
         assert!(p.checksum_ok(), "a stall must not damage the page");
+    }
+
+    /// Float specials in `total_cmp` order, negative NaN first.
+    const FLOAT_ORDER: [f64; 9] = [
+        -f64::NAN,
+        f64::NEG_INFINITY,
+        f64::MIN,
+        -1.5,
+        -0.0,
+        0.0,
+        f64::MIN_POSITIVE,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+
+    #[test]
+    fn float_order_key_sorts_like_total_cmp() {
+        for a in FLOAT_ORDER {
+            for b in FLOAT_ORDER {
+                assert_eq!(
+                    float_order_key(a).cmp(&float_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    fn zoned_schema() -> Schema {
+        Schema::new(vec![
+            Column::new("i", DataType::Int),
+            Column::new("f", DataType::Float),
+            Column::new("d", DataType::Date),
+            Column::new("s", DataType::Str),
+            Column::new("after", DataType::Int),
+        ])
+    }
+
+    fn zoned_row(i: i64, f: f64, d: i32) -> Row {
+        Row::new(vec![
+            Datum::Int(i),
+            Datum::Float(f),
+            Datum::Date(d),
+            Datum::Str("s".into()),
+            Datum::Int(i.wrapping_neg()),
+        ])
+    }
+
+    /// The zone covers exactly the fixed prefix (not the Int after the
+    /// Str) and equals the brute-force min/max after every insert,
+    /// including one after seal.
+    #[test]
+    fn zone_tracks_inserted_rows() {
+        let s = zoned_schema();
+        let mut p = Page::new(DEFAULT_PAGE_SIZE);
+        assert_eq!(p.zone(), Some(&[][..]), "no rows, empty zone");
+        let rows: Vec<Row> = (0..FLOAT_ORDER.len())
+            .map(|k| {
+                let i = [i64::MAX, 0, i64::MIN, 7, -7, 1, 2, 3, 4][k];
+                let d = [0, i32::MIN, 5, i32::MAX, -1, 9, 9, 9, 9][k];
+                zoned_row(i, FLOAT_ORDER[(k * 4) % FLOAT_ORDER.len()], d)
+            })
+            .collect();
+        for (n, row) in rows.iter().enumerate() {
+            if n == rows.len() - 1 {
+                p.seal();
+            }
+            p.insert(&s, row).expect("row fits");
+            let seen = &rows[..=n];
+            let zone = p.zone().expect("no mutator ran");
+            assert_eq!(zone.len(), 3, "fixed prefix only");
+            for (col, z) in zone.iter().enumerate() {
+                let keys = seen.iter().map(|r| order_key(r.get(col)).expect("fixed"));
+                let want = ColumnZone {
+                    min: keys.clone().min().expect("rows"),
+                    max: keys.max().expect("rows"),
+                };
+                assert_eq!(*z, want, "column {col} after {} rows", n + 1);
+            }
+        }
+    }
+
+    /// A byte-level mutator leaves no zone behind, and later inserts do
+    /// not revive one from partial knowledge; a clone keeps the zone.
+    #[test]
+    fn byte_mutators_drop_the_zone() {
+        let s = zoned_schema();
+        let mut p = Page::new(DEFAULT_PAGE_SIZE);
+        for i in 0..6 {
+            p.insert(&s, &zoned_row(i, i as f64, i as i32))
+                .expect("row fits");
+        }
+        p.seal();
+        assert_eq!(p.clone().zone(), p.zone());
+        let mut flipped = p.clone();
+        // Flipping the same bit twice restores the bytes, not the zone.
+        flipped.flip_bit(999);
+        flipped.flip_bit(999);
+        assert_eq!(flipped.bytes(), p.bytes());
+        assert_eq!(flipped.zone(), None);
+        flipped
+            .insert(&s, &zoned_row(100, 1.0, 1))
+            .expect("row fits");
+        assert_eq!(flipped.zone(), None, "an insert cannot vouch for old rows");
+        for kind in [
+            FaultKind::BitFlip,
+            FaultKind::TruncatedPage,
+            FaultKind::TornSlotDirectory,
+            FaultKind::ReadStall,
+        ] {
+            let mut damaged = p.clone();
+            damaged.inject_fault(kind, 0xABCD_EF01_2345_6789);
+            assert_eq!(damaged.zone(), None, "{kind}");
+        }
     }
 
     #[test]

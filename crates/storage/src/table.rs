@@ -1124,6 +1124,64 @@ mod tests {
         assert!(caught > 0, "rate-0.5 plan must damage some live page");
     }
 
+    /// Every pristine page's zone is the min/max of the rows it holds
+    /// now, and the checked read path never pairs damaged bytes with a
+    /// zone — even on an unverified read (a buffer-pool hit).
+    fn assert_zones_exact(t: &TableStorage, when: &str) {
+        let mut damaged = 0;
+        for p in 0..t.page_count() {
+            let pid = PageId(p);
+            let keys: Vec<i64> = t
+                .rows_on_page(pid)
+                .expect("page id within table")
+                .iter()
+                .map(|r| crate::page::order_key(r.get(0)).expect("fixed column"))
+                .collect();
+            let want = crate::page::ColumnZone {
+                min: *keys.iter().min().expect("no empty pages"),
+                max: *keys.iter().max().expect("no empty pages"),
+            };
+            let pristine = t.page(pid).expect("pristine page");
+            assert_eq!(pristine.zone(), Some(&[want][..]), "{when}: page {p}");
+            let checked = t.checked_page(pid, 0, false).expect("unverified read");
+            if checked.bytes() == pristine.bytes() {
+                assert_eq!(checked.zone(), pristine.zone(), "{when}: page {p}");
+            } else {
+                assert_eq!(checked.zone(), None, "{when}: damaged page {p}");
+                damaged += 1;
+            }
+        }
+        assert!(damaged > 0, "{when}: the plan must damage some page");
+    }
+
+    #[test]
+    fn zones_stay_exact_through_dml_and_never_describe_damage() {
+        let mut t = TableStorage::bulk_load(schema(), &rows(2000, 30), Some(0), 1024, 1.0)
+            .expect("bulk load test table");
+        t.attach_fault_plan(
+            TableId(2),
+            Some(FaultPlan::new(0x20E, 0.3).expect("valid plan")),
+        );
+        assert_zones_exact(&t, "load");
+        // Emptied pages drop out, partly deleted pages are rewritten.
+        t.delete_where(|r| {
+            let k = r.get(0).as_int().unwrap_or(0);
+            k % 3 == 0 || (500..600).contains(&k)
+        })
+        .expect("delete succeeds");
+        assert_zones_exact(&t, "delete");
+        // Inserts widen a page's range at both ends, then split it.
+        for k in [-5, 2_500, 550, 551, 552] {
+            let row = Row::new(vec![Datum::Int(k), Datum::Str("y".repeat(30))]);
+            t.insert_row(row).expect("insert succeeds");
+        }
+        for k in 0..40 {
+            let row = Row::new(vec![Datum::Int(1_000), Datum::Str(format!("split{k}"))]);
+            t.insert_row(row).expect("insert succeeds");
+        }
+        assert_zones_exact(&t, "insert");
+    }
+
     /// Every row of `t` under its RID.
     fn snapshot(t: &TableStorage) -> Vec<(Rid, Row)> {
         t.all_rids()

@@ -1,18 +1,20 @@
 //! Full-query identity of the scan pipeline: the seeded count workloads
 //! of the differential harness (page kernels over Int, Float and Date
-//! atoms, the row loop for Str atoms, index seeks and fetches) at 1, 2
+//! atoms, pages their min/max zone settles without reading a row, the
+//! row loop for Str atoms, index seeks and fetches) at 1, 2
 //! and 8 workers, with and without an injected fault plan, checked for
 //! byte-identical outcomes and against brute force. The executable form
 //! of the batched-observation contract in DESIGN.md §5h.
 
 mod harness;
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use harness::{differential_runs, resolved_pred, Fixture, SEEDS, TABLE};
 use pagefeed::Query;
-use pf_common::{PageId, Row};
-use pf_exec::{Operator, SeqScan};
+use pf_common::{Datum, PageId, Row};
+use pf_exec::{AtomicPredicate, CompareOp, Operator, SeqScan};
 
 fn is_count(query: &Query) -> bool {
     matches!(query, Query::Count { .. })
@@ -90,4 +92,64 @@ fn unmonitored_full_scan_charges_match_row_loop() {
             assert_eq!(count, passing as u64, "{what}: count");
         }
     }
+}
+
+/// Whether `atom` gives one verdict for every value between its column's
+/// values in rows `lo` and `hi` (in the column's total order) — exactly
+/// when a page whose values span that range can be answered from its
+/// min/max alone.
+fn constant_between(atom: &AtomicPredicate, lo: &Row, hi: &Row) -> bool {
+    let cmp = |row: &Row| row.get(atom.column).cmp_same_type(&atom.value);
+    match atom.op {
+        CompareOp::Eq | CompareOp::Ne => {
+            lo.get(atom.column).cmp_same_type(hi.get(atom.column)) == Some(Ordering::Equal)
+                || cmp(lo) == Some(Ordering::Greater)
+                || cmp(hi) == Some(Ordering::Less)
+        }
+        // A monotone comparison is constant on an interval iff it
+        // agrees at both ends.
+        _ => atom.eval(lo) == atom.eval(hi),
+    }
+}
+
+/// Coverage guard for the page-zone shortcut, computed from the rows
+/// alone: across the seeds, the scans of the kernel-only count queries
+/// meet both pages whose every atom is settled by the page's min/max
+/// and pages where some atom straddles its literal — so the
+/// brute-force comparisons above exercise both.
+#[test]
+fn seeded_scans_meet_settled_and_unsettled_pages() {
+    let mut pages = [0u32; 2]; // unsettled, settled
+    for seed in SEEDS {
+        let fx = Fixture::new(seed);
+        let db = fx.database(0.0);
+        let storage = &db.catalog().table_by_name(TABLE).expect("table").storage;
+        let layout = storage.layout();
+        for query in fx.queries.iter().filter(|q| is_count(q)) {
+            let pred = resolved_pred(query);
+            let fixed = pred
+                .atoms
+                .iter()
+                .all(|a| layout.fixed_col(a.column).is_some() && !matches!(a.value, Datum::Str(_)));
+            if pred.is_empty() || !fixed {
+                continue;
+            }
+            for p in 0..storage.page_count() {
+                let rows = storage.rows_on_page(PageId(p)).expect("page");
+                let settled = pred.atoms.iter().all(|atom| {
+                    let mut sorted: Vec<&Row> = rows.iter().collect();
+                    sorted.sort_by(|a, b| {
+                        let (a, b) = (a.get(atom.column), b.get(atom.column));
+                        a.cmp_same_type(b).expect("one column type")
+                    });
+                    constant_between(atom, sorted[0], sorted[sorted.len() - 1])
+                });
+                pages[usize::from(settled)] += 1;
+            }
+        }
+    }
+    assert!(
+        pages.iter().all(|&n| n > 0),
+        "unsettled/settled pages {pages:?}"
+    );
 }
