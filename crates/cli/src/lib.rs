@@ -456,11 +456,10 @@ impl Shell {
         let Some(db) = &mut self.db else {
             return NO_DB.to_string();
         };
-        let policy = pf_optimizer::StalenessPolicy::default();
         let states = db.table_epoch_states();
-        let from_hints = db.hints_mut().apply_staleness(policy, &states);
+        let from_hints = db.hints_mut().apply_staleness(&states);
         let from_store = match db.feedback_store_mut() {
-            Some(store) => match store.evict_stale(policy, &states) {
+            Some(store) => match store.evict_stale(&states) {
                 Ok(n) => n,
                 Err(e) => return format!("evict failed: {e}"),
             },
@@ -746,15 +745,13 @@ impl Shell {
                     );
                 }
                 let pc = db.plan_cache_stats();
-                if pc.enabled {
-                    let _ = write!(
-                        out,
-                        "\nplan cache: {} hits / {} misses ({:.0}% hit rate)",
-                        pc.hits,
-                        pc.misses,
-                        pc.hit_rate() * 100.0,
-                    );
-                }
+                let _ = write!(
+                    out,
+                    "\nplan cache: {} hits / {} misses ({:.0}% hit rate)",
+                    pc.hits,
+                    pc.misses,
+                    pc.hit_rate() * 100.0,
+                );
                 out
             }
             Err(e) => format!("bench failed: {e}"),

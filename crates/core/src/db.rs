@@ -11,10 +11,11 @@ use pf_exec::monitor::MonitorPartial;
 use pf_exec::{Conjunction, ExecContext};
 use pf_feedback::FeedbackReport;
 use pf_optimizer::{
-    AccessPath, CostModel, DbStats, EpochStamp, HintSet, JoinMethod, Optimizer, StalenessPolicy,
+    AccessPath, CostModel, DbStats, EpochStamp, HintSet, JoinMethod, Optimizer, SingleTablePlan,
     TableEpochState,
 };
 use pf_storage::{Catalog, DiskModel, FaultPlan, IoStats, PageMiss, TableBuilder};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -57,40 +58,62 @@ impl QueryOutcome {
     }
 }
 
-/// What every morsel of a query lowers: the cached optimizer decision,
-/// plus the page span of the plan's driving scan (the single-table scan,
-/// or a join's outer scan; empty for fetch plans, whose RID source
-/// drives them). Shared by reference with every worker.
-#[derive(Debug, Clone)]
-pub struct Morsels {
-    /// The optimizer decision each morsel lowers.
+/// A query's optimizer decision and the hints it was made under: what
+/// every run of the query lowers, once per config and per attempt.
+/// Lowering reads the hints too, because monitor estimates come from
+/// the cardinality estimator over them. The plain path borrows the
+/// database's hints; only an overlay (DPC-histogram predictions, a
+/// feedback cell's injections) owns a hint set.
+pub(crate) struct Decision<'a> {
+    /// The optimizer decision.
     pub(crate) optimized: Arc<OptimizedQuery>,
-    /// `[first, last)` pages of the driving scan.
-    pub(crate) pages: (u32, u32),
-    /// Whether the driving scan's first page access pays a random
-    /// (positioning) I/O — true for clustered range scans; the first
-    /// morsel inherits it.
-    pub(crate) first_random: bool,
+    /// The hints it was made under.
+    hints: Cow<'a, HintSet>,
 }
 
-/// Every query shape the parallel driver can execute as morsels, each a
-/// sequence of phases over one per-morsel runner
-/// (`Database::run_morsel`). Shapes not represented here (index-only
-/// scans, scans and hash-join probes under two pages, DPC-cache
-/// overlays, query deadlines) fall back to a serial run.
+/// How [`crate::ParallelRunner::run_query`] splits a query into morsels,
+/// each a sequence of phases over one per-morsel runner
+/// (`Database::run_morsel`). Each variant carries what its phases read
+/// beyond the decision itself. Shapes not represented here (index-only
+/// scans, scans and hash-join probes under two pages, DPC-histogram
+/// overlays, query deadlines) run serially.
 #[derive(Debug, Clone)]
 pub enum MorselPlan {
     /// Page morsels over a sequential scan.
-    Scan(Morsels),
+    Scan {
+        /// `[first, last)` pages of the scan.
+        pages: (u32, u32),
+        /// Whether the scan's first page access pays a random
+        /// (positioning) I/O — true for clustered range scans; the
+        /// first morsel inherits it.
+        first_random: bool,
+    },
     /// The coordinator drains the index RID source, then RID-run
     /// morsels fetch.
-    Fetch(Morsels),
+    Fetch {
+        /// The index-driven plan whose RID source the coordinator drains.
+        plan: SingleTablePlan,
+        /// The resolved predicate the plan filters with.
+        pred: Conjunction,
+    },
     /// Page morsels over the outer side each build a hash table; the
     /// merged build side is then probed by page morsels over the inner.
-    HashJoin(Morsels),
+    HashJoin {
+        /// `[first, last)` pages of the outer (build) scan.
+        build: (u32, u32),
+        /// Whether the build scan's first page access is random.
+        first_random: bool,
+        /// Pages of the inner (probe) table.
+        inner_pages: u32,
+    },
     /// Page morsels over the outer side, each running the whole
     /// index-nested-loops join.
-    InlJoin(Morsels),
+    InlJoin {
+        /// `[first, last)` pages of the outer scan.
+        pages: (u32, u32),
+        /// Whether the outer scan's first page access is random.
+        first_random: bool,
+    },
 }
 
 /// What one morsel returns to the coordinator: all plain `Send` data,
@@ -153,7 +176,7 @@ impl Database {
             dpc_cache: None,
             feedback_store: None,
             breaker: None,
-            plan_cache: PlanCache::new(true),
+            plan_cache: PlanCache::default(),
             disk: DiskModel::default(),
             pool_pages: 65_536,
         }
@@ -274,8 +297,7 @@ impl Database {
         let recovered = store.len();
         store.replay_into(&mut self.hints);
         let states = self.table_epoch_states();
-        self.hints
-            .apply_staleness(StalenessPolicy::default(), &states);
+        self.hints.apply_staleness(&states);
         self.feedback_store = Some(store);
         self.plan_cache.invalidate();
         Ok(recovered)
@@ -477,8 +499,7 @@ impl Database {
     fn after_dml(&mut self) -> Result<()> {
         self.stats_current = false; // the changed table's statistics are stale
         let states = self.table_epoch_states();
-        self.hints
-            .apply_staleness(StalenessPolicy::default(), &states);
+        self.hints.apply_staleness(&states);
         self.plan_cache.invalidate();
         Ok(())
     }
@@ -495,65 +516,79 @@ impl Database {
 
     /// A planner over the current state.
     pub fn planner(&self) -> Result<Planner<'_>> {
+        self.planner_under(&self.hints)
+    }
+
+    /// A planner over the current catalog and statistics that reads
+    /// `hints` instead of the database's own.
+    fn planner_under<'a>(&'a self, hints: &'a HintSet) -> Result<Planner<'a>> {
         Ok(Planner::new(
             &self.catalog,
             self.stats()?,
-            &self.hints,
+            hints,
             CostModel::with_disk(self.disk),
         ))
     }
 
+    /// The decision every run of `query` lowers. Over the database's own
+    /// hints it comes from the plan cache, and a miss fills the cache
+    /// only when `fill_cache` is set (a deadline run may abort and an
+    /// estimate may be shed, so neither fills it). A feedback cell's
+    /// `overlay`, or the DPC-histogram cache, makes a per-query hint
+    /// set instead; its decision is optimized afresh and never cached.
+    pub(crate) fn decide(
+        &self,
+        query: &Query,
+        overlay: Option<HintSet>,
+        fill_cache: bool,
+    ) -> Result<Decision<'_>> {
+        let overlay = overlay.or_else(|| self.dpc_cache.is_some().then(|| self.hints.clone()));
+        let Some(overlay) = overlay else {
+            let optimized = match self.plan_cache.get(query) {
+                Some(cached) => cached,
+                None => {
+                    let fresh = Arc::new(self.planner()?.optimize_query(query)?);
+                    if fill_cache {
+                        self.plan_cache.insert(query.clone(), Arc::clone(&fresh));
+                    }
+                    fresh
+                }
+            };
+            return Ok(Decision {
+                optimized,
+                hints: Cow::Borrowed(&self.hints),
+            });
+        };
+        let hints = self.effective_hints_from(overlay, query)?;
+        let optimized = Arc::new(self.planner_under(&hints)?.optimize_query(query)?);
+        Ok(Decision {
+            optimized,
+            hints: Cow::Owned(hints),
+        })
+    }
+
+    /// Lowers `slice` of a decision under `cfg`, with monitors built
+    /// fresh from `cfg.seed`.
+    pub(crate) fn lower_decision(
+        &self,
+        decision: &Decision<'_>,
+        cfg: &MonitorConfig,
+        slice: &PlanSlice,
+    ) -> Result<LoweredPlan> {
+        self.planner_under(&decision.hints)?
+            .lower_slice(&decision.optimized, cfg, slice)
+    }
+
     /// Optimizes and lowers a query without running it. Consults the
     /// DPC-histogram cache (if enabled) for expressions lacking exact
-    /// feedback, and otherwise serves repeated query shapes from the
-    /// plan cache (optimizer decision memoized; monitors still built
-    /// fresh per call from `cfg.seed`). The plan carries
-    /// `cfg.deadline_ms` into [`Database::execute`]; a deadline run may
-    /// abort, so it reads the plan cache but never fills it.
+    /// feedback, and otherwise serves repeated queries from the plan
+    /// cache (optimizer decision memoized; monitors still built fresh
+    /// per call from `cfg.seed`). The plan carries `cfg.deadline_ms`
+    /// into [`Database::execute`]; a deadline run may abort, so it
+    /// reads the plan cache but never fills it.
     pub fn lower(&self, query: &Query, cfg: &MonitorConfig) -> Result<LoweredPlan> {
-        self.lower_cached(query, cfg, cfg.deadline_ms.is_none())
-    }
-
-    /// [`Database::lower`], filling the plan cache on a miss only when
-    /// `fill_cache` is set.
-    fn lower_cached(
-        &self,
-        query: &Query,
-        cfg: &MonitorConfig,
-        fill_cache: bool,
-    ) -> Result<LoweredPlan> {
-        if self.dpc_cache.is_some() {
-            // Histogram-cache overlays are per-query hint sets; their
-            // decisions are not cacheable under a single key.
-            let hints = self.effective_hints(query)?;
-            return self.lower_with(query, cfg, &hints);
-        }
-        let planner = self.planner()?;
-        let optimized = self.optimized(query, cfg, &planner, fill_cache)?;
-        planner.lower_optimized(&optimized, cfg)
-    }
-
-    /// The optimizer decision for `query`, served from the plan cache
-    /// when possible; a miss is stored only when `fill_cache` is set.
-    fn optimized(
-        &self,
-        query: &Query,
-        cfg: &MonitorConfig,
-        planner: &Planner<'_>,
-        fill_cache: bool,
-    ) -> Result<Arc<OptimizedQuery>> {
-        if !self.plan_cache.is_enabled() {
-            return Ok(Arc::new(planner.optimize_query(query)?));
-        }
-        let key = PlanCache::key_for(query, cfg);
-        if let Some(cached) = self.plan_cache.get(&key) {
-            return Ok(cached);
-        }
-        let fresh = Arc::new(planner.optimize_query(query)?);
-        if fill_cache {
-            self.plan_cache.insert(key, Arc::clone(&fresh));
-        }
-        Ok(fresh)
+        let decision = self.decide(query, None, cfg.deadline_ms.is_none())?;
+        self.lower_decision(&decision, cfg, &PlanSlice::Whole)
     }
 
     /// Plan-cache effectiveness counters.
@@ -561,40 +596,17 @@ impl Database {
         self.plan_cache.stats()
     }
 
-    /// Replaces the plan cache with one that is explicitly on or off
-    /// (on by default). Tests use the cache-off path as their reference.
-    pub fn set_plan_cache_enabled(&mut self, enabled: bool) {
-        self.plan_cache = PlanCache::new(enabled);
-    }
-
-    /// Optimizes and lowers a query against an explicit hint set instead
-    /// of the database's own — the entry point for hermetic feedback
-    /// cells, whose hint overlays must not touch shared state.
-    pub fn lower_with(
-        &self,
-        query: &Query,
-        cfg: &MonitorConfig,
-        hints: &HintSet,
-    ) -> Result<LoweredPlan> {
-        Planner::new(
-            &self.catalog,
-            self.stats()?,
-            hints,
-            CostModel::with_disk(self.disk),
-        )
-        .lower_query(query, cfg)
-    }
-
     /// Executes a lowered plan cold-cache, under the query deadline of
     /// the config it was lowered with, and harvests its monitors.
     ///
     /// Single-attempt: under an active fault plan an injected read stall
     /// surfaces as a transient [`Error::ReadStalled`]. Prefer
-    /// [`Database::execute_with_retry`] (or [`Database::run`], which uses
-    /// it) when a fault plan may be active.
+    /// [`Database::run`], which retries it, when a fault plan may be
+    /// active.
     pub fn execute(&self, plan: LoweredPlan) -> Result<QueryOutcome> {
         let mut ctx = self.make_context();
-        self.execute_attempt(plan, 0, &mut ctx)
+        ctx.deadline_ms = plan.deadline_ms;
+        count_plan(plan, &mut ctx)
     }
 
     /// A fresh execution context sized and costed for this database.
@@ -602,67 +614,54 @@ impl Database {
         ExecContext::with_model(self.pool_pages, self.disk)
     }
 
-    fn execute_attempt(
+    /// The one attempt loop behind every run: each attempt cold-starts
+    /// `ctx`, arms it with the attempt number and the plan's deadline,
+    /// lowers `slice` of the decision afresh — so monitors are rebuilt
+    /// from the same seeds, and a run that needed retries produces
+    /// byte-identical sketches to one that needed none — and hands the
+    /// plan to `run`. A transient fault (an injected read stall) is
+    /// retried up to [`MAX_TRANSIENT_RETRIES`] times.
+    fn attempt<T>(
         &self,
-        mut plan: LoweredPlan,
-        attempt: u32,
+        decision: &Decision<'_>,
+        cfg: &MonitorConfig,
+        slice: &PlanSlice,
         ctx: &mut ExecContext,
-    ) -> Result<QueryOutcome> {
-        ctx.cold_start();
-        ctx.fault_attempt = attempt;
-        ctx.deadline_ms = plan.deadline_ms;
-        let count = plan.op.count(ctx)?;
-        Ok(QueryOutcome {
-            count,
-            stats: ctx.stats(),
-            elapsed_ms: ctx.elapsed_ms(),
-            report: plan.harvest(),
-            monitor_bytes: plan.monitor_bytes(),
-            description: plan.description,
-            choice: plan.choice,
-            fault_retries: attempt,
-        })
-    }
-
-    /// Lowers (via `lower`) and executes, retrying the whole query —
-    /// fresh plan, cold cache — when execution hits a transient fault,
-    /// up to [`MAX_TRANSIENT_RETRIES`] retries. Each retry re-lowers so
-    /// monitors are rebuilt from the same seeds: a run that needed
-    /// retries produces byte-identical sketches to one that needed none.
-    pub fn execute_with_retry(
-        &self,
-        lower: impl Fn() -> Result<LoweredPlan>,
-    ) -> Result<QueryOutcome> {
-        let mut ctx = self.make_context();
-        self.execute_with_retry_in(lower, &mut ctx)
-    }
-
-    /// [`Database::execute_with_retry`] against a caller-provided
-    /// context: `ctx` is cold-started per attempt, so results are
-    /// byte-identical to a fresh context while its buffer-pool and
-    /// residency-map allocations are reused across queries.
-    pub fn execute_with_retry_in(
-        &self,
-        lower: impl Fn() -> Result<LoweredPlan>,
-        ctx: &mut ExecContext,
-    ) -> Result<QueryOutcome> {
+        run: impl Fn(LoweredPlan, &mut ExecContext) -> Result<T>,
+    ) -> Result<T> {
         let mut attempt = 0;
         loop {
-            match self.execute_attempt(lower()?, attempt, ctx) {
+            let plan = self.lower_decision(decision, cfg, slice)?;
+            ctx.cold_start();
+            ctx.fault_attempt = attempt;
+            ctx.deadline_ms = plan.deadline_ms;
+            match run(plan, ctx) {
                 Err(e) if e.is_transient() && attempt < MAX_TRANSIENT_RETRIES => attempt += 1,
                 other => return other,
             }
         }
     }
 
-    /// Optimizes, lowers, and executes a query in one call, absorbing
-    /// transient faults via [`Database::execute_with_retry`].
-    pub fn run(&self, query: &Query, cfg: &MonitorConfig) -> Result<QueryOutcome> {
-        self.execute_with_retry(|| self.lower(query, cfg))
+    /// Runs a whole decision under `cfg` against `ctx`.
+    pub(crate) fn run_decision(
+        &self,
+        decision: &Decision<'_>,
+        cfg: &MonitorConfig,
+        ctx: &mut ExecContext,
+    ) -> Result<QueryOutcome> {
+        self.attempt(decision, cfg, &PlanSlice::Whole, ctx, count_plan)
     }
 
-    /// [`Database::run`] with a reusable context (see
-    /// [`Database::execute_with_retry_in`]) — the parallel driver's
+    /// Optimizes, lowers, and executes a query in one call, retrying
+    /// transient faults.
+    pub fn run(&self, query: &Query, cfg: &MonitorConfig) -> Result<QueryOutcome> {
+        self.run_in(query, cfg, &mut self.make_context())
+    }
+
+    /// [`Database::run`] against a caller-provided context: `ctx` is
+    /// cold-started per attempt, so results are byte-identical to a
+    /// fresh context while its buffer-pool and residency-map
+    /// allocations are reused across queries — the parallel driver's
     /// per-worker hot path.
     pub fn run_in(
         &self,
@@ -670,7 +669,8 @@ impl Database {
         cfg: &MonitorConfig,
         ctx: &mut ExecContext,
     ) -> Result<QueryOutcome> {
-        self.execute_with_retry_in(|| self.lower(query, cfg), ctx)
+        let decision = self.decide(query, None, cfg.deadline_ms.is_none())?;
+        self.run_decision(&decision, cfg, ctx)
     }
 
     /// Plan-shape-derived monitor memory estimate for running `query`
@@ -685,7 +685,10 @@ impl Database {
         if !cfg.enabled {
             return Ok(0);
         }
-        Ok(self.lower_cached(query, cfg, false)?.monitor_bytes())
+        let decision = self.decide(query, None, false)?;
+        Ok(self
+            .lower_decision(&decision, cfg, &PlanSlice::Whole)?
+            .monitor_bytes())
     }
 
     // ------------------------------------------------------------------
@@ -693,7 +696,15 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Classifies `query` under `cfg` into a morsel-executable shape, or
-    /// `None` when only the serial path preserves bit-identity.
+    /// `None` when only the serial path preserves bit-identity (see
+    /// `Database::classify`).
+    pub fn morsel_plan(&self, query: &Query, cfg: &MonitorConfig) -> Result<Option<MorselPlan>> {
+        let decision = self.decide(query, None, cfg.deadline_ms.is_none())?;
+        self.classify(&decision, cfg)
+    }
+
+    /// Classifies a decision under `cfg` into a morsel-executable shape,
+    /// or `None` when only the serial path preserves bit-identity.
     ///
     /// Global gates: a DPC-histogram overlay (per-query hint sets are
     /// neither cacheable nor splittable) or a query deadline (its abort
@@ -708,24 +719,25 @@ impl Database {
     /// pool_pages`), since their morsels may touch the same pages and
     /// [`pf_storage::merge_morsel_stats`] reconciles residency only for a
     /// serial pool that never evicts.
-    pub fn morsel_plan(&self, query: &Query, cfg: &MonitorConfig) -> Result<Option<MorselPlan>> {
+    pub(crate) fn classify(
+        &self,
+        decision: &Decision<'_>,
+        cfg: &MonitorConfig,
+    ) -> Result<Option<MorselPlan>> {
         if self.dpc_cache.is_some() || cfg.deadline_ms.is_some() {
             return Ok(None);
         }
         let planner = self.planner()?;
-        let optimized = self.optimized(query, cfg, &planner, true)?;
-        let morsels = |(pages, first_random)| Morsels {
-            optimized: Arc::clone(&optimized),
-            pages,
-            first_random,
-        };
-        match &*optimized {
+        match &*decision.optimized {
             OptimizedQuery::Single { plan, pred } => {
                 if let Some((pages, first_random)) = planner.scan_page_range(plan, pred)? {
                     if pages.1.saturating_sub(pages.0) < 2 {
                         return Ok(None);
                     }
-                    return Ok(Some(MorselPlan::Scan(morsels((pages, first_random)))));
+                    return Ok(Some(MorselPlan::Scan {
+                        pages,
+                        first_random,
+                    }));
                 }
                 if self.fault_plan().is_some() {
                     return Ok(None);
@@ -737,72 +749,70 @@ impl Database {
                 if self.catalog.table(plan.table)?.stats.pages as usize > self.pool_pages {
                     return Ok(None);
                 }
-                Ok(Some(MorselPlan::Fetch(morsels(((0, 0), false)))))
+                Ok(Some(MorselPlan::Fetch {
+                    plan: plan.clone(),
+                    pred: pred.clone(),
+                }))
             }
             OptimizedQuery::Join { plan, spec } => {
                 if self.fault_plan().is_some() {
                     return Ok(None);
                 }
-                let Some(outer) = planner.scan_page_range(&plan.outer_plan, &spec.outer_pred)?
+                let Some((pages, first_random)) =
+                    planner.scan_page_range(&plan.outer_plan, &spec.outer_pred)?
                 else {
                     return Ok(None);
                 };
                 let outer_pages = self.catalog.table(spec.outer)?.stats.pages as usize;
-                let inner_pages = self.catalog.table(spec.inner)?.stats.pages as usize;
+                let inner = self.catalog.table(spec.inner)?;
+                let inner_pages = inner.stats.pages as usize;
                 if outer_pages + inner_pages > self.pool_pages {
                     return Ok(None);
                 }
-                match plan.method {
-                    JoinMethod::Hash if inner_pages >= 2 => {
-                        Ok(Some(MorselPlan::HashJoin(morsels(outer))))
-                    }
-                    JoinMethod::IndexNestedLoops => Ok(Some(MorselPlan::InlJoin(morsels(outer)))),
-                    JoinMethod::Hash => Ok(None),
-                }
+                Ok(match plan.method {
+                    JoinMethod::Hash if inner_pages >= 2 => Some(MorselPlan::HashJoin {
+                        build: pages,
+                        first_random,
+                        inner_pages: inner.storage.page_count(),
+                    }),
+                    JoinMethod::IndexNestedLoops => Some(MorselPlan::InlJoin {
+                        pages,
+                        first_random,
+                    }),
+                    JoinMethod::Hash => None,
+                })
             }
         }
     }
 
-    /// Runs one morsel: lowers the cached `optimized` plan restricted to
-    /// `slice` and counts it against `ctx`'s cold pool — or, for a hash
-    /// join's page slice, runs only the join's build phase. Transient
-    /// injected stalls retry morsel-locally (a cold restart of just this
-    /// slice, re-lowered so monitors start fresh); the coordinator's
-    /// `fault_retries` is the max over morsels, which equals the serial
-    /// whole-query retry count (a stall site's budget is a pure function
-    /// of the site).
+    /// Runs one morsel through the attempt loop: lowers `slice` of the
+    /// decision and counts it against `ctx`'s cold pool — or, for a
+    /// hash join's page slice, runs only the join's build phase. A
+    /// transient injected stall retries just this slice; the
+    /// coordinator's `fault_retries` is the max over morsels, which
+    /// equals the serial whole-query retry count (a stall site's budget
+    /// is a pure function of the site).
     pub(crate) fn run_morsel(
         &self,
-        optimized: &OptimizedQuery,
+        decision: &Decision<'_>,
         cfg: &MonitorConfig,
         slice: &PlanSlice,
         ctx: &mut ExecContext,
     ) -> Result<MorselOutput> {
-        let planner = self.planner()?;
-        let mut attempt = 0;
-        loop {
-            let mut lowered = planner.lower_slice(optimized, cfg, slice)?;
-            ctx.cold_start();
-            ctx.fault_attempt = attempt;
-            let run = match (slice, lowered.op.as_hash_join()) {
-                (PlanSlice::Pages { .. }, Some(join)) => join.build_side(ctx).map(|b| (0, Some(b))),
-                _ => lowered.op.count(ctx).map(|n| (n, None)),
+        self.attempt(decision, cfg, slice, ctx, |mut lowered, ctx| {
+            let (count, built) = match (slice, lowered.op.as_hash_join()) {
+                (PlanSlice::Pages { .. }, Some(join)) => (0, Some(join.build_side(ctx)?)),
+                _ => (lowered.op.count(ctx)?, None),
             };
-            match run {
-                Ok((count, built)) => {
-                    return Ok(MorselOutput {
-                        count,
-                        stats: ctx.stats(),
-                        misses: ctx.pool.misses().to_vec(),
-                        monitors: lowered.take_partials(),
-                        built,
-                        attempt,
-                    });
-                }
-                Err(e) if e.is_transient() && attempt < MAX_TRANSIENT_RETRIES => attempt += 1,
-                Err(e) => return Err(e),
-            }
-        }
+            Ok(MorselOutput {
+                count,
+                stats: ctx.stats(),
+                misses: ctx.pool.misses().to_vec(),
+                monitors: lowered.take_partials(),
+                built,
+                attempt: ctx.fault_attempt,
+            })
+        })
     }
 
     // ------------------------------------------------------------------
@@ -944,6 +954,22 @@ impl Default for Database {
     }
 }
 
+/// Counts a lowered plan against an armed context and harvests its
+/// outcome.
+fn count_plan(mut plan: LoweredPlan, ctx: &mut ExecContext) -> Result<QueryOutcome> {
+    let count = plan.op.count(ctx)?;
+    Ok(QueryOutcome {
+        count,
+        stats: ctx.stats(),
+        elapsed_ms: ctx.elapsed_ms(),
+        report: plan.harvest(),
+        monitor_bytes: plan.monitor_bytes(),
+        description: plan.description,
+        choice: plan.choice,
+        fault_retries: ctx.fault_attempt,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1056,7 +1082,7 @@ mod tests {
         let splits = |cfg: MonitorConfig| {
             matches!(
                 db.morsel_plan(&wide, &cfg).unwrap(),
-                Some(MorselPlan::Scan(_))
+                Some(MorselPlan::Scan { .. })
             )
         };
         assert!(splits(MonitorConfig::default()));
@@ -1069,6 +1095,41 @@ mod tests {
             deadline_ms: Some(5),
             ..MonitorConfig::default()
         }));
+    }
+
+    /// The plan cache keys literals by their bits: `f < -NaN` (nothing
+    /// sorts below a negative NaN) must never be answered with the
+    /// decision — and the resolved predicate — cached for `f < NaN`
+    /// (everything but the positive NaNs).
+    #[test]
+    fn plan_cache_keeps_nan_signs_apart() {
+        let mut db = Database::new();
+        let schema = Schema::new(vec![
+            Column::new("f", DataType::Float),
+            Column::new("pad", DataType::Str),
+        ]);
+        let rows: Vec<Row> = (0..2_000)
+            .map(|i| {
+                let f = match i % 4 {
+                    0 => f64::NAN,
+                    1 => -f64::NAN,
+                    _ => f64::from(i),
+                };
+                Row::new(vec![Datum::Float(f), Datum::Str("x".repeat(20))])
+            })
+            .collect();
+        db.create_table("t", schema, rows, None).unwrap();
+        db.analyze().unwrap();
+        let below = |nan: f64| {
+            Query::count_star(
+                "t",
+                vec![PredSpec::new("f", CompareOp::Lt, Datum::Float(nan))],
+            )
+        };
+        let cfg = MonitorConfig::off();
+        assert_eq!(db.run(&below(-f64::NAN), &cfg).unwrap().count, 0);
+        assert_eq!(db.run(&below(f64::NAN), &cfg).unwrap().count, 1_500);
+        assert_eq!(db.run(&below(-f64::NAN), &cfg).unwrap().count, 0);
     }
 
     #[test]

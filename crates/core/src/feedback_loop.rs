@@ -86,22 +86,28 @@ impl Database {
     /// 3. inject the measured DPCs; re-optimize → `P′`; run unmonitored
     ///    (time `T′`).
     ///
+    /// Each plan is one decision: both runs of `P` lower the same one.
     /// The injected DPCs stay in the database's hint set afterwards (the
     /// feedback cache), so subsequent similar queries benefit.
     pub fn feedback_loop(&mut self, query: &Query, cfg: &MonitorConfig) -> Result<FeedbackOutcome> {
         self.inject_accurate_cardinalities(query)?;
+        let mut ctx = self.make_context();
 
         // Plan P: monitored run (feedback) + unmonitored run (T).
-        let monitored = self.run(query, cfg)?;
-        let before = self.run(query, &MonitorConfig::off())?;
-        debug_assert_eq!(monitored.description, before.description);
+        let (monitored, before) = {
+            let plan = self.decide(query, None, cfg.deadline_ms.is_none())?;
+            (
+                self.run_decision(&plan, cfg, &mut ctx)?,
+                self.run_decision(&plan, &MonitorConfig::off(), &mut ctx)?,
+            )
+        };
 
         // Inject DPC feedback (and train the histogram cache, if
         // enabled), then re-optimize.
-        let report = monitored.report.clone();
+        let report = monitored.report;
         self.absorb_feedback(&report)?;
         self.train_dpc_histograms(query, &report)?;
-        let after = self.run(query, &MonitorConfig::off())?;
+        let after = self.run_in(query, &MonitorConfig::off(), &mut ctx)?;
 
         Ok(FeedbackOutcome {
             monitored_elapsed_ms: monitored.elapsed_ms,
@@ -122,23 +128,20 @@ impl Database {
     pub fn feedback_cell(&self, query: &Query, cfg: &MonitorConfig) -> Result<FeedbackOutcome> {
         let mut hints = self.hints().clone();
         self.inject_cardinalities_into(query, &mut hints)?;
+        let mut ctx = self.make_context();
 
         // Plan P: monitored run (feedback) + unmonitored run (T). Each
-        // execution absorbs transient injected faults by re-lowering and
-        // retrying, so a faulted run still completes the methodology.
-        let planning_hints = self.effective_hints_from(hints.clone(), query)?;
-        let monitored = self.execute_with_retry(|| self.lower_with(query, cfg, &planning_hints))?;
-        let before = self.execute_with_retry(|| {
-            self.lower_with(query, &MonitorConfig::off(), &planning_hints)
-        })?;
-        debug_assert_eq!(monitored.description, before.description);
+        // run retries transient injected faults, so a faulted run still
+        // completes the methodology.
+        let plan = self.decide(query, Some(hints.clone()), false)?;
+        let monitored = self.run_decision(&plan, cfg, &mut ctx)?;
+        let before = self.run_decision(&plan, &MonitorConfig::off(), &mut ctx)?;
 
         // Inject the DPC feedback into the overlay and re-optimize.
-        let report = monitored.report.clone();
+        let report = monitored.report;
         hints.absorb_report(&report);
-        let after_hints = self.effective_hints_from(hints, query)?;
-        let after = self
-            .execute_with_retry(|| self.lower_with(query, &MonitorConfig::off(), &after_hints))?;
+        let replanned = self.decide(query, Some(hints), false)?;
+        let after = self.run_decision(&replanned, &MonitorConfig::off(), &mut ctx)?;
 
         Ok(FeedbackOutcome {
             monitored_elapsed_ms: monitored.elapsed_ms,

@@ -30,7 +30,7 @@
 
 use pf_common::{Error, PageId, Result, TableId};
 use pf_feedback::{DpcMeasurement, FeedbackReport, Mechanism};
-use pf_optimizer::{EpochStamp, HintSet, StalenessDecision, StalenessPolicy, TableEpochState};
+use pf_optimizer::{decide_staleness, EpochStamp, HintSet, StalenessDecision, TableEpochState};
 use pf_storage::{crc32, ErrorFault, FaultPlan};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -551,11 +551,7 @@ impl FeedbackStore {
     /// against the tables' current modification state, then compacts so
     /// the eviction is durable. Returns the number of measurements
     /// dropped. Reports left without measurements are removed whole.
-    pub fn evict_stale(
-        &mut self,
-        policy: StalenessPolicy,
-        states: &HashMap<String, TableEpochState>,
-    ) -> Result<usize> {
+    pub fn evict_stale(&mut self, states: &HashMap<String, TableEpochState>) -> Result<usize> {
         let mut dropped = 0usize;
         for rec in &mut self.records {
             let stamps = &rec.stamps;
@@ -564,7 +560,7 @@ impl FeedbackStore {
                 else {
                     return true;
                 };
-                if policy.decide(*stamp, *state) == StalenessDecision::Evicted {
+                if decide_staleness(*stamp, *state) == StalenessDecision::Evicted {
                     dropped += 1;
                     false
                 } else {
@@ -992,9 +988,7 @@ mod tests {
                 pages: 100,
             },
         );
-        let dropped = store
-            .evict_stale(StalenessPolicy::default(), &states)
-            .expect("evict");
+        let dropped = store.evict_stale(&states).expect("evict");
         assert_eq!(dropped, 1);
         assert_eq!(store.stats().measurements, 1);
         drop(store);

@@ -89,7 +89,7 @@ pub use admission::{
     BASE_QUERY_BYTES,
 };
 pub use breaker::{BreakerState, BreakerTransition, CircuitBreaker};
-pub use db::{Database, MorselPlan, Morsels, QueryOutcome, MAX_TRANSIENT_RETRIES};
+pub use db::{Database, MorselPlan, QueryOutcome, MAX_TRANSIENT_RETRIES};
 pub use dba::{DbaDiagnosis, Discrepancy};
 pub use feedback_loop::FeedbackOutcome;
 pub use feedback_store::{FeedbackStore, StoreStats, StoredReport};

@@ -44,9 +44,9 @@
 //! [`ParallelRunner::last_run_stats`] — scaling regressions are
 //! measured, not guessed.
 
-use crate::db::{Database, MorselOutput, MorselPlan, Morsels, QueryOutcome};
+use crate::db::{Database, MorselPlan, QueryOutcome};
 use crate::feedback_loop::FeedbackOutcome;
-use crate::planner::{MonitorConfig, OptimizedQuery, PlanSlice};
+use crate::planner::{MonitorConfig, PlanSlice};
 use crate::query::Query;
 use pf_common::hash::mix64;
 use pf_common::{Error, Result};
@@ -506,91 +506,98 @@ impl ParallelRunner {
     }
 
     /// Executes one query, splitting eligible shapes into morsels across
-    /// the pool (see [`Database::morsel_plan`]). Every shape is a
-    /// sequence of phases over one per-morsel runner
-    /// (`Database::run_morsel`), each morsel lowering the planner's own
-    /// operator tree over its slice: page morsels for scans and for an
+    /// the pool. It obtains the query's decision once — one plan-cache
+    /// lookup — and classifies that decision (see
+    /// [`Database::morsel_plan`]); a query the runner declines to split
+    /// (one job, or an ineligible shape) runs the same decision
+    /// serially. Every split shape is a sequence of phases over one
+    /// per-morsel runner (`Database::run_morsel`), each morsel lowering
+    /// the decision over its slice: page morsels for scans and for an
     /// INL join's outer side, RID-run morsels after the coordinator
     /// drains a fetch plan's RID source, and a hash join's build page
     /// morsels (their build sides merged in morsel order) followed by
-    /// its probe page morsels. Counters merge by
-    /// [`merge_morsel_stats`] in phase-then-morsel order and monitor
-    /// partials are absorbed in the same order, so the outcome — count,
-    /// stats, simulated time, sketches, plan description — is
-    /// byte-identical to [`Database::run`] for any job count. Falls back
-    /// to a serial run when the query is ineligible or the runner has
-    /// one job.
+    /// its probe page morsels. Counters merge by [`merge_morsel_stats`]
+    /// in phase-then-morsel order and monitor partials are absorbed in
+    /// the same order, so the outcome — count, stats, simulated time,
+    /// sketches, plan description — is byte-identical to
+    /// [`Database::run`] for any job count.
     pub fn run_query(
         &self,
         db: &Database,
         query: &Query,
         cfg: &MonitorConfig,
     ) -> Result<QueryOutcome> {
-        if self.jobs <= 1 {
-            return db.run(query, cfg);
-        }
-        let Some(plan) = db.morsel_plan(query, cfg)? else {
-            return db.run(query, cfg);
+        let decision = db.decide(query, None, cfg.deadline_ms.is_none())?;
+        let split = if self.jobs > 1 {
+            db.classify(&decision, cfg)?
+        } else {
+            None
         };
-        let (MorselPlan::Scan(m)
-        | MorselPlan::Fetch(m)
-        | MorselPlan::HashJoin(m)
-        | MorselPlan::InlJoin(m)) = &plan;
-        let page_slices = |pages| {
+        let Some(split) = split else {
+            return db.run_decision(&decision, cfg, &mut db.make_context());
+        };
+        let page_slices = |pages, first_random| {
             self.page_chunks(pages)
                 .into_iter()
                 .enumerate()
                 .map(|(i, range)| PlanSlice::Pages {
                     range,
-                    first_random: i == 0 && m.first_random,
+                    first_random: i == 0 && first_random,
                 })
                 .collect::<Vec<_>>()
         };
+        let phase = |slices: &[PlanSlice]| {
+            self.run_indexed(slices.len(), |i, scratch| {
+                db.run_morsel(&decision, cfg, &slices[i], scratch.ctx_for(db))
+            })
+        };
         // `coordinator` is the coordinator's own share of the I/O: a
         // fetch plan's drained RID source.
-        let (coordinator, outputs) = match &plan {
-            MorselPlan::Scan(_) | MorselPlan::InlJoin(_) => (
+        let (coordinator, outputs) = match split {
+            MorselPlan::Scan {
+                pages,
+                first_random,
+            }
+            | MorselPlan::InlJoin {
+                pages,
+                first_random,
+            } => (
                 IoStats::default(),
-                self.run_phase(db, m, cfg, &page_slices(m.pages))?,
+                phase(&page_slices(pages, first_random))?,
             ),
-            MorselPlan::Fetch(_) => {
-                let OptimizedQuery::Single { plan, pred } = &*m.optimized else {
-                    return Err(Error::Internal("fetch morsels of a join plan".into()));
-                };
-                let Some((mut source, _)) = db.planner()?.rid_source(plan, pred)? else {
-                    return Err(Error::Internal("fetch morsels without a RID source".into()));
-                };
+            MorselPlan::Fetch { plan, pred } => {
+                let (mut source, _) = db.planner()?.rid_source(&plan, &pred)?;
                 let mut ctx = db.make_context();
                 let mut rids = Vec::new();
                 while let Some(rid) = source.next_rid(&mut ctx)? {
                     rids.push(rid);
                 }
                 if rids.len() < 2 {
-                    return db.run(query, cfg);
+                    return db.run_decision(&decision, cfg, &mut ctx);
                 }
                 let slices: Vec<PlanSlice> = self
                     .index_runs(rids.len())
                     .into_iter()
                     .map(|(lo, hi)| PlanSlice::Rids(rids[lo..hi].to_vec()))
                     .collect();
-                (ctx.stats(), self.run_phase(db, m, cfg, &slices)?)
+                (ctx.stats(), phase(&slices)?)
             }
-            MorselPlan::HashJoin(_) => {
-                let OptimizedQuery::Join { spec, .. } = &*m.optimized else {
-                    return Err(Error::Internal(
-                        "hash join morsels of a single-table plan".into(),
-                    ));
-                };
-                let mut builds = self.run_phase(db, m, cfg, &page_slices(m.pages))?;
+            MorselPlan::HashJoin {
+                build,
+                first_random,
+                inner_pages,
+            } => {
+                let mut builds = phase(&page_slices(build, first_random))?;
                 let mut sides = builds.iter_mut().filter_map(|o| o.built.take());
-                let mut built = sides
-                    .next()
-                    .ok_or_else(|| Error::Internal("hash join without build morsels".into()))?;
+                let Some(mut built) = sides.next() else {
+                    // An outer range without a page builds nothing to
+                    // probe in parallel.
+                    return db.run_decision(&decision, cfg, &mut db.make_context());
+                };
                 for side in sides {
                     built.merge(side)?;
                 }
                 let built = Arc::new(built);
-                let inner_pages = db.catalog().table(spec.inner)?.storage.page_count();
                 let probes: Vec<PlanSlice> = self
                     .page_chunks((0, inner_pages))
                     .into_iter()
@@ -599,13 +606,13 @@ impl ParallelRunner {
                         built: Arc::clone(&built),
                     })
                     .collect();
-                builds.extend(self.run_phase(db, m, cfg, &probes)?);
+                builds.extend(phase(&probes)?);
                 (IoStats::default(), builds)
             }
         };
         // The reference lowering supplies the outcome's metadata and the
         // monitors every morsel's partial merges into.
-        let mut lowered = db.planner()?.lower_optimized(&m.optimized, cfg)?;
+        let mut lowered = db.lower_decision(&decision, cfg, &PlanSlice::Whole)?;
         let stats = merge_morsel_stats(
             std::iter::once((&coordinator, &[][..]))
                 .chain(outputs.iter().map(|o| (&o.stats, o.misses.as_slice()))),
@@ -626,20 +633,6 @@ impl ParallelRunner {
             description: lowered.description,
             choice: lowered.choice,
             fault_retries,
-        })
-    }
-
-    /// Runs one phase: a morsel per slice across the pool, outputs in
-    /// slice order.
-    fn run_phase(
-        &self,
-        db: &Database,
-        m: &Morsels,
-        cfg: &MonitorConfig,
-        slices: &[PlanSlice],
-    ) -> Result<Vec<MorselOutput>> {
-        self.run_indexed(slices.len(), |i, scratch| {
-            db.run_morsel(&m.optimized, cfg, &slices[i], scratch.ctx_for(db))
         })
     }
 

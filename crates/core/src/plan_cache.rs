@@ -1,12 +1,16 @@
-//! Plan cache: canonical query shape → optimizer decision.
+//! Plan cache: query → optimizer decision.
 //!
 //! `Database::run` pays resolve + optimize on every call even when a
 //! workload repeats the same handful of query shapes — the dominant
 //! pattern in the figure reproductions and the parallel driver. The
 //! cache memoizes the [`OptimizedQuery`] (plans and resolved
-//! predicates, *no monitors*) keyed by the query's canonical text plus
-//! the monitor-config shape, so repeated shapes skip straight to
-//! lowering. Lowering still runs per execution, which is what keeps
+//! predicates, *no monitors*) keyed by the [`Query`] value itself, so
+//! repeated queries skip straight to lowering. Literals compare as
+//! [`pf_common::Datum`]s do, floats by their bits: `f < NaN` and
+//! `f < -NaN` are different queries with different entries. The key
+//! holds no monitor configuration, because the optimizer reads none:
+//! a monitored and an unmonitored run of one query share its decision.
+//! Lowering still runs per execution, which is what keeps
 //! per-query-index monitor seeding — and therefore jobs-invariant
 //! sketches — intact.
 //!
@@ -14,14 +18,10 @@
 //! optimizer decision (feedback absorption, DML, `analyze`, schema or
 //! index changes, direct hint mutation) clears the whole map and bumps
 //! the invalidation counter. Correctness never depends on a hit.
-//!
-//! `Database::set_plan_cache_enabled(false)` turns it off — the
-//! reference path tests compare the cache against.
 
-use crate::planner::{MonitorConfig, OptimizedQuery};
-use crate::query::{CountArg, PredSpec, Query};
+use crate::planner::OptimizedQuery;
+use crate::query::Query;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -30,14 +30,12 @@ use std::sync::{Arc, RwLock};
 pub struct PlanCacheStats {
     /// Lookups that returned a cached plan.
     pub hits: u64,
-    /// Lookups that missed (and populated the cache).
+    /// Lookups that missed.
     pub misses: u64,
     /// Times the whole cache was cleared.
     pub invalidations: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Whether caching is active.
-    pub enabled: bool,
 }
 
 impl PlanCacheStats {
@@ -53,95 +51,22 @@ impl PlanCacheStats {
 }
 
 /// A shared, invalidate-on-write cache of optimizer decisions.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PlanCache {
-    map: RwLock<HashMap<String, Arc<OptimizedQuery>>>,
+    map: RwLock<HashMap<Query, Arc<OptimizedQuery>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
-    enabled: bool,
 }
 
 impl PlanCache {
-    /// A cache that is explicitly on or off (off = every lookup misses
-    /// without recording or storing anything).
-    pub fn new(enabled: bool) -> Self {
-        PlanCache {
-            map: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            enabled,
-        }
-    }
-
-    /// Whether lookups can ever hit.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Canonical cache key: the query's full shape (tables, atoms with
-    /// operators and literal values, count argument) plus the
-    /// plan-relevant `MonitorConfig` shape. The seed and the deadline
-    /// are deliberately excluded — plans depend on neither, and
-    /// including the seed would turn the per-query-index seeding of
-    /// parallel runs into a 100% miss workload.
-    pub fn key_for(query: &Query, cfg: &MonitorConfig) -> String {
-        let mut key = String::with_capacity(96);
-        let push_pred = |key: &mut String, pred: &[PredSpec]| {
-            for p in pred {
-                let _ = write!(key, "{}{:?}{:?}&", p.column, p.op, p.value);
-            }
-        };
-        match query {
-            Query::Count {
-                table,
-                predicate,
-                count_arg,
-            } => {
-                let _ = write!(key, "C|{table}|");
-                push_pred(&mut key, predicate);
-                match count_arg {
-                    CountArg::Star => key.push_str("|*"),
-                    CountArg::BaseRow => key.push_str("|base"),
-                    CountArg::Column(c) => {
-                        let _ = write!(key, "|col:{c}");
-                    }
-                }
-            }
-            Query::JoinCount {
-                outer,
-                inner,
-                outer_pred,
-                outer_col,
-                inner_col,
-            } => {
-                let _ = write!(key, "J|{outer}|{inner}|{outer_col}={inner_col}|");
-                push_pred(&mut key, outer_pred);
-            }
-        }
-        let _ = write!(
-            key,
-            "#m{}f{}b{:?}p{}B{:?}",
-            u8::from(cfg.enabled),
-            cfg.sampling_fraction,
-            cfg.bitvector_bits,
-            u8::from(cfg.monitor_pairs),
-            cfg.memory_budget,
-        );
-        key
-    }
-
     /// Looks up a cached decision, counting a hit or miss.
-    pub fn get(&self, key: &str) -> Option<Arc<OptimizedQuery>> {
-        if !self.enabled {
-            return None;
-        }
+    pub fn get(&self, query: &Query) -> Option<Arc<OptimizedQuery>> {
         let found = self
             .map
             .read()
             .unwrap_or_else(|e| e.into_inner())
-            .get(key)
+            .get(query)
             .cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -151,21 +76,15 @@ impl PlanCache {
     }
 
     /// Stores a freshly optimized decision.
-    pub fn insert(&self, key: String, plan: Arc<OptimizedQuery>) {
-        if !self.enabled {
-            return;
-        }
+    pub fn insert(&self, query: Query, plan: Arc<OptimizedQuery>) {
         self.map
             .write()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(key, plan);
+            .insert(query, plan);
     }
 
     /// Drops every entry (feedback absorption, DML, schema change).
     pub fn invalidate(&self) {
-        if !self.enabled {
-            return;
-        }
         self.map.write().unwrap_or_else(|e| e.into_inner()).clear();
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
@@ -177,7 +96,6 @@ impl PlanCache {
             misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             entries: self.map.read().unwrap_or_else(|e| e.into_inner()).len(),
-            enabled: self.enabled,
         }
     }
 }
@@ -185,47 +103,48 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_common::Datum;
-    use pf_exec::CompareOp;
+    use crate::query::PredSpec;
+    use pf_common::{Datum, TableId};
+    use pf_exec::{CompareOp, Conjunction};
+    use pf_optimizer::plan::{AccessPath, DpcSource, SingleTablePlan};
 
-    fn q(hi: i64) -> Query {
-        Query::count("t", vec![PredSpec::new("a", CompareOp::Lt, Datum::Int(hi))])
+    fn q(v: Datum) -> Query {
+        Query::count("t", vec![PredSpec::new("a", CompareOp::Lt, v)])
     }
 
-    #[test]
-    fn key_distinguishes_literals_and_cfg_shape_but_not_seed() {
-        let cfg = MonitorConfig::default();
-        let base = PlanCache::key_for(&q(10), &cfg);
-        assert_ne!(base, PlanCache::key_for(&q(11), &cfg), "literal ignored");
-        let mut reseeded = cfg.clone();
-        reseeded.seed ^= 0xDEAD_BEEF;
-        assert_eq!(
-            base,
-            PlanCache::key_for(&q(10), &reseeded),
-            "seed must not shape the key"
-        );
-        let mut deadline = cfg.clone();
-        deadline.deadline_ms = Some(5);
-        assert_eq!(
-            base,
-            PlanCache::key_for(&q(10), &deadline),
-            "a deadline run reads the plan a plain run cached"
-        );
-        let mut sampled = cfg.clone();
-        sampled.sampling_fraction = 0.25;
-        assert_ne!(base, PlanCache::key_for(&q(10), &sampled));
-        assert_ne!(base, PlanCache::key_for(&q(10), &MonitorConfig::off()));
+    fn decision() -> Arc<OptimizedQuery> {
+        Arc::new(OptimizedQuery::Single {
+            plan: SingleTablePlan {
+                table: TableId(0),
+                path: AccessPath::FullScan,
+                cost_ms: 0.0,
+                est_rows: 0.0,
+                est_dpc: None,
+                dpc_source: DpcSource::NotApplicable,
+            },
+            pred: Conjunction::always_true(),
+        })
     }
 
+    /// The key is the query value: equal queries hit, and literals that
+    /// differ in any bit — another integer, the sign of a zero or of a
+    /// NaN — are other queries.
     #[test]
-    fn disabled_cache_never_hits_or_counts() {
-        let cache = PlanCache::new(false);
-        let key = PlanCache::key_for(&q(1), &MonitorConfig::default());
-        assert!(cache.get(&key).is_none());
+    fn keys_by_query_value_down_to_float_bits() {
+        let cache = PlanCache::default();
+        cache.insert(q(Datum::Int(10)), decision());
+        cache.insert(q(Datum::Float(f64::NAN)), decision());
+        cache.insert(q(Datum::Float(0.0)), decision());
+        assert!(cache.get(&q(Datum::Int(10))).is_some());
+        assert!(cache.get(&q(Datum::Float(f64::NAN))).is_some());
+        assert!(cache.get(&q(Datum::Int(11))).is_none(), "literal ignored");
+        assert!(cache.get(&q(Datum::Float(-f64::NAN))).is_none(), "NaN sign");
+        assert!(cache.get(&q(Datum::Float(-0.0))).is_none(), "zero sign");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 3, 3));
         cache.invalidate();
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.invalidations), (0, 0, 0));
-        assert!(!stats.enabled);
-        assert_eq!(stats.hit_rate(), 0.0);
+        assert_eq!((stats.entries, stats.invalidations), (0, 1));
+        assert!((stats.hit_rate() - 0.4).abs() < 1e-12);
     }
 }

@@ -264,17 +264,9 @@ impl<'a> Planner<'a> {
         Optimizer::new(self.catalog, self.stats, self.cost, self.hints)
     }
 
-    /// Resolves, optimizes, and lowers a query, then applies the
-    /// config's monitor resource limits (if any) across the whole plan's
-    /// monitors at once — budgets are per query, not per operator.
-    pub fn lower_query(&self, query: &Query, cfg: &MonitorConfig) -> Result<LoweredPlan> {
-        let optimized = self.optimize_query(query)?;
-        self.lower_optimized(&optimized, cfg)
-    }
-
     /// Resolves names and runs the optimizer, without lowering — the
-    /// expensive, monitor-free half of [`Planner::lower_query`] that the
-    /// plan cache memoizes.
+    /// expensive, monitor-free decision the plan cache memoizes and
+    /// every run lowers with [`Planner::lower_optimized`].
     pub fn optimize_query(&self, query: &Query) -> Result<OptimizedQuery> {
         match query {
             Query::Count {
@@ -311,9 +303,11 @@ impl<'a> Planner<'a> {
     }
 
     /// Lowers an already-optimized query and applies the config's
-    /// monitor resource limits. Monitors are built fresh from `cfg` on
-    /// every call, so lowering the same [`OptimizedQuery`] under
-    /// different seeds yields independent sampling streams.
+    /// monitor resource limits across the whole plan's monitors at once
+    /// — budgets are per query, not per operator. Monitors are built
+    /// fresh from `cfg` on every call, so lowering the same
+    /// [`OptimizedQuery`] under different seeds yields independent
+    /// sampling streams.
     pub fn lower_optimized(
         &self,
         optimized: &OptimizedQuery,
@@ -377,15 +371,15 @@ impl<'a> Planner<'a> {
     }
 
     /// The RID source an index-driven plan fetches from — a seek, or the
-    /// intersection of two — plus the predicate atoms it covers, or
-    /// `None` for access paths that are not fetch plans. Shared by the
+    /// intersection of two — plus the predicate atoms it covers; an
+    /// error for access paths that are not fetch plans. Shared by the
     /// lowering and by a parallel fetch's coordinator, which drains it
     /// once before its RID-run morsels fetch.
     pub(crate) fn rid_source(
         &self,
         plan: &SingleTablePlan,
         pred: &Conjunction,
-    ) -> Result<Option<CoveringSource>> {
+    ) -> Result<CoveringSource> {
         let seek = |index, atoms: &[usize]| -> Result<IndexSeek> {
             let ix = self.catalog.index(index)?;
             let pairs: Vec<(CompareOp, Datum)> = atoms
@@ -396,19 +390,19 @@ impl<'a> Planner<'a> {
                 .ok_or_else(|| Error::NoPlanFound("seek atoms are not seekable".into()))?;
             Ok(IndexSeek::new(Arc::clone(&ix.tree), ix.height, range))
         };
-        Ok(match &plan.path {
+        match &plan.path {
             AccessPath::IndexSeek { index, atoms } => {
-                Some((Box::new(seek(*index, atoms)?), atoms.clone()))
+                Ok((Box::new(seek(*index, atoms)?), atoms.clone()))
             }
             AccessPath::IndexIntersection { a, b } => {
                 let inter =
                     IndexIntersection::new(Box::new(seek(a.0, &a.1)?), Box::new(seek(b.0, &b.1)?));
                 let mut both: Vec<usize> = a.1.iter().chain(b.1.iter()).copied().collect();
                 both.sort_unstable();
-                Some((Box::new(inter), both))
+                Ok((Box::new(inter), both))
             }
-            _ => None,
-        })
+            _ => Err(Error::Internal("fetch path without a RID source".into())),
+        }
     }
 
     fn single(
@@ -490,9 +484,7 @@ impl<'a> Planner<'a> {
                 Access::Rows(scan.into())
             }
             AccessPath::IndexSeek { .. } | AccessPath::IndexIntersection { .. } => {
-                let (source, covered) = self
-                    .rid_source(plan, pred)?
-                    .ok_or_else(|| Error::Internal("fetch path without a RID source".into()))?;
+                let (source, covered) = self.rid_source(plan, pred)?;
                 let source = match slice {
                     PlanSlice::Rids(run) => Box::new(RidList::new(run.clone())),
                     _ => source,

@@ -9,8 +9,9 @@
 use pf_common::{Datum, Error, Result, Schema};
 use pf_exec::{AtomicPredicate, CompareOp, Conjunction};
 
-/// One atomic predicate, by column name.
-#[derive(Debug, Clone)]
+/// One atomic predicate, by column name. Literals compare and hash as
+/// [`Datum`]s do (floats by their bits), so a query is a plan-cache key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PredSpec {
     /// Column name.
     pub column: String,
@@ -38,7 +39,7 @@ impl PredSpec {
 
 /// What sits inside `COUNT(…)` — it decides whether a covering
 /// index-only scan can answer the query.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CountArg {
     /// `COUNT(*)`: no column needed; any access path qualifies.
     Star,
@@ -52,7 +53,7 @@ pub enum CountArg {
 }
 
 /// A query the engine can optimize and execute.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Query {
     /// `SELECT count(…) FROM table WHERE predicate`.
     Count {

@@ -15,7 +15,7 @@ use std::cmp::Ordering;
 use std::fmt;
 
 /// Comparison operator of an atomic predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     /// `=`
     Eq,

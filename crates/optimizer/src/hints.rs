@@ -83,24 +83,12 @@ pub struct DpcHint {
     pub stamp: Option<EpochStamp>,
 }
 
-/// How measurements are aged as DML drifts the table underneath them —
-/// the paper's Section VI caveat that feedback must be invalidated once
-/// inserts/deletes reshuffle pages.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StalenessPolicy {
-    /// Maximum fraction of the table's pages that may have been
-    /// rewritten since harvest before the measurement is evicted.
-    /// Below this, measurements are used with a widening discount.
-    pub max_drift: f64,
-}
+/// The largest fraction of a table's pages that may have been
+/// rewritten since a measurement's harvest before the measurement is
+/// evicted. Below it, measurements are used with a widening discount.
+const MAX_DRIFT: f64 = 0.10;
 
-impl Default for StalenessPolicy {
-    fn default() -> Self {
-        StalenessPolicy { max_drift: 0.10 }
-    }
-}
-
-/// The policy's verdict for one stamped measurement.
+/// The staleness verdict for one stamped measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StalenessDecision {
     /// Same epoch: the measurement is exact, use it as-is.
@@ -113,23 +101,22 @@ pub enum StalenessDecision {
     Evicted,
 }
 
-impl StalenessPolicy {
-    /// Judges a measurement stamped at `stamp` against the table's
-    /// current `state`.
-    pub fn decide(&self, stamp: EpochStamp, state: TableEpochState) -> StalenessDecision {
-        if stamp.epoch == state.epoch {
-            return StalenessDecision::Fresh;
-        }
-        let rewritten = state.dirty_pages.saturating_sub(stamp.dirty_pages) as f64;
-        let drift = rewritten / f64::from(state.pages.max(1));
-        if drift <= self.max_drift {
-            // Weight grows linearly with drift: barely-drifted hints
-            // stay close to the measurement, hints near the eviction
-            // threshold are mostly analytical.
-            StalenessDecision::Discounted((drift / self.max_drift).clamp(0.0, 1.0))
-        } else {
-            StalenessDecision::Evicted
-        }
+/// Ages a measurement stamped at `stamp` against the table's current
+/// `state` — the paper's Section VI caveat that feedback must be
+/// invalidated once inserts/deletes reshuffle pages.
+pub fn decide_staleness(stamp: EpochStamp, state: TableEpochState) -> StalenessDecision {
+    if stamp.epoch == state.epoch {
+        return StalenessDecision::Fresh;
+    }
+    let rewritten = state.dirty_pages.saturating_sub(stamp.dirty_pages) as f64;
+    let drift = rewritten / f64::from(state.pages.max(1));
+    if drift <= MAX_DRIFT {
+        // Weight grows linearly with drift: barely-drifted hints stay
+        // close to the measurement, hints near the eviction threshold
+        // are mostly analytical.
+        StalenessDecision::Discounted((drift / MAX_DRIFT).clamp(0.0, 1.0))
+    } else {
+        StalenessDecision::Evicted
     }
 }
 
@@ -260,17 +247,13 @@ impl HintSet {
     /// toward the analytical estimate, dead hints are evicted. Returns
     /// the number of evicted hints. Hints whose table has no entry in
     /// `states` (or that are unstamped) are left untouched.
-    pub fn apply_staleness(
-        &mut self,
-        policy: StalenessPolicy,
-        states: &HashMap<String, TableEpochState>,
-    ) -> usize {
+    pub fn apply_staleness(&mut self, states: &HashMap<String, TableEpochState>) -> usize {
         let mut evicted = 0;
         self.dpcs.retain(|(table, _), hint| {
             let (Some(stamp), Some(state)) = (hint.stamp, states.get(table)) else {
                 return true;
             };
-            match policy.decide(stamp, *state) {
+            match decide_staleness(stamp, *state) {
                 StalenessDecision::Fresh => {
                     hint.value = hint.measured;
                     true
@@ -373,7 +356,6 @@ mod tests {
 
     #[test]
     fn staleness_policy_decisions() {
-        let p = StalenessPolicy::default(); // max_drift = 0.10
         let stamp = EpochStamp {
             epoch: 1,
             dirty_pages: 10,
@@ -383,14 +365,17 @@ mod tests {
             dirty_pages: 10,
             pages: 100,
         };
-        assert_eq!(p.decide(stamp, same_epoch), StalenessDecision::Fresh);
+        assert_eq!(
+            decide_staleness(stamp, same_epoch),
+            StalenessDecision::Fresh
+        );
         // 5 of 100 pages rewritten since harvest → half-weight discount.
         let drifted = TableEpochState {
             epoch: 3,
             dirty_pages: 15,
             pages: 100,
         };
-        match p.decide(stamp, drifted) {
+        match decide_staleness(stamp, drifted) {
             StalenessDecision::Discounted(w) => assert!((w - 0.5).abs() < 1e-9),
             other => panic!("expected a discount, got {other:?}"),
         }
@@ -400,7 +385,7 @@ mod tests {
             dirty_pages: 60,
             pages: 100,
         };
-        assert_eq!(p.decide(stamp, dead), StalenessDecision::Evicted);
+        assert_eq!(decide_staleness(stamp, dead), StalenessDecision::Evicted);
     }
 
     #[test]
@@ -433,7 +418,7 @@ mod tests {
                 pages: 100,
             },
         );
-        assert_eq!(h.apply_staleness(StalenessPolicy::default(), &states), 0);
+        assert_eq!(h.apply_staleness(&states), 0);
         assert_eq!(h.dpc("t", "fresh"), Some(10.0));
 
         // 5% drift: measured 10 widens halfway toward the estimate 90.
@@ -445,7 +430,7 @@ mod tests {
                 pages: 100,
             },
         );
-        assert_eq!(h.apply_staleness(StalenessPolicy::default(), &states), 0);
+        assert_eq!(h.apply_staleness(&states), 0);
         let v = h.dpc("t", "fresh").expect("hint survives a discount");
         assert!((v - 50.0).abs() < 1e-9, "got {v}");
         // Unstamped hints and tables without state are untouched.
@@ -461,7 +446,7 @@ mod tests {
                 pages: 100,
             },
         );
-        assert_eq!(h.apply_staleness(StalenessPolicy::default(), &states), 1);
+        assert_eq!(h.apply_staleness(&states), 1);
         assert_eq!(h.dpc("t", "fresh"), None);
         assert_eq!(h.dpc("t", "unstamped"), Some(5.0));
     }
@@ -493,9 +478,9 @@ mod tests {
                 pages: 100,
             },
         );
-        h.apply_staleness(StalenessPolicy::default(), &states);
+        h.apply_staleness(&states);
         let once = h.dpc("t", "p").expect("survives");
-        h.apply_staleness(StalenessPolicy::default(), &states);
+        h.apply_staleness(&states);
         let twice = h.dpc("t", "p").expect("survives");
         assert_eq!(once, twice);
     }

@@ -33,7 +33,7 @@ pub use cardinality::CardinalityEstimator;
 pub use cost::CostModel;
 pub use dpc_histogram::DpcHistogram;
 pub use hints::{
-    join_dpc_key, join_expr_key, DpcHint, EpochStamp, HintSet, StalenessDecision, StalenessPolicy,
+    decide_staleness, join_dpc_key, join_expr_key, DpcHint, EpochStamp, HintSet, StalenessDecision,
     TableEpochState,
 };
 pub use optimizer::Optimizer;

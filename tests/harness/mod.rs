@@ -6,15 +6,20 @@
 //! least one with a Str atom, so the scan's row loop runs beside its
 //! page kernels) and self-join counts — run through
 //! [`ParallelRunner::run_queries`] and [`ParallelRunner::run_query`] at
-//! jobs ∈ {1, 2, 8} × monitors ∈ {default, sampled(0.5)}, at the fault
-//! rate the caller names. Every outcome must be byte-identical to the
-//! jobs=1 run of the same entry point, and must agree with brute force:
+//! jobs ∈ {1, 2, 8} × monitors ∈ {default, sampled(0.5), a 512-byte
+//! memory budget}, at the fault rate the caller names. Every outcome
+//! must be byte-identical to the jobs=1 run of the same entry point —
+//! where `run_query` at one job is [`Database::run`] — and must agree
+//! with brute force:
 //!
 //! * every non-degraded count equals the oracle count;
-//! * every fault-free exact-scan DPC equals [`Database::true_dpc`] of
-//!   the atom subset its label names ([`Conjunction::key_of`]);
+//! * every fault-free exact-scan DPC the budget did not shed equals
+//!   [`Database::true_dpc`] of the atom subset its label names
+//!   ([`Conjunction::key_of`]);
 //! * every fault-free, unsampled bit-vector DPC is consistent with
 //!   [`Database::true_join_dpc`] (see [`check_bitvector_dpc`]).
+//!
+//! Under a fault plan only scans may split into morsels.
 //!
 //! The default config then reruns under a query deadline at the median
 //! simulated time of its outcomes, through
@@ -228,17 +233,20 @@ impl Fixture {
                 COLUMNS[inner],
             ));
         }
-        // A few outer rows joined on the correlated `b`: where `b` is
-        // indexed, its measured join DPC flips the hash join to index
-        // nested loops over the outer scan, which the seeded joins above
-        // may never reach.
-        queries.push(Query::join_count(
-            COPY,
-            TABLE,
-            vec![PredSpec::new("id", CompareOp::Lt, Datum::Int(40))],
-            "b",
-            "b",
-        ));
+        // A few outer rows joined on the correlated `b`, from the copy
+        // and from `t` itself: where `b` is indexed, its measured join
+        // DPC flips the hash join to index nested loops over the outer
+        // scan, which the seeded joins above may never reach. In the
+        // self-join the inner fetches share pages with the outer scan.
+        for outer_table in [COPY, TABLE] {
+            queries.push(Query::join_count(
+                outer_table,
+                TABLE,
+                vec![PredSpec::new("id", CompareOp::Lt, Datum::Int(40))],
+                "b",
+                "b",
+            ));
+        }
         Fixture {
             rows,
             clustered,
@@ -380,7 +388,7 @@ fn check_against_brute_force(
             continue;
         }
         let pred = resolved_pred(query);
-        for m in &out.report.measurements {
+        for m in out.report.measurements.iter().filter(|m| !m.budget_shed) {
             match m.mechanism {
                 Mechanism::ExactScan => {
                     let sub = labelled_subset(&pred, &m.expression);
@@ -531,19 +539,33 @@ fn deadline_runs(
 pub struct Coverage {
     /// Whether any injected fault fired (a retry or a degraded outcome).
     pub fired: bool,
+    /// Whether the memory budget shed any monitor.
+    pub shed: bool,
     /// The [`MorselPlan`] variants [`Database::morsel_plan`] returned for
-    /// the checked queries, in either pass.
+    /// the checked queries, in either pass (see [`shape`]).
     pub shapes: BTreeSet<&'static str>,
     /// Query runs under a deadline that aborted, and that completed.
     pub deadline_runs: (usize, usize),
 }
 
-fn shape(plan: &MorselPlan) -> &'static str {
-    match plan {
-        MorselPlan::Scan(_) => "Scan",
-        MorselPlan::Fetch(_) => "Fetch",
-        MorselPlan::HashJoin(_) => "HashJoin",
-        MorselPlan::InlJoin(_) => "InlJoin",
+/// The morsel shape `query` splits into. A clustered range scan (its
+/// first page access is random) is told apart from a full scan, and a
+/// join of `t` with itself from a join of the copy with `t`.
+fn shape(query: &Query, plan: &MorselPlan) -> &'static str {
+    let self_join = matches!(query, Query::JoinCount { outer, inner, .. } if outer == inner);
+    match (plan, self_join) {
+        (
+            MorselPlan::Scan {
+                first_random: true, ..
+            },
+            _,
+        ) => "RangeScan",
+        (MorselPlan::Scan { .. }, _) => "Scan",
+        (MorselPlan::Fetch { .. }, _) => "Fetch",
+        (MorselPlan::HashJoin { .. }, false) => "HashJoin",
+        (MorselPlan::HashJoin { .. }, true) => "HashSelfJoin",
+        (MorselPlan::InlJoin { .. }, false) => "InlJoin",
+        (MorselPlan::InlJoin { .. }, true) => "InlSelfJoin",
     }
 }
 
@@ -555,8 +577,13 @@ fn shape(plan: &MorselPlan) -> &'static str {
 /// brute-force checks.
 pub fn differential_runs(fault_rate: f64, keep: fn(&Query) -> bool) -> Coverage {
     let runners = [1, 2, 8].map(ParallelRunner::new);
+    let budgeted = MonitorConfig {
+        memory_budget: Some(512),
+        ..MonitorConfig::default()
+    };
     let mut coverage = Coverage {
         fired: false,
+        shed: false,
         shapes: BTreeSet::new(),
         deadline_runs: (0, 0),
     };
@@ -569,16 +596,25 @@ pub fn differential_runs(fault_rate: f64, keep: fn(&Query) -> bool) -> Coverage 
         for pass in 1..=2 {
             // The default config's outcomes per entry point.
             let mut plain = Vec::new();
-            for cfg in [MonitorConfig::default(), MonitorConfig::sampled(0.5)] {
+            for cfg in [
+                MonitorConfig::default(),
+                MonitorConfig::sampled(0.5),
+                budgeted.clone(),
+            ] {
                 for query in &fx.queries {
                     if let Some(plan) = db.morsel_plan(query, &cfg).expect("classify") {
-                        coverage.shapes.insert(shape(&plan));
+                        assert!(
+                            fault_rate == 0.0 || matches!(plan, MorselPlan::Scan { .. }),
+                            "seed {seed}: only scans split under a fault plan, got {plan:?}"
+                        );
+                        coverage.shapes.insert(shape(query, &plan));
                     }
                 }
                 for entry in [Entry::RunQueries, Entry::RunQuery] {
                     let what = format!(
-                        "seed {seed}, pass {pass}, fault rate {fault_rate}, sampling {}, {entry:?}",
-                        cfg.sampling_fraction
+                        "seed {seed}, pass {pass}, fault rate {fault_rate}, sampling {}, \
+                         budget {:?}, {entry:?}",
+                        cfg.sampling_fraction, cfg.memory_budget
                     );
                     let base = run(entry, &runners[0], &db, &fx, &cfg);
                     for runner in &runners[1..] {
@@ -595,7 +631,8 @@ pub fn differential_runs(fault_rate: f64, keep: fn(&Query) -> bool) -> Coverage 
                         &what,
                     );
                     coverage.fired |= base.iter().any(|o| o.fault_retries > 0 || o.degraded());
-                    if cfg.sampling_fraction >= 1.0 {
+                    coverage.shed |= base.iter().any(|o| o.report.is_budget_shed());
+                    if cfg.sampling_fraction >= 1.0 && cfg.memory_budget.is_none() {
                         plain.push((entry, base));
                     }
                 }

@@ -21,7 +21,7 @@ fn is_join(query: &Query) -> bool {
 #[test]
 fn join_identity_fault_free() {
     let coverage = differential_runs(0.0, is_join);
-    for shape in ["HashJoin", "InlJoin"] {
+    for shape in ["HashJoin", "HashSelfJoin", "InlJoin", "InlSelfJoin"] {
         assert!(
             coverage.shapes.contains(shape),
             "no {shape} morsel plan in {:?}",

@@ -22,18 +22,19 @@ fn is_count(query: &Query) -> bool {
 
 /// Also the coverage guard: across the seeds' fault-free runs,
 /// [`pagefeed::Database::morsel_plan`] splits queries into every morsel
-/// shape this workload can take, and the deadline reruns both abort
-/// and complete queries.
+/// shape this workload can take, the memory budget sheds monitors, and
+/// the deadline reruns both abort and complete queries.
 #[test]
 fn kernel_identity_fault_free() {
     let coverage = differential_runs(0.0, is_count);
-    for shape in ["Scan", "Fetch"] {
+    for shape in ["Scan", "RangeScan", "Fetch"] {
         assert!(
             coverage.shapes.contains(shape),
             "no {shape} morsel plan in {:?}",
             coverage.shapes
         );
     }
+    assert!(coverage.shed, "the memory budget must shed a monitor");
     let (aborted, completed) = coverage.deadline_runs;
     assert!(
         aborted > 0 && completed > 0,
@@ -42,12 +43,19 @@ fn kernel_identity_fault_free() {
 }
 
 /// Checksum faults, retries, skipped pages and degraded sketches
-/// reproduce exactly at every worker count.
+/// reproduce exactly at every worker count. Scans still split into
+/// morsels under the fault plan; the harness refuses any other shape.
 #[test]
 fn kernel_identity_under_faults() {
+    let coverage = differential_runs(0.01, is_count);
     assert!(
-        differential_runs(0.01, is_count).fired,
+        coverage.fired,
         "fault plan must fire (retries or degraded outcomes)"
+    );
+    assert!(
+        coverage.shapes.contains("Scan"),
+        "faulted scans must still split: {:?}",
+        coverage.shapes
     );
 }
 

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use pagefeed::{
-    Database, FaultPlan, MonitorConfig, MorselPlan, ParallelRunner, PredSpec, Query,
+    Database, FaultPlan, MonitorConfig, ParallelRunner, PredSpec, Query, QueryOutcome,
     WorkloadSummary,
 };
 use pf_common::{Column, DataType, Datum, Error, Row, Schema};
@@ -220,40 +220,27 @@ fn merges_reject_mismatched_configurations() {
 // ---------------------------------------------------------------------
 
 fn build_db() -> Database {
-    build_db_with_copy(false)
-}
-
-/// `with_copy` adds `t1`, an identical second table, so join tests can
-/// exercise joins of two distinct tables beside self-joins.
-fn build_db_with_copy(with_copy: bool) -> Database {
     let mut db = Database::new();
-    let schema = || {
-        Schema::new(vec![
-            Column::new("id", DataType::Int),
-            Column::new("corr", DataType::Int),
-            Column::new("scat", DataType::Int),
-            Column::new("pad", DataType::Str),
-        ])
-    };
+    let schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("corr", DataType::Int),
+        Column::new("scat", DataType::Int),
+        Column::new("pad", DataType::Str),
+    ]);
     let n = 20_000i64;
-    let rows = || {
-        (0..n)
-            .map(|i| {
-                Row::new(vec![
-                    Datum::Int(i),
-                    Datum::Int(i),
-                    Datum::Int((i * 7919) % n),
-                    Datum::Str("x".repeat(60)),
-                ])
-            })
-            .collect::<Vec<Row>>()
-    };
-    db.create_table("t", schema(), rows(), Some("id")).unwrap();
+    let rows: Vec<Row> = (0..n)
+        .map(|i| {
+            Row::new(vec![
+                Datum::Int(i),
+                Datum::Int(i),
+                Datum::Int((i * 7919) % n),
+                Datum::Str("x".repeat(60)),
+            ])
+        })
+        .collect();
+    db.create_table("t", schema, rows, Some("id")).unwrap();
     db.create_index("ix_corr", "t", "corr").unwrap();
     db.create_index("ix_scat", "t", "scat").unwrap();
-    if with_copy {
-        db.create_table("t1", schema(), rows(), Some("id")).unwrap();
-    }
     db.analyze().unwrap();
     db
 }
@@ -375,31 +362,35 @@ fn runner_queries_and_summary_match_serial() {
 // ---------------------------------------------------------------------
 
 /// Repeated query shapes hit the plan cache; results are bit-identical
-/// to a cache-disabled database at every worker count.
+/// to optimizing, lowering and executing every query afresh, at every
+/// worker count.
 #[test]
 fn plan_cache_hits_repeats_and_is_semantically_invisible() {
     let queries = feedback_workload();
     let cfg = MonitorConfig::default();
 
-    let mut reference_db = build_db();
-    reference_db.set_plan_cache_enabled(false);
+    let reference_db = build_db();
+    let planner = reference_db.planner().unwrap();
     let reference: Vec<_> = queries
         .iter()
         .enumerate()
         .map(|(i, q)| {
-            reference_db
-                .run(q, &ParallelRunner::cfg_for(&cfg, i))
-                .unwrap()
+            let optimized = planner.optimize_query(q).unwrap();
+            let plan = planner
+                .lower_optimized(&optimized, &ParallelRunner::cfg_for(&cfg, i))
+                .unwrap();
+            reference_db.execute(plan).unwrap()
         })
         .collect();
-    assert!(
-        !reference_db.plan_cache_stats().enabled,
-        "reference database must bypass the cache"
+    let bypassed = reference_db.plan_cache_stats();
+    assert_eq!(
+        (bypassed.hits, bypassed.misses),
+        (0, 0),
+        "the reference path must bypass the cache"
     );
 
     for jobs in [1, 2, 8] {
         let db = build_db();
-        assert!(db.plan_cache_stats().enabled, "cache on by default");
         let runner = ParallelRunner::new(jobs);
         // Two passes over the same workload: the second is all hits.
         runner.run_queries(&db, &queries, &cfg).unwrap();
@@ -481,62 +472,76 @@ fn plan_cache_invalidates_on_feedback_and_dml() {
     assert_eq!(fresh.count, outcome.count);
 }
 
-// ---------------------------------------------------------------------
-// Morsel parallelism: intra-query splits are bit-identical to serial
-// ---------------------------------------------------------------------
+fn plan_cache_lookups(db: &Database) -> u64 {
+    let stats = db.plan_cache_stats();
+    stats.hits + stats.misses
+}
 
-/// Every eligible scan shape (full scan with and without predicates,
-/// clustered range) split into morsels produces the same count, I/O
-/// counters, simulated time, sketches, and plan text as `Database::run`,
-/// at every worker count.
+fn assert_same_run(got: &QueryOutcome, want: &QueryOutcome, what: &str) {
+    assert_eq!(got.count, want.count, "{what}");
+    assert_eq!(got.stats, want.stats, "{what}");
+    assert_eq!(got.report, want.report, "{what}");
+    assert_eq!(got.description, want.description, "{what}");
+}
+
+/// Every run obtains one decision and lowers it per config and per
+/// attempt. On a fresh database the feedback loop's two plans cost two
+/// plan-cache lookups — its monitored and unmonitored runs of `P` share
+/// one — and a `run_query` that declines to split after planning (an
+/// index-only scan, or a fetch whose index yields one RID) costs one.
+/// Each outcome equals the one `Database::run` gives.
 #[test]
-fn morsel_run_query_is_bit_identical_to_serial() {
-    let db = build_db();
+fn one_plan_cache_lookup_per_decision() {
     let cfg = MonitorConfig::default();
-    let shapes = [
-        // Unpredicated full scan (CountArg::Star still walks the heap).
-        Query::count("t", vec![]),
-        // Predicated table scan — wide enough that the optimizer keeps
-        // the full scan rather than an index.
-        Query::count(
-            "t",
-            vec![PredSpec::new("corr", CompareOp::Lt, Datum::Int(15_000))],
-        ),
-        // Clustered-range scan on the primary key.
-        Query::count(
-            "t",
-            vec![
-                PredSpec::new("id", CompareOp::Ge, Datum::Int(2_000)),
-                PredSpec::new("id", CompareOp::Lt, Datum::Int(18_000)),
-            ],
-        ),
-    ];
-    for (qi, query) in shapes.iter().enumerate() {
-        let serial = db.run(query, &cfg).unwrap();
-        assert!(
-            matches!(
-                db.morsel_plan(query, &cfg).unwrap(),
-                Some(MorselPlan::Scan(_))
+    let query = Query::count(
+        "t",
+        vec![PredSpec::new("corr", CompareOp::Lt, Datum::Int(400))],
+    );
+    let mut db = build_db();
+    let out = db.feedback_loop(&query, &cfg).unwrap();
+    assert_eq!(plan_cache_lookups(&db), 2, "P and P′, one lookup each");
+    assert!(out.plan_changed(), "feedback must flip the plan");
+    // The same methodology, step by step through `Database::run`.
+    let mut reference = build_db();
+    reference.inject_accurate_cardinalities(&query).unwrap();
+    let monitored = reference.run(&query, &cfg).unwrap();
+    let before = reference.run(&query, &MonitorConfig::off()).unwrap();
+    reference.absorb_feedback(&monitored.report).unwrap();
+    let after = reference.run(&query, &MonitorConfig::off()).unwrap();
+    assert_eq!(out.report, monitored.report);
+    assert_eq!(out.monitored_elapsed_ms, monitored.elapsed_ms);
+    assert_same_run(&out.before, &before, "T");
+    assert_same_run(&out.after, &after, "T′");
+
+    let runner = ParallelRunner::new(2);
+    for (declined, plan) in [
+        (
+            Query::count_star(
+                "t",
+                vec![PredSpec::new("scat", CompareOp::Lt, Datum::Int(5_000))],
             ),
-            "shape {qi} must be morsel-eligible"
-        );
-        for jobs in [2, 8] {
-            let runner = ParallelRunner::new(jobs);
-            let morsel = runner.run_query(&db, query, &cfg).unwrap();
-            assert_eq!(serial.count, morsel.count, "shape {qi}, jobs {jobs}");
-            assert_eq!(serial.stats, morsel.stats, "shape {qi}, jobs {jobs}");
-            assert_eq!(serial.report, morsel.report, "shape {qi}, jobs {jobs}");
-            assert_eq!(
-                serial.description, morsel.description,
-                "shape {qi}, jobs {jobs}"
-            );
-            assert!(
-                (serial.elapsed_ms - morsel.elapsed_ms).abs() < 1e-12,
-                "shape {qi}, jobs {jobs}"
-            );
-        }
+            "IndexOnlyScan",
+        ),
+        (
+            Query::count(
+                "t",
+                vec![PredSpec::new("corr", CompareOp::Eq, Datum::Int(7))],
+            ),
+            "IndexSeek",
+        ),
+    ] {
+        let db = build_db();
+        let split = runner.run_query(&db, &declined, &cfg).unwrap();
+        assert_eq!(plan_cache_lookups(&db), 1, "{plan}: one decision");
+        assert!(split.description.starts_with(plan), "{}", split.description);
+        assert_same_run(&split, &db.run(&declined, &cfg).unwrap(), plan);
     }
 }
+
+// ---------------------------------------------------------------------
+// Morsel parallelism: a declined split runs the serial decision
+// (`tests/harness` checks the splits against `Database::run`)
+// ---------------------------------------------------------------------
 
 /// Asserts that morsel execution at 2 and 8 workers reproduces the
 /// serial outcome byte for byte: count, I/O counters, sketches, plan
@@ -573,183 +578,6 @@ fn wide_scan() -> Query {
     )
 }
 
-/// Sampled and budget-governed monitors now split into morsels: the
-/// page-keyed Bernoulli draw and the replicated shed flags are pure
-/// functions of `(seed, page)`, so per-morsel partials merge into the
-/// serial sketches exactly.
-#[test]
-fn morsel_sampled_and_budgeted_scans_match_serial() {
-    let db = build_db();
-    let sampled = MonitorConfig::sampled(0.5);
-    assert!(
-        db.morsel_plan(&wide_scan(), &sampled).unwrap().is_some(),
-        "sampled scans are morsel-eligible"
-    );
-    assert_jobs_invariant(&db, &wide_scan(), &sampled, "sampled scan");
-
-    let budgeted = MonitorConfig {
-        memory_budget: Some(512),
-        ..MonitorConfig::default()
-    };
-    assert_jobs_invariant(&db, &wide_scan(), &budgeted, "budgeted scan");
-}
-
-/// Index-driven plans split their RID fetch list into contiguous-run
-/// morsels; per-run residency double-counting is reconciled at merge
-/// time, so the distinct-page accounting matches serial.
-/// A narrow seekable predicate plus a wide residual: the residual keeps
-/// the plan off the (serial-only) index-only path, and the paper's
-/// feedback loop is what flips the access path from scan to index fetch
-/// — Cardenas overestimates DPC on the clustered column until measured.
-fn fetch_query() -> Query {
-    Query::count(
-        "t",
-        vec![
-            PredSpec::new("corr", CompareOp::Lt, Datum::Int(200)),
-            PredSpec::new("scat", CompareOp::Lt, Datum::Int(15_000)),
-        ],
-    )
-}
-
-#[test]
-fn morsel_index_fetch_matches_serial() {
-    let mut db = build_db();
-    let cfg = MonitorConfig::default();
-    let narrow = fetch_query();
-    let out = db.run(&narrow, &cfg).unwrap();
-    db.absorb_feedback(&out.report).unwrap();
-    assert!(
-        matches!(
-            db.morsel_plan(&narrow, &cfg).unwrap(),
-            Some(MorselPlan::Fetch(_))
-        ),
-        "measured DPC must flip the narrow predicate to an index fetch"
-    );
-    assert_jobs_invariant(&db, &narrow, &cfg, "index fetch");
-    assert_jobs_invariant(&db, &narrow, &MonitorConfig::sampled(0.5), "sampled fetch");
-}
-
-/// Hash joins run morsel build and probe phases: build keys and filter
-/// fragments concatenate/OR-merge in morsel order, probe morsels look up
-/// a shared partitioned multiplicity map.
-#[test]
-fn morsel_hash_join_matches_serial() {
-    let db = build_db();
-    let cfg = MonitorConfig::default();
-    // Scattered inner join column → high DPC estimate → hash join.
-    let join = Query::join_count("t", "t", vec![], "corr", "scat");
-    let plan = db.morsel_plan(&join, &cfg).unwrap();
-    assert!(
-        matches!(plan, Some(MorselPlan::HashJoin(_))),
-        "scattered inner column must pick a hash join, got {plan:?}"
-    );
-    assert_jobs_invariant(&db, &join, &cfg, "hash join");
-    // Semi-join monitors and bit-vector sketches merge exactly too.
-    assert_jobs_invariant(
-        &db,
-        &join,
-        &MonitorConfig::sampled(0.5),
-        "sampled hash join",
-    );
-}
-
-/// Index-nested-loops joins split the outer scan into morsels, each
-/// running the whole join over its pages — still bit-identical to
-/// serial, self-joins included.
-#[test]
-fn morsel_inl_join_matches_serial() {
-    // A distinct outer table first; then an INL *self*-join, whose inner
-    // fetches interleave with the outer scan's own residency.
-    let mut db = build_db_with_copy(true);
-    let join = Query::join_count(
-        "t1",
-        "t",
-        vec![PredSpec::new("id", CompareOp::Lt, Datum::Int(400))],
-        "id",
-        "corr",
-    );
-    // The clustered inner column needs measured DPC feedback before the
-    // optimizer dares to flip Hash → INL (the paper's core loop).
-    let out = db.run(&join, &MonitorConfig::default()).unwrap();
-    db.absorb_feedback(&out.report).unwrap();
-    let cfg = MonitorConfig::default();
-    let plan = db.morsel_plan(&join, &cfg).unwrap();
-    assert!(
-        matches!(plan, Some(MorselPlan::InlJoin(_))),
-        "clustered inner column with feedback must pick INL, got {plan:?}"
-    );
-    assert_jobs_invariant(&db, &join, &cfg, "inl join");
-
-    let self_join = Query::join_count(
-        "t",
-        "t",
-        vec![PredSpec::new("id", CompareOp::Lt, Datum::Int(400))],
-        "id",
-        "corr",
-    );
-    let out = db.run(&self_join, &cfg).unwrap();
-    db.absorb_feedback(&out.report).unwrap();
-    assert!(
-        matches!(
-            db.morsel_plan(&self_join, &cfg).unwrap(),
-            Some(MorselPlan::InlJoin(_))
-        ),
-        "INL self-joins split into outer page morsels"
-    );
-    assert_jobs_invariant(&db, &self_join, &cfg, "inl self-join");
-    let s = db.run(&self_join, &cfg).unwrap();
-    let p = ParallelRunner::new(4)
-        .run_query(&db, &self_join, &cfg)
-        .unwrap();
-    assert_eq!(s.count, p.count);
-    assert_eq!(s.stats, p.stats);
-    assert_eq!(s.report, p.report);
-}
-
-/// Scans stay morsel-eligible under an injected fault plan: stall
-/// budgets and corruption sites are pure functions of
-/// `(seed, table, page)`, so per-morsel retries and page skips reproduce
-/// the serial outcome. Fetch and join shapes refuse to split instead.
-#[test]
-fn morsel_scan_under_fault_plan_matches_serial() {
-    let mut db = build_db();
-    let cfg = MonitorConfig::default();
-    // Flip the narrow query to an index fetch while still fault-free,
-    // then inject faults: the fetch shape must refuse to split.
-    let narrow = fetch_query();
-    let out = db.run(&narrow, &cfg).unwrap();
-    db.absorb_feedback(&out.report).unwrap();
-    assert!(
-        matches!(
-            db.morsel_plan(&narrow, &cfg).unwrap(),
-            Some(MorselPlan::Fetch(_))
-        ),
-        "fetch shape established before injecting faults"
-    );
-    db.set_fault_plan(Some(FaultPlan::new(42, 0.01).unwrap()))
-        .unwrap();
-    assert!(
-        db.morsel_plan(&narrow, &cfg).unwrap().is_none(),
-        "fetch shapes fall back under a fault plan"
-    );
-    let s = db.run(&narrow, &cfg).unwrap();
-    let p = ParallelRunner::new(4)
-        .run_query(&db, &narrow, &cfg)
-        .unwrap();
-    assert_eq!(s.count, p.count);
-    assert_eq!(s.stats, p.stats);
-    assert_eq!(s.report, p.report);
-
-    assert!(
-        matches!(
-            db.morsel_plan(&wide_scan(), &cfg).unwrap(),
-            Some(MorselPlan::Scan(_))
-        ),
-        "faulted scans still split"
-    );
-    assert_jobs_invariant(&db, &wide_scan(), &cfg, "faulted scan");
-}
-
 /// Shapes outside the morsel matrix fall back to the serial path and
 /// still match `Database::run` exactly: query deadlines abort on
 /// whole-query simulated time, and DPC-histogram overlays consult
@@ -777,6 +605,30 @@ fn morsel_run_query_falls_back_for_ineligible_shapes() {
     let p = runner.run_query(&db, &wide_scan(), &cfg).unwrap();
     assert_eq!(s.count, p.count);
     assert_eq!(s.stats, p.stats);
+}
+
+/// A hash join whose outer clustered range holds no page splits into no
+/// build morsel, and runs serially: the count is 0, as `Database::run`
+/// says, not an internal error.
+#[test]
+fn hash_join_over_an_empty_outer_range_matches_serial() {
+    let db = build_db();
+    let cfg = MonitorConfig::default();
+    let join = Query::join_count(
+        "t",
+        "t",
+        vec![PredSpec::new("id", CompareOp::Lt, Datum::Int(-5))],
+        "id",
+        "id",
+    );
+    let serial = db.run(&join, &cfg).unwrap();
+    assert_eq!(serial.count, 0);
+    assert!(
+        serial.description.starts_with("HashJoin"),
+        "{}",
+        serial.description
+    );
+    assert_jobs_invariant(&db, &join, &cfg, "empty-build hash join");
 }
 
 // ---------------------------------------------------------------------
