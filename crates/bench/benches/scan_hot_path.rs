@@ -10,11 +10,16 @@
 //! acceptance bar for the zero-copy pipeline is ≥ 2× median rows/sec on
 //! the full-scan shape.
 //!
-//! The real `SeqScan` runs twice over the same table:
+//! The real `SeqScan` runs five times over the same table:
 //! `full_scan/operator` filters the scrambled `val`, whose every page
 //! spans the whole key range, so page zones settle almost nothing and
 //! the kernel reads every row; `full_scan/operator_clustered` filters
-//! the clustering key `id`, so zones settle all but a page or two.
+//! the clustering key `id`, so zones settle all but a page or two. The
+//! other three add a Str atom, `pad < 'y'`, which every row passes and
+//! the kernel evaluates on row views: alone (`operator_str`, a view per
+//! row), behind the `val` atom (`operator_fixed_then_str`, a view only
+//! for the ~1% of rows `val` passes) and before it
+//! (`operator_str_then_fixed`).
 //!
 //! Run with `cargo bench --bench scan_hot_path`; set
 //! `PF_BENCH_BUDGET_MS` (e.g. 25) and `PF_BENCH_QUICK=1` for the CI
@@ -79,14 +84,12 @@ fn table(rows: i64) -> Arc<TableStorage> {
     Arc::new(TableStorage::load_default(schema, &data, Some(0)).unwrap())
 }
 
-fn pred(t: &TableStorage, col: &str, lt: i64) -> Conjunction {
-    Conjunction::new(vec![AtomicPredicate::new(
-        t.schema(),
-        col,
-        CompareOp::Lt,
-        Datum::Int(lt),
-    )
-    .unwrap()])
+fn lt(t: &TableStorage, col: &str, v: Datum) -> AtomicPredicate {
+    AtomicPredicate::new(t.schema(), col, CompareOp::Lt, v).unwrap()
+}
+
+fn pred(t: &TableStorage, col: &str, lt_value: i64) -> Conjunction {
+    Conjunction::new(vec![lt(t, col, Datum::Int(lt_value))])
 }
 
 /// Owned baseline: decode every row on every page, then evaluate.
@@ -220,6 +223,12 @@ fn main() {
     let scan_pred = pred(&t, "val", nrows / 100);
     // The same selectivity on the clustering key.
     let clustered_pred = pred(&t, "id", nrows / 100);
+    // A Str atom every row passes: alone, after and before `val`'s.
+    let str_atom = lt(&t, "pad", Datum::Str("y".into()));
+    let val_atom = lt(&t, "val", Datum::Int(nrows / 100));
+    let str_pred = Conjunction::new(vec![str_atom.clone()]);
+    let fixed_then_str = Conjunction::new(vec![val_atom.clone(), str_atom.clone()]);
+    let str_then_fixed = Conjunction::new(vec![str_atom, val_atom]);
     // Range covering ~10% of the clustered key space.
     let pages = range_pages(&t, nrows / 4, nrows / 4 + nrows / 10);
     let range_rows: u64 = (pages.0..pages.1)
@@ -242,6 +251,13 @@ fn main() {
         operator_scan(&t, &clustered_pred),
         "clustered operator parity"
     );
+    for p in [&str_pred, &fixed_then_str, &str_then_fixed] {
+        assert_eq!(
+            full_scan_owned(&t, p),
+            operator_scan(&t, p),
+            "{p}: operator parity"
+        );
+    }
     assert_eq!(
         index_fetch_owned(&t, &rids, &residual),
         index_fetch_view(&t, &rids, &residual),
@@ -266,6 +282,23 @@ fn main() {
         "full_scan/operator_clustered",
         total,
         || operator_scan(&t, &clustered_pred),
+    );
+    measure(&mut c, &mut out, "full_scan/operator_str", total, || {
+        operator_scan(&t, &str_pred)
+    });
+    measure(
+        &mut c,
+        &mut out,
+        "full_scan/operator_fixed_then_str",
+        total,
+        || operator_scan(&t, &fixed_then_str),
+    );
+    measure(
+        &mut c,
+        &mut out,
+        "full_scan/operator_str_then_fixed",
+        total,
+        || operator_scan(&t, &str_then_fixed),
     );
     measure(&mut c, &mut out, "range_scan/owned", range_rows, || {
         range_scan_owned(&t, &scan_pred, pages)

@@ -141,12 +141,7 @@ impl Datum {
 
 impl fmt::Display for Datum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Datum::Int(v) => write!(f, "{v}"),
-            Datum::Float(v) => write!(f, "{v}"),
-            Datum::Str(v) => write!(f, "'{v}'"),
-            Datum::Date(v) => write!(f, "date({v})"),
-        }
+        DatumRef::from(self).fmt(f)
     }
 }
 
@@ -220,10 +215,28 @@ impl fmt::Display for DatumRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DatumRef::Int(v) => write!(f, "{v}"),
+            DatumRef::Float(v) if v.is_nan() => fmt_nan(*v, f),
             DatumRef::Float(v) => write!(f, "{v}"),
             DatumRef::Str(v) => write!(f, "'{v}'"),
             DatumRef::Date(v) => write!(f, "date({v})"),
         }
+    }
+}
+
+/// Renders a NaN so that two floats [`Datum`] tells apart (by bits)
+/// never share text: `NaN` or `-NaN` by its sign, followed by its bits
+/// when its payload is not the default quiet NaN's. Every other float
+/// prints distinctly already (the shortest text that round-trips, `-0`
+/// for negative zero).
+fn fmt_nan(v: f64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    const SIGN: u64 = 1 << 63;
+    const QUIET_NAN: u64 = 0x7ff8_0000_0000_0000;
+    let bits = v.to_bits();
+    let sign = if bits & SIGN != 0 { "-" } else { "" };
+    if bits & !SIGN == QUIET_NAN {
+        write!(f, "{sign}NaN")
+    } else {
+        write!(f, "{sign}NaN({bits:#018x})")
     }
 }
 
@@ -348,5 +361,32 @@ mod tests {
         assert_eq!(Datum::Int(3).to_string(), "3");
         assert_eq!(Datum::Str("ca".into()).to_string(), "'ca'");
         assert_eq!(Datum::Date(9).to_string(), "date(9)");
+        assert_eq!(Datum::Float(-0.0).to_string(), "-0");
+        assert_eq!(Datum::Float(f64::NEG_INFINITY).to_string(), "-inf");
+    }
+
+    /// Floats that compare unequal never render alike: NaNs keep their
+    /// sign, and their bits when the payload is not the default one.
+    #[test]
+    fn display_tells_nans_apart() {
+        let nans = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff4_0000_0000_0000),
+        ];
+        let texts: Vec<String> = nans.iter().map(|&v| Datum::Float(v).to_string()).collect();
+        assert_eq!(
+            texts,
+            [
+                "NaN",
+                "-NaN",
+                "NaN(0x7ff0000000000001)",
+                "-NaN(0xfff4000000000000)"
+            ]
+        );
+        for &v in &nans {
+            assert_eq!(DatumRef::Float(v).to_string(), Datum::Float(v).to_string());
+        }
     }
 }

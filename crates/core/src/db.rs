@@ -1132,6 +1132,58 @@ mod tests {
         assert_eq!(db.run(&below(-f64::NAN), &cfg).unwrap().count, 0);
     }
 
+    /// Hint keys render literals as `Datum` compares them: `f < NaN` and
+    /// `f < -NaN` have different keys, so the DPC a monitored
+    /// `f < NaN` measures never steers the plan of `f < -NaN`.
+    #[test]
+    fn hints_keep_nan_signs_apart() {
+        let build = || {
+            let mut db = Database::new();
+            let schema = Schema::new(vec![
+                Column::new("f", DataType::Float),
+                Column::new("pad", DataType::Str),
+            ]);
+            let rows: Vec<Row> = (0..2_000)
+                .map(|i| {
+                    let f = match i % 4 {
+                        0 => f64::NAN,
+                        1 => -f64::NAN,
+                        _ => f64::from(i),
+                    };
+                    Row::new(vec![Datum::Float(f), Datum::Str("x".repeat(20))])
+                })
+                .collect();
+            db.create_table("t", schema, rows, None).unwrap();
+            db.create_index("t_f", "t", "f").unwrap();
+            db.analyze().unwrap();
+            db
+        };
+        let below = |nan: f64| vec![PredSpec::new("f", CompareOp::Lt, Datum::Float(nan))];
+        let fresh = build();
+        let schema = fresh.catalog().table_by_name("t").unwrap().schema().clone();
+        let key = |nan: f64| {
+            let pred = Query::resolve_predicates(&below(nan), &schema).unwrap();
+            pred.key().to_string()
+        };
+        assert_eq!(key(f64::NAN), "f<NaN");
+        assert_eq!(key(-f64::NAN), "f<-NaN");
+
+        let query = |nan: f64| Query::count("t", below(nan));
+        let mut fed = build();
+        let measured = fed
+            .run(&query(f64::NAN), &MonitorConfig::default())
+            .unwrap();
+        let report = &measured.report;
+        assert!(report.measurements.iter().any(|m| m.expression == "f<NaN"));
+        fed.absorb_feedback(report).unwrap();
+        let plan = |db: &Database| {
+            let out = db.run(&query(-f64::NAN), &MonitorConfig::off()).unwrap();
+            assert_eq!(out.count, 0);
+            out.description
+        };
+        assert_eq!(plan(&fed), plan(&fresh));
+    }
+
     #[test]
     fn true_cardinality_and_dpc() {
         let db = demo_db();

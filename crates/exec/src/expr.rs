@@ -5,12 +5,14 @@
 //! conjunct fails, the rest are skipped. That optimization is exactly
 //! what makes non-prefix DPC expressions unobservable for free, and what
 //! `DPSample` selectively disables. [`Conjunction::eval_short_circuit`]
-//! and [`Conjunction::eval_all`] model the two regimes and report how
-//! many conjuncts were actually evaluated so the executor can charge the
-//! difference to the monitoring overhead (Fig 9).
+//! evaluates one row and reports how many conjuncts it evaluated. A scan
+//! evaluates whole pages through a [`PageKernel`], one truth stripe per
+//! atom: over the short-circuit prefix of each atom, or over every slot
+//! on pages where monitoring turns short-circuiting off, so the executor
+//! can charge the difference to the monitoring overhead (Fig 9).
 
-use pf_common::{Datum, DatumAccess, Error, Result, Schema};
-use pf_storage::ColumnZone;
+use pf_common::{Datum, DatumAccess, Error, Result, Schema, SlotId};
+use pf_storage::{ColumnZone, Page, RowLayout};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -183,20 +185,6 @@ impl Conjunction {
         (true, self.atoms.len())
     }
 
-    /// Evaluates *every* conjunct (short-circuiting off), writing each
-    /// result into `results` (resized to `len()`); returns overall truth.
-    #[inline]
-    pub fn eval_all<R: DatumAccess + ?Sized>(&self, row: &R, results: &mut Vec<bool>) -> bool {
-        results.clear();
-        let mut all = true;
-        for atom in &self.atoms {
-            let r = atom.eval(row);
-            results.push(r);
-            all &= r;
-        }
-        all
-    }
-
     /// Canonical text, e.g. `C2<5000 AND state='CA'`; `TRUE` if empty.
     /// Rendered once at construction — this is just a borrow.
     pub fn key(&self) -> &str {
@@ -236,34 +224,44 @@ enum KernelValue {
     Date(i32),
 }
 
-/// One atom of a [`PageKernel`]: compare the fixed-prefix field at
-/// `offset` bytes into each row payload against `value`.
+/// One atom of a [`PageKernel`].
 #[derive(Debug, Clone)]
-struct KernelAtom {
-    /// Column ordinal — also the atom's entry in a page zone.
-    column: usize,
-    offset: usize,
-    op: CompareOp,
-    value: KernelValue,
-    /// `value`'s zone order key ([`pf_storage::order_key`]).
-    key: i64,
+enum KernelAtom {
+    /// A column of the row layout's fixed-width prefix: compare the
+    /// field at `offset` bytes into each row payload against `value`.
+    Fixed {
+        /// Column ordinal — also the atom's entry in a page zone.
+        column: usize,
+        offset: usize,
+        op: CompareOp,
+        value: KernelValue,
+        /// `value`'s zone order key ([`pf_storage::order_key`]).
+        key: i64,
+    },
+    /// Any other atom — a `Str` literal, or a column after the first
+    /// `Str` column: evaluated on each active slot's `RowView`.
+    Row(AtomicPredicate),
 }
 
-/// A conjunction compiled for page-at-a-time evaluation.
+/// A conjunction compiled for page-at-a-time evaluation: one truth
+/// stripe per atom, one bit per slot.
 ///
-/// Every atom's column must live in the row layout's fixed-width prefix,
-/// so its bytes sit at a schema-constant offset from the row start and
-/// can be read straight out of the page buffer — no `RowView`
-/// construction (and no per-row validation walk) for rows that are only
-/// observed, never delivered. Comparison semantics are exactly those of
-/// [`AtomicPredicate::eval`]: `i64`/`i32` ordering for `Int`/`Date`,
-/// IEEE `total_cmp` for `Float` (matching `DatumRef::cmp_datum`).
+/// An atom over the row layout's fixed-width prefix reads its operand
+/// straight out of the page buffer, at a schema-constant offset from
+/// the row start — no `RowView` construction (and no per-row
+/// validation walk) for rows that are only observed, never delivered.
+/// Comparison semantics are exactly those of [`AtomicPredicate::eval`]:
+/// `i64`/`i32` ordering for `Int`/`Date`, IEEE `total_cmp` for `Float`
+/// (matching `DatumRef::cmp_datum`). Any other atom evaluates
+/// [`AtomicPredicate::eval`] on the view of each slot it is asked
+/// about.
 ///
-/// Before reading rows, [`PageKernel::decide`] tries to settle each atom
-/// for the whole page from the page's zone (the min/max of each
-/// fixed-prefix column): an atom whose verdict is the same for every
-/// value in the zone's range passes all rows or none, and
-/// [`PageKernel::eval_decided`] writes its stripe without reading a row.
+/// Before reading rows, [`PageKernel::decide`] tries to settle each
+/// fixed-prefix atom for the whole page from the page's zone (the
+/// min/max of each fixed-prefix column): an atom whose verdict is the
+/// same for every value in the zone's range passes all rows or none,
+/// and [`PageKernel::eval_decided`] writes its stripe without reading a
+/// row.
 #[derive(Debug, Clone)]
 pub struct PageKernel {
     atoms: Vec<KernelAtom>,
@@ -272,51 +270,71 @@ pub struct PageKernel {
 
 impl Conjunction {
     /// Compiles this conjunction against `layout` for page-at-a-time
-    /// evaluation, or `None` if any atom's column falls outside the
-    /// fixed-width prefix (e.g. `Str` columns, or columns after the
-    /// first `Str`) — the scan then falls back to row-at-a-time views.
-    pub fn compile_page_kernel(&self, layout: &pf_storage::RowLayout) -> Option<PageKernel> {
-        let mut atoms = Vec::with_capacity(self.atoms.len());
-        let mut span = 0usize;
-        for a in &self.atoms {
-            let (offset, _ty) = layout.fixed_col(a.column)?;
-            let (value, width) = match &a.value {
-                Datum::Int(v) => (KernelValue::Int(*v), 8),
-                Datum::Float(v) => (KernelValue::Float(*v), 8),
-                Datum::Date(v) => (KernelValue::Date(*v), 4),
-                Datum::Str(_) => return None,
-            };
-            span = span.max(offset + width);
-            atoms.push(KernelAtom {
-                column: a.column,
-                offset,
-                op: a.op,
-                value,
-                key: pf_storage::order_key(&a.value)?,
-            });
-        }
-        Some(PageKernel { atoms, span })
+    /// evaluation.
+    pub fn compile_page_kernel(&self, layout: &RowLayout) -> PageKernel {
+        let mut span = 0;
+        let atoms = self
+            .atoms
+            .iter()
+            .map(|a| {
+                let (value, width) = match a.value {
+                    Datum::Int(v) => (KernelValue::Int(v), 8),
+                    Datum::Float(v) => (KernelValue::Float(v), 8),
+                    Datum::Date(v) => (KernelValue::Date(v), 4),
+                    Datum::Str(_) => return KernelAtom::Row(a.clone()),
+                };
+                // `None` for a column after the first Str column.
+                let fixed = layout
+                    .fixed_col(a.column)
+                    .zip(pf_storage::order_key(&a.value));
+                let Some(((offset, _), key)) = fixed else {
+                    return KernelAtom::Row(a.clone());
+                };
+                span = span.max(offset + width);
+                KernelAtom::Fixed {
+                    column: a.column,
+                    offset,
+                    op: a.op,
+                    value,
+                    key,
+                }
+            })
+            .collect();
+        PageKernel { atoms, span }
     }
 }
 
 impl PageKernel {
-    /// Bytes the kernel reads from each row's payload start — the bound
-    /// the page must guarantee per slot (see `Page::slot_offsets`).
+    /// Bytes the kernel's fixed-prefix atoms read from each row's
+    /// payload start — the bound the page must guarantee per slot (see
+    /// `Page::slot_offsets`).
     pub fn span(&self) -> usize {
         self.span
     }
 
+    /// Whether atom `idx` reads the page bytes at the slot offsets
+    /// (a fixed-prefix atom) rather than row views.
+    pub fn reads_bytes(&self, idx: usize) -> bool {
+        matches!(self.atoms[idx], KernelAtom::Fixed { .. })
+    }
+
     /// Settles atom `idx` for every row of a page from the page's
     /// `zone`: `Some(true)` when all rows pass, `Some(false)` when none
-    /// does, `None` when the rows' values straddle the verdict and must
-    /// be read. Zone keys order exactly as the kernel compares (integer
-    /// order for `Int`/`Date`, `total_cmp` for `Float`), so a decision
-    /// always equals what [`PageKernel::eval_atom`] finds row by row.
+    /// does, `None` when the rows' values straddle the verdict, or the
+    /// atom reads row views, and the rows must be read. Zone keys order
+    /// exactly as the kernel compares (integer order for `Int`/`Date`,
+    /// `total_cmp` for `Float`), so a decision always equals what
+    /// [`PageKernel::eval_atom`] finds row by row.
     pub fn decide(&self, idx: usize, zone: &[ColumnZone]) -> Option<bool> {
-        let atom = &self.atoms[idx];
-        let z = zone.get(atom.column)?;
-        let v = atom.key;
-        let (all, none) = match atom.op {
+        let KernelAtom::Fixed {
+            column, op, key, ..
+        } = &self.atoms[idx]
+        else {
+            return None;
+        };
+        let z = zone.get(*column)?;
+        let v = *key;
+        let (all, none) = match op {
             CompareOp::Lt => (z.max < v, z.min >= v),
             CompareOp::Le => (z.max <= v, z.min > v),
             CompareOp::Gt => (z.min > v, z.max <= v),
@@ -343,43 +361,46 @@ impl PageKernel {
         }
     }
 
-    /// Evaluates atom `idx` over a page: `bytes` is the raw page image,
-    /// `offs[s]` each slot's payload offset, `active` a bitmap of slots
-    /// worth evaluating, `out` the result bitmap (one bit per slot, same
-    /// word count as `active`).
+    /// Evaluates atom `idx` over `page`: `offs[s]` is each slot's
+    /// payload offset (needed only when [`PageKernel::reads_bytes`]),
+    /// `active` a bitmap of slots worth evaluating, `out` the result
+    /// bitmap (one bit per slot, same word count as `active`).
     ///
     /// Whole words of `active` that are zero are skipped and their `out`
     /// words left zero — the word-granular analogue of short-circuiting.
-    /// Within a nonzero word every slot is evaluated; bits of `out` for
-    /// inactive slots may therefore be set, and callers must mask with
-    /// the prefix bitmap (AND) before interpreting them.
+    /// A fixed-prefix atom evaluates every slot of a nonzero word, so
+    /// bits of `out` for inactive slots may be set, and callers must
+    /// mask with the prefix bitmap (AND) before interpreting them; any
+    /// other atom builds a view of the active slots only. Fails with the
+    /// error of the first active slot whose view fails to decode.
     pub fn eval_atom(
         &self,
         idx: usize,
-        bytes: &[u8],
+        page: &Page,
+        layout: &RowLayout,
         offs: &[u32],
         active: &[u64],
         out: &mut [u64],
-    ) {
-        let atom = &self.atoms[idx];
-        match atom.value {
-            KernelValue::Int(lit) => {
-                eval_fixed::<8>(bytes, offs, atom.offset, active, out, |raw| {
-                    atom.op.matches(i64::from_le_bytes(raw).cmp(&lit))
-                })
-            }
-            KernelValue::Float(lit) => {
-                eval_fixed::<8>(bytes, offs, atom.offset, active, out, |raw| {
-                    atom.op
-                        .matches(f64::from_bits(u64::from_le_bytes(raw)).total_cmp(&lit))
-                });
-            }
-            KernelValue::Date(lit) => {
-                eval_fixed::<4>(bytes, offs, atom.offset, active, out, |raw| {
-                    atom.op.matches(i32::from_le_bytes(raw).cmp(&lit))
-                })
-            }
+    ) -> Result<()> {
+        let (offset, op, value) = match &self.atoms[idx] {
+            KernelAtom::Fixed {
+                offset, op, value, ..
+            } => (*offset, *op, *value),
+            KernelAtom::Row(atom) => return eval_views(atom, page, layout, active, out),
+        };
+        let bytes = page.bytes();
+        match value {
+            KernelValue::Int(lit) => eval_fixed::<8>(bytes, offs, offset, active, out, |raw| {
+                op.matches(i64::from_le_bytes(raw).cmp(&lit))
+            }),
+            KernelValue::Float(lit) => eval_fixed::<8>(bytes, offs, offset, active, out, |raw| {
+                op.matches(f64::from_bits(u64::from_le_bytes(raw)).total_cmp(&lit))
+            }),
+            KernelValue::Date(lit) => eval_fixed::<4>(bytes, offs, offset, active, out, |raw| {
+                op.matches(i32::from_le_bytes(raw).cmp(&lit))
+            }),
         }
+        Ok(())
     }
 }
 
@@ -410,6 +431,29 @@ fn eval_fixed<const W: usize>(
         }
         *out_word = word;
     }
+}
+
+/// Evaluates `atom` on the view of each active slot of `page`: bit `s`
+/// of `out` is set iff slot `s` is active and passes.
+fn eval_views(
+    atom: &AtomicPredicate,
+    page: &Page,
+    layout: &RowLayout,
+    active: &[u64],
+    out: &mut [u64],
+) -> Result<()> {
+    for (w, (out_word, &bits)) in out.iter_mut().zip(active).enumerate() {
+        let mut word = 0u64;
+        let mut rest = bits;
+        while rest != 0 {
+            let bit = rest.trailing_zeros();
+            rest &= rest - 1;
+            let view = page.view(layout, SlotId((w * 64) as u16 + bit as u16))?;
+            word |= u64::from(atom.eval(&view)) << bit;
+        }
+        *out_word = word;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -476,21 +520,6 @@ mod tests {
         assert_eq!(conj.eval_short_circuit(&row(1, 100, "WA")), (false, 2));
         // Both pass.
         assert_eq!(conj.eval_short_circuit(&row(1, 100, "CA")), (true, 2));
-    }
-
-    #[test]
-    fn eval_all_reports_every_atom() {
-        let s = schema();
-        let conj = Conjunction::new(vec![
-            AtomicPredicate::new(&s, "ship", CompareOp::Eq, Datum::Date(100)).unwrap(),
-            AtomicPredicate::new(&s, "state", CompareOp::Eq, Datum::Str("CA".into())).unwrap(),
-        ]);
-        let mut res = Vec::new();
-        // Even with the first failing, the second is evaluated.
-        assert!(!conj.eval_all(&row(1, 99, "CA"), &mut res));
-        assert_eq!(res, vec![false, true]);
-        assert!(conj.eval_all(&row(1, 100, "CA"), &mut res));
-        assert_eq!(res, vec![true, true]);
     }
 
     #[test]
@@ -602,9 +631,8 @@ mod tests {
                         _ => random_value(&mut rng, col),
                     };
                     let atom = AtomicPredicate::new(&schema, name, op, value).unwrap();
-                    let kernel = Conjunction::new(vec![atom.clone()])
-                        .compile_page_kernel(&layout)
-                        .expect("fixed-prefix atom compiles");
+                    let kernel = Conjunction::new(vec![atom.clone()]).compile_page_kernel(&layout);
+                    assert!(kernel.reads_bytes(0), "{atom} reads the fixed prefix");
                     let Some(pass) = kernel.decide(0, zone) else {
                         outcomes[2] += 1;
                         continue;
@@ -618,7 +646,9 @@ mod tests {
                         .collect();
                     let (mut read, mut decided) = (vec![0; words], vec![0; words]);
                     assert!(page.slot_offsets(kernel.span(), &mut offs));
-                    kernel.eval_atom(0, page.bytes(), &offs, &active, &mut read);
+                    kernel
+                        .eval_atom(0, &page, &layout, &offs, &active, &mut read)
+                        .unwrap();
                     PageKernel::eval_decided(pass, &mask, &active, &mut decided);
                     assert_eq!(decided, read, "{atom}: settled stripe");
                 }

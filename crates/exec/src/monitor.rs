@@ -27,7 +27,6 @@ use pf_feedback::{
     BitVectorFilter, DpcMeasurement, FeedbackReport, GroupedPageCounter, LinearCounter, Mechanism,
     Sketch,
 };
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// How one monitored expression on a scan decides "row satisfies".
@@ -60,10 +59,10 @@ enum ScanExprKind {
 /// One monitored expression on a scan.
 ///
 /// Page counting is delegated to a [`GroupedPageCounter`] (the scan-plan
-/// grouped-access property of Section III-B): one flag per current page,
-/// flushed at page boundaries. Keeping the counter as a real sketch —
-/// rather than a bare `u64` — is what lets intra-query morsel workers
-/// each count their disjoint page range and merge exactly via
+/// grouped-access property of Section III-B): one verdict per observed
+/// page. Keeping the counter as a real sketch — rather than a bare
+/// `u64` — is what lets intra-query morsel workers each count their
+/// disjoint page range and merge exactly via
 /// [`GroupedPageCounter::merge`].
 #[derive(Debug)]
 pub struct ScanExprMonitor {
@@ -72,7 +71,9 @@ pub struct ScanExprMonitor {
     /// Optimizer estimate to print alongside (if known).
     pub estimated: Option<f64>,
     kind: ScanExprKind,
-    satisfied_this_page: bool,
+    /// Whether some row of the page [`ScanMonitorSet::observe_page`] is
+    /// observing satisfies the expression.
+    satisfied: bool,
     counter: GroupedPageCounter,
     shed: bool,
 }
@@ -96,7 +97,7 @@ impl ScanExprMonitor {
                 indices,
                 prefix_len,
             },
-            satisfied_this_page: false,
+            satisfied: false,
             counter: GroupedPageCounter::new(),
             shed: false,
         }
@@ -119,7 +120,7 @@ impl ScanExprMonitor {
                 filter_bytes,
                 filter: None,
             },
-            satisfied_this_page: false,
+            satisfied: false,
             counter: GroupedPageCounter::new(),
             shed: false,
         }
@@ -145,34 +146,6 @@ impl ScanExprMonitor {
                 ..
             }
         )
-    }
-}
-
-/// How a scan communicates per-conjunct truth for one row, without
-/// forcing the hot path to materialize an `Option<bool>` buffer.
-#[derive(Clone, Copy)]
-enum AtomResults<'a> {
-    /// Explicit per-conjunct results (legacy shape; tests use it).
-    Explicit(&'a [Option<bool>]),
-    /// Every conjunct evaluated (short-circuiting off).
-    Full(&'a [bool]),
-    /// Short-circuited: `0..evaluated-1` true, `evaluated-1` is `pass`,
-    /// the rest unknown.
-    Prefix { evaluated: usize, pass: bool },
-}
-
-impl AtomResults<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> Option<bool> {
-        match *self {
-            AtomResults::Explicit(r) => r[i],
-            AtomResults::Full(r) => Some(r[i]),
-            AtomResults::Prefix { evaluated, pass } => match (i + 1).cmp(&evaluated) {
-                Ordering::Less => Some(true),
-                Ordering::Equal => Some(pass),
-                Ordering::Greater => None,
-            },
-        }
     }
 }
 
@@ -202,7 +175,9 @@ pub enum ShedClass {
 /// decision ([`page_sampled`], keyed by `(seed, page_id)`), so monitoring
 /// cost is paid once per sampled page regardless of how many expressions
 /// are watched — and so any page sub-range makes exactly the decisions
-/// the whole-table scan would.
+/// the whole-table scan would. The scan hands over each page in one
+/// call: [`ScanMonitorSet::observe_page`], or
+/// [`ScanMonitorSet::skip_page`] for a page that failed its checksum.
 #[derive(Debug, Default)]
 pub struct ScanMonitorSet {
     /// The table the measurements are reported for.
@@ -210,13 +185,9 @@ pub struct ScanMonitorSet {
     exprs: Vec<ScanExprMonitor>,
     fraction: f64,
     seed: u64,
-    page_sampled: bool,
-    in_page: bool,
     pages_seen: u64,
     pages_sampled: u64,
     rows_seen: u64,
-    rows_this_page: u64,
-    hash_ops: u64,
     skipped_pages: u64,
 }
 
@@ -234,13 +205,9 @@ impl ScanMonitorSet {
             exprs,
             fraction: fraction.clamp(f64::MIN_POSITIVE, 1.0),
             seed,
-            page_sampled: false,
-            in_page: false,
             pages_seen: 0,
             pages_sampled: 0,
             rows_seen: 0,
-            rows_this_page: 0,
-            hash_ops: 0,
             skipped_pages: 0,
         }
     }
@@ -283,7 +250,6 @@ impl ScanMonitorSet {
     pub fn shed_expr(&mut self, idx: usize) {
         if let Some(e) = self.exprs.get_mut(idx) {
             e.shed = true;
-            e.satisfied_this_page = false;
         }
     }
 
@@ -328,280 +294,144 @@ impl ScanMonitorSet {
             .sum()
     }
 
-    /// Starts a new page; returns whether this page is sampled (the scan
-    /// must then evaluate all conjuncts per row if
-    /// [`ScanMonitorSet::needs_full_eval`]). `page` is the page's
-    /// physical id within its table: the sampling decision is the pure
+    /// Whether page `page` is sampled: on a sampled page the scan must
+    /// evaluate every conjunct on every row if
+    /// [`ScanMonitorSet::needs_full_eval`]. `page` is the page's
+    /// physical id within its table, and the decision is the pure
     /// function [`page_sampled`] of `(seed, page)`, so a morsel worker
-    /// announcing the same page makes the same decision as a serial scan.
-    pub fn start_page(&mut self, page: u32) -> bool {
-        self.flush_page();
-        self.in_page = true;
+    /// decides each page as a serial scan does.
+    pub fn samples(&self, page: u32) -> bool {
+        page_sampled(self.seed, page, self.fraction)
+    }
+
+    /// Counts page `page` as seen (and sampled, if it is); returns
+    /// whether it is sampled.
+    fn count_page(&mut self, page: u32) -> bool {
+        let sampled = self.samples(page);
         self.pages_seen += 1;
-        self.page_sampled = page_sampled(self.seed, page, self.fraction);
-        if self.page_sampled {
-            self.pages_sampled += 1;
-        }
-        self.page_sampled
+        self.pages_sampled += u64::from(sampled);
+        sampled
     }
 
-    /// Observes one row of the current page.
-    ///
-    /// `atom_results[i]` is `Some(truth)` for every conjunct the scan
-    /// evaluated on this row (all of them on fully-evaluated pages;
-    /// a short-circuited prefix otherwise); `row` is used for semi-join
-    /// key hashing. Returns immediately on pages where nothing needs
-    /// observing.
-    pub fn observe_row<R: DatumAccess + ?Sized>(&mut self, atom_results: &[Option<bool>], row: &R) {
-        self.observe_impl(AtomResults::Explicit(atom_results), row);
-    }
-
-    /// Observes a row whose conjuncts were *all* evaluated
-    /// (short-circuiting off): `results[i]` is conjunct `i`'s truth.
-    /// Equivalent to [`ScanMonitorSet::observe_row`] with every entry
-    /// `Some`, without building an `Option` buffer.
-    pub fn observe_full_row<R: DatumAccess + ?Sized>(&mut self, results: &[bool], row: &R) {
-        self.observe_impl(AtomResults::Full(results), row);
-    }
-
-    /// Observes a short-circuited row: conjuncts `0..evaluated-1` passed,
-    /// conjunct `evaluated-1` evaluated to `pass`, the rest are unknown —
-    /// exactly the `(passed, evaluated)` pair
-    /// [`Conjunction::eval_short_circuit`] returns. Equivalent to
-    /// [`ScanMonitorSet::observe_row`] with the corresponding
-    /// `Some(true)…Some(pass), None…` buffer, without building it.
-    pub fn observe_prefix_row<R: DatumAccess + ?Sized>(
-        &mut self,
-        evaluated: usize,
-        pass: bool,
-        row: &R,
-    ) {
-        self.observe_impl(AtomResults::Prefix { evaluated, pass }, row);
-    }
-
-    /// Observes the current page in one call — the batched equivalent of
-    /// one `observe_*_row` per row, fed from the scan's predicate-kernel
-    /// bitmaps instead of per-row truth buffers.
+    /// Observes page `page`, which holds `n_rows` rows, in one call.
     ///
     /// `stripes` holds one bitmap per conjunct: atom `i`'s per-slot truth
     /// occupies `stripes[i*words..(i+1)*words]`, bit `s` of the stripe
     /// covering slot `s`. On pages evaluated with short-circuiting, a
     /// stripe need only be correct for slots on which every earlier
     /// conjunct held (the short-circuit prefix); that is exactly the set
-    /// of rows on which the serial path could observe atom `i`, so prefix
-    /// expressions see identical truth. Non-prefix expressions are only
-    /// consulted on sampled pages, where the scan evaluates every atom on
-    /// every slot (`needs_full_eval`), making all stripes exact.
+    /// of rows on which short-circuit evaluation learns atom `i`, so
+    /// prefix expressions see exact truth. Non-prefix expressions are
+    /// only consulted on sampled pages, where the scan evaluates every
+    /// atom on every slot ([`ScanMonitorSet::needs_full_eval`]), making
+    /// all stripes exact.
     ///
     /// Semi-join expressions need per-row key hashes, which a bitmap
-    /// cannot carry — callers follow up with
-    /// [`ScanMonitorSet::observe_semi_join_row`] while
-    /// [`ScanMonitorSet::wants_semi_join_rows`] holds.
-    pub fn observe_page_atoms(&mut self, stripes: &[u64], words: usize, n_rows: u64) {
+    /// cannot carry: on sampled pages they test the join key of `rows`
+    /// (the page's rows in slot order), one hash per row and
+    /// still-unsatisfied expression, stopping once every one is
+    /// satisfied. Returns the hash operations performed (for CPU
+    /// accounting). Finally the page is recorded in each expression's
+    /// grouped counter.
+    pub fn observe_page<R: DatumAccess>(
+        &mut self,
+        page: u32,
+        stripes: &[u64],
+        words: usize,
+        n_rows: u64,
+        rows: impl IntoIterator<Item = Result<R>>,
+    ) -> Result<u64> {
+        let sampled = self.count_page(page);
         self.rows_seen += n_rows;
-        self.rows_this_page += n_rows;
-        if n_rows == 0 {
-            return;
-        }
-        let sampled = self.page_sampled;
+        // Live semi-join expressions the page's rows must still decide.
+        let mut open_semi_joins = 0usize;
         for e in &mut self.exprs {
-            if e.satisfied_this_page || e.shed {
-                continue;
-            }
-            let ScanExprKind::Atoms {
-                indices,
-                prefix_len,
-            } = &e.kind
-            else {
-                continue;
-            };
-            if prefix_len.is_none() && !sampled {
-                continue;
-            }
-            // The expression is satisfied iff some slot passes all of its
-            // atoms: AND the indexed stripes word by word and look for a
-            // surviving bit. An empty index list is vacuously true on any
-            // non-empty page, as in the per-row path.
-            let satisfied = match indices.split_first() {
-                None => true,
-                Some((&first, rest)) => (0..words).any(|w| {
-                    let mut acc = stripes[first * words + w];
-                    for &i in rest {
-                        if acc == 0 {
-                            break;
-                        }
-                        acc &= stripes[i * words + w];
-                    }
-                    acc != 0
-                }),
-            };
-            if satisfied {
-                e.satisfied_this_page = true;
-            }
-        }
-    }
-
-    /// Whether the current page still needs per-row key observations for
-    /// semi-join expressions (only sampled pages do, and only until every
-    /// live semi-join expression has been satisfied).
-    pub fn wants_semi_join_rows(&self) -> bool {
-        self.page_sampled
-            && self.exprs.iter().any(|e| {
-                !e.shed && !e.satisfied_this_page && matches!(e.kind, ScanExprKind::SemiJoin { .. })
-            })
-    }
-
-    /// Observes one row's join key against the still-unsatisfied
-    /// semi-join expressions of the current (sampled) page; the batched
-    /// complement of the semi-join arm of `observe_impl`. Returns whether
-    /// any semi-join expression is still unsatisfied — `false` lets the
-    /// caller stop iterating the page's rows early, which is safe because
-    /// the per-row path also stops charging hash ops for an expression
-    /// once it is satisfied.
-    pub fn observe_semi_join_row<R: DatumAccess + ?Sized>(&mut self, row: &R) -> bool {
-        if !self.page_sampled {
-            return false;
-        }
-        let mut unsatisfied = false;
-        for e in &mut self.exprs {
-            if e.satisfied_this_page || e.shed {
-                continue;
-            }
-            let ScanExprKind::SemiJoin {
-                key_column, filter, ..
-            } = &e.kind
-            else {
-                continue;
-            };
-            self.hash_ops += 1;
-            let hit = match filter {
-                Some(f) => f.may_contain_ref(row.datum_ref(*key_column)),
-                None => true,
-            };
-            if hit {
-                e.satisfied_this_page = true;
-            } else {
-                unsatisfied = true;
-            }
-        }
-        unsatisfied
-    }
-
-    /// Batched semi-join observation of one page: walks the page's row
-    /// views only while a sampled semi-join expression is still
-    /// unsatisfied — the bulk complement of calling
-    /// [`ScanMonitorSet::observe_semi_join_row`] per row, with the same
-    /// early stop and identical hash-op accounting.
-    pub fn observe_semi_join_page<'a, R, I>(&mut self, rows: I) -> pf_common::Result<()>
-    where
-        R: DatumAccess + 'a,
-        I: IntoIterator<Item = pf_common::Result<R>>,
-    {
-        if !self.wants_semi_join_rows() {
-            return Ok(());
-        }
-        for view in rows {
-            if !self.observe_semi_join_row(&view?) {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    fn observe_impl<R: DatumAccess + ?Sized>(&mut self, atom_results: AtomResults<'_>, row: &R) {
-        let sampled = self.page_sampled;
-        self.rows_seen += 1;
-        self.rows_this_page += 1;
-        for e in &mut self.exprs {
-            if e.satisfied_this_page || e.shed {
+            e.satisfied = false;
+            if e.shed || n_rows == 0 {
                 continue;
             }
             match &e.kind {
+                // Exact (prefix) expressions observe every page; sampled
+                // expressions only sampled pages. An expression is
+                // satisfied iff some slot passes all of its atoms: AND
+                // the indexed stripes word by word and look for a
+                // surviving bit. An empty index list is vacuously true.
                 ScanExprKind::Atoms {
                     indices,
                     prefix_len,
-                } => {
-                    // Exact (prefix) expressions observe every page;
-                    // sampled expressions only sampled pages.
-                    if prefix_len.is_none() && !sampled {
-                        continue;
-                    }
-                    let satisfied = indices.iter().all(|&i| atom_results.get(i) == Some(true));
-                    // On short-circuited rows a prefix expression may be
-                    // undecidable only if an earlier atom was false — in
-                    // which case it is correctly "not satisfied".
-                    if satisfied {
-                        e.satisfied_this_page = true;
-                    }
-                }
-                ScanExprKind::SemiJoin {
-                    key_column, filter, ..
-                } => {
-                    if !sampled {
-                        continue;
-                    }
-                    self.hash_ops += 1;
-                    let hit = match filter {
-                        Some(f) => f.may_contain_ref(row.datum_ref(*key_column)),
-                        // Filter not yet installed: conservatively true
-                        // (cannot under-count; should not occur in a
-                        // well-formed plan).
+                } if prefix_len.is_some() || sampled => {
+                    e.satisfied = match indices.split_first() {
                         None => true,
+                        Some((&first, rest)) => (0..words).any(|w| {
+                            let mut acc = stripes[first * words + w];
+                            for &i in rest {
+                                if acc == 0 {
+                                    break;
+                                }
+                                acc &= stripes[i * words + w];
+                            }
+                            acc != 0
+                        }),
                     };
-                    if hit {
-                        e.satisfied_this_page = true;
-                    }
+                }
+                ScanExprKind::Atoms { .. } => {}
+                ScanExprKind::SemiJoin { .. } => open_semi_joins += usize::from(sampled),
+            }
+        }
+        let mut hash_ops = 0;
+        if open_semi_joins > 0 {
+            for row in rows {
+                let row = row?;
+                for e in self.exprs.iter_mut().filter(|e| !e.shed && !e.satisfied) {
+                    let ScanExprKind::SemiJoin {
+                        key_column, filter, ..
+                    } = &e.kind
+                    else {
+                        continue;
+                    };
+                    hash_ops += 1;
+                    // Filter not yet installed: conservatively true
+                    // (cannot under-count; should not occur in a
+                    // well-formed plan).
+                    e.satisfied = filter
+                        .as_ref()
+                        .is_none_or(|f| f.may_contain_ref(row.datum_ref(*key_column)));
+                    open_semi_joins -= usize::from(e.satisfied);
+                }
+                if open_semi_joins == 0 {
+                    break;
                 }
             }
+        }
+        for e in &mut self.exprs {
+            e.counter.observe_page(page, u64::from(e.satisfied), n_rows);
+        }
+        Ok(hash_ops)
+    }
+
+    /// Records page `page`, which the scan skipped because its checksum
+    /// failed. It counts toward page and sample accounting as in a
+    /// fault-free run but contributes no rows, so counts are
+    /// unperturbed — and every harvested measurement is marked degraded
+    /// (the actuals are now lower bounds).
+    pub fn skip_page(&mut self, page: u32) {
+        self.count_page(page);
+        self.skipped_pages += 1;
+        for e in &mut self.exprs {
+            e.counter.observe_page(page, 0, 0);
         }
     }
 
     /// Ends the scan (idempotent); call before harvesting.
     pub fn finish(&mut self) {
-        self.flush_page();
-        self.in_page = false;
         for e in &mut self.exprs {
             e.counter.finish();
         }
     }
 
-    /// Hash operations performed by semi-join monitoring since the last
-    /// call (for CPU accounting); resets the counter.
-    pub fn take_hash_ops(&mut self) -> u64 {
-        std::mem::take(&mut self.hash_ops)
-    }
-
-    /// Pages announced so far.
-    pub fn pages_seen(&self) -> u64 {
-        self.pages_seen
-    }
-
     /// Pages sampled so far.
     pub fn pages_sampled(&self) -> u64 {
         self.pages_sampled
-    }
-
-    /// Records a page the scan skipped because its checksum failed. The
-    /// scan must still announce the page via
-    /// [`ScanMonitorSet::start_page`] first, so page/sample accounting
-    /// matches a fault-free run; the page contributes no rows, so counts
-    /// are unperturbed — but every harvested measurement is marked
-    /// degraded (the actuals are now lower bounds).
-    pub fn note_skipped_page(&mut self) {
-        self.skipped_pages += 1;
-        // A skipped page cannot satisfy anything: drop any sampled flag
-        // so flush_page treats it as empty.
-        self.page_sampled = false;
-    }
-
-    /// Pages skipped under this monitor set's watch.
-    pub fn skipped_pages(&self) -> u64 {
-        self.skipped_pages
-    }
-
-    /// Whether any page was skipped (estimates are lower bounds).
-    pub fn is_degraded(&self) -> bool {
-        self.skipped_pages > 0
     }
 
     /// Harvests measurements into a report, keyed by the set's table.
@@ -664,23 +494,6 @@ impl ScanMonitorSet {
                 budget_shed: e.shed,
             });
         }
-    }
-
-    fn flush_page(&mut self) {
-        if self.in_page {
-            // One grouped observation per page: `pages_seen` doubles as
-            // the (strictly increasing) page ordinal, so the counter's
-            // page-transition logic fires exactly once per scanned page.
-            let page = self.pages_seen as u32;
-            let rows = self.rows_this_page;
-            for e in &mut self.exprs {
-                e.counter
-                    .observe_page(page, u64::from(e.satisfied_this_page), rows);
-                e.satisfied_this_page = false;
-            }
-            self.rows_this_page = 0;
-        }
-        self.page_sampled = false;
     }
 
     /// Finishes the set and moves it out, leaving an empty set behind: a
@@ -963,6 +776,15 @@ mod tests {
         ])
     }
 
+    /// Feeds `set` page `page` holding the one row `row`, on which the
+    /// scan's atoms evaluated to `atoms`; returns the hash operations
+    /// performed.
+    fn feed(set: &mut ScanMonitorSet, page: u32, atoms: &[bool], row: &Row) -> u64 {
+        let stripes: Vec<u64> = atoms.iter().map(|&a| u64::from(a)).collect();
+        set.observe_page(page, &stripes, 1, 1, [Ok(row.clone())])
+            .unwrap()
+    }
+
     #[test]
     fn prefix_detection() {
         let s = schema();
@@ -989,13 +811,9 @@ mod tests {
             1,
         );
         // 3 pages: match, no-match, match.
+        let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
         for page in 0..3u32 {
-            set.start_page(page);
-            let hit = page != 1;
-            set.observe_row(
-                &[Some(hit), None],
-                &Row::new(vec![Datum::Int(0), Datum::Int(0)]),
-            );
+            feed(&mut set, page, &[page != 1, false], &row);
         }
         let mut rep = FeedbackReport::new();
         set.harvest(&mut rep);
@@ -1010,13 +828,10 @@ mod tests {
         let mut set =
             ScanMonitorSet::new("t", vec![ScanExprMonitor::atoms(&c, vec![1], None)], 1.0, 1);
         assert!(set.needs_full_eval());
+        let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
         for page in 0..4u32 {
-            let sampled = set.start_page(page);
-            assert!(sampled, "f=1 samples everything");
-            set.observe_row(
-                &[Some(true), Some(page % 2 == 0)],
-                &Row::new(vec![Datum::Int(0), Datum::Int(0)]),
-            );
+            assert!(set.samples(page), "f=1 samples everything");
+            feed(&mut set, page, &[true, page % 2 == 0], &row);
         }
         let mut rep = FeedbackReport::new();
         set.harvest(&mut rep);
@@ -1035,73 +850,35 @@ mod tests {
         );
         set.install_semi_join_filter(Arc::new(f));
         // Page 0: key 5 present (hit). Page 1: only key 6 (likely miss).
-        set.start_page(0);
-        set.observe_row(&[], &Row::new(vec![Datum::Int(5), Datum::Int(0)]));
-        set.start_page(1);
-        set.observe_row(&[], &Row::new(vec![Datum::Int(6), Datum::Int(0)]));
+        let row = |k| Row::new(vec![Datum::Int(k), Datum::Int(0)]);
+        let hashes = feed(&mut set, 0, &[], &row(5)) + feed(&mut set, 1, &[], &row(6));
         let mut rep = FeedbackReport::new();
         set.harvest(&mut rep);
         let actual = rep.measurements[0].actual;
         // One true-hit page; the collision correction shaves the
         // expected false-positive mass (tiny here), so allow ~1.
         assert!((0.9..=2.0).contains(&actual), "actual {actual}");
-        assert!(set.take_hash_ops() >= 2);
+        assert_eq!(hashes, 2, "one hash per sampled row");
         assert!(matches!(
             rep.measurements[0].mechanism,
             Mechanism::BitVector(_)
         ));
     }
 
+    /// A sampled page's rows are hashed only until every semi-join
+    /// expression is satisfied; an unsampled page's are not hashed.
     #[test]
-    fn observation_shapes_are_equivalent() {
-        let s = schema();
-        let c = conj(&s);
-        let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
-        let mk = || {
-            ScanMonitorSet::new(
-                "t",
-                vec![
-                    ScanExprMonitor::atoms(&c, vec![0], None),
-                    ScanExprMonitor::atoms(&c, vec![0, 1], None),
-                    ScanExprMonitor::atoms(&c, vec![1], None),
-                ],
-                1.0,
-                1,
-            )
-        };
-        let harvest = |set: &mut ScanMonitorSet| {
-            let mut rep = FeedbackReport::new();
-            set.harvest(&mut rep);
-            rep.measurements
-                .iter()
-                .map(|m| m.actual)
-                .collect::<Vec<_>>()
-        };
-        // Full-eval shape: (true, false) per row on every page.
-        let (mut a, mut b) = (mk(), mk());
-        for p in 0..3u32 {
-            a.start_page(p);
-            a.observe_row(&[Some(true), Some(false)], &row);
-            b.start_page(p);
-            b.observe_full_row(&[true, false], &row);
-        }
-        assert_eq!(harvest(&mut a), harvest(&mut b));
-        // Short-circuit shape: conjunct 0 passed, conjunct 1 failed.
-        let (mut a, mut b) = (mk(), mk());
-        for p in 0..3u32 {
-            a.start_page(p);
-            a.observe_row(&[Some(true), Some(false)], &row);
-            b.start_page(p);
-            b.observe_prefix_row(2, false, &row);
-        }
-        assert_eq!(harvest(&mut a), harvest(&mut b));
-        // Short-circuit failing at conjunct 0: rest unknown.
-        let (mut a, mut b) = (mk(), mk());
-        a.start_page(0);
-        a.observe_row(&[Some(false), None], &row);
-        b.start_page(0);
-        b.observe_prefix_row(1, false, &row);
-        assert_eq!(harvest(&mut a), harvest(&mut b));
+    fn semi_join_walk_stops_at_the_first_hit() {
+        let mut f = BitVectorFilter::new(256, 7);
+        f.insert(&Datum::Int(5));
+        let expr = ScanExprMonitor::semi_join("j", 0, 32, None);
+        let mut set = ScanMonitorSet::new("t", vec![expr], 0.5, 2);
+        set.install_semi_join_filter(Arc::new(f));
+        let rows = || [6, 5, 7].map(|k| Ok(Row::new(vec![Datum::Int(k), Datum::Int(0)])));
+        let sampled = (0..).find(|&p| set.samples(p)).unwrap();
+        let unsampled = (0..).find(|&p| !set.samples(p)).unwrap();
+        assert_eq!(set.observe_page(sampled, &[], 1, 3, rows()).unwrap(), 2);
+        assert_eq!(set.observe_page(unsampled, &[], 1, 3, rows()).unwrap(), 0);
     }
 
     #[test]
@@ -1111,13 +888,10 @@ mod tests {
         let mut set =
             ScanMonitorSet::new("t", vec![ScanExprMonitor::atoms(&c, vec![0], None)], 1.0, 1);
         let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
-        set.start_page(0);
-        set.observe_row(&[Some(true), None], &row);
-        // Next page turns out corrupt: announced, then skipped.
-        set.start_page(1);
-        set.note_skipped_page();
-        set.start_page(2);
-        set.observe_row(&[Some(true), None], &row);
+        feed(&mut set, 0, &[true, false], &row);
+        // The next page turns out corrupt.
+        set.skip_page(1);
+        feed(&mut set, 2, &[true, false], &row);
         let mut rep = FeedbackReport::new();
         set.harvest(&mut rep);
         assert_eq!(rep.measurements[0].actual, 2.0, "skip does not count");
@@ -1173,23 +947,20 @@ mod tests {
             1,
         );
         assert!(set.needs_full_eval());
-        set.start_page(0);
-        set.observe_row(&[Some(true), Some(true)], &row);
+        feed(&mut set, 0, &[true, true], &row);
         // Shed the non-prefix expression mid-run.
         set.shed_expr(1);
         assert_eq!(set.shed_count(), 1);
         assert!(!set.needs_full_eval(), "shed expr stops forcing full eval");
-        set.start_page(1);
-        set.observe_row(&[Some(true), Some(true)], &row);
+        feed(&mut set, 1, &[true, true], &row);
         let mut rep = FeedbackReport::new();
         set.harvest(&mut rep);
         assert_eq!(rep.measurements[0].actual, 2.0);
         assert!(!rep.measurements[0].budget_shed);
-        // The shed expr counted only the pre-shed page... but its page-1
-        // satisfaction was cleared at shed time, so it kept nothing.
+        // The shed expr counted only the page observed before the shed.
         assert!(rep.measurements[1].budget_shed);
         assert!(rep.is_budget_shed());
-        assert!(rep.measurements[1].actual <= 1.0);
+        assert_eq!(rep.measurements[1].actual, 1.0);
     }
 
     /// A memory budget charges each expression the monitor's own 128 B
@@ -1275,7 +1046,8 @@ mod tests {
     fn unsampled_pages_skip_sampled_exprs_but_not_prefixes() {
         let s = schema();
         let c = conj(&s);
-        // Fraction so small no page gets sampled (seeded).
+        // Fraction so small no page gets sampled (seeded): the sampled
+        // expression ignores even stripes that claim its atom passed.
         let mut set = ScanMonitorSet::new(
             "t",
             vec![
@@ -1285,14 +1057,10 @@ mod tests {
             1e-9,
             5,
         );
+        let row = Row::new(vec![Datum::Int(0), Datum::Int(0)]);
         for p in 0..50u32 {
-            let sampled = set.start_page(p);
-            let results = if sampled {
-                [Some(true), Some(true)]
-            } else {
-                [Some(true), None]
-            };
-            set.observe_row(&results, &Row::new(vec![Datum::Int(0), Datum::Int(0)]));
+            assert!(!set.samples(p));
+            feed(&mut set, p, &[true, true], &row);
         }
         let mut rep = FeedbackReport::new();
         set.harvest(&mut rep);
@@ -1346,8 +1114,7 @@ mod tests {
         };
         let feed = |set: &mut ScanMonitorSet, pages: std::ops::Range<u32>| {
             for p in pages {
-                set.start_page(p);
-                set.observe_row(&[Some(true), Some(p % 3 == 0)], &row);
+                feed(set, p, &[true, p % 3 == 0], &row);
             }
         };
         let mut serial = mk();
@@ -1387,8 +1154,7 @@ mod tests {
         };
         let feed = |set: &mut ScanMonitorSet, pages: std::ops::Range<u32>| {
             for p in pages {
-                set.start_page(p);
-                set.observe_row(&[], &row(i64::from(p % 2) + 5));
+                feed(set, p, &[], &row(i64::from(p % 2) + 5));
             }
         };
         let harvest = |set: &mut ScanMonitorSet| {
@@ -1432,8 +1198,7 @@ mod tests {
         };
         let feed = |set: &mut ScanMonitorSet, pages: std::ops::Range<u32>| {
             for p in pages {
-                set.start_page(p);
-                set.observe_row(&[Some(true), Some(true)], &row);
+                feed(set, p, &[true, true], &row);
             }
         };
         let harvest = |set: &mut ScanMonitorSet| {

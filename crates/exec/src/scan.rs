@@ -28,15 +28,12 @@ pub struct SeqScan {
     /// positions the disk arm once, then reads sequentially).
     first_random: bool,
     next_page: u32,
-    /// Per-conjunct truth of the current row on fully-evaluated pages
-    /// (row loop only).
-    atom_buf: Vec<bool>,
     /// Reusable per-page bitmap of qualifying slots: predicates are
     /// evaluated over the page in one batched pass, and the slots
     /// marked here are the rows the scan delivers.
     qualifying: Vec<u64>,
-    /// Reusable per-atom truth stripes for the kernel path: atom `i`'s
-    /// per-slot results occupy words `i*words..(i+1)*words`.
+    /// Reusable per-atom truth stripes: atom `i`'s per-slot results
+    /// occupy words `i*words..(i+1)*words`.
     atom_bits: Vec<u64>,
     /// Reusable all-slots mask of the current page (first `n_rows` bits).
     page_mask: Vec<u64>,
@@ -45,10 +42,8 @@ pub struct SeqScan {
     /// Reusable per-atom verdicts the current page's zone settles
     /// (`None`: the atom reads the page's rows).
     verdicts: Vec<Option<bool>>,
-    /// Compiled page-at-a-time kernel; `None` when any predicate column
-    /// is outside the fixed-width prefix, in which case every page takes
-    /// the row loop.
-    kernel: Option<PageKernel>,
+    /// The predicate compiled for page-at-a-time evaluation.
+    kernel: PageKernel,
     /// Semi-join pre-filter pushed down from a hash join: once the
     /// build side completes, its merged [`BitVectorFilter`] is evaluated
     /// in the page pass (after monitors observe the full page) and rows
@@ -80,7 +75,6 @@ impl SeqScan {
             monitors,
             page_range,
             first_random,
-            atom_buf: Vec::new(),
             qualifying: Vec::new(),
             atom_bits: Vec::new(),
             page_mask: Vec::new(),
@@ -199,143 +193,94 @@ impl SeqScan {
             Err(pf_common::Error::ChecksumMismatch { .. }) => {
                 ctx.pool.skip_corrupt(self.table_id, pid);
                 if let Some(m) = &mut self.monitors {
-                    // Announce the page first so page/sample accounting
-                    // matches a fault-free run.
-                    m.start_page(pid.0);
-                    m.note_skipped_page();
+                    m.skip_page(pid.0);
                 }
                 return Ok(PageEval::Skipped);
             }
             Err(e) => return Err(e),
         };
         let layout = self.storage.layout();
-        ctx.pool.charge_rows(u64::from(page.slot_count()));
-
-        // Monitoring setup for this page (Fig 4, steps 3–4).
-        let full_eval = match &mut self.monitors {
-            Some(m) => {
-                let sampled = m.start_page(pid.0);
-                sampled && m.needs_full_eval()
-            }
-            None => false,
-        };
-
-        // Pass 1: evaluate the whole page into the qualifying bitmap —
-        // no row is decoded into owned values here.
-        //
-        // Preferred (kernel) path: one truth stripe per atom. An atom the
-        // page's zone settles (every row passes, or none does) writes
-        // its stripe without touching a row; the others read their
-        // operands straight out of the page buffer's fixed-prefix
-        // region, with no `RowView` construction (and no per-row
-        // validation walk) for rows that are only observed, never
-        // delivered. Monitors then receive one batched per-page
-        // observation instead of N per-row calls. Falls back to the row
-        // loop when the predicate has non-fixed-prefix columns or a slot
-        // directory fails the kernel's bounds pre-check. Both paths are
-        // bit-identical in counts, I/O charges, and sketch contents.
-        let natoms = self.predicate.len();
         let n_rows = usize::from(page.slot_count());
+        ctx.pool.charge_rows(n_rows as u64);
+
+        // Short-circuiting goes off on sampled pages when a monitored
+        // expression is not a prefix (Fig 4, steps 3–4).
+        let full_eval = self
+            .monitors
+            .as_ref()
+            .is_some_and(|m| m.samples(pid.0) && m.needs_full_eval());
+
+        // Evaluate the whole page into one truth stripe per atom — no row
+        // is decoded into owned values here. An atom the page's zone
+        // settles (every row passes, or none does) writes its stripe
+        // without touching a row; a fixed-prefix atom reads its operand
+        // straight out of the page buffer, with no `RowView`
+        // construction (and no per-row validation walk) for rows that
+        // are only observed, never delivered; any other atom reads the
+        // views of the slots it is asked about.
+        let kernel = &self.kernel;
+        let natoms = self.predicate.len();
         let words = n_rows.div_ceil(64);
-        self.qualifying.clear();
-        self.qualifying.resize(words, 0);
+        // A damaged image has no zone: every atom reads its rows.
+        let zone = page.zone().unwrap_or_default();
+        self.verdicts.clear();
+        self.verdicts
+            .extend((0..natoms).map(|i| kernel.decide(i, zone)));
+        let reads_bytes = (0..natoms).any(|i| self.verdicts[i].is_none() && kernel.reads_bytes(i));
+        if reads_bytes && !page.slot_offsets(kernel.span(), &mut self.slot_offs) {
+            // A slot whose fixed prefix runs past the page end fails to
+            // decode too: report the first slot that does.
+            let first_bad = page.cursor(layout).find_map(Result::err);
+            return Err(first_bad.unwrap_or_else(|| {
+                pf_common::Error::Internal("slot directory failed its bounds check".into())
+            }));
+        }
+        self.page_mask.clear();
+        self.page_mask.resize(words, 0);
+        bitmap::fill_ones(&mut self.page_mask, n_rows);
+        self.qualifying.clone_from(&self.page_mask);
+        self.atom_bits.clear();
+        self.atom_bits.resize(natoms * words, 0);
 
-        let mut used_kernel = false;
-        if let Some(kernel) = &self.kernel {
-            // A damaged image has no zone: every atom reads its rows.
-            let zone = page.zone().unwrap_or_default();
-            self.verdicts.clear();
-            self.verdicts
-                .extend((0..natoms).map(|i| kernel.decide(i, zone)));
-            let all_decided = self.verdicts.iter().all(Option::is_some);
-            if all_decided || page.slot_offsets(kernel.span(), &mut self.slot_offs) {
-                used_kernel = true;
-                self.page_mask.clear();
-                self.page_mask.resize(words, 0);
-                bitmap::fill_ones(&mut self.page_mask, n_rows);
-                self.qualifying.copy_from_slice(&self.page_mask);
-                self.atom_bits.clear();
-                self.atom_bits.resize(natoms * words, 0);
-                let bytes = page.bytes();
-
-                // Cascade: entering atom `i`, `qualifying` is the
-                // short-circuit prefix (rows passing atoms 0..i), so the
-                // per-atom popcount sums to exactly the evaluations the
-                // row-at-a-time path charges. On fully-evaluated pages
-                // every atom is evaluated on every slot instead, and the
-                // surplus is charged as monitoring overhead — the same
-                // `natoms·n_rows − short_circuit_evals` a per-row
-                // `eval_all` accumulates.
-                let mut sc_evals = 0u64;
-                for i in 0..natoms {
-                    sc_evals += bitmap::popcount(&self.qualifying);
-                    let stripe = i * words..(i + 1) * words;
-                    let active = if full_eval {
-                        &self.page_mask
-                    } else {
-                        &self.qualifying
-                    };
-                    let out = &mut self.atom_bits[stripe.clone()];
-                    match self.verdicts[i] {
-                        Some(pass) => PageKernel::eval_decided(pass, &self.page_mask, active, out),
-                        None => kernel.eval_atom(i, bytes, &self.slot_offs, active, out),
-                    }
-                    bitmap::and_into(&mut self.qualifying, &self.atom_bits[stripe]);
-                }
-                ctx.pool.charge_pred_evals(sc_evals);
-                if full_eval {
-                    ctx.pool
-                        .charge_extra_pred_evals((natoms as u64) * (n_rows as u64) - sc_evals);
-                }
-
-                if let Some(m) = &mut self.monitors {
-                    m.observe_page_atoms(&self.atom_bits, words, n_rows as u64);
-                    ctx.pool.charge_monitor_ops(n_rows as u64);
-                    // Semi-join expressions hash per-row keys, which
-                    // bitmaps cannot carry: the batched observation walks
-                    // views only on sampled pages with live semi-join
-                    // monitors, stopping as soon as all are satisfied.
-                    m.observe_semi_join_page(page.cursor(layout))?;
-                }
+        // Cascade: entering atom `i`, `qualifying` is the short-circuit
+        // prefix (rows passing atoms 0..i), so the per-atom popcount sums
+        // to exactly the evaluations short-circuiting makes row by row.
+        // On fully-evaluated pages every atom is evaluated on every slot
+        // instead, and the surplus `natoms·n_rows − short_circuit_evals`
+        // is charged as monitoring overhead.
+        let mut sc_evals = 0u64;
+        for i in 0..natoms {
+            sc_evals += bitmap::popcount(&self.qualifying);
+            let stripe = i * words..(i + 1) * words;
+            let active = if full_eval {
+                &self.page_mask
+            } else {
+                &self.qualifying
+            };
+            let out = &mut self.atom_bits[stripe.clone()];
+            match self.verdicts[i] {
+                Some(pass) => PageKernel::eval_decided(pass, &self.page_mask, active, out),
+                None => kernel.eval_atom(i, page, layout, &self.slot_offs, active, out)?,
             }
+            bitmap::and_into(&mut self.qualifying, &self.atom_bits[stripe]);
+        }
+        ctx.pool.charge_pred_evals(sc_evals);
+        if full_eval {
+            ctx.pool
+                .charge_extra_pred_evals((natoms as u64) * (n_rows as u64) - sc_evals);
         }
 
-        if !used_kernel {
-            for (slot, view) in page.cursor(layout).enumerate() {
-                let view = view?;
-                let pass = if full_eval {
-                    // Short-circuiting OFF for this sampled page:
-                    // evaluate every conjunct, charging the surplus as
-                    // monitoring overhead.
-                    let pass = self.predicate.eval_all(&view, &mut self.atom_buf);
-                    let sc_evals = match self.atom_buf.iter().position(|r| !*r) {
-                        Some(i) => i + 1,
-                        None => natoms,
-                    };
-                    ctx.pool.charge_pred_evals(sc_evals as u64);
-                    ctx.pool.charge_extra_pred_evals((natoms - sc_evals) as u64);
-                    if let Some(m) = &mut self.monitors {
-                        m.observe_full_row(&self.atom_buf, &view);
-                        ctx.pool.charge_monitor_ops(1);
-                    }
-                    pass
-                } else {
-                    let (pass, evaluated) = self.predicate.eval_short_circuit(&view);
-                    ctx.pool.charge_pred_evals(evaluated as u64);
-                    if let Some(m) = &mut self.monitors {
-                        // Truths known from short-circuit evaluation:
-                        // conjuncts before the stopping point are true,
-                        // the stopping conjunct is true iff the row
-                        // passed, later conjuncts were never evaluated.
-                        m.observe_prefix_row(evaluated, pass, &view);
-                        ctx.pool.charge_monitor_ops(1);
-                    }
-                    pass
-                };
-                if pass {
-                    self.qualifying[slot / 64] |= 1 << (slot % 64);
-                }
-            }
+        // Monitors observe the full page, before the prefilter culls it.
+        if let Some(m) = &mut self.monitors {
+            ctx.pool.charge_monitor_ops(n_rows as u64);
+            let hashes = m.observe_page(
+                pid.0,
+                &self.atom_bits,
+                words,
+                n_rows as u64,
+                page.cursor(layout),
+            )?;
+            ctx.pool.charge_hashes(hashes);
         }
 
         // Prefilter pass: cull qualifying rows whose join key cannot be
@@ -359,9 +304,6 @@ impl SeqScan {
             }
         }
 
-        if let Some(m) = &mut self.monitors {
-            ctx.pool.charge_hashes(m.take_hash_ops());
-        }
         Ok(PageEval::Ready { pid: pid.0 })
     }
 }
@@ -687,32 +629,137 @@ mod tests {
         Arc::new(TableStorage::bulk_load(schema, &rows, Some(0), 1024, 1.0).unwrap())
     }
 
-    /// Runs `pred` over `t` with the compiled kernel (`kernel = true`) or
-    /// with the kernel cleared so every page takes the row loop. Each
-    /// entry of `monitored` is one watched atom subset; an empty list
-    /// runs unmonitored. Returns count, I/O counters and the report.
-    fn run_scan(
-        t: &Arc<TableStorage>,
+    /// The monitors watching each atom subset of `monitored` at
+    /// `fraction`; none for an empty list.
+    fn monitor_set(
         pred: &Conjunction,
         monitored: &[Vec<usize>],
         fraction: f64,
-        kernel: bool,
-    ) -> (u64, pf_storage::IoStats, FeedbackReport) {
-        let monitors = (!monitored.is_empty()).then(|| {
+    ) -> Option<ScanMonitorSet> {
+        (!monitored.is_empty()).then(|| {
             let exprs = monitored
                 .iter()
                 .map(|idx| ScanExprMonitor::atoms(pred, idx.clone(), None))
                 .collect();
             ScanMonitorSet::new("t", exprs, fraction, 11)
-        });
+        })
+    }
+
+    /// Runs `pred` over `t` with [`monitor_set`]'s monitors. Returns
+    /// count, I/O counters and the report.
+    fn run_scan(
+        t: &Arc<TableStorage>,
+        pred: &Conjunction,
+        monitored: &[Vec<usize>],
+        fraction: f64,
+    ) -> (u64, pf_storage::IoStats, FeedbackReport) {
+        let monitors = monitor_set(pred, monitored, fraction);
         let mut scan = SeqScan::full(Arc::clone(t), TableId(0), pred.clone(), monitors);
-        assert!(scan.kernel.is_some(), "{pred}: kernel must compile");
-        if !kernel {
-            scan.kernel = None;
-        }
         let mut ctx = ExecContext::new(4096);
         let count = scan.count(&mut ctx).unwrap();
         (count, ctx.stats(), harvest(&mut scan))
+    }
+
+    /// The row-at-a-time evaluator the page kernel replaced, as the
+    /// kernel's oracle: each row left to right with short-circuiting,
+    /// or every atom on sampled pages that need full evaluation; every
+    /// evaluation charged as the scan charges it; monitors fed each
+    /// page's stripes.
+    fn reference_scan(
+        t: &TableStorage,
+        pred: &Conjunction,
+        monitored: &[Vec<usize>],
+        fraction: f64,
+    ) -> (u64, pf_storage::IoStats, FeedbackReport) {
+        let mut monitors = monitor_set(pred, monitored, fraction);
+        let mut ctx = ExecContext::new(4096);
+        let (layout, natoms) = (t.layout(), pred.len());
+        let mut count = 0;
+        for p in 0..t.page_count() {
+            let hit = ctx
+                .pool
+                .access(TableId(0), PageId(p), AccessPattern::Sequential);
+            let page = t.checked_page(PageId(p), ctx.fault_attempt, !hit).unwrap();
+            let n = usize::from(page.slot_count());
+            ctx.pool.charge_rows(n as u64);
+            let full = monitors
+                .as_ref()
+                .is_some_and(|m| m.samples(p) && m.needs_full_eval());
+            let words = n.div_ceil(64);
+            let mut stripes = vec![0u64; natoms * words];
+            for (slot, view) in page.cursor(layout).enumerate() {
+                let view = view.unwrap();
+                // The evaluations short-circuiting makes: up to the
+                // first atom that fails.
+                let mut sc_evals = None;
+                for (i, atom) in pred.atoms.iter().enumerate() {
+                    if sc_evals.is_some() && !full {
+                        break;
+                    }
+                    let pass = atom.eval(&view);
+                    stripes[i * words + slot / 64] |= u64::from(pass) << (slot % 64);
+                    if !pass {
+                        sc_evals.get_or_insert(i + 1);
+                    }
+                }
+                count += u64::from(sc_evals.is_none());
+                let sc_evals = sc_evals.unwrap_or(natoms);
+                ctx.pool.charge_pred_evals(sc_evals as u64);
+                if full {
+                    ctx.pool.charge_extra_pred_evals((natoms - sc_evals) as u64);
+                }
+            }
+            if let Some(m) = &mut monitors {
+                ctx.pool.charge_monitor_ops(n as u64);
+                let cursor = page.cursor(layout);
+                let hashes = m.observe_page(p, &stripes, words, n as u64, cursor);
+                ctx.pool.charge_hashes(hashes.unwrap());
+            }
+        }
+        let mut report = FeedbackReport::new();
+        if let Some(m) = &mut monitors {
+            m.harvest(&mut report);
+        }
+        (count, ctx.stats(), report)
+    }
+
+    /// Runs each conjunction over `t` with the page kernel and with the
+    /// reference: unmonitored; prefix-only (short-circuit observation);
+    /// and with a non-prefix subset, which forces full evaluation on
+    /// sampled pages — at fractions 1 and 0.5. Count, every `IoStats`
+    /// field and the report must agree. Returns how many pages (summed
+    /// over the conjunctions) the zone settles no atom, some atoms, and
+    /// every atom of.
+    fn assert_kernel_matches_reference(
+        t: &Arc<TableStorage>,
+        conjunctions: Vec<Vec<AtomicPredicate>>,
+    ) -> [u32; 3] {
+        let mut settled = [0u32; 3];
+        for atoms in conjunctions {
+            let pred = Conjunction::new(atoms);
+            let n = pred.len();
+            let kernel = pred.compile_page_kernel(t.layout());
+            for p in 0..t.page_count() {
+                let zone = t.page(PageId(p)).unwrap().zone().expect("pristine");
+                let k = (0..n).filter(|&i| kernel.decide(i, zone).is_some()).count();
+                settled[usize::from(k > 0) + usize::from(k == n)] += 1;
+            }
+            let mut monitor_sets = vec![Vec::new(), vec![vec![0], (0..n).collect()]];
+            if n > 1 {
+                monitor_sets.push(vec![vec![0], vec![n - 1], (0..n).collect()]);
+            }
+            for monitored in &monitor_sets {
+                for fraction in [1.0, 0.5] {
+                    let kernel = run_scan(t, &pred, monitored, fraction);
+                    let reference = reference_scan(t, &pred, monitored, fraction);
+                    let what = format!("{pred}, monitors {monitored:?}, fraction {fraction}");
+                    assert_eq!(kernel.0, reference.0, "{what}: count");
+                    assert_eq!(kernel.1, reference.1, "{what}: stats");
+                    assert_eq!(kernel.2, reference.2, "{what}: report");
+                }
+            }
+        }
+        settled
     }
 
     #[test]
@@ -774,35 +821,87 @@ mod tests {
                 atom("id", CompareOp::Gt, Datum::Int(2_990)),
             ],
         ];
-        // Pages whose zone settles every atom / leaves one to the rows.
-        let mut settled = [0u32; 2];
-        for atoms in conjunctions {
-            let pred = Conjunction::new(atoms);
-            let n = pred.len();
-            let kernel = pred.compile_page_kernel(t.layout()).expect("kernel");
-            for p in 0..t.page_count() {
-                let zone = t.page(PageId(p)).unwrap().zone().expect("pristine");
-                settled[usize::from((0..n).all(|i| kernel.decide(i, zone).is_some()))] += 1;
-            }
-            // Unmonitored; prefix-only (short-circuit observation); and
-            // with a non-prefix subset, which forces full evaluation on
-            // sampled pages.
-            let mut monitor_sets = vec![Vec::new(), vec![vec![0], (0..n).collect()]];
-            if n > 1 {
-                monitor_sets.push(vec![vec![0], vec![n - 1], (0..n).collect()]);
-            }
-            for monitored in &monitor_sets {
-                for fraction in [1.0, 0.5] {
-                    let fast = run_scan(&t, &pred, monitored, fraction, true);
-                    let slow = run_scan(&t, &pred, monitored, fraction, false);
-                    let what = format!("{pred}, monitors {monitored:?}, fraction {fraction}");
-                    assert_eq!(fast.0, slow.0, "{what}: count");
-                    assert_eq!(fast.1, slow.1, "{what}: stats");
-                    assert_eq!(fast.2, slow.2, "{what}: report");
-                }
-            }
-        }
-        assert!(settled.iter().all(|&k| k > 100), "pages {settled:?}");
+        let settled = assert_kernel_matches_reference(&t, conjunctions.to_vec());
+        let [none, some, all] = settled;
+        assert!(all > 100 && none + some > 100, "pages {settled:?}");
+    }
+
+    /// `id` (the clustering key) and `a` (scrambled Int) in the
+    /// fixed-width prefix, then `s` (a Str of repeated values, among
+    /// them the empty string and a multi-byte one), `b` (an Int after
+    /// the first Str column, so outside the prefix) and a Str pad whose
+    /// length varies row to row.
+    fn str_table(n: i64) -> Arc<TableStorage> {
+        const WORDS: [&str; 6] = ["", "CA", "NY", "WA", "\u{fc}ber", "zz"];
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("a", DataType::Int),
+            Column::new("s", DataType::Str),
+            Column::new("b", DataType::Int),
+            Column::new("pad", DataType::Str),
+        ]);
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                Row::new(vec![
+                    Datum::Int(i),
+                    Datum::Int((i * 7919) % n),
+                    Datum::Str(WORDS[(i * 13 % 6) as usize].into()),
+                    Datum::Int((i * 31) % n),
+                    Datum::Str("x".repeat(8 + (i % 9) as usize)),
+                ])
+            })
+            .collect();
+        Arc::new(TableStorage::bulk_load(schema, &rows, Some(0), 1024, 1.0).unwrap())
+    }
+
+    /// Atoms the row layout's fixed-width prefix does not hold — Str
+    /// equality and ranges, an Int column after a Str column — alone,
+    /// before and after fixed-prefix atoms, and next to atoms zones
+    /// settle.
+    #[test]
+    fn kernel_matches_row_loop_with_str_atoms() {
+        let t = str_table(3_000);
+        let atom = |col: &str, op: CompareOp, v: Datum| {
+            AtomicPredicate::new(t.schema(), col, op, v).unwrap()
+        };
+        let s = |v: &str| Datum::Str(v.into());
+        let conjunctions = [
+            vec![atom("s", CompareOp::Eq, s("CA"))],
+            vec![atom("s", CompareOp::Lt, s("NY"))],
+            vec![atom("s", CompareOp::Ge, s("WA"))],
+            vec![atom("s", CompareOp::Ne, s(""))],
+            vec![atom("pad", CompareOp::Le, s("xxxxxxxxxxx"))],
+            vec![atom("b", CompareOp::Lt, Datum::Int(900))],
+            vec![
+                atom("a", CompareOp::Lt, Datum::Int(1_200)),
+                atom("s", CompareOp::Eq, s("NY")),
+            ],
+            vec![
+                atom("s", CompareOp::Lt, s("WA")),
+                atom("a", CompareOp::Lt, Datum::Int(1_500)),
+            ],
+            vec![
+                atom("b", CompareOp::Ge, Datum::Int(100)),
+                atom("s", CompareOp::Gt, s("CA")),
+                atom("a", CompareOp::Lt, Datum::Int(2_000)),
+            ],
+            vec![
+                atom("id", CompareOp::Lt, Datum::Int(1_500)),
+                atom("s", CompareOp::Eq, s("WA")),
+            ],
+            vec![
+                atom("s", CompareOp::Le, s("NY")),
+                atom("id", CompareOp::Ge, Datum::Int(700)),
+            ],
+            vec![
+                atom("id", CompareOp::Gt, Datum::Int(2_990)),
+                atom("b", CompareOp::Ne, Datum::Int(17)),
+                atom("pad", CompareOp::Gt, s("xxxxxxxxx")),
+            ],
+        ];
+        let settled = assert_kernel_matches_reference(&t, conjunctions.to_vec());
+        let [none, some, _] = settled;
+        assert!(none > 100 && some > 100, "pages {settled:?}");
     }
 
     /// With pushdown, the page-pass prefilter and the semi-join monitor

@@ -282,8 +282,8 @@ impl Page {
     /// first), in slot order. `span` is the number of bytes the caller
     /// will read from each offset (the kernel's fixed-prefix span):
     /// returns `false` — leaving `offs` in an unspecified state — if any
-    /// slot's payload would run past the end of the page, in which case
-    /// the caller must fall back to validated row views.
+    /// slot's payload would run past the end of the page (such a slot
+    /// fails to decode as a row view too).
     pub fn slot_offsets(&self, span: usize, offs: &mut Vec<u32>) -> bool {
         offs.clear();
         offs.reserve(self.slot_count as usize);

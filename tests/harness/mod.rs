@@ -3,8 +3,8 @@
 //! Seeded tables mix Int, Float (with NaN and ±0.0), Date and Str
 //! columns, are clustered or heap-ordered, and carry two nonclustered
 //! indexes. Seeded workloads — single-table counts of 0–3 atoms (at
-//! least one with a Str atom, so the scan's row loop runs beside its
-//! page kernels) and self-join counts — run through
+//! least one with a Str atom, which the page kernel evaluates on row
+//! views beside its fixed-prefix atoms) and self-join counts — run through
 //! [`ParallelRunner::run_queries`] and [`ParallelRunner::run_query`] at
 //! jobs ∈ {1, 2, 8} × monitors ∈ {default, sampled(0.5), a 512-byte
 //! memory budget}, at the fault rate the caller names. Every outcome
@@ -164,7 +164,7 @@ impl Fixture {
         }
 
         let mut queries = Vec::new();
-        // A Str atom next to fixed-width ones: the row loop.
+        // A Str atom next to fixed-width ones: the kernel reads views.
         let n = rng.gen_range(3) as usize;
         let mut with_str = atoms(&mut rng, &rows, n, &hot, &KERNEL_COLS);
         let at = rng.gen_range(n as u64 + 1) as usize;

@@ -1,10 +1,10 @@
 //! Full-query identity of the scan pipeline: the seeded count workloads
 //! of the differential harness (page kernels over Int, Float and Date
-//! atoms, pages their min/max zone settles without reading a row, the
-//! row loop for Str atoms, index seeks and fetches) at 1, 2
-//! and 8 workers, with and without an injected fault plan, checked for
-//! byte-identical outcomes and against brute force. The executable form
-//! of the batched-observation contract in DESIGN.md §5h.
+//! atoms, pages their min/max zone settles without reading a row, Str
+//! atoms the kernel evaluates on row views, index seeks and fetches) at
+//! 1, 2 and 8 workers, with and without an injected fault plan, checked
+//! for byte-identical outcomes and against brute force. The executable
+//! form of the batched-observation contract in DESIGN.md §5h.
 
 mod harness;
 
@@ -61,8 +61,8 @@ fn kernel_identity_under_faults() {
 
 /// An unmonitored full scan over every generated count predicate reads
 /// each page once, sequentially, and charges exactly the evaluations a
-/// per-row short-circuit loop performs — whether a page kernel or the
-/// row loop ran.
+/// per-row short-circuit loop performs — whether its atoms read the
+/// page bytes or row views.
 #[test]
 fn unmonitored_full_scan_charges_match_row_loop() {
     for seed in SEEDS {
