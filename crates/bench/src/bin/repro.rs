@@ -5,7 +5,7 @@
 //!       [--feedback-dir D]
 //!       table1 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11
 //!       | ablation-counters | ablation-bitvector | ablation-dpsample | ablation-models
-//!       | ablation-histogram | ablation-buffer | ablation-sensitivity
+//!       | ablation-zones | ablation-buffer | ablation-sensitivity
 //!       | all | quick
 //! ```
 //!
@@ -155,7 +155,7 @@ fn main() {
         "ablation-bitvector" => ablation_bitvector().map(|_| ()),
         "ablation-dpsample" => ablation_dpsample().map(|_| ()),
         "ablation-models" => ablation_models().map(|_| ()),
-        "ablation-histogram" => ablation_histogram(rows, &cfg).map(|_| ()),
+        "ablation-zones" => ablation_zones(rows, &cfg).map(|_| ()),
         "ablation-buffer" => ablation_buffer(&cfg).map(|_| ()),
         "ablation-sensitivity" => ablation_sensitivity(rows.min(80_000), &cfg).map(|_| ()),
         "all" => run_all(rows, 25, 10, 5, &cfg),
@@ -189,7 +189,7 @@ fn run_all(
     ablation_bitvector()?;
     ablation_dpsample()?;
     ablation_models()?;
-    ablation_histogram(rows, cfg)?;
+    ablation_zones(rows, cfg)?;
     ablation_buffer(cfg)?;
     ablation_sensitivity(rows.min(80_000), cfg)?;
     Ok(())

@@ -360,137 +360,121 @@ pub fn ablation_buffer(cfg: &ExperimentConfig) -> Result<Vec<BufferRow>> {
     Ok(out)
 }
 
-/// One row of the self-tuning histogram evaluation.
+/// One row of the zone-estimate evaluation.
 #[derive(Debug, Clone)]
-pub struct HistogramRow {
-    /// Number of training queries absorbed before this test query.
-    pub trained_on: usize,
-    /// Relative DPC error of the pure analytical model.
+pub struct ZoneRow {
+    /// The column the range is on.
+    pub column: &'static str,
+    /// The range `[lo, hi)`.
+    pub range: (i64, i64),
+    /// The exact DPC.
+    pub truth: u64,
+    /// Relative DPC error of Cardenas over the true row count.
     pub analytic_error: f64,
-    /// Relative DPC error of the histogram prediction (analytical when
-    /// the histogram declines).
-    pub histogram_error: f64,
-    /// Whether the histogram-driven plan matched the feedback-driven one.
-    pub plan_matches_oracle: bool,
+    /// Relative DPC error of the zone estimate, `min(zone bound,
+    /// Cardenas)`.
+    pub zone_error: f64,
+    /// Whether the analytical plan is the exact-DPC plan.
+    pub analytic_plan_exact: bool,
+    /// Whether the zone-estimate plan is the exact-DPC plan.
+    pub zone_plan_exact: bool,
 }
 
-/// Self-tuning DPC histograms (Section VI future work): train the cache
-/// on one workload, then measure DPC-prediction error and plan quality
-/// on *unseen* queries over the same columns — no per-query feedback.
-pub fn ablation_histogram(rows: usize, cfg: &ExperimentConfig) -> Result<Vec<HistogramRow>> {
+/// Page zones as DPC statistics (the paper's Section VI asks for
+/// page-count statistics beyond the analytical models): on two-sided
+/// ranges no feedback has measured, the zone estimate against Cardenas,
+/// and each one's plan against the plan under the exact DPC. `c2`
+/// follows the clustering key and `c5` is scattered; `c4` is clustered
+/// but for 2 % scattered rows, which widen every page's zone, so there
+/// the zones are partly blind and feedback is still needed.
+pub fn ablation_zones(rows: usize, cfg: &ExperimentConfig) -> Result<Vec<ZoneRow>> {
     use pagefeed::{MonitorConfig, PredSpec, Query};
     use pf_exec::CompareOp;
     use pf_workloads::synthetic::{build, SyntheticConfig};
-    section("Ablation: self-tuning DPC histograms on unseen queries");
+    section("Ablation: page-zone DPC estimates on unseen ranges");
 
     let mut db = cfg.with_faults(build(&SyntheticConfig {
         rows,
         with_t1: false,
         seed: 202,
     })?)?;
-    db.enable_dpc_histograms(32);
     let n = rows as i64;
-    let q = |col: &str, lo: i64, hi: i64| {
-        Query::count(
-            "T",
-            vec![
-                PredSpec::new(col, CompareOp::Ge, Datum::Int(lo)),
-                PredSpec::new(col, CompareOp::Lt, Datum::Int(hi)),
-            ],
-        )
-    };
-
-    // Training workload: ranges tiling ~the whole domain of c2 and c5.
     let mut rng = Rng::new(203);
-    let mut trained = 0usize;
     let mut out = Vec::new();
-    for round in 0..6i64 {
-        // Test on unseen queries BEFORE this round's training.
+    for _round in 0..6 {
+        let mut ranges = Vec::new();
         for col in ["c2", "c5"] {
             let lo = (rng.gen_range((n as u64) / 2) + 1) as i64;
             let width = 1 + (n / 100) + rng.gen_range((n as u64) / 50) as i64;
-            let test = q(col, lo, lo + width);
-
-            let schema = db.catalog().table_by_name("T")?.schema().clone();
-            let pred = pagefeed::Query::resolve_predicates(
-                &[
-                    PredSpec::new(col, CompareOp::Ge, Datum::Int(lo)),
-                    PredSpec::new(col, CompareOp::Lt, Datum::Int(lo + width)),
-                ],
-                &schema,
-            )?;
-            let truth = db.true_dpc("T", &pred)? as f64;
-            let pages = f64::from(db.catalog().table_by_name("T")?.stats.pages);
-            let true_rows = db.true_cardinality("T", &pred)? as f64;
-            let analytic = pf_optimizer::dpc_model::cardenas(true_rows, pages);
-
-            let key = pred.key();
-            let eff = db.effective_hints(&test)?;
-            let predicted = eff.dpc("T", key).unwrap_or(analytic);
-
-            // Oracle plan: exact DPC injected.
-            let mut oracle_hints = db.hints().clone();
-            oracle_hints.inject_dpc("T", key, truth);
-            let oracle = {
-                let saved = db.hints().clone();
-                *db.hints_mut() = oracle_hints;
-                db.inject_accurate_cardinalities(&test)?;
-                let plan = db.lower(&test, &MonitorConfig::off())?;
-                *db.hints_mut() = saved;
-                plan.description
-            };
-            db.inject_accurate_cardinalities(&test)?;
-            let chosen = db.lower(&test, &MonitorConfig::off())?.description;
-
-            let rel = |e: f64| (e - truth).abs() / truth.max(1.0);
-            out.push(HistogramRow {
-                trained_on: trained,
-                analytic_error: rel(analytic),
-                histogram_error: rel(predicted),
-                plan_matches_oracle: chosen == oracle,
-            });
+            ranges.push((col, lo, lo + width));
         }
-        // Train on two adjacent domain slices per column this round, so
-        // six rounds tile the whole column domain and coverage grows
-        // monotonically.
-        let slice = n / 12;
-        for col in ["c2", "c5"] {
-            for half in 0..2i64 {
-                let lo = (2 * round + half) * slice;
-                db.feedback_loop(&q(col, lo, lo + slice), &MonitorConfig::default())?;
-                trained += 1;
-            }
+        ranges.push(("c4", ranges[0].1, ranges[0].2));
+        for (column, lo, hi) in ranges {
+            let specs = vec![
+                PredSpec::new(column, CompareOp::Ge, Datum::Int(lo)),
+                PredSpec::new(column, CompareOp::Lt, Datum::Int(hi)),
+            ];
+            let test = Query::count("T", specs.clone());
+            let meta = db.catalog().table_by_name("T")?;
+            let pred = Query::resolve_predicates(&specs, meta.schema())?;
+            let bound = pf_optimizer::zone_dpc_bound(&meta.storage, &pred, &[0, 1]) as f64;
+            let pages = f64::from(meta.stats.pages);
+            let truth = db.true_dpc("T", &pred)?;
+            let analytic = cardenas(db.true_cardinality("T", &pred)? as f64, pages);
+
+            // Each estimator's plan, under exact cardinalities.
+            db.inject_accurate_cardinalities(&test)?;
+            let mut plan_under = |zones: bool| {
+                db.set_zone_estimates(zones);
+                db.lower(&test, &MonitorConfig::off())
+                    .map(|plan| plan.description)
+            };
+            let (analytic_plan, zone_plan) = (plan_under(false)?, plan_under(true)?);
+            let saved = db.hints().clone();
+            db.hints_mut().inject_dpc("T", pred.key(), truth as f64);
+            let exact_plan = db.lower(&test, &MonitorConfig::off())?.description;
+            *db.hints_mut() = saved;
+
+            let rel = |e: f64| (e - truth as f64).abs() / (truth as f64).max(1.0);
+            out.push(ZoneRow {
+                column,
+                range: (lo, hi),
+                truth,
+                analytic_error: rel(analytic),
+                zone_error: rel(bound.min(analytic)),
+                analytic_plan_exact: analytic_plan == exact_plan,
+                zone_plan_exact: zone_plan == exact_plan,
+            });
         }
     }
 
     println!(
-        "{:>9} {:>13} {:>14} {:>12}",
-        "trained", "analytic err", "histogram err", "plan=oracle"
+        "{:>6} {:>17} {:>8} {:>13} {:>9} {:>15} {:>12}",
+        "column", "range", "DPC", "analytic err", "zone err", "analytic=exact", "zones=exact"
     );
     for r in &out {
         println!(
-            "{:>9} {:>12.1}% {:>13.1}% {:>12}",
-            r.trained_on,
+            "{:>6} {:>17} {:>8} {:>12.1}% {:>8.1}% {:>15} {:>12}",
+            r.column,
+            format!("[{}, {})", r.range.0, r.range.1),
+            r.truth,
             r.analytic_error * 100.0,
-            r.histogram_error * 100.0,
-            r.plan_matches_oracle
+            r.zone_error * 100.0,
+            r.analytic_plan_exact,
+            r.zone_plan_exact
         );
     }
-    let early: Vec<f64> = out
-        .iter()
-        .filter(|r| r.trained_on == 0)
-        .map(|r| r.histogram_error)
-        .collect();
-    let late: Vec<f64> = out
-        .iter()
-        .filter(|r| r.trained_on >= 16)
-        .map(|r| r.histogram_error)
-        .collect();
-    println!(
-        "mean histogram error: untrained {:.1}% -> trained {:.1}%",
-        mean(&early) * 100.0,
-        mean(&late) * 100.0
-    );
+    for column in ["c2", "c5", "c4"] {
+        let of = |exact: fn(&ZoneRow) -> bool| {
+            let on: Vec<&ZoneRow> = out.iter().filter(|r| r.column == column).collect();
+            format!("{}/{}", on.iter().filter(|r| exact(r)).count(), on.len())
+        };
+        println!(
+            "{column}: exact-DPC plan picked by zones {}, by analytical {}",
+            of(|r| r.zone_plan_exact),
+            of(|r| r.analytic_plan_exact)
+        );
+    }
     Ok(out)
 }
 
@@ -509,11 +493,15 @@ pub struct ModelRow {
     pub yao: f64,
     /// Mackert–Lohman estimate (large buffer).
     pub mackert_lohman: f64,
+    /// Zone bound: the pages whose minimum lies below the literal.
+    pub zones: f64,
 }
 
 /// Where the analytical formulas break: sweep the on-disk correlation and
 /// compare each model's estimate against ground truth. All three models
-/// ignore clustering, so their error grows as scatter → 0.
+/// ignore clustering, so their error grows as scatter → 0. The zone
+/// bound counts the pages whose minimum lies below the literal, which
+/// for this one-sided predicate is the true DPC at every scatter.
 pub fn ablation_models() -> Result<Vec<ModelRow>> {
     section("Ablation: analytical DPC models vs clustering");
     let n_rows = 200_000usize;
@@ -531,6 +519,10 @@ pub fn ablation_models() -> Result<Vec<ModelRow>> {
                 touched.insert(pos / rows_per_page);
             }
         }
+        let zones = layout
+            .chunks(rows_per_page)
+            .filter(|page| page.iter().min().is_some_and(|&v| (v as u64) < select))
+            .count();
         out.push(ModelRow {
             scatter,
             rows: select,
@@ -538,16 +530,17 @@ pub fn ablation_models() -> Result<Vec<ModelRow>> {
             cardenas: cardenas(select as f64, pages as f64),
             yao: yao(select, n_rows as u64, pages),
             mackert_lohman: mackert_lohman(select as f64, pages as f64, 1e9),
+            zones: zones as f64,
         });
     }
     println!(
-        "{:>8} {:>7} {:>8} {:>10} {:>10} {:>10}",
-        "scatter", "rows", "truth", "Cardenas", "Yao", "M-L"
+        "{:>8} {:>7} {:>8} {:>10} {:>10} {:>10} {:>8}",
+        "scatter", "rows", "truth", "Cardenas", "Yao", "M-L", "zones"
     );
     for r in &out {
         println!(
-            "{:>8.2} {:>7} {:>8.0} {:>10.0} {:>10.0} {:>10.0}",
-            r.scatter, r.rows, r.truth, r.cardenas, r.yao, r.mackert_lohman
+            "{:>8.2} {:>7} {:>8.0} {:>10.0} {:>10.0} {:>10.0} {:>8.0}",
+            r.scatter, r.rows, r.truth, r.cardenas, r.yao, r.mackert_lohman, r.zones
         );
     }
     Ok(out)

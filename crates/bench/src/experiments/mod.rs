@@ -10,8 +10,8 @@ pub mod fig9;
 pub mod table1;
 
 pub use ablations::{
-    ablation_bitvector, ablation_buffer, ablation_counters, ablation_dpsample, ablation_histogram,
-    ablation_models, ablation_sensitivity,
+    ablation_bitvector, ablation_buffer, ablation_counters, ablation_dpsample, ablation_models,
+    ablation_sensitivity, ablation_zones,
 };
 pub use fig10::run_fig10;
 pub use fig11::run_fig11;

@@ -112,7 +112,7 @@ impl Shell {
         };
         match built {
             Ok(mut db) => {
-                db.enable_dpc_histograms(32);
+                db.set_zone_estimates(true);
                 let summary = summarize_catalog(&db);
                 self.db = Some(db);
                 format!("loaded {which}\n{summary}")
@@ -140,7 +140,7 @@ impl Shell {
         }
         match Database::open(path) {
             Ok(mut db) => {
-                db.enable_dpc_histograms(32);
+                db.set_zone_estimates(true);
                 let summary = summarize_catalog(&db);
                 self.db = Some(db);
                 format!("opened {path}\n{summary}")
@@ -762,11 +762,7 @@ impl Shell {
         let Some(db) = &self.db else {
             return NO_DB.to_string();
         };
-        let n = db.hints().len();
-        let trained = db
-            .dpc_histogram_cache()
-            .map_or(0, pagefeed::DpcHistogramCache::observations);
-        format!("{n} injected hints; {trained} histogram observations")
+        format!("{} injected hints", db.hints().len())
     }
 }
 
@@ -925,6 +921,44 @@ mod tests {
         assert!(ex.contains("ix_T_c2"), "{ex}");
         assert!(!ex.contains("[probe]"), "{ex}");
         assert!(!ex.contains("├─ └─"), "{ex}");
+    }
+
+    /// `.plans` and `.explain` cost with the same estimates: after
+    /// feedback on one range, the cheapest candidate `.plans` lists for
+    /// an unseen range is the plan `.explain` names, with the same DPC
+    /// — the zone estimate. It is a statistics decision, so `.bench`
+    /// serves it from the plan cache.
+    #[test]
+    fn plans_and_explain_agree_on_an_unseen_range() {
+        let mut sh = Shell::new();
+        sh.eval(".load synthetic");
+        sh.eval(".feedback SELECT COUNT(pad) FROM T WHERE c2 >= 1000 AND c2 < 3000");
+        let sql = "SELECT COUNT(pad) FROM T WHERE c2 >= 1400 AND c2 < 2900";
+        let plans = out(sh.eval(&format!(".plans {sql}")));
+        let (name, dpc) = plans
+            .lines()
+            .map(|l| {
+                let f: Vec<&str> = l.split_whitespace().collect();
+                (f[0], f[3].parse::<f64>().unwrap(), *f.last().unwrap())
+            })
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(name, _, dpc)| (name, dpc))
+            .unwrap();
+        let explain = out(sh.eval(&format!(".explain {sql}")));
+        let head = explain.lines().next().unwrap();
+        assert!(head.starts_with(name), "{plans}\n{explain}");
+        assert!(
+            head.contains(&format!("est_dpc={dpc} [zones]")),
+            "{plans}\n{explain}"
+        );
+        let bench = out(sh.eval(&format!(".bench 8 {sql}")));
+        let hits: u64 = bench
+            .split("plan cache: ")
+            .nth(1)
+            .and_then(|t| t.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap();
+        assert!(hits > 0, "{bench}");
     }
 
     #[test]

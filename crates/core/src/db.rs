@@ -15,7 +15,6 @@ use pf_optimizer::{
     TableEpochState,
 };
 use pf_storage::{Catalog, DiskModel, FaultPlan, IoStats, PageMiss, TableBuilder};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -61,22 +60,21 @@ impl QueryOutcome {
 /// A query's optimizer decision and the hints it was made under: what
 /// every run of the query lowers, once per config and per attempt.
 /// Lowering reads the hints too, because monitor estimates come from
-/// the cardinality estimator over them. The plain path borrows the
-/// database's hints; only an overlay (DPC-histogram predictions, a
-/// feedback cell's injections) owns a hint set.
+/// the cardinality estimator over them: the database's own, or a
+/// feedback cell's overlay.
 pub(crate) struct Decision<'a> {
     /// The optimizer decision.
     pub(crate) optimized: Arc<OptimizedQuery>,
     /// The hints it was made under.
-    hints: Cow<'a, HintSet>,
+    hints: &'a HintSet,
 }
 
 /// How [`crate::ParallelRunner::run_query`] splits a query into morsels,
 /// each a sequence of phases over one per-morsel runner
 /// (`Database::run_morsel`). Each variant carries what its phases read
 /// beyond the decision itself. Shapes not represented here (index-only
-/// scans, scans and hash-join probes under two pages, DPC-histogram
-/// overlays, query deadlines) run serially.
+/// scans, scans and hash-join probes under two pages, query deadlines)
+/// run serially.
 #[derive(Debug, Clone)]
 pub enum MorselPlan {
     /// Page morsels over a sequential scan.
@@ -147,8 +145,9 @@ pub struct Database {
     /// creation and DML, set again by [`Database::analyze`].
     stats_current: bool,
     hints: HintSet,
-    /// Self-tuning DPC-histogram cache (None = disabled).
-    pub(crate) dpc_cache: Option<crate::histogram_cache::DpcHistogramCache>,
+    /// Whether the optimizer estimates DPCs no hint covers from page
+    /// zones ([`Database::set_zone_estimates`]).
+    zone_estimates: bool,
     /// Durable feedback persistence (None = in-memory hints only).
     feedback_store: Option<FeedbackStore>,
     /// Circuit breaker guarding the durable feedback path (None = store
@@ -173,7 +172,7 @@ impl Database {
             stats: DbStats::default(),
             stats_current: false,
             hints: HintSet::new(),
-            dpc_cache: None,
+            zone_estimates: false,
             feedback_store: None,
             breaker: None,
             plan_cache: PlanCache::default(),
@@ -280,6 +279,16 @@ impl Database {
     /// Read view of the hints.
     pub fn hints(&self) -> &HintSet {
         &self.hints
+    }
+
+    /// Turns zone estimates on or off: with them on, the optimizer costs
+    /// an index seek or intersection whose DPC no hint covers with
+    /// `min(zone bound, Cardenas)` ([`pf_optimizer::zone_dpc_bound`])
+    /// instead of Cardenas alone. Off by default, so the paper's figures
+    /// keep its analytical baseline. Invalidates the plan cache.
+    pub fn set_zone_estimates(&mut self, on: bool) {
+        self.zone_estimates = on;
+        self.plan_cache.invalidate();
     }
 
     // ------------------------------------------------------------------
@@ -511,7 +520,8 @@ impl Database {
             self.stats()?,
             CostModel::with_disk(self.disk),
             &self.hints,
-        ))
+        )
+        .with_zone_estimates(self.zone_estimates))
     }
 
     /// A planner over the current state.
@@ -527,43 +537,39 @@ impl Database {
             self.stats()?,
             hints,
             CostModel::with_disk(self.disk),
-        ))
+        )
+        .with_zone_estimates(self.zone_estimates))
     }
 
     /// The decision every run of `query` lowers. Over the database's own
     /// hints it comes from the plan cache, and a miss fills the cache
     /// only when `fill_cache` is set (a deadline run may abort and an
     /// estimate may be shed, so neither fills it). A feedback cell's
-    /// `overlay`, or the DPC-histogram cache, makes a per-query hint
-    /// set instead; its decision is optimized afresh and never cached.
-    pub(crate) fn decide(
-        &self,
+    /// `overlay` is a hint set of its own; its decision is optimized
+    /// afresh and never cached.
+    pub(crate) fn decide<'a>(
+        &'a self,
         query: &Query,
-        overlay: Option<HintSet>,
+        overlay: Option<&'a HintSet>,
         fill_cache: bool,
-    ) -> Result<Decision<'_>> {
-        let overlay = overlay.or_else(|| self.dpc_cache.is_some().then(|| self.hints.clone()));
-        let Some(overlay) = overlay else {
-            let optimized = match self.plan_cache.get(query) {
-                Some(cached) => cached,
-                None => {
-                    let fresh = Arc::new(self.planner()?.optimize_query(query)?);
-                    if fill_cache {
-                        self.plan_cache.insert(query.clone(), Arc::clone(&fresh));
-                    }
-                    fresh
+    ) -> Result<Decision<'a>> {
+        if let Some(hints) = overlay {
+            let optimized = Arc::new(self.planner_under(hints)?.optimize_query(query)?);
+            return Ok(Decision { optimized, hints });
+        }
+        let optimized = match self.plan_cache.get(query) {
+            Some(cached) => cached,
+            None => {
+                let fresh = Arc::new(self.planner()?.optimize_query(query)?);
+                if fill_cache {
+                    self.plan_cache.insert(query.clone(), Arc::clone(&fresh));
                 }
-            };
-            return Ok(Decision {
-                optimized,
-                hints: Cow::Borrowed(&self.hints),
-            });
+                fresh
+            }
         };
-        let hints = self.effective_hints_from(overlay, query)?;
-        let optimized = Arc::new(self.planner_under(&hints)?.optimize_query(query)?);
         Ok(Decision {
             optimized,
-            hints: Cow::Owned(hints),
+            hints: &self.hints,
         })
     }
 
@@ -575,17 +581,16 @@ impl Database {
         cfg: &MonitorConfig,
         slice: &PlanSlice,
     ) -> Result<LoweredPlan> {
-        self.planner_under(&decision.hints)?
+        self.planner_under(decision.hints)?
             .lower_slice(&decision.optimized, cfg, slice)
     }
 
-    /// Optimizes and lowers a query without running it. Consults the
-    /// DPC-histogram cache (if enabled) for expressions lacking exact
-    /// feedback, and otherwise serves repeated queries from the plan
-    /// cache (optimizer decision memoized; monitors still built fresh
-    /// per call from `cfg.seed`). The plan carries `cfg.deadline_ms`
-    /// into [`Database::execute`]; a deadline run may abort, so it
-    /// reads the plan cache but never fills it.
+    /// Optimizes and lowers a query without running it, serving
+    /// repeated queries from the plan cache (optimizer decision
+    /// memoized; monitors still built fresh per call from `cfg.seed`).
+    /// The plan carries `cfg.deadline_ms` into [`Database::execute`]; a
+    /// deadline run may abort, so it reads the plan cache but never
+    /// fills it.
     pub fn lower(&self, query: &Query, cfg: &MonitorConfig) -> Result<LoweredPlan> {
         let decision = self.decide(query, None, cfg.deadline_ms.is_none())?;
         self.lower_decision(&decision, cfg, &PlanSlice::Whole)
@@ -706,9 +711,10 @@ impl Database {
     /// Classifies a decision under `cfg` into a morsel-executable shape,
     /// or `None` when only the serial path preserves bit-identity.
     ///
-    /// Global gates: a DPC-histogram overlay (per-query hint sets are
-    /// neither cacheable nor splittable) or a query deadline (its abort
-    /// point reads one whole-query simulated clock) force a serial run.
+    /// Global gate: a query deadline (its abort point reads one
+    /// whole-query simulated clock) forces a serial run. A decision
+    /// under zone estimates splits like any other: the zones are table
+    /// statistics, read once at optimize time.
     /// Sampled and budgeted monitors are fine: page sampling is a pure
     /// function of `(seed, page)` and budget shedding is decided once at
     /// lowering, which every morsel repeats.
@@ -724,7 +730,7 @@ impl Database {
         decision: &Decision<'_>,
         cfg: &MonitorConfig,
     ) -> Result<Option<MorselPlan>> {
-        if self.dpc_cache.is_some() || cfg.deadline_ms.is_some() {
+        if cfg.deadline_ms.is_some() {
             return Ok(None);
         }
         let planner = self.planner()?;
@@ -1291,6 +1297,160 @@ mod tests {
         assert_eq!(db.catalog().epoch_state(t).unwrap().epoch, 2);
         assert_eq!(db.stats().unwrap().epoch(t), Some(2));
         assert_eq!(db.execute(base).unwrap().count, 4_999);
+    }
+
+    fn corr_range(lo: i64, hi: i64) -> Query {
+        Query::count(
+            "t",
+            vec![
+                PredSpec::new("corr", CompareOp::Ge, Datum::Int(lo)),
+                PredSpec::new("corr", CompareOp::Lt, Datum::Int(hi)),
+            ],
+        )
+    }
+
+    /// The index-seek candidate of a single-table `query`.
+    fn seek_candidate(db: &Database, query: &Query) -> SingleTablePlan {
+        let Query::Count { predicate, .. } = query else {
+            panic!("not a count");
+        };
+        let meta = db.catalog().table_by_name("t").unwrap();
+        let pred = Query::resolve_predicates(predicate, meta.schema()).unwrap();
+        db.optimizer()
+            .unwrap()
+            .candidate_single_table_plans(meta.id, &pred)
+            .unwrap()
+            .into_iter()
+            .find(|p| matches!(p.path, AccessPath::IndexSeek { .. }))
+            .expect("an index-seek candidate")
+    }
+
+    /// A correlated range no feedback has measured: Cardenas prices
+    /// its seek over scattered pages and the plan scans, while the zone
+    /// estimate is the exact DPC and the plan seeks — a statistics
+    /// decision, so it is cached and EXPLAIN shows its source.
+    #[test]
+    fn zone_estimates_flip_an_unseen_correlated_range_to_index_seek() {
+        let mut db = demo_db();
+        let unseen = corr_range(1_400, 1_800);
+        db.inject_accurate_cardinalities(&unseen).unwrap();
+        let plan = |db: &Database| db.lower(&unseen, &MonitorConfig::off()).unwrap();
+        assert!(plan(&db).description.contains("TableScan"));
+
+        db.set_zone_estimates(true);
+        let lowered = plan(&db);
+        assert!(
+            lowered.description.contains("IndexSeek"),
+            "{}",
+            lowered.description
+        );
+        let seek = seek_candidate(&db, &unseen);
+        let pred = Query::resolve_predicates(
+            &[
+                PredSpec::new("corr", CompareOp::Ge, Datum::Int(1_400)),
+                PredSpec::new("corr", CompareOp::Lt, Datum::Int(1_800)),
+            ],
+            db.catalog().table_by_name("t").unwrap().schema(),
+        )
+        .unwrap();
+        let truth = db.true_dpc("t", &pred).unwrap() as f64;
+        assert_eq!(seek.est_dpc, Some(truth));
+        assert_eq!(seek.dpc_source, pf_optimizer::plan::DpcSource::Zones);
+        assert!(lowered
+            .explain
+            .contains(&format!("est_dpc={truth:.0} [zones]")));
+        let hits = db.plan_cache_stats().hits;
+        plan(&db);
+        assert_eq!(
+            db.plan_cache_stats().hits,
+            hits + 1,
+            "served from the cache"
+        );
+    }
+
+    /// An injected hint wins over the zone estimate.
+    #[test]
+    fn hints_beat_zone_estimates() {
+        let mut db = demo_db();
+        db.set_zone_estimates(true);
+        let unseen = corr_range(8_000, 9_500);
+        db.hints_mut()
+            .inject_dpc("t", "corr>=8000 AND corr<9500", 777.0);
+        let seek = seek_candidate(&db, &unseen);
+        assert_eq!(seek.est_dpc, Some(777.0));
+        assert_eq!(seek.dpc_source, pf_optimizer::plan::DpcSource::Injected);
+    }
+
+    /// With zone estimates off, a DPC no hint covers is Cardenas over
+    /// the estimated rows.
+    #[test]
+    fn zone_estimates_off_means_cardenas() {
+        let mut db = demo_db();
+        let unseen = corr_range(8_000, 9_500);
+        db.inject_accurate_cardinalities(&unseen).unwrap();
+        let seek = seek_candidate(&db, &unseen);
+        let pages = f64::from(db.catalog().table_by_name("t").unwrap().stats.pages);
+        let cardenas = pf_optimizer::dpc_model::cardenas(1_500.0, pages);
+        assert_eq!(seek.est_dpc, Some(cardenas));
+        assert_eq!(seek.dpc_source, pf_optimizer::plan::DpcSource::Analytical);
+    }
+
+    /// Zones follow DML: after each statement of a seeded insert/delete
+    /// sequence, the zone bound of a one-sided atom on an Int, Float or
+    /// Date column still equals its true DPC.
+    #[test]
+    fn zone_bound_stays_exact_through_dml() {
+        let mut db = Database::new();
+        let schema = Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("f", DataType::Float),
+            Column::new("d", DataType::Date),
+            Column::new("pad", DataType::Str),
+        ]);
+        let mut rng = pf_common::rng::Rng::new(11);
+        let row = |rng: &mut pf_common::rng::Rng, k: i64| {
+            let f = match rng.gen_range(10) {
+                0 => f64::NAN,
+                1 => -f64::NAN,
+                2 => -0.0,
+                _ => rng.gen_range(200) as f64 - 100.0,
+            };
+            Row::new(vec![
+                Datum::Int(k),
+                Datum::Float(f),
+                Datum::Date(rng.gen_range(365) as i32),
+                Datum::Str("x".repeat(40)),
+            ])
+        };
+        let rows: Vec<Row> = (0..1_500).map(|k| row(&mut rng, k / 3)).collect();
+        db.create_table("z", schema, rows, Some("k")).unwrap();
+        let probes = [
+            ("k", Datum::Int(250)),
+            ("f", Datum::Float(0.0)),
+            ("f", Datum::Float(f64::NAN)),
+            ("d", Datum::Date(180)),
+        ];
+        for step in 0..30 {
+            if rng.bernoulli(0.5) {
+                let k = rng.gen_range(600) as i64;
+                db.insert_row("z", row(&mut rng, k)).unwrap();
+            } else {
+                let k = Datum::Int(rng.gen_range(500) as i64);
+                db.delete_where("z", |r| r.get(0) == &k).unwrap();
+            }
+            let meta = db.catalog().table_by_name("z").unwrap();
+            for (col, v) in &probes {
+                for op in [CompareOp::Lt, CompareOp::Le, CompareOp::Gt, CompareOp::Ge] {
+                    let spec = PredSpec::new(*col, op, v.clone());
+                    let pred = Query::resolve_predicates(&[spec], meta.schema()).unwrap();
+                    assert_eq!(
+                        pf_optimizer::zone_dpc_bound(&meta.storage, &pred, &[0]),
+                        db.true_dpc("z", &pred).unwrap(),
+                        "step {step}: {pred}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -102,11 +102,9 @@ impl Database {
             )
         };
 
-        // Inject DPC feedback (and train the histogram cache, if
-        // enabled), then re-optimize.
+        // Inject DPC feedback, then re-optimize.
         let report = monitored.report;
         self.absorb_feedback(&report)?;
-        self.train_dpc_histograms(query, &report)?;
         let after = self.run_in(query, &MonitorConfig::off(), &mut ctx)?;
 
         Ok(FeedbackOutcome {
@@ -133,14 +131,14 @@ impl Database {
         // Plan P: monitored run (feedback) + unmonitored run (T). Each
         // run retries transient injected faults, so a faulted run still
         // completes the methodology.
-        let plan = self.decide(query, Some(hints.clone()), false)?;
+        let plan = self.decide(query, Some(&hints), false)?;
         let monitored = self.run_decision(&plan, cfg, &mut ctx)?;
         let before = self.run_decision(&plan, &MonitorConfig::off(), &mut ctx)?;
 
         // Inject the DPC feedback into the overlay and re-optimize.
         let report = monitored.report;
         hints.absorb_report(&report);
-        let replanned = self.decide(query, Some(hints), false)?;
+        let replanned = self.decide(query, Some(&hints), false)?;
         let after = self.run_decision(&replanned, &MonitorConfig::off(), &mut ctx)?;
 
         Ok(FeedbackOutcome {

@@ -42,7 +42,8 @@
 //! ## Crate map
 //!
 //! * [`db`] — the [`Database`] facade (tables, indexes, statistics,
-//!   execution),
+//!   execution, and the switch that estimates the DPCs no feedback
+//!   covers from page zones),
 //! * [`query`] — declarative query specs ([`Query`], [`PredSpec`]),
 //! * [`planner`] — lowers optimizer plans to executor trees and attaches
 //!   the DPC monitors,
@@ -50,8 +51,6 @@
 //!   harvest DPCs → inject → re-optimize → compare),
 //! * [`dba`] — the DBA-facing diagnosis built on the
 //!   `statistics xml`-style report,
-//! * [`histogram_cache`] — self-tuning DPC histograms (the paper's §VI
-//!   future work): feedback generalizes to queries never seen before,
 //! * [`parallel`] — the multi-threaded workload driver
 //!   ([`ParallelRunner`]): scoped workers over the shared read-only
 //!   storage snapshot, with deterministic per-query seeds and serial
@@ -75,7 +74,6 @@ pub mod dba;
 pub mod feedback_loop;
 pub mod feedback_store;
 mod governor;
-pub mod histogram_cache;
 pub mod parallel;
 pub mod plan_cache;
 pub mod planner;
@@ -93,7 +91,6 @@ pub use db::{Database, MorselPlan, QueryOutcome, MAX_TRANSIENT_RETRIES};
 pub use dba::{DbaDiagnosis, Discrepancy};
 pub use feedback_loop::FeedbackOutcome;
 pub use feedback_store::{FeedbackStore, StoreStats, StoredReport};
-pub use histogram_cache::DpcHistogramCache;
 pub use parallel::{ParallelRunner, RunStats, WorkerRunStats, WorkloadSummary};
 pub use pf_storage::{ErrorFault, FaultKind, FaultPlan};
 pub use plan_cache::PlanCacheStats;

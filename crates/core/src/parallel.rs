@@ -482,10 +482,9 @@ impl ParallelRunner {
 
     /// The parallel feedback methodology: every query's
     /// [`Database::feedback_cell`] runs hermetically against a snapshot
-    /// of the hint set, then the harvested reports are absorbed and the
-    /// DPC histograms trained **serially in query order** — the final
-    /// database state and per-query outcomes are identical for any
-    /// worker count.
+    /// of the hint set, then the harvested reports are absorbed
+    /// **serially in query order** — the final database state and
+    /// per-query outcomes are identical for any worker count.
     pub fn run_feedback(
         &self,
         db: &mut Database,
@@ -498,9 +497,8 @@ impl ParallelRunner {
                 db.feedback_cell(&queries[i], &Self::cfg_for(cfg, i))
             })?
         };
-        for (query, outcome) in queries.iter().zip(&outcomes) {
+        for outcome in &outcomes {
             db.absorb_feedback(&outcome.report)?;
-            db.train_dpc_histograms(query, &outcome.report)?;
         }
         Ok(outcomes)
     }

@@ -31,6 +31,7 @@ use pf_exec::{
 };
 use pf_feedback::FeedbackReport;
 use pf_optimizer::dpc_model::cardenas;
+use pf_optimizer::plan::DpcSource;
 use pf_optimizer::{
     join_dpc_key, AccessPath, CardinalityEstimator, CostModel, DbStats, HintSet, JoinPlan,
     JoinSpec, Optimizer, SingleTablePlan,
@@ -242,6 +243,7 @@ pub struct Planner<'a> {
     stats: &'a DbStats,
     hints: &'a HintSet,
     cost: CostModel,
+    zone_estimates: bool,
 }
 
 impl<'a> Planner<'a> {
@@ -257,11 +259,20 @@ impl<'a> Planner<'a> {
             stats,
             hints,
             cost,
+            zone_estimates: false,
         }
+    }
+
+    /// Whether the optimizer estimates DPCs from page zones (see
+    /// [`Optimizer::with_zone_estimates`]).
+    pub fn with_zone_estimates(mut self, on: bool) -> Self {
+        self.zone_estimates = on;
+        self
     }
 
     fn optimizer(&self) -> Optimizer<'a> {
         Optimizer::new(self.catalog, self.stats, self.cost, self.hints)
+            .with_zone_estimates(self.zone_estimates)
     }
 
     /// Resolves names and runs the optimizer, without lowering — the
@@ -691,12 +702,7 @@ impl<'a> Planner<'a> {
                 plan.method.name(),
                 plan.cost_ms,
                 plan.est_rows,
-                match (plan.est_dpc, plan.dpc_source) {
-                    (Some(d), pf_optimizer::plan::DpcSource::Injected) =>
-                        format!(" est_dpc={d:.0} [injected]"),
-                    (Some(d), _) => format!(" est_dpc={d:.0} [analytical]"),
-                    (None, _) => String::new(),
-                }
+                dpc_note(plan.est_dpc, plan.dpc_source)
             );
             if plan.method == pf_optimizer::JoinMethod::Hash {
                 // The chosen join strategy: radix partition count and
@@ -915,6 +921,20 @@ fn combined_bounds(pred: &Conjunction, atoms: &[usize]) -> (Option<Datum>, Optio
     (lo, hi)
 }
 
+/// ` est_dpc=… [source]` for an EXPLAIN header, or nothing for a plan
+/// whose cost involves no DPC.
+fn dpc_note(est_dpc: Option<f64>, source: DpcSource) -> String {
+    let Some(d) = est_dpc else {
+        return String::new();
+    };
+    let label = match source {
+        DpcSource::Injected => "injected",
+        DpcSource::Zones => "zones",
+        DpcSource::Analytical | DpcSource::NotApplicable => "analytical",
+    };
+    format!(" est_dpc={d:.0} [{label}]")
+}
+
 /// Multi-line EXPLAIN tree for a single-table plan.
 fn explain_single(
     table: &str,
@@ -922,19 +942,12 @@ fn explain_single(
     pred: &Conjunction,
     catalog: &Catalog,
 ) -> String {
-    let dpc = match (plan.est_dpc, plan.dpc_source) {
-        (Some(d), pf_optimizer::plan::DpcSource::Injected) => {
-            format!(" est_dpc={d:.0} [injected]")
-        }
-        (Some(d), _) => format!(" est_dpc={d:.0} [analytical]"),
-        (None, _) => String::new(),
-    };
     let header = format!(
         "{}  est_cost={:.1}ms est_rows={:.0}{}",
         describe_single(table, plan, catalog),
         plan.cost_ms,
         plan.est_rows,
-        dpc
+        dpc_note(plan.est_dpc, plan.dpc_source)
     );
     let detail = match &plan.path {
         AccessPath::FullScan => format!("predicate: {}", pred.key()),
@@ -993,7 +1006,6 @@ mod tests {
     use crate::db::Database;
     use crate::query::PredSpec;
     use pf_common::{Column, DataType, Datum, Row, Schema};
-    use pf_optimizer::plan::DpcSource;
 
     /// 6 000 rows clustered on id with two indexed columns.
     fn demo_db() -> Database {

@@ -16,9 +16,10 @@
 //!   per index: name, table name, column name
 //! ```
 //!
-//! The hint set and histogram cache are *not* persisted: they describe
-//! measurements of this process's workload, and the paper's mechanisms
-//! re-derive them cheaply from execution.
+//! The hint set is *not* persisted: it describes measurements of this
+//! process's workload, and the paper's mechanisms re-derive them cheaply
+//! from execution. Page zones are rebuilt with the pages, and the
+//! zone-estimate switch is a setting of the opening process.
 
 use crate::db::Database;
 use pf_common::{Column, DataType, Datum, Error, PageId, Result, Row, Schema};

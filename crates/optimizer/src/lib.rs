@@ -15,13 +15,13 @@
 //! * [`cost`] — the cost model (mirrors `pf-storage::DiskModel`),
 //! * [`hints`] — expression keys + the injection API,
 //! * [`plan`] — physical plan descriptions,
-//! * [`optimizer`] — enumeration and choice.
+//! * [`optimizer`] — enumeration and choice, and the page-zone DPC
+//!   bound ([`zone_dpc_bound`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod cardinality;
 pub mod cost;
-pub mod dpc_histogram;
 pub mod dpc_model;
 pub mod hints;
 pub mod histogram;
@@ -31,11 +31,10 @@ pub mod stats;
 
 pub use cardinality::CardinalityEstimator;
 pub use cost::CostModel;
-pub use dpc_histogram::DpcHistogram;
 pub use hints::{
     decide_staleness, join_dpc_key, join_expr_key, DpcHint, EpochStamp, HintSet, StalenessDecision,
     TableEpochState,
 };
-pub use optimizer::Optimizer;
+pub use optimizer::{zone_dpc_bound, Optimizer};
 pub use plan::{AccessPath, JoinMethod, JoinPlan, JoinSpec, SingleTablePlan};
 pub use stats::{ColumnStats, DbStats};

@@ -11,7 +11,10 @@
 //! `DPC` estimate: injected (execution feedback) when present in the
 //! [`HintSet`], else the analytical Cardenas model — which, like the
 //! shipping SQL Server estimator, "assumes independence between the
-//! clustering column and the index column".
+//! clustering column and the index column". With zone estimates on
+//! ([`Optimizer::with_zone_estimates`]), a selection's DPC that no hint
+//! covers is capped by the pages whose zones admit a match
+//! ([`zone_dpc_bound`]).
 
 use crate::cardinality::CardinalityEstimator;
 use crate::cost::CostModel;
@@ -19,9 +22,9 @@ use crate::dpc_model::cardenas;
 use crate::hints::{join_dpc_key, HintSet};
 use crate::plan::{AccessPath, DpcSource, JoinMethod, JoinPlan, JoinSpec, SingleTablePlan};
 use crate::stats::DbStats;
-use pf_common::{Error, Result, TableId};
+use pf_common::{Error, PageId, Result, TableId};
 use pf_exec::{CompareOp, Conjunction};
-use pf_storage::Catalog;
+use pf_storage::{Catalog, TableMeta, TableStorage};
 
 /// The cost-based optimizer.
 pub struct Optimizer<'a> {
@@ -29,10 +32,12 @@ pub struct Optimizer<'a> {
     stats: &'a DbStats,
     cost: CostModel,
     hints: &'a HintSet,
+    zone_estimates: bool,
 }
 
 impl<'a> Optimizer<'a> {
-    /// Builds an optimizer over the catalog, statistics, and hints.
+    /// Builds an optimizer over the catalog, statistics, and hints, with
+    /// zone estimates off.
     pub fn new(
         catalog: &'a Catalog,
         stats: &'a DbStats,
@@ -44,7 +49,16 @@ impl<'a> Optimizer<'a> {
             stats,
             cost,
             hints,
+            zone_estimates: false,
         }
+    }
+
+    /// Whether a selection's DPC that no hint covers is estimated as
+    /// `min(`[`zone_dpc_bound`]`, Cardenas)` ([`DpcSource::Zones`])
+    /// rather than by Cardenas alone. Join DPCs keep Cardenas.
+    pub fn with_zone_estimates(mut self, on: bool) -> Self {
+        self.zone_estimates = on;
+        self
     }
 
     /// All costed single-table candidates (diagnostics; the best is
@@ -126,8 +140,7 @@ impl<'a> Optimizer<'a> {
             .collect();
         for (idx, ix) in &indexed {
             let n = est.rows_of(pred, idx);
-            let key = pred.key_of(idx);
-            let (dpc, src) = self.dpc_or_analytic(&meta.name, &key, n, pages);
+            let (dpc, src) = self.selection_dpc(meta, pred, idx, n, pages);
             plans.push(SingleTablePlan {
                 table,
                 path: AccessPath::IndexSeek {
@@ -173,8 +186,7 @@ impl<'a> Optimizer<'a> {
                 let mut both: Vec<usize> = idx_a.iter().chain(idx_b.iter()).copied().collect();
                 both.sort_unstable();
                 let inter = est.rows_of(pred, &both);
-                let key = pred.key_of(&both);
-                let (dpc, src) = self.dpc_or_analytic(&meta.name, &key, inter, pages);
+                let (dpc, src) = self.selection_dpc(meta, pred, &both, inter, pages);
                 plans.push(SingleTablePlan {
                     table,
                     path: AccessPath::IndexIntersection {
@@ -305,6 +317,43 @@ impl<'a> Optimizer<'a> {
             None => (cardenas(n, pages), DpcSource::Analytical),
         }
     }
+
+    /// The DPC of fetching the `n` rows that match `atoms` of `pred`: an
+    /// injected hint, else — with zone estimates on — Cardenas capped by
+    /// the zone bound, else Cardenas.
+    fn selection_dpc(
+        &self,
+        meta: &TableMeta,
+        pred: &Conjunction,
+        atoms: &[usize],
+        n: f64,
+        pages: f64,
+    ) -> (f64, DpcSource) {
+        match self.dpc_or_analytic(&meta.name, &pred.key_of(atoms), n, pages) {
+            (analytic, DpcSource::Analytical) if self.zone_estimates => {
+                let bound = zone_dpc_bound(&meta.storage, pred, atoms) as f64;
+                (bound.min(analytic), DpcSource::Zones)
+            }
+            hinted_or_analytic => hinted_or_analytic,
+        }
+    }
+}
+
+/// The pages of `storage` whose zone settles no atom of `atoms` (indices
+/// into `pred`) false: the pages a scan of those atoms cannot skip, by
+/// the same [`pf_exec::PageKernel::decide`] call the scan makes. An upper
+/// bound on their DPC, exact for one one-sided fixed-width atom; a `Str`
+/// atom settles nothing, so it gives every page. Reads the pristine
+/// pages, so a fault plan never moves it.
+pub fn zone_dpc_bound(storage: &TableStorage, pred: &Conjunction, atoms: &[usize]) -> u64 {
+    let kernel = pred.compile_page_kernel(storage.layout());
+    (0..storage.page_count())
+        .filter_map(|p| storage.page(PageId(p)).ok())
+        .filter(|page| {
+            let zone = page.zone().unwrap_or_default();
+            atoms.iter().all(|&i| kernel.decide(i, zone) != Some(false))
+        })
+        .count() as u64
 }
 
 fn seekable(op: CompareOp) -> bool {
@@ -391,6 +440,43 @@ mod tests {
         );
         assert_eq!(plan.dpc_source, DpcSource::Injected);
         assert_eq!(plan.est_dpc, Some(true_dpc));
+    }
+
+    /// The zone arm: on the correlated `c2` the bound is the true DPC
+    /// and flips the scan to a seek; on the scrambled `c5` nearly every
+    /// page admits a match, so Cardenas is the lower and the estimate.
+    #[test]
+    fn zone_estimates_are_exact_on_correlated_and_cardenas_on_scattered() {
+        let (cat, stats, id) = setup();
+        let meta = cat.table(id).unwrap();
+        let pages = f64::from(meta.stats.pages);
+        let hints = HintSet::new();
+        let opt = Optimizer::new(&cat, &stats, CostModel::new(), &hints).with_zone_estimates(true);
+
+        let c2 = lt(&cat, id, "c2", 400);
+        assert_eq!(
+            zone_dpc_bound(&meta.storage, &c2, &[0]),
+            (400.0 / meta.stats.rows_per_page).ceil() as u64
+        );
+        let plan = opt.optimize_single_table(id, &c2).unwrap();
+        assert!(
+            matches!(plan.path, AccessPath::IndexSeek { .. }),
+            "got {:?}",
+            plan.path
+        );
+        assert_eq!(plan.dpc_source, DpcSource::Zones);
+
+        let c5 = lt(&cat, id, "c5", 400);
+        let rows = CardinalityEstimator::new(&stats, &hints, id, "T", meta.stats.rows).rows(&c5);
+        let analytic = cardenas(rows, pages);
+        assert!(zone_dpc_bound(&meta.storage, &c5, &[0]) as f64 > analytic);
+        let seek = opt
+            .candidate_single_table_plans(id, &c5)
+            .unwrap()
+            .into_iter()
+            .find(|p| matches!(p.path, AccessPath::IndexSeek { .. }))
+            .unwrap();
+        assert_eq!(seek.est_dpc, Some(analytic));
     }
 
     #[test]

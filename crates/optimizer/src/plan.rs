@@ -43,6 +43,9 @@ pub enum DpcSource {
     Analytical,
     /// Injected through [`crate::HintSet`] (execution feedback).
     Injected,
+    /// Cardenas capped by the pages whose zones admit a match
+    /// ([`crate::optimizer::zone_dpc_bound`]).
+    Zones,
 }
 
 /// How a single table is accessed.

@@ -21,6 +21,15 @@
 //!
 //! Under a fault plan only scans may split into morsels.
 //!
+//! Before the runs, the page-zone DPC bound
+//! ([`pf_optimizer::zone_dpc_bound`]) of every atom subset the optimizer
+//! prices for a count query, of every single atom, and of single atoms
+//! over a pool of edge literals (±NaN, ±0.0, ±∞, the integer and date
+//! extremes, Str) is checked against brute force (see
+//! [`check_zone_bounds`]). Then the default config runs on a fresh
+//! database with zone estimates on, through both entry points at every
+//! worker count, under the same identity and brute-force checks.
+//!
 //! The default config then reruns under a query deadline at the median
 //! simulated time of its outcomes, through
 //! [`ParallelRunner::run_queries_quarantined`] and
@@ -44,6 +53,7 @@ use pf_common::rng::Rng;
 use pf_common::{Column, DataType, Datum, Error, Result, Row, Schema};
 use pf_exec::{CompareOp, Conjunction};
 use pf_feedback::Mechanism;
+use pf_optimizer::{zone_dpc_bound, AccessPath};
 
 pub const TABLE: &str = "t";
 /// An unindexed copy of `t` with the same rows, the outer side of
@@ -424,6 +434,138 @@ fn check_against_brute_force(
     }
 }
 
+/// Single atoms over edge literals of every predicate column: ±NaN,
+/// ±0.0, ±∞, the integer and date extremes, and Str values around the
+/// stored tags — under every comparison.
+fn edge_atoms() -> Vec<PredSpec> {
+    let literals: [(usize, Vec<Datum>); 6] = [
+        (
+            ID,
+            vec![Datum::Int(i64::MIN), Datum::Int(0), Datum::Int(i64::MAX)],
+        ),
+        (
+            A,
+            vec![
+                Datum::Int(i64::MIN),
+                Datum::Int(ROWS / 2),
+                Datum::Int(i64::MAX),
+            ],
+        ),
+        (B, vec![Datum::Int(-1), Datum::Int(ROWS / 32)]),
+        (
+            F,
+            [
+                f64::NAN,
+                -f64::NAN,
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ]
+            .map(Datum::Float)
+            .to_vec(),
+        ),
+        (
+            D,
+            vec![
+                Datum::Date(i32::MIN),
+                Datum::Date(180),
+                Datum::Date(i32::MAX),
+            ],
+        ),
+        (
+            S,
+            vec![Datum::Str(String::new()), Datum::Str("tag3".into())],
+        ),
+    ];
+    let ops = [
+        CompareOp::Lt,
+        CompareOp::Le,
+        CompareOp::Gt,
+        CompareOp::Ge,
+        CompareOp::Eq,
+        CompareOp::Ne,
+    ];
+    let mut atoms = Vec::new();
+    for (col, values) in literals {
+        for v in values {
+            atoms.extend(ops.map(|op| PredSpec::new(COLUMNS[col], op, v.clone())));
+        }
+    }
+    atoms
+}
+
+/// The page-zone DPC bound against brute force, for every atom subset
+/// the optimizer prices for the workload's count queries (index seeks
+/// and intersections), every single atom of those queries, and the
+/// [`edge_atoms`]: `true_dpc ≤ bound ≤ pages`, with equality for one
+/// one-sided fixed-width atom, and `pages` for one Str atom, which no
+/// zone describes. The bound reads pristine pages, so `clean` — the
+/// fault-free database of the same fixture, when `db` carries a fault
+/// plan — gives the same bound.
+fn check_zone_bounds(db: &Database, clean: Option<&Database>, fx: &Fixture, what: &str) {
+    let meta = db.catalog().table_by_name(TABLE).expect("table");
+    let pages = u64::from(meta.storage.page_count());
+    let optimizer = db.optimizer().expect("optimizer");
+    let mut cases: Vec<(Conjunction, Vec<usize>)> = edge_atoms()
+        .into_iter()
+        .map(|spec| {
+            let pred = Query::resolve_predicates(&[spec], &schema()).expect("edge atom");
+            (pred, vec![0])
+        })
+        .collect();
+    for query in fx
+        .queries
+        .iter()
+        .filter(|q| matches!(q, Query::Count { .. }))
+    {
+        let pred = resolved_pred(query);
+        let candidates = optimizer
+            .candidate_single_table_plans(meta.id, &pred)
+            .expect("candidates");
+        let priced = candidates.into_iter().filter_map(|plan| match plan.path {
+            AccessPath::IndexSeek { atoms, .. } => Some(atoms),
+            AccessPath::IndexIntersection { a, b } => {
+                let mut both = [a.1, b.1].concat();
+                both.sort_unstable();
+                Some(both)
+            }
+            _ => None,
+        });
+        let subsets: Vec<Vec<usize>> = (0..pred.len()).map(|i| vec![i]).chain(priced).collect();
+        cases.extend(subsets.into_iter().map(|atoms| (pred.clone(), atoms)));
+    }
+    for (pred, atoms) in &cases {
+        let sub = Conjunction::new(atoms.iter().map(|&i| pred.atoms[i].clone()).collect());
+        let what = format!("{what}: zone bound of {sub}");
+        let bound = zone_dpc_bound(&meta.storage, pred, atoms);
+        let truth = db.true_dpc(TABLE, &sub).expect("oracle");
+        assert!(
+            truth <= bound && bound <= pages,
+            "{what}: {truth} ≤ {bound} ≤ {pages}"
+        );
+        if let [atom] = &sub.atoms[..] {
+            let one_sided = matches!(
+                atom.op,
+                CompareOp::Lt | CompareOp::Le | CompareOp::Gt | CompareOp::Ge
+            );
+            if matches!(atom.value, Datum::Str(_)) {
+                assert_eq!(bound, pages, "{what}: a Str atom gives every page");
+            } else if one_sided {
+                assert_eq!(bound, truth, "{what}: exact for one one-sided atom");
+            }
+        }
+        if let Some(clean) = clean {
+            let storage = &clean.catalog().table_by_name(TABLE).expect("table").storage;
+            assert_eq!(
+                zone_dpc_bound(storage, pred, atoms),
+                bound,
+                "{what}: fault-free"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Full-query differential runs
 // ---------------------------------------------------------------------
@@ -546,6 +688,9 @@ pub struct Coverage {
     pub shapes: BTreeSet<&'static str>,
     /// Query runs under a deadline that aborted, and that completed.
     pub deadline_runs: (usize, usize),
+    /// Queries that split into morsels under zone estimates, and whose
+    /// plan differs from the analytical one.
+    pub zone_runs: (usize, usize),
 }
 
 /// The morsel shape `query` splits into. A clustered range scan (its
@@ -569,6 +714,41 @@ fn shape(query: &Query, plan: &MorselPlan) -> &'static str {
     }
 }
 
+/// Runs the default config on a fresh database with zone estimates on,
+/// through both entry points at every worker count: byte-identical to
+/// the jobs=1 run and agreeing with brute force, as with zones off.
+fn zone_estimate_runs(
+    runners: &[ParallelRunner],
+    fx: &Fixture,
+    counts: &[u64],
+    fault_rate: f64,
+    coverage: &mut Coverage,
+    what: &str,
+) {
+    let cfg = MonitorConfig::default();
+    let analytical = fx.database(fault_rate);
+    let mut db = fx.database(fault_rate);
+    db.set_zone_estimates(true);
+    for query in &fx.queries {
+        if db.morsel_plan(query, &cfg).expect("classify").is_some() {
+            coverage.zone_runs.0 += 1;
+        }
+        let plan = |db: &Database| db.lower(query, &cfg).expect("lowers").description;
+        if plan(&db) != plan(&analytical) {
+            coverage.zone_runs.1 += 1;
+        }
+    }
+    for entry in [Entry::RunQueries, Entry::RunQuery] {
+        let what = format!("{what}, zone estimates, {entry:?}");
+        let base = run(entry, &runners[0], &db, fx, &cfg);
+        for runner in &runners[1..] {
+            let out = run(entry, runner, &db, fx, &cfg);
+            assert_identical(&base, &out, &format!("{what}, jobs {}", runner.jobs()));
+        }
+        check_against_brute_force(&db, fx, counts, &base, fault_rate == 0.0, true, &what);
+    }
+}
+
 /// Runs the queries of every seed's workload that `keep` selects at
 /// `fault_rate`, through both entry points at every worker count and
 /// monitor config, and under a deadline — twice: the second pass runs
@@ -586,6 +766,7 @@ pub fn differential_runs(fault_rate: f64, keep: fn(&Query) -> bool) -> Coverage 
         shed: false,
         shapes: BTreeSet::new(),
         deadline_runs: (0, 0),
+        zone_runs: (0, 0),
     };
     for seed in SEEDS {
         let mut fx = Fixture::new(seed);
@@ -593,6 +774,10 @@ pub fn differential_runs(fault_rate: f64, keep: fn(&Query) -> bool) -> Coverage 
         let mut db = fx.database(fault_rate);
         // The oracles read pristine pages, never the injected faults.
         let counts = true_counts(&db, &fx);
+        let clean = (fault_rate > 0.0).then(|| fx.database(0.0));
+        let what = format!("seed {seed}, fault rate {fault_rate}");
+        check_zone_bounds(&db, clean.as_ref(), &fx, &what);
+        zone_estimate_runs(&runners, &fx, &counts, fault_rate, &mut coverage, &what);
         for pass in 1..=2 {
             // The default config's outcomes per entry point.
             let mut plain = Vec::new();

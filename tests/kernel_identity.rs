@@ -35,6 +35,11 @@ fn kernel_identity_fault_free() {
         );
     }
     assert!(coverage.shed, "the memory budget must shed a monitor");
+    let (split, moved) = coverage.zone_runs;
+    assert!(
+        split > 0 && moved > 0,
+        "zone estimates: {split} queries split, {moved} plans moved"
+    );
     let (aborted, completed) = coverage.deadline_runs;
     assert!(
         aborted > 0 && completed > 0,

@@ -580,11 +580,10 @@ fn wide_scan() -> Query {
 
 /// Shapes outside the morsel matrix fall back to the serial path and
 /// still match `Database::run` exactly: query deadlines abort on
-/// whole-query simulated time, and DPC-histogram overlays consult
-/// serial whole-run state.
+/// whole-query simulated time.
 #[test]
 fn morsel_run_query_falls_back_for_ineligible_shapes() {
-    let mut db = build_db();
+    let db = build_db();
     let runner = ParallelRunner::new(4);
 
     let deadline = MonitorConfig {
@@ -597,14 +596,6 @@ fn morsel_run_query_falls_back_for_ineligible_shapes() {
     assert_eq!(s.count, p.count);
     assert_eq!(s.stats, p.stats);
     assert_eq!(s.report, p.report);
-
-    db.enable_dpc_histograms(32);
-    let cfg = MonitorConfig::default();
-    assert!(db.morsel_plan(&wide_scan(), &cfg).unwrap().is_none());
-    let s = db.run(&wide_scan(), &cfg).unwrap();
-    let p = runner.run_query(&db, &wide_scan(), &cfg).unwrap();
-    assert_eq!(s.count, p.count);
-    assert_eq!(s.stats, p.stats);
 }
 
 /// A hash join whose outer clustered range holds no page splits into no
