@@ -13,7 +13,8 @@
 //! The real `SeqScan` runs five times over the same table:
 //! `full_scan/operator` filters the scrambled `val`, whose every page
 //! spans the whole key range, so page zones settle almost nothing and
-//! the kernel reads every row; `full_scan/operator_clustered` filters
+//! the kernel compares every row's key in `val`'s key array;
+//! `full_scan/operator_clustered` filters
 //! the clustering key `id`, so zones settle all but a page or two. The
 //! other three add a Str atom, `pad < 'y'`, which every row passes and
 //! the kernel evaluates on row views: alone (`operator_str`, a view per

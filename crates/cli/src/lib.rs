@@ -961,6 +961,44 @@ mod tests {
         assert!(hits > 0, "{bench}");
     }
 
+    /// A feedback report's estimate is the DPC its plan was priced
+    /// with: `.explain`'s zone estimate on the first run, the injected
+    /// measurement once feedback holds one.
+    #[test]
+    fn feedback_reports_the_estimate_the_plan_was_priced_with() {
+        let mut sh = Shell::new();
+        sh.eval(".load synthetic");
+        let sql = "SELECT COUNT(pad) FROM T WHERE c2 >= 1000 AND c2 < 3000";
+        let explain = out(sh.eval(&format!(".explain {sql}")));
+        assert!(explain.contains("[zones]"), "{explain}");
+        let est_dpc: f64 = explain
+            .split("est_dpc=")
+            .nth(1)
+            .and_then(|t| t.split(' ').next())
+            .and_then(|d| d.parse().ok())
+            .unwrap();
+        let attr = |report: &str, name: &str| -> f64 {
+            report
+                .split(&format!("{name}=\""))
+                .nth(1)
+                .and_then(|t| t.split('"').next())
+                .and_then(|v| v.parse().ok())
+                .unwrap()
+        };
+        let first = out(sh.eval(&format!(".feedback {sql}")));
+        assert_eq!(
+            attr(&first, "Estimated").round(),
+            est_dpc,
+            "{explain}\n{first}"
+        );
+        let second = out(sh.eval(&format!(".feedback {sql}")));
+        assert_eq!(
+            attr(&second, "Estimated"),
+            attr(&first, "Actual"),
+            "{first}\n{second}"
+        );
+    }
+
     #[test]
     fn save_and_open_round_trip() {
         let mut sh = Shell::new();

@@ -1395,17 +1395,22 @@ mod tests {
         assert_eq!(seek.dpc_source, pf_optimizer::plan::DpcSource::Analytical);
     }
 
-    /// Zones follow DML: after each statement of a seeded insert/delete
-    /// sequence, the zone bound of a one-sided atom on an Int, Float or
-    /// Date column still equals its true DPC.
+    /// Zones and key arrays follow DML: after each statement of a
+    /// seeded insert/delete sequence, the zone bound of a one-sided atom
+    /// on an Int, Float or Date column — one after a Str column too —
+    /// still equals its true DPC, and a monitored full scan of each atom
+    /// (which the zones settle and the key arrays evaluate) counts its
+    /// true cardinality and measures its true DPC exactly.
     #[test]
     fn zone_bound_stays_exact_through_dml() {
+        use pf_exec::{Operator, ScanExprMonitor, ScanMonitorSet, SeqScan};
         let mut db = Database::new();
         let schema = Schema::new(vec![
             Column::new("k", DataType::Int),
             Column::new("f", DataType::Float),
             Column::new("d", DataType::Date),
             Column::new("pad", DataType::Str),
+            Column::new("after", DataType::Int),
         ]);
         let mut rng = pf_common::rng::Rng::new(11);
         let row = |rng: &mut pf_common::rng::Rng, k: i64| {
@@ -1420,6 +1425,7 @@ mod tests {
                 Datum::Float(f),
                 Datum::Date(rng.gen_range(365) as i32),
                 Datum::Str("x".repeat(40)),
+                Datum::Int(rng.gen_range(1_000) as i64),
             ])
         };
         let rows: Vec<Row> = (0..1_500).map(|k| row(&mut rng, k / 3)).collect();
@@ -1429,6 +1435,15 @@ mod tests {
             ("f", Datum::Float(0.0)),
             ("f", Datum::Float(f64::NAN)),
             ("d", Datum::Date(180)),
+            ("after", Datum::Int(500)),
+        ];
+        let ops = [
+            CompareOp::Lt,
+            CompareOp::Le,
+            CompareOp::Gt,
+            CompareOp::Ge,
+            CompareOp::Eq,
+            CompareOp::Ne,
         ];
         for step in 0..30 {
             if rng.bernoulli(0.5) {
@@ -1440,13 +1455,29 @@ mod tests {
             }
             let meta = db.catalog().table_by_name("z").unwrap();
             for (col, v) in &probes {
-                for op in [CompareOp::Lt, CompareOp::Le, CompareOp::Gt, CompareOp::Ge] {
+                for op in ops {
                     let spec = PredSpec::new(*col, op, v.clone());
                     let pred = Query::resolve_predicates(&[spec], meta.schema()).unwrap();
+                    let dpc = db.true_dpc("z", &pred).unwrap();
+                    if !matches!(op, CompareOp::Eq | CompareOp::Ne) {
+                        assert_eq!(
+                            pf_optimizer::zone_dpc_bound(&meta.storage, &pred, &[0]),
+                            dpc,
+                            "step {step}: {pred}"
+                        );
+                    }
+                    let expr = ScanExprMonitor::atoms(&pred, vec![0], None);
+                    let monitors = ScanMonitorSet::new("z", vec![expr], 1.0, step);
+                    let storage = Arc::clone(&meta.storage);
+                    let mut scan = SeqScan::full(storage, meta.id, pred.clone(), Some(monitors));
+                    let count = scan.count(&mut db.make_context()).unwrap();
+                    let report = pf_exec::monitor::harvest(&mut scan);
+                    let what = format!("step {step}: scan of {pred}");
+                    assert_eq!(count, db.true_cardinality("z", &pred).unwrap(), "{what}");
                     assert_eq!(
-                        pf_optimizer::zone_dpc_bound(&meta.storage, &pred, &[0]),
-                        db.true_dpc("z", &pred).unwrap(),
-                        "step {step}: {pred}"
+                        report.actual_for("z", pred.key()),
+                        Some(dpc as f64),
+                        "{what}"
                     );
                 }
             }

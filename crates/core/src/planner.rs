@@ -30,7 +30,6 @@ use pf_exec::{
     ScanExprMonitor, ScanMonitorSet,
 };
 use pf_feedback::FeedbackReport;
-use pf_optimizer::dpc_model::cardenas;
 use pf_optimizer::plan::DpcSource;
 use pf_optimizer::{
     join_dpc_key, AccessPath, CardinalityEstimator, CostModel, DbStats, HintSet, JoinPlan,
@@ -455,6 +454,13 @@ impl<'a> Planner<'a> {
             &meta.name,
             meta.stats.rows,
         );
+        // The DPC the optimizer prices `atoms` with: what every monitor
+        // of this access path reports as its estimate.
+        let optimizer = self.optimizer();
+        let estimate = |atoms: &[usize]| {
+            let n = est.rows_of(pred, atoms);
+            optimizer.selection_dpc(meta, pred, atoms, n, pages).0
+        };
 
         Ok(match &plan.path {
             AccessPath::FullScan | AccessPath::ClusteredRange { .. } => {
@@ -462,7 +468,7 @@ impl<'a> Planner<'a> {
                     AccessPath::ClusteredRange { atoms } => atoms.as_slice(),
                     _ => &[],
                 };
-                let monitors = self.scan_monitors(meta, pred, cfg, &est, range_atoms);
+                let monitors = self.scan_monitors(meta, pred, cfg, &estimate, range_atoms);
                 let storage = Arc::clone(&meta.storage);
                 let scan = match (slice, &plan.path) {
                     (
@@ -513,7 +519,7 @@ impl<'a> Planner<'a> {
                         pred.key_of(&covered),
                         FetchObserveWhen::AllFetched,
                         meta.stats.pages,
-                        Some(cardenas(est.rows_of(pred, &covered), pages)),
+                        Some(estimate(&covered)),
                         cfg.seed,
                     ));
                     if !residual.is_empty() {
@@ -523,7 +529,7 @@ impl<'a> Planner<'a> {
                             pred.key(),
                             FetchObserveWhen::PassedResidual,
                             meta.stats.pages,
-                            Some(cardenas(est.rows_of(pred, &all), pages)),
+                            Some(estimate(&all)),
                             cfg.seed ^ 1,
                         ));
                     }
@@ -598,8 +604,11 @@ impl<'a> Planner<'a> {
         let inner_index = self
             .catalog
             .index_on_column(spec.inner, spec.inner_join_col);
-        let est_matched = plan.est_rows;
-        let analytic_join_dpc = cardenas(est_matched, inner_pages);
+        // The DPC the optimizer prices an INL join with: what the join's
+        // monitors report as their estimate.
+        let (join_dpc, _) =
+            self.optimizer()
+                .join_dpc(&inner_meta.name, &jkey, plan.est_rows, inner_pages);
 
         let filter_cfg = self.join_filter_config(plan, spec, cfg)?;
         let pushdown = filter_cfg.is_some() && self.join_pushdown(plan, spec)?;
@@ -616,7 +625,7 @@ impl<'a> Planner<'a> {
                             jkey.clone(),
                             spec.inner_join_col,
                             bits / 8,
-                            Some(analytic_join_dpc),
+                            Some(join_dpc),
                         )],
                         cfg.sampling_fraction,
                         cfg.seed ^ 0xB17,
@@ -671,7 +680,7 @@ impl<'a> Planner<'a> {
                         jkey.clone(),
                         FetchObserveWhen::AllFetched,
                         inner_meta.stats.pages,
-                        Some(analytic_join_dpc),
+                        Some(join_dpc),
                         cfg.seed ^ 0x1111,
                     )]
                 } else {
@@ -822,13 +831,12 @@ impl<'a> Planner<'a> {
         meta: &TableMeta,
         pred: &Conjunction,
         cfg: &MonitorConfig,
-        est: &CardinalityEstimator<'_>,
+        estimate: &dyn Fn(&[usize]) -> f64,
         range_atoms: &[usize],
     ) -> Option<ScanMonitorSet> {
         if !cfg.enabled {
             return None;
         }
-        let pages = f64::from(meta.stats.pages);
         let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
         for (i, a) in pred.atoms.iter().enumerate() {
             if matches!(a.op, CompareOp::Ne)
@@ -853,7 +861,7 @@ impl<'a> Planner<'a> {
             exprs.push(ScanExprMonitor::atoms(
                 pred,
                 idx.clone(),
-                Some(cardenas(est.rows_of(pred, &idx), pages)),
+                Some(estimate(&idx)),
             ));
             seen.push(idx);
         };

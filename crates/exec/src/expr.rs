@@ -6,13 +6,13 @@
 //! what makes non-prefix DPC expressions unobservable for free, and what
 //! `DPSample` selectively disables. [`Conjunction::eval_short_circuit`]
 //! evaluates one row and reports how many conjuncts it evaluated. A scan
-//! evaluates whole pages through a [`PageKernel`], one truth stripe per
-//! atom: over the short-circuit prefix of each atom, or over every slot
+//! evaluates whole pages, one truth stripe per atom
+//! ([`AtomicPredicate::eval_page`]): over the short-circuit prefix of each atom, or over every slot
 //! on pages where monitoring turns short-circuiting off, so the executor
 //! can charge the difference to the monitoring overhead (Fig 9).
 
 use pf_common::{Datum, DatumAccess, Error, Result, Schema, SlotId};
-use pf_storage::{ColumnZone, Page, RowLayout};
+use pf_storage::{ColumnZone, Page, PageKeys, RowLayout};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -215,126 +215,33 @@ impl fmt::Display for Conjunction {
     }
 }
 
-/// A comparison literal pre-decoded to the column's fixed-width wire
-/// type.
-#[derive(Debug, Clone, Copy)]
-enum KernelValue {
-    Int(i64),
-    Float(f64),
-    Date(i32),
-}
-
-/// One atom of a [`PageKernel`].
-#[derive(Debug, Clone)]
-enum KernelAtom {
-    /// A column of the row layout's fixed-width prefix: compare the
-    /// field at `offset` bytes into each row payload against `value`.
-    Fixed {
-        /// Column ordinal — also the atom's entry in a page zone.
-        column: usize,
-        offset: usize,
-        op: CompareOp,
-        value: KernelValue,
-        /// `value`'s zone order key ([`pf_storage::order_key`]).
-        key: i64,
-    },
-    /// Any other atom — a `Str` literal, or a column after the first
-    /// `Str` column: evaluated on each active slot's `RowView`.
-    Row(AtomicPredicate),
-}
-
-/// A conjunction compiled for page-at-a-time evaluation: one truth
-/// stripe per atom, one bit per slot.
+/// Page-at-a-time evaluation: one truth stripe per atom, one bit per
+/// slot.
 ///
-/// An atom over the row layout's fixed-width prefix reads its operand
-/// straight out of the page buffer, at a schema-constant offset from
-/// the row start — no `RowView` construction (and no per-row
-/// validation walk) for rows that are only observed, never delivered.
-/// Comparison semantics are exactly those of [`AtomicPredicate::eval`]:
-/// `i64`/`i32` ordering for `Int`/`Date`, IEEE `total_cmp` for `Float`
-/// (matching `DatumRef::cmp_datum`). Any other atom evaluates
-/// [`AtomicPredicate::eval`] on the view of each slot it is asked
-/// about.
+/// Every evaluator writes the same stripe: bit `s` is set iff slot `s`
+/// is active and passes. An atom on an Int, Float or Date column
+/// compares its literal's order key ([`pf_storage::order_key`]) against
+/// the page's slice of the table's key array for that column
+/// ([`PageKeys`]), one integer comparison per slot; order keys compare
+/// exactly as [`AtomicPredicate::eval`] compares values (`Int`/`Date`
+/// as integers, `Float` by `total_cmp`). A `Str` atom, and every atom
+/// on a page without keys (a damaged image), evaluates
+/// [`AtomicPredicate::eval`] on the view of each active slot.
 ///
-/// Before reading rows, [`PageKernel::decide`] tries to settle each
-/// fixed-prefix atom for the whole page from the page's zone (the
-/// min/max of each fixed-prefix column): an atom whose verdict is the
-/// same for every value in the zone's range passes all rows or none,
-/// and [`PageKernel::eval_decided`] writes its stripe without reading a
-/// row.
-#[derive(Debug, Clone)]
-pub struct PageKernel {
-    atoms: Vec<KernelAtom>,
-    span: usize,
-}
-
-impl Conjunction {
-    /// Compiles this conjunction against `layout` for page-at-a-time
-    /// evaluation.
-    pub fn compile_page_kernel(&self, layout: &RowLayout) -> PageKernel {
-        let mut span = 0;
-        let atoms = self
-            .atoms
-            .iter()
-            .map(|a| {
-                let (value, width) = match a.value {
-                    Datum::Int(v) => (KernelValue::Int(v), 8),
-                    Datum::Float(v) => (KernelValue::Float(v), 8),
-                    Datum::Date(v) => (KernelValue::Date(v), 4),
-                    Datum::Str(_) => return KernelAtom::Row(a.clone()),
-                };
-                // `None` for a column after the first Str column.
-                let fixed = layout
-                    .fixed_col(a.column)
-                    .zip(pf_storage::order_key(&a.value));
-                let Some(((offset, _), key)) = fixed else {
-                    return KernelAtom::Row(a.clone());
-                };
-                span = span.max(offset + width);
-                KernelAtom::Fixed {
-                    column: a.column,
-                    offset,
-                    op: a.op,
-                    value,
-                    key,
-                }
-            })
-            .collect();
-        PageKernel { atoms, span }
-    }
-}
-
-impl PageKernel {
-    /// Bytes the kernel's fixed-prefix atoms read from each row's
-    /// payload start — the bound the page must guarantee per slot (see
-    /// `Page::slot_offsets`).
-    pub fn span(&self) -> usize {
-        self.span
-    }
-
-    /// Whether atom `idx` reads the page bytes at the slot offsets
-    /// (a fixed-prefix atom) rather than row views.
-    pub fn reads_bytes(&self, idx: usize) -> bool {
-        matches!(self.atoms[idx], KernelAtom::Fixed { .. })
-    }
-
-    /// Settles atom `idx` for every row of a page from the page's
-    /// `zone`: `Some(true)` when all rows pass, `Some(false)` when none
-    /// does, `None` when the rows' values straddle the verdict, or the
-    /// atom reads row views, and the rows must be read. Zone keys order
-    /// exactly as the kernel compares (integer order for `Int`/`Date`,
-    /// `total_cmp` for `Float`), so a decision always equals what
-    /// [`PageKernel::eval_atom`] finds row by row.
-    pub fn decide(&self, idx: usize, zone: &[ColumnZone]) -> Option<bool> {
-        let KernelAtom::Fixed {
-            column, op, key, ..
-        } = &self.atoms[idx]
-        else {
-            return None;
-        };
-        let z = zone.get(*column)?;
-        let v = *key;
-        let (all, none) = match op {
+/// Before reading keys, a scan tries to settle each atom for the whole
+/// page from the page's zone ([`AtomicPredicate::decide`]): an atom
+/// whose verdict is the same for every value in the zone's range passes
+/// all rows or none, and [`AtomicPredicate::eval_settled`] writes its
+/// stripe without reading a key.
+impl AtomicPredicate {
+    /// Settles the atom for every row whose column's order key lies in
+    /// `zone`: `Some(true)` when all pass, `Some(false)` when none does,
+    /// `None` when the range straddles the verdict or the literal is a
+    /// `Str`. Zone keys order exactly as values compare, so a decision
+    /// always equals what [`AtomicPredicate::eval`] finds row by row.
+    pub fn decide(&self, z: ColumnZone) -> Option<bool> {
+        let v = pf_storage::order_key(&self.value)?;
+        let (all, none) = match self.op {
             CompareOp::Lt => (z.max < v, z.min >= v),
             CompareOp::Le => (z.max <= v, z.min > v),
             CompareOp::Gt => (z.min > v, z.max <= v),
@@ -351,85 +258,61 @@ impl PageKernel {
         }
     }
 
-    /// Writes the stripe [`PageKernel::eval_atom`] produces for an atom
-    /// [`PageKernel::decide`] settled as `pass` for every row, without
-    /// reading a row: `page_mask` (the page's all-slots bitmap) in each
-    /// word where `active` is nonzero, zero elsewhere.
-    pub fn eval_decided(pass: bool, page_mask: &[u64], active: &[u64], out: &mut [u64]) {
-        for ((o, &mask), &a) in out.iter_mut().zip(page_mask).zip(active) {
-            *o = if pass && a != 0 { mask } else { 0 };
+    /// Writes the stripe of an atom [`AtomicPredicate::decide`] settled
+    /// as `pass` for every row, without reading a row: `active & mask`
+    /// (`mask` is the page's all-slots bitmap), or nothing.
+    pub fn eval_settled(pass: bool, mask: &[u64], active: &[u64], out: &mut [u64]) {
+        for ((o, &m), &a) in out.iter_mut().zip(mask).zip(active) {
+            *o = if pass { a & m } else { 0 };
         }
     }
 
-    /// Evaluates atom `idx` over `page`: `offs[s]` is each slot's
-    /// payload offset (needed only when [`PageKernel::reads_bytes`]),
-    /// `active` a bitmap of slots worth evaluating, `out` the result
-    /// bitmap (one bit per slot, same word count as `active`).
-    ///
-    /// Whole words of `active` that are zero are skipped and their `out`
-    /// words left zero — the word-granular analogue of short-circuiting.
-    /// A fixed-prefix atom evaluates every slot of a nonzero word, so
-    /// bits of `out` for inactive slots may be set, and callers must
-    /// mask with the prefix bitmap (AND) before interpreting them; any
-    /// other atom builds a view of the active slots only. Fails with the
-    /// error of the first active slot whose view fails to decode.
-    pub fn eval_atom(
+    /// Evaluates the atom over `page` into `out`: bit `s` is set iff bit
+    /// `s` of `active` is set and slot `s` passes (same word count as
+    /// `active`). `keys` is the page's share of the key arrays, `None`
+    /// for a damaged image. Whole words of `active` that are zero are
+    /// skipped — the word-granular analogue of short-circuiting. Fails
+    /// with the error of the first active slot whose view fails to
+    /// decode.
+    pub fn eval_page(
         &self,
-        idx: usize,
         page: &Page,
         layout: &RowLayout,
-        offs: &[u32],
+        keys: Option<&PageKeys<'_>>,
         active: &[u64],
         out: &mut [u64],
     ) -> Result<()> {
-        let (offset, op, value) = match &self.atoms[idx] {
-            KernelAtom::Fixed {
-                offset, op, value, ..
-            } => (*offset, *op, *value),
-            KernelAtom::Row(atom) => return eval_views(atom, page, layout, active, out),
+        let lit = pf_storage::order_key(&self.value);
+        let Some((lit, keys)) = lit.zip(keys.and_then(|k| k.keys(self.column))) else {
+            return eval_views(self, page, layout, active, out);
         };
-        let bytes = page.bytes();
-        match value {
-            KernelValue::Int(lit) => eval_fixed::<8>(bytes, offs, offset, active, out, |raw| {
-                op.matches(i64::from_le_bytes(raw).cmp(&lit))
-            }),
-            KernelValue::Float(lit) => eval_fixed::<8>(bytes, offs, offset, active, out, |raw| {
-                op.matches(f64::from_bits(u64::from_le_bytes(raw)).total_cmp(&lit))
-            }),
-            KernelValue::Date(lit) => eval_fixed::<4>(bytes, offs, offset, active, out, |raw| {
-                op.matches(i32::from_le_bytes(raw).cmp(&lit))
-            }),
+        match self.op {
+            CompareOp::Eq => eval_keys(keys, active, out, |k| k == lit),
+            CompareOp::Lt => eval_keys(keys, active, out, |k| k < lit),
+            CompareOp::Le => eval_keys(keys, active, out, |k| k <= lit),
+            CompareOp::Gt => eval_keys(keys, active, out, |k| k > lit),
+            CompareOp::Ge => eval_keys(keys, active, out, |k| k >= lit),
+            CompareOp::Ne => eval_keys(keys, active, out, |k| k != lit),
         }
         Ok(())
     }
 }
 
-/// Shared fixed-width comparison loop: reads `W` bytes at `col_off` into
-/// each active slot's payload and ORs `pred`'s verdicts into `out`.
+/// Compares 64 keys at a time: bit `s` of `out` is set iff bit `s` of
+/// `active` is set and `pass(keys[s])`. Each word is a branch-free
+/// loop over a contiguous slice, which the compiler vectorises.
 #[inline]
-fn eval_fixed<const W: usize>(
-    bytes: &[u8],
-    offs: &[u32],
-    col_off: usize,
-    active: &[u64],
-    out: &mut [u64],
-    pred: impl Fn([u8; W]) -> bool,
-) {
-    for (w, out_word) in out.iter_mut().enumerate() {
-        if active[w] == 0 {
-            continue;
-        }
-        let base = w * 64;
-        let end = (base + 64).min(offs.len());
-        let mut word = 0u64;
-        for (bit, &off) in offs[base..end].iter().enumerate() {
-            let start = off as usize + col_off;
-            let raw: [u8; W] = bytes[start..start + W]
-                .try_into()
-                .expect("slot_offsets bounds-checked the kernel span");
-            word |= u64::from(pred(raw)) << bit;
-        }
-        *out_word = word;
+fn eval_keys(keys: &[i64], active: &[u64], out: &mut [u64], pass: impl Fn(i64) -> bool) {
+    for ((o, &a), chunk) in out.iter_mut().zip(active).zip(keys.chunks(64)) {
+        *o = if a == 0 {
+            0
+        } else {
+            let word = chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (bit, &k)| w | (u64::from(pass(k)) << bit));
+            a & word
+        };
     }
 }
 
@@ -573,11 +456,13 @@ mod tests {
         }
     }
 
-    /// Zone decision soundness: over random pages of Int, Float and
-    /// Date values (extremes, NaN of both signs, ±0.0, ±∞, single-valued
-    /// pages) and every operator, whenever the zone settles an atom every
-    /// row evaluates to that verdict, and the settled stripe equals the
-    /// one the row-reading kernel writes.
+    /// The stripe contract: over random pages of Int, Float and Date
+    /// values (extremes, NaN of both signs, ±0.0, ±∞, single-valued
+    /// pages), every operator and random active masks, the key-array
+    /// stripe, the row-view stripe and — where the zone settles the atom
+    /// — the settled stripe are equal bit for bit, each setting exactly
+    /// the active slots that pass; a settled verdict holds for every
+    /// row. The page's last Int column follows a Str column.
     #[test]
     fn zone_decisions_agree_with_every_row() {
         let schema = Schema::new(vec![
@@ -585,8 +470,9 @@ mod tests {
             Column::new("f", DataType::Float),
             Column::new("d", DataType::Date),
             Column::new("pad", DataType::Str),
+            Column::new("after", DataType::Int),
         ]);
-        let layout = pf_storage::RowLayout::new(&schema);
+        let names = ["i", "f", "d", "pad", "after"];
         let ops = [
             CompareOp::Eq,
             CompareOp::Lt,
@@ -600,40 +486,66 @@ mod tests {
         for _ in 0..400 {
             let n = 1 + rng.gen_range(150) as usize;
             let single = rng.bernoulli(0.2);
-            let first: Vec<Datum> = (0..3).map(|ty| random_value(&mut rng, ty)).collect();
+            let values = |rng: &mut pf_common::rng::Rng| {
+                let mut v: Vec<Datum> = (0..3).map(|ty| random_value(rng, ty)).collect();
+                v.push(Datum::Str(String::new()));
+                v.push(random_value(rng, 0));
+                v
+            };
+            let first = values(&mut rng);
             let rows: Vec<Row> = (0..n)
                 .map(|_| {
-                    let mut values: Vec<Datum> = if single {
+                    Row::new(if single {
                         first.clone()
                     } else {
-                        (0..3).map(|ty| random_value(&mut rng, ty)).collect()
-                    };
-                    values.push(Datum::Str(String::new()));
-                    Row::new(values)
+                        values(&mut rng)
+                    })
                 })
                 .collect();
-            let mut page = pf_storage::Page::new(pf_storage::DEFAULT_PAGE_SIZE);
-            for row in &rows {
-                page.insert(&schema, row).expect("row fits");
-            }
-            page.seal();
-            let zone = page.zone().expect("fresh page has a zone");
-            let mut offs = Vec::new();
+            let table = pf_storage::TableStorage::load_default(schema.clone(), &rows, None)
+                .expect("rows fit");
+            assert_eq!(table.page_count(), 1, "one page");
+            let pid = pf_common::PageId(0);
+            let page = table.page(pid).unwrap();
+            let keys = table.page_keys(pid).unwrap();
             let words = n.div_ceil(64);
             let mut mask = vec![0u64; words];
             pf_feedback::bitmap::fill_ones(&mut mask, n);
-            for (col, name) in ["i", "f", "d"].into_iter().enumerate() {
+            for col in [0, 1, 2, 4] {
+                let zone = keys.zone(col).expect("fixed-width column");
                 for op in ops {
                     // Literals: one of the page's values, a special value
                     // or a random one.
                     let value = match rng.gen_range(3) {
                         0 => rows[rng.gen_range(n as u64) as usize].get(col).clone(),
-                        _ => random_value(&mut rng, col),
+                        _ => random_value(&mut rng, col % 4),
                     };
-                    let atom = AtomicPredicate::new(&schema, name, op, value).unwrap();
-                    let kernel = Conjunction::new(vec![atom.clone()]).compile_page_kernel(&layout);
-                    assert!(kernel.reads_bytes(0), "{atom} reads the fixed prefix");
-                    let Some(pass) = kernel.decide(0, zone) else {
+                    let atom = AtomicPredicate::new(&schema, names[col], op, value).unwrap();
+                    // Active words: every slot, none, or a random subset.
+                    let active: Vec<u64> = (0..words)
+                        .map(|w| match rng.gen_range(4) {
+                            0 => mask[w],
+                            1 => 0,
+                            _ => mask[w] & rng.next_u64(),
+                        })
+                        .collect();
+                    let want: Vec<u64> = (0..words)
+                        .map(|w| {
+                            (0..64.min(n - w * 64)).fold(0, |acc, b| {
+                                let pass = atom.eval(&rows[w * 64 + b]);
+                                acc | (u64::from(pass) << b)
+                            }) & active[w]
+                        })
+                        .collect();
+                    let (mut by_keys, mut by_views) = (vec![!0; words], vec![!0; words]);
+                    let layout = table.layout();
+                    atom.eval_page(page, layout, Some(&keys), &active, &mut by_keys)
+                        .unwrap();
+                    atom.eval_page(page, layout, None, &active, &mut by_views)
+                        .unwrap();
+                    assert_eq!(by_keys, want, "{atom}: key-array stripe");
+                    assert_eq!(by_views, want, "{atom}: row-view stripe");
+                    let Some(pass) = atom.decide(zone) else {
                         outcomes[2] += 1;
                         continue;
                     };
@@ -641,16 +553,9 @@ mod tests {
                     for row in &rows {
                         assert_eq!(atom.eval(row), pass, "{atom} on {row:?}, zone {zone:?}");
                     }
-                    let active: Vec<u64> = (0..words)
-                        .map(|w| if rng.bernoulli(0.3) { 0 } else { mask[w] })
-                        .collect();
-                    let (mut read, mut decided) = (vec![0; words], vec![0; words]);
-                    assert!(page.slot_offsets(kernel.span(), &mut offs));
-                    kernel
-                        .eval_atom(0, &page, &layout, &offs, &active, &mut read)
-                        .unwrap();
-                    PageKernel::eval_decided(pass, &mask, &active, &mut decided);
-                    assert_eq!(decided, read, "{atom}: settled stripe");
+                    let mut settled = vec![!0; words];
+                    AtomicPredicate::eval_settled(pass, &mask, &active, &mut settled);
+                    assert_eq!(settled, want, "{atom}: settled stripe");
                 }
             }
         }

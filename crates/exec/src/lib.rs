@@ -46,7 +46,7 @@ pub mod op;
 pub mod scan;
 
 pub use context::ExecContext;
-pub use expr::{AtomicPredicate, CompareOp, Conjunction, PageKernel};
+pub use expr::{AtomicPredicate, CompareOp, Conjunction};
 pub use join::JoinOuter;
 pub use join_table::{join_partitions, RadixTable};
 pub use monitor::{FetchMonitor, FetchObserveWhen, ScanExprMonitor, ScanMonitorSet, ShedClass};

@@ -7,7 +7,7 @@
 //! exact counting for prefix expressions plus `DPSample` for the rest.
 
 use crate::context::ExecContext;
-use crate::expr::{Conjunction, PageKernel};
+use crate::expr::{AtomicPredicate, Conjunction};
 use crate::monitor::{MonitorMut, ScanMonitorSet};
 use crate::op::Operator;
 use pf_common::{Datum, PageId, Result, SlotId, TableId};
@@ -37,13 +37,6 @@ pub struct SeqScan {
     atom_bits: Vec<u64>,
     /// Reusable all-slots mask of the current page (first `n_rows` bits).
     page_mask: Vec<u64>,
-    /// Reusable slot-directory offsets of the current page.
-    slot_offs: Vec<u32>,
-    /// Reusable per-atom verdicts the current page's zone settles
-    /// (`None`: the atom reads the page's rows).
-    verdicts: Vec<Option<bool>>,
-    /// The predicate compiled for page-at-a-time evaluation.
-    kernel: PageKernel,
     /// Semi-join pre-filter pushed down from a hash join: once the
     /// build side completes, its merged [`BitVectorFilter`] is evaluated
     /// in the page pass (after monitors observe the full page) and rows
@@ -66,7 +59,6 @@ impl SeqScan {
         page_range: (u32, u32),
         first_random: bool,
     ) -> Self {
-        let kernel = predicate.compile_page_kernel(storage.layout());
         SeqScan {
             next_page: page_range.0,
             storage,
@@ -78,9 +70,6 @@ impl SeqScan {
             qualifying: Vec::new(),
             atom_bits: Vec::new(),
             page_mask: Vec::new(),
-            slot_offs: Vec::new(),
-            verdicts: Vec::new(),
-            kernel,
             prefilter: None,
         }
     }
@@ -188,7 +177,7 @@ impl SeqScan {
         // (and let the fault plan interpose). A corrupt page is skipped
         // and recorded rather than failing the query; monitors are told
         // so every harvested estimate is marked degraded.
-        let page = match self.storage.checked_page(pid, ctx.fault_attempt, !hit) {
+        let (page, keys) = match self.storage.checked_page_keys(pid, ctx.fault_attempt, !hit) {
             Ok(p) => p,
             Err(pf_common::Error::ChecksumMismatch { .. }) => {
                 ctx.pool.skip_corrupt(self.table_id, pid);
@@ -213,28 +202,12 @@ impl SeqScan {
         // Evaluate the whole page into one truth stripe per atom — no row
         // is decoded into owned values here. An atom the page's zone
         // settles (every row passes, or none does) writes its stripe
-        // without touching a row; a fixed-prefix atom reads its operand
-        // straight out of the page buffer, with no `RowView`
-        // construction (and no per-row validation walk) for rows that
-        // are only observed, never delivered; any other atom reads the
-        // views of the slots it is asked about.
-        let kernel = &self.kernel;
+        // without reading a key; an Int, Float or Date atom compares the
+        // page's slice of the table's key array; a Str atom reads the
+        // views of the slots it is asked about. A damaged image has no
+        // keys: every atom reads its views.
         let natoms = self.predicate.len();
         let words = n_rows.div_ceil(64);
-        // A damaged image has no zone: every atom reads its rows.
-        let zone = page.zone().unwrap_or_default();
-        self.verdicts.clear();
-        self.verdicts
-            .extend((0..natoms).map(|i| kernel.decide(i, zone)));
-        let reads_bytes = (0..natoms).any(|i| self.verdicts[i].is_none() && kernel.reads_bytes(i));
-        if reads_bytes && !page.slot_offsets(kernel.span(), &mut self.slot_offs) {
-            // A slot whose fixed prefix runs past the page end fails to
-            // decode too: report the first slot that does.
-            let first_bad = page.cursor(layout).find_map(Result::err);
-            return Err(first_bad.unwrap_or_else(|| {
-                pf_common::Error::Internal("slot directory failed its bounds check".into())
-            }));
-        }
         self.page_mask.clear();
         self.page_mask.resize(words, 0);
         bitmap::fill_ones(&mut self.page_mask, n_rows);
@@ -258,9 +231,11 @@ impl SeqScan {
                 &self.qualifying
             };
             let out = &mut self.atom_bits[stripe.clone()];
-            match self.verdicts[i] {
-                Some(pass) => PageKernel::eval_decided(pass, &self.page_mask, active, out),
-                None => kernel.eval_atom(i, page, layout, &self.slot_offs, active, out)?,
+            let atom = &self.predicate.atoms[i];
+            let zone = keys.as_ref().and_then(|k| k.zone(atom.column));
+            match zone.and_then(|z| atom.decide(z)) {
+                Some(pass) => AtomicPredicate::eval_settled(pass, &self.page_mask, active, out),
+                None => atom.eval_page(page, layout, keys.as_ref(), active, out)?,
             }
             bitmap::and_into(&mut self.qualifying, &self.atom_bits[stripe]);
         }
@@ -738,10 +713,10 @@ mod tests {
         for atoms in conjunctions {
             let pred = Conjunction::new(atoms);
             let n = pred.len();
-            let kernel = pred.compile_page_kernel(t.layout());
             for p in 0..t.page_count() {
-                let zone = t.page(PageId(p)).unwrap().zone().expect("pristine");
-                let k = (0..n).filter(|&i| kernel.decide(i, zone).is_some()).count();
+                let keys = t.page_keys(PageId(p)).unwrap();
+                let settles = |a: &AtomicPredicate| keys.zone(a.column).and_then(|z| a.decide(z));
+                let k = pred.atoms.iter().filter(|a| settles(a).is_some()).count();
                 settled[usize::from(k > 0) + usize::from(k == n)] += 1;
             }
             let mut monitor_sets = vec![Vec::new(), vec![vec![0], (0..n).collect()]];

@@ -42,7 +42,9 @@ pub struct DpcMeasurement {
     pub table: String,
     /// Canonical text of the predicate expression `p` of `DPC(T, p)`.
     pub expression: String,
-    /// The optimizer's analytical estimate (if one was computed).
+    /// The DPC the optimizer priced the plan with (if one was
+    /// computed): an injected hint, else a zone estimate when those are
+    /// on, else the analytical (Cardenas) one.
     pub estimated: Option<f64>,
     /// The value observed from execution feedback.
     pub actual: f64,

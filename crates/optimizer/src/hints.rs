@@ -75,8 +75,9 @@ pub struct DpcHint {
     pub value: f64,
     /// The raw measured DPC at harvest time.
     pub measured: f64,
-    /// The optimizer's analytical estimate at harvest time, if known —
-    /// the value a discounted hint widens back toward.
+    /// The estimate the harvesting plan was priced with, if known
+    /// ([`pf_feedback::DpcMeasurement::estimated`]) — the value a
+    /// discounted hint widens back toward.
     pub estimated: Option<f64>,
     /// The table's modification state at harvest time. `None` means
     /// the hint is unstamped (hand-injected) and never goes stale.
@@ -94,7 +95,7 @@ pub enum StalenessDecision {
     /// Same epoch: the measurement is exact, use it as-is.
     Fresh,
     /// Some drift, within tolerance: blend the measured value toward
-    /// the analytical estimate by the given weight in (0, 1].
+    /// the harvest-time estimate by the given weight in (0, 1].
     Discounted(f64),
     /// Too much drift: drop the measurement and fall back to the
     /// analytical model.
@@ -244,7 +245,7 @@ impl HintSet {
 
     /// Ages every stamped DPC hint against the tables' current
     /// modification state: fresh hints stay, drifted hints are blended
-    /// toward the analytical estimate, dead hints are evicted. Returns
+    /// toward their harvest-time estimate, dead hints are evicted. Returns
     /// the number of evicted hints. Hints whose table has no entry in
     /// `states` (or that are unstamped) are left untouched.
     pub fn apply_staleness(&mut self, states: &HashMap<String, TableEpochState>) -> usize {
@@ -259,7 +260,7 @@ impl HintSet {
                     true
                 }
                 StalenessDecision::Discounted(w) => {
-                    // Widen toward the analytical estimate; with no
+                    // Widen toward the harvest-time estimate; with no
                     // estimate recorded, widen toward the table's page
                     // count (the conservative DPC upper bound).
                     let target = hint.estimated.unwrap_or(f64::from(state.pages));

@@ -22,7 +22,7 @@ use crate::dpc_model::cardenas;
 use crate::hints::{join_dpc_key, HintSet};
 use crate::plan::{AccessPath, DpcSource, JoinMethod, JoinPlan, JoinSpec, SingleTablePlan};
 use crate::stats::DbStats;
-use pf_common::{Error, PageId, Result, TableId};
+use pf_common::{Error, Result, TableId};
 use pf_exec::{CompareOp, Conjunction};
 use pf_storage::{Catalog, TableMeta, TableStorage};
 
@@ -283,7 +283,7 @@ impl<'a> Optimizer<'a> {
                 &inner_meta.schema().column(spec.inner_join_col).name,
                 spec.outer_pred.key(),
             );
-            let (dpc, src) = self.dpc_or_analytic(&inner_meta.name, &jkey, matched, inner_pages);
+            let (dpc, src) = self.join_dpc(&inner_meta.name, &jkey, matched, inner_pages);
             plans.push(JoinPlan {
                 method: JoinMethod::IndexNestedLoops,
                 outer_plan: outer_plan.clone(),
@@ -311,17 +311,23 @@ impl<'a> Optimizer<'a> {
             .ok_or_else(|| Error::NoPlanFound("no join candidates".into()))
     }
 
-    fn dpc_or_analytic(&self, table: &str, key: &str, n: f64, pages: f64) -> (f64, DpcSource) {
+    /// The DPC of a join expression `key` on `table` matching `n` rows
+    /// over `pages` pages: an injected hint, else Cardenas. The
+    /// estimate the optimizer prices an INL join with, and the one the
+    /// join's monitors report against.
+    pub fn join_dpc(&self, table: &str, key: &str, n: f64, pages: f64) -> (f64, DpcSource) {
         match self.hints.dpc(table, key) {
             Some(v) => (v, DpcSource::Injected),
             None => (cardenas(n, pages), DpcSource::Analytical),
         }
     }
 
-    /// The DPC of fetching the `n` rows that match `atoms` of `pred`: an
-    /// injected hint, else — with zone estimates on — Cardenas capped by
-    /// the zone bound, else Cardenas.
-    fn selection_dpc(
+    /// The DPC of fetching the `n` rows that match `atoms` of `pred`
+    /// from a table of `pages` pages: an injected hint, else — with zone
+    /// estimates on — Cardenas capped by the zone bound, else Cardenas.
+    /// The estimate the optimizer prices index plans with, and the one
+    /// a plan's monitors report against.
+    pub fn selection_dpc(
         &self,
         meta: &TableMeta,
         pred: &Conjunction,
@@ -329,7 +335,7 @@ impl<'a> Optimizer<'a> {
         n: f64,
         pages: f64,
     ) -> (f64, DpcSource) {
-        match self.dpc_or_analytic(&meta.name, &pred.key_of(atoms), n, pages) {
+        match self.join_dpc(&meta.name, &pred.key_of(atoms), n, pages) {
             (analytic, DpcSource::Analytical) if self.zone_estimates => {
                 let bound = zone_dpc_bound(&meta.storage, pred, atoms) as f64;
                 (bound.min(analytic), DpcSource::Zones)
@@ -341,17 +347,24 @@ impl<'a> Optimizer<'a> {
 
 /// The pages of `storage` whose zone settles no atom of `atoms` (indices
 /// into `pred`) false: the pages a scan of those atoms cannot skip, by
-/// the same [`pf_exec::PageKernel::decide`] call the scan makes. An upper
-/// bound on their DPC, exact for one one-sided fixed-width atom; a `Str`
-/// atom settles nothing, so it gives every page. Reads the pristine
-/// pages, so a fault plan never moves it.
+/// the same [`pf_exec::AtomicPredicate::decide`] call the scan makes on
+/// the table's zone arrays. An upper bound on their DPC, exact for one
+/// one-sided Int, Float or Date atom; a `Str` atom settles nothing, so
+/// it gives every page. Reads the pristine zones, so a fault plan never
+/// moves it.
 pub fn zone_dpc_bound(storage: &TableStorage, pred: &Conjunction, atoms: &[usize]) -> u64 {
-    let kernel = pred.compile_page_kernel(storage.layout());
-    (0..storage.page_count())
-        .filter_map(|p| storage.page(PageId(p)).ok())
-        .filter(|page| {
-            let zone = page.zone().unwrap_or_default();
-            atoms.iter().all(|&i| kernel.decide(i, zone) != Some(false))
+    let zoned: Vec<_> = atoms
+        .iter()
+        .filter_map(|&i| {
+            let atom = &pred.atoms[i];
+            Some((atom, storage.zones(atom.column)?))
+        })
+        .collect();
+    (0..storage.page_count() as usize)
+        .filter(|&p| {
+            zoned
+                .iter()
+                .all(|(atom, zones)| atom.decide(zones[p]) != Some(false))
         })
         .count() as u64
 }

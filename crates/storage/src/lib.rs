@@ -5,13 +5,13 @@
 //! hook into, so this crate builds that substrate from scratch:
 //!
 //! * [`codec`] — binary row serialization (schema-directed, no per-value tags),
-//! * [`page`] — slotted 8 KB pages with a slot directory and a per-page
-//!   min/max zone of each fixed-width column,
+//! * [`page`] — slotted 8 KB pages with a slot directory,
 //! * [`view`] — zero-copy row views: a schema-compiled [`RowLayout`]
 //!   plus borrowed [`RowView`]s and [`PageCursor`]s, so the executor's
 //!   scan hot path decodes without allocating,
 //! * [`table`] — table storage, bulk-loaded and then changed in place by
-//!   DML that reports the RIDs it moved; a table is either a heap
+//!   DML that reports the RIDs it moved, with one order-key array and
+//!   per-page min/max zones per fixed-width column; a table is either a heap
 //!   (load order) or a *clustered index* (rows ordered by the clustering
 //!   key, with a sparse page-level key index for seeks),
 //! * [`btree`] — a from-scratch B+-tree used for nonclustered indexes
@@ -47,5 +47,5 @@ pub use catalog::{Catalog, ColumnValues, IndexMeta, TableBuilder, TableMeta, Tab
 pub use disk::DiskModel;
 pub use fault::{ErrorFault, FaultKind, FaultPlan};
 pub use page::{crc32, order_key, ColumnZone, Page, DEFAULT_PAGE_SIZE};
-pub use table::{EpochState, TableStorage};
+pub use table::{EpochState, PageKeys, TableStorage};
 pub use view::{PageCursor, RowLayout, RowView};

@@ -6,11 +6,9 @@
 //! experiments, works over bulk-loaded read-mostly tables), which keeps
 //! the layout free of tombstones and compaction.
 //!
-//! Beside its bytes a page keeps a *zone*: the smallest and largest
-//! value of each fixed-prefix column over its rows (see [`ColumnZone`]),
-//! kept by [`Page::insert`] as rows arrive and dropped by every mutator
-//! that changes bytes behind the rows' backs, so a scan can settle a
-//! comparison for the whole page without reading a row.
+//! A page holds bytes only. The order keys a scan compares and each
+//! page's zone (see [`ColumnZone`]) live in the table, one array per
+//! column ([`crate::table`]).
 //!
 //! ```text
 //! +--------------------------------------------------------------+
@@ -98,8 +96,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(!0u32, bytes)
 }
 
-/// The smallest and largest [order key](order_key) of one fixed-prefix
-/// column over the rows of a page.
+/// The smallest and largest [order key](order_key) of one Int, Float
+/// or Date column over the rows of a page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnZone {
     /// Smallest order key on the page.
@@ -135,12 +133,6 @@ pub struct Page {
     data: Box<[u8]>,
     slot_count: u16,
     free_start: usize,
-    /// One [`ColumnZone`] per fixed-prefix column, in column order,
-    /// over the rows inserted so far (empty before the first row).
-    /// `None` once a byte-level mutator ran: the zone can no longer be
-    /// trusted to describe the bytes, and it stays unknown for the life
-    /// of the image.
-    zone: Option<Box<[ColumnZone]>>,
     /// Memoized "body matches the sealed checksum" verdict. Sealed pages
     /// are immutable, so a successful verification stays valid for the
     /// life of the image; only successes are cached, so a damaged page
@@ -155,7 +147,6 @@ impl Clone for Page {
             data: self.data.clone(),
             slot_count: self.slot_count,
             free_start: self.free_start,
-            zone: self.zone.clone(),
             verified: AtomicBool::new(self.verified.load(Ordering::Relaxed)),
         }
     }
@@ -176,7 +167,6 @@ impl Page {
             data: vec![0u8; page_size].into_boxed_slice(),
             slot_count: 0,
             free_start: HEADER_SIZE,
-            zone: Some(Box::default()),
             verified: AtomicBool::new(false),
         }
     }
@@ -203,7 +193,6 @@ impl Page {
     }
 
     /// Appends a row; returns its slot, or an error if it does not fit.
-    /// The row's fixed-prefix values widen the page's zone.
     pub fn insert(&mut self, schema: &Schema, row: &Row) -> Result<SlotId> {
         self.verified.store(false, Ordering::Relaxed);
         let payload = codec::encoded_size(row);
@@ -223,29 +212,7 @@ impl Page {
         let dir_pos = self.data.len() - SLOT_SIZE * (slot as usize + 1);
         self.data[dir_pos..dir_pos + SLOT_SIZE].copy_from_slice(&(offset as u16).to_le_bytes());
         self.slot_count += 1;
-        let keys = row.values.iter().map_while(order_key);
-        match &mut self.zone {
-            Some(zone) if slot == 0 => {
-                *zone = keys.map(|k| ColumnZone { min: k, max: k }).collect()
-            }
-            Some(zone) => {
-                for (z, k) in zone.iter_mut().zip(keys) {
-                    z.min = z.min.min(k);
-                    z.max = z.max.max(k);
-                }
-            }
-            None => {}
-        }
         Ok(SlotId(slot))
-    }
-
-    /// The page's zone: one [`ColumnZone`] per column of the row
-    /// layout's fixed-width prefix, in column order, covering every row
-    /// on the page. `None` when a byte-level mutator
-    /// ([`Page::flip_bit`], fault injection) has touched the image since
-    /// its rows were inserted — the rows must then be read.
-    pub fn zone(&self) -> Option<&[ColumnZone]> {
-        self.zone.as_deref()
     }
 
     /// Decodes the row in `slot` (owned path; see [`crate::view`] for the
@@ -271,32 +238,9 @@ impl Page {
     }
 
     /// Read-only view of the raw page image (header, row payloads, free
-    /// space, slot directory). Predicate kernels pair this with
-    /// [`Page::slot_offsets`] to read fixed-prefix fields in place,
-    /// without constructing a [`crate::view::RowView`] per row.
+    /// space, slot directory).
     pub fn bytes(&self) -> &[u8] {
         &self.data
-    }
-
-    /// Collects every slot's payload byte offset into `offs` (cleared
-    /// first), in slot order. `span` is the number of bytes the caller
-    /// will read from each offset (the kernel's fixed-prefix span):
-    /// returns `false` — leaving `offs` in an unspecified state — if any
-    /// slot's payload would run past the end of the page (such a slot
-    /// fails to decode as a row view too).
-    pub fn slot_offsets(&self, span: usize, offs: &mut Vec<u32>) -> bool {
-        offs.clear();
-        offs.reserve(self.slot_count as usize);
-        let len = self.data.len();
-        for slot in 0..self.slot_count as usize {
-            let dir_pos = len - SLOT_SIZE * (slot + 1);
-            let off = u16::from_le_bytes([self.data[dir_pos], self.data[dir_pos + 1]]) as usize;
-            if off.saturating_add(span) > len {
-                return false;
-            }
-            offs.push(off as u32);
-        }
-        true
     }
 
     /// Decodes every row on the page, in slot order.
@@ -315,8 +259,7 @@ impl Page {
     }
 
     /// Writes the page checksum into the reserved header bytes. Called
-    /// once per page at the end of bulk load and of every DML rewrite; a
-    /// sealed page is immutable, so its zone is final too.
+    /// once per page at the end of bulk load and of every DML rewrite.
     pub fn seal(&mut self) {
         self.verified.store(false, Ordering::Relaxed);
         let c = self.compute_checksum();
@@ -353,7 +296,6 @@ impl Page {
     /// media bit rot; regular workloads never mutate a sealed page.
     pub fn flip_bit(&mut self, bit: u64) {
         self.verified.store(false, Ordering::Relaxed);
-        self.zone = None;
         let nbits = self.data.len() as u64 * 8;
         let pos = (bit % nbits) as usize;
         self.data[pos / 8] ^= 1 << (pos % 8);
@@ -364,7 +306,6 @@ impl Page {
     /// checked read path must discover the damage itself.
     pub(crate) fn inject_fault(&mut self, kind: FaultKind, entropy: u64) {
         self.verified.store(false, Ordering::Relaxed);
-        self.zone = None;
         let len = self.data.len();
         match kind {
             FaultKind::BitFlip => {
@@ -538,94 +479,6 @@ mod tests {
                     "{a} vs {b}"
                 );
             }
-        }
-    }
-
-    fn zoned_schema() -> Schema {
-        Schema::new(vec![
-            Column::new("i", DataType::Int),
-            Column::new("f", DataType::Float),
-            Column::new("d", DataType::Date),
-            Column::new("s", DataType::Str),
-            Column::new("after", DataType::Int),
-        ])
-    }
-
-    fn zoned_row(i: i64, f: f64, d: i32) -> Row {
-        Row::new(vec![
-            Datum::Int(i),
-            Datum::Float(f),
-            Datum::Date(d),
-            Datum::Str("s".into()),
-            Datum::Int(i.wrapping_neg()),
-        ])
-    }
-
-    /// The zone covers exactly the fixed prefix (not the Int after the
-    /// Str) and equals the brute-force min/max after every insert,
-    /// including one after seal.
-    #[test]
-    fn zone_tracks_inserted_rows() {
-        let s = zoned_schema();
-        let mut p = Page::new(DEFAULT_PAGE_SIZE);
-        assert_eq!(p.zone(), Some(&[][..]), "no rows, empty zone");
-        let rows: Vec<Row> = (0..FLOAT_ORDER.len())
-            .map(|k| {
-                let i = [i64::MAX, 0, i64::MIN, 7, -7, 1, 2, 3, 4][k];
-                let d = [0, i32::MIN, 5, i32::MAX, -1, 9, 9, 9, 9][k];
-                zoned_row(i, FLOAT_ORDER[(k * 4) % FLOAT_ORDER.len()], d)
-            })
-            .collect();
-        for (n, row) in rows.iter().enumerate() {
-            if n == rows.len() - 1 {
-                p.seal();
-            }
-            p.insert(&s, row).expect("row fits");
-            let seen = &rows[..=n];
-            let zone = p.zone().expect("no mutator ran");
-            assert_eq!(zone.len(), 3, "fixed prefix only");
-            for (col, z) in zone.iter().enumerate() {
-                let keys = seen.iter().map(|r| order_key(r.get(col)).expect("fixed"));
-                let want = ColumnZone {
-                    min: keys.clone().min().expect("rows"),
-                    max: keys.max().expect("rows"),
-                };
-                assert_eq!(*z, want, "column {col} after {} rows", n + 1);
-            }
-        }
-    }
-
-    /// A byte-level mutator leaves no zone behind, and later inserts do
-    /// not revive one from partial knowledge; a clone keeps the zone.
-    #[test]
-    fn byte_mutators_drop_the_zone() {
-        let s = zoned_schema();
-        let mut p = Page::new(DEFAULT_PAGE_SIZE);
-        for i in 0..6 {
-            p.insert(&s, &zoned_row(i, i as f64, i as i32))
-                .expect("row fits");
-        }
-        p.seal();
-        assert_eq!(p.clone().zone(), p.zone());
-        let mut flipped = p.clone();
-        // Flipping the same bit twice restores the bytes, not the zone.
-        flipped.flip_bit(999);
-        flipped.flip_bit(999);
-        assert_eq!(flipped.bytes(), p.bytes());
-        assert_eq!(flipped.zone(), None);
-        flipped
-            .insert(&s, &zoned_row(100, 1.0, 1))
-            .expect("row fits");
-        assert_eq!(flipped.zone(), None, "an insert cannot vouch for old rows");
-        for kind in [
-            FaultKind::BitFlip,
-            FaultKind::TruncatedPage,
-            FaultKind::TornSlotDirectory,
-            FaultKind::ReadStall,
-        ] {
-            let mut damaged = p.clone();
-            damaged.inject_fault(kind, 0xABCD_EF01_2345_6789);
-            assert_eq!(damaged.zone(), None, "{kind}");
         }
     }
 

@@ -11,12 +11,25 @@
 //! For clustered tables we keep a sparse key index (first key of each
 //! page), the leaf level of a clustered B+-tree, enabling range seeks
 //! without scanning.
+//!
+//! Beside the pages, a table keeps the engine's one column-major
+//! structure: for every Int, Float and Date column, one contiguous
+//! array of the rows' [order keys](crate::page::order_key) in physical
+//! row order, and each page's zone (the min and max of those keys over
+//! its rows, [`ColumnZone`]); `row_starts` says where each page's rows
+//! begin. A scan compares a page's slice of the array instead of
+//! reading fields out of the page bytes ([`PageKeys`]), and settles an
+//! atom for the whole page from the zone. DML splices the arrays over
+//! the rewritten pages' rows, one tail move per array per statement.
+//! The arrays describe the pristine pages: the scan's path gives no
+//! keys for a page the fault plan damaged.
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::page::{Page, DEFAULT_PAGE_SIZE};
+use crate::page::{order_key, ColumnZone, Page, DEFAULT_PAGE_SIZE};
 use crate::view::{PageCursor, RowLayout, RowView};
-use pf_common::{Datum, Error, PageId, Result, Rid, Row, Schema, SlotId, TableId};
+use pf_common::{DataType, Datum, Error, PageId, Result, Rid, Row, Schema, SlotId, TableId};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Table storage: bulk-loaded, then changed in place one DML statement
 /// at a time ([`TableStorage::insert_row`], [`TableStorage::delete_where`]).
@@ -54,6 +67,84 @@ pub struct TableStorage {
     /// staleness policy compares a measurement's stamp against this to
     /// estimate what fraction of the table drifted underneath it.
     dirty_pages: u64,
+    /// One entry per column, in column order: the key array and zones
+    /// of an Int, Float or Date column, `None` for a Str column.
+    key_columns: Vec<Option<KeyColumn>>,
+    /// Index of each page's first row in the key arrays, then the row
+    /// count (`pages + 1` entries).
+    row_starts: Vec<usize>,
+}
+
+/// The order keys of one Int, Float or Date column.
+#[derive(Debug)]
+struct KeyColumn {
+    /// Every row's order key, in physical row order.
+    keys: Vec<i64>,
+    /// The min and max of `keys` over each page's rows, in page order.
+    zones: Vec<ColumnZone>,
+}
+
+/// One page's share of its table's key arrays: for each Int, Float or
+/// Date column, the page's rows' order keys in slot order and its zone.
+#[derive(Debug, Clone, Copy)]
+pub struct PageKeys<'a> {
+    columns: &'a [Option<KeyColumn>],
+    page: usize,
+    first_row: usize,
+    end_row: usize,
+}
+
+impl<'a> PageKeys<'a> {
+    /// The order key of `column` in each of the page's slots; `None`
+    /// for a Str column.
+    pub fn keys(&self, column: usize) -> Option<&'a [i64]> {
+        let kc = self.columns.get(column)?.as_ref()?;
+        Some(&kc.keys[self.first_row..self.end_row])
+    }
+
+    /// The page's zone of `column`: the min and max of
+    /// [`PageKeys::keys`]; `None` for a Str column.
+    pub fn zone(&self, column: usize) -> Option<ColumnZone> {
+        Some(self.columns.get(column)?.as_ref()?.zones[self.page])
+    }
+}
+
+/// The order key of fixed-width column `col` of `row`, a row a page
+/// encoder has type-checked.
+fn row_key(row: &Row, col: usize) -> i64 {
+    order_key(row.get(col)).expect("an encoded row holds its schema's types")
+}
+
+/// The min and max of a page's keys (pages are never empty).
+fn zone_of(keys: &[i64]) -> ColumnZone {
+    keys.iter().fold(
+        ColumnZone {
+            min: i64::MAX,
+            max: i64::MIN,
+        },
+        |z, &k| ColumnZone {
+            min: z.min.min(k),
+            max: z.max.max(k),
+        },
+    )
+}
+
+/// Where each of `pages`' rows begin in the key arrays, then the row
+/// count.
+fn row_starts_of(pages: &[Page]) -> Vec<usize> {
+    let mut starts = Vec::with_capacity(pages.len() + 1);
+    starts.push(0);
+    for page in pages {
+        starts.push(starts[starts.len() - 1] + usize::from(page.slot_count()));
+    }
+    starts
+}
+
+/// [`Vec::splice`] that grows the allocation by exactly what `v` grows
+/// by: a plain splice may double it.
+fn splice_exact<T>(v: &mut Vec<T>, range: Range<usize>, new: impl ExactSizeIterator<Item = T>) {
+    v.reserve_exact(new.len().saturating_sub(range.len()));
+    v.splice(range, new);
 }
 
 /// A table's modification state at a point in time, as seen by the
@@ -144,6 +235,18 @@ impl TableStorage {
         let mut sparse_index = Vec::new();
         let mut current = Page::new(page_size);
         let mut first_key_of_page: Option<Datum> = None;
+        // Each row's keys are taken while the page encoder has it in
+        // cache: one pass over the rows, not one per column.
+        let mut key_columns: Vec<Option<KeyColumn>> = schema
+            .columns()
+            .iter()
+            .map(|column| {
+                (column.ty != DataType::Str).then(|| KeyColumn {
+                    keys: Vec::with_capacity(rows.len()),
+                    zones: Vec::new(),
+                })
+            })
+            .collect();
 
         for row in rows {
             let used = page_size - current.free_space();
@@ -173,6 +276,11 @@ impl TableStorage {
                 }
             }
             current.insert(&schema, row)?;
+            for (c, kc) in key_columns.iter_mut().enumerate() {
+                if let Some(kc) = kc {
+                    kc.keys.push(row_key(row, c));
+                }
+            }
         }
         if current.slot_count() > 0 {
             current.seal();
@@ -184,6 +292,14 @@ impl TableStorage {
             }
         }
 
+        let row_starts = row_starts_of(&pages);
+        for kc in key_columns.iter_mut().flatten() {
+            let keys = &kc.keys;
+            kc.zones = row_starts
+                .windows(2)
+                .map(|w| zone_of(&keys[w[0]..w[1]]))
+                .collect();
+        }
         Ok(TableStorage {
             layout: RowLayout::new(&schema),
             schema,
@@ -197,6 +313,8 @@ impl TableStorage {
             injected: HashMap::new(),
             epoch: 0,
             dirty_pages: 0,
+            key_columns,
+            row_starts,
         })
     }
 
@@ -264,6 +382,25 @@ impl TableStorage {
                 page: pid.0,
                 page_count: self.pages.len() as u32,
             })
+    }
+
+    /// The keys and zones of the *pristine* page `pid` (the oracle
+    /// view, like [`TableStorage::page`]).
+    pub fn page_keys(&self, pid: PageId) -> Result<PageKeys<'_>> {
+        self.page(pid)?;
+        let page = pid.0 as usize;
+        Ok(PageKeys {
+            columns: &self.key_columns,
+            page,
+            first_row: self.row_starts[page],
+            end_row: self.row_starts[page + 1],
+        })
+    }
+
+    /// The zone of `column` on every pristine page, in page order;
+    /// `None` for a Str column. A fault plan never moves it.
+    pub fn zones(&self, column: usize) -> Option<&[ColumnZone]> {
+        Some(&self.key_columns.get(column)?.as_ref()?.zones)
     }
 
     /// Attaches the table's catalog identity and (optionally) a fault
@@ -374,35 +511,23 @@ impl TableStorage {
             }
         }
 
-        if self.pages.is_empty() {
-            let rows = vec![row];
-            let (pages, keys) = self.pack_rows(&rows)?;
-            let added = rids_from(0, &pages).zip(rows).collect();
-            self.dirty_pages += pages.len() as u64;
-            self.pages = pages;
-            self.sparse_index = keys;
-            self.row_count += 1;
-            self.epoch += 1;
-            self.rematerialize_faults();
-            return Ok(RidDelta {
-                added,
-                ..RidDelta::default()
-            });
-        }
-
         let cmp = |a: &Datum, b: &Datum| a.cmp_same_type(b).unwrap_or(std::cmp::Ordering::Equal);
         // The page this row belongs on: for clustered tables the last
         // page whose first key is ≤ the new key (mirroring
-        // `locate_range`), for heaps the tail page.
+        // `locate_range`), for heaps the tail page; none in an empty
+        // table.
         let target = match self.clustering_column {
             Some(col) => self
                 .sparse_index
                 .partition_point(|k| cmp(k, row.get(col)) != std::cmp::Ordering::Greater)
                 .saturating_sub(1),
-            None => self.pages.len() - 1,
+            None => self.pages.len().saturating_sub(1),
         };
-
-        let old_rows = self.pages[target].read_all(&self.schema)?;
+        let old = target..(target + 1).min(self.pages.len());
+        let old_rows = match self.pages.get(target) {
+            Some(page) => page.read_all(&self.schema)?,
+            None => Vec::new(),
+        };
         let pos = match self.clustering_column {
             Some(col) => old_rows
                 .partition_point(|r| cmp(r.get(col), row.get(col)) != std::cmp::Ordering::Greater),
@@ -414,8 +539,8 @@ impl TableStorage {
         let (new_pages, new_keys) = self.pack_rows(&rows)?;
         // Pages after the target shift by however many pages the split
         // added.
-        let grown = new_pages.len() - 1;
-        let page_map = (grown > 0 && target + 1 < self.pages.len()).then(|| {
+        let grown = new_pages.len() - old.len();
+        let page_map = (grown > 0 && old.end < self.pages.len()).then(|| {
             (0..self.pages.len() as u32)
                 .map(|p| {
                     if p as usize > target {
@@ -427,16 +552,29 @@ impl TableStorage {
                 .collect()
         });
         let delta = RidDelta {
-            removed: rids_from(target, std::slice::from_ref(&self.pages[target]))
+            removed: rids_from(target, &self.pages[old.clone()])
                 .zip(old_rows)
                 .collect(),
             added: rids_from(target, &new_pages).zip(rows).collect(),
             page_map,
         };
+        let new = target..target + new_pages.len();
+        let old_row_range = self.row_starts[old.start]..self.row_starts[old.end];
         self.dirty_pages += new_pages.len() as u64;
-        self.pages.splice(target..=target, new_pages);
+        self.pages.splice(old.clone(), new_pages);
         if self.clustering_column.is_some() {
-            self.sparse_index.splice(target..=target, new_keys);
+            self.sparse_index.splice(old.clone(), new_keys);
+        }
+        self.row_starts = row_starts_of(&self.pages);
+        let starts = &self.row_starts;
+        for (c, kc) in self.key_columns.iter_mut().enumerate() {
+            let Some(kc) = kc else { continue };
+            let keys = delta.added.iter().map(|(_, r)| row_key(r, c));
+            splice_exact(&mut kc.keys, old_row_range.clone(), keys);
+            let zones = new
+                .clone()
+                .map(|p| zone_of(&kc.keys[starts[p]..starts[p + 1]]));
+            splice_exact(&mut kc.zones, old.clone(), zones);
         }
         self.row_count += 1;
         self.epoch += 1;
@@ -501,6 +639,29 @@ impl TableStorage {
             return Ok((0, RidDelta::default()));
         }
 
+        // Each key array in one pass from the first rewritten page: the
+        // rows of untouched pages move down, each rewritten page's kept
+        // rows take its place.
+        let starts = &self.row_starts;
+        for (c, kc) in self.key_columns.iter_mut().enumerate() {
+            let Some(kc) = kc else { continue };
+            let keys = &mut kc.keys;
+            let mut r = starts[rewrites[0].page];
+            let mut w = r;
+            for rewrite in &rewrites {
+                let start = starts[rewrite.page];
+                keys.copy_within(r..start, w);
+                w += start - r;
+                for row in &rewrite.kept {
+                    keys[w] = row_key(row, c);
+                    w += 1;
+                }
+                r = starts[rewrite.page + 1];
+            }
+            keys.copy_within(r.., w);
+            keys.truncate(keys.len() - (r - w));
+        }
+
         let touched = rewrites.len() as u64;
         let old_pages = std::mem::take(&mut self.pages);
         let mut old_keys = std::mem::take(&mut self.sparse_index).into_iter();
@@ -508,6 +669,8 @@ impl TableStorage {
         let mut page_map = Vec::with_capacity(old_pages.len());
         let mut shifted = false;
         let mut delta = RidDelta::default();
+        // The old page each new page is, or `None` for a rewritten one.
+        let mut kept_zone = Vec::with_capacity(old_pages.len());
         let mut rewrites = rewrites.into_iter().peekable();
         for (p, page) in old_pages.into_iter().enumerate() {
             let at = self.pages.len();
@@ -518,17 +681,28 @@ impl TableStorage {
                     shifted |= at != p;
                     self.pages.push(page);
                     self.sparse_index.extend(key);
+                    kept_zone.push(Some(p));
                 }
                 Some(r) => {
                     let old = rids_from(p, std::slice::from_ref(&page)).zip(r.old_rows);
                     delta.removed.extend(old);
                     delta.added.extend(rids_from(at, &r.pages).zip(r.kept));
+                    kept_zone.extend(r.pages.iter().map(|_| None));
                     self.pages.extend(r.pages);
                     self.sparse_index.extend(r.keys);
                 }
             }
         }
         delta.page_map = shifted.then_some(page_map);
+        self.row_starts = row_starts_of(&self.pages);
+        let starts = &self.row_starts;
+        for kc in self.key_columns.iter_mut().flatten() {
+            let zones = kept_zone.iter().enumerate().map(|(p, old)| match old {
+                Some(old) => kc.zones[*old],
+                None => zone_of(&kc.keys[starts[p]..starts[p + 1]]),
+            });
+            kc.zones = zones.collect();
+        }
         self.row_count -= deleted;
         self.dirty_pages += touched;
         self.epoch += 1;
@@ -552,6 +726,18 @@ impl TableStorage {
     /// missed the buffer pool and "came from disk" — the page checksum
     /// is validated before any row is decoded.
     pub fn checked_page(&self, pid: PageId, attempt: u32, verify: bool) -> Result<&Page> {
+        Ok(self.checked_page_keys(pid, attempt, verify)?.0)
+    }
+
+    /// [`TableStorage::checked_page`] plus the page's keys and zones —
+    /// `None` when the image the engine sees is a damaged copy, whose
+    /// rows must be read.
+    pub fn checked_page_keys(
+        &self,
+        pid: PageId,
+        attempt: u32,
+        verify: bool,
+    ) -> Result<(&Page, Option<PageKeys<'_>>)> {
         let idx = pid.0 as usize;
         if idx >= self.pages.len() {
             return Err(Error::PageOutOfBounds {
@@ -583,14 +769,17 @@ impl TableStorage {
                 }
             }
         }
-        let page = self.injected.get(&pid.0).unwrap_or(&self.pages[idx]);
+        let (page, keys) = match self.injected.get(&pid.0) {
+            Some(damaged) => (damaged, None),
+            None => (&self.pages[idx], Some(self.page_keys(pid)?)),
+        };
         if verify && !page.checksum_ok() {
             return Err(Error::ChecksumMismatch {
                 table: self.table_id,
                 page: pid,
             });
         }
-        Ok(page)
+        Ok((page, keys))
     }
 
     /// Zero-copy view of the row at `rid` via the checked read path.
@@ -684,7 +873,7 @@ impl TableStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_common::{Column, DataType};
+    use pf_common::Column;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -1124,62 +1313,220 @@ mod tests {
         assert!(caught > 0, "rate-0.5 plan must damage some live page");
     }
 
-    /// Every pristine page's zone is the min/max of the rows it holds
-    /// now, and the checked read path never pairs damaged bytes with a
-    /// zone — even on an unverified read (a buffer-pool hit).
-    fn assert_zones_exact(t: &TableStorage, when: &str) {
+    /// `k` (Int), `f` (Float), `d` (Date), a Str pad, then `after`, an
+    /// Int after the Str column.
+    fn typed_schema() -> Schema {
+        Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::new("f", DataType::Float),
+            Column::new("d", DataType::Date),
+            Column::new("pad", DataType::Str),
+            Column::new("after", DataType::Int),
+        ])
+    }
+
+    /// A `typed_schema` row keyed `k`; `f` runs through the Float
+    /// specials, `d` is `k` clamped to the Date range, `after`
+    /// descends.
+    fn typed_row(k: i64, pad: usize) -> Row {
+        const F: [f64; 8] = [
+            f64::NAN,
+            -f64::NAN,
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.5,
+        ];
+        Row::new(vec![
+            Datum::Int(k),
+            Datum::Float(F[k.rem_euclid(8) as usize]),
+            Datum::Date(k.clamp(i32::MIN.into(), i32::MAX.into()) as i32),
+            Datum::Str("p".repeat(pad)),
+            Datum::Int(k.wrapping_neg()),
+        ])
+    }
+
+    /// Every pristine page's key slices and zones are those of the rows
+    /// it holds now, and the scan's path gives no keys for a damaged
+    /// image — even on an unverified read (a buffer-pool hit) — while
+    /// the pristine zones stay. Returns how many pages are damaged.
+    fn assert_keys_exact(t: &TableStorage, when: &str) -> usize {
+        assert_eq!(t.row_starts.len(), t.pages.len() + 1, "{when}");
         let mut damaged = 0;
         for p in 0..t.page_count() {
             let pid = PageId(p);
-            let keys: Vec<i64> = t
-                .rows_on_page(pid)
-                .expect("page id within table")
-                .iter()
-                .map(|r| crate::page::order_key(r.get(0)).expect("fixed column"))
-                .collect();
-            let want = crate::page::ColumnZone {
-                min: *keys.iter().min().expect("no empty pages"),
-                max: *keys.iter().max().expect("no empty pages"),
-            };
+            let rows = t.rows_on_page(pid).expect("page id within table");
+            let keys = t.page_keys(pid).expect("page id within table");
+            for (c, column) in t.schema().columns().iter().enumerate() {
+                let what = format!("{when}: page {p} column {c}");
+                if column.ty == DataType::Str {
+                    assert!(keys.keys(c).is_none() && keys.zone(c).is_none(), "{what}");
+                    assert!(t.zones(c).is_none(), "{what}");
+                    continue;
+                }
+                let want: Vec<i64> = rows.iter().map(|r| row_key(r, c)).collect();
+                assert_eq!(keys.keys(c), Some(&want[..]), "{what}");
+                let zone = ColumnZone {
+                    min: *want.iter().min().expect("no empty pages"),
+                    max: *want.iter().max().expect("no empty pages"),
+                };
+                assert_eq!(keys.zone(c), Some(zone), "{what}");
+                assert_eq!(
+                    t.zones(c).expect("fixed column")[p as usize],
+                    zone,
+                    "{what}"
+                );
+            }
             let pristine = t.page(pid).expect("pristine page");
-            assert_eq!(pristine.zone(), Some(&[want][..]), "{when}: page {p}");
-            let checked = t.checked_page(pid, 0, false).expect("unverified read");
+            let (checked, checked_keys) = t.checked_page_keys(pid, 0, false).expect("unverified");
             if checked.bytes() == pristine.bytes() {
-                assert_eq!(checked.zone(), pristine.zone(), "{when}: page {p}");
+                let same = checked_keys.map(|k| (k.page, k.first_row, k.end_row));
+                assert_eq!(
+                    same,
+                    Some((keys.page, keys.first_row, keys.end_row)),
+                    "{when}"
+                );
             } else {
-                assert_eq!(checked.zone(), None, "{when}: damaged page {p}");
+                assert!(checked_keys.is_none(), "{when}: damaged page {p}");
                 damaged += 1;
             }
         }
-        assert!(damaged > 0, "{when}: the plan must damage some page");
+        for kc in t.key_columns.iter().flatten() {
+            assert_eq!(kc.keys.len() as u64, t.row_count(), "{when}");
+            assert_eq!(kc.zones.len(), t.pages.len(), "{when}");
+        }
+        damaged
     }
 
+    /// A seeded sequence of inserts and deletes on a clustered table and
+    /// on a heap, with a fault plan attached: after every statement the
+    /// key arrays and zones are exact and no damaged image has keys. The
+    /// sequence splits pages, empties pages and widens zones at both
+    /// ends.
     #[test]
     fn zones_stay_exact_through_dml_and_never_describe_damage() {
-        let mut t = TableStorage::bulk_load(schema(), &rows(2000, 30), Some(0), 1024, 1.0)
-            .expect("bulk load test table");
-        t.attach_fault_plan(
-            TableId(2),
-            Some(FaultPlan::new(0x20E, 0.3).expect("valid plan")),
-        );
-        assert_zones_exact(&t, "load");
-        // Emptied pages drop out, partly deleted pages are rewritten.
-        t.delete_where(|r| {
-            let k = r.get(0).as_int().unwrap_or(0);
-            k % 3 == 0 || (500..600).contains(&k)
-        })
-        .expect("delete succeeds");
-        assert_zones_exact(&t, "delete");
-        // Inserts widen a page's range at both ends, then split it.
-        for k in [-5, 2_500, 550, 551, 552] {
-            let row = Row::new(vec![Datum::Int(k), Datum::Str("y".repeat(30))]);
-            t.insert_row(row).expect("insert succeeds");
+        for clustered in [Some(0), None] {
+            let rows: Vec<Row> = (0..600).map(|k| typed_row(k * 4, 30)).collect();
+            let mut t = TableStorage::bulk_load(typed_schema(), &rows, clustered, 1024, 1.0)
+                .expect("bulk load test table");
+            t.attach_fault_plan(
+                TableId(2),
+                Some(FaultPlan::new(0x20E, 0.3).expect("valid plan")),
+            );
+            let mut damaged = assert_keys_exact(&t, "load");
+            let mut rng = pf_common::rng::Rng::new(29);
+            let (mut splits, mut emptied) = (0, 0);
+            for step in 0..80 {
+                let pages = t.page_count();
+                if step % 4 == 3 {
+                    // Delete one page's whole key range, or a scattered
+                    // subset of keys.
+                    let page = rng.gen_range(u64::from(pages)) as u32;
+                    let keys: Vec<Datum> = t
+                        .rows_on_page(PageId(page))
+                        .expect("live page")
+                        .iter()
+                        .map(|r| r.get(0).clone())
+                        .collect();
+                    let modulus = 2 + rng.gen_range(40) as i64;
+                    let whole = step % 8 == 3;
+                    t.delete_where(|r| {
+                        let k = r.get(0).as_int().unwrap_or(0);
+                        if whole {
+                            keys.contains(r.get(0))
+                        } else {
+                            k % modulus == 1
+                        }
+                    })
+                    .expect("delete succeeds");
+                    emptied += u32::from(t.page_count() < pages);
+                } else {
+                    // Keys below, inside and above the loaded range, and
+                    // runs of one key that overflow a page.
+                    let k = match rng.gen_range(4) {
+                        0 => -(rng.gen_range(100) as i64),
+                        1 => 3_000 + rng.gen_range(100) as i64,
+                        _ => 1_000 + rng.gen_range(8) as i64,
+                    };
+                    t.insert_row(typed_row(k, 30)).expect("insert fits");
+                    splits += u32::from(t.page_count() > pages);
+                }
+                damaged += assert_keys_exact(&t, &format!("{clustered:?} step {step}"));
+            }
+            assert!(
+                splits > 0 && emptied > 0,
+                "splits {splits}, emptied {emptied}"
+            );
+            assert!(damaged > 0, "the plan must damage some page");
         }
-        for k in 0..40 {
-            let row = Row::new(vec![Datum::Int(1_000), Datum::Str(format!("split{k}"))]);
-            t.insert_row(row).expect("insert succeeds");
+    }
+
+    /// Inserting rows one by one into an empty table keeps every key
+    /// array and zone exact, over Int and Date extremes, every Float
+    /// special and an Int column after a Str column.
+    #[test]
+    fn zone_tracks_inserted_rows() {
+        let mut t = TableStorage::load_default(typed_schema(), &[], None).expect("empty load");
+        assert_keys_exact(&t, "empty");
+        for (n, k) in [i64::MAX, 0, i64::MIN, 7, -7, 1, 2, 3, 4, 5, 6, 8, 9]
+            .into_iter()
+            .enumerate()
+        {
+            t.insert_row(typed_row(k, 1_000)).expect("insert fits");
+            assert_keys_exact(&t, &format!("after {} rows", n + 1));
         }
-        assert_zones_exact(&t, "insert");
+        assert!(t.page_count() > 1, "the inserts fill more than a page");
+    }
+
+    /// Byte damage never comes with keys: under a plan that damages
+    /// every page, each damaged image of every corrupting kind has no
+    /// keys on the scan's path, even unverified, while the pristine keys
+    /// and zones stay as loaded; detaching the plan brings the keys
+    /// back.
+    #[test]
+    fn byte_mutators_drop_the_zone() {
+        let rows: Vec<Row> = (0..400).map(|k| typed_row(k, 60)).collect();
+        let mut t = TableStorage::load_default(typed_schema(), &rows, Some(0)).expect("load");
+        let zones = |t: &TableStorage| -> Vec<Vec<ColumnZone>> {
+            [0, 1, 2, 4]
+                .map(|c| t.zones(c).expect("fixed column").to_vec())
+                .to_vec()
+        };
+        let loaded = zones(&t);
+        let plan = FaultPlan::new(0xB17E, 1.0).expect("valid plan");
+        t.attach_fault_plan(TableId(4), Some(plan));
+        let mut kinds = Vec::new();
+        for p in 0..t.page_count() {
+            let pid = PageId(p);
+            let kind = plan
+                .fault_for(TableId(4), pid)
+                .expect("rate 1 faults every page");
+            let (page, keys) = t.checked_page_keys(pid, u32::MAX, false).expect("no stall");
+            if kind.corrupts() {
+                assert_ne!(
+                    page.bytes(),
+                    t.page(pid).expect("pristine").bytes(),
+                    "{kind}"
+                );
+                assert!(keys.is_none(), "page {p}: {kind}");
+                kinds.push(kind);
+            } else {
+                assert!(keys.is_some(), "page {p}: {kind} leaves the bytes alone");
+            }
+        }
+        for kind in [
+            FaultKind::BitFlip,
+            FaultKind::TruncatedPage,
+            FaultKind::TornSlotDirectory,
+        ] {
+            assert!(kinds.contains(&kind), "{kind} never drawn");
+        }
+        assert_eq!(zones(&t), loaded, "the pristine zones stay");
+        assert_keys_exact(&t, "damaged");
+        t.attach_fault_plan(TableId(4), None);
+        assert_eq!(assert_keys_exact(&t, "detached"), 0);
     }
 
     /// Every row of `t` under its RID.

@@ -86,22 +86,6 @@ impl RowLayout {
         self.cols.len()
     }
 
-    /// Byte offset and type of column `idx` *if* it lies in the
-    /// fixed-width prefix — i.e. its offset from the row start is a
-    /// schema constant, independent of the row's contents. Predicate
-    /// kernels use this to read comparison operands straight out of the
-    /// page buffer; columns at or past the first `Str` column return
-    /// `None` (their offsets are row-dependent, so evaluating them needs
-    /// a [`RowView`]).
-    pub fn fixed_col(&self, idx: usize) -> Option<(usize, DataType)> {
-        if idx < self.fixed_prefix {
-            let col = &self.cols[idx];
-            Some((col.offset, col.ty))
-        } else {
-            None
-        }
-    }
-
     /// Validates one encoded row at the start of `bytes`, with the same
     /// acceptance as [`crate::codec::decode_row`]: every fixed field in
     /// bounds, every string length in bounds and valid UTF-8. Returns

@@ -137,14 +137,10 @@ fn seeded_scans_meet_settled_and_unsettled_pages() {
         let fx = Fixture::new(seed);
         let db = fx.database(0.0);
         let storage = &db.catalog().table_by_name(TABLE).expect("table").storage;
-        let layout = storage.layout();
         for query in fx.queries.iter().filter(|q| is_count(q)) {
             let pred = resolved_pred(query);
-            let fixed = pred
-                .atoms
-                .iter()
-                .all(|a| layout.fixed_col(a.column).is_some() && !matches!(a.value, Datum::Str(_)));
-            if pred.is_empty() || !fixed {
+            let zoned = pred.atoms.iter().all(|a| !matches!(a.value, Datum::Str(_)));
+            if pred.is_empty() || !zoned {
                 continue;
             }
             for p in 0..storage.page_count() {
